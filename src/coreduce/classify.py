@@ -523,8 +523,16 @@ def classify_semisimple_irreducible(
     m: ModuleSpec, limits: Limits = DEFAULT_LIMITS
 ) -> Verdict:
     g = m.group
-    assert len(g.simple_factors) >= 2 and g.torus_rank == 0
-    assert len(m.summands) == 1 and m.summands[0][0] == 1
+    if len(g.simple_factors) < 2 or g.torus_rank:
+        raise ValueError(
+            f"{g} is outside the classification: it covers products of two or "
+            "more simple groups"
+        )
+    if len(m.summands) != 1 or m.summands[0][0] != 1:
+        raise ValueError(
+            f"{m} is outside the classification: it covers irreducible modules "
+            "of product groups"
+        )
     hw = m.summands[0][1]
     tag = "semisimple-irreducible"
     if _is_semisimple_yes_row(g, hw):
@@ -555,7 +563,8 @@ def classify_semisimple_irreducible(
         return Verdict(m, NO, (bad,), tag)
     if _is_odd_orthogonal_triple(g, hw):
         tv = is_torus_coreduced([(2, 0), (0, 2), (1, 1), (-1, -1)])
-        assert not tv.coreduced
+        if tv.coreduced:
+            raise ContradictionError("expected a bad rank-2 torus slice")
         return Verdict(
             m, NO, (tv.certificate, Citation("slice-quotient chain to a rank-2 torus")),
             tag, ("final torus step machine-checked",),
@@ -816,7 +825,10 @@ def sl3_vanishing_generator_certificate(
                     covariant_vanishes(a, target, d, all_degrees=False, limits=limits)
                     for a in candidates
                 )
-                assert vanishes
+                if not vanishes:
+                    raise ContradictionError(
+                        f"degree-{d} covariant fails to vanish on a component"
+                    )
                 return (cert, {"vanishing_degree_bound": dmax, "components": len(candidates)})
     return None
 
@@ -838,7 +850,9 @@ def _max_feasible_degree(
     best = 0
     ws = a.root_scaled()
     for d in range(1, dbound + 1):
-        if exists_sum(ws, tgt, d, "exact_count", limits).feasible:
+        if exists_sum(
+            ws, tgt, d, "exact_count", limits, grading=a.defining.values
+        ).feasible:
             best = d
     return best
 

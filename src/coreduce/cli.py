@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -67,7 +66,6 @@ class Config:
     output: str = "json"
     cache_dir: Optional[str] = None
     limits: Limits = DEFAULT_LIMITS
-    jobs: int = 1
 
 
 def _config_from(args: argparse.Namespace) -> Config:
@@ -77,18 +75,21 @@ def _config_from(args: argparse.Namespace) -> Config:
     cache_dir = getattr(args, "cache_dir", None) or os.environ.get(
         "COREDUCE_CACHE_DIR"
     )
-    limit_states = getattr(args, "limit_states", None) or os.environ.get(
-        "COREDUCE_LIMIT_STATES"
-    )
-    jobs = getattr(args, "jobs", None) or os.environ.get("COREDUCE_JOBS")
-    limits = (
-        Limits(dp_state_limit=int(limit_states)) if limit_states else DEFAULT_LIMITS
-    )
+    limit_states = getattr(args, "limit_states", None)
+    env = os.environ.get("COREDUCE_LIMIT_STATES")
+    if limit_states is None and env:
+        try:
+            limit_states = int(env)
+        except ValueError:
+            raise ValueError(
+                f"COREDUCE_LIMIT_STATES must be an integer, got {env!r}"
+            ) from None
+    if limit_states is None:
+        return Config(output=output, cache_dir=cache_dir)
+    if limit_states < 1:
+        raise ValueError(f"the state limit must be at least 1, got {limit_states}")
     return Config(
-        output=output,
-        cache_dir=cache_dir,
-        limits=limits,
-        jobs=max(1, int(jobs)) if jobs else 1,
+        output=output, cache_dir=cache_dir, limits=Limits(dp_state_limit=limit_states)
     )
 
 
@@ -597,11 +598,7 @@ def cmd_verify_paper(cfg: Config, args: argparse.Namespace) -> int:
         if n not in SUITES:
             print(f"unknown suite {n!r}; choose from {sorted(SUITES)}", file=sys.stderr)
             return EXIT_USAGE
-    if cfg.jobs > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = dict(zip(names, pool.map(lambda n: SUITES[n](cfg), names)))
-    else:
-        results = {n: SUITES[n](cfg) for n in names}
+    results = {n: SUITES[n](cfg) for n in names}
     all_ok = all(c["ok"] for cs in results.values() for c in cs)
     _emit(cfg, {"suites": results, "ok": all_ok})
     return EXIT_OK if all_ok else EXIT_NO
@@ -620,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--cache-dir", default=argparse.SUPPRESS)
     common.add_argument("--limit-states", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
     p = argparse.ArgumentParser(
         prog="coreduce",
         description="Certificates for null-cone reducedness questions.",
@@ -690,8 +686,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    cfg = _config_from(args)
     try:
+        cfg = _config_from(args)
         return args.func(cfg, args)
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)

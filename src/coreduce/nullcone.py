@@ -438,13 +438,23 @@ def covariant_vanishes(
     weight ``lam_star`` (so every degree-d covariant of that type vanishes on
     the saturation of the positive weight space).  With ``all_degrees`` the
     check covers every degree 1..d.
+
+    The defining cocharacter is positive on every weight of the set, so a
+    degree-e monomial has a value between e*min and e*max of the weight
+    values; ``exists_sum`` drops every partial monomial that can no longer
+    meet the value of ``lam_star`` (and likewise per coordinate), and
+    answers at once when degree e is out of that range.
     """
+    if d < 1:
+        raise ValueError(f"covariant degree must be at least 1, got {d}")
     g = adm.defining.group
     ws = adm.root_scaled()
     target = root_scaled_of_dynkin(g, lam_star)
     degrees = range(1, d + 1) if all_degrees else [d]
     for e in degrees:
-        if exists_sum(ws, target, e, "exact_count", limits).feasible:
+        if exists_sum(
+            ws, target, e, "exact_count", limits, grading=adm.defining.values
+        ).feasible:
             return False
     return True
 

@@ -87,6 +87,38 @@ def test_usage_errors_exit_two():
     assert run_cli(["classify", "A2", "[1,0,0]"])[0] == 2
 
 
+def test_reducible_product_group_classify_exits_two(capsys):
+    code, _ = run_cli(["classify", "A1xA1", "2*[1,1]"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "outside the classification" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_covariant_degree_below_one_exits_two(degree):
+    code, out = run_cli(
+        ["covariant-vanish", "A2", "[2,1]", "--target", "[1,0]", "--degree", degree]
+    )
+    assert code == 2
+    assert out == ""
+
+
+def test_limit_states_zero_exits_two():
+    assert run_cli(["--limit-states", "0", "rootsys", "A2"])[0] == 2
+
+
+def test_env_limit_states_not_integer_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("COREDUCE_LIMIT_STATES", "abc")
+    code, _ = run_cli(["rootsys", "A2"])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_jobs_flag_is_gone():
+    assert run_cli(["--jobs", "2", "rootsys", "A1"])[0] == 2
+
+
 def test_resource_limit_exit_three():
     code, _ = run_cli(
         ["--limit-states", "10", "verify-paper", "--suite", "appendixB"]

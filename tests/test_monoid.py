@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +45,20 @@ def test_hilbert_basis_matches_brute_force_2d(ws):
     basis = hilbert_basis(ws, LIMITS)
     small = sorted(g.coeffs for g in basis.generators if g.degree <= 7)
     oracle = sorted(brute_force_minimal_relations(ws, 7))
+    assert small == oracle
+
+
+nonzero_triple = st.tuples(
+    st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)
+).filter(any)
+
+
+@given(ws=st.lists(nonzero_triple, min_size=1, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_hilbert_basis_matches_brute_force_3d(ws):
+    basis = hilbert_basis(ws, LIMITS)
+    small = sorted(g.coeffs for g in basis.generators if g.degree <= 5)
+    oracle = sorted(brute_force_minimal_relations(ws, 5))
     assert small == oracle
 
 
@@ -97,6 +112,40 @@ def test_exists_sum_matches_exhaustive(ws, target, count):
         chosen = [ws[i] for i in got.chosen]
         assert len(chosen) == count
         assert tuple(sum(w[j] for w in chosen) for j in range(2)) == target
+
+
+@given(
+    ws=st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4
+    ),
+    target=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+    count=st.integers(0, 4),
+    mode=st.sampled_from(["exact_count", "at_most"]),
+    grading=st.none() | st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+)
+@settings(max_examples=300, deadline=None)
+def test_bounded_exists_sum_matches_exhaustive(ws, target, count, mode, grading):
+    got = exists_sum(ws, target, count, mode, LIMITS, grading=grading)
+    counts = range(count + 1) if mode == "at_most" else [count]
+    feasible = any(
+        tuple(sum(w[j] for w in pick) for j in range(2)) == target
+        for c in counts
+        for pick in _multisets(ws, c)
+    )
+    assert got.feasible == feasible
+    if got.feasible:
+        chosen = [ws[i] for i in got.chosen]
+        assert len(chosen) in counts
+        assert tuple(sum(w[j] for w in chosen) for j in range(2)) == target
+
+
+def test_exists_sum_grading_prunes_before_the_first_level():
+    # every weight has value >= 1 and the target value 3 < 9: no DP state
+    ws = [(1, 0), (0, 1), (2, 1)]
+    tiny = Limits(dp_state_limit=1)
+    for grading in [(1, 1), (Fraction(1, 2), Fraction(1, 2))]:
+        assert not exists_sum(ws, (2, 1), 9, "exact_count", tiny, grading=grading).feasible
+        assert exists_sum(ws, (2, 1), 3, "exact_count", LIMITS, grading=grading).feasible
 
 
 def _multisets(ws, count):

@@ -108,3 +108,19 @@ def test_bad_slice_certificates_always_validate(name, data):
         cert.validate()
         assert max(cert.coeffs) >= 2
         assert all(x == 0 for x in cert.relation_sum())
+
+
+def test_f4_adjoint_plus_26_slice_certificate_is_pinned():
+    # the first generator with a coefficient >= 2 in the completion order;
+    # pruning the minimality test must not change which one is found
+    g = parse_group("F4")
+    cert = bad_toral_slice(parse_module(g, "[1,0,0,0]+[0,0,0,1]"), LIMITS)
+    assert cert.kind == "toral_relation"
+    assert cert.weights == (
+        (-1, -1, -1, 0),
+        (0, -1, -1, 0),
+        (0, 0, -1, 0),
+        (0, 0, 0, -1),
+        (1, 2, 3, 2),
+    )
+    assert cert.coeffs == (1, 1, 1, 2, 1)
