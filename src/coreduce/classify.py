@@ -51,6 +51,7 @@ from .rootsys import (
     SL3,
     SimpleType,
     Weight,
+    build_root_system,
     dynkin_to_eps,
     eps_to_dynkin,
     parse_group,
@@ -184,13 +185,14 @@ def _check_no_negative_rule(m: ModuleSpec, limits: Limits) -> None:
 # ---------------------------------------------------------------------------
 # Exceptional groups (modules with a zero weight)
 
-_EXCEPTIONAL_ADJOINT_HW = {
-    ("E", 6): (0, 1, 0, 0, 0, 0),
-    ("E", 7): (1, 0, 0, 0, 0, 0, 0),
-    ("E", 8): (1, 0, 0, 0, 0, 0, 0, 0),
-    ("F", 4): (1, 0, 0, 0),
-    ("G", 2): (0, 1),
-}
+_EXCEPTIONAL_FAMILIES = ("E", "F", "G")
+
+
+def _adjoint_hw(t: SimpleType) -> Coords:
+    """Highest weight of the adjoint module: the Dynkin labels of the highest root."""
+    rs = build_root_system(t)
+    return rs.dynkin_of_root(rs.highest_root)
+
 
 F4_26_HW = (0, 0, 0, 1)
 G2_7_HW = (1, 0)
@@ -201,15 +203,15 @@ def classify_adjoint_exceptional(
 ) -> Verdict:
     assert len(g.simple_factors) == 1 and g.torus_rank == 0
     t = g.simple_factors[0]
+    if t.family not in _EXCEPTIONAL_FAMILIES:
+        raise ValueError(f"{t} is not an exceptional group")
     key = (t.family, t.rank)
-    assert key in _EXCEPTIONAL_ADJOINT_HW, "exceptional groups only"
     tag = f"exceptional-{t.family}{t.rank}"
     for _, hw in m.summands:
         if not Weight(hw, "dynkin", g).in_root_lattice():
             raise ValueError(f"{hw} is not a module of the adjoint group of {t}")
-    adjoint = _EXCEPTIONAL_ADJOINT_HW[key]
     summands = m.summands
-    if summands == ((1, adjoint),):
+    if summands == ((1, _adjoint_hw(t)),):
         _check_no_negative_rule(m, limits)
         return Verdict(m, YES, theorem_tag=tag, notes=("adjoint module",))
     if key == ("F", 4) and summands == ((2, F4_26_HW),):
@@ -351,22 +353,7 @@ def classify_adjoint_classical(
 
 
 def _is_adjoint_module(t: SimpleType, m: ModuleSpec) -> bool:
-    n = t.rank
-    hw = [0] * n
-    if t.family == "A":
-        hw[0] = hw[-1] = 1
-        if n == 1:
-            hw = [2]
-    elif t.family in ("B", "D"):
-        if n >= 3:
-            hw[1] = 1
-        else:
-            hw[1] = 2  # B2 adjoint is the square of the spin weight
-    elif t.family == "C":
-        hw[0] = 2
-    else:
-        return False
-    return m.summands == ((1, tuple(hw)),)
+    return m.summands == ((1, _adjoint_hw(t)),)
 
 
 def _is_classical_yes_row(t: SimpleType, m: ModuleSpec) -> bool:
@@ -906,6 +893,8 @@ def classify_module(m: ModuleSpec, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     g = m.group
     if g.torus_rank:
         raise ValueError("classification drivers cover semisimple groups only")
+    if any(not any(hw) for _, hw in m.summands):
+        raise ValueError("need a nontrivial module with no trivial summands")
     if len(g.simple_factors) >= 2:
         return classify_semisimple_irreducible(m, limits)
     t = g.simple_factors[0]
@@ -916,7 +905,7 @@ def classify_module(m: ModuleSpec, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         return classify_sl2(parts, limits)
     if str(t) == "A2":
         return classify_sl3(m, limits)
-    if (t.family, t.rank) in _EXCEPTIONAL_ADJOINT_HW:
+    if t.family in _EXCEPTIONAL_FAMILIES:
         return classify_adjoint_exceptional(g, m, limits)
     return classify_adjoint_classical(g, m, limits)
 

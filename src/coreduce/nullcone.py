@@ -15,6 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits, ResourceLimitError
@@ -176,7 +177,6 @@ def _rank2_samples(
     for d in ordered:
         halves[angle_key(d)[0]].append(d)
     for h in halves.values():
-        h.sort(key=lambda d: (0,))  # stable placeholder
         # insertion sort by cross product (all within an open half-plane)
         for i in range(1, len(h)):
             j = i
@@ -524,9 +524,7 @@ def value_screen(
             pos_vals.extend([Fraction(v)] * m)
         else:
             neg.append((-Fraction(v), m))
-    den = 1
-    for v in pos_vals + [x for x, _ in neg]:
-        den = den * v.denominator // _gcd(den, v.denominator)
+    den = lcm(*(v.denominator for v in pos_vals + [x for x, _ in neg]))
     pvals = [int(v * den) for v in pos_vals]
     max_degree: Optional[int] = None
     rank_bound = 0
@@ -566,12 +564,6 @@ def _representable_counts(pos_vals: Sequence[int], target: int) -> set[int]:
                     nxt.add(t)
         frontier = nxt
     return {k for k in reach.get(target, set()) if k >= 1}
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

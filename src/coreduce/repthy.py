@@ -5,6 +5,12 @@ over dominant weights only (the diagram is Weyl-invariant, so one value per
 orbit suffices); full diagrams are materialized on demand by orbit closure.
 Multiplicities of irreducibles inside an arbitrary character use the
 alternating Weyl-sum (Racah) formula, which needs only point lookups.
+
+Multigraded multiplicities (one grading per summand) are computed for every
+multidegree at once: S^0..S^dmax of each summand come from a single
+symmetric-power DP, the pieces of each half of the summands are convolved
+once per half-multidegree, and the alternating Weyl sum is folded into the
+second half, so that each multidegree is one dot product.
 """
 
 from __future__ import annotations
@@ -14,8 +20,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -161,7 +166,7 @@ def dominant_diagram(
         lo, hi = g.blocks[k]
         parts.append(simple_dominant_diagram(t, tuple(hw[lo:hi]), cache_dir))
     torus = tuple(hw[g.blocks[-1][0] : g.blocks[-1][1]])
-    out: dict[Coords, int] = {(): 1} if False else {}
+    out: dict[Coords, int] = {}
     combos: list[tuple[Coords, int]] = [((), 1)]
     for part in parts:
         combos = [
@@ -379,9 +384,9 @@ def symmetric_power(
         mass_bound = mass_bound * (n + i) // (i + 1)
     use_numpy = mass_bound < 2**62
     if use_numpy:
-        dp = np.zeros((d + 1,) + shape, dtype=np.int64)
-        origin = tuple(-l for l in lo)
-        dp[(0,) + origin] = 1
+        # one array per degree, so each is freed once its dict is built
+        dp = [np.zeros(shape, dtype=np.int64) for _ in range(d + 1)]
+        dp[0][tuple(-l for l in lo)] = 1
         for w in weights:
             src = tuple(
                 slice(max(0, -w[j]), min(shape[j], shape[j] - w[j])) for j in range(rank)
@@ -390,17 +395,14 @@ def symmetric_power(
                 slice(max(0, w[j]), min(shape[j], shape[j] + w[j])) for j in range(rank)
             )
             for k in range(1, d + 1):
-                dp[(k,) + dst] += dp[(k - 1,) + src]
+                dp[k][dst] += dp[k - 1][src]
         out = []
         for k in range(d + 1):
-            layer = dp[k]
-            idx = np.argwhere(layer)
-            ent = {
-                tuple(int(c) + l for c, l in zip(pos, lo)): int(layer[tuple(pos)])
-                for pos in idx
-            }
-            out.append(Character(chi.group, ent, False))
-        total = sum(c.mass() for c in out[1:]) + 1
+            layer, dp[k] = dp[k], None
+            # values first: the index arrays are gone before the dict grows
+            vals = layer[layer != 0].tolist()
+            cols = [(ix + l).tolist() for ix, l in zip(np.nonzero(layer), lo)]
+            out.append(Character(chi.group, dict(zip(zip(*cols), vals)), False))
         return out
     # big-int fallback: dict DP
     zero = tuple(0 for _ in range(rank))
@@ -413,24 +415,6 @@ def symmetric_power(
                 y = tuple(a + b for a, b in zip(x, w))
                 cur[y] = cur.get(y, 0) + c
     return [Character(chi.group, layer, False) for layer in layers]
-
-
-def symmetric_power_multidegree(
-    chis: Sequence[Character], degrees: Sequence[int], limits: Limits = DEFAULT_LIMITS
-) -> Character:
-    """S^{d_1}(chi_1) · ... · S^{d_k}(chi_k) as one character (convolution)."""
-    assert len(chis) == len(degrees) and chis
-    g = chis[0].group
-    acc: dict[Coords, int] = {tuple(0 for _ in range(g.rank)): 1}
-    for chi, d in zip(chis, degrees):
-        part = symmetric_power(chi, d, limits)[d].entries
-        nxt: dict[Coords, int] = {}
-        for x, c in acc.items():
-            for y, e in part.items():
-                z = tuple(a + b for a, b in zip(x, y))
-                nxt[z] = nxt.get(z, 0) + c * e
-        acc = nxt
-    return Character(g, acc, False)
 
 
 # ---------------------------------------------------------------------------
@@ -458,57 +442,6 @@ def mult_in_character(chi: Character, lam: Coords) -> int:
 
 def invariant_dimension(chi: Character) -> int:
     return mult_in_character(chi, tuple(0 for _ in range(chi.group.rank)))
-
-
-def character_point_convolution(
-    parts: Sequence[Character], point: Coords
-) -> int:
-    """Value of the convolution of ``parts`` at one lattice point.
-
-    Avoids materializing the full product when only a handful of point
-    evaluations are needed (alternating Weyl sums over few points).
-    """
-    assert parts
-    if len(parts) == 1:
-        return parts[0].mult(point)
-    first = parts[0].expand().entries
-    rest = parts[1:]
-    total = 0
-    for x, c in first.items():
-        if c:
-            total += c * character_point_convolution(
-                rest, tuple(a - b for a, b in zip(point, x))
-            )
-    return total
-
-
-def mult_in_convolution(parts: Sequence[Character], lam: Coords) -> int:
-    """Multiplicity of V(lam) in the product of the given characters.
-
-    The parts are pre-convolved pairwise (greedy, smallest first) and the
-    final product is only evaluated at the Weyl-sum points.
-    """
-    g = parts[0].group
-    if g.weyl_order > _WEYL_ENUM_LIMIT:
-        raise ResourceLimitError("Weyl group too large")
-    work = sorted((p.expand() for p in parts), key=lambda c: len(c.entries))
-    while len(work) > 2:
-        a = work.pop(0)
-        b = work.pop(0)
-        prod: dict[Coords, int] = {}
-        for x, c in a.entries.items():
-            for y, e in b.entries.items():
-                z = tuple(p + q for p, q in zip(x, y))
-                prod[z] = prod.get(z, 0) + c * e
-        work.append(Character(g, prod, False))
-        work.sort(key=lambda c: len(c.entries))
-    delta = g.weyl_vector
-    start = tuple(a + b for a, b in zip(lam, delta))
-    total = 0
-    for pt, sign in signed_orbit(g, start):
-        shifted = tuple(a - b for a, b in zip(pt, delta))
-        total += sign * character_point_convolution(work, shifted)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -557,31 +490,15 @@ def covariant_generator_exists_multidegree(
     The ideal bound runs over proper nonzero sub-multidegrees e of the given
     multidegree d: invariants in degree d-e times covariants in degree e.
     """
-    import itertools as it
-
     degrees = tuple(degrees)
-    m_target = _multidegree_mult(summands, degrees, target, limits)
-    bound = 0
-    ranges = [range(x + 1) for x in degrees]
-    for e in it.product(*ranges):
-        if e == degrees or all(x == 0 for x in e):
-            continue
-        rem = tuple(a - b for a, b in zip(degrees, e))
-        inv = _multidegree_mult(summands, rem, tuple(0 for _ in target), limits)
-        if inv:
-            bound += inv * _multidegree_mult(summands, e, target, limits)
-    return CovariantCertificate(target, sum(degrees), m_target, bound, (), ())
-
-
-def _multidegree_mult(
-    summands: Sequence[Character], degrees: Sequence[int], lam: Coords, limits: Limits
-) -> int:
-    parts = [
-        symmetric_power(chi, d, limits)[d] for chi, d in zip(summands, degrees) if d
-    ]
-    if not parts:
-        return 1 if all(x == 0 for x in lam) else 0
-    return mult_in_convolution(parts, lam)
+    mults = _multigraded_mults(summands, degrees, target, limits)
+    invs = _multigraded_mults(summands, degrees, tuple(0 for _ in target), limits)
+    bound = sum(
+        invs[tuple(a - b for a, b in zip(degrees, e))] * m
+        for e, m in mults.items()
+        if e != degrees and any(e)
+    )
+    return CovariantCertificate(target, sum(degrees), mults[degrees], bound, (), ())
 
 
 def graded_invariant_series(
@@ -589,12 +506,74 @@ def graded_invariant_series(
     max_multidegree: Sequence[int],
     limits: Limits = DEFAULT_LIMITS,
 ) -> dict[Coords, int]:
-    """Invariant dimensions of every multigraded piece up to the bound."""
-    import itertools as it
+    """Invariant dimensions of every multigraded piece up to the bound.
 
+    One call of :func:`symmetric_power` per summand (at its top degree); the
+    pieces of each half of the summands are convolved once, and the
+    alternating Weyl sum is folded into the second half (see
+    :func:`_multigraded_mults`), so each multidegree costs one dot product.
+    """
+    zero = tuple(0 for _ in range(summands[0].group.rank))
+    return _multigraded_mults(summands, max_multidegree, zero, limits)
+
+
+def _multigraded_mults(
+    summands: Sequence[Character],
+    max_degrees: Sequence[int],
+    lam: Coords,
+    limits: Limits,
+) -> dict[Coords, int]:
+    """Multiplicity of V(lam) in S^d1(chi_1)...S^dk(chi_k) for every d <= max_degrees.
+
+    With A and B the products over the first and second half of the
+    summands, the multiplicity is sum_w sign(w) (A*B)(w(lam+rho) - rho)
+    = sum_x A(x) alt_B(x), where alt_B(x) = sum_w sign(w) B(w(lam+rho) - rho - x).
+    Keys come in ``itertools.product`` order.
+    """
     g = summands[0].group
-    zero = tuple(0 for _ in range(g.rank))
-    out: dict[Coords, int] = {}
-    for degs in it.product(*[range(x + 1) for x in max_multidegree]):
-        out[degs] = _multidegree_mult(summands, degs, zero, limits)
-    return out
+    if any(max_degrees) and g.weyl_order > _WEYL_ENUM_LIMIT:
+        raise ResourceLimitError("Weyl group too large")
+    powers = [
+        [p.entries for p in symmetric_power(chi, d, limits)]
+        for chi, d in zip(summands, max_degrees)
+    ]
+    half = len(powers) // 2
+    left = _convolve_powers(powers[:half], g.rank)
+    delta = g.weyl_vector
+    start = tuple(a + b for a, b in zip(lam, delta))
+    shifts = [
+        (tuple(a - b for a, b in zip(pt, delta)), sign) for pt, sign in signed_orbit(g, start)
+    ]
+    alt_right: dict[Coords, dict[Coords, int]] = {}
+    for degs, part in _convolve_powers(powers[half:], g.rank).items():
+        alt: dict[Coords, int] = {}
+        for y, c in part.items():
+            for pt, sign in shifts:
+                x = tuple(a - b for a, b in zip(pt, y))
+                alt[x] = alt.get(x, 0) + sign * c
+        alt_right[degs] = alt
+    return {
+        da + db: sum(c * alt.get(x, 0) for x, c in part.items())
+        for da, part in left.items()
+        for db, alt in alt_right.items()
+    }
+
+
+def _convolve_powers(
+    powers: Sequence[Sequence[dict[Coords, int]]], rank: int
+) -> dict[Coords, dict[Coords, int]]:
+    """Products S^d1(chi_1)...S^dk(chi_k) for every multidegree, keyed by it,
+    given ``powers[i][d]`` = S^d(chi_i)."""
+    table: dict[Coords, dict[Coords, int]] = {(): {(0,) * rank: 1}}
+    for layers in powers:
+        nxt: dict[Coords, dict[Coords, int]] = {}
+        for degs, acc in table.items():
+            for k, part in enumerate(layers):
+                prod: dict[Coords, int] = {}
+                for x, c in acc.items():
+                    for y, e in part.items():
+                        z = tuple(p + q for p, q in zip(x, y))
+                        prod[z] = prod.get(z, 0) + c * e
+                nxt[degs + (k,)] = prod
+        table = nxt
+    return table

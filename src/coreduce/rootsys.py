@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 Coords = tuple[int, ...]
@@ -177,9 +177,7 @@ class RootSystem:
         assert all(x.denominator == 1 for row in scaled for x in row)
         self._dynkin_to_root_scaled = tuple(tuple(int(x) for x in row) for row in scaled)
         # common denominator for the symmetrizer, for integer inner products
-        den = 1
-        for x in self.symmetrizer:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in self.symmetrizer))
         self._sym_scaled = tuple(int(x * den) for x in self.symmetrizer)
         self._sym_den = den
         self.positive_roots = self._positive_roots()
@@ -289,20 +287,12 @@ class RootSystem:
 
     @property
     def highest_root(self) -> Coords:
-        # the unique positive root whose Dynkin labels are dominant
-        for r in self.positive_roots:
-            if all(x >= 0 for x in self.dynkin_of_root(r)):
-                return r
-        raise AssertionError("no highest root")
+        """The positive root of maximal height (root coordinates); its Dynkin
+        labels are the highest weight of the adjoint module."""
+        return max(self.positive_roots, key=sum)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @lru_cache(maxsize=None)

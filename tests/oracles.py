@@ -128,3 +128,73 @@ def brute_force_sl3_dominant_sets(m, limits) -> list:
         adm.verify(chi)
         out.append(adm)
     return out
+
+
+def brute_force_symmetric_power(entries: dict, d: int) -> dict:
+    """Weights of S^d of the module with the given weight multiplicities, by
+    summing every multiset of d basis vectors."""
+    import itertools
+    from collections import Counter
+
+    basis = [w for w, m in sorted(entries.items()) for _ in range(m)]
+    rank = len(next(iter(entries)))
+    out = Counter()
+    for combo in itertools.combinations_with_replacement(basis, d):
+        out[tuple(sum(w[j] for w in combo) for j in range(rank))] += 1
+    return dict(out)
+
+
+def reference_multidegree_mult(summands, degrees, lam, limits) -> int:
+    """Multiplicity of V(lam) in S^d1(chi_1)...S^dk(chi_k), one multidegree at
+    a time: a symmetric power per summand and degree, dict convolution of the
+    pieces, and the alternating Weyl sum evaluated point by point.  It shares
+    ``symmetric_power`` with the package, which is checked separately against
+    :func:`brute_force_symmetric_power`."""
+    from coreduce.repthy import symmetric_power
+    from coreduce.rootsys import signed_orbit
+
+    g = summands[0].group
+    prod = {tuple(0 for _ in range(g.rank)): 1}
+    for chi, d in zip(summands, degrees):
+        part = symmetric_power(chi, d, limits)[d].entries
+        nxt: dict = {}
+        for x, c in prod.items():
+            for y, e in part.items():
+                z = tuple(a + b for a, b in zip(x, y))
+                nxt[z] = nxt.get(z, 0) + c * e
+        prod = nxt
+    delta = g.weyl_vector
+    start = tuple(a + b for a, b in zip(lam, delta))
+    total = 0
+    for pt, sign in signed_orbit(g, start):
+        total += sign * prod.get(tuple(a - b for a, b in zip(pt, delta)), 0)
+    return total
+
+
+def reference_graded_invariant_series(summands, max_degrees, limits) -> dict:
+    import itertools
+
+    zero = tuple(0 for _ in range(summands[0].group.rank))
+    return {
+        degs: reference_multidegree_mult(summands, degs, zero, limits)
+        for degs in itertools.product(*[range(x + 1) for x in max_degrees])
+    }
+
+
+def reference_covariant_counts(summands, degrees, target, limits) -> tuple:
+    """(multiplicity of V(target) in multidegree ``degrees``, ideal bound):
+    the bound sums invariants in d - e times covariants in e over proper
+    nonzero sub-multidegrees e."""
+    import itertools
+
+    zero = tuple(0 for _ in target)
+    degrees = tuple(degrees)
+    bound = 0
+    for e in itertools.product(*[range(x + 1) for x in degrees]):
+        if e == degrees or not any(e):
+            continue
+        rem = tuple(a - b for a, b in zip(degrees, e))
+        bound += reference_multidegree_mult(
+            summands, rem, zero, limits
+        ) * reference_multidegree_mult(summands, e, target, limits)
+    return reference_multidegree_mult(summands, degrees, target, limits), bound

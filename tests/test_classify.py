@@ -23,7 +23,7 @@ from coreduce.classify import (
     sl3_module,
 )
 from coreduce.repthy import CovariantCertificate, ModuleSpec, parse_module
-from coreduce.rootsys import parse_group
+from coreduce.rootsys import build_root_system, parse_group
 from coreduce.slices import BadSliceCertificate
 from coreduce.nullcone import ScreenResult
 
@@ -113,6 +113,27 @@ def test_exceptional_rejects_non_adjoint_lattice():
     b3 = parse_group("B3")
     with pytest.raises(ValueError):
         classify_adjoint_classical(b3, parse_module(b3, "[0,0,1]"), LIMITS)
+
+
+# every simple type the parser accepts, up to rank 8
+SIMPLE_TYPES_TO_RANK_8 = [
+    f"{fam}{n}"
+    for fam, lo, hi in [("A", 1, 8), ("B", 2, 8), ("C", 2, 8), ("D", 3, 8), ("E", 6, 8), ("F", 4, 4), ("G", 2, 2)]
+    for n in range(lo, hi + 1)
+]
+
+
+@pytest.mark.parametrize("name", SIMPLE_TYPES_TO_RANK_8)
+def test_highest_root_module_is_the_coreduced_adjoint(name):
+    # regressions: E8's adjoint is the 248-dim [0,...,0,1], not the 3875-dim
+    # [1,0,...,0]; D3's is [0,1,1], not the 4-dim [0,1,0]
+    g = parse_group(name)
+    rs = build_root_system(g.simple_factors[0])
+    top = rs.highest_root
+    assert all(sum(top) > sum(r) for r in rs.positive_roots if r != top)
+    m = ModuleSpec(g, ((1, rs.dynkin_of_root(top)),))
+    assert m.dimension() == g.rank + 2 * len(rs.positive_roots)
+    assert classify_module(m, LIMITS).coreduced == YES
 
 
 def test_classical_relation_certificates_validate():

@@ -95,6 +95,26 @@ def test_reducible_product_group_classify_exits_two(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "group,module",
+    [
+        ("A1", "[0]"),
+        ("A2", "[0,0]"),
+        ("A2", "[1,0]+[0,0]"),
+        ("B3", "[0,0,0]"),
+        ("F4", "[0,0,0,0]"),
+        ("G2", "[0,0]"),
+        ("A1xA1", "[0,0]"),
+    ],
+)
+def test_trivial_summand_classify_exits_two(group, module, capsys):
+    code, out = run_cli(["classify", group, module])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert "need a nontrivial module with no trivial summands" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("degree", ["0", "-3"])
 def test_covariant_degree_below_one_exits_two(degree):
     code, out = run_cli(

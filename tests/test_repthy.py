@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from coreduce.config import Limits
 from coreduce.repthy import (
+    Character,
     CovariantCertificate,
     ModuleSpec,
     covariant_generator_exists,
@@ -22,7 +23,12 @@ from coreduce.repthy import (
 )
 from coreduce.rootsys import Weight, dominantize, parse_group, weyl_orbit
 
-from oracles import kostant_weight_multiplicity
+from oracles import (
+    brute_force_symmetric_power,
+    kostant_weight_multiplicity,
+    reference_covariant_counts,
+    reference_graded_invariant_series,
+)
 
 LIMITS = Limits()
 
@@ -176,3 +182,69 @@ def test_module_dimension_additivity():
     m = parse_module(g, "2*[1,0,0]+[0,0,1]")
     assert m.dimension() == 2 * 7 + 8
     assert module_weights(m).mass() == m.dimension()
+
+
+@st.composite
+def effective_characters(draw):
+    name = draw(st.sampled_from(["A1", "A2", "A3"]))
+    g = parse_group(name)
+    coords = st.tuples(*[st.integers(-2, 2)] * g.rank)
+    entries = draw(st.dictionaries(coords, st.integers(1, 2), min_size=1, max_size=4))
+    return Character(g, entries, False)
+
+
+@given(chi=effective_characters(), d=st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_symmetric_power_matches_brute_force(chi, d):
+    powers = symmetric_power(chi, d, LIMITS)
+    assert len(powers) == d + 1
+    for k, layer in enumerate(powers):
+        assert layer.entries == brute_force_symmetric_power(chi.entries, k)
+
+
+def test_symmetric_power_big_integer_fallback():
+    # 1200 weights: S^8 has more than 2**62 monomials and its coefficients
+    # overflow int64, so the big-integer dict DP runs
+    g = parse_group("A1")
+    chi = Character(g, {(-1,): 600, (1,): 600}, False)
+    powers = symmetric_power(chi, 8, LIMITS)
+    for k, layer in enumerate(powers):
+        # i weights -1 and k - i weights +1, each a multiset of 600 kinds
+        want = {
+            (k - 2 * i,): math.comb(599 + i, i) * math.comb(599 + k - i, k - i)
+            for i in range(k + 1)
+        }
+        assert layer.entries == want
+    assert max(powers[8].entries.values()) > 2**63
+
+
+# small highest weights per group, so the per-multidegree oracle stays cheap
+SMALL_HWS = {
+    "A1": [(1,), (2,), (3,)],
+    "A2": [(1, 0), (0, 1), (1, 1)],
+    "B2": [(1, 0), (0, 1)],
+    "A1xA1": [(1, 0), (0, 1), (1, 1), (2, 0)],
+}
+
+
+@st.composite
+def multigraded_inputs(draw):
+    name = draw(st.sampled_from(sorted(SMALL_HWS)))
+    g = parse_group(name)
+    hws = draw(st.lists(st.sampled_from(SMALL_HWS[name]), min_size=1, max_size=3))
+    degrees = tuple(draw(st.integers(0, 3)) for _ in hws)
+    target = draw(st.sampled_from(SMALL_HWS[name]))
+    summands = [module_weights(ModuleSpec(g, ((1, hw),))) for hw in hws]
+    return summands, degrees, target
+
+
+@given(inp=multigraded_inputs())
+@settings(max_examples=50, deadline=None)
+def test_multigraded_routines_match_per_multidegree_reference(inp):
+    summands, degrees, target = inp
+    series = graded_invariant_series(summands, degrees, LIMITS)
+    assert series == reference_graded_invariant_series(summands, degrees, LIMITS)
+    cert = covariant_generator_exists_multidegree(summands, degrees, target, LIMITS)
+    assert (cert.multiplicity, cert.ideal_bound) == reference_covariant_counts(
+        summands, degrees, target, LIMITS
+    )
