@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import DEFAULT_LIMITS, CertificateError, Limits, require
 from .monoid import exists_sum, is_torus_coreduced
 from .nullcone import (
     AdmissibleSet,
@@ -90,7 +90,10 @@ class MultiplicityCertificate:
     note: str = ""
 
     def __post_init__(self) -> None:
-        assert self.multiplicity >= self.threshold
+        require(
+            self.multiplicity >= self.threshold,
+            f"multiplicity {self.multiplicity} of {self.weight} is below {self.threshold}",
+        )
 
 
 @dataclass
@@ -102,14 +105,19 @@ class Verdict:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        assert self.coreduced in (YES, NO, YES_PAPER, NO_PAPER)
+        require(
+            self.coreduced in (YES, NO, YES_PAPER, NO_PAPER), f"unknown verdict {self.coreduced!r}"
+        )
         if self.coreduced == NO:
-            assert self.certificates, "a machine 'no' needs a certificate"
+            require(bool(self.certificates), "a machine 'no' needs a certificate")
         if self.coreduced in (YES_PAPER, NO_PAPER):
-            assert any(isinstance(c, Citation) for c in self.certificates)
+            require(
+                any(isinstance(c, Citation) for c in self.certificates),
+                f"a {self.coreduced!r} verdict needs a citation",
+            )
 
 
-class ContradictionError(AssertionError):
+class ContradictionError(CertificateError):
     """A negative rule fired on a row the classification lists as coreduced."""
 
 

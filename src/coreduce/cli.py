@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .config import DEFAULT_LIMITS, Limits, ResourceLimitError
+from .config import DEFAULT_LIMITS, CertificateError, Limits, ResourceLimitError
 from .monoid import hilbert_basis, is_torus_coreduced
 from .nullcone import (
     admissible_sets,
@@ -64,16 +64,12 @@ EXIT_RESOURCE = 3
 @dataclass
 class Config:
     output: str = "json"
-    cache_dir: Optional[str] = None
     limits: Limits = DEFAULT_LIMITS
 
 
 def _config_from(args: argparse.Namespace) -> Config:
     output = getattr(args, "output", None) or os.environ.get(
         "COREDUCE_OUTPUT", "json"
-    )
-    cache_dir = getattr(args, "cache_dir", None) or os.environ.get(
-        "COREDUCE_CACHE_DIR"
     )
     limit_states = getattr(args, "limit_states", None)
     env = os.environ.get("COREDUCE_LIMIT_STATES")
@@ -85,12 +81,10 @@ def _config_from(args: argparse.Namespace) -> Config:
                 f"COREDUCE_LIMIT_STATES must be an integer, got {env!r}"
             ) from None
     if limit_states is None:
-        return Config(output=output, cache_dir=cache_dir)
+        return Config(output=output)
     if limit_states < 1:
         raise ValueError(f"the state limit must be at least 1, got {limit_states}")
-    return Config(
-        output=output, cache_dir=cache_dir, limits=Limits(dp_state_limit=limit_states)
-    )
+    return Config(output=output, limits=Limits(dp_state_limit=limit_states))
 
 
 def _emit(cfg: Config, payload: dict) -> None:
@@ -162,7 +156,7 @@ def cmd_rootsys(cfg: Config, args: argparse.Namespace) -> int:
 def cmd_weights(cfg: Config, args: argparse.Namespace) -> int:
     g = parse_group(args.group)
     m = parse_module(g, args.module)
-    chi = module_weights(m, cfg.cache_dir)
+    chi = module_weights(m)
     zero = tuple(0 for _ in range(g.rank))
     payload = {
         "group": str(g),
@@ -170,7 +164,7 @@ def cmd_weights(cfg: Config, args: argparse.Namespace) -> int:
         "dimension": m.dimension(),
         "zero_multiplicity": chi.mult(zero),
         "nonzero_weight_count": sum(chi.nonzero_weights().values()),
-        "min_root_multiplicity": min_root_multiplicity(m, cfg.cache_dir)[0],
+        "min_root_multiplicity": min_root_multiplicity(m)[0],
     }
     _emit(cfg, payload)
     return EXIT_OK
@@ -363,12 +357,12 @@ def _suite_sl2(cfg: Config) -> list[dict]:
 def _suite_exceptional(cfg: Config) -> list[dict]:
     out = []
     f4 = parse_group("F4")
-    chi4 = weight_diagram(f4, (0, 0, 0, 1), cfg.cache_dir)
+    chi4 = weight_diagram(f4, (0, 0, 0, 1))
     out.append(
         _check(
             "26-dim module facts",
             group_weyl_dim(f4, (0, 0, 0, 1)) == 26
-            and zero_weight_multiplicity(f4, (0, 0, 0, 1), cfg.cache_dir) == 2
+            and zero_weight_multiplicity(f4, (0, 0, 0, 1)) == 2
             and sum(chi4.nonzero_weights().values()) == 24,
         )
     )
@@ -379,7 +373,7 @@ def _suite_exceptional(cfg: Config) -> list[dict]:
         ((1, 0, 0, 1), 3),
         ((0, 0, 0, 2), 3),
     ]:
-        mult, _ = min_root_multiplicity(ModuleSpec(f4, ((1, hw),)), cfg.cache_dir)
+        mult, _ = min_root_multiplicity(ModuleSpec(f4, ((1, hw),)))
         out.append(_check(f"F4 root multiplicity {hw} >= {thresh}", mult >= thresh))
     rows = [
         ("G2", "[0,1]", cls.YES),
@@ -510,7 +504,7 @@ def _suite_appendix_a(cfg: Config) -> list[dict]:
         try:
             sl3_pair_validate_model(i)
             out.append(_check(f"model row {i} sign pattern", True))
-        except AssertionError:
+        except CertificateError:
             out.append(_check(f"model row {i} sign pattern", False))
     vanishes, stats = sl3_pair_differential_vanishes(SL3_PAIR_MODELS[5])
     floors = [f for f in stats["floors"] if f is not None]
@@ -542,7 +536,7 @@ def _suite_appendix_b(cfg: Config) -> list[dict]:
     vanish = all(covariant_vanishes(a, target, 9, False, cfg.limits) for a in sets)
     out.append(_check("degree-9 covariant infeasible on all sixteen", vanish))
     g = sets[0].defining.group
-    chi = module_weights(ModuleSpec(g, ((1, (1, 0, 1, 0)),)), cfg.cache_dir)
+    chi = module_weights(ModuleSpec(g, ((1, (1, 0, 1, 0)),)))
     powers = symmetric_power(chi, 9, cfg.limits)
     mults = [mult_in_character(powers[d], target) for d in range(1, 10)]
     invs = [invariant_dimension(powers[d]) for d in range(1, 10)]
@@ -564,7 +558,7 @@ def _suite_appendix_b(cfg: Config) -> list[dict]:
     out.append(_check("ideal bound under 41", bound <= 37 < mults[8], bound=bound))
     a2a2 = parse_group("A2xA2")
     summands = [
-        module_weights(ModuleSpec(a2a2, ((1, hw),)), cfg.cache_dir)
+        module_weights(ModuleSpec(a2a2, ((1, hw),)))
         for hw in ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
     ]
     series = graded_invariant_series(summands, (3, 3, 3, 3), cfg.limits)
@@ -615,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--output", choices=["json", "text"], default=argparse.SUPPRESS
     )
-    common.add_argument("--cache-dir", default=argparse.SUPPRESS)
     common.add_argument("--limit-states", type=int, default=argparse.SUPPRESS)
     p = argparse.ArgumentParser(
         prog="coreduce",

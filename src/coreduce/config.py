@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
 class ResourceLimitError(RuntimeError):
     """A configured state/size cap was hit (pathological input, not wrongness)."""
+
+
+class CertificateError(RuntimeError):
+    """A certificate or verdict failed its validity check (a program fault,
+    not bad input)."""
+
+
+def require(ok: bool, message: str) -> None:
+    """Raise :class:`CertificateError` unless ``ok``; unlike ``assert`` this
+    check survives ``python -O``."""
+    if not ok:
+        raise CertificateError(message)
 
 
 DEFAULT_DP_STATE_LIMIT = 50_000_000
@@ -20,12 +31,6 @@ class Limits:
     dp_state_limit: int = DEFAULT_DP_STATE_LIMIT
     max_generators: int = DEFAULT_MAX_GENERATORS
     max_candidates: int = DEFAULT_MAX_CANDIDATES
-
-    @staticmethod
-    def from_env() -> "Limits":
-        return Limits(
-            dp_state_limit=int(os.environ.get("COREDUCE_LIMIT_STATES", DEFAULT_DP_STATE_LIMIT)),
-        )
 
 
 DEFAULT_LIMITS = Limits()

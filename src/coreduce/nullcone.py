@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
-from .config import DEFAULT_LIMITS, Limits, ResourceLimitError
+from .config import DEFAULT_LIMITS, Limits, ResourceLimitError, require
 from .monoid import SumWitness, Vec, exists_sum, exists_sum_one_per_block
 from .repthy import Character, ModuleSpec, module_weights, weight_diagram
 from .rootsys import (
@@ -26,7 +26,10 @@ from .rootsys import (
     GroupSpec,
     RootSystemError,
     Weight,
+    closure,
+    reflect,
     root_scaled_of_dynkin,
+    simple_reflections,
     sl3_root_coords,
 )
 
@@ -72,8 +75,8 @@ class AdmissibleSet:
         for w in self.weights:
             counts[w] = counts.get(w, 0) + 1
         for w, c in counts.items():
-            assert self.defining.value(w) > 0, (w, self.defining.values)
-            assert chi.mult(w) == c, (w, c, chi.mult(w))
+            require(self.defining.value(w) > 0, f"weight {w} is not positive on the cocharacter")
+            require(chi.mult(w) == c, f"weight {w} occurs {c} times, not {chi.mult(w)}")
 
 
 def _positive_set(chi: Character, rho: Cocharacter) -> tuple[Coords, ...]:
@@ -305,27 +308,15 @@ def weyl_matrices(g: GroupSpec, limit: int = 10_000) -> list[tuple[Coords, ...]]
         raise ResourceLimitError("Weyl group too large to materialize")
     n = g.rank
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    from .rootsys import reflect, simple_reflections
-
     refls = simple_reflections(g)
 
-    def apply(mat, refl):
+    def compose(mat: tuple[Coords, ...]) -> list[tuple[Coords, ...]]:
         # rows are images of basis vectors; compose with one simple reflection
-        return tuple(reflect(g, row, refl) for row in mat)
+        return [tuple(reflect(g, row, r) for row in mat) for r in refls]
 
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for mat in frontier:
-            for r in refls:
-                e = apply(mat, r)
-                if e not in seen:
-                    seen.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    assert len(seen) == g.weyl_order
-    return list(seen)
+    mats = closure((ident,), compose)
+    assert len(mats) == g.weyl_order
+    return list(mats)
 
 
 def _apply_matrix(mat: tuple[Coords, ...], d: Coords) -> Coords:
@@ -737,17 +728,20 @@ def sl3_pair_sign_vector(model: Sequence[int]) -> tuple[int, ...]:
 
 
 def sl3_pair_validate_model(idx: int) -> None:
-    """Each model realizes its sign row and the chamber inequalities."""
+    """Each model realizes its sign row and the chamber inequalities;
+    raises :class:`CertificateError` otherwise."""
     model = SL3_PAIR_MODELS[idx]
     a, b, c, ab, bb, cb = model
-    assert a >= b >= c and ab >= bb >= cb and a > ab
-    assert a + b + c == 0 and ab + bb + cb == 0
+    bad = f"model row {idx} {model}"
+    require(a >= b >= c and ab >= bb >= cb and a > ab, f"{bad} is not ordered")
+    require(a + b + c == 0 and ab + bb + cb == 0, f"{bad} does not sum to zero")
     chain = (c - bb, c - cb, c + ab, b + ab, b - cb, b - bb)
-    assert chain[0] <= chain[1] <= chain[2] <= chain[3]
-    assert chain[3] >= chain[4] >= chain[5]
-    assert chain[0] < 0
-    assert not (chain[1] > 0 and chain[5] > 0)
-    assert sl3_pair_sign_vector(model) == SL3_PAIR_SIGN_PATTERNS[idx]
+    require(chain[0] <= chain[1] <= chain[2] <= chain[3], f"{bad} breaks the rising chain")
+    require(chain[3] >= chain[4] >= chain[5], f"{bad} breaks the falling chain")
+    require(chain[0] < 0, f"{bad} has a nonnegative first chain entry")
+    require(not (chain[1] > 0 and chain[5] > 0), f"{bad} has both outer chain entries positive")
+    signs = sl3_pair_sign_vector(model)
+    require(signs == SL3_PAIR_SIGN_PATTERNS[idx], f"{bad} misses its sign row")
 
 
 def sl3_pair_component_weights(model: Sequence[int]) -> list[list[int]]:

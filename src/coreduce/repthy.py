@@ -15,9 +15,6 @@ second half, so that each multidegree is one dot product.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -33,16 +30,14 @@ from .rootsys import (
     SimpleType,
     Weight,
     build_root_system,
+    closure,
     dominant_weights_below,
     dominantize,
     orbit_size,
     parse_weight,
-    reflect,
     signed_orbit,
-    simple_reflections,
+    weyl_neighbours,
 )
-
-SCHEMA_VERSION = 1
 
 _freudenthal_cache: dict[tuple[SimpleType, Coords], dict[Coords, int]] = {}
 
@@ -69,45 +64,17 @@ def group_weyl_dim(g: GroupSpec, hw: Coords) -> int:
     return d
 
 
-def simple_dominant_diagram(
-    t: SimpleType, hw: Coords, cache_dir: Optional[str] = None
-) -> dict[Coords, int]:
+def simple_dominant_diagram(t: SimpleType, hw: Coords) -> dict[Coords, int]:
     """Multiplicities of the dominant weights of the irreducible V(hw).
 
-    Freudenthal recursion, exact integer arithmetic.  Results are cached in
-    memory and, when ``cache_dir`` is given, on disk (atomic rename, so
-    concurrent writers are safe).
+    Freudenthal recursion, exact integer arithmetic; results are cached in
+    memory.
     """
     hw = tuple(hw)
     key = (t, hw)
-    if key in _freudenthal_cache:
-        return _freudenthal_cache[key]
-    path = None
-    if cache_dir:
-        tag = f"{t}-" + "_".join(str(x) for x in hw) + f"-v{SCHEMA_VERSION}.json"
-        path = os.path.join(cache_dir, tag)
-        if os.path.exists(path):
-            with open(path) as fh:
-                payload = json.load(fh)
-            if payload.get("schema") == SCHEMA_VERSION:
-                out = {tuple(e[:-1]): e[-1] for e in payload["entries"]}
-                _freudenthal_cache[key] = out
-                return out
-    out = _freudenthal(t, hw)
-    _freudenthal_cache[key] = out
-    if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "group": str(t),
-            "highest_weight": list(hw),
-            "entries": sorted([*coords, mult] for coords, mult in out.items()),
-        }
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    return out
+    if key not in _freudenthal_cache:
+        _freudenthal_cache[key] = _freudenthal(t, hw)
+    return _freudenthal_cache[key]
 
 
 def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
@@ -157,14 +124,12 @@ def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
     return mults
 
 
-def dominant_diagram(
-    g: GroupSpec, hw: Coords, cache_dir: Optional[str] = None
-) -> dict[Coords, int]:
+def dominant_diagram(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
     """Dominant-weight multiplicities of the product-group irreducible V(hw)."""
     parts: list[dict[Coords, int]] = []
     for k, t in enumerate(g.simple_factors):
         lo, hi = g.blocks[k]
-        parts.append(simple_dominant_diagram(t, tuple(hw[lo:hi]), cache_dir))
+        parts.append(simple_dominant_diagram(t, tuple(hw[lo:hi])))
     torus = tuple(hw[g.blocks[-1][0] : g.blocks[-1][1]])
     out: dict[Coords, int] = {}
     combos: list[tuple[Coords, int]] = [((), 1)]
@@ -205,10 +170,10 @@ class Character:
     def expand(self) -> "Character":
         if not self.dominant_only:
             return self
+        step = weyl_neighbours(self.group)
         full: dict[Coords, int] = {}
         for dom, m in self.entries.items():
-            for w in _orbit(self.group, dom):
-                full[w] = m
+            full.update(dict.fromkeys(closure((dom,), step), m))
         return Character(self.group, full, False)
 
     def nonzero_weights(self) -> dict[Coords, int]:
@@ -226,25 +191,9 @@ class Character:
         return out
 
 
-def _orbit(g: GroupSpec, d0: Coords) -> set[Coords]:
-    refls = simple_reflections(g)
-    seen = {d0}
-    frontier = [d0]
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for r in refls:
-                e = reflect(g, d, r)
-                if e not in seen:
-                    seen.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return seen
-
-
-def weight_diagram(g: GroupSpec, hw: Coords, cache_dir: Optional[str] = None) -> Character:
+def weight_diagram(g: GroupSpec, hw: Coords) -> Character:
     """Full weight diagram (with multiplicities) of the irreducible V(hw)."""
-    return Character(g, dominant_diagram(g, hw, cache_dir), True).expand()
+    return Character(g, dominant_diagram(g, hw), True).expand()
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +239,17 @@ def parse_module(g: GroupSpec, text: str) -> ModuleSpec:
     return ModuleSpec(g, tuple(summands))
 
 
-def module_weights(m: ModuleSpec, cache_dir: Optional[str] = None) -> Character:
+def module_weights(m: ModuleSpec) -> Character:
     """Weight multiset of the module (direct sums add, tensor via the group)."""
     total: dict[Coords, int] = {}
     for coeff, hw in m.summands:
-        diag = weight_diagram(m.group, hw, cache_dir)
+        diag = weight_diagram(m.group, hw)
         for w, mult in diag.entries.items():
             total[w] = total.get(w, 0) + coeff * mult
     return Character(m.group, total, False)
 
 
-def min_root_multiplicity(
-    m: ModuleSpec, cache_dir: Optional[str] = None
-) -> tuple[int, Optional[Coords]]:
+def min_root_multiplicity(m: ModuleSpec) -> tuple[int, Optional[Coords]]:
     """Minimum, over all roots of the group, of the root's weight multiplicity.
 
     Returns (0, some absent root) when a root is missing.  Multiplicities are
@@ -311,10 +258,7 @@ def min_root_multiplicity(
     """
     g = m.group
     # accumulate dominant-backed characters to keep E-series cheap
-    chars = [
-        (coeff, Character(g, dominant_diagram(g, hw, cache_dir), True))
-        for coeff, hw in m.summands
-    ]
+    chars = [(coeff, Character(g, dominant_diagram(g, hw), True)) for coeff, hw in m.summands]
     best: Optional[tuple[int, Coords]] = None
     for root_d in g.roots_dynkin():
         mult = sum(coeff * ch.mult(root_d) for coeff, ch in chars)
@@ -324,11 +268,9 @@ def min_root_multiplicity(
     return best
 
 
-def max_nonzero_weight_multiplicity(
-    g: GroupSpec, hw: Coords, cache_dir: Optional[str] = None
-) -> tuple[int, Optional[Coords]]:
+def max_nonzero_weight_multiplicity(g: GroupSpec, hw: Coords) -> tuple[int, Optional[Coords]]:
     """Largest multiplicity among nonzero weights of V(hw), with a witness."""
-    dom = dominant_diagram(g, hw, cache_dir)
+    dom = dominant_diagram(g, hw)
     zero = tuple(0 for _ in range(g.rank))
     best = (0, None)
     for w, mult in dom.items():
@@ -337,8 +279,8 @@ def max_nonzero_weight_multiplicity(
     return best
 
 
-def zero_weight_multiplicity(g: GroupSpec, hw: Coords, cache_dir: Optional[str] = None) -> int:
-    dom = dominant_diagram(g, hw, cache_dir)
+def zero_weight_multiplicity(g: GroupSpec, hw: Coords) -> int:
+    dom = dominant_diagram(g, hw)
     return dom.get(tuple(0 for _ in range(g.rank)), 0)
 
 
@@ -491,8 +433,8 @@ def covariant_generator_exists_multidegree(
     multidegree d: invariants in degree d-e times covariants in degree e.
     """
     degrees = tuple(degrees)
-    mults = _multigraded_mults(summands, degrees, target, limits)
-    invs = _multigraded_mults(summands, degrees, tuple(0 for _ in target), limits)
+    zero = tuple(0 for _ in target)
+    mults, invs = _multigraded_mults(summands, degrees, (target, zero), limits)
     bound = sum(
         invs[tuple(a - b for a, b in zip(degrees, e))] * m
         for e, m in mults.items()
@@ -514,16 +456,17 @@ def graded_invariant_series(
     :func:`_multigraded_mults`), so each multidegree costs one dot product.
     """
     zero = tuple(0 for _ in range(summands[0].group.rank))
-    return _multigraded_mults(summands, max_multidegree, zero, limits)
+    return _multigraded_mults(summands, max_multidegree, (zero,), limits)[0]
 
 
 def _multigraded_mults(
     summands: Sequence[Character],
     max_degrees: Sequence[int],
-    lam: Coords,
+    lams: Sequence[Coords],
     limits: Limits,
-) -> dict[Coords, int]:
-    """Multiplicity of V(lam) in S^d1(chi_1)...S^dk(chi_k) for every d <= max_degrees.
+) -> list[dict[Coords, int]]:
+    """Multiplicity of V(lam) in S^d1(chi_1)...S^dk(chi_k) for every d <= max_degrees,
+    one table per lam in ``lams``; the powers and convolutions are shared.
 
     With A and B the products over the first and second half of the
     summands, the multiplicity is sum_w sign(w) (A*B)(w(lam+rho) - rho)
@@ -539,24 +482,29 @@ def _multigraded_mults(
     ]
     half = len(powers) // 2
     left = _convolve_powers(powers[:half], g.rank)
+    right = _convolve_powers(powers[half:], g.rank)
     delta = g.weyl_vector
-    start = tuple(a + b for a, b in zip(lam, delta))
-    shifts = [
-        (tuple(a - b for a, b in zip(pt, delta)), sign) for pt, sign in signed_orbit(g, start)
-    ]
-    alt_right: dict[Coords, dict[Coords, int]] = {}
-    for degs, part in _convolve_powers(powers[half:], g.rank).items():
-        alt: dict[Coords, int] = {}
-        for y, c in part.items():
-            for pt, sign in shifts:
-                x = tuple(a - b for a, b in zip(pt, y))
-                alt[x] = alt.get(x, 0) + sign * c
-        alt_right[degs] = alt
-    return {
-        da + db: sum(c * alt.get(x, 0) for x, c in part.items())
-        for da, part in left.items()
-        for db, alt in alt_right.items()
-    }
+    tables = []
+    for lam in lams:
+        start = tuple(a + b for a, b in zip(lam, delta))
+        shifts = [
+            (tuple(a - b for a, b in zip(pt, delta)), sign)
+            for pt, sign in signed_orbit(g, start)
+        ]
+        alt_right: dict[Coords, dict[Coords, int]] = {}
+        for degs, part in right.items():
+            alt: dict[Coords, int] = {}
+            for y, c in part.items():
+                for pt, sign in shifts:
+                    x = tuple(a - b for a, b in zip(pt, y))
+                    alt[x] = alt.get(x, 0) + sign * c
+            alt_right[degs] = alt
+        tables.append({
+            da + db: sum(c * alt.get(x, 0) for x, c in part.items())
+            for da, part in left.items()
+            for db, alt in alt_right.items()
+        })
+    return tables
 
 
 def _convolve_powers(

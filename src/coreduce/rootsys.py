@@ -8,6 +8,11 @@ weight lattice has integer coordinates in both bases.
 
 Product groups concatenate coordinate blocks (simple factors first, then a
 central torus block); their Weyl group is the direct product.
+
+Every orbit-like set (Weyl orbits with or without signs, the root list,
+dominant weights below a highest weight, Weyl-group matrices) comes from the
+one breadth-first :func:`closure`, which maps each reachable point to its
+depth; callers supply only the neighbour function.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 Coords = tuple[int, ...]
+P = TypeVar("P", bound=Hashable)
 
 _FAMILY_BOUNDS = {
     "A": (1, None),
@@ -203,10 +209,6 @@ class RootSystem:
         """Dynkin labels of an element of the root lattice in root coords."""
         return tuple(sum(root[i] * self.cartan[i][j] for i in range(self.rank)) for j in range(self.rank))
 
-    def root_coords_of_dynkin(self, d: Coords) -> tuple[Fraction, ...]:
-        rs = self.root_scaled_of_dynkin(d)
-        return tuple(Fraction(x, self.lattice_index) for x in rs)
-
     # -- reflections and orbits ------------------------------------------
 
     def reflect(self, d: Coords, i: int) -> Coords:
@@ -249,41 +251,18 @@ class RootSystem:
         s = self._sym_scaled
         return sum(root[j] * d[j] * s[j] for j in range(self.rank))
 
-    def norm2_root(self, root: Coords) -> Fraction:
-        return Fraction(self.inner_dr(self.dynkin_of_root(root), root), self._sym_den)
-
     # -- construction of the root list ------------------------------------
 
     def _positive_roots(self) -> tuple[Coords, ...]:
         # orbit of the simple roots under simple reflections, in Dynkin labels
-        seen: set[Coords] = set()
-        frontier: list[Coords] = []
-        for i in range(self.rank):
-            d = tuple(self.cartan[i])
-            seen.add(d)
-            frontier.append(d)
-        while frontier:
-            nxt = []
-            for d in frontier:
-                for i in range(self.rank):
-                    e = self.reflect(d, i)
-                    if e not in seen:
-                        seen.add(e)
-                        nxt.append(e)
-            frontier = nxt
         roots = []
-        for d in seen:
+        for d in closure(self.cartan, _reflections([(0, self.cartan)])):
             rs = self.root_scaled_of_dynkin(d)
             assert all(x % self.lattice_index == 0 for x in rs)
             roots.append(tuple(x // self.lattice_index for x in rs))
         pos = sorted(r for r in roots if all(x >= 0 for x in r))
         assert 2 * len(pos) == len(roots)
         return tuple(pos)
-
-    @property
-    def short_positive_roots(self) -> tuple[Coords, ...]:
-        m = min(self.norm2_root(r) for r in self.positive_roots)
-        return tuple(r for r in self.positive_roots if self.norm2_root(r) == m)
 
     @property
     def highest_root(self) -> Coords:
@@ -328,27 +307,8 @@ def _component_weyl_order(cartan: Sequence[Sequence[int]], comp: list[int]) -> i
     r = len(comp)
     mult = max(abs(cartan[i][j]) for i in comp for j in comp if i != j) if r > 1 else 1
     # count roots of the component by closure (small, bounded by 240)
-    sub = [[cartan[i][j] for j in comp] for i in comp]
-    seen = {tuple(row) for row in ((2 if a == b else sub[a][b] for b in range(r)) for a in range(r))}
-    seen = set()
-    simple = []
-    for a in range(r):
-        d = tuple(sub[a][b] for b in range(r))
-        simple.append(d)
-        seen.add(d)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for i in range(r):
-                if d[i] == 0:
-                    continue
-                e = tuple(x - d[i] * sub[i][j] for j, x in enumerate(d))
-                if e not in seen:
-                    seen.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    nroots = len(seen)
+    sub = [tuple(cartan[i][j] for j in comp) for i in comp]
+    nroots = len(closure(sub, _reflections([(0, sub)])))
     if mult >= 3:
         return 12  # G2
     if mult == 2:
@@ -470,15 +430,8 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(tuple(-x for x in self.coords), self.basis, self.group)
 
-    def __add__(self, other: "Weight") -> "Weight":
-        assert self.group == other.group and self.basis == other.basis
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)), self.basis, self.group)
-
     def is_dominant(self) -> bool:
         return all(x >= 0 for x in self.to_dynkin().coords)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
 
     def in_root_lattice(self) -> bool:
         rs = self.to_root_scaled().coords
@@ -531,48 +484,76 @@ def reflect(g: GroupSpec, d: Coords, refl: tuple[int, int, int]) -> Coords:
     return tuple(out)
 
 
+def closure(seeds: Iterable[P], neighbours: Callable[[P], Iterable[P]]) -> dict[P, int]:
+    """Every point reachable from ``seeds`` by repeated ``neighbours`` steps,
+    mapped to its breadth-first depth (0 for the seeds), in the order found."""
+    depth = dict.fromkeys(seeds, 0)
+    frontier = list(depth)
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for p in frontier:
+            for q in neighbours(p):
+                if q not in depth:
+                    depth[q] = level
+                    nxt.append(q)
+        frontier = nxt
+    return depth
+
+
+def _reflections(
+    blocks: Iterable[tuple[int, Sequence[Sequence[int]]]]
+) -> Callable[[Coords], list[Coords]]:
+    """Neighbour function for :func:`closure`: the images of a point (Dynkin
+    labels) under the simple reflections that move it.
+
+    ``blocks`` gives each factor's first coordinate and Cartan matrix.  A
+    reflection whose label is 0 fixes the point and is skipped; the others
+    touch only the nonzero entries of their Cartan row.
+    """
+    moves = [
+        (lo + i, [(lo + j, a) for j, a in enumerate(row) if a])
+        for lo, cartan in blocks
+        for i, row in enumerate(cartan)
+    ]
+
+    def neighbours(d: Coords) -> list[Coords]:
+        out = []
+        for p, row in moves:
+            c = d[p]
+            if c:
+                e = list(d)
+                for j, a in row:
+                    e[j] -= c * a
+                out.append(tuple(e))
+        return out
+
+    return neighbours
+
+
+def weyl_neighbours(g: GroupSpec) -> Callable[[Coords], list[Coords]]:
+    """The simple reflections of the product Weyl group as a neighbour
+    function for :func:`closure`; build it once per batch of orbits."""
+    return _reflections((lo, rs.cartan) for rs, (lo, _hi) in zip(g.root_systems, g.blocks))
+
+
 def weyl_orbit(g: GroupSpec, w: Weight) -> frozenset[Coords]:
     """Orbit of a weight (Dynkin coordinates) under the product Weyl group."""
-    d0 = w.to_dynkin().coords
-    refls = simple_reflections(g)
-    seen = {d0}
-    frontier = [d0]
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for r in refls:
-                e = reflect(g, d, r)
-                if e not in seen:
-                    seen.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(closure((w.to_dynkin().coords,), weyl_neighbours(g)))
 
 
 def signed_orbit(g: GroupSpec, d0: Coords) -> list[tuple[Coords, int]]:
     """(w·d0, sign(w)) for all w in W; requires d0 regular (no zero label).
 
-    Regularity makes the orbit simply transitive, so the parity of the
-    generating word is well defined.
+    Regularity makes the orbit simply transitive, so the point at depth k
+    is w·d0 for a unique w, of length k, and sign(w) = (-1)**k.
     """
     for k, _t in enumerate(g.simple_factors):
         lo, hi = g.blocks[k]
         if any(x == 0 for x in d0[lo:hi]):
             raise RootSystemError("signed_orbit needs a regular weight")
-    refls = simple_reflections(g)
-    signs = {d0: 1}
-    frontier = [d0]
-    while frontier:
-        nxt = []
-        for d in frontier:
-            s = signs[d]
-            for r in refls:
-                e = reflect(g, d, r)
-                if e not in signs:
-                    signs[e] = -s
-                    nxt.append(e)
-        frontier = nxt
-    return list(signs.items())
+    return [(d, (-1) ** k) for d, k in closure((d0,), weyl_neighbours(g)).items()]
 
 
 def dominantize(g: GroupSpec, d: Coords) -> tuple[Coords, int]:
@@ -604,18 +585,12 @@ def dominant_weights_below(g: GroupSpec, lam: Weight) -> frozenset[Coords]:
     if not all(x >= 0 for x in d0):
         raise RootSystemError("weight is not dominant")
     pos = g.positive_roots_dynkin()
-    seen = {d0}
-    frontier = [d0]
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for b in pos:
-                e = tuple(x - y for x, y in zip(d, b))
-                if e not in seen and all(x >= 0 for x in e):
-                    seen.add(e)
-                    nxt.append(e)
-        frontier = nxt
-    return frozenset(seen)
+
+    def below(d: Coords) -> list[Coords]:
+        cands = [tuple(x - y for x, y in zip(d, b)) for b in pos]
+        return [e for e in cands if min(e) >= 0]
+
+    return frozenset(closure((d0,), below))
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +746,6 @@ def parse_weight(g: GroupSpec, text: str) -> Weight:
         t = g.simple_factors[0]
         body = text[: -len("@eps")].strip()
         coeffs = [Fraction(0)] * _eps_dim(t)
-        pos = 0
         for m in _EPS_TERM_RE.finditer(body):
             sign = -1 if m.group(1) == "-" else 1
             coef = Fraction(m.group(2)) if m.group(2) else Fraction(1)
@@ -779,7 +753,6 @@ def parse_weight(g: GroupSpec, text: str) -> Weight:
             if idx < 0 or idx >= len(coeffs):
                 raise RootSystemError(f"epsilon index out of range in {text!r}")
             coeffs[idx] += sign * coef
-            pos = m.end()
         if not _EPS_TERM_RE.search(body):
             raise RootSystemError(f"cannot parse epsilon weight {text!r}")
         return Weight(eps_to_dynkin(t, coeffs), "dynkin", g)
@@ -799,35 +772,3 @@ def format_weight(w: Weight) -> str:
     if w.basis == "dynkin":
         return "[" + ",".join(str(x) for x in w.coords) + "]"
     return "(" + ",".join(str(x) for x in w.coords) + ")@root"
-
-
-def format_weight_eps(w: Weight) -> str:
-    """Canonical epsilon form (single simple factor only)."""
-    g = w.group
-    if len(g.simple_factors) != 1 or g.torus_rank:
-        raise RootSystemError("@eps form is only defined for one simple factor")
-    coeffs = dynkin_to_eps(g.simple_factors[0], w.to_dynkin().coords)
-    terms = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if terms else "")
-        mag = abs(c)
-        coef = "" if mag == 1 else str(mag)
-        terms.append(f"{sign}{coef}e{i + 1}")
-    if not terms:
-        terms = ["0e1"]
-    return "".join(terms) + "@eps"
-
-
-def ratios_from_orbit(g: GroupSpec, w: Weight) -> set[Fraction]:
-    """Positive values −k/l over the orbit of w in A2 root coordinates."""
-    if g != SL3:
-        raise RootSystemError("orbit ratios are an SL3 (A2) notion")
-    out: set[Fraction] = set()
-    for d in weyl_orbit(g, w):
-        c = root_scaled_of_dynkin(g, d)
-        k, l = Fraction(c[0], 3), Fraction(c[1], 3)
-        if l != 0 and -k / l > 0:
-            out.add(-k / l)
-    return out

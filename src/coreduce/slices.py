@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import DEFAULT_LIMITS, Limits, require
 from .monoid import Relation, Vec, is_torus_coreduced
 from .repthy import (
     Character,
@@ -53,8 +53,8 @@ class BadSliceCertificate:
 
     def validate(self) -> None:
         if self.coeffs:
-            assert any(c >= 2 for c in self.coeffs), "certificate needs a coefficient >= 2"
-            assert all(x == 0 for x in self.relation_sum()), "relation must sum to zero"
+            require(any(c >= 2 for c in self.coeffs), "certificate needs a coefficient >= 2")
+            require(all(x == 0 for x in self.relation_sum()), "relation must sum to zero")
 
 
 def _root_weights_scaled(g: GroupSpec) -> list[Vec]:

@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from coreduce.config import Limits
+import coreduce
+from coreduce.config import CertificateError, Limits
 from coreduce.classify import (
     NO,
     NO_PAPER,
@@ -36,20 +41,54 @@ LIMITS = Limits()
 
 def test_no_needs_certificate():
     m = sl2_module((2,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError):
         Verdict(m, NO, ())
 
 
 def test_paper_verdict_needs_citation():
     m = sl2_module((2,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError):
         Verdict(m, NO_PAPER, ())
     Verdict(m, NO_PAPER, (Citation("recorded argument"),))
 
 
 def test_multiplicity_certificate_enforces_threshold():
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError):
         MultiplicityCertificate((1, 0), 1, 2)
+
+
+def test_certificate_checks_survive_python_O():
+    """``python -O`` strips asserts; the certificate checks must still fire."""
+    code = textwrap.dedent(
+        """
+        from coreduce import nullcone
+        from coreduce.config import CertificateError
+        from coreduce.slices import BadSliceCertificate
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        try:
+            BadSliceCertificate("toral_relation", ((1,),), (3,)).validate()
+        except CertificateError:
+            pass
+        else:
+            raise SystemExit("a relation summing to (3,) validated")
+        # a > abar fails, so the row is outside the chamber
+        nullcone.SL3_PAIR_MODELS = ((2, -1, -1, 4, -2, -2),)
+        try:
+            nullcone.sl3_pair_validate_model(0)
+        except CertificateError:
+            pass
+        else:
+            raise SystemExit("a model row outside the chamber validated")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(coreduce.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,10 @@ def test_jobs_flag_is_gone():
     assert run_cli(["--jobs", "2", "rootsys", "A1"])[0] == 2
 
 
+def test_cache_dir_flag_is_gone(tmp_path):
+    assert run_cli(["--cache-dir", str(tmp_path), "rootsys", "A1"])[0] == 2
+
+
 def test_resource_limit_exit_three():
     code, _ = run_cli(
         ["--limit-states", "10", "verify-paper", "--suite", "appendixB"]

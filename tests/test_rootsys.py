@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,9 +22,11 @@ from coreduce.rootsys import (
     parse_weight,
     root_scaled_of_dynkin,
     sl3_root_coords,
+    signed_orbit,
     sl3_weight,
     weyl_orbit,
 )
+from coreduce.nullcone import weyl_matrices
 
 WEYL_ORDERS = {
     "A1": 2,
@@ -133,6 +136,21 @@ def test_eps_roundtrip(t):
     for d in [tuple(1 if i == j else 0 for i in range(t.rank)) for j in range(t.rank)]:
         eps = dynkin_to_eps(t, d)
         assert eps_to_dynkin(t, eps) == d
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "A1xA2"])
+def test_signed_orbit_matches_weyl_matrices(name):
+    """Each point of the signed orbit of rho carries the determinant of the
+    Weyl matrix that maps rho to it."""
+    g = parse_group(name)
+    rho = g.weyl_vector
+    expected = {}
+    for mat in weyl_matrices(g):
+        image = tuple(sum(rho[i] * mat[i][j] for i in range(g.rank)) for j in range(g.rank))
+        expected[image] = round(np.linalg.det(np.array(mat, dtype=float)))
+    got = signed_orbit(g, rho)
+    assert len(got) == len(expected) == g.weyl_order
+    assert dict(got) == expected
 
 
 def test_dominant_weights_below_adjoint_a2():
