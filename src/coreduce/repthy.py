@@ -499,11 +499,13 @@ def _multigraded_mults(
                     x = tuple(a - b for a, b in zip(pt, y))
                     alt[x] = alt.get(x, 0) + sign * c
             alt_right[degs] = alt
-        tables.append({
-            da + db: sum(c * alt.get(x, 0) for x, c in part.items())
-            for da, part in left.items()
-            for db, alt in alt_right.items()
-        })
+        tables.append(
+            {
+                da + db: sum(c * alt.get(x, 0) for x, c in part.items())
+                for da, part in left.items()
+                for db, alt in alt_right.items()
+            }
+        )
     return tables
 
 

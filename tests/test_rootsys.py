@@ -21,8 +21,8 @@ from coreduce.rootsys import (
     parse_group,
     parse_weight,
     root_scaled_of_dynkin,
-    sl3_root_coords,
     signed_orbit,
+    sl3_root_coords,
     sl3_weight,
     weyl_orbit,
 )
