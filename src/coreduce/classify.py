@@ -26,6 +26,8 @@ from .nullcone import (
     covariant_vanishes,
     d4_adjoint_target_reachable,
     f4_two_26_support_bound,
+    g2xg2_covariant_series,
+    g2xg2_covariant_vanishes,
     g2xg2_model_admissible_sets,
     maximal_sets,
     negative_weight_degree_screen,
@@ -185,6 +187,11 @@ def _sl2_covariant_certificate(
     return None
 
 
+def _require_simple(g: GroupSpec) -> None:
+    if len(g.simple_factors) != 1 or g.torus_rank:
+        raise ValueError(f"{g} is not a simple group; this driver covers one simple factor")
+
+
 def _check_no_negative_rule(m: ModuleSpec, limits: Limits) -> None:
     if has_toral_slice(m) and bad_toral_slice(m, limits) is not None:
         raise ContradictionError(f"bad toral slice on coreduced module {m}")
@@ -209,7 +216,7 @@ G2_7_HW = (1, 0)
 def classify_adjoint_exceptional(
     g: GroupSpec, m: ModuleSpec, limits: Limits = DEFAULT_LIMITS
 ) -> Verdict:
-    assert len(g.simple_factors) == 1 and g.torus_rank == 0
+    _require_simple(g)
     t = g.simple_factors[0]
     if t.family not in _EXCEPTIONAL_FAMILIES:
         raise ValueError(f"{t} is not an exceptional group")
@@ -225,7 +232,7 @@ def classify_adjoint_exceptional(
     if key == ("F", 4) and summands == ((2, F4_26_HW),):
         _check_no_negative_rule(m, limits)
         bound, stats = f4_two_26_support_bound()
-        assert bound == 44 == 2 * 26 - 8
+        require(bound == 2 * 26 - 8, f"support bound {bound} is not 2*dim V - dim V//G")
         return Verdict(
             m,
             YES,
@@ -331,14 +338,14 @@ def _eps_relation_certificate(
     cert.validate()
     slice_ws = toral_slice_weights(m)
     for w in weights:
-        assert slice_ws.count(w) >= 1, f"weight {w} not in the toral slice"
+        require(w in slice_ws, f"weight {w} not in the toral slice")
     return cert
 
 
 def classify_adjoint_classical(
     g: GroupSpec, m: ModuleSpec, limits: Limits = DEFAULT_LIMITS
 ) -> Verdict:
-    assert len(g.simple_factors) == 1 and g.torus_rank == 0
+    _require_simple(g)
     t = g.simple_factors[0]
     n = t.rank
     tag = f"classical-{t.family}{n}"
@@ -441,8 +448,6 @@ def _classical_relation_certificate(
         if ew[0] >= 3 and all(x == 0 for x in ew[1:]):
             # line of highest weight vectors: 2(r e1) + r(-2 e1) = 0
             r = int(ew[0])
-            from math import gcd
-
             gpair = gcd(r, 2)
             return _eps_relation_certificate(
                 m, t, [e(r), e(-2)], [2 // gpair, r // gpair], "high-power line relation"
@@ -613,21 +618,9 @@ def g2xg2_certificate(limits: Limits = DEFAULT_LIMITS) -> tuple:
     groups: a generating covariant in degree 9 vanishes on every null-cone
     component."""
     sets = g2xg2_model_admissible_sets()
-    target = (0, 0, 1, 0)
-    vanish = all(
-        covariant_vanishes(s, target, 9, all_degrees=False, limits=limits) for s in sets
-    )
-    if not vanish:
+    if not g2xg2_covariant_vanishes(sets, limits):
         raise ContradictionError("degree-9 covariant fails to vanish on a component")
-    g = sets[0].defining.group
-    chi = module_weights(ModuleSpec(g, ((1, (1, 0, 1, 0)),)))
-    powers = symmetric_power(chi, 9, limits)
-    from .repthy import mult_in_character
-
-    mults = tuple(mult_in_character(powers[d], target) for d in range(1, 10))
-    invs = tuple(invariant_dimension(powers[d]) for d in range(1, 10))
-    bound = sum(invs[9 - e - 1] * mults[e - 1] for e in range(1, 9))
-    cert = CovariantCertificate(target, 9, mults[8], bound, mults, invs)
+    cert = g2xg2_covariant_series(limits)
     if not cert.exists:
         raise ContradictionError("expected a generating covariant in degree 9")
     return (cert, {"components_checked": len(sets), "vanishes_on_all": True})
@@ -639,7 +632,9 @@ def _so_g2_screen() -> ScreenResult:
     degree <= 4 against codimension 7."""
     vals = [(Q(3), 4), (Q(1), 8), (Q(-1), 8), (Q(-3), 4)]
     res = value_screen(vals, codim=7, invariant_degrees=[2, 2, 4, 4])
-    assert res.max_useful_degree == 4 and res.degree_rule_fires
+    require(
+        res.max_useful_degree == 4 and res.degree_rule_fires, f"the slice screen does not fire: {res}"
+    )
     return res
 
 
@@ -647,17 +642,12 @@ def _so_g2_screen() -> ScreenResult:
 # Rank-2 special linear modules
 
 
-def sl3_module(summands: Sequence[tuple[int, tuple[int, int]]]) -> ModuleSpec:
-    return ModuleSpec(SL3, tuple((c, tuple(hw)) for c, hw in summands))
-
-
 _SL3_IRRED_YES = {(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3), (1, 1)}
 
 
 def classify_sl3(m: ModuleSpec, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    assert m.group is SL3 or (
-        len(m.group.simple_factors) == 1 and str(m.group.simple_factors[0]) == "A2"
-    )
+    if m.group != SL3:
+        raise ValueError(f"{m.group} is not the rank-2 special linear group A2")
     tag = "rank2-special-linear"
     s = m.summands
     if _is_sl3_yes_row(s):
@@ -831,10 +821,7 @@ def sl3_vanishing_generator_certificate(
 def _max_feasible_degree(
     a: AdmissibleSet, target: Coords, limits: Limits, cap: int = 40
 ) -> Optional[int]:
-    from .rootsys import root_scaled_of_dynkin as rs
-
-    g = a.defining.group
-    tgt = rs(g, target)
+    tgt = root_scaled_of_dynkin(a.defining.group, target)
     tval = a.defining.value(target)
     minval = min(a.defining.value(w) for w in a.weights)
     if minval <= 0:

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, CertificateError, Limits, ResourceLimitError
@@ -23,6 +24,8 @@ from .nullcone import (
     d4_adjoint_target_reachable,
     D4_TRIALITY_CASES,
     f4_two_26_support_bound,
+    g2xg2_covariant_series,
+    g2xg2_covariant_vanishes,
     g2xg2_model_admissible_sets,
     maximal_sets,
     sl3_pair_differential_vanishes,
@@ -35,23 +38,21 @@ from .repthy import (
     covariant_generator_exists,
     graded_invariant_series,
     group_weyl_dim,
-    invariant_dimension,
     module_weights,
     min_root_multiplicity,
-    mult_in_character,
     parse_module,
-    symmetric_power,
     weight_diagram,
     zero_weight_multiplicity,
     ModuleSpec,
 )
 from .rootsys import (
+    GroupSpec,
     RootSystemError,
     parse_group,
     parse_weight,
 )
 from .slices import bad_toral_slice, has_toral_slice
-from . import classify as cls
+from . import classify as cls, paper
 
 SCHEMA = 1
 
@@ -111,6 +112,13 @@ def _emit_text(payload: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
+def _weight_int(x: str) -> int:
+    try:
+        return int(x)
+    except ValueError:
+        raise ValueError(f"--weights takes integers, got {x!r}") from None
+
+
 def _parse_vectors(text: str) -> list[tuple[int, ...]]:
     out = []
     for part in text.strip().split(";"):
@@ -119,25 +127,27 @@ def _parse_vectors(text: str) -> list[tuple[int, ...]]:
             continue
         if part.startswith("(") and part.endswith(")"):
             part = part[1:-1]
-        coords = tuple(int(x) for x in part.split(","))
+        coords = tuple(_weight_int(x) for x in part.split(","))
         out.append(coords)
-    dims = {len(v) for v in out}
-    if len(dims) > 1:
-        # scalars given as a flat comma list
-        if dims == {1} or all(len(v) == 1 for v in out):
-            return out
+    if len({len(v) for v in out}) > 1:
         raise ValueError("weight vectors must share a dimension")
     return out
 
 
 def _parse_scalar_or_vectors(text: str) -> list[tuple[int, ...]]:
+    if not text.strip():
+        raise ValueError("--weights is empty; give weights like 4,-4,6,-6 or (1,0);(0,1)")
     if ";" in text or "(" in text:
         return _parse_vectors(text)
-    return [(int(x),) for x in text.replace(" ", "").split(",")]
+    return [(_weight_int(x),) for x in text.replace(" ", "").split(",")]
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
+
+
+def _module(args: argparse.Namespace) -> ModuleSpec:
+    return parse_module(parse_group(args.group), args.module)
 
 
 def cmd_rootsys(cfg: Config, args: argparse.Namespace) -> int:
@@ -154,12 +164,11 @@ def cmd_rootsys(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_weights(cfg: Config, args: argparse.Namespace) -> int:
-    g = parse_group(args.group)
-    m = parse_module(g, args.module)
+    m = _module(args)
     chi = module_weights(m)
-    zero = tuple(0 for _ in range(g.rank))
+    zero = tuple(0 for _ in range(m.group.rank))
     payload = {
-        "group": str(g),
+        "group": str(m.group),
         "module": str(m),
         "dimension": m.dimension(),
         "zero_multiplicity": chi.mult(zero),
@@ -205,8 +214,7 @@ def cmd_hilbert_basis(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_bad_slice(cfg: Config, args: argparse.Namespace) -> int:
-    g = parse_group(args.group)
-    m = parse_module(g, args.module)
+    m = _module(args)
     if not has_toral_slice(m):
         _emit(cfg, {"module": str(m), "toral_slice": False, "bad": False})
         return EXIT_NO
@@ -223,8 +231,7 @@ def cmd_bad_slice(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_components(cfg: Config, args: argparse.Namespace) -> int:
-    g = parse_group(args.group)
-    m = parse_module(g, args.module)
+    m = _module(args)
     sets = maximal_sets(admissible_sets(m, limits=cfg.limits))
     payload = {
         "module": str(m),
@@ -243,9 +250,8 @@ def cmd_components(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_covariant_vanish(cfg: Config, args: argparse.Namespace) -> int:
-    g = parse_group(args.group)
-    m = parse_module(g, args.module)
-    target = parse_weight(g, args.target).to_dynkin().coords
+    m = _module(args)
+    target = parse_weight(m.group, args.target).to_dynkin().coords
     sets = maximal_sets(admissible_sets(m, limits=cfg.limits))
     results = []
     all_vanish = True
@@ -267,14 +273,13 @@ def cmd_covariant_vanish(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_support_rank(cfg: Config, args: argparse.Namespace) -> int:
-    g = parse_group(args.group)
-    m = parse_module(g, args.module)
+    m = _module(args)
     support = []
     for item in args.support:
         w_text, _, copy_text = item.rpartition(":")
         if not w_text:
             raise RootSystemError(f"support entries look like [w]:copy, got {item!r}")
-        w = parse_weight(g, w_text).to_dynkin().coords
+        w = parse_weight(m.group, w_text).to_dynkin().coords
         support.append((w, int(copy_text)))
     bound, stats = support_orbit_dim_bound(m, support)
     _emit(cfg, {"module": str(m), "bound": bound, "stats": stats})
@@ -282,217 +287,153 @@ def cmd_support_rank(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_classify(cfg: Config, args: argparse.Namespace) -> int:
-    g = parse_group(args.group)
-    m = parse_module(g, args.module)
+    m = _module(args)
     verdict = cls.classify_module(m, cfg.limits)
     _emit(cfg, cls.emit_report([verdict]))
     return EXIT_OK if verdict.coreduced in (cls.YES, cls.YES_PAPER) else EXIT_NO
 
 
 # ---------------------------------------------------------------------------
-# verify-paper suites
-
-
-Check = tuple[str, Callable[[Config], dict]]
+# verify-paper suites: each recomputes recorded facts from coreduce.paper
 
 
 def _check(name: str, ok: bool, **detail) -> dict:
     return {"name": name, "ok": bool(ok), **detail}
 
 
-def _suite_torus(cfg: Config) -> list[dict]:
+def _verdict_rows(
+    driver: Callable[[GroupSpec, ModuleSpec, Limits], cls.Verdict],
+    rows: Sequence[tuple[str, str, str]],
+    cfg: Config,
+) -> list[dict]:
+    """One check per recorded (group, module, verdict) row of a driver's table."""
     out = []
-    v1 = is_torus_coreduced([(5,), (-5,)], cfg.limits)
-    out.append(_check("plus-minus-k coreduced", v1.coreduced))
-    ws = [(4,), (-4,), (6,), (-6,)]
+    for gs, ms, want in rows:
+        g = parse_group(gs)
+        v = driver(g, parse_module(g, ms), cfg.limits)
+        out.append(_check(f"{gs} {ms} -> {want}", v.coreduced == want))
+    return out
+
+
+def _suite_torus(cfg: Config) -> list[dict]:
+    k = paper.TORUS_PLUS_MINUS
+    v1 = is_torus_coreduced([(x,) for x in k], cfg.limits)
+    ws = [(x,) for x in paper.TORUS_FOUR_SIX]
     v2 = is_torus_coreduced(ws, cfg.limits)
     gen, _ = torus_violating_generator(ws, cfg.limits)
-    out.append(
+    want = paper.TORUS_FOUR_SIX_GENERATOR
+    return [
+        _check("plus-minus-k coreduced", v1.coreduced),
         _check(
-            "4,-4,6,-6 coefficient-3 generator",
-            not v2.coreduced and gen is not None and gen.coeffs == (3, 0, 0, 2),
-        )
-    )
-    return out
+            f"{','.join(map(str, paper.TORUS_FOUR_SIX))} coefficient-{max(want)} generator",
+            not v2.coreduced and gen is not None and gen.coeffs == want,
+        ),
+    ]
 
 
 def _suite_sl2(cfg: Config) -> list[dict]:
     out = []
-    for parts, want in [
-        ((2,), cls.YES),
-        ((3,), cls.YES),
-        ((4,), cls.YES),
-        ((1, 1, 1, 1), cls.YES),
-    ]:
+    for parts in paper.SL2_YES:
         v = cls.classify_sl2(parts, cfg.limits)
-        out.append(_check(f"binary forms {parts} yes", v.coreduced == want))
-    v = cls.classify_sl2((2, 2), cfg.limits)
+        out.append(_check(f"binary forms {parts} yes", v.coreduced == cls.YES))
+    v = cls.classify_sl2(paper.SL2_TWO_QUADRATICS, cfg.limits)
     screen = v.certificates[0]
     out.append(
         _check(
             "two quadratics rank screen",
-            v.coreduced == cls.NO and screen.rank_bound == 2 and screen.codim == 3,
+            v.coreduced == cls.NO
+            and screen.rank_bound == paper.SL2_TWO_QUADRATICS_RANK
+            and screen.codim == paper.SL2_TWO_QUADRATICS_CODIM,
         )
     )
-    v = cls.classify_sl2((6,), cfg.limits)
+    v = cls.classify_sl2(paper.SL2_SEXTIC, cfg.limits)
     ws = {w[0] for w in v.certificates[0].weights}
     out.append(
         _check(
-            "sextic bad slice on ±4, ±6",
-            v.coreduced == cls.NO and ws <= {4, -4, 6, -6},
+            "sextic bad slice on " + ", ".join(f"±{x}" for x in paper.TORUS_FOUR_SIX if x > 0),
+            v.coreduced == cls.NO and ws <= set(paper.TORUS_FOUR_SIX),
         )
     )
-    g = parse_group("A1xA1")
-    m = ModuleSpec(g, ((3, (1, 1)),))
-    cert = covariant_generator_exists(m, (1, 1), 3, cfg.limits)
+    m = parse_module(parse_group(paper.SO4_GROUP), paper.SO4_MODULE)
+    cert = covariant_generator_exists(m, paper.SO4_TARGET, paper.SO4_DEGREE, cfg.limits)
+    mult, bound = paper.SO4_MULTIPLICITY, paper.SO4_IDEAL_BOUND
     out.append(
         _check(
-            "three 4-dim orthogonal modules: 19 > 18",
-            cert.exists and cert.multiplicity == 19 and cert.ideal_bound == 18,
+            f"three 4-dim orthogonal modules: {mult} > {bound}",
+            cert.exists and cert.multiplicity == mult and cert.ideal_bound == bound,
         )
     )
     return out
 
 
 def _suite_exceptional(cfg: Config) -> list[dict]:
-    out = []
     f4 = parse_group("F4")
-    chi4 = weight_diagram(f4, (0, 0, 0, 1))
-    out.append(
+    hw = paper.F4_26
+    chi = weight_diagram(f4, hw)
+    out = [
         _check(
-            "26-dim module facts",
-            group_weyl_dim(f4, (0, 0, 0, 1)) == 26
-            and zero_weight_multiplicity(f4, (0, 0, 0, 1)) == 2
-            and sum(chi4.nonzero_weights().values()) == 24,
+            f"{paper.F4_26_DIM}-dim module facts",
+            group_weyl_dim(f4, hw) == paper.F4_26_DIM
+            and zero_weight_multiplicity(f4, hw) == paper.F4_26_ZERO_MULTIPLICITY
+            and sum(chi.nonzero_weights().values()) == paper.F4_26_NONZERO_WEIGHTS,
         )
-    )
-    for hw, thresh in [
-        ((0, 1, 0, 0), 2),
-        ((0, 0, 1, 0), 2),
-        ((2, 0, 0, 0), 3),
-        ((1, 0, 0, 1), 3),
-        ((0, 0, 0, 2), 3),
-    ]:
+    ]
+    for hw, thresh in paper.F4_ROOT_MULTIPLICITY:
         mult, _ = min_root_multiplicity(ModuleSpec(f4, ((1, hw),)))
         out.append(_check(f"F4 root multiplicity {hw} >= {thresh}", mult >= thresh))
-    rows = [
-        ("G2", "[0,1]", cls.YES),
-        ("G2", "2*[1,0]", cls.YES_PAPER),
-        ("G2", "3*[1,0]", cls.NO),
-        ("F4", "[1,0,0,0]", cls.YES),
-        ("F4", "2*[0,0,0,1]", cls.YES),
-        ("F4", "3*[0,0,0,1]", cls.NO),
-        ("F4", "[1,0,0,0]+[0,0,0,1]", cls.NO),
-    ]
-    for gs, ms, want in rows:
-        g = parse_group(gs)
-        v = cls.classify_adjoint_exceptional(g, parse_module(g, ms), cfg.limits)
-        out.append(_check(f"{gs} {ms} -> {want}", v.coreduced == want))
-    return out
-
-
-def _suite_classical(cfg: Config) -> list[dict]:
-    rows = [
-        ("A2", "[1,1]", cls.YES),
-        ("A2", "[3,0]", cls.YES_PAPER),
-        ("A3", "[0,2,0]", cls.YES_PAPER),
-        ("A2", "[6,0]", cls.NO),
-        ("A3", "[4,0,0]", cls.NO),
-        ("B3", "[2,0,0]", cls.YES_PAPER),
-        ("B3", "3*[1,0,0]", cls.YES_PAPER),
-        ("B3", "4*[1,0,0]", cls.NO_PAPER),
-        ("B3", "[0,0,2]", cls.NO),
-        ("B3", "[1,1,0]", cls.NO),
-        ("B3", "[3,0,0]", cls.NO),
-        ("C3", "[0,1,0]", cls.YES_PAPER),
-        ("C3", "[2,0,0]", cls.YES),
-        ("C4", "[0,0,0,1]", cls.YES_PAPER),
-        ("C3", "[1,0,1]", cls.NO),
-        ("D4", "[0,1,0,0]", cls.YES),
-        ("D4", "[2,0,0,0]", cls.YES_PAPER),
-        ("D4", "[0,0,2,0]", cls.YES_PAPER),
-        ("D4", "[0,0,0,2]", cls.YES_PAPER),
-    ]
-    out = []
-    for gs, ms, want in rows:
-        g = parse_group(gs)
-        v = cls.classify_adjoint_classical(g, parse_module(g, ms), cfg.limits)
-        out.append(_check(f"{gs} {ms} -> {want}", v.coreduced == want))
-    return out
-
-
-def _suite_semisimple(cfg: Config) -> list[dict]:
-    rows = [
-        ("B2xB3", "[1,0,1,0,0]", cls.YES_PAPER),
-        ("A1xG2", "[2,1,0]", cls.YES_PAPER),
-        ("A1xA1", "[2,2]", cls.YES_PAPER),
-        ("B2xG2", "[1,0,1,0]", cls.NO),
-        ("B2xB2xB2", "[1,0,1,0,1,0]", cls.NO),
-        ("A1xA1xA1", "[2,2,2]", cls.NO),
-        ("A2xA2", "[1,1,1,1]", cls.NO),
-    ]
-    out = []
-    for gs, ms, want in rows:
-        g = parse_group(gs)
-        v = cls.classify_semisimple_irreducible(parse_module(g, ms), cfg.limits)
-        out.append(_check(f"{gs} {ms} -> {want}", v.coreduced == want))
-    return out
+    return out + _verdict_rows(cls.classify_adjoint_exceptional, paper.EXCEPTIONAL, cfg)
 
 
 def _suite_sl3(cfg: Config) -> list[dict]:
-    out = []
-    yes = ["[1,0]", "[2,0]", "[3,0]", "[0,1]", "[0,2]", "[0,3]", "[1,1]"]
     g = parse_group("A2")
-    for ms in yes:
-        v = cls.classify_sl3(parse_module(g, ms), cfg.limits)
-        out.append(
-            _check(f"irreducible {ms} yes", v.coreduced in (cls.YES, cls.YES_PAPER))
-        )
-    ratios = sl3_critical_ratios(ModuleSpec(g, ((1, (3, 1)),)))
-    from fractions import Fraction as F
 
+    def verdict(ms: str) -> cls.Verdict:
+        return cls.classify_sl3(parse_module(g, ms), cfg.limits)
+
+    out = [
+        _check(f"irreducible {ms} yes", verdict(ms).coreduced == want)
+        for _, ms, want in paper.SL3_IRREDUCIBLE
+    ]
+    v31 = parse_module(g, paper.SL3_V31)
     out.append(
         _check(
             "critical ratios of the 24-dim module",
-            ratios == {F(1, 4), F(2, 5), F(1), F(5, 2), F(4)},
+            sl3_critical_ratios(v31) == paper.SL3_V31_RATIOS,
         )
     )
-    v = cls.classify_sl3(parse_module(g, "[3,1]"), cfg.limits)
+    v = cls.classify_sl3(v31, cfg.limits)
     cert = v.certificates[0]
+    degree = paper.SL3_V31_COVARIANT_DEGREE
     out.append(
         _check(
-            "degree-8 generating covariant",
-            v.coreduced == cls.NO and cert.degree == 8 and cert.multiplicity == 44,
+            f"degree-{degree} generating covariant",
+            v.coreduced == cls.NO
+            and cert.degree == degree
+            and cert.multiplicity == paper.SL3_V31_COVARIANT_MULTIPLICITY,
         )
     )
-    for ms, want in [
-        ("2*[1,0]", (cls.YES, cls.YES_PAPER)),
-        ("[1,0]+[0,1]", (cls.YES, cls.YES_PAPER)),
-        ("[2,0]+[0,1]", (cls.YES, cls.YES_PAPER)),
-        ("[2,0]+2*[0,1]", (cls.NO,)),
-        ("2*[2,0]", (cls.NO,)),
-        ("[1,1]+[2,0]", (cls.NO,)),
-    ]:
-        v = cls.classify_sl3(parse_module(g, ms), cfg.limits)
-        out.append(_check(f"reducible {ms}", v.coreduced in want))
-    for ms, dual in [("[3,1]", "[1,3]"), ("[2,0]+[0,1]", "[0,2]+[1,0]")]:
-        a = cls.classify_sl3(parse_module(g, ms), cfg.limits).coreduced
-        b = cls.classify_sl3(parse_module(g, dual), cfg.limits).coreduced
-        out.append(_check(f"duality consistency {ms}", a == b))
+    out += [
+        _check(f"reducible {ms}", verdict(ms).coreduced == want)
+        for _, ms, want in paper.SL3_REDUCIBLE
+    ]
+    out += [
+        _check(f"duality consistency {ms}", verdict(ms).coreduced == verdict(dual).coreduced)
+        for ms, dual in paper.SL3_DUALS
+    ]
     return out
 
 
 def _suite_appendix_a(cfg: Config) -> list[dict]:
-    out = []
     bound, stats = f4_two_26_support_bound()
-    out.append(
+    columns, singletons = paper.F4_SUPPORT_COLUMNS, paper.F4_SUPPORT_SINGLETONS
+    out = [
         _check(
-            "support bound 44 (45 columns, 34 singletons)",
-            bound == 44
-            and stats["columns"] == 45
-            and stats["singletons_after_column_reduction"] == 34,
+            f"support bound {paper.F4_SUPPORT_BOUND} ({columns} columns, {singletons} singletons)",
+            bound == paper.F4_SUPPORT_BOUND
+            and stats["columns"] == columns
+            and stats["singletons_after_column_reduction"] == singletons,
         )
-    )
+    ]
     for i, case in enumerate(D4_TRIALITY_CASES):
         out.append(
             _check(
@@ -506,12 +447,17 @@ def _suite_appendix_a(cfg: Config) -> list[dict]:
             out.append(_check(f"model row {i} sign pattern", True))
         except CertificateError:
             out.append(_check(f"model row {i} sign pattern", False))
-    vanishes, stats = sl3_pair_differential_vanishes(SL3_PAIR_MODELS[5])
+    model = paper.SL3_PAIR_ROW_MODEL
+    vanishes, stats = sl3_pair_differential_vanishes(model)
     floors = [f for f in stats["floors"] if f is not None]
+    max_negative, floor = paper.SL3_PAIR_ROW_MAX_NEGATIVE, paper.SL3_PAIR_ROW_FLOOR
     out.append(
         _check(
-            "row (8,-3,-5,6,-2,-4): max negative 14, floor 19",
-            vanishes and stats["max_negative"] == 14 and min(floors) == 19,
+            f"row ({','.join(map(str, model))}): max negative {max_negative}, floor {floor}",
+            SL3_PAIR_MODELS[paper.SL3_PAIR_ROW] == model
+            and vanishes
+            and stats["max_negative"] == max_negative
+            and min(floors) == floor,
         )
     )
     out.append(
@@ -524,51 +470,53 @@ def _suite_appendix_a(cfg: Config) -> list[dict]:
 
 
 def _suite_appendix_b(cfg: Config) -> list[dict]:
-    out = []
     sets = g2xg2_model_admissible_sets()
+    out = [
+        _check(
+            f"sixteen {paper.G2XG2_SET_DIM}-dim maximal sets",
+            len(sets) == paper.G2XG2_MAXIMAL_SETS
+            and all(a.dimension() == paper.G2XG2_SET_DIM for a in sets),
+        ),
+        _check(
+            "degree-9 covariant infeasible on all sixteen",
+            g2xg2_covariant_vanishes(sets, cfg.limits),
+        ),
+    ]
+    cert = g2xg2_covariant_series(cfg.limits)
+    mults = list(cert.per_degree_mults)
+    invs = list(cert.per_degree_invariants)
     out.append(
         _check(
-            "sixteen 24-dim maximal sets",
-            len(sets) == 16 and all(a.dimension() == 24 for a in sets),
-        )
-    )
-    target = (0, 0, 1, 0)
-    vanish = all(covariant_vanishes(a, target, 9, False, cfg.limits) for a in sets)
-    out.append(_check("degree-9 covariant infeasible on all sixteen", vanish))
-    g = sets[0].defining.group
-    chi = module_weights(ModuleSpec(g, ((1, (1, 0, 1, 0)),)))
-    powers = symmetric_power(chi, 9, cfg.limits)
-    mults = [mult_in_character(powers[d], target) for d in range(1, 10)]
-    invs = [invariant_dimension(powers[d]) for d in range(1, 10)]
-    out.append(
-        _check(
-            "covariant series degrees 1-9",
-            mults == [0, 0, 1, 1, 3, 5, 12, 18, 41],
+            f"covariant series degrees 1-{cert.degree}",
+            mults == list(paper.G2XG2_COVARIANT_SERIES),
             got=mults,
         )
     )
     out.append(
         _check(
-            "invariant series degrees 1-9",
-            invs == [0, 1, 1, 3, 2, 8, 7, 17, 19],
+            f"invariant series degrees 1-{cert.degree}",
+            invs == list(paper.G2XG2_INVARIANT_SERIES),
             got=invs,
         )
     )
-    bound = sum(invs[9 - e - 1] * mults[e - 1] for e in range(1, 9))
-    out.append(_check("ideal bound under 41", bound <= 37 < mults[8], bound=bound))
-    a2a2 = parse_group("A2xA2")
-    summands = [
-        module_weights(ModuleSpec(a2a2, ((1, hw),)))
-        for hw in ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
-    ]
-    series = graded_invariant_series(summands, (3, 3, 3, 3), cfg.limits)
+    bound = cert.ideal_bound
     out.append(
         _check(
-            "multigraded invariant coefficients 4/37/265",
-            series[(1, 1, 1, 1)] == 4
-            and series[(2, 2, 2, 2)] == 37
-            and series[(3, 3, 3, 3)] == 265,
-            got=[series[(1, 1, 1, 1)], series[(2, 2, 2, 2)], series[(3, 3, 3, 3)]],
+            f"ideal bound under {paper.G2XG2_COVARIANT_SERIES[-1]}",
+            bound <= paper.G2XG2_IDEAL_BOUND < cert.multiplicity,
+            bound=bound,
+        )
+    )
+    a2a2 = parse_group("A2xA2")
+    summands = [module_weights(ModuleSpec(a2a2, ((1, hw),))) for hw in paper.A2XA2_SUMMANDS]
+    want = paper.A2XA2_INVARIANTS
+    series = graded_invariant_series(summands, max(want), cfg.limits)
+    got = [series[d] for d in want]
+    out.append(
+        _check(
+            f"multigraded invariant coefficients {'/'.join(map(str, want.values()))}",
+            got == list(want.values()),
+            got=got,
         )
     )
     return out
@@ -578,8 +526,12 @@ SUITES: dict[str, Callable[[Config], list[dict]]] = {
     "torus": _suite_torus,
     "sl2": _suite_sl2,
     "exceptional": _suite_exceptional,
-    "classical": _suite_classical,
-    "semisimple": _suite_semisimple,
+    "classical": partial(_verdict_rows, cls.classify_adjoint_classical, paper.CLASSICAL),
+    "semisimple": partial(
+        _verdict_rows,
+        lambda g, m, limits: cls.classify_semisimple_irreducible(m, limits),
+        paper.SEMISIMPLE,
+    ),
     "sl3": _suite_sl3,
     "appendixA": _suite_appendix_a,
     "appendixB": _suite_appendix_b,
@@ -617,59 +569,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def add(name: str, help_text: str, func: Callable, *positionals: str) -> argparse.ArgumentParser:
+        s = sub.add_parser(name, help=help_text, parents=[common])
+        for arg in positionals:
+            s.add_argument(arg)
+        s.set_defaults(func=func)
+        return s
 
-    s = add("rootsys", "root-system facts for a group")
-    s.add_argument("group")
-    s.set_defaults(func=cmd_rootsys)
-
-    s = add("weights", "weight facts for a module")
-    s.add_argument("group")
-    s.add_argument("module")
-    s.set_defaults(func=cmd_weights)
-
-    s = add("torus-check", "0/1-relation criterion for torus weights")
+    add("rootsys", "root-system facts for a group", cmd_rootsys, "group")
+    add("weights", "weight facts for a module", cmd_weights, "group", "module")
+    s = add("torus-check", "0/1-relation criterion for torus weights", cmd_torus_check)
     s.add_argument("--weights", required=True)
-    s.set_defaults(func=cmd_torus_check)
-
-    s = add("hilbert-basis", "indecomposable relations among weights")
+    s = add("hilbert-basis", "indecomposable relations among weights", cmd_hilbert_basis)
     s.add_argument("--weights", required=True)
-    s.set_defaults(func=cmd_hilbert_basis)
-
-    s = add("bad-slice", "bad toral slice search")
-    s.add_argument("group")
-    s.add_argument("module")
-    s.set_defaults(func=cmd_bad_slice)
-
-    s = add("components", "candidate null-cone components")
-    s.add_argument("group")
-    s.add_argument("module")
-    s.set_defaults(func=cmd_components)
-
-    s = add("covariant-vanish", "degree-d covariant vanishing check")
-    s.add_argument("group")
-    s.add_argument("module")
+    add("bad-slice", "bad toral slice search", cmd_bad_slice, "group", "module")
+    add("components", "candidate null-cone components", cmd_components, "group", "module")
+    s = add(
+        "covariant-vanish", "degree-d covariant vanishing check", cmd_covariant_vanish,
+        "group", "module",
+    )
     s.add_argument("--target", required=True)
     s.add_argument("--degree", type=int, required=True)
     s.add_argument("--all-degrees", action="store_true")
-    s.set_defaults(func=cmd_covariant_vanish)
-
-    s = add("support-rank", "orbit-dimension lower bound from support")
-    s.add_argument("group")
-    s.add_argument("module")
+    s = add(
+        "support-rank", "orbit-dimension lower bound from support", cmd_support_rank,
+        "group", "module",
+    )
     s.add_argument("--support", action="append", required=True, metavar="WEIGHT:COPY")
-    s.set_defaults(func=cmd_support_rank)
-
-    s = add("classify", "verdict for a module")
-    s.add_argument("group")
-    s.add_argument("module")
-    s.set_defaults(func=cmd_classify)
-
-    s = add("verify-paper", "reproduce the recorded computations")
+    add("classify", "verdict for a module", cmd_classify, "group", "module")
+    s = add("verify-paper", "reproduce the recorded computations", cmd_verify_paper)
     s.add_argument("--suite", default=None)
-    s.set_defaults(func=cmd_verify_paper)
-
     return p
 
 

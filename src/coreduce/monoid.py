@@ -26,7 +26,6 @@ Both searches skip work that cannot change an answer:
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,10 +61,6 @@ class Relation:
 class HilbertBasis:
     weights: tuple[Vec, ...]
     generators: tuple[Relation, ...]
-
-
-def _dominates(x: Vec, y: Vec) -> bool:
-    return all(a >= b for a, b in zip(x, y))
 
 
 # A generator as the minimality index stores it: its support bitmask and its
@@ -323,32 +318,3 @@ def exists_sum_one_per_block(
         out.append(j)
         s = s_prev
     return SumWitness(True, tuple(reversed(out)))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force reference (kept here so the CLI can cross-certify small inputs)
-
-
-def brute_force_minimal_relations(weights: Sequence[Vec], bound: int) -> list[Vec]:
-    """All componentwise-minimal nonzero relations with coefficient sum <= bound."""
-    n = len(weights)
-    dim = len(weights[0]) if n else 0
-    sols: list[Vec] = []
-    for total in range(1, bound + 1):
-        for comp in _compositions(total, n):
-            if any(_dominates(comp, s) for s in sols):
-                continue
-            if all(
-                sum(m * w[j] for m, w in zip(comp, weights)) == 0 for j in range(dim)
-            ):
-                sols.append(comp)
-    return sols
-
-
-def _compositions(total: int, parts: int) -> Iterator[Vec]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest

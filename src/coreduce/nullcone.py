@@ -11,22 +11,30 @@ two-copy computation over F4.
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterable, Optional, Sequence
+from math import gcd, lcm
+from typing import Callable, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits, ResourceLimitError, require
-from .monoid import SumWitness, Vec, exists_sum, exists_sum_one_per_block
-from .repthy import Character, ModuleSpec, module_weights, weight_diagram
+from .monoid import Vec, exists_sum, exists_sum_one_per_block
+from .repthy import (
+    Character,
+    CovariantCertificate,
+    ModuleSpec,
+    covariant_generator_exists,
+    module_weights,
+    weight_diagram,
+)
 from .rootsys import (
     Coords,
     GroupSpec,
     RootSystemError,
+    SimpleType,
     Weight,
     closure,
+    dynkin_to_eps,
     reflect,
     root_scaled_of_dynkin,
     simple_reflections,
@@ -141,8 +149,6 @@ def admissible_sets(
 
 
 def _primitive(v: Vec) -> Vec:
-    from math import gcd
-
     g = 0
     for x in v:
         g = gcd(g, abs(x))
@@ -814,9 +820,12 @@ G2XG2_MODEL_PARAMS: tuple[tuple[int, int, int, int], ...] = (
 
 
 def g2xg2_group() -> GroupSpec:
-    from .rootsys import SimpleType
-
     return GroupSpec((SimpleType("G", 2), SimpleType("G", 2)))
+
+
+G2XG2_HW = (1, 0, 1, 0)  # the 7-dim module of each factor, tensored
+G2XG2_TARGET = (0, 0, 1, 0)  # the adjoint module of the second factor
+G2XG2_DEGREE = 9
 
 
 def g2xg2_cocharacter(a: int, b: int, a2: int, b2: int) -> Cocharacter:
@@ -830,7 +839,7 @@ def g2xg2_model_admissible_sets() -> list[AdmissibleSet]:
     """The eight models and their copy-swaps, as admissible sets of the
     7x7 module; each has 24 of the 48 nonzero weights."""
     g = g2xg2_group()
-    m = ModuleSpec(g, ((1, (1, 0, 1, 0)),))
+    m = ModuleSpec(g, ((1, G2XG2_HW),))
     chi = module_weights(m)
     out = []
     for a, b, a2, b2 in G2XG2_MODEL_PARAMS:
@@ -838,14 +847,29 @@ def g2xg2_model_admissible_sets() -> list[AdmissibleSet]:
             rho = g2xg2_cocharacter(*params)
             triple = {params[0], params[1], params[0] + params[1]}
             triple2 = {params[2], params[3], params[2] + params[3]}
-            assert all(x > 0 for x in params)
-            assert params[0] >= params[1] and params[2] >= params[3]
-            assert not triple & triple2
+            require(
+                all(x > 0 for x in params) and params[0] >= params[1] and params[2] >= params[3]
+                and not triple & triple2,
+                f"model {params} is not normalized",
+            )
             adm = AdmissibleSet(_positive_set(chi, rho), rho)
             adm.verify(chi)
-            assert adm.dimension() == 24, adm.dimension()
+            require(adm.dimension() == 24, f"model {params} gives dimension {adm.dimension()}")
             out.append(adm)
     return out
+
+
+def g2xg2_covariant_vanishes(sets: Sequence[AdmissibleSet], limits: Limits = DEFAULT_LIMITS) -> bool:
+    """Does the degree-9 covariant of adjoint type vanish on every set?"""
+    return all(covariant_vanishes(a, G2XG2_TARGET, G2XG2_DEGREE, False, limits) for a in sets)
+
+
+def g2xg2_covariant_series(limits: Limits = DEFAULT_LIMITS) -> CovariantCertificate:
+    """Multiplicities of the adjoint target and invariant dimensions in
+    degrees 1..9 of the symmetric algebra of the 49-dimensional module, and
+    the degree-9 ideal bound."""
+    m = ModuleSpec(g2xg2_group(), ((1, G2XG2_HW),))
+    return covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -919,28 +943,16 @@ def d4_adjoint_target_reachable(case: dict, limits: Limits = DEFAULT_LIMITS) -> 
 # (doubled: all coordinates +-1); the 24 long roots are +-2e_i +- 2e_j.
 
 
-def f4_short_roots_doubled() -> list[Vec]:
-    out: list[Vec] = []
-    for i in range(4):
-        for s in (2, -2):
-            v = [0, 0, 0, 0]
-            v[i] = s
-            out.append(tuple(v))
-    for signs in itertools.product((1, -1), repeat=4):
-        out.append(signs)
-    return out
-
-
-def f4_long_roots_doubled() -> list[Vec]:
-    out: list[Vec] = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for si in (2, -2):
-                for sj in (2, -2):
-                    v = [0, 0, 0, 0]
-                    v[i], v[j] = si, sj
-                    out.append(tuple(v))
-    return out
+def f4_roots_doubled() -> tuple[list[Vec], list[Vec]]:
+    """The short and the long roots of the rank-4 exceptional root system,
+    in doubled epsilon coordinates."""
+    t = SimpleType("F", 4)
+    short: list[Vec] = []
+    long: list[Vec] = []
+    for d in GroupSpec((t,)).roots_dynkin():
+        v = tuple(int(2 * x) for x in dynkin_to_eps(t, d))
+        (short if sum(x * x for x in v) == 4 else long).append(v)
+    return short, long
 
 
 def f4_two_26_support_bound() -> tuple[int, dict]:
@@ -948,11 +960,11 @@ def f4_two_26_support_bound() -> tuple[int, dict]:
     (e3, (e1-e2-e3+e4)/2) in the first copy and (e2, (e1-e2-e3-e4)/2) in the
     second; the two zero-weight image lines are distinguished by whether the
     acting root vector carries an integral short root."""
-    short = f4_short_roots_doubled()
+    short, long = f4_roots_doubled()
     diag = {w: 1 for w in short}
     diag[(0, 0, 0, 0)] = 2
     copies = [dict(diag), dict(diag)]
-    roots = short + f4_long_roots_doubled()
+    roots = short + long
     v_support = [
         ((0, 0, 2, 0), 0),
         ((1, -1, -1, 1), 0),

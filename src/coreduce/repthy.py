@@ -25,7 +25,6 @@ from .config import DEFAULT_LIMITS, Limits, ResourceLimitError
 from .rootsys import (
     Coords,
     GroupSpec,
-    RootSystem,
     RootSystemError,
     SimpleType,
     Weight,
@@ -83,8 +82,9 @@ def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
     if any(x < 0 for x in hw):
         raise RootSystemError("highest weight must be dominant")
     dom = dominant_weights_below(g, Weight(hw, "dynkin", g))
-    # process in decreasing height (sum of scaled root coordinates)
-    ordered = sorted(dom, key=lambda d: -sum(rs.root_scaled_of_dynkin(d)))
+    # process in decreasing height (sum of scaled root coordinates), ties in
+    # coordinate order, so the diagram's order does not rest on set layout
+    ordered = sorted(dom, key=lambda d: (-sum(rs.root_scaled_of_dynkin(d)), d))
     pos_dynkin = [rs.dynkin_of_root(a) for a in rs.positive_roots]
     delta = rs.weyl_vector
     mults: dict[Coords, int] = {hw: 1}
@@ -131,7 +131,6 @@ def dominant_diagram(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
         lo, hi = g.blocks[k]
         parts.append(simple_dominant_diagram(t, tuple(hw[lo:hi])))
     torus = tuple(hw[g.blocks[-1][0] : g.blocks[-1][1]])
-    out: dict[Coords, int] = {}
     combos: list[tuple[Coords, int]] = [((), 1)]
     for part in parts:
         combos = [
@@ -139,9 +138,7 @@ def dominant_diagram(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
             for prefix, mult in combos
             for coords, m in part.items()
         ]
-    for prefix, mult in combos:
-        out[prefix + torus] = mult
-    return out
+    return {prefix + torus: mult for prefix, mult in combos}
 
 
 @dataclass
@@ -180,15 +177,6 @@ class Character:
         zero = tuple(0 for _ in range(self.group.rank))
         full = self.expand().entries
         return {w: m for w, m in full.items() if w != zero and m}
-
-    def support_root_scaled(self) -> list[Coords]:
-        """Nonzero weights with multiplicity, in scaled root-basis coordinates."""
-        from .rootsys import root_scaled_of_dynkin
-
-        out = []
-        for w, m in sorted(self.nonzero_weights().items()):
-            out.extend([root_scaled_of_dynkin(self.group, w)] * m)
-        return out
 
 
 def weight_diagram(g: GroupSpec, hw: Coords) -> Character:

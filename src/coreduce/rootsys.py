@@ -17,12 +17,11 @@ depth; callers supply only the neighbour function.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 Coords = tuple[int, ...]
@@ -62,18 +61,7 @@ class SimpleType:
 
     @property
     def weyl_order(self) -> int:
-        n = self.rank
-        if self.family == "A":
-            return factorial(n + 1)
-        if self.family in ("B", "C"):
-            return 2**n * factorial(n)
-        if self.family == "D":
-            return 2 ** (n - 1) * factorial(n)
-        if self.family == "E":
-            return {6: 51840, 7: 2903040, 8: 696729600}[n]
-        if self.family == "F":
-            return 1152
-        return 12  # G2
+        return _weyl_order(_cartan_matrix(self))
 
 
 def _cartan_matrix(t: SimpleType) -> tuple[Coords, ...]:
@@ -299,27 +287,28 @@ def _sub_weyl_order(cartan: Sequence[Sequence[int]], nodes: list[int]) -> int:
                     seen.add(j)
                     comp.append(j)
                     stack.append(j)
-        total *= _component_weyl_order(cartan, sorted(comp))
+        comp.sort()
+        total *= _weyl_order(tuple(tuple(cartan[i][j] for j in comp) for i in comp))
     return total
 
 
-def _component_weyl_order(cartan: Sequence[Sequence[int]], comp: list[int]) -> int:
-    r = len(comp)
-    mult = max(abs(cartan[i][j]) for i in comp for j in comp if i != j) if r > 1 else 1
-    # count roots of the component by closure (small, bounded by 240)
-    sub = [tuple(cartan[i][j] for j in comp) for i in comp]
-    nroots = len(closure(sub, _reflections([(0, sub)])))
-    if mult >= 3:
-        return 12  # G2
-    if mult == 2:
-        if r == 4 and nroots == 48:
-            return 1152  # F4
-        return 2**r * factorial(r)  # B/C
-    if nroots == r * (r + 1):
-        return factorial(r + 1)  # A
-    if nroots == 2 * r * (r - 1):
-        return 2 ** (r - 1) * factorial(r)  # D
-    return {6: 51840, 7: 2903040, 8: 696729600}[r]  # E
+@lru_cache(maxsize=None)
+def _weyl_order(cartan: tuple[Coords, ...]) -> int:
+    """Order of the Weyl group of an irreducible Cartan matrix:
+    r! * (product of the highest root's coefficients) * det(cartan)."""
+    r = len(cartan)
+
+    def reflections(root: Coords) -> list[Coords]:
+        # s_i(b) = b - <b, alpha_i^vee> alpha_i, in root coordinates
+        out = []
+        for i in range(r):
+            c = sum(root[j] * cartan[j][i] for j in range(r))
+            if c:
+                out.append(root[:i] + (root[i] - c,) + root[i + 1 :])
+        return out
+
+    simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    return factorial(r) * prod(max(closure(simple, reflections), key=sum)) * _det(cartan)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +355,7 @@ class GroupSpec:
 
     @property
     def weyl_order(self) -> int:
-        n = 1
-        for t in self.simple_factors:
-            n *= t.weyl_order
-        return n
+        return prod(t.weyl_order for t in self.simple_factors)
 
     @property
     def num_positive_roots(self) -> int:
@@ -393,12 +379,7 @@ class GroupSpec:
 
     @property
     def weyl_vector(self) -> Coords:
-        out = [0] * self.rank
-        for k, t in enumerate(self.simple_factors):
-            lo, hi = self.blocks[k]
-            for i in range(lo, hi):
-                out[i] = 1
-        return tuple(out)
+        return (1,) * (self.rank - self.torus_rank) + (0,) * self.torus_rank
 
 
 @dataclass(frozen=True)
@@ -463,12 +444,7 @@ def dynkin_of_root_scaled(g: GroupSpec, c: Coords) -> Coords:
 
 def simple_reflections(g: GroupSpec) -> list[tuple[int, int, int]]:
     """All simple reflections as (block index, block start, local index)."""
-    out = []
-    for k, t in enumerate(g.simple_factors):
-        lo, _hi = g.blocks[k]
-        for i in range(t.rank):
-            out.append((k, lo, i))
-    return out
+    return [(k, g.blocks[k][0], i) for k, t in enumerate(g.simple_factors) for i in range(t.rank)]
 
 
 def reflect(g: GroupSpec, d: Coords, refl: tuple[int, int, int]) -> Coords:
@@ -673,23 +649,17 @@ def dynkin_to_eps(t: SimpleType, d: Coords) -> tuple[Fraction, ...]:
         for i in range(n - 1, -1, -1):
             c[i] = c[i + 1] + dd[i]
         return tuple(c)
-    if t.family == "B":
+    if t.family in ("B", "C", "D"):
+        # fix the last (two) coordinates, then c_i = c_{i+1} + d_i going up
         c = [Fraction(0)] * n
-        c[n - 1] = dd[n - 1] / 2
-        for i in range(n - 2, -1, -1):
-            c[i] = c[i + 1] + dd[i]
-        return tuple(c)
-    if t.family == "C":
-        c = [Fraction(0)] * n
-        c[n - 1] = dd[n - 1]
-        for i in range(n - 2, -1, -1):
-            c[i] = c[i + 1] + dd[i]
-        return tuple(c)
-    if t.family == "D":
-        c = [Fraction(0)] * n
-        c[n - 1] = (dd[n - 1] - dd[n - 2]) / 2
-        c[n - 2] = (dd[n - 1] + dd[n - 2]) / 2
-        for i in range(n - 3, -1, -1):
+        if t.family == "D":
+            c[n - 1] = (dd[n - 1] - dd[n - 2]) / 2
+            c[n - 2] = (dd[n - 1] + dd[n - 2]) / 2
+            start = n - 3
+        else:
+            c[n - 1] = dd[n - 1] / 2 if t.family == "B" else dd[n - 1]
+            start = n - 2
+        for i in range(start, -1, -1):
             c[i] = c[i + 1] + dd[i]
         return tuple(c)
     if t.family == "F":
@@ -766,9 +736,3 @@ def parse_weight(g: GroupSpec, text: str) -> Weight:
         coords = tuple(int(x) for x in text[1:-1].split(","))
         return Weight(coords, "dynkin", g)
     raise RootSystemError(f"cannot parse weight {text!r}")
-
-
-def format_weight(w: Weight) -> str:
-    if w.basis == "dynkin":
-        return "[" + ",".join(str(x) for x in w.coords) + "]"
-    return "(" + ",".join(str(x) for x in w.coords) + ")@root"

@@ -13,19 +13,19 @@ certificate's hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from .config import DEFAULT_LIMITS, Limits, require
-from .monoid import Relation, Vec, is_torus_coreduced
+from .monoid import Vec, is_torus_coreduced
 from .repthy import (
-    Character,
     ModuleSpec,
     max_nonzero_weight_multiplicity,
+    min_root_multiplicity,
     module_weights,
     zero_weight_multiplicity,
 )
-from .rootsys import Coords, GroupSpec, root_scaled_of_dynkin
+from .rootsys import Coords, GroupSpec, Weight, root_scaled_of_dynkin
 
 GENERIC_HYPOTHESIS = "generic zero weight vector"
 
@@ -121,8 +121,6 @@ def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     relation (the slice contains a smaller bad module, not a direct toral
     relation).
     """
-    from .repthy import min_root_multiplicity
-
     g = m.group
     if not g.simple_factors:
         return None
@@ -178,8 +176,6 @@ def criterion_a(
     weight of V(phi) has multiplicity > 1 (which implies (ii)).  Both phi and
     psi must have a zero weight (root-lattice membership).
     """
-    from .rootsys import Weight
-
     for lam in (phi, psi):
         if not Weight(lam, "dynkin", g).in_root_lattice():
             raise ValueError("criterion applies to root-lattice highest weights only")

@@ -77,11 +77,32 @@ def brute_force_symmetric_power_mass(dim: int, d: int) -> int:
     return math.comb(dim + d - 1, d)
 
 
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def brute_force_minimal_relations(weights, bound: int) -> list[tuple]:
+    """All componentwise-minimal nonzero relations with coefficient sum <= bound."""
+    n = len(weights)
+    dim = len(weights[0]) if n else 0
+    sols: list[tuple] = []
+    for total in range(1, bound + 1):
+        for comp in _compositions(total, n):
+            if any(all(a >= b for a, b in zip(comp, s)) for s in sols):
+                continue
+            if all(sum(m * w[j] for m, w in zip(comp, weights)) == 0 for j in range(dim)):
+                sols.append(comp)
+    return sols
+
+
 def brute_force_torus_coreduced(weights: list, bound: int = 8) -> bool:
     """Every componentwise-minimal relation with coefficient sum <= bound has
     0/1 coefficients.  Exhaustive over compositions."""
-    from coreduce.monoid import brute_force_minimal_relations
-
     ws = [w for w in weights if any(x != 0 for x in w)]
     if not ws:
         return True

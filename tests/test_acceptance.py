@@ -4,18 +4,13 @@ Each test prints ``CRITERION n: PASS`` (or FAIL) so the gate can be read off
 the pytest output directly.  Stated runtime budgets are asserted.
 """
 
-import itertools
-import math
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
-import pytest
-
+from coreduce import paper
 from coreduce.config import Limits
 from coreduce.monoid import (
-    brute_force_minimal_relations,
     exists_sum,
     hilbert_basis,
     is_torus_coreduced,
@@ -27,6 +22,7 @@ from coreduce.nullcone import (
     covariant_vanishes,
     d4_adjoint_target_reachable,
     f4_two_26_support_bound,
+    g2xg2_covariant_series,
     g2xg2_model_admissible_sets,
     maximal_sets,
     sl3_critical_ratios,
@@ -37,13 +33,10 @@ from coreduce.repthy import (
     covariant_generator_exists,
     graded_invariant_series,
     group_weyl_dim,
-    invariant_dimension,
     min_root_multiplicity,
     max_nonzero_weight_multiplicity,
     module_weights,
-    mult_in_character,
     parse_module,
-    symmetric_power,
     weight_diagram,
     zero_weight_multiplicity,
 )
@@ -51,14 +44,13 @@ from coreduce.rootsys import Weight, dynkin_to_eps, parse_group, weyl_orbit
 from coreduce.slices import bad_toral_slice, has_toral_slice, roots_mult2_rule, toral_slice_weights
 from coreduce.classify import (
     NO,
-    YES,
-    YES_PAPER,
     classify_module,
     classify_sl2,
     classify_sl3,
 )
 
-from oracles import kostant_weight_multiplicity
+from oracles import brute_force_minimal_relations, kostant_weight_multiplicity
+from test_classify import SL2_TABLE
 
 LIMITS = Limits()
 
@@ -80,10 +72,11 @@ def test_criterion_01_torus():
     with criterion(1, 1.0):
         for k in [1, 3, 7, 11]:
             assert is_torus_coreduced([(k,), (-k,)], LIMITS).coreduced
+        assert is_torus_coreduced([(k,) for k in paper.TORUS_PLUS_MINUS], LIMITS).coreduced
         assert is_torus_coreduced([(3,), (-3,), (3,), (-3,)], LIMITS).coreduced
-        v = is_torus_coreduced([(4,), (-4,), (6,), (-6,)], LIMITS)
+        v = is_torus_coreduced([(k,) for k in paper.TORUS_FOUR_SIX], LIMITS)
         assert not v.coreduced
-        assert max(v.certificate.coeffs) == 3
+        assert max(v.certificate.coeffs) == max(paper.TORUS_FOUR_SIX_GENERATOR)
 
 
 def test_criterion_02_hilbert_oracle():
@@ -164,22 +157,20 @@ def test_criterion_04_f4_facts():
     with criterion(4, 60.0):
         f4 = parse_group("F4")
         t = f4.simple_factors[0]
-        phi4 = (0, 0, 0, 1)
-        assert group_weyl_dim(f4, phi4) == 26
-        assert zero_weight_multiplicity(f4, phi4) == 2
+        phi4 = paper.F4_26
+        assert group_weyl_dim(f4, phi4) == paper.F4_26_DIM
+        assert zero_weight_multiplicity(f4, phi4) == paper.F4_26_ZERO_MULTIPLICITY
         support = weight_diagram(f4, phi4).nonzero_weights()
-        assert len(support) == 24 and all(m == 1 for m in support.values())
+        assert len(support) == paper.F4_26_NONZERO_WEIGHTS
+        assert all(m == 1 for m in support.values())
         roots = set(f4.roots_dynkin())
         for w in support:
             assert w in roots
             eps = dynkin_to_eps(t, w)
             assert sum(x * x for x in eps) == 1  # short
-        for hw in [(0, 1, 0, 0), (0, 0, 1, 0)]:
+        for hw, threshold in paper.F4_ROOT_MULTIPLICITY:
             mult, _ = min_root_multiplicity(ModuleSpec(f4, ((1, hw),)))
-            assert mult >= 2, hw
-        for hw in [(2, 0, 0, 0), (1, 0, 0, 1), (0, 0, 0, 2)]:
-            mult, _ = min_root_multiplicity(ModuleSpec(f4, ((1, hw),)))
-            assert mult >= 3, hw
+            assert mult >= threshold, hw
 
 
 def test_criterion_05_e7_screens():
@@ -197,30 +188,26 @@ def test_criterion_05_e7_screens():
 def test_criterion_06_sl3_v31():
     with criterion(6, 60.0):
         g = parse_group("A2")
-        m = parse_module(g, "[3,1]")
-        assert sl3_critical_ratios(m) == {
-            Fraction(1, 4),
-            Fraction(2, 5),
-            Fraction(1),
-            Fraction(5, 2),
-            Fraction(4),
-        }
+        m = parse_module(g, paper.SL3_V31)
+        assert sl3_critical_ratios(m) == paper.SL3_V31_RATIOS
         sets = classify_components_sl3(m, LIMITS)
         dominant = [a for a in maximal_sets(sets) if a.status == "dominant"]
         assert len(dominant) == 2
-        cert = covariant_generator_exists(m, (1, 0), 8, LIMITS)
+        degree = paper.SL3_V31_COVARIANT_DEGREE
+        cert = covariant_generator_exists(m, (1, 0), degree, LIMITS)
         assert cert.exists and cert.multiplicity > cert.ideal_bound
+        assert cert.multiplicity == paper.SL3_V31_COVARIANT_MULTIPLICITY
         v = classify_sl3(m, LIMITS)
-        assert v.coreduced == NO and v.certificates[0].degree == 8
+        assert v.coreduced == NO and v.certificates[0].degree == degree
 
 
 def test_criterion_07_g2xg2_appendix():
     with criterion(7, 600.0):
         sets = g2xg2_model_admissible_sets()
-        assert len(sets) == 16
+        assert len(sets) == paper.G2XG2_MAXIMAL_SETS
         target = (0, 0, 1, 0)  # adjoint weight of the second factor
         for a in sets:
-            assert a.dimension() == 24
+            assert a.dimension() == paper.G2XG2_SET_DIM
             assert not exists_sum(
                 a.root_scaled(),
                 _root_scaled(a.defining.group, target),
@@ -228,24 +215,21 @@ def test_criterion_07_g2xg2_appendix():
                 "exact_count",
                 LIMITS,
             ).feasible
-        g = sets[0].defining.group
-        chi = module_weights(ModuleSpec(g, ((1, (1, 0, 1, 0)),)))
-        powers = symmetric_power(chi, 9, LIMITS)
-        mults = [mult_in_character(powers[d], target) for d in range(1, 10)]
-        invs = [invariant_dimension(powers[d]) for d in range(1, 10)]
-        assert mults == [0, 0, 1, 1, 3, 5, 12, 18, 41]
-        assert invs == [0, 1, 1, 3, 2, 8, 7, 17, 19]
+        cert = g2xg2_covariant_series(LIMITS)
+        assert (cert.target, cert.degree) == (target, 9)
+        mults, invs = cert.per_degree_mults, cert.per_degree_invariants
+        assert mults == paper.G2XG2_COVARIANT_SERIES
+        assert invs == paper.G2XG2_INVARIANT_SERIES
         bound = sum(invs[9 - e - 1] * mults[e - 1] for e in range(1, 9))
-        assert bound <= 37 < 41
+        assert bound == cert.ideal_bound
+        assert bound <= paper.G2XG2_IDEAL_BOUND < mults[-1] == cert.multiplicity
         a2a2 = parse_group("A2xA2")
         summands = [
-            module_weights(ModuleSpec(a2a2, ((1, hw),)))
-            for hw in ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
+            module_weights(ModuleSpec(a2a2, ((1, hw),))) for hw in paper.A2XA2_SUMMANDS
         ]
-        series = graded_invariant_series(summands, (3, 3, 3, 3), LIMITS)
-        assert series[(1, 1, 1, 1)] == 4
-        assert series[(2, 2, 2, 2)] == 37
-        assert series[(3, 3, 3, 3)] == 265
+        series = graded_invariant_series(summands, max(paper.A2XA2_INVARIANTS), LIMITS)
+        for degrees, count in paper.A2XA2_INVARIANTS.items():
+            assert series[degrees] == count
 
 
 def _root_scaled(g, dynkin):
@@ -257,37 +241,35 @@ def _root_scaled(g, dynkin):
 def test_criterion_08_f4_appendix():
     with criterion(8, 60.0):
         bound, stats = f4_two_26_support_bound()
-        assert bound == 44 == 2 * 26 - 8
-        assert stats["columns"] == 45
-        assert stats["singletons_after_column_reduction"] == 34
+        assert bound == paper.F4_SUPPORT_BOUND == 2 * paper.F4_26_DIM - 8
+        assert stats["columns"] == paper.F4_SUPPORT_COLUMNS
+        assert stats["singletons_after_column_reduction"] == paper.F4_SUPPORT_SINGLETONS
         for case in D4_TRIALITY_CASES:
             assert not d4_adjoint_target_reachable(case, LIMITS)
-        model = SL3_PAIR_MODELS[5]
-        assert tuple(model) == (8, -3, -5, 6, -2, -4)
+        model = SL3_PAIR_MODELS[paper.SL3_PAIR_ROW]
+        assert tuple(model) == paper.SL3_PAIR_ROW_MODEL
         ok, row_stats = sl3_pair_differential_vanishes(model)
         assert ok
-        assert row_stats["max_negative"] == 14
+        assert row_stats["max_negative"] == paper.SL3_PAIR_ROW_MAX_NEGATIVE
         floors = [f for f in row_stats["floors"] if f is not None]
-        assert min(floors) == 19
+        assert min(floors) == paper.SL3_PAIR_ROW_FLOOR
 
 
 def test_criterion_09_sl2_suite():
     with criterion(9, 60.0):
-        table = {
-            (1,): YES, (2,): YES, (3,): YES, (4,): YES,
-            (1, 1): YES, (1, 1, 1): YES,
-            (5,): NO, (6,): NO, (2, 2): NO, (1, 2): NO,
-            (2, 3): NO, (3, 3): NO, (1, 1, 2): NO,
-        }
-        for parts, want in table.items():
+        for parts, want in SL2_TABLE:
             assert classify_sl2(parts, LIMITS).coreduced == want, parts
-        screen = classify_sl2((2, 2), LIMITS).certificates[0]
-        assert screen.rank_bound == 2 < screen.codim == 3
-        so4 = parse_group("A1xA1")
+        screen = classify_sl2(paper.SL2_TWO_QUADRATICS, LIMITS).certificates[0]
+        assert screen.rank_bound == paper.SL2_TWO_QUADRATICS_RANK
+        assert screen.codim == paper.SL2_TWO_QUADRATICS_CODIM > screen.rank_bound
         cert = covariant_generator_exists(
-            ModuleSpec(so4, ((3, (1, 1)),)), (1, 1), 3, LIMITS
+            parse_module(parse_group(paper.SO4_GROUP), paper.SO4_MODULE),
+            paper.SO4_TARGET,
+            paper.SO4_DEGREE,
+            LIMITS,
         )
-        assert cert.multiplicity == 19 > cert.ideal_bound == 18
+        assert cert.multiplicity == paper.SO4_MULTIPLICITY
+        assert paper.SO4_MULTIPLICITY > cert.ideal_bound == paper.SO4_IDEAL_BOUND
 
 
 def test_criterion_10_property_suites():

@@ -7,6 +7,7 @@ import textwrap
 import pytest
 
 import coreduce
+from coreduce import paper
 from coreduce.config import CertificateError, Limits
 from coreduce.classify import (
     NO,
@@ -25,7 +26,6 @@ from coreduce.classify import (
     classify_sl3,
     emit_report,
     sl2_module,
-    sl3_module,
 )
 from coreduce.repthy import CovariantCertificate, ModuleSpec, parse_module
 from coreduce.rootsys import build_root_system, parse_group
@@ -81,6 +81,19 @@ def test_certificate_checks_survive_python_O():
             pass
         else:
             raise SystemExit("a model row outside the chamber validated")
+        # 2*e1 + (-2e1) = 0, but e1 is not a weight of the toral slice of [2,0,0]
+        from coreduce.classify import _eps_relation_certificate
+        from coreduce.repthy import parse_module
+        from coreduce.rootsys import parse_group
+
+        b3 = parse_group("B3")
+        m = parse_module(b3, "[2,0,0]")
+        try:
+            _eps_relation_certificate(m, b3.simple_factors[0], [(1, 0, 0), (-2, 0, 0)], (2, 1), "")
+        except CertificateError:
+            pass
+        else:
+            raise SystemExit("a relation on a weight outside the slice validated")
         """
     )
     src = os.path.dirname(os.path.dirname(coreduce.__file__))
@@ -95,19 +108,19 @@ def test_certificate_checks_survive_python_O():
 # Rank-1 table
 
 
+# the rows the sl2 suite records, and rows only the tests check
 SL2_TABLE = [
+    *((parts, YES) for parts in paper.SL2_YES),
     ((1,), YES),
-    ((2,), YES),
-    ((3,), YES),
-    ((4,), YES),
     ((1, 1), YES),
-    ((1, 1, 1), YES),
-    ((2, 2), NO),
+    (paper.SL2_TWO_QUADRATICS, NO),
+    (paper.SL2_SEXTIC, NO),
     ((5,), NO),
-    ((6,), NO),
     ((1, 2), NO),
     ((2, 3), NO),
     ((3, 3), NO),
+    ((1, 1, 1), YES),
+    ((1, 1, 2), NO),
 ]
 
 
@@ -118,10 +131,11 @@ def test_sl2_verdicts(parts, want):
 
 
 def test_sl2_two_quadratics_certificate():
-    v = classify_sl2((2, 2), LIMITS)
+    v = classify_sl2(paper.SL2_TWO_QUADRATICS, LIMITS)
     screen = v.certificates[0]
     assert isinstance(screen, ScreenResult)
-    assert screen.rank_bound == 2 < screen.codim == 3
+    assert screen.rank_bound == paper.SL2_TWO_QUADRATICS_RANK
+    assert screen.codim == paper.SL2_TWO_QUADRATICS_CODIM > screen.rank_bound
 
 
 def test_sl2_exhaustive_small_has_verdict():
@@ -135,14 +149,36 @@ def test_sl2_exhaustive_small_has_verdict():
 # Exceptional and classical drivers
 
 
+def _module(name, text):
+    return parse_module(parse_group(name), text)
+
+
+DRIVER_TABLES = (
+    paper.EXCEPTIONAL + paper.CLASSICAL + paper.SEMISIMPLE + paper.SL3_IRREDUCIBLE + paper.SL3_REDUCIBLE
+)
+
+
 def test_exceptional_rows():
-    g2 = parse_group("G2")
-    f4 = parse_group("F4")
-    assert classify_adjoint_exceptional(g2, parse_module(g2, "[0,1]"), LIMITS).coreduced == YES
-    assert classify_adjoint_exceptional(g2, parse_module(g2, "2*[1,0]"), LIMITS).coreduced == YES_PAPER
-    assert classify_adjoint_exceptional(g2, parse_module(g2, "3*[1,0]"), LIMITS).coreduced == NO
-    assert classify_adjoint_exceptional(f4, parse_module(f4, "2*[0,0,0,1]"), LIMITS).coreduced == YES
-    assert classify_adjoint_exceptional(f4, parse_module(f4, "3*[0,0,0,1]"), LIMITS).coreduced == NO
+    for name, text, want in paper.EXCEPTIONAL:
+        g = parse_group(name)
+        v = classify_adjoint_exceptional(g, parse_module(g, text), LIMITS)
+        assert v.coreduced == want, (name, text)
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [
+        lambda m: classify_adjoint_exceptional(m.group, m, LIMITS),
+        lambda m: classify_adjoint_classical(m.group, m, LIMITS),
+        lambda m: classify_sl3(m, LIMITS),
+    ],
+    ids=["exceptional", "classical", "sl3"],
+)
+def test_simple_drivers_reject_other_groups(driver):
+    # a product group, and a group with a torus factor
+    for m in [_module("A1xA1", "[2,2]"), _module("A2xT1", "[1,0,1]")]:
+        with pytest.raises(ValueError):
+            driver(m)
 
 
 def test_exceptional_rejects_non_adjoint_lattice():
@@ -176,16 +212,8 @@ def test_highest_root_module_is_the_coreduced_adjoint(name):
 
 
 def test_classical_relation_certificates_validate():
-    rows = [
-        ("B3", "[0,0,2]"),
-        ("B3", "[1,1,0]"),
-        ("B3", "[3,0,0]"),
-        ("B4", "[0,0,1,0]"),
-        ("C3", "[1,0,1]"),
-        ("A2", "[6,0]"),
-        ("A3", "[4,0,0]"),
-    ]
-    for name, text in rows:
+    rows = [(name, text) for name, text, want in paper.CLASSICAL if want == NO]
+    for name, text in rows + [("B4", "[0,0,1,0]")]:
         g = parse_group(name)
         v = classify_adjoint_classical(g, parse_module(g, text), LIMITS)
         assert v.coreduced == NO, (name, text)
@@ -196,37 +224,21 @@ def test_classical_relation_certificates_validate():
 
 
 def test_semisimple_rows():
-    cases = [
-        ("B2xB3", "[1,0,1,0,0]", YES_PAPER),
-        ("A1xG2", "[2,1,0]", YES_PAPER),
-        ("B2xG2", "[1,0,1,0]", NO),
-        ("A1xA1xA1", "[2,2,2]", NO),
-    ]
-    for name, text, want in cases:
-        g = parse_group(name)
-        v = classify_semisimple_irreducible(parse_module(g, text), LIMITS)
+    for name, text, want in paper.SEMISIMPLE:
+        v = classify_semisimple_irreducible(_module(name, text), LIMITS)
         assert v.coreduced == want, (name, text)
 
 
 def test_sl3_rows():
-    g = parse_group("A2")
-    vs = {
-        "[1,1]": YES,
-        "[3,0]": YES_PAPER,
-        "[3,1]": NO,
-        "[2,1]": NO,
-        "[4,0]": NO,
-        "2*[2,0]": NO,
-        "[2,0]+[0,1]": YES_PAPER,
-    }
-    for text, want in vs.items():
-        v = classify_sl3(parse_module(g, text), LIMITS)
+    # the suite's tables and its degree-8 example, and rows only the tests check
+    rows = paper.SL3_IRREDUCIBLE + paper.SL3_REDUCIBLE + (("A2", paper.SL3_V31, NO),)
+    for name, text, want in rows + (("A2", "[2,1]", NO), ("A2", "[4,0]", NO)):
+        v = classify_sl3(_module(name, text), LIMITS)
         assert v.coreduced == want, text
 
 
 def test_sl3_covariant_certificate_revalidates():
-    g = parse_group("A2")
-    v = classify_sl3(parse_module(g, "[3,1]"), LIMITS)
+    v = classify_sl3(_module("A2", paper.SL3_V31), LIMITS)
     cert = v.certificates[0]
     assert isinstance(cert, CovariantCertificate)
     assert cert.exists
@@ -244,15 +256,10 @@ def test_sl3_covariant_certificate_revalidates():
 
 
 def test_classify_module_dispatch():
-    for name, text, want in [
-        ("A1", "[6]", NO),
-        ("A2", "[1,1]", YES),
-        ("G2", "[0,1]", YES),
-        ("B3", "[2,0,0]", YES_PAPER),
-        ("A1xA1", "[2,2]", YES_PAPER),
-    ]:
-        g = parse_group(name)
-        v = classify_module(parse_module(g, text), LIMITS)
+    # every recorded row, routed by group, gets the verdict of its table
+    assert classify_module(sl2_module(paper.SL2_SEXTIC), LIMITS).coreduced == NO
+    for name, text, want in DRIVER_TABLES:
+        v = classify_module(_module(name, text), LIMITS)
         assert v.coreduced == want, (name, text)
 
 
@@ -274,25 +281,11 @@ def test_emit_report_is_deterministic_and_sorted():
 def test_no_negative_rule_fires_on_yes_rows():
     """Fixture consistency: a negative rule firing on a recorded positive
     row is a build-breaking contradiction."""
-    yes_rows = [
-        ("A2", "[1,1]"),
-        ("A2", "[3,0]"),
-        ("A2", "[1,0]+[0,1]"),
-        ("G2", "[0,1]"),
-        ("G2", "2*[1,0]"),
-        ("F4", "[1,0,0,0]"),
-        ("F4", "2*[0,0,0,1]"),
-        ("B3", "[2,0,0]"),
-        ("B3", "3*[1,0,0]"),
-        ("C3", "[0,1,0]"),
-        ("D4", "[0,1,0,0]"),
-        ("A1xG2", "[2,1,0]"),
-        ("B2xB3", "[1,0,1,0,0]"),
-    ]
-    for name, text in yes_rows:
-        g = parse_group(name)
+    for name, text, want in DRIVER_TABLES:
+        if want not in (YES, YES_PAPER):
+            continue
         try:
-            v = classify_module(parse_module(g, text), LIMITS)
+            v = classify_module(_module(name, text), LIMITS)
         except ContradictionError as e:  # pragma: no cover - must not happen
             pytest.fail(f"negative rule fired on positive row {name} {text}: {e}")
-        assert v.coreduced in (YES, YES_PAPER), (name, text)
+        assert v.coreduced == want, (name, text)

@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from coreduce import paper
 from coreduce.cli import main
+
+FOUR_SIX = ",".join(map(str, paper.TORUS_FOUR_SIX))
 
 
 def run_cli(args):
@@ -37,18 +40,28 @@ def test_json_is_byte_identical_across_runs():
 
 
 def test_torus_check_exit_codes_and_certificate():
-    code, out = run_cli(["torus-check", "--weights", "5,-5"])
+    code, out = run_cli(["torus-check", "--weights", ",".join(map(str, paper.TORUS_PLUS_MINUS))])
     assert code == 0
-    code, out = run_cli(["torus-check", "--weights", "4,-4,6,-6"])
+    code, out = run_cli(["torus-check", "--weights", FOUR_SIX])
     assert code == 1
-    assert json.loads(out)["certificate"]["coeffs"] == [3, 0, 0, 2]
+    assert json.loads(out)["certificate"]["coeffs"] == list(paper.TORUS_FOUR_SIX_GENERATOR)
 
 
 def test_hilbert_basis_command():
-    code, out = run_cli(["hilbert-basis", "--weights", "4,-4,6,-6"])
+    code, out = run_cli(["hilbert-basis", "--weights", FOUR_SIX])
     assert code == 0
     gens = {tuple(g) for g in json.loads(out)["generators"]}
-    assert gens == {(1, 1, 0, 0), (0, 0, 1, 1), (3, 0, 0, 2), (0, 3, 2, 0)}
+    assert gens == {(1, 1, 0, 0), (0, 0, 1, 1), paper.TORUS_FOUR_SIX_GENERATOR, (0, 3, 2, 0)}
+
+
+@pytest.mark.parametrize("command", ["torus-check", "hilbert-basis"])
+@pytest.mark.parametrize("weights", ["", "  ", "4,,6"], ids=["empty", "blank", "empty-entry"])
+def test_bad_weights_usage_message(command, weights, capsys):
+    code, out = run_cli([command, "--weights", weights])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert "--weights" in err
+    assert "invalid literal" not in err
 
 
 def test_bad_slice_command():

@@ -3,15 +3,15 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from coreduce import paper
 from coreduce.config import Limits
 from coreduce.monoid import (
-    brute_force_minimal_relations,
     exists_sum,
     hilbert_basis,
     is_torus_coreduced,
 )
 
-from oracles import brute_force_torus_coreduced
+from oracles import brute_force_minimal_relations, brute_force_torus_coreduced
 
 LIMITS = Limits()
 
@@ -21,16 +21,19 @@ def test_plus_minus_k_is_coreduced():
         assert is_torus_coreduced([(k,), (-k,)], LIMITS).coreduced
 
 
+FOUR_SIX = [(x,) for x in paper.TORUS_FOUR_SIX]
+
+
 def test_four_six_example():
-    v = is_torus_coreduced([(4,), (-4,), (6,), (-6,)], LIMITS)
+    v = is_torus_coreduced(FOUR_SIX, LIMITS)
     assert not v.coreduced
-    assert max(v.certificate.coeffs) == 3
+    assert max(v.certificate.coeffs) == max(paper.TORUS_FOUR_SIX_GENERATOR)
 
 
 def test_hilbert_basis_four_six():
-    basis = hilbert_basis([(4,), (-4,), (6,), (-6,)], LIMITS)
+    basis = hilbert_basis(FOUR_SIX, LIMITS)
     got = sorted(g.coeffs for g in basis.generators)
-    assert got == [(0, 0, 1, 1), (0, 3, 2, 0), (1, 1, 0, 0), (3, 0, 0, 2)]
+    assert got == [(0, 0, 1, 1), (0, 3, 2, 0), (1, 1, 0, 0), paper.TORUS_FOUR_SIX_GENERATOR]
 
 
 nonzero_pair = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(

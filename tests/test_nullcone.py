@@ -1,8 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from coreduce import paper
 from coreduce.config import Limits
 from coreduce.nullcone import (
     D4_TRIALITY_CASES,
@@ -22,7 +22,7 @@ from coreduce.nullcone import (
     value_screen,
     Cocharacter,
 )
-from coreduce.repthy import ModuleSpec, module_weights, parse_module
+from coreduce.repthy import module_weights, parse_module
 from coreduce.rootsys import SL3, parse_group
 
 from oracles import brute_force_sl3_dominant_sets
@@ -56,9 +56,7 @@ def test_v31_has_exactly_two_dominant_classes():
 
 
 def test_v31_critical_ratios():
-    got = sl3_critical_ratios(_sl3("[3,1]"))
-    want = {Fraction(1, 4), Fraction(2, 5), Fraction(1), Fraction(5, 2), Fraction(4)}
-    assert got == want
+    assert sl3_critical_ratios(_sl3(paper.SL3_V31)) == paper.SL3_V31_RATIOS
 
 
 def test_covariant_vanishes_antitone_in_weights():
@@ -107,9 +105,10 @@ def test_so3_g2_screen_numbers():
 
 def test_f4_support_bound_numbers():
     bound, stats = f4_two_26_support_bound()
-    assert bound == 44 == 2 * 26 - 8
-    assert stats["columns"] == 45
-    assert stats["singletons_after_column_reduction"] == 34
+    # the orbit bound 2*dim V - dim V//G of two copies of the 26-dim module
+    assert bound == paper.F4_SUPPORT_BOUND == 2 * paper.F4_26_DIM - 8
+    assert stats["columns"] == paper.F4_SUPPORT_COLUMNS
+    assert stats["singletons_after_column_reduction"] == paper.F4_SUPPORT_SINGLETONS
 
 
 def test_d4_triality_blocks_unreachable():
@@ -127,19 +126,19 @@ def test_sl3_pair_models_validate_and_vanish():
 
 
 def test_sl3_pair_row_five_numbers():
-    model = SL3_PAIR_MODELS[5]
-    assert tuple(model) == (8, -3, -5, 6, -2, -4)
+    model = SL3_PAIR_MODELS[paper.SL3_PAIR_ROW]
+    assert tuple(model) == paper.SL3_PAIR_ROW_MODEL
     ok, stats = sl3_pair_differential_vanishes(model)
     assert ok
-    assert stats["max_negative"] == 14
+    assert stats["max_negative"] == paper.SL3_PAIR_ROW_MAX_NEGATIVE
     floors = [f for f in stats["floors"] if f is not None]
-    assert min(floors) == 19
+    assert min(floors) == paper.SL3_PAIR_ROW_FLOOR
 
 
 def test_g2xg2_sixteen_sets():
     sets = g2xg2_model_admissible_sets()
-    assert len(sets) == 16
-    assert all(a.dimension() == 24 for a in sets)
+    assert len(sets) == paper.G2XG2_MAXIMAL_SETS
+    assert all(a.dimension() == paper.G2XG2_SET_DIM for a in sets)
     for a in sets:
         assert covariant_vanishes(a, (0, 0, 1, 0), 9, False, LIMITS)
 

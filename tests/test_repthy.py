@@ -4,10 +4,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coreduce import paper
 from coreduce.config import Limits
 from coreduce.repthy import (
     Character,
-    CovariantCertificate,
     ModuleSpec,
     covariant_generator_exists,
     covariant_generator_exists_multidegree,
@@ -15,13 +15,19 @@ from coreduce.repthy import (
     group_weyl_dim,
     invariant_dimension,
     module_weights,
-    mult_in_character,
     parse_module,
+    simple_dominant_diagram,
     symmetric_power,
     weight_diagram,
     zero_weight_multiplicity,
 )
-from coreduce.rootsys import Weight, dominantize, parse_group, weyl_orbit
+from coreduce.rootsys import (
+    SimpleType,
+    Weight,
+    build_root_system,
+    parse_group,
+    weyl_orbit,
+)
 
 from oracles import (
     brute_force_symmetric_power,
@@ -123,21 +129,35 @@ def test_zero_weight_multiplicities():
     assert zero_weight_multiplicity(a2, (1, 1)) == 2
 
 
+def test_dominant_diagram_breaks_height_ties_by_coordinates():
+    # A3 [1,1,2] has dominant weights of equal height; their order (and so
+    # the witness of max_nonzero_weight_multiplicity) must not rest on the
+    # iteration order of a set
+    t = SimpleType("A", 3)
+    rs = build_root_system(t)
+    order = list(simple_dominant_diagram(t, (1, 1, 2)))
+    heights = [sum(rs.root_scaled_of_dynkin(w)) for w in order]
+    assert len(set(heights)) < len(heights)
+    assert order == sorted(order, key=lambda w: (-sum(rs.root_scaled_of_dynkin(w)), w))
+
+
 def test_covariant_certificate_example():
-    g = parse_group("A1xA1")
-    m = ModuleSpec(g, ((3, (1, 1)),))
-    cert = covariant_generator_exists(m, (1, 1), 3, LIMITS)
+    m = parse_module(parse_group(paper.SO4_GROUP), paper.SO4_MODULE)
+    cert = covariant_generator_exists(m, paper.SO4_TARGET, paper.SO4_DEGREE, LIMITS)
     assert cert.exists
-    assert (cert.multiplicity, cert.ideal_bound) == (19, 18)
+    assert (cert.multiplicity, cert.ideal_bound) == (
+        paper.SO4_MULTIPLICITY,
+        paper.SO4_IDEAL_BOUND,
+    )
 
 
 def test_covariant_certificate_monotone_consistency():
     # per-degree tables in the certificate are internally consistent
-    g = parse_group("A2")
-    m = ModuleSpec(g, ((1, (3, 1)),))
-    cert = covariant_generator_exists(m, (1, 0), 8, LIMITS)
-    assert cert.exists and cert.degree == 8
-    assert cert.multiplicity == cert.per_degree_mults[-1] == 44
+    m = parse_module(parse_group("A2"), paper.SL3_V31)
+    degree = paper.SL3_V31_COVARIANT_DEGREE
+    cert = covariant_generator_exists(m, (1, 0), degree, LIMITS)
+    assert cert.exists and cert.degree == degree
+    assert cert.multiplicity == cert.per_degree_mults[-1] == paper.SL3_V31_COVARIANT_MULTIPLICITY
     d = cert.degree
     bound = sum(
         cert.per_degree_invariants[d - e - 1] * cert.per_degree_mults[e - 1]

@@ -15,7 +15,6 @@ from coreduce.rootsys import (
     dynkin_to_eps,
     eps_to_dynkin,
     format_group,
-    format_weight,
     min_max_negation_ratios,
     orbit_size,
     parse_group,
@@ -34,11 +33,16 @@ WEYL_ORDERS = {
     "A3": 24,
     "B2": 8,
     "B3": 48,
+    "B4": 384,
     "C3": 48,
+    "C4": 384,
     "D4": 192,
+    "D5": 1920,
     "G2": 12,
     "F4": 1152,
     "E6": 51840,
+    "E7": 2903040,
+    "E8": 696729600,
 }
 
 POSITIVE_ROOT_COUNTS = {

@@ -5,7 +5,6 @@ from coreduce.config import Limits
 from coreduce.repthy import ModuleSpec, min_root_multiplicity, parse_module
 from coreduce.rootsys import parse_group
 from coreduce.slices import (
-    BadSliceCertificate,
     bad_toral_slice,
     criterion_a,
     has_toral_slice,
