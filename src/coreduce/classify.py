@@ -150,7 +150,7 @@ def classify_sl2(parts: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> Verdi
         return Verdict(m, YES, theorem_tag=tag)
     if parts == (2, 2):
         cert = _two_r2_screen()
-        assert cert.not_reduced
+        require(cert.not_reduced, "the two-quadratics screen does not fire")
         return Verdict(m, NO, (cert,), tag, ("rank of the quotient differential on the null cone",))
     bad = bad_toral_slice(m, limits) if has_toral_slice(m) else None
     if bad is not None:
@@ -265,12 +265,12 @@ def classify_adjoint_exceptional(
     root_mult, _ = min_root_multiplicity(m)
     if root_mult >= 2:
         cert = roots_mult2_rule(m)
-        assert cert is not None
+        require(cert is not None, "root multiplicity >= 2 without a bad toral slice")
         return Verdict(m, NO, (cert,), tag)
     if len(summands) == 1:
         wmult, witness = max_nonzero_weight_multiplicity(g, summands[0][1])
         if wmult >= 2:
-            assert witness is not None
+            require(witness is not None, "a repeated nonzero weight without a witness")
             return Verdict(
                 m,
                 NO,
@@ -724,7 +724,7 @@ def _monomial_size_profile(chi: Character, rho: Cocharacter) -> list[Optional[in
     neg: list[Fraction] = []
     for w, mlt in sorted(chi.nonzero_weights().items()):
         v = rho.value(w)
-        assert v != 0
+        require(v != 0, f"cocharacter is not generic: weight {w} pairs to 0")
         (pos if v > 0 else neg).extend([abs(v)] * mlt)
     den = 1
     for v in pos + neg:
@@ -875,7 +875,7 @@ def _sl3_eps_screen(
 def _sl3_cocharacter_from_eps(a: int, b: int, c: int) -> Cocharacter:
     """Diagonal cocharacter diag(t^a, t^b, t^c), a+b+c = 0, expressed by its
     values on the root coordinates."""
-    assert a + b + c == 0
+    require(a + b + c == 0, f"eps values {(a, b, c)} do not sum to zero")
     return Cocharacter((Q(a - b), Q(b - c)), SL3)
 
 

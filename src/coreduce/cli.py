@@ -614,6 +614,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except (RootSystemError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

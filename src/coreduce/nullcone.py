@@ -3,17 +3,25 @@
 A rational cocharacter pairs with the weight lattice; its strictly positive
 weights cut out a positive weight space whose saturation can be a component
 of the null cone.  This module enumerates the chambers of the weight
-hyperplane arrangement (exactly, in small rank), applies the sufficient
+hyperplane arrangement exactly and in integers, applies the sufficient
 dominance criteria, decides covariant vanishing by integer feasibility, and
 implements the support-matrix rank bound used for the 52-dimensional
 two-copy computation over F4.
+
+Rank 2 sorts the lines by angle.  Rank 3 and 4 enumerate cells in the
+manner of Avis and Fukuda's reverse search (1996): every chamber of an
+essential central arrangement is a pointed cone with an extreme ray, and
+near that ray it is a chamber of the rank - 1 arrangement of the hyperplanes
+through the ray, so taking every ray cut out by rank - 1 normals and
+recursing around it reaches every chamber.  The tests count the chambers
+against Zaslavsky's theorem (1975).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
@@ -33,6 +41,7 @@ from .rootsys import (
     RootSystemError,
     SimpleType,
     Weight,
+    _det,
     closure,
     dynkin_to_eps,
     reflect,
@@ -108,34 +117,32 @@ def admissible_sets(
     """One admissible set per chamber of the weight hyperplane arrangement.
 
     ``mod_weyl`` restricts to strictly dominant cocharacters (one chamber per
-    Weyl-group orbit for a simple group).  Rank 1 and 2 are decomposed
-    exactly; rank 3 and 4 use exact wall-crossing search over chambers;
-    larger ranks are refused.
+    Weyl-group orbit for a simple group), with the root walls added to the
+    arrangement.  Rank 1 and 2 are decomposed by angle.  Rank 3 and 4 use
+    Avis-Fukuda cell enumeration: every chamber of an essential central
+    arrangement is a pointed cone with an extreme ray cut out by rank - 1
+    normals, and near that ray it is a chamber of the rank - 1 arrangement
+    through the ray, so lifting those chambers from every ray reaches all of
+    them (the tests count them against Zaslavsky's theorem).  Larger ranks are
+    refused.
     """
     g = m.group
     chi = module_weights(m)
     rank = g.rank
     if rank > 4:
         raise ResourceLimitError("chamber enumeration is limited to rank <= 4")
-    normals = sorted(
-        {
-            _primitive(root_scaled_of_dynkin(g, w))
-            for w in chi.nonzero_weights()
-        }
-    )
-    # identify opposite normals
-    lines = sorted({max(n, tuple(-x for x in n)) for n in normals})
+    lines = sorted({_line(root_scaled_of_dynkin(g, w)) for w in chi.nonzero_weights()})
     walls = [_primitive(root_scaled_of_dynkin(g, d)) for d in g.positive_roots_dynkin()]
     if rank == 1:
         samples = [(Q(1),)] if (mod_weyl and walls) else [(Q(1),), (Q(-1),)]
     elif rank == 2:
         samples = _rank2_samples(lines, walls if mod_weyl else [])
     else:
-        samples = _wall_crossing_samples(lines, walls if mod_weyl else [], rank)
+        samples = _chamber_samples(lines, rank, walls if mod_weyl else [])
     out: list[AdmissibleSet] = []
     seen: set[tuple[Coords, ...]] = set()
     for vals in samples:
-        rho = Cocharacter(tuple(vals), g)
+        rho = Cocharacter(tuple(Q(x) for x in vals), g)
         if mod_weyl and walls and not rho.is_dominant():
             continue
         pos = _positive_set(chi, rho)
@@ -206,92 +213,71 @@ def _rank2_samples(
     return samples
 
 
-def _wall_crossing_samples(
-    lines: Sequence[Vec], cone_walls: Sequence[Vec], rank: int
-) -> list[tuple[Fraction, ...]]:
-    """Exact chamber search: breadth-first over facet crossings.
+def _chamber_samples(
+    normals: Sequence[Vec], rank: int, cone: Sequence[Vec]
+) -> list[Vec]:
+    """One integer interior point of every chamber of the hyperplanes
+    ``normals`` and ``cone`` (rank 3 or 4); with ``cone`` walls given, only
+    the chambers strictly inside the cone they bound.
 
-    The chamber graph of a central arrangement (restricted to the open
-    dominant cone when walls are given) is connected through facets, so the
-    search is complete as long as every facet crossing succeeds; crossings
-    through degenerate points are retried with exact rational perturbations.
+    Every chamber of an essential central arrangement is a pointed cone, so
+    it has an extreme ray r, the common kernel of rank - 1 of the normals.
+    Near r the chamber is a chamber of the hyperplanes through r, which form
+    a rank - 1 arrangement on the slice x_k = 0 (any k with r[k] != 0); a
+    sample s there lifts to N*r + s with N = 1 + max |h.s|, which keeps the
+    sign of every other hyperplane as it is on r, since |h.r| >= 1.
     """
-    rng = random.Random(20_260_826)
-    hyper = [tuple(Q(x) for x in h) for h in lines]
-    cone = [tuple(Q(x) for x in w) for w in cone_walls]
+    hyper = sorted({_line(h) for h in (*normals, *cone)})
+    rays = _rays(hyper, rank)
+    if not any(_dot(h, r) for h in hyper for r in rays):
+        # the normals do not span; the coordinate hyperplanes make the
+        # arrangement essential and only refine its chambers
+        hyper = sorted(set(hyper) | {tuple(int(i == j) for j in range(rank)) for i in range(rank)})
+        rays = _rays(hyper, rank)
+    found: dict[tuple[bool, ...], Vec] = {}
+    for r in sorted(rays):
+        # a chamber inside the cone has no extreme ray outside it
+        if any(_dot(w, r) < 0 for w in cone):
+            continue
+        k = next(i for i, x in enumerate(r) if x)
 
-    def dot(a, b):
-        return sum((x * y for x, y in zip(a, b)), Q(0))
+        def drop(h: Vec) -> Vec:
+            return _line(h[:k] + h[k + 1 :])
 
-    def generic_point() -> tuple[Fraction, ...]:
-        for _ in range(1000):
-            p = tuple(Q(rng.randint(-100, 100), rng.randint(1, 9)) for _ in range(rank))
-            if cone:
-                if any(dot(w, p) <= 0 for w in cone):
-                    continue
-            if all(dot(h, p) != 0 for h in hyper):
-                return p
-        raise ResourceLimitError("could not sample a generic cocharacter")
+        local = sorted({drop(h) for h in hyper if _dot(h, r) == 0})
+        if rank == 3:
+            slices = [tuple(int(x) for x in s) for s in _rank2_samples(local, [])]
+        else:
+            slices = _chamber_samples(local, 3, [drop(w) for w in cone if _dot(w, r) == 0])
+        for s in slices:
+            s = s[:k] + (0,) + s[k:]
+            n = 1 + max(abs(_dot(h, s)) for h in hyper)
+            p = tuple(n * a + b for a, b in zip(r, s))
+            if all(_dot(w, p) > 0 for w in cone):
+                found.setdefault(tuple(_dot(h, p) > 0 for h in hyper), p)
+    return list(found.values())
 
-    def signs(p) -> tuple[int, ...]:
-        return tuple(1 if dot(h, p) > 0 else -1 for h in hyper)
 
-    def cross_wall(p, hi: int) -> Optional[tuple[Fraction, ...]]:
-        h = hyper[hi]
-        hh = dot(h, h)
-        base = tuple(x - dot(h, p) / hh * y for x, y in zip(p, h))
-        for attempt in range(40):
-            if attempt == 0:
-                q = base
-            else:
-                # perturb within the wall to reach a facet interior
-                t = tuple(Q(rng.randint(-50, 50), rng.randint(1, 7)) for _ in range(rank))
-                t = tuple(x - dot(h, t) / hh * y for x, y in zip(t, h))
-                scale = min(
-                    (abs(dot(g2, base)) / (2 * abs(dot(g2, t)) + 1)
-                     for g2 in hyper + cone
-                     if dot(g2, base) != 0 and dot(g2, t) != 0),
-                    default=Q(1),
-                )
-                q = tuple(x + scale * y for x, y in zip(base, t))
-            others = [g2 for g2 in hyper if g2 != h and dot(g2, q) == 0]
-            if others:
-                continue
-            if cone and any(dot(w, q) < 0 for w in cone):
-                return None
-            if cone and any(dot(w, q) == 0 for w in cone):
-                continue
-            # step across: epsilon small enough to preserve all other signs
-            eps = min(
-                (abs(dot(g2, q)) / (2 * abs(dot(g2, h)) + 1)
-                 for g2 in hyper + cone
-                 if dot(g2, h) != 0 and dot(g2, q) != 0),
-                default=Q(1),
-            )
-            side = -1 if dot(h, p) > 0 else 1
-            return tuple(x + side * eps * y for x, y in zip(q, h))
-        return None
+def _rays(hyper: Sequence[Vec], rank: int) -> set[Vec]:
+    """Both primitive directions of every line cut out by rank - 1 of the
+    hyperplanes: the signed maximal minors of the normals."""
+    rays: set[Vec] = set()
+    for sub in combinations(hyper, rank - 1):
+        r = tuple((-1) ** j * _det([h[:j] + h[j + 1 :] for h in sub]) for j in range(rank))
+        if any(r):
+            r = _primitive(r)
+            rays |= {r, tuple(-x for x in r)}
+    return rays
 
-    start = generic_point()
-    seen = {signs(start): start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for hi in range(len(hyper)):
-                q = cross_wall(p, hi)
-                if q is None:
-                    continue
-                if cone and any(dot(w, q) <= 0 for w in cone):
-                    continue
-                if any(dot(h, q) == 0 for h in hyper):
-                    continue
-                s = signs(q)
-                if s not in seen:
-                    seen[s] = q
-                    nxt.append(q)
-        frontier = nxt
-    return list(seen.values())
+
+def _dot(a: Vec, b: Vec) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _line(h: Vec) -> Vec:
+    """The primitive normal of a hyperplane, of a fixed sign."""
+    h = _primitive(h)
+    return max(h, tuple(-x for x in h))
 
 
 def maximal_sets(sets: Sequence[AdmissibleSet]) -> list[AdmissibleSet]:
@@ -321,7 +307,7 @@ def weyl_matrices(g: GroupSpec, limit: int = 10_000) -> list[tuple[Coords, ...]]
         return [tuple(reflect(g, row, r) for row in mat) for r in refls]
 
     mats = closure((ident,), compose)
-    assert len(mats) == g.weyl_order
+    require(len(mats) == g.weyl_order, f"{len(mats)} Weyl matrices, not {g.weyl_order}")
     return list(mats)
 
 
@@ -516,7 +502,7 @@ def value_screen(
     pos_vals: list[Fraction] = []
     neg: list[tuple[Fraction, int]] = []
     for v, m in values:
-        assert v != 0
+        require(v != 0, "cocharacter values must be nonzero")
         if v > 0:
             pos_vals.extend([Fraction(v)] * m)
         else:
@@ -914,7 +900,7 @@ def _pairwise_sums(vectors: Sequence[Sequence[Fraction]]) -> list[Vec]:
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
             s = tuple(x + y for x, y in zip(vectors[i], vectors[j]))
-            assert all(f == int(f) for f in s)
+            require(all(f == int(f) for f in s), f"pairwise sum {s} is not integral")
             out.append(tuple(int(f) for f in s))
     return out
 

@@ -136,24 +136,15 @@ def _mat_inverse(m: Sequence[Sequence[int]]) -> list[list[Fraction]]:
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
-    return int(det)
+    """Determinant of a small integer matrix, by expansion along the first
+    row (the matrices here are Cartan matrices and minors of at most 3x3)."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j, x in enumerate(m[0])
+        if x
+    )
 
 
 class RootSystem:

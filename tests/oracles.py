@@ -219,3 +219,46 @@ def reference_covariant_counts(summands, degrees, target, limits) -> tuple:
             summands, rem, zero, limits
         ) * reference_multidegree_mult(summands, e, target, limits)
     return reference_multidegree_mult(summands, degrees, target, limits), bound
+
+
+def _exact_rank(vectors) -> int:
+    """Rank of a list of integer vectors, by Gaussian elimination over Q."""
+    from fractions import Fraction
+
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def chamber_count(normals, rank: int) -> int:
+    """Number of chambers of the central arrangement with the given nonzero
+    integer normals in R^rank: Zaslavsky's (-1)^rank chi(-1), with chi from
+    Whitney's formula, i.e. the sum over all subsets B of the hyperplanes of
+    (-1)^(|B| - rank B).  Exponential in the number of distinct hyperplanes
+    (fine up to about 10)."""
+    import itertools
+    from math import gcd
+
+    def line(v):
+        g = 0
+        for x in v:
+            g = gcd(g, abs(x))
+        v = tuple(x // g for x in v)
+        return max(v, tuple(-x for x in v))
+
+    hyper = sorted({line(v) for v in normals})
+    assert all(len(h) == rank for h in hyper)
+    total = 0
+    for k in range(len(hyper) + 1):
+        for sub in itertools.combinations(hyper, k):
+            total += (-1) ** (k - _exact_rank(sub))
+    return total

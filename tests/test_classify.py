@@ -94,6 +94,14 @@ def test_certificate_checks_survive_python_O():
             pass
         else:
             raise SystemExit("a relation on a weight outside the slice validated")
+        from coreduce.classify import _sl3_cocharacter_from_eps
+
+        try:
+            _sl3_cocharacter_from_eps(2, -1, 0)
+        except CertificateError:
+            pass
+        else:
+            raise SystemExit("eps values summing to 1 gave a cocharacter")
         """
     )
     src = os.path.dirname(os.path.dirname(coreduce.__file__))

@@ -196,3 +196,33 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["rank"] == 1
+
+
+def test_components_lists_every_maximal_set():
+    code, out = run_cli(["components", "A1xA2", "[1,0,1]"])
+    assert code == 0
+    sets = [c["weights"] for c in json.loads(out)["candidates"]]
+    assert [[-1, 0, 1], [1, -1, 0], [1, 0, 1], [1, 1, -1]] in sets
+    assert [[1, -1, 0], [1, 0, 1], [1, 1, -1]] not in sets
+    assert len(sets) == 2
+
+
+def test_out_of_memory_exits_three(monkeypatch, capsys):
+    from coreduce import cli
+
+    def exhausted(cfg, args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_classify", exhausted)
+    assert main(["classify", "A2", "[1,1]"]) == 3
+    err = capsys.readouterr().err
+    assert "out of memory" in err
+    assert "Traceback" not in err
+
+
+def test_rank3_components_are_byte_identical_across_runs():
+    a = run_cli(["components", "A3", "[0,1,2]"])
+    assert a == run_cli(["components", "A3", "[0,1,2]"])
+    assert all(
+        "/" not in v for c in json.loads(a[1])["candidates"] for v in c["cocharacter"]
+    )

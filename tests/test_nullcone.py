@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coreduce import paper
 from coreduce.config import Limits
@@ -21,11 +22,12 @@ from coreduce.nullcone import (
     support_orbit_dim_bound,
     value_screen,
     Cocharacter,
+    _chamber_samples,
 )
 from coreduce.repthy import module_weights, parse_module
-from coreduce.rootsys import SL3, parse_group
+from coreduce.rootsys import SL3, parse_group, root_scaled_of_dynkin
 
-from oracles import brute_force_sl3_dominant_sets
+from oracles import brute_force_sl3_dominant_sets, chamber_count
 
 LIMITS = Limits()
 
@@ -161,3 +163,63 @@ def test_negative_weight_degree_screen_matches_value_screen():
         vals[rho.value(w)] = vals.get(rho.value(w), 0) + mult
     res2 = value_screen(sorted(vals.items(), reverse=True), 4, [3, 3, 3, 3])
     assert res == res2
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+arrangements = st.sampled_from([3, 4]).flatmap(
+    lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(
+            st.tuples(*[st.integers(-3, 3)] * rank).filter(any), min_size=3, max_size=9
+        ),
+    )
+)
+
+
+@given(arr=arrangements)
+@settings(max_examples=120, deadline=None)
+def test_chamber_samples_meet_every_chamber(arr):
+    """One generic sample per chamber, counted against Zaslavsky's theorem;
+    arrangements that do not span are included."""
+    rank, normals = arr
+    samples = _chamber_samples(normals, rank, [])
+    assert all(_dot(h, p) != 0 for h in normals for p in samples)
+    signs = {tuple(_dot(h, p) > 0 for h in normals) for p in samples}
+    assert len(signs) == chamber_count(normals, rank)
+
+
+def _weight_lines(m):
+    g = m.group
+    return [root_scaled_of_dynkin(g, w) for w in module_weights(m).nonzero_weights()]
+
+
+@pytest.mark.parametrize(
+    "group, text, chambers",
+    [("B3", "[1,0,0]", 8), ("C3", "[0,1,0]", 24), ("A1xG2", "[2,1,0]", 60)],
+)
+def test_full_arrangement_count_matches_zaslavsky(group, text, chambers):
+    m = parse_module(parse_group(group), text)
+    assert chamber_count(_weight_lines(m), 3) == chambers
+    assert len(admissible_sets(m, mod_weyl=False, limits=LIMITS)) == chambers
+
+
+@pytest.mark.parametrize("group, text", [("A1xA2", "[1,0,1]"), ("A1xA2", "[1,1,0]")])
+def test_dominant_sets_tile_the_full_arrangement(group, text):
+    """The weights and the root walls form a Weyl-invariant arrangement whose
+    chambers are the Weyl images of its dominant ones."""
+    g = parse_group(group)
+    m = parse_module(g, text)
+    sets = admissible_sets(m, limits=LIMITS)
+    assert len(sets) == 6
+    walls = [root_scaled_of_dynkin(g, d) for d in g.positive_roots_dynkin()]
+    assert len(sets) * g.weyl_order == chamber_count(_weight_lines(m) + walls, 3)
+
+
+def test_rank4_dominant_sets_complete():
+    m = parse_module(parse_group("B2xB2"), "[1,0,1,0]")
+    sets = admissible_sets(m, limits=LIMITS)
+    assert len({a.weight_set() for a in sets}) == 6
+    assert all(a.defining.is_dominant() for a in sets)
