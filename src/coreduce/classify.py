@@ -31,11 +31,11 @@ from .nullcone import (
     g2xg2_model_admissible_sets,
     maximal_sets,
     negative_weight_degree_screen,
+    positive_factor_counts,
     value_screen,
-    _representable_counts,
+    weight_values,
 )
 from .repthy import (
-    Character,
     CovariantCertificate,
     ModuleSpec,
     covariant_generator_exists,
@@ -52,10 +52,10 @@ from .rootsys import (
     GroupSpec,
     SL3,
     SimpleType,
-    Weight,
     build_root_system,
     dynkin_to_eps,
     eps_to_dynkin,
+    in_root_lattice,
     parse_group,
     root_scaled_of_dynkin,
 )
@@ -152,7 +152,7 @@ def classify_sl2(parts: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> Verdi
         cert = _two_r2_screen()
         require(cert.not_reduced, "the two-quadratics screen does not fire")
         return Verdict(m, NO, (cert,), tag, ("rank of the quotient differential on the null cone",))
-    bad = bad_toral_slice(m, limits) if has_toral_slice(m) else None
+    bad = bad_toral_slice(m, limits)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
     cov = _sl2_covariant_certificate(m, parts, limits)
@@ -193,7 +193,7 @@ def _require_simple(g: GroupSpec) -> None:
 
 
 def _check_no_negative_rule(m: ModuleSpec, limits: Limits) -> None:
-    if has_toral_slice(m) and bad_toral_slice(m, limits) is not None:
+    if bad_toral_slice(m, limits) is not None:
         raise ContradictionError(f"bad toral slice on coreduced module {m}")
 
 
@@ -223,7 +223,7 @@ def classify_adjoint_exceptional(
     key = (t.family, t.rank)
     tag = f"exceptional-{t.family}{t.rank}"
     for _, hw in m.summands:
-        if not Weight(hw, "dynkin", g).in_root_lattice():
+        if not in_root_lattice(g, hw):
             raise ValueError(f"{hw} is not a module of the adjoint group of {t}")
     summands = m.summands
     if summands == ((1, _adjoint_hw(t)),):
@@ -257,7 +257,7 @@ def classify_adjoint_exceptional(
     if key == ("G", 2) and len(summands) == 1 and summands[0][1] == G2_7_HW and summands[0][0] >= 3:
         certs = g2_three_7_certificate(limits)
         return Verdict(m, NO, certs, tag, ("alternating degree-3 covariant is not in the quadratic ideal",))
-    if key[0] in ("F", "G") and has_toral_slice(m):
+    if key[0] in ("F", "G"):
         # low rank: the direct Hilbert-basis search is affordable
         bad = bad_toral_slice(m, limits)
         if bad is not None:
@@ -350,7 +350,7 @@ def classify_adjoint_classical(
     n = t.rank
     tag = f"classical-{t.family}{n}"
     for _, hw in m.summands:
-        if not Weight(hw, "dynkin", g).in_root_lattice():
+        if not in_root_lattice(g, hw):
             raise ValueError(f"{hw} is not a module of the adjoint group of {t}")
     if _is_classical_yes_row(t, m):
         verdict = YES if _is_adjoint_module(t, m) else YES_PAPER
@@ -361,7 +361,7 @@ def classify_adjoint_classical(
     cert = _classical_relation_certificate(t, m)
     if cert is not None:
         return Verdict(m, NO, (cert,), tag)
-    bad = bad_toral_slice(m, limits) if has_toral_slice(m) else None
+    bad = bad_toral_slice(m, limits)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
     return Verdict(m, NO_PAPER, (Citation("slice-quotient chain"),), tag)
@@ -558,7 +558,7 @@ def classify_semisimple_irreducible(
     cert = product_group_rule(m) if has_toral_slice(m) else None
     if cert is not None:
         return Verdict(m, NO, (cert,), tag)
-    bad = bad_toral_slice(m, limits) if has_toral_slice(m) else None
+    bad = bad_toral_slice(m, limits)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
     if _is_odd_orthogonal_triple(g, hw):
@@ -598,19 +598,9 @@ def _is_semisimple_yes_row(g: GroupSpec, hw: Coords) -> bool:
 
 
 def _is_odd_orthogonal_triple(g: GroupSpec, hw: Coords) -> bool:
-    if len(g.simple_factors) != 3:
-        return False
-    if not all(t.family in ("A", "B") for t in g.simple_factors):
-        return False
-    # standard module of each factor (A1 counts as B1, highest weight 2)
-    pos = 0
-    for t in g.simple_factors:
-        local = hw[pos : pos + t.rank]
-        expect = (2,) if (t.family == "A" and t.rank == 1) else tuple([1] + [0] * (t.rank - 1))
-        if local != expect:
-            return False
-        pos += t.rank
-    return True
+    return len(g.simple_factors) == 3 and all(
+        _odd_orthogonal_standard(t, hw[lo:hi]) for t, (lo, hi) in zip(g.simple_factors, g.blocks)
+    )
 
 
 def g2xg2_certificate(limits: Limits = DEFAULT_LIMITS) -> tuple:
@@ -674,7 +664,7 @@ def classify_sl3(m: ModuleSpec, limits: Limits = DEFAULT_LIMITS) -> Verdict:
             return Verdict(m, NO, cert, tag)
         return Verdict(m, NO_PAPER, (Citation("negative-weight count against the cubic-invariant bound"),), tag)
     # reducible non-listed modules
-    bad = bad_toral_slice(m, limits) if has_toral_slice(m) else None
+    bad = bad_toral_slice(m, limits)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
     screen = _sl3_reducible_screen(m, limits)
@@ -716,27 +706,6 @@ def _invariant_generator_upper_bounds(
     return gens
 
 
-def _monomial_size_profile(chi: Character, rho: Cocharacter) -> list[Optional[int]]:
-    """For each negative-weight dimension, the largest number of positive
-    factors a zero-weight monomial with that single negative factor can have
-    (None when no such monomial exists)."""
-    pos: list[Fraction] = []
-    neg: list[Fraction] = []
-    for w, mlt in sorted(chi.nonzero_weights().items()):
-        v = rho.value(w)
-        require(v != 0, f"cocharacter is not generic: weight {w} pairs to 0")
-        (pos if v > 0 else neg).extend([abs(v)] * mlt)
-    den = 1
-    for v in pos + neg:
-        den = den * v.denominator // gcd(den, v.denominator)
-    pvals = [int(v * den) for v in pos]
-    out: list[Optional[int]] = []
-    for v in neg:
-        reach = _representable_counts(pvals, int(v * den))
-        out.append(max(reach) if reach else None)
-    return out
-
-
 def sl3_irreducible_rank_screen(
     m: ModuleSpec, limits: Limits = DEFAULT_LIMITS, degree_cap: int = 12
 ) -> Optional[tuple]:
@@ -755,7 +724,7 @@ def sl3_irreducible_rank_screen(
     for a in sets:
         if a.status != "dominant":
             continue
-        ks = _monomial_size_profile(chi, a.defining)
+        ks = positive_factor_counts([(v, m) for _, v, m in weight_values(chi, a.defining)])
         if len(ks) <= 2:
             continue
         thresholds = sorted({k for k in ks if k is not None and k + 1 <= degree_cap})

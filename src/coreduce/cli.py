@@ -181,7 +181,8 @@ def cmd_weights(cfg: Config, args: argparse.Namespace) -> int:
 
 def torus_violating_generator(ws: Sequence[tuple[int, ...]], limits: Limits):
     """Deterministic choice among the Hilbert-basis generators with a
-    coefficient >= 2: the lexicographically greatest coefficient vector."""
+    coefficient >= 2: the lexicographically greatest coefficient vector, or
+    None when the weights are coreduced; and the nonzero weights."""
     nz = tuple(w for w in ws if any(x != 0 for x in w))
     basis = hilbert_basis(nz, limits)
     bad = [g for g in basis.generators if max(g.coeffs) >= 2]
@@ -190,16 +191,15 @@ def torus_violating_generator(ws: Sequence[tuple[int, ...]], limits: Limits):
 
 def cmd_torus_check(cfg: Config, args: argparse.Namespace) -> int:
     ws = _parse_scalar_or_vectors(args.weights)
-    verdict = is_torus_coreduced(ws, cfg.limits)
-    payload: dict = {"weights": [list(w) for w in ws], "coreduced": verdict.coreduced}
-    if not verdict.coreduced:
-        gen, nz = torus_violating_generator(ws, cfg.limits)
+    gen, nz = torus_violating_generator(ws, cfg.limits)
+    payload: dict = {"weights": [list(w) for w in ws], "coreduced": gen is None}
+    if gen is not None:
         payload["certificate"] = {
             "coeffs": list(gen.coeffs),
             "weights": [list(w) for w in nz],
         }
     _emit(cfg, payload)
-    return EXIT_OK if verdict.coreduced else EXIT_NO
+    return EXIT_OK if gen is None else EXIT_NO
 
 
 def cmd_hilbert_basis(cfg: Config, args: argparse.Namespace) -> int:
@@ -251,7 +251,7 @@ def cmd_components(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_covariant_vanish(cfg: Config, args: argparse.Namespace) -> int:
     m = _module(args)
-    target = parse_weight(m.group, args.target).to_dynkin().coords
+    target = parse_weight(m.group, args.target)
     sets = maximal_sets(admissible_sets(m, limits=cfg.limits))
     results = []
     all_vanish = True
@@ -279,7 +279,7 @@ def cmd_support_rank(cfg: Config, args: argparse.Namespace) -> int:
         w_text, _, copy_text = item.rpartition(":")
         if not w_text:
             raise RootSystemError(f"support entries look like [w]:copy, got {item!r}")
-        w = parse_weight(m.group, w_text).to_dynkin().coords
+        w = parse_weight(m.group, w_text)
         support.append((w, int(copy_text)))
     bound, stats = support_orbit_dim_bound(m, support)
     _emit(cfg, {"module": str(m), "bound": bound, "stats": stats})

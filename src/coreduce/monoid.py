@@ -186,7 +186,7 @@ def is_torus_coreduced(
 @dataclass(frozen=True)
 class SumWitness:
     feasible: bool
-    # indices into the weight list (or, for one_per_block, one index per block)
+    # indices into the weight list, one per summand, sorted
     chosen: Optional[tuple[int, ...]]
 
 
@@ -285,36 +285,3 @@ def exists_sum(
         level = nxt
     return SumWitness(False, None)
 
-
-def exists_sum_one_per_block(
-    blocks: Sequence[Sequence[Vec]],
-    target: Vec,
-    limits: Limits = DEFAULT_LIMITS,
-) -> SumWitness:
-    """Decide whether picking exactly one vector per block can sum to target."""
-    target = tuple(target)
-    zero = tuple(0 for _ in target)
-    parent: dict[tuple[int, Vec], tuple[Vec, int]] = {}
-    level: set[Vec] = {zero}
-    states = 1
-    for b, block in enumerate(blocks):
-        nxt: set[Vec] = set()
-        for s in level:
-            for j, w in enumerate(block):
-                t = tuple(a + b2 for a, b2 in zip(s, w))
-                if t not in nxt:
-                    nxt.add(t)
-                    states += 1
-                    if states > limits.dp_state_limit:
-                        raise ResourceLimitError("exists_sum state limit exceeded")
-                    parent[(b + 1, t)] = (s, j)
-        level = nxt
-    if target not in level:
-        return SumWitness(False, None)
-    out = []
-    s = target
-    for b in range(len(blocks), 0, -1):
-        s_prev, j = parent[(b, s)]
-        out.append(j)
-        s = s_prev
-    return SumWitness(True, tuple(reversed(out)))

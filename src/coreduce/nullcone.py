@@ -26,7 +26,7 @@ from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits, ResourceLimitError, require
-from .monoid import Vec, exists_sum, exists_sum_one_per_block
+from .monoid import Vec, exists_sum
 from .repthy import (
     Character,
     CovariantCertificate,
@@ -40,7 +40,6 @@ from .rootsys import (
     GroupSpec,
     RootSystemError,
     SimpleType,
-    Weight,
     _det,
     closure,
     dynkin_to_eps,
@@ -97,14 +96,19 @@ class AdmissibleSet:
 
 
 def _positive_set(chi: Character, rho: Cocharacter) -> tuple[Coords, ...]:
-    out: list[Coords] = []
+    return tuple(w for w, v, m in weight_values(chi, rho) if v > 0 for _ in range(m))
+
+
+def weight_values(chi: Character, rho: Cocharacter) -> list[tuple[Coords, Fraction, int]]:
+    """(weight, value on rho, multiplicity) for each nonzero weight of chi,
+    in weight order; rho must be generic (no weight pairs to 0)."""
+    out: list[tuple[Coords, Fraction, int]] = []
     for w, m in sorted(chi.nonzero_weights().items()):
         v = rho.value(w)
         if v == 0:
             raise RootSystemError(f"cocharacter is not generic: weight {w} pairs to 0")
-        if v > 0:
-            out.extend([w] * m)
-    return tuple(out)
+        out.append((w, v, m))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -294,28 +298,6 @@ def maximal_sets(sets: Sequence[AdmissibleSet]) -> list[AdmissibleSet]:
 # Dominance: the sufficient criteria
 
 
-def weyl_matrices(g: GroupSpec, limit: int = 10_000) -> list[tuple[Coords, ...]]:
-    """All Weyl group elements as matrices acting on Dynkin coordinates (rows)."""
-    if g.weyl_order > limit:
-        raise ResourceLimitError("Weyl group too large to materialize")
-    n = g.rank
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    refls = simple_reflections(g)
-
-    def compose(mat: tuple[Coords, ...]) -> list[tuple[Coords, ...]]:
-        # rows are images of basis vectors; compose with one simple reflection
-        return [tuple(reflect(g, row, r) for row in mat) for r in refls]
-
-    mats = closure((ident,), compose)
-    require(len(mats) == g.weyl_order, f"{len(mats)} Weyl matrices, not {g.weyl_order}")
-    return list(mats)
-
-
-def _apply_matrix(mat: tuple[Coords, ...], d: Coords) -> Coords:
-    n = len(d)
-    return tuple(sum(d[i] * mat[i][j] for i in range(n)) for j in range(n))
-
-
 def dominance(lam1: AdmissibleSet, lam2: AdmissibleSet) -> str:
     """Sufficient test for "the second set dominates the first".
 
@@ -324,6 +306,7 @@ def dominance(lam1: AdmissibleSet, lam2: AdmissibleSet) -> str:
     part not mapped into the second set has total multiplicity one and that
     missing weight is reachable from the mapped part by adding a positive
     root (density of the Borel sweep).  Otherwise "not_by_these_criteria".
+    The images sigma(w) are the Weyl orbit of the tuple of distinct weights.
     """
     g = lam1.defining.group
     w2 = lam2.weight_set()
@@ -331,11 +314,16 @@ def dominance(lam1: AdmissibleSet, lam2: AdmissibleSet) -> str:
     for w in lam1.weights:
         counts1[w] = counts1.get(w, 0) + 1
     pos_roots = g.positive_roots_dynkin()
-    for mat in weyl_matrices(g):
+    refls = simple_reflections(g)
+
+    def reflections(ws: tuple[Coords, ...]) -> list[tuple[Coords, ...]]:
+        return [tuple(reflect(g, w, r) for w in ws) for r in refls]
+
+    for images in closure((tuple(counts1),), reflections):
         kept: list[Coords] = []
         missing: list[tuple[Coords, int]] = []
-        for w, c in counts1.items():
-            if _apply_matrix(mat, w) in w2:
+        for (w, c), image in zip(counts1.items(), images):
+            if image in w2:
                 kept.append(w)
             else:
                 missing.append((w, c))
@@ -366,7 +354,7 @@ def sl3_two_quadrant_dominant(adm: AdmissibleSet, all_sets: Sequence[AdmissibleS
         return False  # not maximal
     has_1 = has_2 = False
     for w in sa:
-        p, q = sl3_root_coords(Weight(w, "dynkin", g))
+        p, q = sl3_root_coords(w)
         if p <= 0 and q >= 0 and (p, q) != (0, 0):
             has_1 = True
         if p >= 0 and q <= 0 and (p, q) != (0, 0):
@@ -397,10 +385,9 @@ def sl3_critical_ratios(m: ModuleSpec) -> set[Fraction]:
     """Positive ratios t where a weight of the module pairs to zero with
     the dominant cocharacter normalized to value 1 on the first simple root."""
     chi = module_weights(m)
-    g = m.group
     out: set[Fraction] = set()
     for w in chi.nonzero_weights():
-        p, q = sl3_root_coords(Weight(w, "dynkin", g))
+        p, q = sl3_root_coords(w)
         if q != 0 and -p / q > 0:
             out.add(-p / q)
     return out
@@ -483,13 +470,7 @@ def negative_weight_degree_screen(
     shape; the rank bound counts the complement weight-space dimensions that
     can appear in such a monomial at all.
     """
-    vals: list[tuple[Fraction, int]] = []
-    for w, m in sorted(chi.nonzero_weights().items()):
-        v = rho.value(w)
-        if v == 0:
-            raise RootSystemError("cocharacter must be generic")
-        vals.append((v, m))
-    return value_screen(vals, codim, invariant_degrees)
+    return value_screen([(v, m) for _, v, m in weight_values(chi, rho)], codim, invariant_degrees)
 
 
 def value_screen(
@@ -499,32 +480,34 @@ def value_screen(
 ) -> ScreenResult:
     """Like :func:`negative_weight_degree_screen` but on a raw multiset of
     nonzero cocharacter values (value, multiplicity)."""
-    pos_vals: list[Fraction] = []
-    neg: list[tuple[Fraction, int]] = []
+    ks = [k for k in positive_factor_counts(values) if k is not None]
+    max_degree = max(ks) + 1 if ks else None
+    avail = (
+        len(list(invariant_degrees))
+        if max_degree is None
+        else sum(1 for d in invariant_degrees if d <= max_degree)
+    )
+    return ScreenResult(max_degree, avail, len(ks), codim)
+
+
+def positive_factor_counts(values: Sequence[tuple[Fraction, int]]) -> list[Optional[int]]:
+    """For each negative value, repeated by its multiplicity, the largest
+    number of positive values (with repetition) summing to minus it: the
+    positive factors of a zero-weight monomial with that single negative
+    factor.  None when no such monomial exists."""
+    pos: list[Fraction] = []
+    neg: list[Fraction] = []
     for v, m in values:
         require(v != 0, "cocharacter values must be nonzero")
-        if v > 0:
-            pos_vals.extend([Fraction(v)] * m)
-        else:
-            neg.append((-Fraction(v), m))
-    den = lcm(*(v.denominator for v in pos_vals + [x for x, _ in neg]))
-    pvals = [int(v * den) for v in pos_vals]
-    max_degree: Optional[int] = None
-    rank_bound = 0
-    for v, m in neg:
-        target = int(v * den)
-        ks = _representable_counts(pvals, target)
-        if ks:
-            rank_bound += m
-            d = max(ks) + 1
-            if max_degree is None or d > max_degree:
-                max_degree = d
-    avail = (
-        sum(1 for d in invariant_degrees if max_degree is None or d <= max_degree)
-        if max_degree is not None
-        else len(list(invariant_degrees))
-    )
-    return ScreenResult(max_degree, avail, rank_bound, codim)
+        (pos if v > 0 else neg).extend([abs(Fraction(v))] * m)
+    den = lcm(*(v.denominator for v in pos + neg))
+    pvals = sorted({int(v * den) for v in pos})
+    best: dict[Fraction, Optional[int]] = {}
+    for v in neg:
+        if v not in best:
+            reach = _representable_counts(pvals, int(v * den))
+            best[v] = max(reach) if reach else None
+    return [best[v] for v in neg]
 
 
 def _representable_counts(pos_vals: Sequence[int], target: int) -> set[int]:
@@ -915,10 +898,17 @@ def d4_wedge_blocks(case: dict) -> list[list[Vec]]:
 
 def d4_adjoint_target_reachable(case: dict, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Can the adjoint highest weight e1+e2 be a sum of one positive exterior
-    square weight from each of the three families?"""
+    square weight from each of the three families?  Each weight carries its
+    family's indicator, so a sum of three with indicators (1, 1, 1) takes one
+    from each."""
     blocks = d4_wedge_blocks(case)
-    target = (1, 1, 0, 0)
-    return exists_sum_one_per_block(blocks, target, limits).feasible
+    tagged = [
+        w + tuple(int(i == k) for i in range(len(blocks)))
+        for k, block in enumerate(blocks)
+        for w in block
+    ]
+    target = (1, 1, 0, 0) + (1,) * len(blocks)
+    return exists_sum(tagged, target, len(blocks), "exact_count", limits).feasible
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .config import DEFAULT_LIMITS, Limits, ResourceLimitError
+from .config import DEFAULT_LIMITS, CertificateError, Limits, ResourceLimitError, require
 from .rootsys import (
     Coords,
     GroupSpec,
     RootSystemError,
     SimpleType,
-    Weight,
     build_root_system,
     closure,
     dominant_weights_below,
@@ -51,7 +48,7 @@ def weyl_dim(t: SimpleType, hw: Coords) -> int:
     for alpha in rs.positive_roots:
         num *= rs.inner_dr(lam_delta, alpha)
         den *= rs.inner_dr(delta, alpha)
-    assert num % den == 0
+    require(num % den == 0, f"Weyl dimension of V({hw}) over {t} is not an integer")
     return num // den
 
 
@@ -81,7 +78,7 @@ def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
     g = GroupSpec((t,))
     if any(x < 0 for x in hw):
         raise RootSystemError("highest weight must be dominant")
-    dom = dominant_weights_below(g, Weight(hw, "dynkin", g))
+    dom = dominant_weights_below(g, hw)
     # process in decreasing height (sum of scaled root coordinates), ties in
     # coordinate order, so the diagram's order does not rest on set layout
     ordered = sorted(dom, key=lambda d: (-sum(rs.root_scaled_of_dynkin(d)), d))
@@ -115,11 +112,12 @@ def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
             num += string_tail[(tuple(m + d for m, d in zip(mu, a_dyn)), i)]
         # denominator (|hw+delta|^2 - |mu+delta|^2) = <hw+mu+2delta, hw-mu>
         diff_rs = tuple(a - b for a, b in zip(hw_rs, rs.root_scaled_of_dynkin(mu)))
-        assert all(x % rs.lattice_index == 0 for x in diff_rs)
         diff_root = tuple(x // rs.lattice_index for x in diff_rs)
         summ = tuple(a + b + 2 * c for a, b, c in zip(hw, mu, delta))
         den = rs.inner_dr(summ, diff_root)
-        assert den > 0 and (2 * num) % den == 0, (t, hw, mu)
+        # an explicit test rather than require, so the success path builds no message
+        if any(x % rs.lattice_index for x in diff_rs) or den <= 0 or (2 * num) % den:
+            raise CertificateError(f"Freudenthal step fails at {mu} in V({hw}) of {t}")
         mults[mu] = 2 * num // den
     return mults
 
@@ -222,8 +220,7 @@ def parse_module(g: GroupSpec, text: str) -> ModuleSpec:
             coeff = int(c_text)
         else:
             coeff, w_text = 1, term
-        w = parse_weight(g, w_text).to_dynkin().coords
-        summands.append((coeff, w))
+        summands.append((coeff, parse_weight(g, w_text)))
     return ModuleSpec(g, tuple(summands))
 
 
@@ -237,7 +234,7 @@ def module_weights(m: ModuleSpec) -> Character:
     return Character(m.group, total, False)
 
 
-def min_root_multiplicity(m: ModuleSpec) -> tuple[int, Optional[Coords]]:
+def min_root_multiplicity(m: ModuleSpec) -> tuple[int, Coords]:
     """Minimum, over all roots of the group, of the root's weight multiplicity.
 
     Returns (0, some absent root) when a root is missing.  Multiplicities are
@@ -245,15 +242,15 @@ def min_root_multiplicity(m: ModuleSpec) -> tuple[int, Optional[Coords]]:
     all are checked for the witness.
     """
     g = m.group
+    roots = g.roots_dynkin()
+    if not roots:
+        raise ValueError(f"{g} has no roots")
     # accumulate dominant-backed characters to keep E-series cheap
     chars = [(coeff, Character(g, dominant_diagram(g, hw), True)) for coeff, hw in m.summands]
-    best: Optional[tuple[int, Coords]] = None
-    for root_d in g.roots_dynkin():
-        mult = sum(coeff * ch.mult(root_d) for coeff, ch in chars)
-        if best is None or mult < best[0]:
-            best = (mult, root_d)
-    assert best is not None
-    return best
+    return min(
+        ((sum(coeff * ch.mult(root_d) for coeff, ch in chars), root_d) for root_d in roots),
+        key=lambda pair: pair[0],
+    )
 
 
 def max_nonzero_weight_multiplicity(g: GroupSpec, hw: Coords) -> tuple[int, Optional[Coords]]:
@@ -287,6 +284,8 @@ def symmetric_power(
     integer array over the bounding box of reachable weights; the number of
     DP cells is capped by ``limits.dp_state_limit``.
     """
+    import numpy as np  # here only, so that a cold start does not pay for it
+
     entries = chi.expand().entries
     if any(m < 0 for m in entries.values()):
         raise ValueError("symmetric powers need an effective character")

@@ -9,10 +9,13 @@ weight lattice has integer coordinates in both bases.
 Product groups concatenate coordinate blocks (simple factors first, then a
 central torus block); their Weyl group is the direct product.
 
+Weights are plain tuples of Dynkin labels; :func:`parse_weight` converts the
+other input bases once, at parse time.
+
 Every orbit-like set (Weyl orbits with or without signs, the root list,
-dominant weights below a highest weight, Weyl-group matrices) comes from the
-one breadth-first :func:`closure`, which maps each reachable point to its
-depth; callers supply only the neighbour function.
+dominant weights below a highest weight, the Weyl images of a tuple of
+weights) comes from the one breadth-first :func:`closure`, which maps each
+reachable point to its depth; callers supply only the neighbour function.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+
+from .config import require
 
 Coords = tuple[int, ...]
 P = TypeVar("P", bound=Hashable)
@@ -115,7 +120,7 @@ def _symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
                     # (alpha_i, alpha_j) = d_j a_ij = d_i a_ji
                     d[j] = d[i] * cartan[j][i] / cartan[i][j]
                     changed = True
-    assert all(x is not None for x in d)
+    require(all(x is not None for x in d), "the Cartan matrix is not connected")
     top = max(x for x in d)  # type: ignore[type-var]
     return tuple(x / top for x in d)  # type: ignore[operator]
 
@@ -159,7 +164,10 @@ class RootSystem:
         inv = _mat_inverse(self.cartan)
         # row vector d (Dynkin) -> root coords: c = d @ cartan^{-1}
         scaled = [[x * self.lattice_index for x in row] for row in inv]
-        assert all(x.denominator == 1 for row in scaled for x in row)
+        require(
+            all(x.denominator == 1 for row in scaled for x in row),
+            f"{t}: det(cartan) does not clear the inverse Cartan matrix",
+        )
         self._dynkin_to_root_scaled = tuple(tuple(int(x) for x in row) for row in scaled)
         # common denominator for the symmetrizer, for integer inner products
         den = lcm(*(x.denominator for x in self.symmetrizer))
@@ -189,14 +197,6 @@ class RootSystem:
         return tuple(sum(root[i] * self.cartan[i][j] for i in range(self.rank)) for j in range(self.rank))
 
     # -- reflections and orbits ------------------------------------------
-
-    def reflect(self, d: Coords, i: int) -> Coords:
-        """Simple reflection s_i on Dynkin labels."""
-        ci = d[i]
-        if ci == 0:
-            return d
-        row = self.cartan[i]
-        return tuple(x - ci * row[j] for j, x in enumerate(d))
 
     def dominantize(self, d: Coords) -> tuple[Coords, int]:
         """Dominant representative and the sign of a Weyl element achieving it."""
@@ -237,10 +237,10 @@ class RootSystem:
         roots = []
         for d in closure(self.cartan, _reflections([(0, self.cartan)])):
             rs = self.root_scaled_of_dynkin(d)
-            assert all(x % self.lattice_index == 0 for x in rs)
+            require(all(x % self.lattice_index == 0 for x in rs), f"{d} is not in the root lattice")
             roots.append(tuple(x // self.lattice_index for x in rs))
         pos = sorted(r for r in roots if all(x >= 0 for x in r))
-        assert 2 * len(pos) == len(roots)
+        require(2 * len(pos) == len(roots), f"{self.type}: roots are not positive or negative")
         return tuple(pos)
 
     @property
@@ -373,47 +373,6 @@ class GroupSpec:
         return (1,) * (self.rank - self.torus_rank) + (0,) * self.torus_rank
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A weight of a :class:`GroupSpec` in a fixed basis tag."""
-
-    coords: Coords
-    basis: str  # "dynkin" | "root_scaled"
-    group: GroupSpec
-
-    def __post_init__(self) -> None:
-        if self.basis not in ("dynkin", "root_scaled"):
-            raise RootSystemError(f"unknown basis {self.basis!r}")
-        if len(self.coords) != self.group.rank:
-            raise RootSystemError(
-                f"weight has {len(self.coords)} coordinates; {self.group} has rank {self.group.rank}"
-            )
-
-    def to_dynkin(self) -> "Weight":
-        if self.basis == "dynkin":
-            return self
-        return Weight(dynkin_of_root_scaled(self.group, self.coords), "dynkin", self.group)
-
-    def to_root_scaled(self) -> "Weight":
-        if self.basis == "root_scaled":
-            return self
-        return Weight(root_scaled_of_dynkin(self.group, self.coords), "root_scaled", self.group)
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-x for x in self.coords), self.basis, self.group)
-
-    def is_dominant(self) -> bool:
-        return all(x >= 0 for x in self.to_dynkin().coords)
-
-    def in_root_lattice(self) -> bool:
-        rs = self.to_root_scaled().coords
-        for k, r in enumerate(self.group.root_systems):
-            lo, hi = self.group.blocks[k]
-            if any(x % r.lattice_index for x in rs[lo:hi]):
-                return False
-        return True
-
-
 # -- per-block conversions on plain tuples ----------------------------------
 
 
@@ -431,6 +390,17 @@ def dynkin_of_root_scaled(g: GroupSpec, c: Coords) -> Coords:
         lo, hi = g.blocks[k]
         out[lo:hi] = rs.dynkin_of_root_scaled(tuple(c[lo:hi]))
     return tuple(out)
+
+
+def in_root_lattice(g: GroupSpec, d: Coords) -> bool:
+    """True iff the weight with Dynkin labels ``d`` is a sum of roots on
+    every simple factor (the torus block is unconstrained)."""
+    rs = root_scaled_of_dynkin(g, d)
+    for k, r in enumerate(g.root_systems):
+        lo, hi = g.blocks[k]
+        if any(x % r.lattice_index for x in rs[lo:hi]):
+            return False
+    return True
 
 
 def simple_reflections(g: GroupSpec) -> list[tuple[int, int, int]]:
@@ -505,9 +475,9 @@ def weyl_neighbours(g: GroupSpec) -> Callable[[Coords], list[Coords]]:
     return _reflections((lo, rs.cartan) for rs, (lo, _hi) in zip(g.root_systems, g.blocks))
 
 
-def weyl_orbit(g: GroupSpec, w: Weight) -> frozenset[Coords]:
-    """Orbit of a weight (Dynkin coordinates) under the product Weyl group."""
-    return frozenset(closure((w.to_dynkin().coords,), weyl_neighbours(g)))
+def weyl_orbit(g: GroupSpec, d: Coords) -> frozenset[Coords]:
+    """Orbit of a weight (Dynkin labels) under the product Weyl group."""
+    return frozenset(closure((d,), weyl_neighbours(g)))
 
 
 def signed_orbit(g: GroupSpec, d0: Coords) -> list[tuple[Coords, int]]:
@@ -542,13 +512,13 @@ def orbit_size(g: GroupSpec, dominant: Coords) -> int:
     return n
 
 
-def dominant_weights_below(g: GroupSpec, lam: Weight) -> frozenset[Coords]:
-    """All dominant μ ⪯ lam (lam − μ a nonnegative sum of simple roots).
+def dominant_weights_below(g: GroupSpec, d0: Coords) -> frozenset[Coords]:
+    """All dominant μ ⪯ d0 (d0 − μ a nonnegative sum of simple roots), for
+    a dominant weight d0 in Dynkin labels.
 
     Computed by the dominant-chain descent: every such μ is reachable from
-    lam through dominant weights by subtracting single positive roots.
+    d0 through dominant weights by subtracting single positive roots.
     """
-    d0 = lam.to_dynkin().coords
     if not all(x >= 0 for x in d0):
         raise RootSystemError("weight is not dominant")
     pos = g.positive_roots_dynkin()
@@ -566,27 +536,22 @@ def dominant_weights_below(g: GroupSpec, lam: Weight) -> frozenset[Coords]:
 SL3 = GroupSpec((SimpleType("A", 2),))
 
 
-def sl3_weight(r: int, s: int) -> Weight:
-    """The A2 weight with Dynkin labels [r, s]."""
-    return Weight((r, s), "dynkin", SL3)
-
-
-def sl3_root_coords(w: Weight) -> tuple[Fraction, Fraction]:
-    """(p, q) with w = p·alpha + q·beta (thirds allowed)."""
-    c = w.to_root_scaled().coords
+def sl3_root_coords(d: Coords) -> tuple[Fraction, Fraction]:
+    """(p, q) with d = p·alpha + q·beta (thirds allowed), for Dynkin labels d."""
+    c = root_scaled_of_dynkin(SL3, d)
     return Fraction(c[0], 3), Fraction(c[1], 3)
 
 
-def min_max_negation_ratios(g: GroupSpec, w: Weight) -> tuple[Fraction, Fraction]:
+def min_max_negation_ratios(g: GroupSpec, d: Coords) -> tuple[Fraction, Fraction]:
     """(max, min positive) of {-k/l : (k,l) in W·(p,q)} for dominant (p,q), p≠q.
 
     Closed forms: max = min(p,q)/|p−q| and min positive = |p−q|/min(p,q).
     """
     if g != SL3:
         raise RootSystemError("negation ratios are an SL3 (A2) notion")
-    if not w.is_dominant():
+    if any(x < 0 for x in d):
         raise RootSystemError("weight must be dominant")
-    p, q = sl3_root_coords(w)
+    p, q = sl3_root_coords(d)
     if p == q:
         raise RootSystemError("p = q: the ratio formulas degenerate")
     m = min(p, q)
@@ -694,12 +659,8 @@ def parse_group(text: str) -> GroupSpec:
     return GroupSpec(tuple(factors), torus)
 
 
-def format_group(g: GroupSpec) -> str:
-    return str(g)
-
-
-def parse_weight(g: GroupSpec, text: str) -> Weight:
-    """Parse ``"[3,1]"``, ``"(2,-1)@root"`` or ``"e1+e2@eps"``."""
+def parse_weight(g: GroupSpec, text: str) -> Coords:
+    """Dynkin labels of ``"[3,1]"``, ``"(2,-1)@root"`` or ``"e1+e2@eps"``."""
     text = text.strip()
     if text.endswith("@eps"):
         if len(g.simple_factors) != 1 or g.torus_rank:
@@ -716,14 +677,19 @@ def parse_weight(g: GroupSpec, text: str) -> Weight:
             coeffs[idx] += sign * coef
         if not _EPS_TERM_RE.search(body):
             raise RootSystemError(f"cannot parse epsilon weight {text!r}")
-        return Weight(eps_to_dynkin(t, coeffs), "dynkin", g)
+        return eps_to_dynkin(t, coeffs)
     if text.endswith("@root"):
         body = text[: -len("@root")].strip()
         if not (body.startswith("(") and body.endswith(")")):
             raise RootSystemError(f"root_scaled weights look like (a,b)@root, got {text!r}")
-        coords = tuple(int(x) for x in body[1:-1].split(","))
-        return Weight(coords, "root_scaled", g)
+        return dynkin_of_root_scaled(g, _coords_of_rank(g, body[1:-1]))
     if text.startswith("[") and text.endswith("]"):
-        coords = tuple(int(x) for x in text[1:-1].split(","))
-        return Weight(coords, "dynkin", g)
+        return _coords_of_rank(g, text[1:-1])
     raise RootSystemError(f"cannot parse weight {text!r}")
+
+
+def _coords_of_rank(g: GroupSpec, body: str) -> Coords:
+    coords = tuple(int(x) for x in body.split(","))
+    if len(coords) != g.rank:
+        raise RootSystemError(f"weight has {len(coords)} coordinates; {g} has rank {g.rank}")
+    return coords

@@ -25,7 +25,7 @@ from .repthy import (
     module_weights,
     zero_weight_multiplicity,
 )
-from .rootsys import Coords, GroupSpec, Weight, root_scaled_of_dynkin
+from .rootsys import Coords, GroupSpec, in_root_lattice, root_scaled_of_dynkin
 
 GENERIC_HYPOTHESIS = "generic zero weight vector"
 
@@ -57,10 +57,6 @@ class BadSliceCertificate:
             require(all(x == 0 for x in self.relation_sum()), "relation must sum to zero")
 
 
-def _root_weights_scaled(g: GroupSpec) -> list[Vec]:
-    return [root_scaled_of_dynkin(g, d) for d in g.roots_dynkin()]
-
-
 def has_toral_slice(m: ModuleSpec) -> bool:
     """True iff every root of every simple factor is a weight of the module."""
     chi = module_weights(m)
@@ -73,15 +69,26 @@ def toral_slice_weights(m: ModuleSpec) -> list[Vec]:
     Returned with multiplicity, sorted, as the torus weight list of the slice
     at a generic zero-weight vector.
     """
-    if not has_toral_slice(m):
+    ws = _slice_weights(m)
+    if ws is None:
         raise ValueError("some root of the group is not a weight of the module")
+    return ws
+
+
+def _slice_weights(m: ModuleSpec) -> Optional[list[Vec]]:
+    """:func:`toral_slice_weights`, or None when there is no toral slice;
+    one weight computation, and no coordinate change before the root test."""
+    g = m.group
     chi = module_weights(m)
+    if not all(chi.mult(d) >= 1 for d in g.roots_dynkin()):
+        return None
     counts: dict[Vec, int] = {}
     for w, mult in chi.nonzero_weights().items():
-        counts[root_scaled_of_dynkin(m.group, w)] = mult
-    for r in _root_weights_scaled(m.group):
+        counts[root_scaled_of_dynkin(g, w)] = mult
+    for d in g.roots_dynkin():
+        r = root_scaled_of_dynkin(g, d)
         counts[r] -= 1
-        assert counts[r] >= 0
+        require(counts[r] >= 0, "a root is counted twice")
     out: list[Vec] = []
     for w in sorted(counts):
         out.extend([w] * counts[w])
@@ -91,15 +98,15 @@ def toral_slice_weights(m: ModuleSpec) -> list[Vec]:
 def bad_toral_slice(
     m: ModuleSpec, limits: Limits = DEFAULT_LIMITS
 ) -> Optional[BadSliceCertificate]:
-    """The direct test: Hilbert-basis 0/1 criterion on the toral slice weights."""
-    if not has_toral_slice(m):
+    """The direct test: Hilbert-basis 0/1 criterion on the toral slice
+    weights; None when the slice is coreduced or there is none."""
+    ws = _slice_weights(m)
+    if ws is None:
         return None
-    ws = toral_slice_weights(m)
     verdict = is_torus_coreduced(ws, limits)
-    if verdict.coreduced:
-        return None
     gen = verdict.certificate
-    assert gen is not None
+    if gen is None:
+        return None
     support = [(w, c) for w, c in zip(verdict.weights, gen.coeffs) if c]
     cert = BadSliceCertificate(
         kind="toral_relation",
@@ -132,7 +139,7 @@ def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
             continue
         lo, hi = g.blocks[k]
         root = max(rs.positive_roots, key=max)
-        assert max(root) >= 2
+        require(max(root) >= 2, f"{t} has no root with a coefficient >= 2")
         weights: list[Vec] = []
         coeffs: list[int] = []
         full = [0] * g.rank
@@ -177,7 +184,7 @@ def criterion_a(
     psi must have a zero weight (root-lattice membership).
     """
     for lam in (phi, psi):
-        if not Weight(lam, "dynkin", g).in_root_lattice():
+        if not in_root_lattice(g, lam):
             raise ValueError("criterion applies to root-lattice highest weights only")
     m_phi = ModuleSpec(g, ((1, phi),))
     inner = bad_toral_slice(m_phi, limits)
@@ -199,7 +206,7 @@ def criterion_a(
     product = tuple(a + b for a, b in zip(phi, psi))
     mult, witness = max_nonzero_weight_multiplicity(g, product)
     if mult > 1:
-        assert witness is not None
+        require(witness is not None, "a repeated nonzero weight without a witness")
         # the doubled weight gives the relation (2w) + 2(-w) = 0 on the slice
         w = root_scaled_of_dynkin(g, witness)
         return BadSliceCertificate(
@@ -226,8 +233,6 @@ def product_group_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     k = len(g.simple_factors)
     if k < 2 or len(m.summands) != 1 or m.summands[0][0] != 1:
         raise ValueError("rule applies to irreducible tensor modules over >= 2 factors")
-    if not has_toral_slice(m):
-        raise ValueError("every root must occur among the module weights")
     slice_counts: dict[Vec, int] = {}
     for w in toral_slice_weights(m):
         slice_counts[w] = slice_counts.get(w, 0) + 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from coreduce.rootsys import GroupSpec, root_scaled_of_dynkin
+from coreduce.rootsys import GroupSpec, reflect, root_scaled_of_dynkin, simple_reflections
 
 
 def kostant_weight_multiplicity(g: GroupSpec, hw: tuple, target: tuple) -> int:
@@ -68,6 +68,56 @@ def _signed_orbit(g: GroupSpec, d0: tuple):
     from coreduce.rootsys import signed_orbit
 
     return signed_orbit(g, d0)
+
+
+def weyl_matrices(g: GroupSpec, limit: int = 10_000) -> list[tuple[tuple[int, ...], ...]]:
+    """All Weyl group elements as matrices acting on Dynkin coordinates
+    (rows are images of basis vectors), by breadth-first composition with the
+    simple reflections; checked against the order formula."""
+    assert g.weyl_order <= limit, "Weyl group too large to materialize"
+    n = g.rank
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    refls = simple_reflections(g)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for mat in frontier:
+            for r in refls:
+                image = tuple(reflect(g, row, r) for row in mat)
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    assert len(seen) == g.weyl_order, (len(seen), g.weyl_order)
+    return sorted(seen)
+
+
+def apply_matrix(mat, d: tuple) -> tuple:
+    n = len(d)
+    return tuple(sum(d[i] * mat[i][j] for i in range(n)) for j in range(n))
+
+
+def reference_dominance(lam1, lam2) -> str:
+    """The dominance criteria of ``nullcone.dominance``, tried for every
+    Weyl matrix in turn."""
+    g = lam1.defining.group
+    w2 = lam2.weight_set()
+    counts1: dict = {}
+    for w in lam1.weights:
+        counts1[w] = counts1.get(w, 0) + 1
+    pos_roots = g.positive_roots_dynkin()
+    for mat in weyl_matrices(g):
+        kept = [w for w in counts1 if apply_matrix(mat, w) in w2]
+        missing = [(w, c) for w, c in counts1.items() if apply_matrix(mat, w) not in w2]
+        total_missing = sum(c for _, c in missing)
+        if total_missing == 0:
+            return "dominated"
+        if total_missing == 1:
+            ((w0, _c),) = missing
+            if any(tuple(a - b for a, b in zip(w0, r)) in kept for r in pos_roots):
+                return "dominated"
+    return "not_by_these_criteria"
 
 
 def brute_force_symmetric_power_mass(dim: int, d: int) -> int:

@@ -102,6 +102,35 @@ def test_certificate_checks_survive_python_O():
             pass
         else:
             raise SystemExit("eps values summing to 1 gave a cocharacter")
+        from coreduce.rootsys import _symmetrizer
+
+        try:
+            _symmetrizer(((2, 0), (0, 2)))
+        except CertificateError:
+            pass
+        else:
+            raise SystemExit("a disconnected Cartan matrix got a symmetrizer")
+        # a weight outside the root-lattice coset of the highest weight
+        from coreduce import repthy
+        from coreduce.rootsys import SimpleType
+
+        repthy.dominant_weights_below = lambda g, hw: frozenset({(1, 1), (1, 0), (0, 0)})
+        try:
+            repthy._freudenthal(SimpleType("A", 2), (1, 1))
+        except CertificateError:
+            pass
+        else:
+            raise SystemExit("a Freudenthal step off the root lattice passed")
+        # a repeated nonzero weight reported without its witness
+        from coreduce import slices
+
+        slices.max_nonzero_weight_multiplicity = lambda g, hw: (2, None)
+        try:
+            slices.criterion_a(parse_group("A1"), (2,), (2,))
+        except CertificateError:
+            pass
+        else:
+            raise SystemExit("criterion (ii) fired without a witness")
         """
     )
     src = os.path.dirname(os.path.dirname(coreduce.__file__))
@@ -235,6 +264,16 @@ def test_semisimple_rows():
     for name, text, want in paper.SEMISIMPLE:
         v = classify_semisimple_irreducible(_module(name, text), LIMITS)
         assert v.coreduced == want, (name, text)
+
+
+def test_odd_orthogonal_triple_rule_needs_odd_orthogonal_factors():
+    """The rank-2 torus step is for standard modules of three odd orthogonal
+    groups (A1 counting as B1); standard modules of A2 or A3 factors are not."""
+    v = classify_semisimple_irreducible(_module("B2xA1xA1", "[1,0,2,2]"), LIMITS)
+    assert v.coreduced == NO
+    for name, text in (("A2xA1xA1", "[1,0,2,2]"), ("A3xA1xA1", "[1,0,0,2,2]")):
+        v = classify_semisimple_irreducible(_module(name, text), LIMITS)
+        assert v.coreduced != NO, (name, text)
 
 
 def test_sl3_rows():

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import coreduce
 from coreduce import paper
 from coreduce.cli import main
 
@@ -45,6 +47,37 @@ def test_torus_check_exit_codes_and_certificate():
     code, out = run_cli(["torus-check", "--weights", FOUR_SIX])
     assert code == 1
     assert json.loads(out)["certificate"]["coeffs"] == list(paper.TORUS_FOUR_SIX_GENERATOR)
+
+
+def test_torus_check_runs_one_hilbert_search(monkeypatch):
+    from coreduce import monoid
+
+    searches = []
+    search = monoid.iter_hilbert_basis
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(monoid, "iter_hilbert_basis", counted)
+    code, out = run_cli(["torus-check", "--weights", FOUR_SIX])
+    assert code == 1
+    assert json.loads(out)["certificate"]["coeffs"] == list(paper.TORUS_FOUR_SIX_GENERATOR)
+    assert len(searches) == 1
+
+
+def test_import_does_not_load_numpy():
+    """Only symmetric powers use numpy, so a cold start does not import it."""
+    code = "import sys, coreduce.cli; sys.exit('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(coreduce.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_weights_of_a_rootless_group_exit_two(capsys):
+    assert main(["weights", "T1", "[1]"]) == 2
+    assert "T1 has no roots" in capsys.readouterr().err
 
 
 def test_hilbert_basis_command():

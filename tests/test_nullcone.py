@@ -12,6 +12,7 @@ from coreduce.nullcone import (
     classify_components_sl3,
     covariant_vanishes,
     d4_adjoint_target_reachable,
+    dominance,
     f4_two_26_support_bound,
     g2xg2_model_admissible_sets,
     maximal_sets,
@@ -24,10 +25,10 @@ from coreduce.nullcone import (
     Cocharacter,
     _chamber_samples,
 )
-from coreduce.repthy import module_weights, parse_module
+from coreduce.repthy import ModuleSpec, module_weights, parse_module
 from coreduce.rootsys import SL3, parse_group, root_scaled_of_dynkin
 
-from oracles import brute_force_sl3_dominant_sets, chamber_count
+from oracles import brute_force_sl3_dominant_sets, chamber_count, reference_dominance
 
 LIMITS = Limits()
 
@@ -223,3 +224,20 @@ def test_rank4_dominant_sets_complete():
     sets = admissible_sets(m, limits=LIMITS)
     assert len({a.weight_set() for a in sets}) == 6
     assert all(a.defining.is_dominant() for a in sets)
+
+
+@given(
+    name=st.sampled_from(["A2", "B2", "G2"]),
+    hw=st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_dominance_matches_weyl_matrix_oracle(name, hw, data):
+    """Pairs of admissible sets from every chamber, so that Weyl-conjugate
+    sets (dominated) and unrelated ones both occur."""
+    g = parse_group(name)
+    sets = admissible_sets(ModuleSpec(g, ((1, hw),)), mod_weyl=False, limits=LIMITS)
+    index = st.integers(0, len(sets) - 1)
+    for _ in range(8):
+        a, b = sets[data.draw(index)], sets[data.draw(index)]
+        assert dominance(a, b) == reference_dominance(a, b)

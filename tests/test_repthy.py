@@ -23,7 +23,6 @@ from coreduce.repthy import (
 )
 from coreduce.rootsys import (
     SimpleType,
-    Weight,
     build_root_system,
     parse_group,
     weyl_orbit,
@@ -92,7 +91,7 @@ def test_weyl_invariance_of_diagrams(name, hw):
     g = parse_group(name)
     chi = weight_diagram(g, hw)
     for w, m in list(chi.expand().entries.items())[:20]:
-        for v in weyl_orbit(g, Weight(w, "dynkin", g)):
+        for v in weyl_orbit(g, w):
             assert chi.mult(v) == m
 
 

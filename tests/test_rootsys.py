@@ -8,13 +8,12 @@ from coreduce.rootsys import (
     RootSystemError,
     SL3,
     SimpleType,
-    Weight,
     dominant_weights_below,
     dominantize,
     dynkin_of_root_scaled,
     dynkin_to_eps,
     eps_to_dynkin,
-    format_group,
+    in_root_lattice,
     min_max_negation_ratios,
     orbit_size,
     parse_group,
@@ -22,10 +21,10 @@ from coreduce.rootsys import (
     root_scaled_of_dynkin,
     signed_orbit,
     sl3_root_coords,
-    sl3_weight,
     weyl_orbit,
 )
-from coreduce.nullcone import weyl_matrices
+
+from oracles import weyl_matrices
 
 WEYL_ORDERS = {
     "A1": 2,
@@ -78,17 +77,17 @@ def test_product_group_multiplies():
 
 def test_parse_group_roundtrip():
     for name in ["A1", "B3xG2", "A2xA2", "C4", "D4xA1"]:
-        assert format_group(parse_group(name)) == name
+        assert str(parse_group(name)) == name
 
 
 def test_parse_weight_grammars():
     g = parse_group("A2")
-    assert parse_weight(g, "[3,1]").to_dynkin().coords == (3, 1)
+    assert parse_weight(g, "[3,1]") == (3, 1)
     w = parse_weight(g, "(7,5)@root")
-    assert root_scaled_of_dynkin(g, w.to_dynkin().coords) == (7, 5)
+    assert root_scaled_of_dynkin(g, w) == (7, 5)
     b3 = parse_group("B3")
     spin = parse_weight(b3, "1/2e1+1/2e2+1/2e3@eps")
-    assert spin.to_dynkin().coords == (0, 0, 1)
+    assert spin == (0, 0, 1)
 
 
 def test_parse_weight_rejects_garbage():
@@ -119,7 +118,7 @@ def test_root_scaled_roundtrip(name, coords):
 def test_orbit_size_divides_weyl_order(name, coords):
     g = parse_group(name)
     assert g.weyl_order % orbit_size(g, coords) == 0
-    assert orbit_size(g, coords) == len(weyl_orbit(g, Weight(coords, "dynkin", g)))
+    assert orbit_size(g, coords) == len(weyl_orbit(g, coords))
 
 
 @given(
@@ -131,7 +130,7 @@ def test_dominantize_lands_in_orbit_and_is_dominant(name, coords):
     g = parse_group(name)
     dom, _ = dominantize(g, coords)
     assert all(x >= 0 for x in dom)
-    assert dom in weyl_orbit(g, Weight(coords, "dynkin", g))
+    assert dom in weyl_orbit(g, coords)
 
 
 @pytest.mark.parametrize("t", [SimpleType("B", 3), SimpleType("C", 3), SimpleType("D", 4), SimpleType("A", 2), SimpleType("F", 4), SimpleType("G", 2)])
@@ -159,21 +158,21 @@ def test_signed_orbit_matches_weyl_matrices(name):
 
 def test_dominant_weights_below_adjoint_a2():
     g = parse_group("A2")
-    below = dominant_weights_below(g, Weight((1, 1), "dynkin", g))
+    below = dominant_weights_below(g, (1, 1))
     assert below == frozenset({(1, 1), (0, 0)})
 
 
 def test_sl3_ratio_bounds():
-    mx, mn = min_max_negation_ratios(SL3, sl3_weight(3, 1))
+    mx, mn = min_max_negation_ratios(SL3, (3, 1))
     assert {mx, mn} == {Fraction(5, 2), Fraction(2, 5)}
-    p, q = sl3_root_coords(sl3_weight(3, 1))
+    p, q = sl3_root_coords((3, 1))
     assert (p, q) == (Fraction(7, 3), Fraction(5, 3))
 
 
 def test_in_root_lattice():
     b3 = parse_group("B3")
-    assert not Weight((0, 0, 1), "dynkin", b3).in_root_lattice()
-    assert Weight((0, 0, 2), "dynkin", b3).in_root_lattice()
+    assert not in_root_lattice(b3, (0, 0, 1))
+    assert in_root_lattice(b3, (0, 0, 2))
     a2 = parse_group("A2")
-    assert Weight((1, 1), "dynkin", a2).in_root_lattice()
-    assert not Weight((1, 0), "dynkin", a2).in_root_lattice()
+    assert in_root_lattice(a2, (1, 1))
+    assert not in_root_lattice(a2, (1, 0))

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coreduce import slices
 from coreduce.config import Limits
-from coreduce.repthy import ModuleSpec, min_root_multiplicity, parse_module
+from coreduce.repthy import ModuleSpec, min_root_multiplicity, module_weights, parse_module
 from coreduce.rootsys import parse_group
 from coreduce.slices import (
     bad_toral_slice,
@@ -123,3 +124,17 @@ def test_f4_adjoint_plus_26_slice_certificate_is_pinned():
         (1, 2, 3, 2),
     )
     assert cert.coeffs == (1, 1, 1, 2, 1)
+
+
+@pytest.mark.parametrize("group,module", [("A1", "[6]"), ("A2", "[1,1]"), ("A2", "[1,0]")])
+def test_bad_toral_slice_computes_the_weights_once(group, module, monkeypatch):
+    m = parse_module(parse_group(group), module)
+    calls = []
+
+    def counted(mod):
+        calls.append(mod)
+        return module_weights(mod)
+
+    monkeypatch.setattr(slices, "module_weights", counted)
+    bad_toral_slice(m, LIMITS)
+    assert len(calls) == 1
