@@ -9,9 +9,13 @@ Subpackages:
 - :mod:`coreduce.nullcone` — null-cone components, screens, support bounds.
 - :mod:`coreduce.classify` — verdicts with machine-checkable certificates.
 - :mod:`coreduce.cli` — the ``coreduce`` command-line tool.
+
+Each engine enforces its own resource caps as module constants (for example
+``monoid.HILBERT_COORD_CAP``) and raises :class:`ResourceLimitError` when one
+is reached; nothing sets them from outside.
 """
 
-from .config import DEFAULT_LIMITS, Limits, ResourceLimitError
+from .config import ResourceLimitError
 
-__all__ = ["DEFAULT_LIMITS", "Limits", "ResourceLimitError"]
+__all__ = ["ResourceLimitError"]
 __version__ = "1.0.0"

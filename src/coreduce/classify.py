@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .config import DEFAULT_LIMITS, CertificateError, Limits, require
+from .config import CertificateError, require
 from .monoid import exists_sum, is_torus_coreduced
 from .nullcone import (
     AdmissibleSet,
@@ -138,7 +138,7 @@ def sl2_module(parts: Sequence[int]) -> ModuleSpec:
     return ModuleSpec(_a1(), tuple((c, (p,)) for p, c in sorted(counts.items())))
 
 
-def classify_sl2(parts: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def classify_sl2(parts: Sequence[int]) -> Verdict:
     """Sums of binary-form modules R_p (p >= 1 per summand)."""
     parts = tuple(sorted(parts))
     if not parts or any(p < 1 for p in parts):
@@ -146,16 +146,16 @@ def classify_sl2(parts: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> Verdi
     m = sl2_module(parts)
     tag = "binary-forms"
     if parts in ((2,), (3,), (4,)) or set(parts) == {1}:
-        _check_no_negative_rule(m, limits)
+        _check_no_negative_rule(m)
         return Verdict(m, YES, theorem_tag=tag)
     if parts == (2, 2):
         cert = _two_r2_screen()
         require(cert.not_reduced, "the two-quadratics screen does not fire")
         return Verdict(m, NO, (cert,), tag, ("rank of the quotient differential on the null cone",))
-    bad = bad_toral_slice(m, limits)
+    bad = bad_toral_slice(m)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
-    cov = _sl2_covariant_certificate(m, parts, limits)
+    cov = _sl2_covariant_certificate(m, parts)
     if cov is not None:
         return Verdict(m, NO, (cov,), tag, ("generating covariant of low target degree vanishes on the null cone",))
     return Verdict(
@@ -174,14 +174,14 @@ def _two_r2_screen() -> ScreenResult:
 
 
 def _sl2_covariant_certificate(
-    m: ModuleSpec, parts: tuple[int, ...], limits: Limits
+    m: ModuleSpec, parts: tuple[int, ...]
 ) -> Optional[CovariantCertificate]:
     # Covariants to R_1 of degree >= 2 (odd weights present) or to R_2 of
     # degree >= 2 (all weights even) vanish on the null cone; a generating one
     # in such a degree certifies non-coreducedness.
     target = (1,) if any(p % 2 for p in parts) else (2,)
     for d in range(2, 9):
-        cert = covariant_generator_exists(m, target, d, limits)
+        cert = covariant_generator_exists(m, target, d)
         if cert.exists:
             return cert
     return None
@@ -192,8 +192,8 @@ def _require_simple(g: GroupSpec) -> None:
         raise ValueError(f"{g} is not a simple group; this driver covers one simple factor")
 
 
-def _check_no_negative_rule(m: ModuleSpec, limits: Limits) -> None:
-    if bad_toral_slice(m, limits) is not None:
+def _check_no_negative_rule(m: ModuleSpec) -> None:
+    if bad_toral_slice(m) is not None:
         raise ContradictionError(f"bad toral slice on coreduced module {m}")
 
 
@@ -213,9 +213,7 @@ F4_26_HW = (0, 0, 0, 1)
 G2_7_HW = (1, 0)
 
 
-def classify_adjoint_exceptional(
-    g: GroupSpec, m: ModuleSpec, limits: Limits = DEFAULT_LIMITS
-) -> Verdict:
+def classify_adjoint_exceptional(g: GroupSpec, m: ModuleSpec) -> Verdict:
     _require_simple(g)
     t = g.simple_factors[0]
     if t.family not in _EXCEPTIONAL_FAMILIES:
@@ -227,10 +225,10 @@ def classify_adjoint_exceptional(
             raise ValueError(f"{hw} is not a module of the adjoint group of {t}")
     summands = m.summands
     if summands == ((1, _adjoint_hw(t)),):
-        _check_no_negative_rule(m, limits)
+        _check_no_negative_rule(m)
         return Verdict(m, YES, theorem_tag=tag, notes=("adjoint module",))
     if key == ("F", 4) and summands == ((2, F4_26_HW),):
-        _check_no_negative_rule(m, limits)
+        _check_no_negative_rule(m)
         bound, stats = f4_two_26_support_bound()
         require(bound == 2 * 26 - 8, f"support bound {bound} is not 2*dim V - dim V//G")
         return Verdict(
@@ -244,7 +242,7 @@ def classify_adjoint_exceptional(
             ),
         )
     if key == ("G", 2) and summands == ((2, G2_7_HW),):
-        _check_no_negative_rule(m, limits)
+        _check_no_negative_rule(m)
         return Verdict(
             m,
             YES_PAPER,
@@ -252,14 +250,14 @@ def classify_adjoint_exceptional(
             tag,
         )
     if key == ("F", 4) and len(summands) == 1 and summands[0][1] == F4_26_HW and summands[0][0] >= 3:
-        cert = f4_three_26_certificate(limits)
+        cert = f4_three_26_certificate()
         return Verdict(m, NO, cert, tag, ("covariant of adjoint type vanishes on the null cone of the regular-subgroup slice",))
     if key == ("G", 2) and len(summands) == 1 and summands[0][1] == G2_7_HW and summands[0][0] >= 3:
-        certs = g2_three_7_certificate(limits)
+        certs = g2_three_7_certificate()
         return Verdict(m, NO, certs, tag, ("alternating degree-3 covariant is not in the quadratic ideal",))
     if key[0] in ("F", "G"):
         # low rank: the direct Hilbert-basis search is affordable
-        bad = bad_toral_slice(m, limits)
+        bad = bad_toral_slice(m)
         if bad is not None:
             return Verdict(m, NO, (bad,), tag)
     root_mult, _ = min_root_multiplicity(m)
@@ -283,12 +281,12 @@ def classify_adjoint_exceptional(
     return Verdict(m, NO_PAPER, (Citation("slice argument at a zero weight vector"),), tag)
 
 
-def f4_three_26_certificate(limits: Limits = DEFAULT_LIMITS) -> tuple:
+def f4_three_26_certificate() -> tuple:
     """Three or more copies of the 26-dimensional module: on the rank-4
     orthogonal slice, the adjoint-type covariant of tridegree (1,1,1) in the
     exterior squares misses every null-cone component (the three block checks)
     while 7 copies exist against only 5 in the ideal."""
-    checks = tuple(d4_adjoint_target_reachable(c, limits) for c in D4_TRIALITY_CASES)
+    checks = tuple(d4_adjoint_target_reachable(c) for c in D4_TRIALITY_CASES)
     if any(checks):
         raise ContradictionError("adjoint target reachable on a null-cone component")
     counts = {"copies_in_degree_222": 7, "in_ideal": 5}  # cross-checked fixture
@@ -298,15 +296,15 @@ def f4_three_26_certificate(limits: Limits = DEFAULT_LIMITS) -> tuple:
     )
 
 
-def g2_three_7_certificate(limits: Limits = DEFAULT_LIMITS) -> tuple:
+def g2_three_7_certificate() -> tuple:
     g = parse_group("G2")
     chi7 = weight_diagram(g, G2_7_HW)
-    cert = covariant_generator_exists_multidegree([chi7] * 3, (1, 1, 1), G2_7_HW, limits)
+    cert = covariant_generator_exists_multidegree([chi7] * 3, (1, 1, 1), G2_7_HW)
     if not cert.exists:
         raise ContradictionError("expected a generating covariant in tridegree (1,1,1)")
     m3 = ModuleSpec(g, ((3, G2_7_HW),))
-    sets = maximal_sets(admissible_sets(m3, mod_weyl=True, limits=limits))
-    vanish = all(covariant_vanishes(s, G2_7_HW, 3, all_degrees=False, limits=limits) for s in sets)
+    sets = maximal_sets(admissible_sets(m3, mod_weyl=True))
+    vanish = all(covariant_vanishes(s, G2_7_HW, 3, all_degrees=False) for s in sets)
     if not vanish:
         raise ContradictionError("degree-3 covariant fails to vanish on a component")
     return (cert, {"degree3_vanishes_on_all_components": True, "components": len(sets)})
@@ -342,9 +340,7 @@ def _eps_relation_certificate(
     return cert
 
 
-def classify_adjoint_classical(
-    g: GroupSpec, m: ModuleSpec, limits: Limits = DEFAULT_LIMITS
-) -> Verdict:
+def classify_adjoint_classical(g: GroupSpec, m: ModuleSpec) -> Verdict:
     _require_simple(g)
     t = g.simple_factors[0]
     n = t.rank
@@ -354,14 +350,14 @@ def classify_adjoint_classical(
             raise ValueError(f"{hw} is not a module of the adjoint group of {t}")
     if _is_classical_yes_row(t, m):
         verdict = YES if _is_adjoint_module(t, m) else YES_PAPER
-        _check_no_negative_rule(m, limits)
+        _check_no_negative_rule(m)
         certs = () if verdict == YES else (Citation("classical invariant theory / cofreeness"),)
         notes = ("adjoint module",) if verdict == YES else ()
         return Verdict(m, verdict, certs, tag, notes)
     cert = _classical_relation_certificate(t, m)
     if cert is not None:
         return Verdict(m, NO, (cert,), tag)
-    bad = bad_toral_slice(m, limits)
+    bad = bad_toral_slice(m)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
     return Verdict(m, NO_PAPER, (Citation("slice-quotient chain"),), tag)
@@ -519,9 +515,7 @@ def _psl_symmetric_relation(
 # Irreducible modules of semisimple non-simple adjoint groups
 
 
-def classify_semisimple_irreducible(
-    m: ModuleSpec, limits: Limits = DEFAULT_LIMITS
-) -> Verdict:
+def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
     g = m.group
     if len(g.simple_factors) < 2 or g.torus_rank:
         raise ValueError(
@@ -536,14 +530,14 @@ def classify_semisimple_irreducible(
     hw = m.summands[0][1]
     tag = "semisimple-irreducible"
     if _is_semisimple_yes_row(g, hw):
-        _check_no_negative_rule(m, limits)
+        _check_no_negative_rule(m)
         cert = product_group_rule(m) if has_toral_slice(m) else None
         if cert is not None:
             raise ContradictionError(f"product rule fired on coreduced module {m}")
         return Verdict(m, YES_PAPER, (Citation("symmetric-space / cofree quotient argument"),), tag)
     keyed = tuple(str(t) for t in g.simple_factors)
     if keyed == ("G2", "G2") and hw == (1, 0, 1, 0):
-        return Verdict(m, NO, g2xg2_certificate(limits), tag)
+        return Verdict(m, NO, g2xg2_certificate(), tag)
     if (
         len(keyed) == 2
         and keyed[1] == "G2"
@@ -558,7 +552,7 @@ def classify_semisimple_irreducible(
     cert = product_group_rule(m) if has_toral_slice(m) else None
     if cert is not None:
         return Verdict(m, NO, (cert,), tag)
-    bad = bad_toral_slice(m, limits)
+    bad = bad_toral_slice(m)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
     if _is_odd_orthogonal_triple(g, hw):
@@ -603,14 +597,14 @@ def _is_odd_orthogonal_triple(g: GroupSpec, hw: Coords) -> bool:
     )
 
 
-def g2xg2_certificate(limits: Limits = DEFAULT_LIMITS) -> tuple:
+def g2xg2_certificate() -> tuple:
     """The 49-dimensional module of the product of two rank-2 exceptional
     groups: a generating covariant in degree 9 vanishes on every null-cone
     component."""
     sets = g2xg2_model_admissible_sets()
-    if not g2xg2_covariant_vanishes(sets, limits):
+    if not g2xg2_covariant_vanishes(sets):
         raise ContradictionError("degree-9 covariant fails to vanish on a component")
-    cert = g2xg2_covariant_series(limits)
+    cert = g2xg2_covariant_series()
     if not cert.exists:
         raise ContradictionError("expected a generating covariant in degree 9")
     return (cert, {"components_checked": len(sets), "vanishes_on_all": True})
@@ -635,13 +629,13 @@ def _so_g2_screen() -> ScreenResult:
 _SL3_IRRED_YES = {(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3), (1, 1)}
 
 
-def classify_sl3(m: ModuleSpec, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def classify_sl3(m: ModuleSpec) -> Verdict:
     if m.group != SL3:
         raise ValueError(f"{m.group} is not the rank-2 special linear group A2")
     tag = "rank2-special-linear"
     s = m.summands
     if _is_sl3_yes_row(s):
-        _check_no_negative_rule(m, limits)
+        _check_no_negative_rule(m)
         if s in (((1, (1, 1)),),):
             return Verdict(m, YES, theorem_tag=tag, notes=("adjoint module",))
         if s in (((1, (1, 0)),), ((1, (0, 1)),), ((1, (2, 0)),), ((1, (0, 2)),), ((1, (3, 0)),), ((1, (0, 3)),)):
@@ -650,24 +644,24 @@ def classify_sl3(m: ModuleSpec, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     if len(s) == 1 and s[0][0] == 1:
         r, t = s[0][1]
         if (r - t) % 3 == 0:
-            bad = bad_toral_slice(m, limits)
+            bad = bad_toral_slice(m)
             if bad is not None:
                 return Verdict(m, NO, (bad,), tag)
-        screen = sl3_irreducible_rank_screen(m, limits)
+        screen = sl3_irreducible_rank_screen(m)
         if screen is not None:
             return Verdict(
                 m, NO, screen, tag,
                 ("rank of the invariant differentials on a dominant component",),
             )
-        cert = sl3_vanishing_generator_certificate(m, limits)
+        cert = sl3_vanishing_generator_certificate(m)
         if cert is not None:
             return Verdict(m, NO, cert, tag)
         return Verdict(m, NO_PAPER, (Citation("negative-weight count against the cubic-invariant bound"),), tag)
     # reducible non-listed modules
-    bad = bad_toral_slice(m, limits)
+    bad = bad_toral_slice(m)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
-    screen = _sl3_reducible_screen(m, limits)
+    screen = _sl3_reducible_screen(m)
     if screen is not None:
         return Verdict(m, NO, screen, tag)
     return Verdict(m, NO_PAPER, (Citation("slice / associated-cone argument"),), tag)
@@ -685,9 +679,7 @@ def _is_sl3_yes_row(s: tuple[tuple[int, Coords], ...]) -> bool:
     return sor in (((1, (0, 1)), (1, (2, 0))), ((1, (0, 2)), (1, (1, 0))))
 
 
-def _invariant_generator_upper_bounds(
-    m: ModuleSpec, dmax: int, limits: Limits
-) -> list[int]:
+def _invariant_generator_upper_bounds(m: ModuleSpec, dmax: int) -> list[int]:
     """Upper bound, per degree 1..dmax, on the number of generating invariants.
 
     Multiplication by a fixed nonzero invariant of degree e is injective, so
@@ -695,7 +687,7 @@ def _invariant_generator_upper_bounds(
     dimensions in degree d whenever degree e carries an invariant.
     """
     chi = module_weights(m)
-    powers = symmetric_power(chi, dmax, limits)
+    powers = symmetric_power(chi, dmax)
     dims = [invariant_dimension(powers[d]) for d in range(dmax + 1)]
     gens = []
     for d in range(1, dmax + 1):
@@ -706,9 +698,7 @@ def _invariant_generator_upper_bounds(
     return gens
 
 
-def sl3_irreducible_rank_screen(
-    m: ModuleSpec, limits: Limits = DEFAULT_LIMITS, degree_cap: int = 12
-) -> Optional[tuple]:
+def sl3_irreducible_rank_screen(m: ModuleSpec, degree_cap: int = 12) -> Optional[tuple]:
     """Rank-of-differentials screen on a certified dominant component.
 
     For a subset S of the negative-weight directions reachable only by
@@ -718,7 +708,7 @@ def sl3_irreducible_rank_screen(
     codimension-2 bound for the slab inside its orbit closure.  A shortfall
     certifies a non-reduced component.
     """
-    sets = classify_components_sl3(m, limits)
+    sets = classify_components_sl3(m)
     chi = module_weights(m)
     gens: Optional[list[int]] = None
     for a in sets:
@@ -733,7 +723,7 @@ def sl3_irreducible_rank_screen(
             if subset - 2 <= 0:
                 continue
             if gens is None:
-                gens = _invariant_generator_upper_bounds(m, degree_cap, limits)
+                gens = _invariant_generator_upper_bounds(m, degree_cap)
             available = sum(gens[: kk + 1])
             if available < subset - 2:
                 return (
@@ -751,12 +741,12 @@ def sl3_irreducible_rank_screen(
 
 
 def sl3_vanishing_generator_certificate(
-    m: ModuleSpec, limits: Limits = DEFAULT_LIMITS, max_extra_degree: int = 4
+    m: ModuleSpec, max_extra_degree: int = 4
 ) -> Optional[tuple]:
     """Find a degree d and a standard-type covariant target such that every
     covariant of that type and degree vanishes on all potentially dominant
     null-cone components, while a generating one exists in degree d."""
-    sets = classify_components_sl3(m, limits)
+    sets = classify_components_sl3(m)
     candidates = [a for a in sets if a.status in ("dominant", "unknown")]
     if not candidates:
         return None
@@ -765,7 +755,7 @@ def sl3_vanishing_generator_certificate(
         feasible = True
         for a in candidates:
             # largest degree with a monomial of the target weight
-            d = _max_feasible_degree(a, target, limits)
+            d = _max_feasible_degree(a, target)
             if d is None:
                 feasible = False
                 break
@@ -773,10 +763,10 @@ def sl3_vanishing_generator_certificate(
         if not feasible:
             continue
         for d in range(dmax + 1, dmax + 1 + max_extra_degree):
-            cert = covariant_generator_exists(m, target, d, limits)
+            cert = covariant_generator_exists(m, target, d)
             if cert.exists:
                 vanishes = all(
-                    covariant_vanishes(a, target, d, all_degrees=False, limits=limits)
+                    covariant_vanishes(a, target, d, all_degrees=False)
                     for a in candidates
                 )
                 if not vanishes:
@@ -788,7 +778,7 @@ def sl3_vanishing_generator_certificate(
 
 
 def _max_feasible_degree(
-    a: AdmissibleSet, target: Coords, limits: Limits, cap: int = 40
+    a: AdmissibleSet, target: Coords, cap: int = 40
 ) -> Optional[int]:
     tgt = root_scaled_of_dynkin(a.defining.group, target)
     tval = a.defining.value(target)
@@ -801,14 +791,12 @@ def _max_feasible_degree(
     best = 0
     ws = a.root_scaled()
     for d in range(1, dbound + 1):
-        if exists_sum(
-            ws, tgt, d, "exact_count", limits, grading=a.defining.values
-        ).feasible:
+        if exists_sum(ws, tgt, d, grading=a.defining.values).feasible:
             best = d
     return best
 
 
-def _sl3_reducible_screen(m: ModuleSpec, limits: Limits) -> Optional[tuple]:
+def _sl3_reducible_screen(m: ModuleSpec) -> Optional[tuple]:
     """Rank-of-differentials screens for the handful of reducible modules the
     classification settles by cocharacter bookkeeping; codimension values are
     recorded fixture data."""
@@ -852,7 +840,7 @@ def _sl3_cocharacter_from_eps(a: int, b: int, c: int) -> Cocharacter:
 # Dispatch
 
 
-def classify_module(m: ModuleSpec, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def classify_module(m: ModuleSpec) -> Verdict:
     """Route a module to the driver for its group family."""
     g = m.group
     if g.torus_rank:
@@ -860,18 +848,18 @@ def classify_module(m: ModuleSpec, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     if any(not any(hw) for _, hw in m.summands):
         raise ValueError("need a nontrivial module with no trivial summands")
     if len(g.simple_factors) >= 2:
-        return classify_semisimple_irreducible(m, limits)
+        return classify_semisimple_irreducible(m)
     t = g.simple_factors[0]
     if str(t) == "A1":
         parts = []
         for c, hw in m.summands:
             parts.extend([hw[0]] * c)
-        return classify_sl2(parts, limits)
+        return classify_sl2(parts)
     if str(t) == "A2":
-        return classify_sl3(m, limits)
+        return classify_sl3(m)
     if t.family in _EXCEPTIONAL_FAMILIES:
-        return classify_adjoint_exceptional(g, m, limits)
-    return classify_adjoint_classical(g, m, limits)
+        return classify_adjoint_exceptional(g, m)
+    return classify_adjoint_classical(g, m)
 
 
 # ---------------------------------------------------------------------------

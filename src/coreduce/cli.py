@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success / boolean yes; 1 boolean no; 2 usage error; 3 resource
-limit hit.  Output is JSON (sorted keys, versioned with a ``schema`` field)
-or a plain-text table.  Weight and module grammar lives in :mod:`rootsys` /
+Exit codes: 0 success / boolean yes; 1 boolean no; 2 usage error; 3 an
+engine's resource cap was hit (the caps are fixed module constants).  Output
+is JSON (sorted keys, versioned with a ``schema`` field) or a plain-text
+table.  Weight and module grammar lives in :mod:`rootsys` /
 :mod:`repthy`; the CLI only splits flag values.
 """
 
@@ -10,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .config import DEFAULT_LIMITS, CertificateError, Limits, ResourceLimitError
+from .config import CertificateError, ResourceLimitError
 from .monoid import hilbert_basis, is_torus_coreduced
 from .nullcone import (
     admissible_sets,
@@ -65,27 +65,6 @@ EXIT_RESOURCE = 3
 @dataclass
 class Config:
     output: str = "json"
-    limits: Limits = DEFAULT_LIMITS
-
-
-def _config_from(args: argparse.Namespace) -> Config:
-    output = getattr(args, "output", None) or os.environ.get(
-        "COREDUCE_OUTPUT", "json"
-    )
-    limit_states = getattr(args, "limit_states", None)
-    env = os.environ.get("COREDUCE_LIMIT_STATES")
-    if limit_states is None and env:
-        try:
-            limit_states = int(env)
-        except ValueError:
-            raise ValueError(
-                f"COREDUCE_LIMIT_STATES must be an integer, got {env!r}"
-            ) from None
-    if limit_states is None:
-        return Config(output=output)
-    if limit_states < 1:
-        raise ValueError(f"the state limit must be at least 1, got {limit_states}")
-    return Config(output=output, limits=Limits(dp_state_limit=limit_states))
 
 
 def _emit(cfg: Config, payload: dict) -> None:
@@ -179,19 +158,19 @@ def cmd_weights(cfg: Config, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def torus_violating_generator(ws: Sequence[tuple[int, ...]], limits: Limits):
+def torus_violating_generator(ws: Sequence[tuple[int, ...]]):
     """Deterministic choice among the Hilbert-basis generators with a
     coefficient >= 2: the lexicographically greatest coefficient vector, or
     None when the weights are coreduced; and the nonzero weights."""
     nz = tuple(w for w in ws if any(x != 0 for x in w))
-    basis = hilbert_basis(nz, limits)
+    basis = hilbert_basis(nz)
     bad = [g for g in basis.generators if max(g.coeffs) >= 2]
     return (max(bad, key=lambda g: g.coeffs), nz) if bad else (None, nz)
 
 
 def cmd_torus_check(cfg: Config, args: argparse.Namespace) -> int:
     ws = _parse_scalar_or_vectors(args.weights)
-    gen, nz = torus_violating_generator(ws, cfg.limits)
+    gen, nz = torus_violating_generator(ws)
     payload: dict = {"weights": [list(w) for w in ws], "coreduced": gen is None}
     if gen is not None:
         payload["certificate"] = {
@@ -204,7 +183,7 @@ def cmd_torus_check(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_hilbert_basis(cfg: Config, args: argparse.Namespace) -> int:
     ws = _parse_scalar_or_vectors(args.weights)
-    basis = hilbert_basis(ws, cfg.limits)
+    basis = hilbert_basis(ws)
     payload = {
         "weights": [list(w) for w in ws],
         "generators": [list(gen.coeffs) for gen in basis.generators],
@@ -218,7 +197,7 @@ def cmd_bad_slice(cfg: Config, args: argparse.Namespace) -> int:
     if not has_toral_slice(m):
         _emit(cfg, {"module": str(m), "toral_slice": False, "bad": False})
         return EXIT_NO
-    cert = bad_toral_slice(m, cfg.limits)
+    cert = bad_toral_slice(m)
     payload: dict = {"module": str(m), "toral_slice": True, "bad": cert is not None}
     if cert is not None:
         payload["certificate"] = {
@@ -232,7 +211,7 @@ def cmd_bad_slice(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_components(cfg: Config, args: argparse.Namespace) -> int:
     m = _module(args)
-    sets = maximal_sets(admissible_sets(m, limits=cfg.limits))
+    sets = maximal_sets(admissible_sets(m))
     payload = {
         "module": str(m),
         "candidates": [
@@ -252,11 +231,11 @@ def cmd_components(cfg: Config, args: argparse.Namespace) -> int:
 def cmd_covariant_vanish(cfg: Config, args: argparse.Namespace) -> int:
     m = _module(args)
     target = parse_weight(m.group, args.target)
-    sets = maximal_sets(admissible_sets(m, limits=cfg.limits))
+    sets = maximal_sets(admissible_sets(m))
     results = []
     all_vanish = True
     for a in sets:
-        ok = covariant_vanishes(a, target, args.degree, args.all_degrees, cfg.limits)
+        ok = covariant_vanishes(a, target, args.degree, args.all_degrees)
         all_vanish = all_vanish and ok
         results.append({"dimension": a.dimension(), "vanishes": ok})
     _emit(
@@ -288,7 +267,7 @@ def cmd_support_rank(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_classify(cfg: Config, args: argparse.Namespace) -> int:
     m = _module(args)
-    verdict = cls.classify_module(m, cfg.limits)
+    verdict = cls.classify_module(m)
     _emit(cfg, cls.emit_report([verdict]))
     return EXIT_OK if verdict.coreduced in (cls.YES, cls.YES_PAPER) else EXIT_NO
 
@@ -302,7 +281,7 @@ def _check(name: str, ok: bool, **detail) -> dict:
 
 
 def _verdict_rows(
-    driver: Callable[[GroupSpec, ModuleSpec, Limits], cls.Verdict],
+    driver: Callable[[GroupSpec, ModuleSpec], cls.Verdict],
     rows: Sequence[tuple[str, str, str]],
     cfg: Config,
 ) -> list[dict]:
@@ -310,17 +289,17 @@ def _verdict_rows(
     out = []
     for gs, ms, want in rows:
         g = parse_group(gs)
-        v = driver(g, parse_module(g, ms), cfg.limits)
+        v = driver(g, parse_module(g, ms))
         out.append(_check(f"{gs} {ms} -> {want}", v.coreduced == want))
     return out
 
 
 def _suite_torus(cfg: Config) -> list[dict]:
     k = paper.TORUS_PLUS_MINUS
-    v1 = is_torus_coreduced([(x,) for x in k], cfg.limits)
+    v1 = is_torus_coreduced([(x,) for x in k])
     ws = [(x,) for x in paper.TORUS_FOUR_SIX]
-    v2 = is_torus_coreduced(ws, cfg.limits)
-    gen, _ = torus_violating_generator(ws, cfg.limits)
+    v2 = is_torus_coreduced(ws)
+    gen, _ = torus_violating_generator(ws)
     want = paper.TORUS_FOUR_SIX_GENERATOR
     return [
         _check("plus-minus-k coreduced", v1.coreduced),
@@ -334,9 +313,9 @@ def _suite_torus(cfg: Config) -> list[dict]:
 def _suite_sl2(cfg: Config) -> list[dict]:
     out = []
     for parts in paper.SL2_YES:
-        v = cls.classify_sl2(parts, cfg.limits)
+        v = cls.classify_sl2(parts)
         out.append(_check(f"binary forms {parts} yes", v.coreduced == cls.YES))
-    v = cls.classify_sl2(paper.SL2_TWO_QUADRATICS, cfg.limits)
+    v = cls.classify_sl2(paper.SL2_TWO_QUADRATICS)
     screen = v.certificates[0]
     out.append(
         _check(
@@ -346,7 +325,7 @@ def _suite_sl2(cfg: Config) -> list[dict]:
             and screen.codim == paper.SL2_TWO_QUADRATICS_CODIM,
         )
     )
-    v = cls.classify_sl2(paper.SL2_SEXTIC, cfg.limits)
+    v = cls.classify_sl2(paper.SL2_SEXTIC)
     ws = {w[0] for w in v.certificates[0].weights}
     out.append(
         _check(
@@ -355,7 +334,7 @@ def _suite_sl2(cfg: Config) -> list[dict]:
         )
     )
     m = parse_module(parse_group(paper.SO4_GROUP), paper.SO4_MODULE)
-    cert = covariant_generator_exists(m, paper.SO4_TARGET, paper.SO4_DEGREE, cfg.limits)
+    cert = covariant_generator_exists(m, paper.SO4_TARGET, paper.SO4_DEGREE)
     mult, bound = paper.SO4_MULTIPLICITY, paper.SO4_IDEAL_BOUND
     out.append(
         _check(
@@ -388,7 +367,7 @@ def _suite_sl3(cfg: Config) -> list[dict]:
     g = parse_group("A2")
 
     def verdict(ms: str) -> cls.Verdict:
-        return cls.classify_sl3(parse_module(g, ms), cfg.limits)
+        return cls.classify_sl3(parse_module(g, ms))
 
     out = [
         _check(f"irreducible {ms} yes", verdict(ms).coreduced == want)
@@ -401,7 +380,7 @@ def _suite_sl3(cfg: Config) -> list[dict]:
             sl3_critical_ratios(v31) == paper.SL3_V31_RATIOS,
         )
     )
-    v = cls.classify_sl3(v31, cfg.limits)
+    v = cls.classify_sl3(v31)
     cert = v.certificates[0]
     degree = paper.SL3_V31_COVARIANT_DEGREE
     out.append(
@@ -438,7 +417,7 @@ def _suite_appendix_a(cfg: Config) -> list[dict]:
         out.append(
             _check(
                 f"triality case {i}: adjoint target unreachable",
-                not d4_adjoint_target_reachable(case, cfg.limits),
+                not d4_adjoint_target_reachable(case),
             )
         )
     for i in range(len(SL3_PAIR_MODELS)):
@@ -479,10 +458,10 @@ def _suite_appendix_b(cfg: Config) -> list[dict]:
         ),
         _check(
             "degree-9 covariant infeasible on all sixteen",
-            g2xg2_covariant_vanishes(sets, cfg.limits),
+            g2xg2_covariant_vanishes(sets),
         ),
     ]
-    cert = g2xg2_covariant_series(cfg.limits)
+    cert = g2xg2_covariant_series()
     mults = list(cert.per_degree_mults)
     invs = list(cert.per_degree_invariants)
     out.append(
@@ -510,7 +489,7 @@ def _suite_appendix_b(cfg: Config) -> list[dict]:
     a2a2 = parse_group("A2xA2")
     summands = [module_weights(ModuleSpec(a2a2, ((1, hw),))) for hw in paper.A2XA2_SUMMANDS]
     want = paper.A2XA2_INVARIANTS
-    series = graded_invariant_series(summands, max(want), cfg.limits)
+    series = graded_invariant_series(summands, max(want))
     got = [series[d] for d in want]
     out.append(
         _check(
@@ -529,7 +508,7 @@ SUITES: dict[str, Callable[[Config], list[dict]]] = {
     "classical": partial(_verdict_rows, cls.classify_adjoint_classical, paper.CLASSICAL),
     "semisimple": partial(
         _verdict_rows,
-        lambda g, m, limits: cls.classify_semisimple_irreducible(m, limits),
+        lambda g, m: cls.classify_semisimple_irreducible(m),
         paper.SEMISIMPLE,
     ),
     "sl3": _suite_sl3,
@@ -561,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--output", choices=["json", "text"], default=argparse.SUPPRESS
     )
-    common.add_argument("--limit-states", type=int, default=argparse.SUPPRESS)
     p = argparse.ArgumentParser(
         prog="coreduce",
         description="Certificates for null-cone reducedness questions.",
@@ -609,8 +587,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        cfg = _config_from(args)
-        return args.func(cfg, args)
+        return args.func(Config(getattr(args, "output", "json")), args)
     except ResourceLimitError as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -1,12 +1,15 @@
-"""Resource limits shared across the combinatorial engines."""
+"""The errors the engines raise, and a check that survives ``python -O``.
+
+Each resource cap is a module constant of the engine that enforces it
+(``monoid``, ``repthy``, ``nullcone``); nothing sets the caps from outside.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class ResourceLimitError(RuntimeError):
-    """A configured state/size cap was hit (pathological input, not wrongness)."""
+    """An engine's resource cap was hit (pathological input, not wrongness);
+    the message names the cap, its value and the count reached."""
 
 
 class CertificateError(RuntimeError):
@@ -19,18 +22,3 @@ def require(ok: bool, message: str) -> None:
     check survives ``python -O``."""
     if not ok:
         raise CertificateError(message)
-
-
-DEFAULT_DP_STATE_LIMIT = 50_000_000
-DEFAULT_MAX_GENERATORS = 100_000
-DEFAULT_MAX_CANDIDATES = 2_000_000
-
-
-@dataclass(frozen=True)
-class Limits:
-    dp_state_limit: int = DEFAULT_DP_STATE_LIMIT
-    max_generators: int = DEFAULT_MAX_GENERATORS
-    max_candidates: int = DEFAULT_MAX_CANDIDATES
-
-
-DEFAULT_LIMITS = Limits()

@@ -25,7 +25,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
-from .config import DEFAULT_LIMITS, Limits, ResourceLimitError, require
+from .config import ResourceLimitError, require
 from .monoid import Vec, exists_sum
 from .repthy import (
     Character,
@@ -115,9 +115,11 @@ def weight_values(chi: Character, rho: Cocharacter) -> list[tuple[Coords, Fracti
 # Chamber enumeration
 
 
-def admissible_sets(
-    m: ModuleSpec, mod_weyl: bool = True, limits: Limits = DEFAULT_LIMITS
-) -> list[AdmissibleSet]:
+CHAMBER_RANK_CAP = 4
+"""Largest rank whose chambers ``admissible_sets`` enumerates."""
+
+
+def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]:
     """One admissible set per chamber of the weight hyperplane arrangement.
 
     ``mod_weyl`` restricts to strictly dominant cocharacters (one chamber per
@@ -133,8 +135,10 @@ def admissible_sets(
     g = m.group
     chi = module_weights(m)
     rank = g.rank
-    if rank > 4:
-        raise ResourceLimitError("chamber enumeration is limited to rank <= 4")
+    if rank > CHAMBER_RANK_CAP:
+        raise ResourceLimitError(
+            f"chamber enumeration got rank {rank}, over CHAMBER_RANK_CAP = {CHAMBER_RANK_CAP}"
+        )
     lines = sorted({_line(root_scaled_of_dynkin(g, w)) for w in chi.nonzero_weights()})
     walls = [_primitive(root_scaled_of_dynkin(g, d)) for d in g.positive_roots_dynkin()]
     if rank == 1:
@@ -362,9 +366,9 @@ def sl3_two_quadrant_dominant(adm: AdmissibleSet, all_sets: Sequence[AdmissibleS
     return has_1 and has_2
 
 
-def classify_components_sl3(m: ModuleSpec, limits: Limits = DEFAULT_LIMITS) -> list[AdmissibleSet]:
+def classify_components_sl3(m: ModuleSpec) -> list[AdmissibleSet]:
     """Admissible sets of an A2 module with dominance statuses filled in."""
-    sets = admissible_sets(m, mod_weyl=True, limits=limits)
+    sets = admissible_sets(m, mod_weyl=True)
     for i, a in enumerate(sets):
         for j, b in enumerate(sets):
             if i == j or a.weight_set() == b.weight_set():
@@ -402,7 +406,6 @@ def covariant_vanishes(
     lam_star: Coords,
     d: int,
     all_degrees: bool = False,
-    limits: Limits = DEFAULT_LIMITS,
 ) -> bool:
     """True when no degree-d monomial in the positive weight space has the
     weight ``lam_star`` (so every degree-d covariant of that type vanishes on
@@ -422,9 +425,7 @@ def covariant_vanishes(
     target = root_scaled_of_dynkin(g, lam_star)
     degrees = range(1, d + 1) if all_degrees else [d]
     for e in degrees:
-        if exists_sum(
-            ws, target, e, "exact_count", limits, grading=adm.defining.values
-        ).feasible:
+        if exists_sum(ws, target, e, grading=adm.defining.values).feasible:
             return False
     return True
 
@@ -828,17 +829,17 @@ def g2xg2_model_admissible_sets() -> list[AdmissibleSet]:
     return out
 
 
-def g2xg2_covariant_vanishes(sets: Sequence[AdmissibleSet], limits: Limits = DEFAULT_LIMITS) -> bool:
+def g2xg2_covariant_vanishes(sets: Sequence[AdmissibleSet]) -> bool:
     """Does the degree-9 covariant of adjoint type vanish on every set?"""
-    return all(covariant_vanishes(a, G2XG2_TARGET, G2XG2_DEGREE, False, limits) for a in sets)
+    return all(covariant_vanishes(a, G2XG2_TARGET, G2XG2_DEGREE, False) for a in sets)
 
 
-def g2xg2_covariant_series(limits: Limits = DEFAULT_LIMITS) -> CovariantCertificate:
+def g2xg2_covariant_series() -> CovariantCertificate:
     """Multiplicities of the adjoint target and invariant dimensions in
     degrees 1..9 of the symmetric algebra of the 49-dimensional module, and
     the degree-9 ideal bound."""
     m = ModuleSpec(g2xg2_group(), ((1, G2XG2_HW),))
-    return covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE, limits)
+    return covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE)
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +897,7 @@ def d4_wedge_blocks(case: dict) -> list[list[Vec]]:
     return [_pairwise_sums(vec), _pairwise_sums(sp), _pairwise_sums(sm)]
 
 
-def d4_adjoint_target_reachable(case: dict, limits: Limits = DEFAULT_LIMITS) -> bool:
+def d4_adjoint_target_reachable(case: dict) -> bool:
     """Can the adjoint highest weight e1+e2 be a sum of one positive exterior
     square weight from each of the three families?  Each weight carries its
     family's indicator, so a sum of three with indicators (1, 1, 1) takes one
@@ -908,7 +909,7 @@ def d4_adjoint_target_reachable(case: dict, limits: Limits = DEFAULT_LIMITS) -> 
         for w in block
     ]
     target = (1, 1, 0, 0) + (1,) * len(blocks)
-    return exists_sum(tagged, target, len(blocks), "exact_count", limits).feasible
+    return exists_sum(tagged, target, len(blocks)).feasible
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .config import DEFAULT_LIMITS, CertificateError, Limits, ResourceLimitError, require
+from .config import CertificateError, ResourceLimitError, require
 from .rootsys import (
     Coords,
     GroupSpec,
@@ -272,17 +272,19 @@ def zero_weight_multiplicity(g: GroupSpec, hw: Coords) -> int:
 # ---------------------------------------------------------------------------
 # Symmetric powers
 
+SYMPOW_CELL_CAP = 50_000_000
+"""Dense DP cells (degrees times bounding box) that ``symmetric_power`` may
+allocate; a hit raises ResourceLimitError (the CLI exits 3)."""
 
-def symmetric_power(
-    chi: Character, d: int, limits: Limits = DEFAULT_LIMITS
-) -> list[Character]:
+
+def symmetric_power(chi: Character, d: int) -> list[Character]:
     """Characters of S^0(chi), ..., S^d(chi) for an effective character chi.
 
     Dynamic programming over the weight list: multiplying in one weight ``w``
     of multiplicity one is the geometric-series pass
     ``S[k] += shift(S[k], w)`` taken in increasing ``k``.  Runs on a dense
     integer array over the bounding box of reachable weights; the number of
-    DP cells is capped by ``limits.dp_state_limit``.
+    DP cells is capped by ``SYMPOW_CELL_CAP``.
     """
     import numpy as np  # here only, so that a cold start does not pay for it
 
@@ -302,9 +304,10 @@ def symmetric_power(
     hi = [max(0, d * max(w[j] for w in weights)) for j in range(rank)]
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
     cells = (d + 1) * int(np.prod([Fraction(s) for s in shape]))
-    if cells > limits.dp_state_limit:
+    if cells > SYMPOW_CELL_CAP:
         raise ResourceLimitError(
-            f"symmetric_power would need {cells} DP cells (> {limits.dp_state_limit})"
+            f"symmetric_power would need {cells} DP cells, "
+            f"over SYMPOW_CELL_CAP = {SYMPOW_CELL_CAP}"
         )
     # overflow guard: every cell is bounded by the total mass of S^d
     mass_bound = 1
@@ -349,16 +352,22 @@ def symmetric_power(
 # ---------------------------------------------------------------------------
 # Multiplicity extraction (alternating Weyl sum)
 
-_WEYL_ENUM_LIMIT = 100_000
+WEYL_ORDER_CAP = 100_000
+"""Largest Weyl group the alternating sum enumerates."""
+
+
+def _check_weyl_order(g: GroupSpec) -> None:
+    if g.weyl_order > WEYL_ORDER_CAP:
+        raise ResourceLimitError(
+            f"the alternating sum would enumerate a Weyl group of order "
+            f"{g.weyl_order}, over WEYL_ORDER_CAP = {WEYL_ORDER_CAP}"
+        )
 
 
 def mult_in_character(chi: Character, lam: Coords) -> int:
     """Multiplicity of the irreducible V(lam) inside the character chi."""
     g = chi.group
-    if g.weyl_order > _WEYL_ENUM_LIMIT:
-        raise ResourceLimitError(
-            f"Weyl group of order {g.weyl_order} too large for the alternating sum"
-        )
+    _check_weyl_order(g)
     delta = g.weyl_vector
     start = tuple(a + b for a, b in zip(lam, delta))
     full = chi.expand()
@@ -392,7 +401,7 @@ class CovariantCertificate:
 
 
 def covariant_generator_exists(
-    m: ModuleSpec, target: Coords, d: int, limits: Limits = DEFAULT_LIMITS
+    m: ModuleSpec, target: Coords, d: int
 ) -> CovariantCertificate:
     """Decide whether a generating covariant of type V(target) exists in degree d.
 
@@ -401,7 +410,7 @@ def covariant_generator_exists(
     (covariants of that type in degree e).
     """
     chi = module_weights(m)
-    powers = symmetric_power(chi, d, limits)
+    powers = symmetric_power(chi, d)
     mults = tuple(mult_in_character(powers[e], target) for e in range(1, d + 1))
     invs = tuple(invariant_dimension(powers[e]) for e in range(1, d + 1))
     bound = sum(invs[d - e - 1] * mults[e - 1] for e in range(1, d))
@@ -412,7 +421,6 @@ def covariant_generator_exists_multidegree(
     summands: Sequence[Character],
     degrees: Sequence[int],
     target: Coords,
-    limits: Limits = DEFAULT_LIMITS,
 ) -> CovariantCertificate:
     """Multigraded version: the module is a direct sum with one grading per summand.
 
@@ -421,7 +429,7 @@ def covariant_generator_exists_multidegree(
     """
     degrees = tuple(degrees)
     zero = tuple(0 for _ in target)
-    mults, invs = _multigraded_mults(summands, degrees, (target, zero), limits)
+    mults, invs = _multigraded_mults(summands, degrees, (target, zero))
     bound = sum(
         invs[tuple(a - b for a, b in zip(degrees, e))] * m
         for e, m in mults.items()
@@ -433,7 +441,6 @@ def covariant_generator_exists_multidegree(
 def graded_invariant_series(
     summands: Sequence[Character],
     max_multidegree: Sequence[int],
-    limits: Limits = DEFAULT_LIMITS,
 ) -> dict[Coords, int]:
     """Invariant dimensions of every multigraded piece up to the bound.
 
@@ -443,14 +450,13 @@ def graded_invariant_series(
     :func:`_multigraded_mults`), so each multidegree costs one dot product.
     """
     zero = tuple(0 for _ in range(summands[0].group.rank))
-    return _multigraded_mults(summands, max_multidegree, (zero,), limits)[0]
+    return _multigraded_mults(summands, max_multidegree, (zero,))[0]
 
 
 def _multigraded_mults(
     summands: Sequence[Character],
     max_degrees: Sequence[int],
     lams: Sequence[Coords],
-    limits: Limits,
 ) -> list[dict[Coords, int]]:
     """Multiplicity of V(lam) in S^d1(chi_1)...S^dk(chi_k) for every d <= max_degrees,
     one table per lam in ``lams``; the powers and convolutions are shared.
@@ -461,10 +467,10 @@ def _multigraded_mults(
     Keys come in ``itertools.product`` order.
     """
     g = summands[0].group
-    if any(max_degrees) and g.weyl_order > _WEYL_ENUM_LIMIT:
-        raise ResourceLimitError("Weyl group too large")
+    if any(max_degrees):
+        _check_weyl_order(g)
     powers = [
-        [p.entries for p in symmetric_power(chi, d, limits)]
+        [p.entries for p in symmetric_power(chi, d)]
         for chi, d in zip(summands, max_degrees)
     ]
     half = len(powers) // 2

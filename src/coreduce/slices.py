@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import DEFAULT_LIMITS, Limits, require
+from .config import require
 from .monoid import Vec, is_torus_coreduced
 from .repthy import (
     ModuleSpec,
@@ -95,15 +95,13 @@ def _slice_weights(m: ModuleSpec) -> Optional[list[Vec]]:
     return out
 
 
-def bad_toral_slice(
-    m: ModuleSpec, limits: Limits = DEFAULT_LIMITS
-) -> Optional[BadSliceCertificate]:
+def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     """The direct test: Hilbert-basis 0/1 criterion on the toral slice
     weights; None when the slice is coreduced or there is none."""
     ws = _slice_weights(m)
     if ws is None:
         return None
-    verdict = is_torus_coreduced(ws, limits)
+    verdict = is_torus_coreduced(ws)
     gen = verdict.certificate
     if gen is None:
         return None
@@ -174,7 +172,7 @@ def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
 
 
 def criterion_a(
-    g: GroupSpec, phi: Coords, psi: Coords, limits: Limits = DEFAULT_LIMITS
+    g: GroupSpec, phi: Coords, psi: Coords
 ) -> Optional[BadSliceCertificate]:
     """Bad-slice test for the Cartan product V(phi + psi).
 
@@ -187,7 +185,7 @@ def criterion_a(
         if not in_root_lattice(g, lam):
             raise ValueError("criterion applies to root-lattice highest weights only")
     m_phi = ModuleSpec(g, ((1, phi),))
-    inner = bad_toral_slice(m_phi, limits)
+    inner = bad_toral_slice(m_phi)
     if inner is not None:
         return BadSliceCertificate(
             kind="criterion_a_i",

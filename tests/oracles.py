@@ -162,7 +162,7 @@ def brute_force_torus_coreduced(weights: list, bound: int = 8) -> bool:
     return True
 
 
-def brute_force_sl3_dominant_sets(m, limits) -> list:
+def brute_force_sl3_dominant_sets(m) -> list:
     """Admissible sets of an A2 module by exhaustive rational slope sweep,
     for cross-checking the chamber enumeration."""
     from fractions import Fraction
@@ -215,7 +215,7 @@ def brute_force_symmetric_power(entries: dict, d: int) -> dict:
     return dict(out)
 
 
-def reference_multidegree_mult(summands, degrees, lam, limits) -> int:
+def reference_multidegree_mult(summands, degrees, lam) -> int:
     """Multiplicity of V(lam) in S^d1(chi_1)...S^dk(chi_k), one multidegree at
     a time: a symmetric power per summand and degree, dict convolution of the
     pieces, and the alternating Weyl sum evaluated point by point.  It shares
@@ -227,7 +227,7 @@ def reference_multidegree_mult(summands, degrees, lam, limits) -> int:
     g = summands[0].group
     prod = {tuple(0 for _ in range(g.rank)): 1}
     for chi, d in zip(summands, degrees):
-        part = symmetric_power(chi, d, limits)[d].entries
+        part = symmetric_power(chi, d)[d].entries
         nxt: dict = {}
         for x, c in prod.items():
             for y, e in part.items():
@@ -242,17 +242,17 @@ def reference_multidegree_mult(summands, degrees, lam, limits) -> int:
     return total
 
 
-def reference_graded_invariant_series(summands, max_degrees, limits) -> dict:
+def reference_graded_invariant_series(summands, max_degrees) -> dict:
     import itertools
 
     zero = tuple(0 for _ in range(summands[0].group.rank))
     return {
-        degs: reference_multidegree_mult(summands, degs, zero, limits)
+        degs: reference_multidegree_mult(summands, degs, zero)
         for degs in itertools.product(*[range(x + 1) for x in max_degrees])
     }
 
 
-def reference_covariant_counts(summands, degrees, target, limits) -> tuple:
+def reference_covariant_counts(summands, degrees, target) -> tuple:
     """(multiplicity of V(target) in multidegree ``degrees``, ideal bound):
     the bound sums invariants in d - e times covariants in e over proper
     nonzero sub-multidegrees e."""
@@ -265,10 +265,10 @@ def reference_covariant_counts(summands, degrees, target, limits) -> tuple:
         if e == degrees or not any(e):
             continue
         rem = tuple(a - b for a, b in zip(degrees, e))
-        bound += reference_multidegree_mult(
-            summands, rem, zero, limits
-        ) * reference_multidegree_mult(summands, e, target, limits)
-    return reference_multidegree_mult(summands, degrees, target, limits), bound
+        bound += reference_multidegree_mult(summands, rem, zero) * reference_multidegree_mult(
+            summands, e, target
+        )
+    return reference_multidegree_mult(summands, degrees, target), bound
 
 
 def _exact_rank(vectors) -> int:

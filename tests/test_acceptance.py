@@ -9,7 +9,6 @@ import time
 from contextlib import contextmanager
 
 from coreduce import paper
-from coreduce.config import Limits
 from coreduce.monoid import (
     exists_sum,
     hilbert_basis,
@@ -52,7 +51,6 @@ from coreduce.classify import (
 from oracles import brute_force_minimal_relations, kostant_weight_multiplicity
 from test_classify import SL2_TABLE
 
-LIMITS = Limits()
 
 
 @contextmanager
@@ -71,10 +69,10 @@ def criterion(n: int, budget_seconds: float):
 def test_criterion_01_torus():
     with criterion(1, 1.0):
         for k in [1, 3, 7, 11]:
-            assert is_torus_coreduced([(k,), (-k,)], LIMITS).coreduced
-        assert is_torus_coreduced([(k,) for k in paper.TORUS_PLUS_MINUS], LIMITS).coreduced
-        assert is_torus_coreduced([(3,), (-3,), (3,), (-3,)], LIMITS).coreduced
-        v = is_torus_coreduced([(k,) for k in paper.TORUS_FOUR_SIX], LIMITS)
+            assert is_torus_coreduced([(k,), (-k,)]).coreduced
+        assert is_torus_coreduced([(k,) for k in paper.TORUS_PLUS_MINUS]).coreduced
+        assert is_torus_coreduced([(3,), (-3,), (3,), (-3,)]).coreduced
+        v = is_torus_coreduced([(k,) for k in paper.TORUS_FOUR_SIX])
         assert not v.coreduced
         assert max(v.certificate.coeffs) == max(paper.TORUS_FOUR_SIX_GENERATOR)
 
@@ -95,7 +93,7 @@ def test_criterion_02_hilbert_oracle():
             cases += 1
             bound = 7
             fast = sorted(
-                g.coeffs for g in hilbert_basis(ws, LIMITS).generators
+                g.coeffs for g in hilbert_basis(ws).generators
                 if g.degree <= bound
             )
             slow = sorted(brute_force_minimal_relations(ws, bound))
@@ -190,14 +188,14 @@ def test_criterion_06_sl3_v31():
         g = parse_group("A2")
         m = parse_module(g, paper.SL3_V31)
         assert sl3_critical_ratios(m) == paper.SL3_V31_RATIOS
-        sets = classify_components_sl3(m, LIMITS)
+        sets = classify_components_sl3(m)
         dominant = [a for a in maximal_sets(sets) if a.status == "dominant"]
         assert len(dominant) == 2
         degree = paper.SL3_V31_COVARIANT_DEGREE
-        cert = covariant_generator_exists(m, (1, 0), degree, LIMITS)
+        cert = covariant_generator_exists(m, (1, 0), degree)
         assert cert.exists and cert.multiplicity > cert.ideal_bound
         assert cert.multiplicity == paper.SL3_V31_COVARIANT_MULTIPLICITY
-        v = classify_sl3(m, LIMITS)
+        v = classify_sl3(m)
         assert v.coreduced == NO and v.certificates[0].degree == degree
 
 
@@ -211,11 +209,9 @@ def test_criterion_07_g2xg2_appendix():
             assert not exists_sum(
                 a.root_scaled(),
                 _root_scaled(a.defining.group, target),
-                9,
-                "exact_count",
-                LIMITS,
+                9
             ).feasible
-        cert = g2xg2_covariant_series(LIMITS)
+        cert = g2xg2_covariant_series()
         assert (cert.target, cert.degree) == (target, 9)
         mults, invs = cert.per_degree_mults, cert.per_degree_invariants
         assert mults == paper.G2XG2_COVARIANT_SERIES
@@ -227,7 +223,7 @@ def test_criterion_07_g2xg2_appendix():
         summands = [
             module_weights(ModuleSpec(a2a2, ((1, hw),))) for hw in paper.A2XA2_SUMMANDS
         ]
-        series = graded_invariant_series(summands, max(paper.A2XA2_INVARIANTS), LIMITS)
+        series = graded_invariant_series(summands, max(paper.A2XA2_INVARIANTS))
         for degrees, count in paper.A2XA2_INVARIANTS.items():
             assert series[degrees] == count
 
@@ -245,7 +241,7 @@ def test_criterion_08_f4_appendix():
         assert stats["columns"] == paper.F4_SUPPORT_COLUMNS
         assert stats["singletons_after_column_reduction"] == paper.F4_SUPPORT_SINGLETONS
         for case in D4_TRIALITY_CASES:
-            assert not d4_adjoint_target_reachable(case, LIMITS)
+            assert not d4_adjoint_target_reachable(case)
         model = SL3_PAIR_MODELS[paper.SL3_PAIR_ROW]
         assert tuple(model) == paper.SL3_PAIR_ROW_MODEL
         ok, row_stats = sl3_pair_differential_vanishes(model)
@@ -258,15 +254,14 @@ def test_criterion_08_f4_appendix():
 def test_criterion_09_sl2_suite():
     with criterion(9, 60.0):
         for parts, want in SL2_TABLE:
-            assert classify_sl2(parts, LIMITS).coreduced == want, parts
-        screen = classify_sl2(paper.SL2_TWO_QUADRATICS, LIMITS).certificates[0]
+            assert classify_sl2(parts).coreduced == want, parts
+        screen = classify_sl2(paper.SL2_TWO_QUADRATICS).certificates[0]
         assert screen.rank_bound == paper.SL2_TWO_QUADRATICS_RANK
         assert screen.codim == paper.SL2_TWO_QUADRATICS_CODIM > screen.rank_bound
         cert = covariant_generator_exists(
             parse_module(parse_group(paper.SO4_GROUP), paper.SO4_MODULE),
             paper.SO4_TARGET,
             paper.SO4_DEGREE,
-            LIMITS,
         )
         assert cert.multiplicity == paper.SO4_MULTIPLICITY
         assert paper.SO4_MULTIPLICITY > cert.ideal_bound == paper.SO4_IDEAL_BOUND
@@ -278,7 +273,7 @@ def test_criterion_10_property_suites():
         # certificate revalidation on load (round-trip through the fields)
         for name, text in [("A1", "[6]"), ("A2", "[4,1]"), ("B3", "[1,1,0]")]:
             g = parse_group(name)
-            v = classify_module(parse_module(g, text), LIMITS)
+            v = classify_module(parse_module(g, text))
             assert v.coreduced == NO
             cert = v.certificates[0]
             if hasattr(cert, "validate"):
@@ -299,11 +294,11 @@ def test_criterion_10_property_suites():
         m = parse_module(g, "[2,1]")
         from coreduce.nullcone import admissible_sets
 
-        adm = admissible_sets(m, limits=LIMITS)[0]
+        adm = admissible_sets(m)[0]
         for d in range(1, 6):
-            if covariant_vanishes(adm, (1, 0), d, True, LIMITS):
+            if covariant_vanishes(adm, (1, 0), d, True):
                 for e in range(1, d):
-                    assert covariant_vanishes(adm, (1, 0), e, True, LIMITS)
+                    assert covariant_vanishes(adm, (1, 0), e, True)
         # cross-rule consistency on randomized modules of rank <= 3:
         # whenever the root-multiplicity rule applies, the toral-slice search
         # must also produce a certificate
@@ -326,7 +321,7 @@ def test_criterion_10_property_suites():
             cases += 1
             mult, _ = min_root_multiplicity(m)
             rule = roots_mult2_rule(m)
-            slice_cert = bad_toral_slice(m, LIMITS)
+            slice_cert = bad_toral_slice(m)
             if mult >= 2:
                 assert rule is not None, m
                 if max(rule.coeffs, default=0) >= 2:

@@ -8,7 +8,7 @@ import pytest
 
 import coreduce
 from coreduce import paper
-from coreduce.config import CertificateError, Limits
+from coreduce.config import CertificateError
 from coreduce.classify import (
     NO,
     NO_PAPER,
@@ -32,7 +32,6 @@ from coreduce.rootsys import build_root_system, parse_group
 from coreduce.slices import BadSliceCertificate
 from coreduce.nullcone import ScreenResult
 
-LIMITS = Limits()
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +162,12 @@ SL2_TABLE = [
 
 @pytest.mark.parametrize("parts,want", SL2_TABLE)
 def test_sl2_verdicts(parts, want):
-    v = classify_sl2(parts, LIMITS)
+    v = classify_sl2(parts)
     assert v.coreduced == want
 
 
 def test_sl2_two_quadratics_certificate():
-    v = classify_sl2(paper.SL2_TWO_QUADRATICS, LIMITS)
+    v = classify_sl2(paper.SL2_TWO_QUADRATICS)
     screen = v.certificates[0]
     assert isinstance(screen, ScreenResult)
     assert screen.rank_bound == paper.SL2_TWO_QUADRATICS_RANK
@@ -178,7 +177,7 @@ def test_sl2_two_quadratics_certificate():
 def test_sl2_exhaustive_small_has_verdict():
     for n in range(1, 4):
         for parts in itertools.product(range(1, 5), repeat=n):
-            v = classify_sl2(parts, LIMITS)
+            v = classify_sl2(parts)
             assert v.coreduced in {YES, NO, YES_PAPER, NO_PAPER}
 
 
@@ -198,16 +197,16 @@ DRIVER_TABLES = (
 def test_exceptional_rows():
     for name, text, want in paper.EXCEPTIONAL:
         g = parse_group(name)
-        v = classify_adjoint_exceptional(g, parse_module(g, text), LIMITS)
+        v = classify_adjoint_exceptional(g, parse_module(g, text))
         assert v.coreduced == want, (name, text)
 
 
 @pytest.mark.parametrize(
     "driver",
     [
-        lambda m: classify_adjoint_exceptional(m.group, m, LIMITS),
-        lambda m: classify_adjoint_classical(m.group, m, LIMITS),
-        lambda m: classify_sl3(m, LIMITS),
+        lambda m: classify_adjoint_exceptional(m.group, m),
+        lambda m: classify_adjoint_classical(m.group, m),
+        lambda m: classify_sl3(m),
     ],
     ids=["exceptional", "classical", "sl3"],
 )
@@ -224,7 +223,7 @@ def test_exceptional_rejects_non_adjoint_lattice():
     # by the classical driver below
     b3 = parse_group("B3")
     with pytest.raises(ValueError):
-        classify_adjoint_classical(b3, parse_module(b3, "[0,0,1]"), LIMITS)
+        classify_adjoint_classical(b3, parse_module(b3, "[0,0,1]"))
 
 
 # every simple type the parser accepts, up to rank 8
@@ -245,14 +244,14 @@ def test_highest_root_module_is_the_coreduced_adjoint(name):
     assert all(sum(top) > sum(r) for r in rs.positive_roots if r != top)
     m = ModuleSpec(g, ((1, rs.dynkin_of_root(top)),))
     assert m.dimension() == g.rank + 2 * len(rs.positive_roots)
-    assert classify_module(m, LIMITS).coreduced == YES
+    assert classify_module(m).coreduced == YES
 
 
 def test_classical_relation_certificates_validate():
     rows = [(name, text) for name, text, want in paper.CLASSICAL if want == NO]
     for name, text in rows + [("B4", "[0,0,1,0]")]:
         g = parse_group(name)
-        v = classify_adjoint_classical(g, parse_module(g, text), LIMITS)
+        v = classify_adjoint_classical(g, parse_module(g, text))
         assert v.coreduced == NO, (name, text)
         cert = v.certificates[0]
         assert isinstance(cert, BadSliceCertificate)
@@ -262,17 +261,17 @@ def test_classical_relation_certificates_validate():
 
 def test_semisimple_rows():
     for name, text, want in paper.SEMISIMPLE:
-        v = classify_semisimple_irreducible(_module(name, text), LIMITS)
+        v = classify_semisimple_irreducible(_module(name, text))
         assert v.coreduced == want, (name, text)
 
 
 def test_odd_orthogonal_triple_rule_needs_odd_orthogonal_factors():
     """The rank-2 torus step is for standard modules of three odd orthogonal
     groups (A1 counting as B1); standard modules of A2 or A3 factors are not."""
-    v = classify_semisimple_irreducible(_module("B2xA1xA1", "[1,0,2,2]"), LIMITS)
+    v = classify_semisimple_irreducible(_module("B2xA1xA1", "[1,0,2,2]"))
     assert v.coreduced == NO
     for name, text in (("A2xA1xA1", "[1,0,2,2]"), ("A3xA1xA1", "[1,0,0,2,2]")):
-        v = classify_semisimple_irreducible(_module(name, text), LIMITS)
+        v = classify_semisimple_irreducible(_module(name, text))
         assert v.coreduced != NO, (name, text)
 
 
@@ -280,12 +279,12 @@ def test_sl3_rows():
     # the suite's tables and its degree-8 example, and rows only the tests check
     rows = paper.SL3_IRREDUCIBLE + paper.SL3_REDUCIBLE + (("A2", paper.SL3_V31, NO),)
     for name, text, want in rows + (("A2", "[2,1]", NO), ("A2", "[4,0]", NO)):
-        v = classify_sl3(_module(name, text), LIMITS)
+        v = classify_sl3(_module(name, text))
         assert v.coreduced == want, text
 
 
 def test_sl3_covariant_certificate_revalidates():
-    v = classify_sl3(_module("A2", paper.SL3_V31), LIMITS)
+    v = classify_sl3(_module("A2", paper.SL3_V31))
     cert = v.certificates[0]
     assert isinstance(cert, CovariantCertificate)
     assert cert.exists
@@ -304,16 +303,16 @@ def test_sl3_covariant_certificate_revalidates():
 
 def test_classify_module_dispatch():
     # every recorded row, routed by group, gets the verdict of its table
-    assert classify_module(sl2_module(paper.SL2_SEXTIC), LIMITS).coreduced == NO
+    assert classify_module(sl2_module(paper.SL2_SEXTIC)).coreduced == NO
     for name, text, want in DRIVER_TABLES:
-        v = classify_module(_module(name, text), LIMITS)
+        v = classify_module(_module(name, text))
         assert v.coreduced == want, (name, text)
 
 
 def test_emit_report_is_deterministic_and_sorted():
     g = parse_group("A2")
     vs = [
-        classify_sl3(parse_module(g, t), LIMITS)
+        classify_sl3(parse_module(g, t))
         for t in ["[3,1]", "[1,1]", "[2,1]"]
     ]
     r1 = emit_report(vs)
@@ -332,7 +331,7 @@ def test_no_negative_rule_fires_on_yes_rows():
         if want not in (YES, YES_PAPER):
             continue
         try:
-            v = classify_module(_module(name, text), LIMITS)
+            v = classify_module(_module(name, text))
         except ContradictionError as e:  # pragma: no cover - must not happen
             pytest.fail(f"negative rule fired on positive row {name} {text}: {e}")
         assert v.coreduced == want, (name, text)

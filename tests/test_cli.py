@@ -170,15 +170,27 @@ def test_covariant_degree_below_one_exits_two(degree):
     assert out == ""
 
 
-def test_limit_states_zero_exits_two():
-    assert run_cli(["--limit-states", "0", "rootsys", "A2"])[0] == 2
+def test_limit_states_flag_is_gone():
+    for n in ["0", "10"]:
+        assert run_cli(["--limit-states", n, "rootsys", "A2"])[0] == 2
+        assert run_cli(["rootsys", "A2", "--limit-states", n])[0] == 2
 
 
-def test_env_limit_states_not_integer_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("COREDUCE_LIMIT_STATES", "abc")
-    code, _ = run_cli(["rootsys", "A2"])
-    assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
+def test_coreduce_environment_is_ignored(monkeypatch, capsys):
+    # classify A2 [2,1] needs more than 10 symmetric-power cells, and the
+    # variables once set the state cap and the output mode
+    argv = ["classify", "A2", "[2,1]"]
+    want = run_cli(argv)
+    for name, value in [
+        ("COREDUCE_LIMIT_STATES", "abc"),
+        ("COREDUCE_LIMIT_STATES", "10"),
+        ("COREDUCE_OUTPUT", "text"),
+    ]:
+        with monkeypatch.context() as mp:
+            mp.setenv(name, value)
+            assert run_cli(argv) == want, name
+    assert want[0] == 1 and json.loads(want[1])["schema"] == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_jobs_flag_is_gone():
@@ -189,17 +201,19 @@ def test_cache_dir_flag_is_gone(tmp_path):
     assert run_cli(["--cache-dir", str(tmp_path), "rootsys", "A1"])[0] == 2
 
 
-def test_resource_limit_exit_three():
-    code, _ = run_cli(
-        ["--limit-states", "10", "verify-paper", "--suite", "appendixB"]
-    )
-    assert code == 3
+def test_resource_limit_exit_three(monkeypatch, capsys):
+    from coreduce import monoid, repthy
 
-
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("COREDUCE_LIMIT_STATES", "10")
-    code, _ = run_cli(["verify-paper", "--suite", "appendixB"])
-    assert code == 3
+    for module, cap, argv in [
+        (monoid, "SUM_STATE_CAP", ["verify-paper", "--suite", "appendixA"]),
+        (repthy, "SYMPOW_CELL_CAP", ["verify-paper", "--suite", "appendixB"]),
+        (monoid, "HILBERT_COORD_CAP", ["torus-check", "--weights", FOUR_SIX]),
+    ]:
+        with monkeypatch.context() as mp:
+            mp.setattr(module, cap, 10)
+            assert run_cli(argv) == (3, ""), cap
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ") and f"{cap} = 10" in err
 
 
 def test_text_output_mode():
@@ -251,6 +265,31 @@ def test_out_of_memory_exits_three(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "out of memory" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("group, module", [("G2", "3*[0,2]"), ("B3", "[1,3,0]")])
+def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(group, module):
+    # both toral-slice searches once ran until a 1 GB address space was full
+    import resource
+    import time
+
+    def one_gigabyte():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = os.path.dirname(os.path.dirname(coreduce.__file__))
+    t0 = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "coreduce.cli", "classify", group, module],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=one_gigabyte,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert time.perf_counter() - t0 < 10
+    assert out.returncode == 3 and out.stdout == ""
+    assert out.stderr.startswith("resource limit: hilbert basis search: ")
+    assert "over HILBERT_COORD_CAP = 16000000" in out.stderr
 
 
 def test_rank3_components_are_byte_identical_across_runs():

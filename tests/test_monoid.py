@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from coreduce import paper
-from coreduce.config import Limits
+from coreduce import monoid, paper
+from coreduce.config import ResourceLimitError
 from coreduce.monoid import (
     exists_sum,
     hilbert_basis,
@@ -13,25 +14,24 @@ from coreduce.monoid import (
 
 from oracles import brute_force_minimal_relations, brute_force_torus_coreduced
 
-LIMITS = Limits()
 
 
 def test_plus_minus_k_is_coreduced():
     for k in [1, 2, 5, 9]:
-        assert is_torus_coreduced([(k,), (-k,)], LIMITS).coreduced
+        assert is_torus_coreduced([(k,), (-k,)]).coreduced
 
 
 FOUR_SIX = [(x,) for x in paper.TORUS_FOUR_SIX]
 
 
 def test_four_six_example():
-    v = is_torus_coreduced(FOUR_SIX, LIMITS)
+    v = is_torus_coreduced(FOUR_SIX)
     assert not v.coreduced
     assert max(v.certificate.coeffs) == max(paper.TORUS_FOUR_SIX_GENERATOR)
 
 
 def test_hilbert_basis_four_six():
-    basis = hilbert_basis(FOUR_SIX, LIMITS)
+    basis = hilbert_basis(FOUR_SIX)
     got = sorted(g.coeffs for g in basis.generators)
     assert got == [(0, 0, 1, 1), (0, 3, 2, 0), (1, 1, 0, 0), paper.TORUS_FOUR_SIX_GENERATOR]
 
@@ -45,7 +45,7 @@ weight_lists = st.lists(nonzero_pair, min_size=1, max_size=6)
 @given(ws=weight_lists)
 @settings(max_examples=250, deadline=None)
 def test_hilbert_basis_matches_brute_force_2d(ws):
-    basis = hilbert_basis(ws, LIMITS)
+    basis = hilbert_basis(ws)
     small = sorted(g.coeffs for g in basis.generators if g.degree <= 7)
     oracle = sorted(brute_force_minimal_relations(ws, 7))
     assert small == oracle
@@ -59,7 +59,7 @@ nonzero_triple = st.tuples(
 @given(ws=st.lists(nonzero_triple, min_size=1, max_size=5))
 @settings(max_examples=100, deadline=None)
 def test_hilbert_basis_matches_brute_force_3d(ws):
-    basis = hilbert_basis(ws, LIMITS)
+    basis = hilbert_basis(ws)
     small = sorted(g.coeffs for g in basis.generators if g.degree <= 5)
     oracle = sorted(brute_force_minimal_relations(ws, 5))
     assert small == oracle
@@ -68,14 +68,14 @@ def test_hilbert_basis_matches_brute_force_3d(ws):
 @given(ws=st.lists(st.tuples(st.integers(-4, 4)), min_size=1, max_size=6))
 @settings(max_examples=250, deadline=None)
 def test_coreduced_matches_brute_force_1d(ws):
-    got = is_torus_coreduced(ws, LIMITS).coreduced
+    got = is_torus_coreduced(ws).coreduced
     oracle = brute_force_torus_coreduced(list(ws), bound=8)
     # oracle bound 8 covers every generator here: coords in [-4,4]
     if not oracle:
         assert not got
     elif not got:
         # the only escape: a violating generator too big for the oracle bound
-        cert = is_torus_coreduced(ws, LIMITS).certificate
+        cert = is_torus_coreduced(ws).certificate
         assert cert.degree > 8
 
 
@@ -86,7 +86,7 @@ def test_torus_certificate_is_exact_relation():
             (rng.randint(-4, 4), rng.randint(-4, 4))
             for _ in range(rng.randint(1, 6))
         ]
-        v = is_torus_coreduced(ws, LIMITS)
+        v = is_torus_coreduced(ws)
         if v.certificate is not None:
             for j in range(2):
                 assert (
@@ -105,16 +105,12 @@ def test_torus_certificate_is_exact_relation():
 )
 @settings(max_examples=150, deadline=None)
 def test_exists_sum_matches_exhaustive(ws, target, count):
-    got = exists_sum(ws, target, count, "exact_count", LIMITS)
+    got = exists_sum(ws, target, count)
     feasible = any(
         tuple(sum(w[j] for w in pick) for j in range(2)) == target
         for pick in _multisets(ws, count)
     )
     assert got.feasible == feasible
-    if got.feasible:
-        chosen = [ws[i] for i in got.chosen]
-        assert len(chosen) == count
-        assert tuple(sum(w[j] for w in chosen) for j in range(2)) == target
 
 
 @given(
@@ -123,45 +119,31 @@ def test_exists_sum_matches_exhaustive(ws, target, count):
     ),
     target=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
     count=st.integers(0, 4),
-    mode=st.sampled_from(["exact_count", "at_most"]),
     grading=st.none() | st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
 )
 @settings(max_examples=300, deadline=None)
-def test_bounded_exists_sum_matches_exhaustive(ws, target, count, mode, grading):
-    got = exists_sum(ws, target, count, mode, LIMITS, grading=grading)
-    counts = range(count + 1) if mode == "at_most" else [count]
+def test_bounded_exists_sum_matches_exhaustive(ws, target, count, grading):
+    got = exists_sum(ws, target, count, grading=grading)
     feasible = any(
         tuple(sum(w[j] for w in pick) for j in range(2)) == target
-        for c in counts
-        for pick in _multisets(ws, c)
+        for pick in _multisets(ws, count)
     )
     assert got.feasible == feasible
-    if got.feasible:
-        chosen = [ws[i] for i in got.chosen]
-        assert len(chosen) in counts
-        assert tuple(sum(w[j] for w in chosen) for j in range(2)) == target
 
 
-def test_exists_sum_grading_prunes_before_the_first_level():
+def test_exists_sum_grading_prunes_before_the_first_level(monkeypatch):
     # every weight has value >= 1 and the target value 3 < 9: no DP state
     ws = [(1, 0), (0, 1), (2, 1)]
-    tiny = Limits(dp_state_limit=1)
     for grading in [(1, 1), (Fraction(1, 2), Fraction(1, 2))]:
-        assert not exists_sum(ws, (2, 1), 9, "exact_count", tiny, grading=grading).feasible
-        assert exists_sum(ws, (2, 1), 3, "exact_count", LIMITS, grading=grading).feasible
+        with monkeypatch.context() as mp:
+            mp.setattr(monoid, "SUM_STATE_CAP", 1)
+            assert not exists_sum(ws, (2, 1), 9, grading=grading).feasible
+            with pytest.raises(ResourceLimitError, match="SUM_STATE_CAP = 1"):
+                exists_sum(ws, (2, 1), 9)
+        assert exists_sum(ws, (2, 1), 3, grading=grading).feasible
 
 
 def _multisets(ws, count):
     import itertools
 
     return itertools.combinations_with_replacement(ws, count)
-
-
-def test_exists_sum_at_most_is_monotone():
-    ws = [(2, 0), (-1, 1), (0, -1)]
-    for target in [(1, 0), (0, 0), (3, -1)]:
-        feas = [
-            exists_sum(ws, target, c, "at_most", LIMITS).feasible for c in range(1, 8)
-        ]
-        # once feasible at some count, stays feasible for larger bounds
-        assert feas == sorted(feas)

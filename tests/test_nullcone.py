@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coreduce import paper
-from coreduce.config import Limits
 from coreduce.nullcone import (
     D4_TRIALITY_CASES,
     SL3_PAIR_MODELS,
@@ -30,7 +29,6 @@ from coreduce.rootsys import SL3, parse_group, root_scaled_of_dynkin
 
 from oracles import brute_force_sl3_dominant_sets, chamber_count, reference_dominance
 
-LIMITS = Limits()
 
 
 def _sl3(text):
@@ -39,7 +37,7 @@ def _sl3(text):
 
 def test_admissible_sets_verify_against_diagram():
     m = _sl3("[2,1]")
-    for a in admissible_sets(m, limits=LIMITS):
+    for a in admissible_sets(m):
         a.verify(module_weights(m))
         assert a.defining.is_dominant()
 
@@ -47,13 +45,13 @@ def test_admissible_sets_verify_against_diagram():
 @pytest.mark.parametrize("text", ["[3,1]", "[2,1]", "[4,0]", "[2,0]+[0,1]", "2*[1,0]"])
 def test_chamber_enumeration_matches_slope_sweep(text):
     m = _sl3(text)
-    fast = {a.weight_set() for a in admissible_sets(m, limits=LIMITS)}
-    slow = {a.weight_set() for a in brute_force_sl3_dominant_sets(m, LIMITS)}
+    fast = {a.weight_set() for a in admissible_sets(m)}
+    slow = {a.weight_set() for a in brute_force_sl3_dominant_sets(m)}
     assert fast == slow
 
 
 def test_v31_has_exactly_two_dominant_classes():
-    sets = classify_components_sl3(_sl3("[3,1]"), LIMITS)
+    sets = classify_components_sl3(_sl3("[3,1]"))
     dominant = [a for a in maximal_sets(sets) if a.status == "dominant"]
     assert len(dominant) == 2
 
@@ -65,24 +63,24 @@ def test_v31_critical_ratios():
 def test_covariant_vanishes_antitone_in_weights():
     """Adding weights to a component can only make vanishing harder."""
     m = _sl3("[2,1]")
-    sets = sorted(admissible_sets(m, limits=LIMITS), key=lambda a: a.dimension())
+    sets = sorted(admissible_sets(m), key=lambda a: a.dimension())
     for small in sets:
         for big in sets:
             if not small.weight_set() < big.weight_set():
                 continue
             for d in range(1, 5):
-                if covariant_vanishes(big, (1, 0), d, False, LIMITS):
-                    assert covariant_vanishes(small, (1, 0), d, False, LIMITS)
+                if covariant_vanishes(big, (1, 0), d, False):
+                    assert covariant_vanishes(small, (1, 0), d, False)
 
 
 def test_covariant_vanishes_all_degrees_is_conjunction():
     m = _sl3("[3,1]")
-    adm = admissible_sets(m, limits=LIMITS)[0]
+    adm = admissible_sets(m)[0]
     for d in range(1, 6):
         conj = all(
-            covariant_vanishes(adm, (1, 0), e, False, LIMITS) for e in range(1, d + 1)
+            covariant_vanishes(adm, (1, 0), e, False) for e in range(1, d + 1)
         )
-        assert covariant_vanishes(adm, (1, 0), d, True, LIMITS) == conj
+        assert covariant_vanishes(adm, (1, 0), d, True) == conj
 
 
 def test_value_screen_rank_and_degree_rules():
@@ -117,7 +115,7 @@ def test_f4_support_bound_numbers():
 def test_d4_triality_blocks_unreachable():
     assert len(D4_TRIALITY_CASES) == 3
     for case in D4_TRIALITY_CASES:
-        assert not d4_adjoint_target_reachable(case, LIMITS)
+        assert not d4_adjoint_target_reachable(case)
 
 
 def test_sl3_pair_models_validate_and_vanish():
@@ -143,7 +141,7 @@ def test_g2xg2_sixteen_sets():
     assert len(sets) == paper.G2XG2_MAXIMAL_SETS
     assert all(a.dimension() == paper.G2XG2_SET_DIM for a in sets)
     for a in sets:
-        assert covariant_vanishes(a, (0, 0, 1, 0), 9, False, LIMITS)
+        assert covariant_vanishes(a, (0, 0, 1, 0), 9, False)
 
 
 def test_support_bound_at_most_support_size_plus_rank():
@@ -204,7 +202,7 @@ def _weight_lines(m):
 def test_full_arrangement_count_matches_zaslavsky(group, text, chambers):
     m = parse_module(parse_group(group), text)
     assert chamber_count(_weight_lines(m), 3) == chambers
-    assert len(admissible_sets(m, mod_weyl=False, limits=LIMITS)) == chambers
+    assert len(admissible_sets(m, mod_weyl=False)) == chambers
 
 
 @pytest.mark.parametrize("group, text", [("A1xA2", "[1,0,1]"), ("A1xA2", "[1,1,0]")])
@@ -213,7 +211,7 @@ def test_dominant_sets_tile_the_full_arrangement(group, text):
     chambers are the Weyl images of its dominant ones."""
     g = parse_group(group)
     m = parse_module(g, text)
-    sets = admissible_sets(m, limits=LIMITS)
+    sets = admissible_sets(m)
     assert len(sets) == 6
     walls = [root_scaled_of_dynkin(g, d) for d in g.positive_roots_dynkin()]
     assert len(sets) * g.weyl_order == chamber_count(_weight_lines(m) + walls, 3)
@@ -221,7 +219,7 @@ def test_dominant_sets_tile_the_full_arrangement(group, text):
 
 def test_rank4_dominant_sets_complete():
     m = parse_module(parse_group("B2xB2"), "[1,0,1,0]")
-    sets = admissible_sets(m, limits=LIMITS)
+    sets = admissible_sets(m)
     assert len({a.weight_set() for a in sets}) == 6
     assert all(a.defining.is_dominant() for a in sets)
 
@@ -236,7 +234,7 @@ def test_dominance_matches_weyl_matrix_oracle(name, hw, data):
     """Pairs of admissible sets from every chamber, so that Weyl-conjugate
     sets (dominated) and unrelated ones both occur."""
     g = parse_group(name)
-    sets = admissible_sets(ModuleSpec(g, ((1, hw),)), mod_weyl=False, limits=LIMITS)
+    sets = admissible_sets(ModuleSpec(g, ((1, hw),)), mod_weyl=False)
     index = st.integers(0, len(sets) - 1)
     for _ in range(8):
         a, b = sets[data.draw(index)], sets[data.draw(index)]

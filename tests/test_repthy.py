@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coreduce import paper
-from coreduce.config import Limits
 from coreduce.repthy import (
     Character,
     ModuleSpec,
@@ -35,7 +34,6 @@ from oracles import (
     reference_graded_invariant_series,
 )
 
-LIMITS = Limits()
 
 
 KNOWN_DIMS = [
@@ -98,7 +96,7 @@ def test_weyl_invariance_of_diagrams(name, hw):
 def test_symmetric_power_mass():
     g = parse_group("A2")
     chi = module_weights(ModuleSpec(g, ((1, (1, 1)),)))
-    powers = symmetric_power(chi, 5, LIMITS)
+    powers = symmetric_power(chi, 5)
     for d in range(1, 6):
         assert powers[d].mass() == math.comb(8 + d - 1, d)
 
@@ -108,14 +106,14 @@ def test_symmetric_power_binary_quadratic():
     # even degree (the discriminant powers)
     g = parse_group("A1")
     chi = module_weights(ModuleSpec(g, ((1, (2,)),)))
-    powers = symmetric_power(chi, 6, LIMITS)
+    powers = symmetric_power(chi, 6)
     assert [invariant_dimension(powers[d]) for d in range(1, 7)] == [0, 1, 0, 1, 0, 1]
 
 
 def test_invariant_dimension_is_trivial_isotypic_count():
     g = parse_group("A2")
     chi = module_weights(ModuleSpec(g, ((1, (1, 0)), (1, (0, 1)))))
-    powers = symmetric_power(chi, 4, LIMITS)
+    powers = symmetric_power(chi, 4)
     # C^3 + (C^3)*: invariants generated by the pairing, one per degree step
     assert [invariant_dimension(powers[d]) for d in range(1, 5)] == [0, 1, 0, 1]
 
@@ -142,7 +140,7 @@ def test_dominant_diagram_breaks_height_ties_by_coordinates():
 
 def test_covariant_certificate_example():
     m = parse_module(parse_group(paper.SO4_GROUP), paper.SO4_MODULE)
-    cert = covariant_generator_exists(m, paper.SO4_TARGET, paper.SO4_DEGREE, LIMITS)
+    cert = covariant_generator_exists(m, paper.SO4_TARGET, paper.SO4_DEGREE)
     assert cert.exists
     assert (cert.multiplicity, cert.ideal_bound) == (
         paper.SO4_MULTIPLICITY,
@@ -154,7 +152,7 @@ def test_covariant_certificate_monotone_consistency():
     # per-degree tables in the certificate are internally consistent
     m = parse_module(parse_group("A2"), paper.SL3_V31)
     degree = paper.SL3_V31_COVARIANT_DEGREE
-    cert = covariant_generator_exists(m, (1, 0), degree, LIMITS)
+    cert = covariant_generator_exists(m, (1, 0), degree)
     assert cert.exists and cert.degree == degree
     assert cert.multiplicity == cert.per_degree_mults[-1] == paper.SL3_V31_COVARIANT_MULTIPLICITY
     d = cert.degree
@@ -168,22 +166,20 @@ def test_covariant_certificate_monotone_consistency():
 def test_multidegree_refines_total_degree():
     g = parse_group("A1")
     chi = module_weights(ModuleSpec(g, ((1, (2,)),)))
-    total = symmetric_power(chi, 4, LIMITS)
+    total = symmetric_power(chi, 4)
     agg = 0
     for a in range(5):
         b = 4 - a
-        cert = covariant_generator_exists_multidegree(
-            [chi, chi], (a, b), (0,), LIMITS
-        )
+        cert = covariant_generator_exists_multidegree([chi, chi], (a, b), (0,))
         agg += cert.multiplicity
-    two = symmetric_power(module_weights(ModuleSpec(g, ((2, (2,)),))), 4, LIMITS)
+    two = symmetric_power(module_weights(ModuleSpec(g, ((2, (2,)),))), 4)
     assert agg == invariant_dimension(two[4])
 
 
 def test_graded_invariant_series_small():
     g = parse_group("A1")
     chi = module_weights(ModuleSpec(g, ((1, (2,)),)))
-    series = graded_invariant_series([chi, chi], (2, 2), LIMITS)
+    series = graded_invariant_series([chi, chi], (2, 2))
     assert series[(0, 0)] == 1
     assert series[(1, 1)] == 1  # the polarized discriminant pairing
     assert series[(2, 0)] == 1 == series[(0, 2)]
@@ -215,7 +211,7 @@ def effective_characters(draw):
 @given(chi=effective_characters(), d=st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_symmetric_power_matches_brute_force(chi, d):
-    powers = symmetric_power(chi, d, LIMITS)
+    powers = symmetric_power(chi, d)
     assert len(powers) == d + 1
     for k, layer in enumerate(powers):
         assert layer.entries == brute_force_symmetric_power(chi.entries, k)
@@ -226,7 +222,7 @@ def test_symmetric_power_big_integer_fallback():
     # overflow int64, so the big-integer dict DP runs
     g = parse_group("A1")
     chi = Character(g, {(-1,): 600, (1,): 600}, False)
-    powers = symmetric_power(chi, 8, LIMITS)
+    powers = symmetric_power(chi, 8)
     for k, layer in enumerate(powers):
         # i weights -1 and k - i weights +1, each a multiset of 600 kinds
         want = {
@@ -261,9 +257,9 @@ def multigraded_inputs(draw):
 @settings(max_examples=50, deadline=None)
 def test_multigraded_routines_match_per_multidegree_reference(inp):
     summands, degrees, target = inp
-    series = graded_invariant_series(summands, degrees, LIMITS)
-    assert series == reference_graded_invariant_series(summands, degrees, LIMITS)
-    cert = covariant_generator_exists_multidegree(summands, degrees, target, LIMITS)
+    series = graded_invariant_series(summands, degrees)
+    assert series == reference_graded_invariant_series(summands, degrees)
+    cert = covariant_generator_exists_multidegree(summands, degrees, target)
     assert (cert.multiplicity, cert.ideal_bound) == reference_covariant_counts(
-        summands, degrees, target, LIMITS
+        summands, degrees, target
     )

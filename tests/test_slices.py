@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coreduce import slices
-from coreduce.config import Limits
 from coreduce.repthy import ModuleSpec, min_root_multiplicity, module_weights, parse_module
 from coreduce.rootsys import parse_group
 from coreduce.slices import (
@@ -14,7 +13,6 @@ from coreduce.slices import (
     toral_slice_weights,
 )
 
-LIMITS = Limits()
 
 
 def test_has_toral_slice_requires_all_roots():
@@ -34,7 +32,7 @@ def test_toral_slice_weights_removes_one_root_copy():
 
 def test_bad_slice_sextic():
     g = parse_group("A1")
-    cert = bad_toral_slice(parse_module(g, "[6]"), LIMITS)
+    cert = bad_toral_slice(parse_module(g, "[6]"))
     assert cert is not None
     cert.validate()
     assert max(cert.coeffs) >= 2
@@ -42,12 +40,12 @@ def test_bad_slice_sextic():
 
 def test_bad_slice_absent_for_adjoint():
     g = parse_group("G2")
-    assert bad_toral_slice(parse_module(g, "[0,1]"), LIMITS) is None
+    assert bad_toral_slice(parse_module(g, "[0,1]")) is None
 
 
 def test_certificate_relation_is_exact():
     g = parse_group("A2")
-    cert = bad_toral_slice(parse_module(g, "[4,1]"), LIMITS)
+    cert = bad_toral_slice(parse_module(g, "[4,1]"))
     assert cert is not None
     cert.validate()
     assert all(x == 0 for x in cert.relation_sum())
@@ -80,7 +78,7 @@ def test_product_group_rule_requires_toral_slice():
 
 def test_criterion_a_f4():
     g = parse_group("F4")
-    cert = criterion_a(g, (1, 0, 0, 0), (0, 0, 0, 1), LIMITS)
+    cert = criterion_a(g, (1, 0, 0, 0), (0, 0, 0, 1))
     assert cert is not None
     cert.validate()
 
@@ -103,7 +101,7 @@ def test_bad_slice_certificates_always_validate(name, data):
         return
     if len(toral_slice_weights(m)) > 14:
         return
-    cert = bad_toral_slice(m, LIMITS)
+    cert = bad_toral_slice(m)
     if cert is not None:
         cert.validate()
         assert max(cert.coeffs) >= 2
@@ -114,7 +112,7 @@ def test_f4_adjoint_plus_26_slice_certificate_is_pinned():
     # the first generator with a coefficient >= 2 in the completion order;
     # pruning the minimality test must not change which one is found
     g = parse_group("F4")
-    cert = bad_toral_slice(parse_module(g, "[1,0,0,0]+[0,0,0,1]"), LIMITS)
+    cert = bad_toral_slice(parse_module(g, "[1,0,0,0]+[0,0,0,1]"))
     assert cert.kind == "toral_relation"
     assert cert.weights == (
         (-1, -1, -1, 0),
@@ -136,5 +134,5 @@ def test_bad_toral_slice_computes_the_weights_once(group, module, monkeypatch):
         return module_weights(mod)
 
     monkeypatch.setattr(slices, "module_weights", counted)
-    bad_toral_slice(m, LIMITS)
+    bad_toral_slice(m)
     assert len(calls) == 1
