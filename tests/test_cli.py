@@ -176,21 +176,31 @@ def test_limit_states_flag_is_gone():
         assert run_cli(["rootsys", "A2", "--limit-states", n])[0] == 2
 
 
-def test_coreduce_environment_is_ignored(monkeypatch, capsys):
+def assert_environment_is_ignored(monkeypatch, capsys, settings):
     # classify A2 [2,1] needs more than 10 symmetric-power cells, and the
     # variables once set the state cap and the output mode
     argv = ["classify", "A2", "[2,1]"]
     want = run_cli(argv)
-    for name, value in [
-        ("COREDUCE_LIMIT_STATES", "abc"),
-        ("COREDUCE_LIMIT_STATES", "10"),
-        ("COREDUCE_OUTPUT", "text"),
-    ]:
+    for name, value in settings:
         with monkeypatch.context() as mp:
             mp.setenv(name, value)
-            assert run_cli(argv) == want, name
+            assert run_cli(argv) == want, (name, value)
     assert want[0] == 1 and json.loads(want[1])["schema"] == 1
     assert capsys.readouterr().err == ""
+
+
+def test_env_limit_states_not_integer_is_ignored(monkeypatch, capsys):
+    assert_environment_is_ignored(
+        monkeypatch, capsys, [("COREDUCE_LIMIT_STATES", "abc")]
+    )
+
+
+def test_env_no_longer_overrides(monkeypatch, capsys):
+    assert_environment_is_ignored(
+        monkeypatch,
+        capsys,
+        [("COREDUCE_LIMIT_STATES", "10"), ("COREDUCE_OUTPUT", "text")],
+    )
 
 
 def test_jobs_flag_is_gone():
