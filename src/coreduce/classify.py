@@ -647,13 +647,14 @@ def classify_sl3(m: ModuleSpec) -> Verdict:
             bad = bad_toral_slice(m)
             if bad is not None:
                 return Verdict(m, NO, (bad,), tag)
-        screen = sl3_irreducible_rank_screen(m)
+        sets = classify_components_sl3(m)
+        screen = sl3_irreducible_rank_screen(m, sets)
         if screen is not None:
             return Verdict(
                 m, NO, screen, tag,
                 ("rank of the invariant differentials on a dominant component",),
             )
-        cert = sl3_vanishing_generator_certificate(m)
+        cert = sl3_vanishing_generator_certificate(m, sets)
         if cert is not None:
             return Verdict(m, NO, cert, tag)
         return Verdict(m, NO_PAPER, (Citation("negative-weight count against the cubic-invariant bound"),), tag)
@@ -698,8 +699,11 @@ def _invariant_generator_upper_bounds(m: ModuleSpec, dmax: int) -> list[int]:
     return gens
 
 
-def sl3_irreducible_rank_screen(m: ModuleSpec, degree_cap: int = 12) -> Optional[tuple]:
-    """Rank-of-differentials screen on a certified dominant component.
+def sl3_irreducible_rank_screen(
+    m: ModuleSpec, sets: Sequence[AdmissibleSet], degree_cap: int = 12
+) -> Optional[tuple]:
+    """Rank-of-differentials screen on a certified dominant component of
+    ``sets``, the output of :func:`classify_components_sl3` for ``m``.
 
     For a subset S of the negative-weight directions reachable only by
     monomials of total degree <= d, the rank of the invariant differentials
@@ -708,7 +712,6 @@ def sl3_irreducible_rank_screen(m: ModuleSpec, degree_cap: int = 12) -> Optional
     codimension-2 bound for the slab inside its orbit closure.  A shortfall
     certifies a non-reduced component.
     """
-    sets = classify_components_sl3(m)
     chi = module_weights(m)
     gens: Optional[list[int]] = None
     for a in sets:
@@ -741,12 +744,13 @@ def sl3_irreducible_rank_screen(m: ModuleSpec, degree_cap: int = 12) -> Optional
 
 
 def sl3_vanishing_generator_certificate(
-    m: ModuleSpec, max_extra_degree: int = 4
+    m: ModuleSpec, sets: Sequence[AdmissibleSet], max_extra_degree: int = 4
 ) -> Optional[tuple]:
     """Find a degree d and a standard-type covariant target such that every
     covariant of that type and degree vanishes on all potentially dominant
-    null-cone components, while a generating one exists in degree d."""
-    sets = classify_components_sl3(m)
+    null-cone components among ``sets`` (the output of
+    :func:`classify_components_sl3` for ``m``), while a generating one exists
+    in degree d."""
     candidates = [a for a in sets if a.status in ("dominant", "unknown")]
     if not candidates:
         return None

@@ -253,13 +253,19 @@ def cmd_covariant_vanish(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_support_rank(cfg: Config, args: argparse.Namespace) -> int:
     m = _module(args)
+    copies = sum(c for c, _ in m.summands)
     support = []
     for item in args.support:
         w_text, _, copy_text = item.rpartition(":")
         if not w_text:
             raise RootSystemError(f"support entries look like [w]:copy, got {item!r}")
         w = parse_weight(m.group, w_text)
-        support.append((w, int(copy_text)))
+        copy = int(copy_text)
+        if not 0 <= copy < copies:
+            raise ValueError(
+                f"support copy {copy} of {item!r} is outside the copy range 0..{copies - 1}"
+            )
+        support.append((w, copy))
     bound, stats = support_orbit_dim_bound(m, support)
     _emit(cfg, {"module": str(m), "bound": bound, "stats": stats})
     return EXIT_OK
@@ -283,7 +289,6 @@ def _check(name: str, ok: bool, **detail) -> dict:
 def _verdict_rows(
     driver: Callable[[GroupSpec, ModuleSpec], cls.Verdict],
     rows: Sequence[tuple[str, str, str]],
-    cfg: Config,
 ) -> list[dict]:
     """One check per recorded (group, module, verdict) row of a driver's table."""
     out = []
@@ -294,7 +299,7 @@ def _verdict_rows(
     return out
 
 
-def _suite_torus(cfg: Config) -> list[dict]:
+def _suite_torus() -> list[dict]:
     k = paper.TORUS_PLUS_MINUS
     v1 = is_torus_coreduced([(x,) for x in k])
     ws = [(x,) for x in paper.TORUS_FOUR_SIX]
@@ -310,7 +315,7 @@ def _suite_torus(cfg: Config) -> list[dict]:
     ]
 
 
-def _suite_sl2(cfg: Config) -> list[dict]:
+def _suite_sl2() -> list[dict]:
     out = []
     for parts in paper.SL2_YES:
         v = cls.classify_sl2(parts)
@@ -345,7 +350,7 @@ def _suite_sl2(cfg: Config) -> list[dict]:
     return out
 
 
-def _suite_exceptional(cfg: Config) -> list[dict]:
+def _suite_exceptional() -> list[dict]:
     f4 = parse_group("F4")
     hw = paper.F4_26
     chi = weight_diagram(f4, hw)
@@ -360,10 +365,10 @@ def _suite_exceptional(cfg: Config) -> list[dict]:
     for hw, thresh in paper.F4_ROOT_MULTIPLICITY:
         mult, _ = min_root_multiplicity(ModuleSpec(f4, ((1, hw),)))
         out.append(_check(f"F4 root multiplicity {hw} >= {thresh}", mult >= thresh))
-    return out + _verdict_rows(cls.classify_adjoint_exceptional, paper.EXCEPTIONAL, cfg)
+    return out + _verdict_rows(cls.classify_adjoint_exceptional, paper.EXCEPTIONAL)
 
 
-def _suite_sl3(cfg: Config) -> list[dict]:
+def _suite_sl3() -> list[dict]:
     g = parse_group("A2")
 
     def verdict(ms: str) -> cls.Verdict:
@@ -402,7 +407,7 @@ def _suite_sl3(cfg: Config) -> list[dict]:
     return out
 
 
-def _suite_appendix_a(cfg: Config) -> list[dict]:
+def _suite_appendix_a() -> list[dict]:
     bound, stats = f4_two_26_support_bound()
     columns, singletons = paper.F4_SUPPORT_COLUMNS, paper.F4_SUPPORT_SINGLETONS
     out = [
@@ -448,7 +453,7 @@ def _suite_appendix_a(cfg: Config) -> list[dict]:
     return out
 
 
-def _suite_appendix_b(cfg: Config) -> list[dict]:
+def _suite_appendix_b() -> list[dict]:
     sets = g2xg2_model_admissible_sets()
     out = [
         _check(
@@ -501,7 +506,7 @@ def _suite_appendix_b(cfg: Config) -> list[dict]:
     return out
 
 
-SUITES: dict[str, Callable[[Config], list[dict]]] = {
+SUITES: dict[str, Callable[[], list[dict]]] = {
     "torus": _suite_torus,
     "sl2": _suite_sl2,
     "exceptional": _suite_exceptional,
@@ -523,7 +528,7 @@ def cmd_verify_paper(cfg: Config, args: argparse.Namespace) -> int:
         if n not in SUITES:
             print(f"unknown suite {n!r}; choose from {sorted(SUITES)}", file=sys.stderr)
             return EXIT_USAGE
-    results = {n: SUITES[n](cfg) for n in names}
+    results = {n: SUITES[n]() for n in names}
     all_ok = all(c["ok"] for cs in results.values() for c in cs)
     _emit(cfg, {"suites": results, "ok": all_ok})
     return EXIT_OK if all_ok else EXIT_NO

@@ -8,13 +8,13 @@ dominance criteria, decides covariant vanishing by integer feasibility, and
 implements the support-matrix rank bound used for the 52-dimensional
 two-copy computation over F4.
 
-Rank 2 sorts the lines by angle.  Rank 3 and 4 enumerate cells in the
-manner of Avis and Fukuda's reverse search (1996): every chamber of an
-essential central arrangement is a pointed cone with an extreme ray, and
-near that ray it is a chamber of the rank - 1 arrangement of the hyperplanes
-through the ray, so taking every ray cut out by rank - 1 normals and
-recursing around it reaches every chamber.  The tests count the chambers
-against Zaslavsky's theorem (1975).
+Every rank enumerates cells in the manner of Avis and Fukuda's reverse
+search (1996): every chamber of an essential central arrangement is a pointed
+cone with an extreme ray, and near that ray it is a chamber of the rank - 1
+arrangement of the hyperplanes through the ray, so taking every ray cut out
+by rank - 1 normals and recursing around it, down to the two half-lines of
+rank 1, reaches every chamber.  The tests count the chambers against
+Zaslavsky's theorem (1975).
 """
 
 from __future__ import annotations
@@ -124,13 +124,10 @@ def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]
 
     ``mod_weyl`` restricts to strictly dominant cocharacters (one chamber per
     Weyl-group orbit for a simple group), with the root walls added to the
-    arrangement.  Rank 1 and 2 are decomposed by angle.  Rank 3 and 4 use
-    Avis-Fukuda cell enumeration: every chamber of an essential central
-    arrangement is a pointed cone with an extreme ray cut out by rank - 1
-    normals, and near that ray it is a chamber of the rank - 1 arrangement
-    through the ray, so lifting those chambers from every ray reaches all of
-    them (the tests count them against Zaslavsky's theorem).  Larger ranks are
-    refused.
+    arrangement as the walls of a cone.  Every rank up to ``CHAMBER_RANK_CAP``
+    goes through :func:`_chamber_samples`, and each chamber's cocharacter is
+    the sum of its primitive extreme rays (the tests count the chambers
+    against Zaslavsky's theorem).  Larger ranks are refused.
     """
     g = m.group
     chi = module_weights(m)
@@ -141,18 +138,11 @@ def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]
         )
     lines = sorted({_line(root_scaled_of_dynkin(g, w)) for w in chi.nonzero_weights()})
     walls = [_primitive(root_scaled_of_dynkin(g, d)) for d in g.positive_roots_dynkin()]
-    if rank == 1:
-        samples = [(Q(1),)] if (mod_weyl and walls) else [(Q(1),), (Q(-1),)]
-    elif rank == 2:
-        samples = _rank2_samples(lines, walls if mod_weyl else [])
-    else:
-        samples = _chamber_samples(lines, rank, walls if mod_weyl else [])
     out: list[AdmissibleSet] = []
     seen: set[tuple[Coords, ...]] = set()
-    for vals in samples:
+    for vals in _chamber_samples(lines, rank, walls if mod_weyl else []):
         rho = Cocharacter(tuple(Q(x) for x in vals), g)
-        if mod_weyl and walls and not rho.is_dominant():
-            continue
+        require(not mod_weyl or rho.is_dominant(), f"chamber point {vals} is not dominant")
         pos = _positive_set(chi, rho)
         if pos in seen:
             continue
@@ -172,69 +162,27 @@ def _primitive(v: Vec) -> Vec:
     return tuple(x // g for x in v)
 
 
-def _rank2_samples(
-    lines: Sequence[Vec], cone_walls: Sequence[Vec]
-) -> list[tuple[Fraction, ...]]:
-    """Interior sample points of the angular sectors cut by the given lines."""
-    dirs: set[tuple[Fraction, Fraction]] = set()
-    for a, b in list(lines) + list(cone_walls):
-        # the line {x : a*x0 + b*x1 = 0} has directions (-b, a) and (b, -a)
-        d = _primitive((-b, a))
-        dirs.add(tuple(Q(x) for x in d))
-        dirs.add(tuple(-Q(x) for x in d))
-
-    def angle_key(d: tuple[Fraction, Fraction]):
-        x, y = d
-        if y > 0 or (y == 0 and x > 0):
-            half = 0
-        else:
-            half = 1
-        # within a half-turn, order by slope (cot decreasing): use cross products
-        return (half, d)
-
-    ordered = sorted(dirs, key=angle_key)
-    # sort each half-turn by true angle via pairwise cross product (insertion)
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    halves: dict[int, list] = {0: [], 1: []}
-    for d in ordered:
-        halves[angle_key(d)[0]].append(d)
-    for h in halves.values():
-        # insertion sort by cross product (all within an open half-plane)
-        for i in range(1, len(h)):
-            j = i
-            while j > 0 and cross(h[j - 1], h[j]) < 0:
-                h[j - 1], h[j] = h[j], h[j - 1]
-                j -= 1
-    cycle = halves[0] + halves[1]
-    samples = []
-    n = len(cycle)
-    for i in range(n):
-        d1 = cycle[i]
-        d2 = cycle[(i + 1) % n]
-        if cross(d1, d2) <= 0 and i + 1 < n:
-            continue  # duplicate direction
-        mid = (d1[0] + d2[0], d1[1] + d2[1])
-        if mid != (0, 0):
-            samples.append((Q(mid[0]), Q(mid[1])))
-    return samples
-
-
 def _chamber_samples(
     normals: Sequence[Vec], rank: int, cone: Sequence[Vec]
 ) -> list[Vec]:
-    """One integer interior point of every chamber of the hyperplanes
-    ``normals`` and ``cone`` (rank 3 or 4); with ``cone`` walls given, only
-    the chambers strictly inside the cone they bound.
+    """The sum of the primitive extreme rays of every chamber of the
+    hyperplanes ``normals`` and ``cone``, an integer interior point that
+    depends only on the chamber; with ``cone`` walls given, only the chambers
+    strictly inside the cone they bound.  At rank 1 the chambers are the two
+    half-lines.  When the normals do not span, the coordinate hyperplanes
+    refine the chambers, and each refined chamber gets its point.
 
     Every chamber of an essential central arrangement is a pointed cone, so
     it has an extreme ray r, the common kernel of rank - 1 of the normals.
     Near r the chamber is a chamber of the hyperplanes through r, which form
-    a rank - 1 arrangement on the slice x_k = 0 (any k with r[k] != 0); a
-    sample s there lifts to N*r + s with N = 1 + max |h.s|, which keeps the
-    sign of every other hyperplane as it is on r, since |h.r| >= 1.
+    an essential rank - 1 arrangement on the slice x_k = 0 (any k with
+    r[k] != 0); a point s there lifts to N*r + s with N = 1 + max |h.s|,
+    which keeps the sign of every other hyperplane as it is on r, since
+    |h.r| >= 1.  A chamber is met once at each of its extreme rays, and only
+    there, so the rays add up to its point as they are visited.
     """
+    if rank == 1:
+        return [p for p in ((1,), (-1,)) if all(_dot(w, p) > 0 for w in cone)]
     hyper = sorted({_line(h) for h in (*normals, *cone)})
     rays = _rays(hyper, rank)
     if not any(_dot(h, r) for h in hyper for r in rays):
@@ -242,28 +190,22 @@ def _chamber_samples(
         # arrangement essential and only refine its chambers
         hyper = sorted(set(hyper) | {tuple(int(i == j) for j in range(rank)) for i in range(rank)})
         rays = _rays(hyper, rank)
-    found: dict[tuple[bool, ...], Vec] = {}
+    sums: dict[tuple[bool, ...], Vec] = {}
     for r in sorted(rays):
-        # a chamber inside the cone has no extreme ray outside it
+        # a chamber inside the cone has no extreme ray outside it; the cone
+        # walls not through r are then positive on every lift from r
         if any(_dot(w, r) < 0 for w in cone):
             continue
         k = next(i for i, x in enumerate(r) if x)
-
-        def drop(h: Vec) -> Vec:
-            return _line(h[:k] + h[k + 1 :])
-
-        local = sorted({drop(h) for h in hyper if _dot(h, r) == 0})
-        if rank == 3:
-            slices = [tuple(int(x) for x in s) for s in _rank2_samples(local, [])]
-        else:
-            slices = _chamber_samples(local, 3, [drop(w) for w in cone if _dot(w, r) == 0])
-        for s in slices:
+        local = [h[:k] + h[k + 1 :] for h in hyper if _dot(h, r) == 0]
+        local_cone = [w[:k] + w[k + 1 :] for w in cone if _dot(w, r) == 0]
+        for s in _chamber_samples(local, rank - 1, local_cone):
             s = s[:k] + (0,) + s[k:]
             n = 1 + max(abs(_dot(h, s)) for h in hyper)
             p = tuple(n * a + b for a, b in zip(r, s))
-            if all(_dot(w, p) > 0 for w in cone):
-                found.setdefault(tuple(_dot(h, p) > 0 for h in hyper), p)
-    return list(found.values())
+            key = tuple(_dot(h, p) > 0 for h in hyper)
+            sums[key] = tuple(a + b for a, b in zip(sums.get(key, (0,) * rank), r))
+    return list(sums.values())
 
 
 def _rays(hyper: Sequence[Vec], rank: int) -> set[Vec]:

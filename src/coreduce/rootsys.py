@@ -542,22 +542,6 @@ def sl3_root_coords(d: Coords) -> tuple[Fraction, Fraction]:
     return Fraction(c[0], 3), Fraction(c[1], 3)
 
 
-def min_max_negation_ratios(g: GroupSpec, d: Coords) -> tuple[Fraction, Fraction]:
-    """(max, min positive) of {-k/l : (k,l) in W·(p,q)} for dominant (p,q), p≠q.
-
-    Closed forms: max = min(p,q)/|p−q| and min positive = |p−q|/min(p,q).
-    """
-    if g != SL3:
-        raise RootSystemError("negation ratios are an SL3 (A2) notion")
-    if any(x < 0 for x in d):
-        raise RootSystemError("weight must be dominant")
-    p, q = sl3_root_coords(d)
-    if p == q:
-        raise RootSystemError("p = q: the ratio formulas degenerate")
-    m = min(p, q)
-    return m / abs(p - q), abs(p - q) / m
-
-
 # ---------------------------------------------------------------------------
 # Epsilon coordinates for the classical types and F4/G2.
 

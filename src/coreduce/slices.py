@@ -18,14 +18,8 @@ from typing import Optional
 
 from .config import require
 from .monoid import Vec, is_torus_coreduced
-from .repthy import (
-    ModuleSpec,
-    max_nonzero_weight_multiplicity,
-    min_root_multiplicity,
-    module_weights,
-    zero_weight_multiplicity,
-)
-from .rootsys import Coords, GroupSpec, in_root_lattice, root_scaled_of_dynkin
+from .repthy import ModuleSpec, min_root_multiplicity, module_weights
+from .rootsys import Coords, GroupSpec, root_scaled_of_dynkin
 
 GENERIC_HYPOTHESIS = "generic zero weight vector"
 
@@ -39,7 +33,7 @@ class BadSliceCertificate:
     (some coefficient is >= 2 and the weighted sum is exactly zero).
     """
 
-    kind: str  # toral_relation | roots_mult2 | criterion_a_{i,ii,iii} | product_rule
+    kind: str  # toral_relation | roots_mult2 | product_rule
     weights: tuple[Vec, ...]
     coeffs: tuple[int, ...]
     hypotheses: tuple[str, ...] = (GENERIC_HYPOTHESIS,)
@@ -169,51 +163,6 @@ def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
             "of a type-A factor, reducing to a smaller non-coreduced module"
         ),
     )
-
-
-def criterion_a(
-    g: GroupSpec, phi: Coords, psi: Coords
-) -> Optional[BadSliceCertificate]:
-    """Bad-slice test for the Cartan product V(phi + psi).
-
-    Fires when (i) V(phi) itself has a bad toral slice, (ii) the Cartan
-    product has a nonzero weight of multiplicity > 1, or (iii) the zero
-    weight of V(phi) has multiplicity > 1 (which implies (ii)).  Both phi and
-    psi must have a zero weight (root-lattice membership).
-    """
-    for lam in (phi, psi):
-        if not in_root_lattice(g, lam):
-            raise ValueError("criterion applies to root-lattice highest weights only")
-    m_phi = ModuleSpec(g, ((1, phi),))
-    inner = bad_toral_slice(m_phi)
-    if inner is not None:
-        return BadSliceCertificate(
-            kind="criterion_a_i",
-            weights=inner.weights,
-            coeffs=inner.coeffs,
-            note="the first factor already has a bad toral slice",
-        )
-    if zero_weight_multiplicity(g, phi) > 1:
-        # the specific case is reported first: it implies the multiplicity case
-        return BadSliceCertificate(
-            kind="criterion_a_iii",
-            weights=(),
-            coeffs=(),
-            note=f"zero weight of V({list(phi)}) has multiplicity > 1",
-        )
-    product = tuple(a + b for a, b in zip(phi, psi))
-    mult, witness = max_nonzero_weight_multiplicity(g, product)
-    if mult > 1:
-        require(witness is not None, "a repeated nonzero weight without a witness")
-        # the doubled weight gives the relation (2w) + 2(-w) = 0 on the slice
-        w = root_scaled_of_dynkin(g, witness)
-        return BadSliceCertificate(
-            kind="criterion_a_ii",
-            weights=(tuple(2 * x for x in w), tuple(-x for x in w)),
-            coeffs=(1, 2),
-            note="nonzero weight of multiplicity > 1 in the Cartan product",
-        )
-    return None
 
 
 def product_group_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:

@@ -271,7 +271,7 @@ def reference_covariant_counts(summands, degrees, target) -> tuple:
     return reference_multidegree_mult(summands, degrees, target), bound
 
 
-def _exact_rank(vectors) -> int:
+def exact_rank(vectors) -> int:
     """Rank of a list of integer vectors, by Gaussian elimination over Q."""
     from fractions import Fraction
 
@@ -310,5 +310,57 @@ def chamber_count(normals, rank: int) -> int:
     total = 0
     for k in range(len(hyper) + 1):
         for sub in itertools.combinations(hyper, k):
-            total += (-1) ** (k - _exact_rank(sub))
+            total += (-1) ** (k - exact_rank(sub))
     return total
+
+
+def chamber_closure_rays(normals, rank: int, points) -> list[list[tuple]]:
+    """For each point p, the primitive integer vectors r with h.r of the
+    sign of h.p or 0 for every normal h, on the lines where rank - 1
+    independent hyperplanes meet: the extreme rays of the closed chamber
+    holding p, for an arrangement whose normals span.  Each line comes from
+    a Gaussian elimination over Q, not from minors."""
+    import itertools
+    from fractions import Fraction
+    from math import gcd, lcm
+
+    def kernel_line(rows):
+        rows = [[Fraction(x) for x in r] for r in rows]
+        pivots = []
+        for col in range(rank):
+            i = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+            if i is None:
+                continue
+            rows[len(pivots)], rows[i] = rows[i], rows[len(pivots)]
+            top = rows[len(pivots)]
+            top[:] = [x / top[col] for x in top]
+            for j, r in enumerate(rows):
+                if j != len(pivots) and r[col]:
+                    rows[j] = [a - r[col] * b for a, b in zip(r, top)]
+            pivots.append(col)
+        free = [c for c in range(rank) if c not in pivots]
+        if len(free) != 1:
+            return None
+        v = [Fraction(0)] * rank
+        v[free[0]] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            v[col] = -row[free[0]]
+        den = lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = 0
+        for x in ints:
+            g = gcd(g, abs(x))
+        return tuple(x // g for x in ints)
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    rays = set()
+    for sub in itertools.combinations(normals, rank - 1):
+        line = kernel_line(sub)
+        if line is not None:
+            rays |= {line, tuple(-x for x in line)}
+    return [
+        sorted(r for r in rays if all(dot(h, r) * dot(h, p) >= 0 for h in normals))
+        for p in points
+    ]

@@ -119,6 +119,28 @@ def test_covariant_vanish_command():
     assert json.loads(out)["vanishes_on_all"]
 
 
+def test_weights_on_one_line_still_have_a_component():
+    # every weight of A1xT1 [2,0] lies on one line; the weight [2,0] is itself
+    # a degree-1 monomial on the component {[2,0]}
+    code, out = run_cli(
+        ["covariant-vanish", "A1xT1", "[2,0]", "--target", "[2,0]", "--degree", "1"]
+    )
+    assert code == 1
+    assert json.loads(out)["per_component"] == [{"dimension": 1, "vanishes": False}]
+    code, out = run_cli(["components", "A1xT1", "[2,0]"])
+    assert code == 0
+    assert [c["weights"] for c in json.loads(out)["candidates"]] == [[[2, 0]]]
+
+
+@pytest.mark.parametrize("copy", ["1", "-1"])
+def test_support_copy_out_of_range_exits_two(copy, capsys):
+    code, out = run_cli(["support-rank", "F4", "[0,0,0,1]", "--support", f"[0,0,0,1]:{copy}"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert f"support copy {copy} of" in err and "copy range 0..0" in err
+    assert "Traceback" not in err
+
+
 def test_classify_exit_zero_on_yes():
     code, out = run_cli(["classify", "A2", "[1,1]"])
     assert code == 0

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coreduce import paper
 from coreduce.nullcone import (
@@ -27,7 +27,13 @@ from coreduce.nullcone import (
 from coreduce.repthy import ModuleSpec, module_weights, parse_module
 from coreduce.rootsys import SL3, parse_group, root_scaled_of_dynkin
 
-from oracles import brute_force_sl3_dominant_sets, chamber_count, reference_dominance
+from oracles import (
+    brute_force_sl3_dominant_sets,
+    chamber_closure_rays,
+    chamber_count,
+    exact_rank,
+    reference_dominance,
+)
 
 
 
@@ -168,7 +174,7 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-arrangements = st.sampled_from([3, 4]).flatmap(
+arrangements = st.sampled_from([2, 3, 4]).flatmap(
     lambda rank: st.tuples(
         st.just(rank),
         st.lists(
@@ -190,6 +196,22 @@ def test_chamber_samples_meet_every_chamber(arr):
     assert len(signs) == chamber_count(normals, rank)
 
 
+@given(arr=arrangements, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_chamber_points_are_sums_of_their_extreme_rays(arr, data):
+    """Each point is the sum of the primitive rays in the closure of its
+    chamber, so it depends only on the chamber; with cone walls, every point
+    lies strictly inside the cone."""
+    rank, normals = arr
+    cone = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank).filter(any), max_size=3))
+    hyper = normals + cone
+    assume(exact_rank(hyper) == rank)
+    samples = _chamber_samples(normals, rank, cone)
+    for p, rays in zip(samples, chamber_closure_rays(hyper, rank, samples)):
+        assert all(_dot(w, p) > 0 for w in cone)
+        assert p == tuple(map(sum, zip(*rays)))
+
+
 def _weight_lines(m):
     g = m.group
     return [root_scaled_of_dynkin(g, w) for w in module_weights(m).nonzero_weights()]
@@ -197,11 +219,20 @@ def _weight_lines(m):
 
 @pytest.mark.parametrize(
     "group, text, chambers",
-    [("B3", "[1,0,0]", 8), ("C3", "[0,1,0]", 24), ("A1xG2", "[2,1,0]", 60)],
+    [
+        ("B3", "[1,0,0]", 8),
+        ("C3", "[0,1,0]", 24),
+        ("A1xG2", "[2,1,0]", 60),
+        # all weights on one line
+        ("A1xA1", "[1,0]", 2),
+        ("A1xA1", "[2,0]", 2),
+        ("A1xA1", "[0,1]", 2),
+        ("A1xA1", "[0,2]", 2),
+    ],
 )
 def test_full_arrangement_count_matches_zaslavsky(group, text, chambers):
     m = parse_module(parse_group(group), text)
-    assert chamber_count(_weight_lines(m), 3) == chambers
+    assert chamber_count(_weight_lines(m), m.group.rank) == chambers
     assert len(admissible_sets(m, mod_weyl=False)) == chambers
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from coreduce.rootsys import (
     RootSystemError,
-    SL3,
     SimpleType,
     dominant_weights_below,
     dominantize,
@@ -14,7 +13,6 @@ from coreduce.rootsys import (
     dynkin_to_eps,
     eps_to_dynkin,
     in_root_lattice,
-    min_max_negation_ratios,
     orbit_size,
     parse_group,
     parse_weight,
@@ -162,9 +160,7 @@ def test_dominant_weights_below_adjoint_a2():
     assert below == frozenset({(1, 1), (0, 0)})
 
 
-def test_sl3_ratio_bounds():
-    mx, mn = min_max_negation_ratios(SL3, (3, 1))
-    assert {mx, mn} == {Fraction(5, 2), Fraction(2, 5)}
+def test_sl3_root_coords():
     p, q = sl3_root_coords((3, 1))
     assert (p, q) == (Fraction(7, 3), Fraction(5, 3))
 

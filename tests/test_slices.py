@@ -6,7 +6,6 @@ from coreduce.repthy import ModuleSpec, min_root_multiplicity, module_weights, p
 from coreduce.rootsys import parse_group
 from coreduce.slices import (
     bad_toral_slice,
-    criterion_a,
     has_toral_slice,
     product_group_rule,
     roots_mult2_rule,
@@ -74,13 +73,6 @@ def test_product_group_rule_requires_toral_slice():
     assert not has_toral_slice(m)
     with pytest.raises(ValueError):
         product_group_rule(m)
-
-
-def test_criterion_a_f4():
-    g = parse_group("F4")
-    cert = criterion_a(g, (1, 0, 0, 0), (0, 0, 0, 1))
-    assert cert is not None
-    cert.validate()
 
 
 @given(
