@@ -17,18 +17,17 @@ from typing import Optional, Sequence
 from .config import CertificateError, require
 from .monoid import exists_sum, is_torus_coreduced
 from .nullcone import (
+    G2XG2_DEGREE,
+    G2XG2_TARGET,
     AdmissibleSet,
     Cocharacter,
-    D4_TRIALITY_CASES,
     ScreenResult,
     admissible_sets,
     classify_components_sl3,
     covariant_vanishes,
     d4_adjoint_target_reachable,
+    d4_triality_module,
     f4_two_26_support_bound,
-    g2xg2_covariant_series,
-    g2xg2_covariant_vanishes,
-    g2xg2_model_admissible_sets,
     maximal_sets,
     negative_weight_degree_screen,
     positive_factor_counts,
@@ -63,10 +62,9 @@ from .slices import (
     GENERIC_HYPOTHESIS,
     BadSliceCertificate,
     bad_toral_slice,
-    has_toral_slice,
     product_group_rule,
     roots_mult2_rule,
-    toral_slice_weights,
+    toral_slice,
 )
 
 YES = "yes"
@@ -284,9 +282,11 @@ def classify_adjoint_exceptional(g: GroupSpec, m: ModuleSpec) -> Verdict:
 def f4_three_26_certificate() -> tuple:
     """Three or more copies of the 26-dimensional module: on the rank-4
     orthogonal slice, the adjoint-type covariant of tridegree (1,1,1) in the
-    exterior squares misses every null-cone component (the three block checks)
-    while 7 copies exist against only 5 in the ideal."""
-    checks = tuple(d4_adjoint_target_reachable(c) for c in D4_TRIALITY_CASES)
+    exterior squares misses every null-cone component (one block check per
+    maximal set of the chamber enumeration, six in all) while 7 copies exist
+    against only 5 in the ideal."""
+    sets = maximal_sets(admissible_sets(d4_triality_module(), mod_weyl=True))
+    checks = tuple(d4_adjoint_target_reachable(a) for a in sets)
     if any(checks):
         raise ContradictionError("adjoint target reachable on a null-cone component")
     counts = {"copies_in_degree_222": 7, "in_ideal": 5}  # cross-checked fixture
@@ -322,10 +322,8 @@ def _eps_relation_certificate(
     note: str,
 ) -> BadSliceCertificate:
     g = m.group
-    weights = []
-    for ew in eps_weights:
-        d = eps_to_dynkin(t, [Q(x) for x in ew])
-        weights.append(root_scaled_of_dynkin(g, d))
+    dynkin = [eps_to_dynkin(t, [Q(x) for x in ew]) for ew in eps_weights]
+    weights = [root_scaled_of_dynkin(g, d) for d in dynkin]
     cert = BadSliceCertificate(
         kind="toral_relation",
         weights=tuple(weights),
@@ -334,9 +332,9 @@ def _eps_relation_certificate(
         note=note,
     )
     cert.validate()
-    slice_ws = toral_slice_weights(m)
-    for w in weights:
-        require(w in slice_ws, f"weight {w} not in the toral slice")
+    counts = toral_slice(m)
+    for d, w in zip(dynkin, weights):
+        require(counts is not None and d in counts, f"weight {w} not in the toral slice")
     return cert
 
 
@@ -531,13 +529,13 @@ def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
     tag = "semisimple-irreducible"
     if _is_semisimple_yes_row(g, hw):
         _check_no_negative_rule(m)
-        cert = product_group_rule(m) if has_toral_slice(m) else None
+        cert = product_group_rule(m) if toral_slice(m) is not None else None
         if cert is not None:
             raise ContradictionError(f"product rule fired on coreduced module {m}")
         return Verdict(m, YES_PAPER, (Citation("symmetric-space / cofree quotient argument"),), tag)
     keyed = tuple(str(t) for t in g.simple_factors)
     if keyed == ("G2", "G2") and hw == (1, 0, 1, 0):
-        return Verdict(m, NO, g2xg2_certificate(), tag)
+        return Verdict(m, NO, g2xg2_certificate(m), tag)
     if (
         len(keyed) == 2
         and keyed[1] == "G2"
@@ -549,7 +547,7 @@ def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
             m, NO, (cert, Citation("slice at the zero weight vector")), tag,
             ("screen applied to the rank-1 slice cocharacter with positive values 1 and 3",),
         )
-    cert = product_group_rule(m) if has_toral_slice(m) else None
+    cert = product_group_rule(m) if toral_slice(m) is not None else None
     if cert is not None:
         return Verdict(m, NO, (cert,), tag)
     bad = bad_toral_slice(m)
@@ -597,14 +595,14 @@ def _is_odd_orthogonal_triple(g: GroupSpec, hw: Coords) -> bool:
     )
 
 
-def g2xg2_certificate() -> tuple:
+def g2xg2_certificate(m: ModuleSpec) -> tuple:
     """The 49-dimensional module of the product of two rank-2 exceptional
     groups: a generating covariant in degree 9 vanishes on every null-cone
     component."""
-    sets = g2xg2_model_admissible_sets()
-    if not g2xg2_covariant_vanishes(sets):
+    sets = maximal_sets(admissible_sets(m, mod_weyl=True))
+    if not all(covariant_vanishes(a, G2XG2_TARGET, G2XG2_DEGREE) for a in sets):
         raise ContradictionError("degree-9 covariant fails to vanish on a component")
-    cert = g2xg2_covariant_series()
+    cert = covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE)
     if not cert.exists:
         raise ContradictionError("expected a generating covariant in degree 9")
     return (cert, {"components_checked": len(sets), "vanishes_on_all": True})
@@ -699,8 +697,17 @@ def _invariant_generator_upper_bounds(m: ModuleSpec, dmax: int) -> list[int]:
     return gens
 
 
+SL3_SCREEN_DEGREE_CAP = 12
+"""Largest monomial degree the ``sl3`` rank screen considers."""
+SL3_EXTRA_DEGREES = 4
+"""Degrees above the vanishing bound in which the ``sl3`` covariant
+certificate looks for a generating covariant."""
+FEASIBLE_DEGREE_CAP = 40
+"""Largest degree bound ``_max_feasible_degree`` searches up to."""
+
+
 def sl3_irreducible_rank_screen(
-    m: ModuleSpec, sets: Sequence[AdmissibleSet], degree_cap: int = 12
+    m: ModuleSpec, sets: Sequence[AdmissibleSet]
 ) -> Optional[tuple]:
     """Rank-of-differentials screen on a certified dominant component of
     ``sets``, the output of :func:`classify_components_sl3` for ``m``.
@@ -720,13 +727,15 @@ def sl3_irreducible_rank_screen(
         ks = positive_factor_counts([(v, m) for _, v, m in weight_values(chi, a.defining)])
         if len(ks) <= 2:
             continue
-        thresholds = sorted({k for k in ks if k is not None and k + 1 <= degree_cap})
+        thresholds = sorted(
+            {k for k in ks if k is not None and k + 1 <= SL3_SCREEN_DEGREE_CAP}
+        )
         for kk in [0] + thresholds:
             subset = sum(1 for k in ks if k is None or k <= kk)
             if subset - 2 <= 0:
                 continue
             if gens is None:
-                gens = _invariant_generator_upper_bounds(m, degree_cap)
+                gens = _invariant_generator_upper_bounds(m, SL3_SCREEN_DEGREE_CAP)
             available = sum(gens[: kk + 1])
             if available < subset - 2:
                 return (
@@ -744,7 +753,7 @@ def sl3_irreducible_rank_screen(
 
 
 def sl3_vanishing_generator_certificate(
-    m: ModuleSpec, sets: Sequence[AdmissibleSet], max_extra_degree: int = 4
+    m: ModuleSpec, sets: Sequence[AdmissibleSet]
 ) -> Optional[tuple]:
     """Find a degree d and a standard-type covariant target such that every
     covariant of that type and degree vanishes on all potentially dominant
@@ -766,7 +775,7 @@ def sl3_vanishing_generator_certificate(
             dmax = max(dmax, d)
         if not feasible:
             continue
-        for d in range(dmax + 1, dmax + 1 + max_extra_degree):
+        for d in range(dmax + 1, dmax + 1 + SL3_EXTRA_DEGREES):
             cert = covariant_generator_exists(m, target, d)
             if cert.exists:
                 vanishes = all(
@@ -781,16 +790,14 @@ def sl3_vanishing_generator_certificate(
     return None
 
 
-def _max_feasible_degree(
-    a: AdmissibleSet, target: Coords, cap: int = 40
-) -> Optional[int]:
+def _max_feasible_degree(a: AdmissibleSet, target: Coords) -> Optional[int]:
     tgt = root_scaled_of_dynkin(a.defining.group, target)
     tval = a.defining.value(target)
     minval = min(a.defining.value(w) for w in a.weights)
     if minval <= 0:
         return None
     dbound = int(tval / minval)
-    if dbound > cap:
+    if dbound > FEASIBLE_DEGREE_CAP:
         return None
     best = 0
     ws = a.root_scaled()

@@ -19,14 +19,13 @@ from typing import Callable, Optional, Sequence
 from .config import CertificateError, ResourceLimitError
 from .monoid import hilbert_basis, is_torus_coreduced
 from .nullcone import (
+    G2XG2_DEGREE,
+    G2XG2_TARGET,
     admissible_sets,
     covariant_vanishes,
     d4_adjoint_target_reachable,
-    D4_TRIALITY_CASES,
+    d4_triality_module,
     f4_two_26_support_bound,
-    g2xg2_covariant_series,
-    g2xg2_covariant_vanishes,
-    g2xg2_model_admissible_sets,
     maximal_sets,
     sl3_pair_differential_vanishes,
     sl3_critical_ratios,
@@ -51,7 +50,7 @@ from .rootsys import (
     parse_group,
     parse_weight,
 )
-from .slices import bad_toral_slice, has_toral_slice
+from .slices import bad_toral_slice, toral_slice
 from . import classify as cls, paper
 
 SCHEMA = 1
@@ -194,7 +193,7 @@ def cmd_hilbert_basis(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_bad_slice(cfg: Config, args: argparse.Namespace) -> int:
     m = _module(args)
-    if not has_toral_slice(m):
+    if toral_slice(m) is None:
         _emit(cfg, {"module": str(m), "toral_slice": False, "bad": False})
         return EXIT_NO
     cert = bad_toral_slice(m)
@@ -418,11 +417,11 @@ def _suite_appendix_a() -> list[dict]:
             and stats["singletons_after_column_reduction"] == singletons,
         )
     ]
-    for i, case in enumerate(D4_TRIALITY_CASES):
+    for i, a in enumerate(maximal_sets(admissible_sets(d4_triality_module()))):
         out.append(
             _check(
                 f"triality case {i}: adjoint target unreachable",
-                not d4_adjoint_target_reachable(case),
+                not d4_adjoint_target_reachable(a),
             )
         )
     for i in range(len(SL3_PAIR_MODELS)):
@@ -454,7 +453,8 @@ def _suite_appendix_a() -> list[dict]:
 
 
 def _suite_appendix_b() -> list[dict]:
-    sets = g2xg2_model_admissible_sets()
+    m = parse_module(parse_group(paper.G2XG2_GROUP), paper.G2XG2_MODULE)
+    sets = maximal_sets(admissible_sets(m))
     out = [
         _check(
             f"sixteen {paper.G2XG2_SET_DIM}-dim maximal sets",
@@ -463,10 +463,10 @@ def _suite_appendix_b() -> list[dict]:
         ),
         _check(
             "degree-9 covariant infeasible on all sixteen",
-            g2xg2_covariant_vanishes(sets),
+            all(covariant_vanishes(a, G2XG2_TARGET, G2XG2_DEGREE) for a in sets),
         ),
     ]
-    cert = g2xg2_covariant_series()
+    cert = covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE)
     mults = list(cert.per_degree_mults)
     invs = list(cert.per_degree_invariants)
     out.append(

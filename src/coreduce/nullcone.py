@@ -29,9 +29,7 @@ from .config import ResourceLimitError, require
 from .monoid import Vec, exists_sum
 from .repthy import (
     Character,
-    CovariantCertificate,
     ModuleSpec,
-    covariant_generator_exists,
     module_weights,
     weight_diagram,
 )
@@ -127,7 +125,8 @@ def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]
     arrangement as the walls of a cone.  Every rank up to ``CHAMBER_RANK_CAP``
     goes through :func:`_chamber_samples`, and each chamber's cocharacter is
     the sum of its primitive extreme rays (the tests count the chambers
-    against Zaslavsky's theorem).  Larger ranks are refused.
+    against Zaslavsky's theorem).  Larger ranks and modules without a nonzero
+    weight are refused.
     """
     g = m.group
     chi = module_weights(m)
@@ -137,6 +136,9 @@ def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]
             f"chamber enumeration got rank {rank}, over CHAMBER_RANK_CAP = {CHAMBER_RANK_CAP}"
         )
     lines = sorted({_line(root_scaled_of_dynkin(g, w)) for w in chi.nonzero_weights()})
+    if not lines:
+        # a zero-dimensional positive weight space answers every question vacuously
+        raise ValueError("need a nontrivial module with no trivial summands")
     walls = [_primitive(root_scaled_of_dynkin(g, d)) for d in g.positive_roots_dynkin()]
     out: list[AdmissibleSet] = []
     seen: set[tuple[Coords, ...]] = set()
@@ -546,15 +548,13 @@ def support_rank_bound(columns: set[Column]) -> tuple[int, dict]:
 
 
 def support_orbit_dim_bound(
-    m: ModuleSpec,
-    v_support: Sequence[tuple[Coords, int]],
-    zero_class: Optional[Callable[[Coords], object]] = None,
+    m: ModuleSpec, v_support: Sequence[tuple[Coords, int]]
 ) -> tuple[int, dict]:
     """Certified lower bound for dim G·v at a generic vector with the given
     weight support, via support-matrix reduction.  ``v_support`` lists
-    (weight in Dynkin coordinates, summand copy index).  ``zero_class``
-    refines the labelling of root-vector images inside the zero weight space;
-    the default lumps them together, which is always safe but may be weak.
+    (weight in Dynkin coordinates, summand copy index).  Root-vector images
+    inside the zero weight space are lumped together, which is always safe
+    but may be weak.
     """
     if not v_support:
         return 0, {"columns": 0, "bound": 0}
@@ -564,8 +564,7 @@ def support_orbit_dim_bound(
         diag = weight_diagram(g, hw).entries
         copies.extend([dict(diag)] * coeff)
     roots = g.roots_dynkin()
-    cls = zero_class if zero_class is not None else (lambda delta: "0")
-    cols = support_columns(copies, roots, v_support, cls)
+    cols = support_columns(copies, roots, v_support, lambda delta: "0")
     return support_rank_bound(cols)
 
 
@@ -613,6 +612,9 @@ def support_columns(
 # (a, b, c, abar, bbar, cbar) with a >= b >= c, abar >= bbar >= cbar and
 # a > abar after symmetry reduction; the derived sign vector of
 # (c-bbar, c-cbar, c+abar, b+abar, b-cbar, b-bbar) selects the chamber.
+# The models are the paper's own chamber bookkeeping, kept as typed because
+# its recorded numbers (the row-5 floor and largest negative value) refer to
+# them; each is checked against its sign row and chamber inequalities.
 
 SL3_PAIR_SIGN_PATTERNS: tuple[tuple[int, ...], ...] = (
     (-1, -1, -1, -1, -1, -1),
@@ -713,145 +715,54 @@ def sl3_pair_differential_vanishes(model: Sequence[int]) -> tuple[bool, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Fixture: the sixteen maximal positive weight spaces of the 7x7-dimensional
-# module over the product of two copies of the rank-2 exceptional group.
-# A cocharacter is recorded by (a, b, a2, b2): its values on the short simple
-# root and the middle short root of each factor; normalization
-# a,b,a2,b2 > 0, a >= b, a2 >= b2, disjoint value triples, plus the swap.
+# The two modules whose null-cone components the appendices check.  Nothing
+# of them is typed in: the components are the maximal sets of
+# ``admissible_sets(m, mod_weyl=True)``.  Their cocharacters are dominant, so
+# every set is stable under the Borel subgroup, and a covariant of degree d
+# vanishes on its saturation as soon as no degree-d monomial in the set has
+# the covariant's highest weight (:func:`covariant_vanishes`).
+#
+# Appendix B: the 7x7-dimensional module over the product of two copies of
+# the rank-2 exceptional group, with a degree-9 covariant of the second
+# factor's adjoint type.
 
-G2XG2_MODEL_PARAMS: tuple[tuple[int, int, int, int], ...] = (
-    (5, 4, 2, 1),
-    (6, 4, 3, 2),
-    (6, 5, 4, 3),
-    (5, 2, 3, 1),
-    (6, 4, 5, 3),
-    (7, 1, 4, 2),
-    (6, 2, 4, 3),
-    (6, 2, 5, 4),
-)
-
-
-def g2xg2_group() -> GroupSpec:
-    return GroupSpec((SimpleType("G", 2), SimpleType("G", 2)))
-
-
-G2XG2_HW = (1, 0, 1, 0)  # the 7-dim module of each factor, tensored
 G2XG2_TARGET = (0, 0, 1, 0)  # the adjoint module of the second factor
 G2XG2_DEGREE = 9
 
+# Appendix A: the vector and the two half-spin modules of the rank-4
+# orthogonal group, the slice of three copies of the 26-dimensional module of
+# the rank-4 exceptional group, with the adjoint-type covariant of tridegree
+# (1,1,1) in the exterior squares.
 
-def g2xg2_cocharacter(a: int, b: int, a2: int, b2: int) -> Cocharacter:
-    """Values (a, b-a, a2, b2-a2) on root coordinates: the short simple root
-    pairs to a and the middle short root (sum of the simple roots) to b."""
-    g = g2xg2_group()
-    return Cocharacter((Q(a), Q(b - a), Q(a2), Q(b2 - a2)), g)
-
-
-def g2xg2_model_admissible_sets() -> list[AdmissibleSet]:
-    """The eight models and their copy-swaps, as admissible sets of the
-    7x7 module; each has 24 of the 48 nonzero weights."""
-    g = g2xg2_group()
-    m = ModuleSpec(g, ((1, G2XG2_HW),))
-    chi = module_weights(m)
-    out = []
-    for a, b, a2, b2 in G2XG2_MODEL_PARAMS:
-        for params in ((a, b, a2, b2), (a2, b2, a, b)):
-            rho = g2xg2_cocharacter(*params)
-            triple = {params[0], params[1], params[0] + params[1]}
-            triple2 = {params[2], params[3], params[2] + params[3]}
-            require(
-                all(x > 0 for x in params) and params[0] >= params[1] and params[2] >= params[3]
-                and not triple & triple2,
-                f"model {params} is not normalized",
-            )
-            adm = AdmissibleSet(_positive_set(chi, rho), rho)
-            adm.verify(chi)
-            require(adm.dimension() == 24, f"model {params} gives dimension {adm.dimension()}")
-            out.append(adm)
-    return out
+D4_TRIALITY_HWS = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+D4_ADJOINT_HW = (0, 1, 0, 0)  # e1+e2, the highest root
 
 
-def g2xg2_covariant_vanishes(sets: Sequence[AdmissibleSet]) -> bool:
-    """Does the degree-9 covariant of adjoint type vanish on every set?"""
-    return all(covariant_vanishes(a, G2XG2_TARGET, G2XG2_DEGREE, False) for a in sets)
+def d4_triality_module() -> ModuleSpec:
+    return ModuleSpec(GroupSpec((SimpleType("D", 4),)), tuple((1, hw) for hw in D4_TRIALITY_HWS))
 
 
-def g2xg2_covariant_series() -> CovariantCertificate:
-    """Multiplicities of the adjoint target and invariant dimensions in
-    degrees 1..9 of the symmetric algebra of the 49-dimensional module, and
-    the degree-9 ideal bound."""
-    m = ModuleSpec(g2xg2_group(), ((1, G2XG2_HW),))
-    return covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE)
-
-
-# ---------------------------------------------------------------------------
-# Fixture: triality-orbit block checks for the 8+8+8-dimensional module of
-# the rank-4 orthogonal group.  Each case lists the four-element positive
-# weight sets of the three summand families in epsilon coordinates; the
-# blocks are the positive weights of their exterior squares (pairwise sums).
-
-_E = [
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-    (0, 0, 1, 0),
-    (0, 0, 0, 1),
-]
-
-
-def _half(signs: str) -> tuple[Fraction, ...]:
-    return tuple(Q(1 if s == "+" else -1, 2) for s in signs)
-
-
-D4_TRIALITY_CASES: tuple[dict, ...] = (
-    {
-        "vector": tuple(_E),
-        "spinor_plus": ("++++", "+-+-", "++--", "-++-"),
-        "spinor_minus": ("+++-", "+-++", "++-+", "-+++"),
-    },
-    {
-        "vector": tuple(_E),
-        "spinor_plus": ("++++", "+-+-", "++--", "+--+"),
-        "spinor_minus": ("+++-", "+-++", "++-+", "+---"),
-    },
-    {
-        "vector": tuple(_E),
-        "spinor_plus": ("++++", "+-+-", "++--", "+--+"),
-        "spinor_minus": ("+++-", "+-++", "++-+", "-+++"),
-    },
-)
-
-
-def _pairwise_sums(vectors: Sequence[Sequence[Fraction]]) -> list[Vec]:
-    out = []
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            s = tuple(x + y for x, y in zip(vectors[i], vectors[j]))
-            require(all(f == int(f) for f in s), f"pairwise sum {s} is not integral")
-            out.append(tuple(int(f) for f in s))
-    return out
-
-
-def d4_wedge_blocks(case: dict) -> list[list[Vec]]:
-    """Positive weights of the exterior square of each summand family."""
-    vec = [tuple(Q(x) for x in v) for v in case["vector"]]
-    sp = [_half(s) for s in case["spinor_plus"]]
-    sm = [_half(s) for s in case["spinor_minus"]]
-    return [_pairwise_sums(vec), _pairwise_sums(sp), _pairwise_sums(sm)]
-
-
-def d4_adjoint_target_reachable(case: dict) -> bool:
+def d4_adjoint_target_reachable(adm: AdmissibleSet) -> bool:
     """Can the adjoint highest weight e1+e2 be a sum of one positive exterior
-    square weight from each of the three families?  Each weight carries its
-    family's indicator, so a sum of three with indicators (1, 1, 1) takes one
-    from each."""
-    blocks = d4_wedge_blocks(case)
+    square weight from each summand family of an admissible set of
+    :func:`d4_triality_module`?  The exterior square weights of a family are
+    the pairwise sums of its weights.  Each carries its family's indicator,
+    so a sum of three with indicators (1, 1, 1) takes one from each."""
+    g = adm.defining.group
+    k = len(D4_TRIALITY_HWS)
+    diagrams = [weight_diagram(g, hw).entries for hw in D4_TRIALITY_HWS]
+    families: list[list[Vec]] = [[] for _ in range(k)]
+    for w in adm.weights:
+        owners = [i for i, diag in enumerate(diagrams) if w in diag]
+        require(len(owners) == 1, f"weight {w} does not lie in exactly one summand")
+        families[owners[0]].append(root_scaled_of_dynkin(g, w))
     tagged = [
-        w + tuple(int(i == k) for i in range(len(blocks)))
-        for k, block in enumerate(blocks)
-        for w in block
+        tuple(a + b for a, b in zip(u, v)) + tuple(int(j == i) for j in range(k))
+        for i, family in enumerate(families)
+        for u, v in combinations(family, 2)
     ]
-    target = (1, 1, 0, 0) + (1,) * len(blocks)
-    return exists_sum(tagged, target, len(blocks)).feasible
+    target = root_scaled_of_dynkin(g, D4_ADJOINT_HW) + (1,) * k
+    return exists_sum(tagged, target, k).feasible
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,8 @@ SL3_PAIR_ROW_FLOOR = 19
 # the 49-dimensional module of G2xG2: the number and dimension of its maximal
 # sets; in degrees 1..9 of S(V), the multiplicities of the second factor's
 # adjoint module and the invariant dimensions; a cap on the degree-9 ideal bound
+G2XG2_GROUP = "G2xG2"
+G2XG2_MODULE = "[1,0,1,0]"
 G2XG2_MAXIMAL_SETS = 16
 G2XG2_SET_DIM = 24
 G2XG2_COVARIANT_SERIES = (0, 0, 1, 1, 3, 5, 12, 18, 41)

@@ -145,6 +145,10 @@ def _det(m: Sequence[Sequence[int]]) -> int:
     row (the matrices here are Cartan matrices and minors of at most 3x3)."""
     if len(m) == 1:
         return m[0][0]
+    if len(m) == 2:
+        # closed form: the chamber enumeration's minors end here, and expanding
+        # them cost about half of its time
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     return sum(
         (-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in m[1:]])
         for j, x in enumerate(m[0])

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import require
-from .monoid import Vec, is_torus_coreduced
+from .monoid import Vec, _check_stored, is_torus_coreduced
 from .repthy import ModuleSpec, min_root_multiplicity, module_weights
-from .rootsys import Coords, GroupSpec, root_scaled_of_dynkin
+from .rootsys import Coords, root_scaled_of_dynkin
 
 GENERIC_HYPOTHESIS = "generic zero weight vector"
 
@@ -51,50 +51,33 @@ class BadSliceCertificate:
             require(all(x == 0 for x in self.relation_sum()), "relation must sum to zero")
 
 
-def has_toral_slice(m: ModuleSpec) -> bool:
-    """True iff every root of every simple factor is a weight of the module."""
+def toral_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
+    """The torus weights of the slice at a generic zero-weight vector: the
+    nonzero module weights (Dynkin coordinates) with one copy of each root
+    removed, mapped to their multiplicities; None when some root of the
+    group is not a weight of the module, so that there is no toral slice."""
     chi = module_weights(m)
-    return all(chi.mult(d) >= 1 for d in m.group.roots_dynkin())
-
-
-def toral_slice_weights(m: ModuleSpec) -> list[Vec]:
-    """Nonzero module weights minus one copy of each root, root_scaled coords.
-
-    Returned with multiplicity, sorted, as the torus weight list of the slice
-    at a generic zero-weight vector.
-    """
-    ws = _slice_weights(m)
-    if ws is None:
-        raise ValueError("some root of the group is not a weight of the module")
-    return ws
-
-
-def _slice_weights(m: ModuleSpec) -> Optional[list[Vec]]:
-    """:func:`toral_slice_weights`, or None when there is no toral slice;
-    one weight computation, and no coordinate change before the root test."""
-    g = m.group
-    chi = module_weights(m)
-    if not all(chi.mult(d) >= 1 for d in g.roots_dynkin()):
+    roots = m.group.roots_dynkin()
+    if not all(chi.mult(d) >= 1 for d in roots):
         return None
-    counts: dict[Vec, int] = {}
-    for w, mult in chi.nonzero_weights().items():
-        counts[root_scaled_of_dynkin(g, w)] = mult
-    for d in g.roots_dynkin():
-        r = root_scaled_of_dynkin(g, d)
-        counts[r] -= 1
-        require(counts[r] >= 0, "a root is counted twice")
-    out: list[Vec] = []
-    for w in sorted(counts):
-        out.extend([w] * counts[w])
-    return out
+    counts = chi.nonzero_weights()
+    for d in roots:
+        counts[d] -= 1
+    return {w: c for w, c in counts.items() if c}
 
 
 def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     """The direct test: Hilbert-basis 0/1 criterion on the toral slice
-    weights; None when the slice is coreduced or there is none."""
-    ws = _slice_weights(m)
-    if ws is None:
+    weights, with multiplicity, in sorted root_scaled coordinates; None when
+    the slice is coreduced or there is none.  The size of the search is
+    checked before the weights are converted or listed."""
+    counts = toral_slice(m)
+    if counts is None:
         return None
+    n = sum(counts.values())
+    _check_stored(n, n)
+    g = m.group
+    ws = sorted(root_scaled_of_dynkin(g, w) for w, c in counts.items() for _ in range(c))
     verdict = is_torus_coreduced(ws)
     gen = verdict.certificate
     if gen is None:
@@ -174,22 +157,23 @@ def product_group_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     (a+c) + (a-c) + 2(b-c) + 2(-(a+b)+c) = 0.  Absent exactly when the
     module is the A1 x A1 tensor square of the natural SL2-module (where no
     such relation exists).  Every participating weight is verified to occur
-    among the slice weights.
+    among the slice weights (the relation is linear, so it is built in Dynkin
+    coordinates and converted to root_scaled ones for the certificate).
     """
     g = m.group
     k = len(g.simple_factors)
     if k < 2 or len(m.summands) != 1 or m.summands[0][0] != 1:
         raise ValueError("rule applies to irreducible tensor modules over >= 2 factors")
-    slice_counts: dict[Vec, int] = {}
-    for w in toral_slice_weights(m):
-        slice_counts[w] = slice_counts.get(w, 0) + 1
+    counts = toral_slice(m)
+    if counts is None:
+        raise ValueError("some root of the group is not a weight of the module")
 
     def block_root(factor: int, local: int) -> Coords:
         lo, hi = g.blocks[factor]
         rs = g.root_systems[factor]
         full = [0] * g.rank
         full[lo:hi] = rs.cartan[local]
-        return root_scaled_of_dynkin(g, tuple(full))
+        return tuple(full)
 
     def combo(*terms: tuple[int, Coords]) -> Vec:
         out = [0] * g.rank
@@ -231,8 +215,12 @@ def product_group_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
         )
         coeffs = (1, 1, 2, 2)
     for w in weights:
-        if slice_counts.get(w, 0) < 1:
+        if counts.get(w, 0) < 1:
             raise ValueError(f"expected slice weight {w} is absent")
-    cert = BadSliceCertificate(kind="product_rule", weights=weights, coeffs=coeffs)
+    cert = BadSliceCertificate(
+        kind="product_rule",
+        weights=tuple(root_scaled_of_dynkin(g, w) for w in weights),
+        coeffs=coeffs,
+    )
     cert.validate()
     return cert

@@ -364,3 +364,35 @@ def chamber_closure_rays(normals, rank: int, points) -> list[list[tuple]]:
         sorted(r for r in rays if all(dot(h, r) * dot(h, p) >= 0 for h in normals))
         for p in points
     ]
+
+
+# The three components of the triality module 8v+8s+8c of D4 that the
+# paper's Appendix A lists, as typed there: the positive weights of the
+# vector family in epsilon coordinates, and of the two half-spin families as
+# the signs of (+-1/2, +-1/2, +-1/2, +-1/2).
+D4_TRIALITY_CASES = (
+    {
+        "vector": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        "spinor_plus": ("++++", "+-+-", "++--", "-++-"),
+        "spinor_minus": ("+++-", "+-++", "++-+", "-+++"),
+    },
+    {
+        "vector": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        "spinor_plus": ("++++", "+-+-", "++--", "+--+"),
+        "spinor_minus": ("+++-", "+-++", "++-+", "+---"),
+    },
+    {
+        "vector": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        "spinor_plus": ("++++", "+-+-", "++--", "+--+"),
+        "spinor_minus": ("+++-", "+-++", "++-+", "-+++"),
+    },
+)
+
+
+def d4_triality_case_weights(case: dict) -> frozenset:
+    """The twelve weights of a typed triality case in epsilon coordinates."""
+    from fractions import Fraction
+
+    half = [tuple(Fraction(1 if s == "+" else -1, 2) for s in signs)
+            for signs in case["spinor_plus"] + case["spinor_minus"]]
+    return frozenset(tuple(Fraction(x) for x in v) for v in case["vector"]) | frozenset(half)

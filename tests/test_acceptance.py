@@ -15,14 +15,13 @@ from coreduce.monoid import (
     is_torus_coreduced,
 )
 from coreduce.nullcone import (
-    D4_TRIALITY_CASES,
     SL3_PAIR_MODELS,
+    admissible_sets,
     classify_components_sl3,
     covariant_vanishes,
     d4_adjoint_target_reachable,
+    d4_triality_module,
     f4_two_26_support_bound,
-    g2xg2_covariant_series,
-    g2xg2_model_admissible_sets,
     maximal_sets,
     sl3_critical_ratios,
     sl3_pair_differential_vanishes,
@@ -40,7 +39,7 @@ from coreduce.repthy import (
     zero_weight_multiplicity,
 )
 from coreduce.rootsys import dynkin_to_eps, parse_group, weyl_orbit
-from coreduce.slices import bad_toral_slice, has_toral_slice, roots_mult2_rule, toral_slice_weights
+from coreduce.slices import bad_toral_slice, roots_mult2_rule, toral_slice
 from coreduce.classify import (
     NO,
     classify_module,
@@ -201,17 +200,19 @@ def test_criterion_06_sl3_v31():
 
 def test_criterion_07_g2xg2_appendix():
     with criterion(7, 600.0):
-        sets = g2xg2_model_admissible_sets()
+        m = parse_module(parse_group(paper.G2XG2_GROUP), paper.G2XG2_MODULE)
+        sets = maximal_sets(admissible_sets(m, mod_weyl=True))
         assert len(sets) == paper.G2XG2_MAXIMAL_SETS
         target = (0, 0, 1, 0)  # adjoint weight of the second factor
         for a in sets:
             assert a.dimension() == paper.G2XG2_SET_DIM
+            assert a.defining.is_dominant()
             assert not exists_sum(
                 a.root_scaled(),
                 _root_scaled(a.defining.group, target),
                 9
             ).feasible
-        cert = g2xg2_covariant_series()
+        cert = covariant_generator_exists(m, target, 9)
         assert (cert.target, cert.degree) == (target, 9)
         mults, invs = cert.per_degree_mults, cert.per_degree_invariants
         assert mults == paper.G2XG2_COVARIANT_SERIES
@@ -240,8 +241,10 @@ def test_criterion_08_f4_appendix():
         assert bound == paper.F4_SUPPORT_BOUND == 2 * paper.F4_26_DIM - 8
         assert stats["columns"] == paper.F4_SUPPORT_COLUMNS
         assert stats["singletons_after_column_reduction"] == paper.F4_SUPPORT_SINGLETONS
-        for case in D4_TRIALITY_CASES:
-            assert not d4_adjoint_target_reachable(case)
+        triality = maximal_sets(admissible_sets(d4_triality_module(), mod_weyl=True))
+        assert len(triality) == 6
+        for a in triality:
+            assert not d4_adjoint_target_reachable(a)
         model = SL3_PAIR_MODELS[paper.SL3_PAIR_ROW]
         assert tuple(model) == paper.SL3_PAIR_ROW_MODEL
         ok, row_stats = sl3_pair_differential_vanishes(model)
@@ -292,8 +295,6 @@ def test_criterion_10_property_suites():
         # antitonicity of covariant_vanishes in the degree list
         g = parse_group("A2")
         m = parse_module(g, "[2,1]")
-        from coreduce.nullcone import admissible_sets
-
         adm = admissible_sets(m)[0]
         for d in range(1, 6):
             if covariant_vanishes(adm, (1, 0), d, True):
@@ -314,9 +315,8 @@ def test_criterion_10_property_suites():
             if not summands:
                 continue
             m = ModuleSpec(g, tuple(summands))
-            if m.dimension() > 80 or not has_toral_slice(m):
-                continue
-            if len(toral_slice_weights(m)) > 14:
+            counts = None if m.dimension() > 80 else toral_slice(m)
+            if counts is None or sum(counts.values()) > 14:
                 continue
             cases += 1
             mult, _ = min_root_multiplicity(m)

@@ -183,6 +183,23 @@ def test_trivial_summand_classify_exits_two(group, module, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["components", "A2", "[0,0]"],
+        ["covariant-vanish", "A2", "[0,0]", "--target", "[0,0]", "--degree", "1"],
+    ],
+)
+def test_trivial_module_components_exit_two(argv, capsys):
+    # a module without a nonzero weight has no positive weight space to
+    # answer for; it once got a zero-dimensional "component" and exit 0
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert "need a nontrivial module with no trivial summands" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("degree", ["0", "-3"])
 def test_covariant_degree_below_one_exits_two(degree):
     code, out = run_cli(
@@ -299,9 +316,13 @@ def test_out_of_memory_exits_three(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("group, module", [("G2", "3*[0,2]"), ("B3", "[1,3,0]")])
+@pytest.mark.parametrize(
+    "group, module",
+    [("G2", "3*[0,2]"), ("B3", "[1,3,0]"), ("F4", "[3,2,2,1]"), ("F4", "[2,3,2,0]")],
+)
 def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(group, module):
-    # both toral-slice searches once ran until a 1 GB address space was full
+    # every toral-slice search here once ran until a 1 GB address space was
+    # full; the F4 slices (about 3e11 weights) are sized before they are listed
     import resource
     import time
 
@@ -330,3 +351,25 @@ def test_rank3_components_are_byte_identical_across_runs():
     assert all(
         "/" not in v for c in json.loads(a[1])["candidates"] for v in c["cocharacter"]
     )
+
+
+def test_g2xg2_components_checked_have_dominant_cocharacters(monkeypatch):
+    # testing only the highest weight of a covariant is sound on Borel-stable
+    # sets, the positive weight spaces of dominant cocharacters
+    from coreduce import classify, cli, nullcone
+
+    checked = []
+    vanishes = nullcone.covariant_vanishes
+
+    def recorded(adm, *args, **kwargs):
+        checked.append(adm)
+        return vanishes(adm, *args, **kwargs)
+
+    for module in (nullcone, classify, cli):
+        monkeypatch.setattr(module, "covariant_vanishes", recorded)
+    for argv in (["classify", "G2xG2", "[1,0,1,0]"], ["verify-paper", "--suite", "appendixB"]):
+        checked.clear()
+        code, _ = run_cli(argv)
+        assert code == (1 if argv[0] == "classify" else 0)
+        assert len(checked) == paper.G2XG2_MAXIMAL_SETS
+        assert all(a.defining.is_dominant() for a in checked)

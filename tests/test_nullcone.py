@@ -5,15 +5,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coreduce import paper
 from coreduce.nullcone import (
-    D4_TRIALITY_CASES,
+    G2XG2_DEGREE,
+    G2XG2_TARGET,
     SL3_PAIR_MODELS,
+    AdmissibleSet,
     admissible_sets,
     classify_components_sl3,
     covariant_vanishes,
     d4_adjoint_target_reachable,
+    d4_triality_module,
     dominance,
     f4_two_26_support_bound,
-    g2xg2_model_admissible_sets,
     maximal_sets,
     negative_weight_degree_screen,
     sl3_critical_ratios,
@@ -25,12 +27,14 @@ from coreduce.nullcone import (
     _chamber_samples,
 )
 from coreduce.repthy import ModuleSpec, module_weights, parse_module
-from coreduce.rootsys import SL3, parse_group, root_scaled_of_dynkin
+from coreduce.rootsys import SL3, dynkin_to_eps, parse_group, root_scaled_of_dynkin
 
 from oracles import (
+    D4_TRIALITY_CASES,
     brute_force_sl3_dominant_sets,
     chamber_closure_rays,
     chamber_count,
+    d4_triality_case_weights,
     exact_rank,
     reference_dominance,
 )
@@ -118,10 +122,33 @@ def test_f4_support_bound_numbers():
     assert stats["singletons_after_column_reduction"] == paper.F4_SUPPORT_SINGLETONS
 
 
+def _d4_triality_sets():
+    return maximal_sets(admissible_sets(d4_triality_module(), mod_weyl=True))
+
+
 def test_d4_triality_blocks_unreachable():
+    sets = _d4_triality_sets()
+    assert len(sets) == 6
+    for a in sets:
+        assert a.dimension() == 12 and a.defining.is_dominant()
+        assert not d4_adjoint_target_reachable(a)
+
+
+def test_d4_triality_target_reachable_on_all_weights():
+    # not vacuous: with every weight of the module, e1+e2 from the vector
+    # family plus s + (-s) = 0 from each half-spin family reaches the target
+    m = d4_triality_module()
+    a = admissible_sets(m)[0]
+    everything = AdmissibleSet(tuple(sorted(module_weights(m).nonzero_weights())), a.defining)
+    assert d4_adjoint_target_reachable(everything)
+
+
+def test_d4_typed_triality_cases_are_enumerated_sets():
+    t = d4_triality_module().group.simple_factors[0]
+    enumerated = {frozenset(dynkin_to_eps(t, w) for w in a.weights) for a in _d4_triality_sets()}
     assert len(D4_TRIALITY_CASES) == 3
     for case in D4_TRIALITY_CASES:
-        assert not d4_adjoint_target_reachable(case)
+        assert d4_triality_case_weights(case) in enumerated
 
 
 def test_sl3_pair_models_validate_and_vanish():
@@ -143,11 +170,13 @@ def test_sl3_pair_row_five_numbers():
 
 
 def test_g2xg2_sixteen_sets():
-    sets = g2xg2_model_admissible_sets()
+    m = parse_module(parse_group(paper.G2XG2_GROUP), paper.G2XG2_MODULE)
+    sets = maximal_sets(admissible_sets(m, mod_weyl=True))
     assert len(sets) == paper.G2XG2_MAXIMAL_SETS
     assert all(a.dimension() == paper.G2XG2_SET_DIM for a in sets)
     for a in sets:
-        assert covariant_vanishes(a, (0, 0, 1, 0), 9, False)
+        assert a.defining.is_dominant()
+        assert covariant_vanishes(a, G2XG2_TARGET, G2XG2_DEGREE, False)
 
 
 def test_support_bound_at_most_support_size_plus_rank():

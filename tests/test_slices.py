@@ -6,27 +6,29 @@ from coreduce.repthy import ModuleSpec, min_root_multiplicity, module_weights, p
 from coreduce.rootsys import parse_group
 from coreduce.slices import (
     bad_toral_slice,
-    has_toral_slice,
     product_group_rule,
     roots_mult2_rule,
-    toral_slice_weights,
+    toral_slice,
 )
 
 
 
 def test_has_toral_slice_requires_all_roots():
     g = parse_group("F4")
-    assert has_toral_slice(parse_module(g, "[1,0,0,0]"))
-    assert not has_toral_slice(parse_module(g, "2*[0,0,0,1]"))
-    assert has_toral_slice(parse_module(g, "[1,0,0,0]+[0,0,0,1]"))
+    assert toral_slice(parse_module(g, "[1,0,0,0]")) is not None
+    assert toral_slice(parse_module(g, "2*[0,0,0,1]")) is None
+    assert toral_slice(parse_module(g, "[1,0,0,0]+[0,0,0,1]")) is not None
 
 
 def test_toral_slice_weights_removes_one_root_copy():
     g = parse_group("A2")
     m = parse_module(g, "2*[1,1]")
-    ws = toral_slice_weights(m)
+    counts = toral_slice(m)
     # 2 x 8-dim adjoint: 12 nonzero weights, 6 roots removed once each
-    assert len(ws) == 6
+    assert sum(counts.values()) == 6
+    assert counts == {d: 1 for d in g.roots_dynkin()}
+    # the adjoint alone keeps no nonzero weight, and no zero-count entry
+    assert toral_slice(parse_module(g, "[1,1]")) == {}
 
 
 def test_bad_slice_sextic():
@@ -70,7 +72,7 @@ def test_roots_mult2_rule_type_a_reduction():
 def test_product_group_rule_requires_toral_slice():
     g = parse_group("B2xG2")
     m = parse_module(g, "[1,0,1,0]")
-    assert not has_toral_slice(m)
+    assert toral_slice(m) is None
     with pytest.raises(ValueError):
         product_group_rule(m)
 
@@ -89,9 +91,8 @@ def test_bad_slice_certificates_always_validate(name, data):
     )
     coeff = data.draw(st.integers(1, 2))
     m = ModuleSpec(g, ((coeff, hw),))
-    if m.dimension() > 60 or not has_toral_slice(m):
-        return
-    if len(toral_slice_weights(m)) > 14:
+    counts = None if m.dimension() > 60 else toral_slice(m)
+    if counts is None or sum(counts.values()) > 14:
         return
     cert = bad_toral_slice(m)
     if cert is not None:
