@@ -190,8 +190,8 @@ def _require_simple(g: GroupSpec) -> None:
         raise ValueError(f"{g} is not a simple group; this driver covers one simple factor")
 
 
-def _check_no_negative_rule(m: ModuleSpec) -> None:
-    if bad_toral_slice(m) is not None:
+def _check_no_negative_rule(m: ModuleSpec, counts: Optional[dict[Coords, int]] = None) -> None:
+    if bad_toral_slice(m, counts) is not None:
         raise ContradictionError(f"bad toral slice on coreduced module {m}")
 
 
@@ -528,10 +528,12 @@ def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
     hw = m.summands[0][1]
     tag = "semisimple-irreducible"
     if _is_semisimple_yes_row(g, hw):
-        _check_no_negative_rule(m)
-        cert = product_group_rule(m) if toral_slice(m) is not None else None
-        if cert is not None:
-            raise ContradictionError(f"product rule fired on coreduced module {m}")
+        # one toral slice for both checks; without one neither can fire
+        counts = toral_slice(m)
+        if counts is not None:
+            _check_no_negative_rule(m, counts)
+            if product_group_rule(m, counts) is not None:
+                raise ContradictionError(f"product rule fired on coreduced module {m}")
         return Verdict(m, YES_PAPER, (Citation("symmetric-space / cofree quotient argument"),), tag)
     keyed = tuple(str(t) for t in g.simple_factors)
     if keyed == ("G2", "G2") and hw == (1, 0, 1, 0):
@@ -547,12 +549,14 @@ def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
             m, NO, (cert, Citation("slice at the zero weight vector")), tag,
             ("screen applied to the rank-1 slice cocharacter with positive values 1 and 3",),
         )
-    cert = product_group_rule(m) if toral_slice(m) is not None else None
-    if cert is not None:
-        return Verdict(m, NO, (cert,), tag)
-    bad = bad_toral_slice(m)
-    if bad is not None:
-        return Verdict(m, NO, (bad,), tag)
+    counts = toral_slice(m)
+    if counts is not None:
+        cert = product_group_rule(m, counts)
+        if cert is not None:
+            return Verdict(m, NO, (cert,), tag)
+        bad = bad_toral_slice(m, counts)
+        if bad is not None:
+            return Verdict(m, NO, (bad,), tag)
     if _is_odd_orthogonal_triple(g, hw):
         tv = is_torus_coreduced([(2, 0), (0, 2), (1, 1), (-1, -1)])
         if tv.coreduced:

@@ -2,7 +2,12 @@
 
 Irreducible weight multiplicities come from the Freudenthal recursion run
 over dominant weights only (the diagram is Weyl-invariant, so one value per
-orbit suffices); full diagrams are materialized on demand by orbit closure.
+orbit suffices).  Counts read off the dominant diagram and orbit sizes
+(:func:`weight_counts`, :func:`min_root_multiplicity`,
+:meth:`Character.mass`) expand no orbit.  Full diagrams are materialized by
+orbit closure only where every weight is used: :func:`weight_diagram` and
+:func:`module_weights` (the weight lists of the chamber enumeration, the
+toral slices and the multigraded series) and :func:`symmetric_power`.
 Multiplicities of irreducibles inside an arbitrary character use the
 alternating Weyl-sum (Racah) formula, which needs only point lookups.
 
@@ -234,6 +239,28 @@ def module_weights(m: ModuleSpec) -> Character:
     return Character(m.group, total, False)
 
 
+def module_dominant_diagram(m: ModuleSpec) -> Character:
+    """Dominant-only character of the module: the summands' dominant diagrams
+    added with their coefficients, one value per Weyl orbit."""
+    total: dict[Coords, int] = {}
+    for coeff, hw in m.summands:
+        for d, mult in dominant_diagram(m.group, hw).items():
+            total[d] = total.get(d, 0) + coeff * mult
+    return Character(m.group, total, True)
+
+
+def weight_counts(m: ModuleSpec) -> tuple[int, int]:
+    """(multiplicity of the zero weight, number of nonzero weights counted
+    with multiplicity) of the module: each nonzero dominant weight counts its
+    multiplicity times its orbit size, so no orbit is expanded."""
+    chi = module_dominant_diagram(m)
+    zero = tuple(0 for _ in range(m.group.rank))
+    nonzero = sum(
+        mult * orbit_size(m.group, d) for d, mult in chi.entries.items() if d != zero
+    )
+    return chi.entries.get(zero, 0), nonzero
+
+
 def min_root_multiplicity(m: ModuleSpec) -> tuple[int, Coords]:
     """Minimum, over all roots of the group, of the root's weight multiplicity.
 
@@ -245,12 +272,8 @@ def min_root_multiplicity(m: ModuleSpec) -> tuple[int, Coords]:
     roots = g.roots_dynkin()
     if not roots:
         raise ValueError(f"{g} has no roots")
-    # accumulate dominant-backed characters to keep E-series cheap
-    chars = [(coeff, Character(g, dominant_diagram(g, hw), True)) for coeff, hw in m.summands]
-    return min(
-        ((sum(coeff * ch.mult(root_d) for coeff, ch in chars), root_d) for root_d in roots),
-        key=lambda pair: pair[0],
-    )
+    chi = module_dominant_diagram(m)
+    return min(((chi.mult(root_d), root_d) for root_d in roots), key=lambda pair: pair[0])
 
 
 def max_nonzero_weight_multiplicity(g: GroupSpec, hw: Coords) -> tuple[int, Optional[Coords]]:

@@ -66,12 +66,16 @@ def toral_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
     return {w: c for w, c in counts.items() if c}
 
 
-def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
+def bad_toral_slice(
+    m: ModuleSpec, counts: Optional[dict[Coords, int]] = None
+) -> Optional[BadSliceCertificate]:
     """The direct test: Hilbert-basis 0/1 criterion on the toral slice
     weights, with multiplicity, in sorted root_scaled coordinates; None when
-    the slice is coreduced or there is none.  The size of the search is
-    checked before the weights are converted or listed."""
-    counts = toral_slice(m)
+    the slice is coreduced or there is none.  ``counts`` is ``toral_slice(m)``
+    when the caller has it, and is computed here otherwise.  The size of the
+    search is checked before the weights are converted or listed."""
+    if counts is None:
+        counts = toral_slice(m)
     if counts is None:
         return None
     n = sum(counts.values())
@@ -148,7 +152,9 @@ def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     )
 
 
-def product_group_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
+def product_group_rule(
+    m: ModuleSpec, counts: Optional[dict[Coords, int]] = None
+) -> Optional[BadSliceCertificate]:
     """Bad-slice relation for irreducible tensor modules over product groups.
 
     For k > 2 simple factors with simple roots alpha, beta, gamma one per
@@ -157,14 +163,17 @@ def product_group_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     (a+c) + (a-c) + 2(b-c) + 2(-(a+b)+c) = 0.  Absent exactly when the
     module is the A1 x A1 tensor square of the natural SL2-module (where no
     such relation exists).  Every participating weight is verified to occur
-    among the slice weights (the relation is linear, so it is built in Dynkin
-    coordinates and converted to root_scaled ones for the certificate).
+    among the slice weights ``counts``, which is ``toral_slice(m)`` when the
+    caller has it and is computed here otherwise (the relation is linear, so
+    it is built in Dynkin coordinates and converted to root_scaled ones for
+    the certificate).
     """
     g = m.group
     k = len(g.simple_factors)
     if k < 2 or len(m.summands) != 1 or m.summands[0][0] != 1:
         raise ValueError("rule applies to irreducible tensor modules over >= 2 factors")
-    counts = toral_slice(m)
+    if counts is None:
+        counts = toral_slice(m)
     if counts is None:
         raise ValueError("some root of the group is not a weight of the module")
 

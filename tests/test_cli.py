@@ -8,6 +8,8 @@ import pytest
 import coreduce
 from coreduce import paper
 from coreduce.cli import main
+from coreduce.repthy import group_weyl_dim, module_weights, parse_module
+from coreduce.rootsys import parse_group
 
 FOUR_SIX = ",".join(map(str, paper.TORUS_FOUR_SIX))
 
@@ -75,6 +77,143 @@ def test_import_does_not_load_numpy():
     assert out.returncode == 0, out.stdout + out.stderr
 
 
+def test_import_builds_no_parser_and_main_builds_it_once():
+    """The parser is built on the first main() call, not at import, and is
+    reused by every later call."""
+    code = "\n".join([
+        "import argparse, contextlib, io, json",
+        "made = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counted(self, *args, **kwargs):",
+        "    made.append(1)",
+        "    init(self, *args, **kwargs)",
+        "argparse.ArgumentParser.__init__ = counted",
+        "import coreduce.cli",
+        "counts = [len(made)]",
+        "for _ in range(2):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert coreduce.cli.main(['rootsys', 'A1']) == 0",
+        "    counts.append(len(made))",
+        "print(json.dumps(counts))",
+    ])
+    src = os.path.dirname(os.path.dirname(coreduce.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stdout + out.stderr
+    at_import, first, second = json.loads(out.stdout)
+    assert at_import == 0
+    assert first > 0 and second == first
+
+
+def test_reused_parser_keeps_no_output_mode():
+    code, out = run_cli(["--output", "text", "rootsys", "A2"])
+    assert code == 0 and "weyl_order: 6" in out
+    code, out = run_cli(["rootsys", "A2"])
+    assert code == 0 and json.loads(out)["weyl_order"] == 6
+
+
+def test_reused_parser_keeps_no_support_entries(monkeypatch):
+    from coreduce import cli
+
+    seen = []
+
+    def recorded(m, support):
+        seen.append(support)
+        return 0, {}
+
+    monkeypatch.setattr(cli, "support_orbit_dim_bound", recorded)
+    for weight in ("[0,0,0,1]", "[1,0,0,0]"):
+        assert run_cli(["support-rank", "F4", "[0,0,0,1]", "--support", f"{weight}:0"])[0] == 0
+    assert seen == [[((0, 0, 0, 1), 0)], [((1, 0, 0, 0), 0)]]
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    assert run_cli(["weights", "A2"])[0] == 2
+    code, out = run_cli(["weights", "A2", "[1,1]"])
+    assert code == 0 and json.loads(out)["dimension"] == 8
+
+
+WEIGHTS_POOL_GROUPS = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4", "E6", "E7",
+]
+
+
+def small_highest_weights(g, max_dim=1000):
+    # the trivial module, the fundamental weights and the sums of two of them
+    # (or one doubled) up to a dimension that keeps the expansion quick
+    units = [tuple(int(i == j) for j in range(g.rank)) for i in range(g.rank)]
+    hws = {tuple(0 for _ in range(g.rank))} | set(units)
+    hws |= {tuple(a + b for a, b in zip(u, v)) for u in units for v in units}
+    return sorted(hw for hw in hws if group_weyl_dim(g, hw) <= max_dim)
+
+
+def expanded_weight_counts(g, module):
+    chi = module_weights(parse_module(g, module))
+    zero = tuple(0 for _ in range(g.rank))
+    return chi.mult(zero), sum(chi.nonzero_weights().values())
+
+
+@pytest.mark.parametrize("group", WEIGHTS_POOL_GROUPS)
+def test_weights_counts_equal_the_expanded_diagram(group):
+    g = parse_group(group)
+    for hw in small_highest_weights(g):
+        module = "[" + ",".join(map(str, hw)) + "]"
+        code, out = run_cli(["weights", group, module])
+        assert code == 0, module
+        got = json.loads(out)
+        want = expanded_weight_counts(g, module)
+        assert (got["zero_multiplicity"], got["nonzero_weight_count"]) == want, module
+        assert sum(want) == got["dimension"], module
+
+
+@pytest.mark.parametrize(
+    "group,module",
+    [
+        ("A2", "2*[1,0]+[0,1]"),
+        ("A1xG2", "[2,1,0]"),
+        ("A1xG2", "[1,0,1]+2*[0,1,0]"),
+        ("A1xT1", "[2,1]+[1,0]"),
+    ],
+)
+def test_weights_counts_of_sums_and_products(group, module):
+    g = parse_group(group)
+    code, out = run_cli(["weights", group, module])
+    assert code == 0
+    got = json.loads(out)
+    want = expanded_weight_counts(g, module)
+    assert (got["zero_multiplicity"], got["nonzero_weight_count"]) == want
+    assert sum(want) == got["dimension"]
+
+
+def test_weights_expands_no_orbit(monkeypatch):
+    # warm the Freudenthal and Weyl-order caches first: closure also runs
+    # the dominant-weight descent and the Weyl-order count, and what is left
+    # for it after the warm-up is orbit expansion (1.6e6 weights here)
+    from coreduce import repthy, rootsys
+
+    g = parse_group("E6")
+    hw = (0, 0, 0, 0, 3, 0)
+    for d in repthy.dominant_diagram(g, hw):
+        rootsys.orbit_size(g, d)
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(repthy.Character, "expand", counting("expand", repthy.Character.expand))
+    monkeypatch.setattr(repthy, "closure", counting("closure", repthy.closure))
+    monkeypatch.setattr(rootsys, "closure", counting("closure", rootsys.closure))
+    code, out = run_cli(["weights", "E6", "[0,0,0,0,3,0]"])
+    assert code == 0
+    got = json.loads(out)
+    assert got["zero_multiplicity"] + got["nonzero_weight_count"] == got["dimension"] == 1559376
+    assert calls == []
+
+
 def test_weights_of_a_rootless_group_exit_two(capsys):
     assert main(["weights", "T1", "[1]"]) == 2
     assert "T1 has no roots" in capsys.readouterr().err
@@ -102,6 +241,22 @@ def test_bad_slice_command():
     assert code == 0 and json.loads(out)["bad"]
     code, out = run_cli(["bad-slice", "G2", "[0,1]"])
     assert code == 1 and not json.loads(out)["bad"]
+
+
+@pytest.mark.parametrize("group,module", [("A1", "[6]"), ("G2", "[0,1]"), ("A1xA2", "[2,1,1]")])
+def test_bad_slice_command_computes_the_weights_once(group, module, monkeypatch):
+    from coreduce import slices
+
+    calls = []
+    weights = slices.module_weights
+
+    def counted(mod):
+        calls.append(mod)
+        return weights(mod)
+
+    monkeypatch.setattr(slices, "module_weights", counted)
+    assert run_cli(["bad-slice", group, module])[0] in (0, 1)
+    assert len(calls) == 1
 
 
 def test_components_command():

@@ -129,3 +129,22 @@ def test_bad_toral_slice_computes_the_weights_once(group, module, monkeypatch):
     monkeypatch.setattr(slices, "module_weights", counted)
     bad_toral_slice(m)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "group,module", [("A1xA2", "[2,1,1]"), ("A2xA2", "[1,1,1,1]"), ("A1xA1xA1", "[2,2,2]")]
+)
+def test_product_group_classify_computes_the_weights_once(group, module, monkeypatch):
+    # the product rule and the direct search share one toral slice
+    from coreduce.classify import NO, classify_semisimple_irreducible
+
+    m = parse_module(parse_group(group), module)
+    calls = []
+
+    def counted(mod):
+        calls.append(mod)
+        return module_weights(mod)
+
+    monkeypatch.setattr(slices, "module_weights", counted)
+    assert classify_semisimple_irreducible(m).coreduced == NO
+    assert len(calls) == 1
