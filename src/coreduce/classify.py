@@ -35,6 +35,7 @@ from .nullcone import (
     weight_values,
 )
 from .repthy import (
+    Character,
     CovariantCertificate,
     ModuleSpec,
     covariant_generator_exists,
@@ -150,10 +151,11 @@ def classify_sl2(parts: Sequence[int]) -> Verdict:
         cert = _two_r2_screen()
         require(cert.not_reduced, "the two-quadratics screen does not fire")
         return Verdict(m, NO, (cert,), tag, ("rank of the quotient differential on the null cone",))
-    bad = bad_toral_slice(m)
+    chi = module_weights(m)
+    bad = bad_toral_slice(m, chi=chi)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
-    cov = _sl2_covariant_certificate(m, parts)
+    cov = _sl2_covariant_certificate(m, parts, chi)
     if cov is not None:
         return Verdict(m, NO, (cov,), tag, ("generating covariant of low target degree vanishes on the null cone",))
     return Verdict(
@@ -172,14 +174,14 @@ def _two_r2_screen() -> ScreenResult:
 
 
 def _sl2_covariant_certificate(
-    m: ModuleSpec, parts: tuple[int, ...]
+    m: ModuleSpec, parts: tuple[int, ...], chi: Character
 ) -> Optional[CovariantCertificate]:
     # Covariants to R_1 of degree >= 2 (odd weights present) or to R_2 of
     # degree >= 2 (all weights even) vanish on the null cone; a generating one
     # in such a degree certifies non-coreducedness.
     target = (1,) if any(p % 2 for p in parts) else (2,)
     for d in range(2, 9):
-        cert = covariant_generator_exists(m, target, d)
+        cert = covariant_generator_exists(m, target, d, chi)
         if cert.exists:
             return cert
     return None
@@ -643,28 +645,29 @@ def classify_sl3(m: ModuleSpec) -> Verdict:
         if s in (((1, (1, 0)),), ((1, (0, 1)),), ((1, (2, 0)),), ((1, (0, 2)),), ((1, (3, 0)),), ((1, (0, 3)),)):
             return Verdict(m, YES_PAPER, (Citation("cofree; quotient of small dimension"),), tag)
         return Verdict(m, YES_PAPER, (Citation("classical invariant theory"),), tag)
+    chi = module_weights(m)
     if len(s) == 1 and s[0][0] == 1:
         r, t = s[0][1]
         if (r - t) % 3 == 0:
-            bad = bad_toral_slice(m)
+            bad = bad_toral_slice(m, chi=chi)
             if bad is not None:
                 return Verdict(m, NO, (bad,), tag)
-        sets = classify_components_sl3(m)
-        screen = sl3_irreducible_rank_screen(m, sets)
+        sets = classify_components_sl3(m, chi)
+        screen = sl3_irreducible_rank_screen(chi, sets)
         if screen is not None:
             return Verdict(
                 m, NO, screen, tag,
                 ("rank of the invariant differentials on a dominant component",),
             )
-        cert = sl3_vanishing_generator_certificate(m, sets)
+        cert = sl3_vanishing_generator_certificate(m, sets, chi)
         if cert is not None:
             return Verdict(m, NO, cert, tag)
         return Verdict(m, NO_PAPER, (Citation("negative-weight count against the cubic-invariant bound"),), tag)
     # reducible non-listed modules
-    bad = bad_toral_slice(m)
+    bad = bad_toral_slice(m, chi=chi)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
-    screen = _sl3_reducible_screen(m)
+    screen = _sl3_reducible_screen(m, chi)
     if screen is not None:
         return Verdict(m, NO, screen, tag)
     return Verdict(m, NO_PAPER, (Citation("slice / associated-cone argument"),), tag)
@@ -682,14 +685,14 @@ def _is_sl3_yes_row(s: tuple[tuple[int, Coords], ...]) -> bool:
     return sor in (((1, (0, 1)), (1, (2, 0))), ((1, (0, 2)), (1, (1, 0))))
 
 
-def _invariant_generator_upper_bounds(m: ModuleSpec, dmax: int) -> list[int]:
-    """Upper bound, per degree 1..dmax, on the number of generating invariants.
+def _invariant_generator_upper_bounds(chi: Character, dmax: int) -> list[int]:
+    """Upper bound, per degree 1..dmax, on the number of generating invariants
+    of the module with weights ``chi``.
 
     Multiplication by a fixed nonzero invariant of degree e is injective, so
     the products of lower-degree invariants span at least max_e dim_{d-e}
     dimensions in degree d whenever degree e carries an invariant.
     """
-    chi = module_weights(m)
     powers = symmetric_power(chi, dmax)
     dims = [invariant_dimension(powers[d]) for d in range(dmax + 1)]
     gens = []
@@ -711,10 +714,11 @@ FEASIBLE_DEGREE_CAP = 40
 
 
 def sl3_irreducible_rank_screen(
-    m: ModuleSpec, sets: Sequence[AdmissibleSet]
+    chi: Character, sets: Sequence[AdmissibleSet]
 ) -> Optional[tuple]:
     """Rank-of-differentials screen on a certified dominant component of
-    ``sets``, the output of :func:`classify_components_sl3` for ``m``.
+    ``sets``, the output of :func:`classify_components_sl3` for the module
+    with weights ``chi``.
 
     For a subset S of the negative-weight directions reachable only by
     monomials of total degree <= d, the rank of the invariant differentials
@@ -723,7 +727,6 @@ def sl3_irreducible_rank_screen(
     codimension-2 bound for the slab inside its orbit closure.  A shortfall
     certifies a non-reduced component.
     """
-    chi = module_weights(m)
     gens: Optional[list[int]] = None
     for a in sets:
         if a.status != "dominant":
@@ -739,7 +742,7 @@ def sl3_irreducible_rank_screen(
             if subset - 2 <= 0:
                 continue
             if gens is None:
-                gens = _invariant_generator_upper_bounds(m, SL3_SCREEN_DEGREE_CAP)
+                gens = _invariant_generator_upper_bounds(chi, SL3_SCREEN_DEGREE_CAP)
             available = sum(gens[: kk + 1])
             if available < subset - 2:
                 return (
@@ -757,13 +760,13 @@ def sl3_irreducible_rank_screen(
 
 
 def sl3_vanishing_generator_certificate(
-    m: ModuleSpec, sets: Sequence[AdmissibleSet]
+    m: ModuleSpec, sets: Sequence[AdmissibleSet], chi: Character
 ) -> Optional[tuple]:
     """Find a degree d and a standard-type covariant target such that every
     covariant of that type and degree vanishes on all potentially dominant
     null-cone components among ``sets`` (the output of
     :func:`classify_components_sl3` for ``m``), while a generating one exists
-    in degree d."""
+    in degree d; ``chi`` is ``module_weights(m)``."""
     candidates = [a for a in sets if a.status in ("dominant", "unknown")]
     if not candidates:
         return None
@@ -780,7 +783,7 @@ def sl3_vanishing_generator_certificate(
         if not feasible:
             continue
         for d in range(dmax + 1, dmax + 1 + SL3_EXTRA_DEGREES):
-            cert = covariant_generator_exists(m, target, d)
+            cert = covariant_generator_exists(m, target, d, chi)
             if cert.exists:
                 vanishes = all(
                     covariant_vanishes(a, target, d, all_degrees=False)
@@ -811,16 +814,16 @@ def _max_feasible_degree(a: AdmissibleSet, target: Coords) -> Optional[int]:
     return best
 
 
-def _sl3_reducible_screen(m: ModuleSpec) -> Optional[tuple]:
+def _sl3_reducible_screen(m: ModuleSpec, chi: Character) -> Optional[tuple]:
     """Rank-of-differentials screens for the handful of reducible modules the
     classification settles by cocharacter bookkeeping; codimension values are
     recorded fixture data."""
     sor = tuple(sorted(m.summands))
     if sor == ((2, (2, 0)),) or sor == ((2, (0, 2)),):
-        res = _sl3_eps_screen(m, (1, 1, -2), codim=4, invariant_degrees=[3, 3, 3, 3])
+        res = _sl3_eps_screen(chi, (1, 1, -2), codim=4, invariant_degrees=[3, 3, 3, 3])
         return (res, {"codim_source": "recorded"}) if res.not_reduced else None
     if sor == ((1, (0, 2)), (1, (2, 0))):
-        res = _sl3_eps_screen(m, (1, 1, -2), codim=4, invariant_degrees=[2, 3, 3, 6])
+        res = _sl3_eps_screen(chi, (1, 1, -2), codim=4, invariant_degrees=[2, 3, 3, 6])
         return (res, {"codim_source": "recorded"}) if res.not_reduced else None
     if sor in (((1, (2, 0)), (2, (0, 1))), ((1, (0, 2)), (2, (1, 0)))):
         screen = _two_r2_screen()
@@ -830,15 +833,14 @@ def _sl3_reducible_screen(m: ModuleSpec) -> Optional[tuple]:
             {"null_cone": "irreducible, codimension 3 (recorded)"},
         )
     if sor in (((1, (1, 0)), (1, (2, 0))), ((1, (0, 1)), (1, (0, 2)))):
-        res = _sl3_eps_screen(m, (1, 1, -2), codim=2, invariant_degrees=[2, 3])
+        res = _sl3_eps_screen(chi, (1, 1, -2), codim=2, invariant_degrees=[2, 3])
         return (res, {"codim_source": "recorded"}) if res.not_reduced else None
     return None
 
 
 def _sl3_eps_screen(
-    m: ModuleSpec, eps_vals: tuple[int, int, int], codim: int, invariant_degrees: list
+    chi: Character, eps_vals: tuple[int, int, int], codim: int, invariant_degrees: list
 ) -> ScreenResult:
-    chi = module_weights(m)
     a, b, c = eps_vals
     rho = _sl3_cocharacter_from_eps(a, b, c)
     return negative_weight_degree_screen(chi, rho, codim, invariant_degrees)

@@ -117,7 +117,9 @@ CHAMBER_RANK_CAP = 4
 """Largest rank whose chambers ``admissible_sets`` enumerates."""
 
 
-def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]:
+def admissible_sets(
+    m: ModuleSpec, mod_weyl: bool = True, chi: Optional[Character] = None
+) -> list[AdmissibleSet]:
     """One admissible set per chamber of the weight hyperplane arrangement.
 
     ``mod_weyl`` restricts to strictly dominant cocharacters (one chamber per
@@ -126,10 +128,12 @@ def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]
     goes through :func:`_chamber_samples`, and each chamber's cocharacter is
     the sum of its primitive extreme rays (the tests count the chambers
     against Zaslavsky's theorem).  Larger ranks and modules without a nonzero
-    weight are refused.
+    weight are refused.  ``chi`` is ``module_weights(m)`` when the caller
+    has it.
     """
     g = m.group
-    chi = module_weights(m)
+    if chi is None:
+        chi = module_weights(m)
     rank = g.rank
     if rank > CHAMBER_RANK_CAP:
         raise ResourceLimitError(
@@ -310,9 +314,10 @@ def sl3_two_quadrant_dominant(adm: AdmissibleSet, all_sets: Sequence[AdmissibleS
     return has_1 and has_2
 
 
-def classify_components_sl3(m: ModuleSpec) -> list[AdmissibleSet]:
-    """Admissible sets of an A2 module with dominance statuses filled in."""
-    sets = admissible_sets(m, mod_weyl=True)
+def classify_components_sl3(m: ModuleSpec, chi: Optional[Character] = None) -> list[AdmissibleSet]:
+    """Admissible sets of an A2 module with dominance statuses filled in;
+    ``chi`` is ``module_weights(m)`` when the caller has it."""
+    sets = admissible_sets(m, mod_weyl=True, chi=chi)
     for i, a in enumerate(sets):
         for j, b in enumerate(sets):
             if i == j or a.weight_set() == b.weight_set():

@@ -2,7 +2,15 @@
 
 Irreducible weight multiplicities come from the Freudenthal recursion run
 over dominant weights only (the diagram is Weyl-invariant, so one value per
-orbit suffices).  Counts read off the dominant diagram and orbit sizes
+orbit suffices), in the orbit-wise form of Moody and Patera ("Fast recursion
+formula for weight multiplicities", Bull. AMS 1982): at a dominant weight
+mu, the sum over the positive roots becomes one alpha-string per orbit of
+the stabilizer W_mu, weighted by the orbit's size.  The orbit tables are
+derived from the root system by closure under the simple reflections that
+fix mu, and cached per type and zero-label set.  Each string point's
+multiplicity is looked up once, through its dominant representative, in a
+memo that lives for one diagram, and <nu, alpha> is stepped along the
+string by adding <alpha, alpha>.  Counts read off the dominant diagram and orbit sizes
 (:func:`weight_counts`, :func:`min_root_multiplicity`,
 :meth:`Character.mass`) expand no orbit.  Full diagrams are materialized by
 orbit closure only where every weight is used: :func:`weight_diagram` and
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .config import CertificateError, ResourceLimitError, require
@@ -41,6 +50,7 @@ from .rootsys import (
 )
 
 _freudenthal_cache: dict[tuple[SimpleType, Coords], dict[Coords, int]] = {}
+_root_orbit_cache: dict[tuple[SimpleType, tuple[int, ...]], tuple[tuple[int, int], ...]] = {}
 
 
 def weyl_dim(t: SimpleType, hw: Coords) -> int:
@@ -78,52 +88,116 @@ def simple_dominant_diagram(t: SimpleType, hw: Coords) -> dict[Coords, int]:
     return _freudenthal_cache[key]
 
 
+def _root_orbits(t: SimpleType, zero: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """One ``(w, k)`` per orbit O of W_J = <s_i : i in ``zero``> on the roots
+    that meet the positive roots: k indexes the first positive root of O,
+    and w is 2|O| for an orbit of roots outside the span of the simple roots
+    in J, |O| for one inside it (it holds -b with b), so the w sum to twice
+    the number of positive roots."""
+    key = (t, zero)
+    table = _root_orbit_cache.get(key)
+    if table is None:
+        rs = build_root_system(t)
+        pos = [rs.dynkin_of_root(a) for a in rs.positive_roots]
+        positive = set(pos)
+        rows = [(i, rs.cartan[i]) for i in zero]
+
+        def step(d: Coords) -> list[Coords]:
+            return [tuple(x - d[i] * a for x, a in zip(d, row)) for i, row in rows if d[i]]
+
+        seen: set[Coords] = set()
+        out = []
+        for k, d in enumerate(pos):
+            if d not in seen:
+                orbit = closure((d,), step)
+                seen.update(orbit)
+                out.append((2 * len(orbit) if positive.issuperset(orbit) else len(orbit), k))
+        table = _root_orbit_cache[key] = tuple(out)
+    return table
+
+
 def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
+    """Freudenthal's recursion over the stabilizer orbits of the positive
+    roots (Moody-Patera).  For dominant mu, f(a) = sum over k >= 1 of
+    m(mu+ka) (mu+ka, a) is constant on the orbits of the stabilizer W_mu,
+    which the simple reflections s_i with mu_i = 0 generate, and f(-b) = f(b)
+    for b orthogonal to mu; so one alpha-string per orbit, weighted as in
+    :func:`_root_orbits`, gives twice the numerator."""
     rs = build_root_system(t)
-    g = GroupSpec((t,))
     if any(x < 0 for x in hw):
         raise RootSystemError("highest weight must be dominant")
-    dom = dominant_weights_below(g, hw)
-    # process in decreasing height (sum of scaled root coordinates), ties in
-    # coordinate order, so the diagram's order does not rest on set layout
-    ordered = sorted(dom, key=lambda d: (-sum(rs.root_scaled_of_dynkin(d)), d))
-    pos_dynkin = [rs.dynkin_of_root(a) for a in rs.positive_roots]
-    delta = rs.weyl_vector
+    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    # the scaled root coordinates of each fundamental weight; their sums give
+    # the height, which is linear in Dynkin labels
+    rows = [rs.root_scaled_of_dynkin(e) for e in units]
+    height = [sum(row) for row in rows]
+    cols = list(zip(*rows))
+    # <omega_i, alpha_i> in the scale of inner_dr
+    sym = [rs.inner_dr(e, e) for e in units]
+    hw_2delta = [x + 2 for x in hw]
+    index = rs.lattice_index
+    # per positive root: Dynkin labels, the vector v with <nu, a> = nu . v,
+    # and <a, a>, which steps <nu, a> along an a-string
+    roots = []
+    for a in rs.positive_roots:
+        a_dyn = rs.dynkin_of_root(a)
+        roots.append((a_dyn, tuple(rs.inner_dr(e, a) for e in units), rs.inner_dr(a_dyn, a)))
+    # process in decreasing height, ties in coordinate order, so the
+    # diagram's order does not rest on set layout
+    ordered = sorted(dominant_weights_below(GroupSpec((t,)), hw))
+    ordered.sort(key=lambda d: -sum(map(mul, d, height)))
+    dominantize_one = rs.dominantize
     mults: dict[Coords, int] = {hw: 1}
     hw_rs = rs.root_scaled_of_dynkin(hw)
-    # string_tail[(nu, i)] = sum of mult(nu+k*alpha_i) * <nu+k*alpha_i, alpha_i>
-    # over k >= 0 until the string leaves the diagram; weight strings through
-    # a representation are contiguous, so the first absent point ends the sum
-    string_tail: dict[tuple[Coords, int], int] = {}
+    # string point -> the multiplicity of its dominant representative (0 off
+    # the diagram), for this diagram only.  The representative is higher
+    # than every weight whose strings reach the point, so it was processed
+    # before the first lookup and the value is final.
+    mult_of: dict[Coords, int] = {}
+    # tails[k][nu] = sum of m(nu+j*a) * <nu+j*a, a> over j >= 0, for the
+    # k-th positive root a, until the string leaves the diagram; weight
+    # strings through a representation are contiguous and every dominant
+    # weight below hw occurs, so the first point of multiplicity 0 ends the
+    # sum
+    tails: list[dict[Coords, int]] = [{} for _ in rs.positive_roots]
     for mu in ordered:
         if mu == hw:
             continue
         num = 0
-        for i, (a_root, a_dyn) in enumerate(zip(rs.positive_roots, pos_dynkin)):
-            chain: list[tuple[Coords, int]] = []
-            nu = tuple(m + d for m, d in zip(mu, a_dyn))
-            while (nu, i) not in string_tail:
-                nu_dom, _ = rs.dominantize(nu)
-                m = mults.get(nu_dom)
-                if m is None:
-                    string_tail[(nu, i)] = 0
-                    break
-                chain.append((nu, m * rs.inner_dr(nu, a_root)))
-                nu = tuple(x + d for x, d in zip(nu, a_dyn))
-            total = string_tail[(nu, i)]
-            for point, f in reversed(chain):
-                total += f
-                string_tail[(point, i)] = total
-            num += string_tail[(tuple(m + d for m, d in zip(mu, a_dyn)), i)]
-        # denominator (|hw+delta|^2 - |mu+delta|^2) = <hw+mu+2delta, hw-mu>
-        diff_rs = tuple(a - b for a, b in zip(hw_rs, rs.root_scaled_of_dynkin(mu)))
-        diff_root = tuple(x // rs.lattice_index for x in diff_rs)
-        summ = tuple(a + b + 2 * c for a, b, c in zip(hw, mu, delta))
-        den = rs.inner_dr(summ, diff_root)
+        for w, k in _root_orbits(t, tuple(i for i, x in enumerate(mu) if x == 0)):
+            a, vec, norm = roots[k]
+            nu = tuple(map(add, mu, a))
+            tails_k = tails[k]
+            tail = tails_k.get(nu)
+            if tail is None:
+                chain: list[tuple[Coords, int]] = []
+                inner = sum(map(mul, nu, vec))
+                while True:
+                    m = mult_of.get(nu)
+                    if m is None:
+                        m = mult_of[nu] = mults.get(dominantize_one(nu)[0], 0)
+                    if not m:
+                        tail = 0
+                        break
+                    chain.append((nu, m * inner))
+                    nu = tuple(map(add, nu, a))
+                    inner += norm
+                    tail = tails_k.get(nu)
+                    if tail is not None:
+                        break
+                for point, f in reversed(chain):
+                    tail += f
+                    tails_k[point] = tail
+            num += w * tail
+        # denominator (|hw+delta|^2 - |mu+delta|^2) = <hw+mu+2delta, hw-mu>,
+        # exact once hw - mu is in the root lattice
+        diff_rs = [h - sum(map(mul, mu, col)) for h, col in zip(hw_rs, cols)]
+        on_lattice = not any(x % index for x in diff_rs)
+        den = sum(map(mul, map(mul, sym, diff_rs), map(add, hw_2delta, mu))) // index
         # an explicit test rather than require, so the success path builds no message
-        if any(x % rs.lattice_index for x in diff_rs) or den <= 0 or (2 * num) % den:
+        if not on_lattice or den <= 0 or num % den:
             raise CertificateError(f"Freudenthal step fails at {mu} in V({hw}) of {t}")
-        mults[mu] = 2 * num // den
+        mults[mu] = num // den
     return mults
 
 
@@ -287,11 +361,6 @@ def max_nonzero_weight_multiplicity(g: GroupSpec, hw: Coords) -> tuple[int, Opti
     return best
 
 
-def zero_weight_multiplicity(g: GroupSpec, hw: Coords) -> int:
-    dom = dominant_diagram(g, hw)
-    return dom.get(tuple(0 for _ in range(g.rank)), 0)
-
-
 # ---------------------------------------------------------------------------
 # Symmetric powers
 
@@ -424,15 +493,17 @@ class CovariantCertificate:
 
 
 def covariant_generator_exists(
-    m: ModuleSpec, target: Coords, d: int
+    m: ModuleSpec, target: Coords, d: int, chi: Optional[Character] = None
 ) -> CovariantCertificate:
     """Decide whether a generating covariant of type V(target) exists in degree d.
 
     True when the multiplicity of V(target) in S^d(V) exceeds the upper bound
     on the ideal part: sum over 0 < e < d of (invariants in degree d-e) times
-    (covariants of that type in degree e).
+    (covariants of that type in degree e).  ``chi`` is ``module_weights(m)``
+    when the caller has it.
     """
-    chi = module_weights(m)
+    if chi is None:
+        chi = module_weights(m)
     powers = symmetric_power(chi, d)
     mults = tuple(mult_in_character(powers[e], target) for e in range(1, d + 1))
     invs = tuple(invariant_dimension(powers[e]) for e in range(1, d + 1))

@@ -220,7 +220,7 @@ class RootSystem:
 
     def orbit_size(self, dominant: Coords) -> int:
         """|W·dominant| via the stabilizer subdiagram, without materializing."""
-        zero = [i for i, x in enumerate(dominant) if x == 0]
+        zero = tuple(i for i, x in enumerate(dominant) if x == 0)
         return self.weyl_order // _sub_weyl_order(self.cartan, zero)
 
     # -- inner products ---------------------------------------------------
@@ -262,8 +262,10 @@ def build_root_system(t: SimpleType) -> RootSystem:
     return RootSystem(t)
 
 
-def _sub_weyl_order(cartan: Sequence[Sequence[int]], nodes: list[int]) -> int:
-    """Weyl group order of the subsystem generated by a subset of simple roots."""
+@lru_cache(maxsize=None)
+def _sub_weyl_order(cartan: tuple[Coords, ...], nodes: tuple[int, ...]) -> int:
+    """Weyl group order of the subsystem generated by a subset of simple
+    roots, cached by the Cartan matrix and the subset."""
     if not nodes:
         return 1
     nodeset = set(nodes)
@@ -525,11 +527,19 @@ def dominant_weights_below(g: GroupSpec, d0: Coords) -> frozenset[Coords]:
     """
     if not all(x >= 0 for x in d0):
         raise RootSystemError("weight is not dominant")
-    pos = g.positive_roots_dynkin()
+    # for dominant d, d - b is dominant iff d_j >= b_j at each positive label
+    # b_j of the root b, so a candidate is tested before its tuple is built
+    steps = [(b, [(j, x) for j, x in enumerate(b) if x > 0]) for b in g.positive_roots_dynkin()]
 
     def below(d: Coords) -> list[Coords]:
-        cands = [tuple(x - y for x, y in zip(d, b)) for b in pos]
-        return [e for e in cands if min(e) >= 0]
+        out = []
+        for b, need in steps:
+            for j, x in need:
+                if d[j] < x:
+                    break
+            else:
+                out.append(tuple(x - y for x, y in zip(d, b)))
+        return out
 
     return frozenset(closure((d0,), below))
 

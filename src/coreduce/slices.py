@@ -18,7 +18,7 @@ from typing import Optional
 
 from .config import require
 from .monoid import Vec, _check_stored, is_torus_coreduced
-from .repthy import ModuleSpec, min_root_multiplicity, module_weights
+from .repthy import Character, ModuleSpec, min_root_multiplicity, module_weights
 from .rootsys import Coords, root_scaled_of_dynkin
 
 GENERIC_HYPOTHESIS = "generic zero weight vector"
@@ -51,12 +51,14 @@ class BadSliceCertificate:
             require(all(x == 0 for x in self.relation_sum()), "relation must sum to zero")
 
 
-def toral_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
+def toral_slice(m: ModuleSpec, chi: Optional[Character] = None) -> Optional[dict[Coords, int]]:
     """The torus weights of the slice at a generic zero-weight vector: the
     nonzero module weights (Dynkin coordinates) with one copy of each root
     removed, mapped to their multiplicities; None when some root of the
-    group is not a weight of the module, so that there is no toral slice."""
-    chi = module_weights(m)
+    group is not a weight of the module, so that there is no toral slice.
+    ``chi`` is ``module_weights(m)`` when the caller has it."""
+    if chi is None:
+        chi = module_weights(m)
     roots = m.group.roots_dynkin()
     if not all(chi.mult(d) >= 1 for d in roots):
         return None
@@ -67,15 +69,18 @@ def toral_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
 
 
 def bad_toral_slice(
-    m: ModuleSpec, counts: Optional[dict[Coords, int]] = None
+    m: ModuleSpec,
+    counts: Optional[dict[Coords, int]] = None,
+    chi: Optional[Character] = None,
 ) -> Optional[BadSliceCertificate]:
     """The direct test: Hilbert-basis 0/1 criterion on the toral slice
     weights, with multiplicity, in sorted root_scaled coordinates; None when
     the slice is coreduced or there is none.  ``counts`` is ``toral_slice(m)``
-    when the caller has it, and is computed here otherwise.  The size of the
-    search is checked before the weights are converted or listed."""
+    when the caller has it, and is computed here otherwise (from ``chi``,
+    ``module_weights(m)``, when given).  The size of the search is checked
+    before the weights are converted or listed."""
     if counts is None:
-        counts = toral_slice(m)
+        counts = toral_slice(m, chi)
     if counts is None:
         return None
     n = sum(counts.values())

@@ -9,7 +9,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from coreduce.rootsys import GroupSpec, reflect, root_scaled_of_dynkin, simple_reflections
+from coreduce.config import CertificateError
+from coreduce.rootsys import (
+    GroupSpec,
+    RootSystemError,
+    build_root_system,
+    dominant_weights_below,
+    reflect,
+    root_scaled_of_dynkin,
+    simple_reflections,
+)
 
 
 def kostant_weight_multiplicity(g: GroupSpec, hw: tuple, target: tuple) -> int:
@@ -396,3 +405,56 @@ def d4_triality_case_weights(case: dict) -> frozenset:
     half = [tuple(Fraction(1 if s == "+" else -1, 2) for s in signs)
             for signs in case["spinor_plus"] + case["spinor_minus"]]
     return frozenset(tuple(Fraction(x) for x in v) for v in case["vector"]) | frozenset(half)
+
+
+def reference_freudenthal(t, hw: tuple) -> dict:
+    """Dominant-weight multiplicities of V(hw) by Freudenthal's recursion
+    summed over every positive root, one alpha-string each: the kernel
+    ``coreduce.repthy`` used before it walked one string per stabilizer
+    orbit, kept as the reference for it."""
+    rs = build_root_system(t)
+    g = GroupSpec((t,))
+    if any(x < 0 for x in hw):
+        raise RootSystemError("highest weight must be dominant")
+    dom = dominant_weights_below(g, hw)
+    # process in decreasing height (sum of scaled root coordinates), ties in
+    # coordinate order, so the diagram's order does not rest on set layout
+    ordered = sorted(dom, key=lambda d: (-sum(rs.root_scaled_of_dynkin(d)), d))
+    pos_dynkin = [rs.dynkin_of_root(a) for a in rs.positive_roots]
+    delta = rs.weyl_vector
+    mults: dict = {hw: 1}
+    hw_rs = rs.root_scaled_of_dynkin(hw)
+    # string_tail[(nu, i)] = sum of mult(nu+k*alpha_i) * <nu+k*alpha_i, alpha_i>
+    # over k >= 0 until the string leaves the diagram; weight strings through
+    # a representation are contiguous, so the first absent point ends the sum
+    string_tail: dict = {}
+    for mu in ordered:
+        if mu == hw:
+            continue
+        num = 0
+        for i, (a_root, a_dyn) in enumerate(zip(rs.positive_roots, pos_dynkin)):
+            chain: list = []
+            nu = tuple(m + d for m, d in zip(mu, a_dyn))
+            while (nu, i) not in string_tail:
+                nu_dom, _ = rs.dominantize(nu)
+                m = mults.get(nu_dom)
+                if m is None:
+                    string_tail[(nu, i)] = 0
+                    break
+                chain.append((nu, m * rs.inner_dr(nu, a_root)))
+                nu = tuple(x + d for x, d in zip(nu, a_dyn))
+            total = string_tail[(nu, i)]
+            for point, f in reversed(chain):
+                total += f
+                string_tail[(point, i)] = total
+            num += string_tail[(tuple(m + d for m, d in zip(mu, a_dyn)), i)]
+        # denominator (|hw+delta|^2 - |mu+delta|^2) = <hw+mu+2delta, hw-mu>
+        diff_rs = tuple(a - b for a, b in zip(hw_rs, rs.root_scaled_of_dynkin(mu)))
+        diff_root = tuple(x // rs.lattice_index for x in diff_rs)
+        summ = tuple(a + b + 2 * c for a, b, c in zip(hw, mu, delta))
+        den = rs.inner_dr(summ, diff_root)
+        # an explicit test rather than require, so the success path builds no message
+        if any(x % rs.lattice_index for x in diff_rs) or den <= 0 or (2 * num) % den:
+            raise CertificateError(f"Freudenthal step fails at {mu} in V({hw}) of {t}")
+        mults[mu] = 2 * num // den
+    return mults

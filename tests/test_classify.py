@@ -130,6 +130,27 @@ def test_certificate_checks_survive_python_O():
     assert out.returncode == 0, out.stdout + out.stderr
 
 
+@pytest.mark.parametrize(
+    "group,module", [("A2", "[2,1]"), ("A2", "[0,1]+[0,2]"), ("A1", "3*[1]+[2]")]
+)
+def test_sl2_and_sl3_classify_computes_the_weights_once(group, module, monkeypatch):
+    # the toral slice, the chamber enumeration, the screens and the covariant
+    # counts of one classify call share one weight multiset
+    from coreduce import classify, nullcone, repthy, slices
+
+    calls = []
+    weights = repthy.module_weights
+
+    def counted(mod):
+        calls.append(mod)
+        return weights(mod)
+
+    for mod in (repthy, slices, nullcone, classify):
+        monkeypatch.setattr(mod, "module_weights", counted)
+    classify_module(parse_module(parse_group(group), module))
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Rank-1 table
 

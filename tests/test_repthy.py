@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coreduce import paper
+from coreduce import paper, repthy
 from coreduce.repthy import (
     Character,
     ModuleSpec,
@@ -17,8 +17,8 @@ from coreduce.repthy import (
     parse_module,
     simple_dominant_diagram,
     symmetric_power,
+    weight_counts,
     weight_diagram,
-    zero_weight_multiplicity,
 )
 from coreduce.rootsys import (
     SimpleType,
@@ -31,6 +31,7 @@ from oracles import (
     brute_force_symmetric_power,
     kostant_weight_multiplicity,
     reference_covariant_counts,
+    reference_freudenthal,
     reference_graded_invariant_series,
 )
 
@@ -120,10 +121,10 @@ def test_invariant_dimension_is_trivial_isotypic_count():
 
 def test_zero_weight_multiplicities():
     g = parse_group("F4")
-    assert zero_weight_multiplicity(g, (0, 0, 0, 1)) == 2
-    assert zero_weight_multiplicity(g, (1, 0, 0, 0)) == 4
+    assert weight_counts(ModuleSpec(g, ((1, (0, 0, 0, 1)),)))[0] == 2
+    assert weight_counts(ModuleSpec(g, ((1, (1, 0, 0, 0)),)))[0] == 4
     a2 = parse_group("A2")
-    assert zero_weight_multiplicity(a2, (1, 1)) == 2
+    assert weight_counts(ModuleSpec(a2, ((1, (1, 1)),)))[0] == 2
 
 
 def test_dominant_diagram_breaks_height_ties_by_coordinates():
@@ -136,6 +137,44 @@ def test_dominant_diagram_breaks_height_ties_by_coordinates():
     heights = [sum(rs.root_scaled_of_dynkin(w)) for w in order]
     assert len(set(heights)) < len(heights)
     assert order == sorted(order, key=lambda w: (-sum(rs.root_scaled_of_dynkin(w)), w))
+
+
+# every simple type of rank at most 4, and G2 and F4
+SIMPLE_TYPES = [
+    SimpleType(family, rank)
+    for family, ranks in (("A", (1, 2, 3, 4)), ("B", (2, 3, 4)), ("C", (2, 3, 4)),
+                          ("D", (3, 4)), ("G", (2,)), ("F", (4,)))
+    for rank in ranks
+]
+
+
+@st.composite
+def simple_highest_weights(draw):
+    t = draw(st.sampled_from(SIMPLE_TYPES))
+    return t, draw(st.tuples(*[st.integers(0, 3)] * t.rank))
+
+
+@given(case=simple_highest_weights())
+@settings(max_examples=60, deadline=None)
+def test_dominant_diagram_matches_the_recursion_over_every_root(case):
+    # the orbit-wise recursion gives the same multiplicities, in the same
+    # order, as one alpha-string per positive root
+    t, hw = case
+    assert list(simple_dominant_diagram(t, hw).items()) == list(
+        reference_freudenthal(t, hw).items()
+    )
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_root_orbit_tables_cover_the_positive_roots_once(name):
+    t = parse_group(name).simple_factors[0]
+    npos = len(build_root_system(t).positive_roots)
+    for size in range(t.rank + 1):
+        for zero in itertools.combinations(range(t.rank), size):
+            table = repthy._root_orbits(t, zero)
+            assert repthy._root_orbits(t, zero) is table
+            assert sum(w for w, _ in table) == 2 * npos
+            assert len({k for _, k in table}) == len(table)
 
 
 def test_covariant_certificate_example():
