@@ -7,14 +7,27 @@ indecomposable relations — is computed by Contejean–Devié completion.  A
 weight list is *coreduced for the torus* exactly when every generator has
 all coefficients in {0, 1}.
 
-Both searches skip work that cannot change an answer:
+The Hilbert search runs on packed integers, and both searches skip work
+that cannot change an answer:
 
+- A candidate's coefficients ``x`` over ``n`` weights are one int with a
+  field per weight, ``x[0]`` in the most significant, so int order is
+  tuple order.  A field has ``(HILBERT_COORD_CAP // n + 1).bit_length()``
+  bits, enough for any coefficient the cap lets the search reach, and a
+  guard bit on top: ``m <= y`` componentwise exactly when
+  ``(y | GUARD) - m`` keeps every guard bit.  The pairings ``<val, w>`` of
+  the candidate's value ``val = sum_i x_i * a_i`` with each distinct weight
+  are a second int, one biased byte-aligned field each, and a child steps
+  them by the packed Gram row of its weight.  A negative pairing is a field
+  with its top bit clear, and ``val == 0`` exactly when the int equals the
+  bias (every pairing 0), because ``val`` lies in the span of the weights
+  and is then orthogonal to it.
 - The minimality test of the completion is indexed.  Generators are kept
   by (coordinate, coefficient) and by support bitmask; a child ``x + e_j``
   of a candidate is compared only with generators whose j-th coefficient
-  equals the child's, and a popped candidate only with generators found
-  after it was pushed.  Candidates, their order and the generators are
-  those of the plain scan.
+  equals the child's, and a popped candidate only with the generators
+  added to that bucket after it was pushed.  Candidates, their order and
+  the generators are those of the plain scan.
 - ``exists_sum`` bounds every partial sum by the values a linear
   functional can still add: with ``rem`` summands left, each worth between
   ``lo`` and ``hi``, a state of value ``v`` survives only if
@@ -44,7 +57,9 @@ HILBERT_COORD_CAP = 16_000_000
 times the number of weights.  The largest search of the recorded paper
 computations stores 1.9 million (F4 in the ``exceptional`` suite); the two
 toral slices that once filled a 1 GB address space did so at 111 and 125
-million."""
+million.  The cap also fixes the width of a packed coefficient field: it
+bounds the degree, and so every coefficient, of a candidate the search
+reaches."""
 HILBERT_GENERATOR_CAP = 100_000
 """Generators the Hilbert search may find."""
 
@@ -76,23 +91,28 @@ class HilbertBasis:
     generators: tuple[Relation, ...]
 
 
-# A generator as the minimality index stores it: its support bitmask and its
-# nonzero (index, coefficient) pairs.
-_Gen = tuple[int, tuple[tuple[int, int], ...]]
-
-
-def _covers(y: Vec, ymask: int, gen: _Gen) -> bool:
-    """y >= gen componentwise; the support mask rejects most pairs at once."""
-    mask, items = gen
-    return not mask & ~ymask and all(y[i] >= c for i, c in items)
-
-
 def _check_stored(candidates: int, n: int) -> None:
     if candidates * n > HILBERT_COORD_CAP:
         raise ResourceLimitError(
             f"hilbert basis search: {candidates} candidates of {n} coefficients "
             f"make {candidates * n} coordinates, over HILBERT_COORD_CAP = {HILBERT_COORD_CAP}"
         )
+
+
+def _dominates(x: int, xmask: int, gens: list[tuple[int, int]], guard: int) -> bool:
+    """Packed ``x`` >= some packed generator ``m`` componentwise: no field of
+    ``(x | guard) - m`` borrows from its guard bit.  The support masks
+    reject most pairs first."""
+    xg, outside = x | guard, ~xmask
+    for mmask, m in gens:
+        if not mmask & outside and (xg - m) & guard == guard:
+            return True
+    return False
+
+
+def _repunit(width: int, count: int) -> int:
+    """``count`` fields of ``width`` bits, each holding 1."""
+    return ((1 << width * count) - 1) // ((1 << width) - 1)
 
 
 def iter_hilbert_basis(weights: Sequence[Vec]) -> Iterator[Relation]:
@@ -105,11 +125,12 @@ def iter_hilbert_basis(weights: Sequence[Vec]) -> Iterator[Relation]:
     interesting generator.
 
     The minimality test is indexed rather than a scan of every generator.
-    A candidate is pushed only if it dominates none of the generators known
-    at that moment, so when it is popped only the generators found since
-    need checking.  Its child ``y = x + e_j`` can dominate a generator ``m``
-    only if ``m[j] == y[j]`` (x dominates none of them), so the child is
-    checked against that one bucket of the index.
+    A child ``y = x + e_j`` of a popped candidate ``x`` can dominate a
+    generator ``m`` only if ``m[j] == y[j]``, because ``x`` dominates none of
+    them, so the child is checked against that one bucket of the index.  The
+    parent dominates no generator found later either (a later generator has
+    at least its degree), so when ``y`` is popped only the generators added
+    to the same bucket since its push need checking.
     """
     n = len(weights)
     if n == 0:
@@ -121,50 +142,90 @@ def iter_hilbert_basis(weights: Sequence[Vec]) -> Iterator[Relation]:
         raise ValueError("zero weights must be discarded before basis computation")
     _check_stored(n, n)  # the unit vectors that start the search
 
-    def dot(a: Vec, b: Vec) -> int:
-        return sum(x * y for x, y in zip(a, b))
+    # Coefficients: field i of the int x holds x[i], x[0] in the most
+    # significant field, so comparing ints compares tuples.  A coefficient
+    # is at most the degree, and a candidate's degree is at most the number
+    # of visited candidates (its ancestors are all visited), which
+    # _check_stored keeps at most cap // n while children one degree higher
+    # are made: cb - 1 bits hold every coefficient, so no field overflows,
+    # and the top bit of each field is a guard for _dominates.
+    deg_cap = HILBERT_COORD_CAP // n + 1
+    cb = deg_cap.bit_length() + 1
+    fmask = (1 << cb - 1) - 1
+    shift = [cb * (n - 1 - j) for j in range(n)]
+    unit = [1 << s for s in shift]
+    guard = _repunit(cb, n) << cb - 1
 
-    found: list[_Gen] = []
-    by_coord: dict[tuple[int, int], list[_Gen]] = {}  # (j, m[j]) -> generators
-    visited: set[Vec] = set()
-    # heap entries: (degree, coeffs, support mask, len(found) at push, value);
-    # coeffs are unique, so the last three never take part in the ordering
-    heap: list[tuple[int, Vec, int, int, Vec]] = []
-    for i, w in enumerate(weights):
-        e = tuple(int(j == i) for j in range(n))
-        heap.append((1, e, 1 << i, 0, w))
-        visited.add(e)
+    # Pairings: the int d holds <val, w> for each distinct weight w in a
+    # field of nb bytes, plus half the field's range, so a pairing is
+    # negative exactly when the top bit of its field is clear.  A pairing is
+    # at most deg_cap * max |w|^2 in size, below that half.  Packing is
+    # linear, so the Gram row of a weight is its coordinates times the
+    # packed coordinate columns, and a child's d is its parent's plus that
+    # row.  val lies in the span of the weights, so val == 0 exactly when
+    # every pairing is 0, that is when d == bias.
+    distinct = list(dict.fromkeys(map(tuple, weights)))
+    field = {w: f for f, w in enumerate(distinct)}
+    members: list[list[int]] = [[] for _ in distinct]  # field -> weight indices
+    for j, w in enumerate(weights):
+        members[field[tuple(w)]].append(j)
+    nb = (deg_cap * max(sum(a * a for a in w) for w in distinct)).bit_length() // 8 + 1
+    nbytes = nb * len(distinct)
+    half = 1 << 8 * nb - 1
+    bias = _repunit(8 * nb, len(distinct)) << 8 * nb - 1
+    cols = [
+        int.from_bytes(b"".join((half + w[c]).to_bytes(nb, "little") for w in distinct), "little")
+        - bias
+        for c in range(dim)
+    ]
+    gram = [sum(a * col for a, col in zip(w, cols)) for w in distinct]
+
+    # the minimality index: m[j] * n + j -> (support mask, m) of generators m
+    by_coord: dict[int, list[tuple[int, int]]] = {}
+    found = 0
+    visited = set(unit)
+    # heap entries: (degree, x, support mask, bucket key, bucket length at
+    # push, d); x is unique, so the last four never take part in the ordering
+    heap = [
+        (1, unit[j], 1 << j, n + j, 0, bias + gram[field[tuple(w)]]) for j, w in enumerate(weights)
+    ]
     heapq.heapify(heap)
     while heap:
         _check_stored(len(visited), n)
-        deg, x, xmask, known, val = heapq.heappop(heap)
-        if any(_covers(x, xmask, m) for m in found[known:]):
+        deg, x, xmask, key, known, d = heapq.heappop(heap)
+        bucket = by_coord.get(key, ())
+        if len(bucket) > known and _dominates(x, xmask, bucket[known:], guard):
             continue
-        if all(v == 0 for v in val):
-            gen = (xmask, tuple((i, c) for i, c in enumerate(x) if c))
-            found.append(gen)
-            for i, c in gen[1]:
-                by_coord.setdefault((i, c), []).append(gen)
-            if len(found) > HILBERT_GENERATOR_CAP:
+        if d == bias:
+            digits = format(x, f"0{n * cb}b")
+            coeffs = tuple(int(digits[k : k + cb], 2) for k in range(0, n * cb, cb))
+            for j, c in enumerate(coeffs):
+                if c:
+                    by_coord.setdefault(c * n + j, []).append((xmask, x))
+            found += 1
+            if found > HILBERT_GENERATOR_CAP:
                 raise ResourceLimitError(
-                    f"hilbert basis search found {len(found)} generators, "
+                    f"hilbert basis search found {found} generators, "
                     f"over HILBERT_GENERATOR_CAP = {HILBERT_GENERATOR_CAP}"
                 )
-            yield Relation(x)
+            yield Relation(coeffs)
             continue
-        for j, w in enumerate(weights):
-            if dot(val, w) < 0:
-                y = x[:j] + (x[j] + 1,) + x[j + 1 :]
+        # the top byte of each field: 0x80 where the pairing is negative
+        negative = (~d & bias).to_bytes(nbytes, "little")[nb - 1 :: nb]
+        f = negative.find(0x80)
+        while f >= 0:
+            for j in members[f]:
+                y = x + unit[j]
                 if y in visited:
                     continue
                 ymask = xmask | 1 << j
-                if any(_covers(y, ymask, m) for m in by_coord.get((j, y[j]), ())):
+                ykey = ((y >> shift[j]) & fmask) * n + j
+                bucket = by_coord.get(ykey, ())
+                if bucket and _dominates(y, ymask, bucket, guard):
                     continue
                 visited.add(y)
-                heapq.heappush(
-                    heap,
-                    (deg + 1, y, ymask, len(found), tuple(a + b for a, b in zip(val, w))),
-                )
+                heapq.heappush(heap, (deg + 1, y, ymask, ykey, len(bucket), d + gram[f]))
+            f = negative.find(0x80, f + 1)
 
 
 def hilbert_basis(weights: Sequence[Vec]) -> HilbertBasis:

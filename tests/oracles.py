@@ -458,3 +458,75 @@ def reference_freudenthal(t, hw: tuple) -> dict:
             raise CertificateError(f"Freudenthal step fails at {mu} in V({hw}) of {t}")
         mults[mu] = 2 * num // den
     return mults
+
+
+def reference_hilbert_basis(weights):
+    """Yield the indecomposable relations among ``weights`` by Contejean–Devié
+    completion over coefficient tuples: the kernel ``coreduce.monoid`` used
+    before it packed candidates and pairings into integers, kept as the
+    reference for it.  The caps and their messages are the package's."""
+    import heapq
+
+    from coreduce import monoid
+    from coreduce.config import ResourceLimitError
+    from coreduce.monoid import Relation, _check_stored
+
+    def _covers(y, ymask, gen):
+        """y >= gen componentwise; the support mask rejects most pairs at once."""
+        mask, items = gen
+        return not mask & ~ymask and all(y[i] >= c for i, c in items)
+
+    n = len(weights)
+    if n == 0:
+        return
+    dim = len(weights[0])
+    if any(len(w) != dim for w in weights):
+        raise ValueError("weights must share a dimension")
+    if any(all(x == 0 for x in w) for w in weights):
+        raise ValueError("zero weights must be discarded before basis computation")
+    _check_stored(n, n)  # the unit vectors that start the search
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    found = []
+    by_coord = {}  # (j, m[j]) -> generators
+    visited = set()
+    # heap entries: (degree, coeffs, support mask, len(found) at push, value);
+    # coeffs are unique, so the last three never take part in the ordering
+    heap = []
+    for i, w in enumerate(weights):
+        e = tuple(int(j == i) for j in range(n))
+        heap.append((1, e, 1 << i, 0, w))
+        visited.add(e)
+    heapq.heapify(heap)
+    while heap:
+        _check_stored(len(visited), n)
+        deg, x, xmask, known, val = heapq.heappop(heap)
+        if any(_covers(x, xmask, m) for m in found[known:]):
+            continue
+        if all(v == 0 for v in val):
+            gen = (xmask, tuple((i, c) for i, c in enumerate(x) if c))
+            found.append(gen)
+            for i, c in gen[1]:
+                by_coord.setdefault((i, c), []).append(gen)
+            if len(found) > monoid.HILBERT_GENERATOR_CAP:
+                raise ResourceLimitError(
+                    f"hilbert basis search found {len(found)} generators, "
+                    f"over HILBERT_GENERATOR_CAP = {monoid.HILBERT_GENERATOR_CAP}"
+                )
+            yield Relation(x)
+            continue
+        for j, w in enumerate(weights):
+            if dot(val, w) < 0:
+                y = x[:j] + (x[j] + 1,) + x[j + 1 :]
+                if y in visited:
+                    continue
+                ymask = xmask | 1 << j
+                if any(_covers(y, ymask, m) for m in by_coord.get((j, y[j]), ())):
+                    continue
+                visited.add(y)
+                heapq.heappush(
+                    heap,
+                    (deg + 1, y, ymask, len(found), tuple(a + b for a, b in zip(val, w))),
+                )

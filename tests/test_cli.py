@@ -471,13 +471,31 @@ def test_out_of_memory_exits_three(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+# (visited candidates, weights) when each search below hits its cap; the
+# G2 "2*[3,3]" and F4 slices are sized before the search starts
+HILBERT_CAP_COUNTS = {
+    ("G2", "3*[0,2]"): (78521, 204),
+    ("B3", "[1,3,0]"): (5877, 2950),
+    ("G2", "2*[3,3]"): (8052, 8052),
+    ("F4", "[3,2,2,1]"): (312481753416, 312481753416),
+    ("F4", "[2,3,2,0]"): (208297263504, 208297263504),
+}
+
+
 @pytest.mark.parametrize(
     "group, module",
-    [("G2", "3*[0,2]"), ("B3", "[1,3,0]"), ("F4", "[3,2,2,1]"), ("F4", "[2,3,2,0]")],
+    [
+        ("G2", "3*[0,2]"),
+        ("B3", "[1,3,0]"),
+        ("F4", "[3,2,2,1]"),
+        ("F4", "[2,3,2,0]"),
+        ("G2", "2*[3,3]"),
+    ],
 )
 def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(group, module):
     # every toral-slice search here once ran until a 1 GB address space was
-    # full; the F4 slices (about 3e11 weights) are sized before they are listed
+    # full; the F4 slices (about 3e11 weights) are sized before they are
+    # listed.  The counts pin the candidates the search stores.
     import resource
     import time
 
@@ -496,8 +514,11 @@ def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(group, module):
     )
     assert time.perf_counter() - t0 < 10
     assert out.returncode == 3 and out.stdout == ""
-    assert out.stderr.startswith("resource limit: hilbert basis search: ")
-    assert "over HILBERT_COORD_CAP = 16000000" in out.stderr
+    candidates, n = HILBERT_CAP_COUNTS[group, module]
+    assert out.stderr == (
+        f"resource limit: hilbert basis search: {candidates} candidates of {n} coefficients "
+        f"make {candidates * n} coordinates, over HILBERT_COORD_CAP = 16000000\n"
+    )
 
 
 def test_rank3_components_are_byte_identical_across_runs():

@@ -12,7 +12,11 @@ from coreduce.monoid import (
     is_torus_coreduced,
 )
 
-from oracles import brute_force_minimal_relations, brute_force_torus_coreduced
+from oracles import (
+    brute_force_minimal_relations,
+    brute_force_torus_coreduced,
+    reference_hilbert_basis,
+)
 
 
 
@@ -49,6 +53,52 @@ def test_hilbert_basis_matches_brute_force_2d(ws):
     small = sorted(g.coeffs for g in basis.generators if g.degree <= 7)
     oracle = sorted(brute_force_minimal_relations(ws, 7))
     assert small == oracle
+
+
+def _search_outcome(search, ws) -> tuple[list, str]:
+    """The generators a search yields, in order, and the message of the
+    ResourceLimitError that ended it ("" when it ran to the end)."""
+    gens = []
+    try:
+        for gen in search(ws):
+            gens.append(gen.coeffs)
+    except ResourceLimitError as exc:
+        return gens, str(exc)
+    return gens, ""
+
+
+@st.composite
+def repeated_weight_lists(draw):
+    """Weights of one rank in 1..4 with entries in [-3, 3], drawn from a
+    smaller pool of distinct vectors, so that some weight repeats."""
+    rank = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+    pool = draw(st.lists(vec, min_size=1, max_size=5))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=len(pool) + 1, max_size=8))
+    return picks
+
+
+@given(
+    ws=repeated_weight_lists(),
+    coord_cap=st.sampled_from([60, 500, 4_000, 30_000]),
+    generator_cap=st.sampled_from([1, 4, 100_000]),
+)
+@settings(max_examples=200, deadline=None)
+def test_hilbert_search_matches_the_reference_kernel(ws, coord_cap, generator_cap):
+    # the packed kernel visits the candidates of the tuple kernel in the same
+    # order: the same generator sequence, and a cap fires at the same count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monoid, "HILBERT_COORD_CAP", coord_cap)
+        mp.setattr(monoid, "HILBERT_GENERATOR_CAP", generator_cap)
+        got = _search_outcome(monoid.iter_hilbert_basis, ws)
+        assert got == _search_outcome(reference_hilbert_basis, ws)
+
+
+def test_hilbert_search_wide_fields():
+    # a coefficient of 5000 and pairings of 25 million in packed fields
+    ws = [(5000,), (-1,)]
+    assert [g.coeffs for g in monoid.iter_hilbert_basis(ws)] == [(1, 5000)]
+    assert _search_outcome(reference_hilbert_basis, ws) == ([(1, 5000)], "")
 
 
 nonzero_triple = st.tuples(

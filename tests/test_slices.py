@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coreduce import slices
+from coreduce import monoid, slices
 from coreduce.repthy import ModuleSpec, min_root_multiplicity, module_weights, parse_module
 from coreduce.rootsys import parse_group
 from coreduce.slices import (
@@ -101,11 +101,23 @@ def test_bad_slice_certificates_always_validate(name, data):
         assert all(x == 0 for x in cert.relation_sum())
 
 
-def test_f4_adjoint_plus_26_slice_certificate_is_pinned():
-    # the first generator with a coefficient >= 2 in the completion order;
-    # pruning the minimality test must not change which one is found
+def test_f4_adjoint_plus_26_slice_certificate_is_pinned(monkeypatch):
+    # the first generator with a coefficient >= 2 in the completion order,
+    # the 213th, after 212 with 0/1 coefficients; neither pruning the
+    # minimality test nor packing the search may change which one is found
+    yielded = []
+    search = monoid.iter_hilbert_basis
+
+    def recorded(ws):
+        for gen in search(ws):
+            yielded.append(gen)
+            yield gen
+
+    monkeypatch.setattr(monoid, "iter_hilbert_basis", recorded)
     g = parse_group("F4")
     cert = bad_toral_slice(parse_module(g, "[1,0,0,0]+[0,0,0,1]"))
+    assert len(yielded) == 213
+    assert all(gen.max_coeff == 1 for gen in yielded[:-1])
     assert cert.kind == "toral_relation"
     assert cert.weights == (
         (-1, -1, -1, 0),
