@@ -169,7 +169,7 @@ def classify_sl2(parts: Sequence[int]) -> Verdict:
 def _two_r2_screen() -> ScreenResult:
     """Rank of the invariant differentials on the positive weight space of two
     copies of the three-dimensional module is at most 2 < 3 = codim."""
-    vals = [(Q(2), 2), (Q(-2), 2)]
+    vals = [(2, 2), (-2, 2)]
     return value_screen(vals, codim=3, invariant_degrees=[2, 2, 2])
 
 
@@ -206,7 +206,7 @@ _EXCEPTIONAL_FAMILIES = ("E", "F", "G")
 def _adjoint_hw(t: SimpleType) -> Coords:
     """Highest weight of the adjoint module: the Dynkin labels of the highest root."""
     rs = build_root_system(t)
-    return rs.dynkin_of_root(rs.highest_root)
+    return rs.positive_roots_dynkin[rs.positive_roots.index(rs.highest_root)]
 
 
 F4_26_HW = (0, 0, 0, 1)
@@ -597,7 +597,7 @@ def _is_semisimple_yes_row(g: GroupSpec, hw: Coords) -> bool:
 
 def _is_odd_orthogonal_triple(g: GroupSpec, hw: Coords) -> bool:
     return len(g.simple_factors) == 3 and all(
-        _odd_orthogonal_standard(t, hw[lo:hi]) for t, (lo, hi) in zip(g.simple_factors, g.blocks)
+        _odd_orthogonal_standard(rs.type, hw[lo:hi]) for rs, lo, hi in g.root_data.factors
     )
 
 
@@ -618,7 +618,7 @@ def _so_g2_screen() -> ScreenResult:
     """Rank-1 cocharacter on the 24-dimensional slice module: positive values
     1 (multiplicity 8) and 3 (multiplicity 4); 4 generating invariants in
     degree <= 4 against codimension 7."""
-    vals = [(Q(3), 4), (Q(1), 8), (Q(-1), 8), (Q(-3), 4)]
+    vals = [(3, 4), (1, 8), (-1, 8), (-3, 4)]
     res = value_screen(vals, codim=7, invariant_degrees=[2, 2, 4, 4])
     require(
         res.max_useful_degree == 4 and res.degree_rule_fires, f"the slice screen does not fire: {res}"
@@ -803,7 +803,7 @@ def _max_feasible_degree(a: AdmissibleSet, target: Coords) -> Optional[int]:
     minval = min(a.defining.value(w) for w in a.weights)
     if minval <= 0:
         return None
-    dbound = int(tval / minval)
+    dbound = tval // minval
     if dbound > FEASIBLE_DEGREE_CAP:
         return None
     best = 0
@@ -850,7 +850,7 @@ def _sl3_cocharacter_from_eps(a: int, b: int, c: int) -> Cocharacter:
     """Diagonal cocharacter diag(t^a, t^b, t^c), a+b+c = 0, expressed by its
     values on the root coordinates."""
     require(a + b + c == 0, f"eps values {(a, b, c)} do not sum to zero")
-    return Cocharacter((Q(a - b), Q(b - c)), SL3)
+    return Cocharacter((a - b, b - c), SL3)
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,7 @@ that cannot change an answer:
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .config import ResourceLimitError
@@ -268,19 +266,19 @@ def exists_sum(
     weights: Sequence[Vec],
     target: Vec,
     count: int,
-    grading: Optional[Sequence[Fraction | int]] = None,
+    grading: Optional[Sequence[int]] = None,
 ) -> SumWitness:
-    """Decide whether ``target`` is a sum of exactly ``count`` of the weights,
-    repetition allowed.
+    """Decide whether ``target``, an integer vector, is a sum of exactly
+    ``count`` of the integer ``weights``, repetition allowed.
 
     Level-by-level dynamic programming with exact arithmetic.  States that
     cannot reach the target are dropped: for a linear functional f with
     lo <= f(w) <= hi over the weights, a partial sum s with ``rem`` summands
     left must satisfy f(s) + rem*lo <= f(target) <= f(s) + rem*hi.  This is
-    applied to every coordinate and, when given, to the rational functional
-    ``grading`` (scaled once to integers).  A grading positive on every
-    weight, such as a cocharacter on its admissible set, bounds the degree:
-    the search then often ends before the first level.
+    applied to every coordinate and, when given, to the integer functional
+    ``grading``.  A grading positive on every weight, such as a cocharacter
+    on its admissible set, bounds the degree: the search then often ends
+    before the first level.
     """
     target = tuple(target)
     ws = [tuple(w) for w in weights]
@@ -294,10 +292,8 @@ def exists_sum(
         # the value becomes one more coordinate of every vector
         if len(grading) != len(target):
             raise ValueError("grading/target dimension mismatch")
-        scale = math.lcm(*(Fraction(g).denominator for g in grading))
-        ints = [int(g * scale) for g in grading]
-        target += (sum(g * x for g, x in zip(ints, target)),)
-        ws = [w + (sum(g * x for g, x in zip(ints, w)),) for w in ws]
+        target += (sum(g * x for g, x in zip(grading, target)),)
+        ws = [w + (sum(g * x for g, x in zip(grading, w)),) for w in ws]
     lo = [min(col) for col in zip(*ws)]
     hi = [max(col) for col in zip(*ws)]
 

@@ -1,6 +1,6 @@
 """One-parameter-subgroup machinery for null-cone components.
 
-A rational cocharacter pairs with the weight lattice; its strictly positive
+A cocharacter pairs with the weight lattice; its strictly positive
 weights cut out a positive weight space whose saturation can be a component
 of the null cone.  This module enumerates the chambers of the weight
 hyperplane arrangement exactly and in integers, applies the sufficient
@@ -19,10 +19,11 @@ Zaslavsky's theorem (1975).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .config import ResourceLimitError, require
@@ -47,22 +48,28 @@ from .rootsys import (
     sl3_root_coords,
 )
 
-Q = Fraction
-
 
 @dataclass(frozen=True)
 class Cocharacter:
-    """A rational cocharacter given by its pairing with root_scaled coordinates."""
+    """A cocharacter given by its integer pairing with root_scaled
+    coordinates.  ``pairing`` holds the same functional on Dynkin labels (its
+    values on the fundamental weights), computed once."""
 
-    values: tuple[Fraction, ...]
+    values: tuple[int, ...]
     group: GroupSpec
+    pairing: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
-    def value(self, dynkin: Coords) -> Fraction:
-        rs = root_scaled_of_dynkin(self.group, dynkin)
-        return sum((v * c for v, c in zip(self.values, rs)), Q(0))
+    def __post_init__(self) -> None:
+        g = self.group
+        units = [tuple(int(i == j) for j in range(g.rank)) for i in range(g.rank)]
+        pairing = tuple(sum(map(mul, self.values, root_scaled_of_dynkin(g, e))) for e in units)
+        object.__setattr__(self, "pairing", pairing)
+
+    def value(self, dynkin: Coords) -> int:
+        return sum(map(mul, self.pairing, dynkin))
 
     def is_dominant(self) -> bool:
-        return all(self.value(d) > 0 for d in self.group.positive_roots_dynkin())
+        return all(self.value(d) > 0 for d in self.group.root_data.positive_roots)
 
 
 @dataclass
@@ -97,10 +104,10 @@ def _positive_set(chi: Character, rho: Cocharacter) -> tuple[Coords, ...]:
     return tuple(w for w, v, m in weight_values(chi, rho) if v > 0 for _ in range(m))
 
 
-def weight_values(chi: Character, rho: Cocharacter) -> list[tuple[Coords, Fraction, int]]:
+def weight_values(chi: Character, rho: Cocharacter) -> list[tuple[Coords, int, int]]:
     """(weight, value on rho, multiplicity) for each nonzero weight of chi,
     in weight order; rho must be generic (no weight pairs to 0)."""
-    out: list[tuple[Coords, Fraction, int]] = []
+    out: list[tuple[Coords, int, int]] = []
     for w, m in sorted(chi.nonzero_weights().items()):
         v = rho.value(w)
         if v == 0:
@@ -143,11 +150,11 @@ def admissible_sets(
     if not lines:
         # a zero-dimensional positive weight space answers every question vacuously
         raise ValueError("need a nontrivial module with no trivial summands")
-    walls = [_primitive(root_scaled_of_dynkin(g, d)) for d in g.positive_roots_dynkin()]
+    walls = [_primitive(root_scaled_of_dynkin(g, d)) for d in g.root_data.positive_roots]
     out: list[AdmissibleSet] = []
     seen: set[tuple[Coords, ...]] = set()
     for vals in _chamber_samples(lines, rank, walls if mod_weyl else []):
-        rho = Cocharacter(tuple(Q(x) for x in vals), g)
+        rho = Cocharacter(vals, g)
         require(not mod_weyl or rho.is_dominant(), f"chamber point {vals} is not dominant")
         pos = _positive_set(chi, rho)
         if pos in seen:
@@ -265,7 +272,7 @@ def dominance(lam1: AdmissibleSet, lam2: AdmissibleSet) -> str:
     counts1: dict[Coords, int] = {}
     for w in lam1.weights:
         counts1[w] = counts1.get(w, 0) + 1
-    pos_roots = g.positive_roots_dynkin()
+    pos_roots = g.root_data.positive_roots
     refls = simple_reflections(g)
 
     def reflections(ws: tuple[Coords, ...]) -> list[tuple[Coords, ...]]:
@@ -424,7 +431,7 @@ def negative_weight_degree_screen(
 
 
 def value_screen(
-    values: Sequence[tuple[Fraction, int]],
+    values: Sequence[tuple[int, int]],
     codim: int,
     invariant_degrees: Sequence[int],
 ) -> ScreenResult:
@@ -440,22 +447,21 @@ def value_screen(
     return ScreenResult(max_degree, avail, len(ks), codim)
 
 
-def positive_factor_counts(values: Sequence[tuple[Fraction, int]]) -> list[Optional[int]]:
+def positive_factor_counts(values: Sequence[tuple[int, int]]) -> list[Optional[int]]:
     """For each negative value, repeated by its multiplicity, the largest
     number of positive values (with repetition) summing to minus it: the
     positive factors of a zero-weight monomial with that single negative
     factor.  None when no such monomial exists."""
-    pos: list[Fraction] = []
-    neg: list[Fraction] = []
+    pos: list[int] = []
+    neg: list[int] = []
     for v, m in values:
         require(v != 0, "cocharacter values must be nonzero")
-        (pos if v > 0 else neg).extend([abs(Fraction(v))] * m)
-    den = lcm(*(v.denominator for v in pos + neg))
-    pvals = sorted({int(v * den) for v in pos})
-    best: dict[Fraction, Optional[int]] = {}
+        (pos if v > 0 else neg).extend([abs(v)] * m)
+    pvals = sorted(set(pos))
+    best: dict[int, Optional[int]] = {}
     for v in neg:
         if v not in best:
-            reach = _representable_counts(pvals, int(v * den))
+            reach = _representable_counts(pvals, v)
             best[v] = max(reach) if reach else None
     return [best[v] for v in neg]
 
@@ -568,7 +574,7 @@ def support_orbit_dim_bound(
     for coeff, hw in m.summands:
         diag = weight_diagram(g, hw).entries
         copies.extend([dict(diag)] * coeff)
-    roots = g.roots_dynkin()
+    roots = g.root_data.roots
     cols = support_columns(copies, roots, v_support, lambda delta: "0")
     return support_rank_bound(cols)
 
@@ -784,7 +790,7 @@ def f4_roots_doubled() -> tuple[list[Vec], list[Vec]]:
     t = SimpleType("F", 4)
     short: list[Vec] = []
     long: list[Vec] = []
-    for d in GroupSpec((t,)).roots_dynkin():
+    for d in GroupSpec((t,)).root_data.roots:
         v = tuple(int(2 * x) for x in dynkin_to_eps(t, d))
         (short if sum(x * x for x in v) == 4 else long).append(v)
     return short, long

@@ -28,8 +28,8 @@ second half, so that each multidegree is one dot product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul
 from typing import Optional, Sequence
 
@@ -69,9 +69,8 @@ def weyl_dim(t: SimpleType, hw: Coords) -> int:
 
 def group_weyl_dim(g: GroupSpec, hw: Coords) -> int:
     d = 1
-    for k, t in enumerate(g.simple_factors):
-        lo, hi = g.blocks[k]
-        d *= weyl_dim(t, tuple(hw[lo:hi]))
+    for rs, lo, hi in g.root_data.factors:
+        d *= weyl_dim(rs.type, tuple(hw[lo:hi]))
     return d
 
 
@@ -98,7 +97,7 @@ def _root_orbits(t: SimpleType, zero: tuple[int, ...]) -> tuple[tuple[int, int],
     table = _root_orbit_cache.get(key)
     if table is None:
         rs = build_root_system(t)
-        pos = [rs.dynkin_of_root(a) for a in rs.positive_roots]
+        pos = rs.positive_roots_dynkin
         positive = set(pos)
         rows = [(i, rs.cartan[i]) for i in zero]
 
@@ -139,8 +138,7 @@ def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
     # per positive root: Dynkin labels, the vector v with <nu, a> = nu . v,
     # and <a, a>, which steps <nu, a> along an a-string
     roots = []
-    for a in rs.positive_roots:
-        a_dyn = rs.dynkin_of_root(a)
+    for a, a_dyn in zip(rs.positive_roots, rs.positive_roots_dynkin):
         roots.append((a_dyn, tuple(rs.inner_dr(e, a) for e in units), rs.inner_dr(a_dyn, a)))
     # process in decreasing height, ties in coordinate order, so the
     # diagram's order does not rest on set layout
@@ -203,18 +201,15 @@ def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
 
 def dominant_diagram(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
     """Dominant-weight multiplicities of the product-group irreducible V(hw)."""
-    parts: list[dict[Coords, int]] = []
-    for k, t in enumerate(g.simple_factors):
-        lo, hi = g.blocks[k]
-        parts.append(simple_dominant_diagram(t, tuple(hw[lo:hi])))
-    torus = tuple(hw[g.blocks[-1][0] : g.blocks[-1][1]])
     combos: list[tuple[Coords, int]] = [((), 1)]
-    for part in parts:
+    for rs, lo, hi in g.root_data.factors:
+        part = simple_dominant_diagram(rs.type, tuple(hw[lo:hi]))
         combos = [
             (prefix + coords, mult * m)
             for prefix, mult in combos
             for coords, m in part.items()
         ]
+    torus = tuple(hw[g.rank - g.torus_rank :])
     return {prefix + torus: mult for prefix, mult in combos}
 
 
@@ -339,15 +334,18 @@ def min_root_multiplicity(m: ModuleSpec) -> tuple[int, Coords]:
     """Minimum, over all roots of the group, of the root's weight multiplicity.
 
     Returns (0, some absent root) when a root is missing.  Multiplicities are
-    Weyl-invariant, so only one root per length class and factor matters, but
-    all are checked for the witness.
+    Weyl-invariant, so each root is looked up through the dominant weight of
+    its orbit; the witness is the first root of minimal multiplicity.
     """
     g = m.group
-    roots = g.roots_dynkin()
-    if not roots:
+    data = g.root_data
+    if not data.roots:
         raise ValueError(f"{g} has no roots")
-    chi = module_dominant_diagram(m)
-    return min(((chi.mult(root_d), root_d) for root_d in roots), key=lambda pair: pair[0])
+    entries = module_dominant_diagram(m).entries
+    return min(
+        ((entries.get(dom, 0), root) for root, dom in zip(data.roots, data.dominant_roots)),
+        key=lambda pair: pair[0],
+    )
 
 
 def max_nonzero_weight_multiplicity(g: GroupSpec, hw: Coords) -> tuple[int, Optional[Coords]]:
@@ -395,7 +393,7 @@ def symmetric_power(chi: Character, d: int) -> list[Character]:
     lo = [min(0, d * min(w[j] for w in weights)) for j in range(rank)]
     hi = [max(0, d * max(w[j] for w in weights)) for j in range(rank)]
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    cells = (d + 1) * int(np.prod([Fraction(s) for s in shape]))
+    cells = (d + 1) * math.prod(shape)
     if cells > SYMPOW_CELL_CAP:
         raise ResourceLimitError(
             f"symmetric_power would need {cells} DP cells, "

@@ -23,9 +23,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, lcm, prod
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .config import require
 
@@ -177,7 +177,10 @@ class RootSystem:
         den = lcm(*(x.denominator for x in self.symmetrizer))
         self._sym_scaled = tuple(int(x * den) for x in self.symmetrizer)
         self._sym_den = den
-        self.positive_roots = self._positive_roots()
+        self.positive_roots, self.positive_roots_dynkin = self._positive_roots()
+        # the dominant weight in the Weyl orbit of each positive root (the
+        # highest root of its length)
+        self.dominant_roots = tuple(self.dominantize(d)[0] for d in self.positive_roots_dynkin)
         self.weyl_vector = (1,) * self.rank
         self.weyl_order = t.weyl_order
 
@@ -236,16 +239,18 @@ class RootSystem:
 
     # -- construction of the root list ------------------------------------
 
-    def _positive_roots(self) -> tuple[Coords, ...]:
+    def _positive_roots(self) -> tuple[tuple[Coords, ...], tuple[Coords, ...]]:
+        """The positive roots in root coordinates, sorted, and their Dynkin
+        labels in the same order."""
         # orbit of the simple roots under simple reflections, in Dynkin labels
         roots = []
         for d in closure(self.cartan, _reflections([(0, self.cartan)])):
             rs = self.root_scaled_of_dynkin(d)
             require(all(x % self.lattice_index == 0 for x in rs), f"{d} is not in the root lattice")
-            roots.append(tuple(x // self.lattice_index for x in rs))
-        pos = sorted(r for r in roots if all(x >= 0 for x in r))
+            roots.append((tuple(x // self.lattice_index for x in rs), d))
+        pos = sorted(p for p in roots if all(x >= 0 for x in p[0]))
         require(2 * len(pos) == len(roots), f"{self.type}: roots are not positive or negative")
-        return tuple(pos)
+        return tuple(r for r, _ in pos), tuple(d for _, d in pos)
 
     @property
     def highest_root(self) -> Coords:
@@ -266,26 +271,14 @@ def build_root_system(t: SimpleType) -> RootSystem:
 def _sub_weyl_order(cartan: tuple[Coords, ...], nodes: tuple[int, ...]) -> int:
     """Weyl group order of the subsystem generated by a subset of simple
     roots, cached by the Cartan matrix and the subset."""
-    if not nodes:
-        return 1
-    nodeset = set(nodes)
     seen: set[int] = set()
     total = 1
     for start in nodes:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in nodeset:
-                if j not in seen and cartan[i][j] != 0:
-                    seen.add(j)
-                    comp.append(j)
-                    stack.append(j)
-        comp.sort()
-        total *= _weyl_order(tuple(tuple(cartan[i][j] for j in comp) for i in comp))
+        if start not in seen:
+            # the connected component of ``start`` in the sub-diagram
+            comp = sorted(closure((start,), lambda i: [j for j in nodes if cartan[i][j]]))
+            seen.update(comp)
+            total *= _weyl_order(tuple(tuple(cartan[i][j] for j in comp) for i in comp))
     return total
 
 
@@ -312,6 +305,15 @@ def _weyl_order(cartan: tuple[Coords, ...]) -> int:
 # Product groups
 
 
+class RootData(NamedTuple):
+    """The root data of a product group, in full-length Dynkin labels."""
+
+    factors: tuple[tuple[RootSystem, int, int], ...]  # (root system, lo, hi) per simple factor
+    positive_roots: tuple[Coords, ...]
+    roots: tuple[Coords, ...]  # the positive roots, then their negatives
+    dominant_roots: tuple[Coords, ...]  # the dominant weight in each root's Weyl orbit
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """An ordered product of simple factors and a central torus."""
@@ -332,23 +334,27 @@ class GroupSpec:
         return "x".join(parts)
 
     @property
-    def root_systems(self) -> tuple[RootSystem, ...]:
-        return tuple(build_root_system(t) for t in self.simple_factors)
-
-    @property
     def rank(self) -> int:
         return sum(t.rank for t in self.simple_factors) + self.torus_rank
 
-    @property
-    def blocks(self) -> tuple[tuple[int, int], ...]:
-        """(start, stop) coordinate slices: one per simple factor, then torus."""
-        out = []
-        pos = 0
+    @cached_property
+    def root_data(self) -> RootData:
+        """The group's root data, built on first use and kept with the group;
+        the torus coordinates come after the simple factors' blocks."""
+        factors = []
+        pos: list[Coords] = []
+        dom: list[Coords] = []
+        lo = 0
         for t in self.simple_factors:
-            out.append((pos, pos + t.rank))
-            pos += t.rank
-        out.append((pos, pos + self.torus_rank))
-        return tuple(out)
+            rs = build_root_system(t)
+            hi = lo + t.rank
+            factors.append((rs, lo, hi))
+            pad = (0,) * (self.rank - hi)
+            pos += [(0,) * lo + d + pad for d in rs.positive_roots_dynkin]
+            dom += [(0,) * lo + d + pad for d in rs.dominant_roots]
+            lo = hi
+        roots = pos + [tuple(-x for x in r) for r in pos]
+        return RootData(tuple(factors), tuple(pos), tuple(roots), tuple(dom + dom))
 
     @property
     def weyl_order(self) -> int:
@@ -356,23 +362,7 @@ class GroupSpec:
 
     @property
     def num_positive_roots(self) -> int:
-        return sum(len(rs.positive_roots) for rs in self.root_systems)
-
-    def positive_roots_dynkin(self) -> list[Coords]:
-        """Positive roots of the product, as full-length Dynkin label tuples."""
-        out: list[Coords] = []
-        for k, rs in enumerate(self.root_systems):
-            lo, hi = self.blocks[k]
-            for r in rs.positive_roots:
-                d = rs.dynkin_of_root(r)
-                full = [0] * self.rank
-                full[lo:hi] = d
-                out.append(tuple(full))
-        return out
-
-    def roots_dynkin(self) -> list[Coords]:
-        pos = self.positive_roots_dynkin()
-        return pos + [tuple(-x for x in r) for r in pos]
+        return len(self.root_data.positive_roots)
 
     @property
     def weyl_vector(self) -> Coords:
@@ -384,16 +374,14 @@ class GroupSpec:
 
 def root_scaled_of_dynkin(g: GroupSpec, d: Coords) -> Coords:
     out = list(d)
-    for k, rs in enumerate(g.root_systems):
-        lo, hi = g.blocks[k]
+    for rs, lo, hi in g.root_data.factors:
         out[lo:hi] = rs.root_scaled_of_dynkin(tuple(d[lo:hi]))
     return tuple(out)
 
 
 def dynkin_of_root_scaled(g: GroupSpec, c: Coords) -> Coords:
     out = list(c)
-    for k, rs in enumerate(g.root_systems):
-        lo, hi = g.blocks[k]
+    for rs, lo, hi in g.root_data.factors:
         out[lo:hi] = rs.dynkin_of_root_scaled(tuple(c[lo:hi]))
     return tuple(out)
 
@@ -401,22 +389,22 @@ def dynkin_of_root_scaled(g: GroupSpec, c: Coords) -> Coords:
 def in_root_lattice(g: GroupSpec, d: Coords) -> bool:
     """True iff the weight with Dynkin labels ``d`` is a sum of roots on
     every simple factor (the torus block is unconstrained)."""
-    rs = root_scaled_of_dynkin(g, d)
-    for k, r in enumerate(g.root_systems):
-        lo, hi = g.blocks[k]
-        if any(x % r.lattice_index for x in rs[lo:hi]):
+    c = root_scaled_of_dynkin(g, d)
+    for rs, lo, hi in g.root_data.factors:
+        if any(x % rs.lattice_index for x in c[lo:hi]):
             return False
     return True
 
 
 def simple_reflections(g: GroupSpec) -> list[tuple[int, int, int]]:
     """All simple reflections as (block index, block start, local index)."""
-    return [(k, g.blocks[k][0], i) for k, t in enumerate(g.simple_factors) for i in range(t.rank)]
+    factors = g.root_data.factors
+    return [(k, lo, i) for k, (rs, lo, _hi) in enumerate(factors) for i in range(rs.rank)]
 
 
 def reflect(g: GroupSpec, d: Coords, refl: tuple[int, int, int]) -> Coords:
     k, lo, i = refl
-    rs = g.root_systems[k]
+    rs = g.root_data.factors[k][0]
     ci = d[lo + i]
     if ci == 0:
         return d
@@ -478,7 +466,7 @@ def _reflections(
 def weyl_neighbours(g: GroupSpec) -> Callable[[Coords], list[Coords]]:
     """The simple reflections of the product Weyl group as a neighbour
     function for :func:`closure`; build it once per batch of orbits."""
-    return _reflections((lo, rs.cartan) for rs, (lo, _hi) in zip(g.root_systems, g.blocks))
+    return _reflections((lo, rs.cartan) for rs, lo, _hi in g.root_data.factors)
 
 
 def weyl_orbit(g: GroupSpec, d: Coords) -> frozenset[Coords]:
@@ -492,8 +480,7 @@ def signed_orbit(g: GroupSpec, d0: Coords) -> list[tuple[Coords, int]]:
     Regularity makes the orbit simply transitive, so the point at depth k
     is w·d0 for a unique w, of length k, and sign(w) = (-1)**k.
     """
-    for k, _t in enumerate(g.simple_factors):
-        lo, hi = g.blocks[k]
+    for _rs, lo, hi in g.root_data.factors:
         if any(x == 0 for x in d0[lo:hi]):
             raise RootSystemError("signed_orbit needs a regular weight")
     return [(d, (-1) ** k) for d, k in closure((d0,), weyl_neighbours(g)).items()]
@@ -502,8 +489,7 @@ def signed_orbit(g: GroupSpec, d0: Coords) -> list[tuple[Coords, int]]:
 def dominantize(g: GroupSpec, d: Coords) -> tuple[Coords, int]:
     out = list(d)
     sign = 1
-    for k, rs in enumerate(g.root_systems):
-        lo, hi = g.blocks[k]
+    for rs, lo, hi in g.root_data.factors:
         dom, s = rs.dominantize(tuple(out[lo:hi]))
         out[lo:hi] = dom
         sign *= s
@@ -512,8 +498,7 @@ def dominantize(g: GroupSpec, d: Coords) -> tuple[Coords, int]:
 
 def orbit_size(g: GroupSpec, dominant: Coords) -> int:
     n = 1
-    for k, rs in enumerate(g.root_systems):
-        lo, hi = g.blocks[k]
+    for rs, lo, hi in g.root_data.factors:
         n *= rs.orbit_size(tuple(dominant[lo:hi]))
     return n
 
@@ -529,7 +514,7 @@ def dominant_weights_below(g: GroupSpec, d0: Coords) -> frozenset[Coords]:
         raise RootSystemError("weight is not dominant")
     # for dominant d, d - b is dominant iff d_j >= b_j at each positive label
     # b_j of the root b, so a candidate is tested before its tuple is built
-    steps = [(b, [(j, x) for j, x in enumerate(b) if x > 0]) for b in g.positive_roots_dynkin()]
+    steps = [(b, [(j, x) for j, x in enumerate(b) if x > 0]) for b in g.root_data.positive_roots]
 
     def below(d: Coords) -> list[Coords]:
         out = []

@@ -18,7 +18,14 @@ from typing import Optional
 
 from .config import require
 from .monoid import Vec, _check_stored, is_torus_coreduced
-from .repthy import Character, ModuleSpec, min_root_multiplicity, module_weights
+from .repthy import (
+    Character,
+    ModuleSpec,
+    min_root_multiplicity,
+    module_dominant_diagram,
+    module_weights,
+    weight_counts,
+)
 from .rootsys import Coords, root_scaled_of_dynkin
 
 GENERIC_HYPOTHESIS = "generic zero weight vector"
@@ -59,7 +66,7 @@ def toral_slice(m: ModuleSpec, chi: Optional[Character] = None) -> Optional[dict
     ``chi`` is ``module_weights(m)`` when the caller has it."""
     if chi is None:
         chi = module_weights(m)
-    roots = m.group.roots_dynkin()
+    roots = m.group.root_data.roots
     if not all(chi.mult(d) >= 1 for d in roots):
         return None
     counts = chi.nonzero_weights()
@@ -78,7 +85,15 @@ def bad_toral_slice(
     the slice is coreduced or there is none.  ``counts`` is ``toral_slice(m)``
     when the caller has it, and is computed here otherwise (from ``chi``,
     ``module_weights(m)``, when given).  The size of the search is checked
-    before the weights are converted or listed."""
+    before the weights are converted or listed; with neither given, it is
+    read off the dominant diagram before any orbit is expanded."""
+    if counts is None and chi is None:
+        data = m.group.root_data
+        entries = module_dominant_diagram(m).entries
+        if not all(entries.get(d, 0) >= 1 for d in data.dominant_roots):
+            return None
+        n = weight_counts(m)[1] - len(data.roots)
+        _check_stored(n, n)
     if counts is None:
         counts = toral_slice(m, chi)
     if counts is None:
@@ -118,16 +133,16 @@ def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     mult, _witness = min_root_multiplicity(m)
     if mult < 2:
         return None
-    for k, (t, rs) in enumerate(zip(g.simple_factors, (f for f in g.root_systems))):
+    for k, (rs, lo, hi) in enumerate(g.root_data.factors):
+        t = rs.type
         if t.family == "A":
             continue
-        lo, hi = g.blocks[k]
-        root = max(rs.positive_roots, key=max)
+        roots = zip(rs.positive_roots, rs.positive_roots_dynkin)
+        root, alpha_d = max(roots, key=lambda pair: max(pair[0]))
         require(max(root) >= 2, f"{t} has no root with a coefficient >= 2")
         weights: list[Vec] = []
         coeffs: list[int] = []
         full = [0] * g.rank
-        alpha_d = rs.dynkin_of_root(root)
         full[lo:hi] = alpha_d
         weights.append(root_scaled_of_dynkin(g, tuple(full)))
         coeffs.append(1)
@@ -183,8 +198,7 @@ def product_group_rule(
         raise ValueError("some root of the group is not a weight of the module")
 
     def block_root(factor: int, local: int) -> Coords:
-        lo, hi = g.blocks[factor]
-        rs = g.root_systems[factor]
+        rs, lo, hi = g.root_data.factors[factor]
         full = [0] * g.rank
         full[lo:hi] = rs.cartan[local]
         return tuple(full)
@@ -211,7 +225,7 @@ def product_group_rule(
             return None
         big = 0 if ranks[0] > 1 else 1
         other = 1 - big
-        rs = g.root_systems[big]
+        rs = g.root_data.factors[big][0]
         # adjacent pair of simple roots in the higher-rank factor
         i, j = next(
             (i, j)

@@ -46,7 +46,7 @@ def _partition_cache(g: GroupSpec):
 def _partition_count(g: GroupSpec, vec: tuple) -> int:
     """Number of multisets of positive roots (scaled coords) summing to vec."""
     cache = _partition_cache(g)
-    pos = sorted(root_scaled_of_dynkin(g, d) for d in g.positive_roots_dynkin())
+    pos = sorted(root_scaled_of_dynkin(g, d) for d in g.root_data.positive_roots)
 
     def rec(v: tuple, i: int) -> int:
         if all(x == 0 for x in v):
@@ -115,7 +115,7 @@ def reference_dominance(lam1, lam2) -> str:
     counts1: dict = {}
     for w in lam1.weights:
         counts1[w] = counts1.get(w, 0) + 1
-    pos_roots = g.positive_roots_dynkin()
+    pos_roots = g.root_data.positive_roots
     for mat in weyl_matrices(g):
         kept = [w for w in counts1 if apply_matrix(mat, w) in w2]
         missing = [(w, c) for w, c in counts1.items() if apply_matrix(mat, w) not in w2]

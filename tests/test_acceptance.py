@@ -160,7 +160,7 @@ def test_criterion_04_f4_facts():
         support = weight_diagram(f4, phi4).nonzero_weights()
         assert len(support) == paper.F4_26_NONZERO_WEIGHTS
         assert all(m == 1 for m in support.values())
-        roots = set(f4.roots_dynkin())
+        roots = set(f4.root_data.roots)
         for w in support:
             assert w in roots
             eps = dynkin_to_eps(t, w)

@@ -237,6 +237,14 @@ def test_exceptional_rejects_non_adjoint_lattice():
         classify_adjoint_classical(b3, parse_module(b3, "[0,0,1]"))
 
 
+@pytest.mark.parametrize("text,cocharacter", [("[2,1]", "(5, 2)"), ("[1,2]", "(2, 5)")])
+def test_sl3_rank_screen_records_an_integer_cocharacter(text, cocharacter):
+    m = parse_module(parse_group("A2"), text)
+    (row,) = emit_report([classify_module(m)])["rows"]
+    (data,) = [c for c in row["certificates"] if c["kind"] == "data"]
+    assert data["cocharacter"] == cocharacter
+
+
 # every simple type the parser accepts, up to rank 8
 SIMPLE_TYPES_TO_RANK_8 = [
     f"{fam}{n}"

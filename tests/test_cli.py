@@ -521,6 +521,22 @@ def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(group, module):
     )
 
 
+@pytest.mark.parametrize("module", ["[3,2,2,1]", "[2,3,2,0]"])
+def test_f4_slices_are_sized_before_any_orbit_is_expanded(module, monkeypatch, capsys):
+    from coreduce import repthy
+
+    def refuse(self):
+        raise AssertionError("Character.expand was called")
+
+    monkeypatch.setattr(repthy.Character, "expand", refuse)
+    assert main(["classify", "F4", module]) == 3
+    candidates, n = HILBERT_CAP_COUNTS["F4", module]
+    assert capsys.readouterr().err == (
+        f"resource limit: hilbert basis search: {candidates} candidates of {n} coefficients "
+        f"make {candidates * n} coordinates, over HILBERT_COORD_CAP = 16000000\n"
+    )
+
+
 def test_rank3_components_are_byte_identical_across_runs():
     a = run_cli(["components", "A3", "[0,1,2]"])
     assert a == run_cli(["components", "A3", "[0,1,2]"])

@@ -45,6 +45,17 @@ def _sl3(text):
     return parse_module(parse_group("A2"), text)
 
 
+@given(data=st.data(), name=st.sampled_from(["A2", "G2", "B3", "A1xA2", "B3xT1"]))
+@settings(max_examples=100, deadline=None)
+def test_cocharacter_value_is_the_root_scaled_pairing(data, name):
+    g = parse_group(name)
+    coords = st.tuples(*[st.integers(-9, 9)] * g.rank)
+    values, d = data.draw(coords), data.draw(coords)
+    got = Cocharacter(values, g).value(d)
+    assert got == sum(v * c for v, c in zip(values, root_scaled_of_dynkin(g, d)))
+    assert type(got) is int
+
+
 def test_admissible_sets_verify_against_diagram():
     m = _sl3("[2,1]")
     for a in admissible_sets(m):
@@ -273,7 +284,7 @@ def test_dominant_sets_tile_the_full_arrangement(group, text):
     m = parse_module(g, text)
     sets = admissible_sets(m)
     assert len(sets) == 6
-    walls = [root_scaled_of_dynkin(g, d) for d in g.positive_roots_dynkin()]
+    walls = [root_scaled_of_dynkin(g, d) for d in g.root_data.positive_roots]
     assert len(sets) * g.weyl_order == chamber_count(_weight_lines(m) + walls, 3)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from coreduce.rootsys import (
     RootSystemError,
     SimpleType,
+    build_root_system,
     dominant_weights_below,
     dominantize,
     dynkin_of_root_scaled,
@@ -158,6 +159,22 @@ def test_dominant_weights_below_adjoint_a2():
     g = parse_group("A2")
     below = dominant_weights_below(g, (1, 1))
     assert below == frozenset({(1, 1), (0, 0)})
+
+
+@pytest.mark.parametrize("name", "A1 A2 A3 A4 B2 B3 B4 C3 C4 D4 D5 G2 F4 E6 E7 A1xG2xT1".split())
+def test_stored_roots_are_the_dynkin_labels_of_the_root_list(name):
+    g = parse_group(name)
+    want = []
+    lo = 0
+    for t in g.simple_factors:
+        rs = build_root_system(t)
+        pad = (0,) * (g.rank - lo - t.rank)
+        want += [(0,) * lo + rs.dynkin_of_root(r) + pad for r in rs.positive_roots]
+        lo += t.rank
+    data = g.root_data
+    assert data.positive_roots == tuple(want)
+    assert data.roots == tuple(want) + tuple(tuple(-x for x in r) for r in want)
+    assert data.dominant_roots == tuple(dominantize(g, r)[0] for r in data.roots)
 
 
 def test_sl3_root_coords():

@@ -26,7 +26,7 @@ def test_toral_slice_weights_removes_one_root_copy():
     counts = toral_slice(m)
     # 2 x 8-dim adjoint: 12 nonzero weights, 6 roots removed once each
     assert sum(counts.values()) == 6
-    assert counts == {d: 1 for d in g.roots_dynkin()}
+    assert counts == {d: 1 for d in g.root_data.roots}
     # the adjoint alone keeps no nonzero weight, and no zero-count entry
     assert toral_slice(parse_module(g, "[1,1]")) == {}
 
@@ -131,6 +131,8 @@ def test_f4_adjoint_plus_26_slice_certificate_is_pinned(monkeypatch):
 
 @pytest.mark.parametrize("group,module", [("A1", "[6]"), ("A2", "[1,1]"), ("A2", "[1,0]")])
 def test_bad_toral_slice_computes_the_weights_once(group, module, monkeypatch):
+    # A2 "[1,0]" has no toral slice: its dominant diagram misses the roots,
+    # so no weight is listed
     m = parse_module(parse_group(group), module)
     calls = []
 
@@ -140,7 +142,7 @@ def test_bad_toral_slice_computes_the_weights_once(group, module, monkeypatch):
 
     monkeypatch.setattr(slices, "module_weights", counted)
     bad_toral_slice(m)
-    assert len(calls) == 1
+    assert len(calls) == (0 if module == "[1,0]" else 1)
 
 
 @pytest.mark.parametrize(
