@@ -223,13 +223,27 @@ def _chamber_samples(
 
 def _rays(hyper: Sequence[Vec], rank: int) -> set[Vec]:
     """Both primitive directions of every line cut out by rank - 1 of the
-    hyperplanes: the signed maximal minors of the normals."""
+    hyperplanes: the signed maximal minors of the normals.  Each line is
+    computed once: its hyperplanes are marked on every rank - 2 of them, and
+    such a subset skips the marked hyperplanes, which with it cut out no
+    line or that one."""
     rays: set[Vec] = set()
-    for sub in combinations(hyper, rank - 1):
-        r = tuple((-1) ** j * _det([h[:j] + h[j + 1 :] for h in sub]) for j in range(rank))
-        if any(r):
-            r = _primitive(r)
-            rays |= {r, tuple(-x for x in r)}
+    marked: dict[tuple[int, ...], set[int]] = {}
+    for sub in combinations(range(len(hyper)), rank - 2):
+        skip = marked.setdefault(sub, set())
+        rows = [hyper[i] for i in sub]
+        for c in range(sub[-1] + 1 if sub else 0, len(hyper)):
+            if c in skip:
+                continue
+            m = rows + [hyper[c]]
+            r = tuple((-1) ** j * _det([h[:j] + h[j + 1 :] for h in m]) for j in range(rank))
+            if any(r):
+                r = _primitive(r)
+                on = [i for i, h in enumerate(hyper) if not _dot(h, r)]
+                for s in combinations(on, rank - 2):
+                    marked.setdefault(s, set()).update(on)
+                rays |= {r, tuple(-x for x in r)}
+        del marked[sub]
     return rays
 
 

@@ -10,20 +10,27 @@ derived from the root system by closure under the simple reflections that
 fix mu, and cached per type and zero-label set.  Each string point's
 multiplicity is looked up once, through its dominant representative, in a
 memo that lives for one diagram, and <nu, alpha> is stepped along the
-string by adding <alpha, alpha>.  Counts read off the dominant diagram and orbit sizes
-(:func:`weight_counts`, :func:`min_root_multiplicity`,
-:meth:`Character.mass`) expand no orbit.  Full diagrams are materialized by
-orbit closure only where every weight is used: :func:`weight_diagram` and
-:func:`module_weights` (the weight lists of the chamber enumeration, the
-toral slices and the multigraded series) and :func:`symmetric_power`.
-Multiplicities of irreducibles inside an arbitrary character use the
-alternating Weyl-sum (Racah) formula, which needs only point lookups.
+string by adding <alpha, alpha>.  Counts read off the dominant diagram and
+orbit sizes (:func:`weight_counts`, :func:`min_root_multiplicity`) expand no
+orbit.  Full diagrams are materialized by orbit closure only where every
+weight is used: :func:`weight_diagram` and :func:`module_weights` (the
+weight lists of the chamber enumeration, the toral slices and the
+multigraded series) and :func:`symmetric_power`.  Multiplicities of
+irreducibles inside an arbitrary character use the alternating Weyl-sum
+(Racah) formula, which needs only point lookups.
+
+Symmetric powers S^0..S^d come from one DP over the weight list, each degree
+k on its own dense array over the box that holds the weights of S^k, which
+grows linearly with k, so the low degrees cost little.
 
 Multigraded multiplicities (one grading per summand) are computed for every
 multidegree at once: S^0..S^dmax of each summand come from a single
 symmetric-power DP, the pieces of each half of the summands are convolved
 once per half-multidegree, and the alternating Weyl sum is folded into the
-second half, so that each multidegree is one dot product.
+second half, so that each multidegree is one dot product.  There each
+weight is one int, its coordinates signed digits in a base larger than
+twice any coordinate that can occur, so that weights add and subtract as
+ints.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .config import CertificateError, ResourceLimitError, require
 from .rootsys import (
@@ -42,7 +49,6 @@ from .rootsys import (
     build_root_system,
     closure,
     dominant_weights_below,
-    dominantize,
     orbit_size,
     parse_weight,
     signed_orbit,
@@ -217,8 +223,9 @@ def dominant_diagram(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
 class Character:
     """A virtual character: map from weights (Dynkin coordinates) to integers.
 
-    ``dominant_only`` characters store one value per Weyl orbit and answer
-    point queries by dominantization; they expand lazily.
+    A ``dominant_only`` character stores one value per Weyl orbit; only
+    :func:`weight_diagram` builds one, and it expands it at once, so the
+    other methods read full characters.
     """
 
     group: GroupSpec
@@ -226,14 +233,9 @@ class Character:
     dominant_only: bool = False
 
     def mult(self, coords: Coords) -> int:
-        if self.dominant_only:
-            dom, _ = dominantize(self.group, coords)
-            return self.entries.get(dom, 0)
         return self.entries.get(coords, 0)
 
     def mass(self) -> int:
-        if self.dominant_only:
-            return sum(m * orbit_size(self.group, d) for d, m in self.entries.items())
         return sum(self.entries.values())
 
     def expand(self) -> "Character":
@@ -308,26 +310,24 @@ def module_weights(m: ModuleSpec) -> Character:
     return Character(m.group, total, False)
 
 
-def module_dominant_diagram(m: ModuleSpec) -> Character:
-    """Dominant-only character of the module: the summands' dominant diagrams
-    added with their coefficients, one value per Weyl orbit."""
+def module_dominant_diagram(m: ModuleSpec) -> dict[Coords, int]:
+    """Dominant-weight multiplicities of the module: the summands' dominant
+    diagrams added with their coefficients, one value per Weyl orbit."""
     total: dict[Coords, int] = {}
     for coeff, hw in m.summands:
         for d, mult in dominant_diagram(m.group, hw).items():
             total[d] = total.get(d, 0) + coeff * mult
-    return Character(m.group, total, True)
+    return total
 
 
 def weight_counts(m: ModuleSpec) -> tuple[int, int]:
     """(multiplicity of the zero weight, number of nonzero weights counted
     with multiplicity) of the module: each nonzero dominant weight counts its
     multiplicity times its orbit size, so no orbit is expanded."""
-    chi = module_dominant_diagram(m)
+    dom = module_dominant_diagram(m)
     zero = tuple(0 for _ in range(m.group.rank))
-    nonzero = sum(
-        mult * orbit_size(m.group, d) for d, mult in chi.entries.items() if d != zero
-    )
-    return chi.entries.get(zero, 0), nonzero
+    nonzero = sum(mult * orbit_size(m.group, d) for d, mult in dom.items() if d != zero)
+    return dom.get(zero, 0), nonzero
 
 
 def min_root_multiplicity(m: ModuleSpec) -> tuple[int, Coords]:
@@ -341,7 +341,7 @@ def min_root_multiplicity(m: ModuleSpec) -> tuple[int, Coords]:
     data = g.root_data
     if not data.roots:
         raise ValueError(f"{g} has no roots")
-    entries = module_dominant_diagram(m).entries
+    entries = module_dominant_diagram(m)
     return min(
         ((entries.get(dom, 0), root) for root, dom in zip(data.roots, data.dominant_roots)),
         key=lambda pair: pair[0],
@@ -363,8 +363,8 @@ def max_nonzero_weight_multiplicity(g: GroupSpec, hw: Coords) -> tuple[int, Opti
 # Symmetric powers
 
 SYMPOW_CELL_CAP = 50_000_000
-"""Dense DP cells (degrees times bounding box) that ``symmetric_power`` may
-allocate; a hit raises ResourceLimitError (the CLI exits 3)."""
+"""Dense DP cells (the boxes of all degrees together) that ``symmetric_power``
+may allocate; a hit raises ResourceLimitError (the CLI exits 3)."""
 
 
 def symmetric_power(chi: Character, d: int) -> list[Character]:
@@ -372,9 +372,12 @@ def symmetric_power(chi: Character, d: int) -> list[Character]:
 
     Dynamic programming over the weight list: multiplying in one weight ``w``
     of multiplicity one is the geometric-series pass
-    ``S[k] += shift(S[k], w)`` taken in increasing ``k``.  Runs on a dense
-    integer array over the bounding box of reachable weights; the number of
-    DP cells is capped by ``SYMPOW_CELL_CAP``.
+    ``S[k] += shift(S[k-1], w)`` taken in increasing ``k``.  Each degree k
+    runs on its own dense integer array over the box ``k*mn .. k*mx`` per
+    coordinate, with ``mn = min(0, min w)`` and ``mx = max(0, max w)``, which
+    holds every weight of S^k; as ``mn <= 0 <= mx``, the shift by ``w`` from
+    box k-1 into box k is the pure offset ``w - mn``.  The cells of all the
+    boxes together are capped by ``SYMPOW_CELL_CAP``.
     """
     import numpy as np  # here only, so that a cold start does not pay for it
 
@@ -390,10 +393,10 @@ def symmetric_power(chi: Character, d: int) -> list[Character]:
         out = [Character(chi.group, {zero: 1}, False)]
         out += [Character(chi.group, {}, False) for _ in range(d)]
         return out
-    lo = [min(0, d * min(w[j] for w in weights)) for j in range(rank)]
-    hi = [max(0, d * max(w[j] for w in weights)) for j in range(rank)]
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    cells = (d + 1) * math.prod(shape)
+    mn = [min(0, min(w[j] for w in weights)) for j in range(rank)]
+    mx = [max(0, max(w[j] for w in weights)) for j in range(rank)]
+    shapes = [tuple(k * (h - l) + 1 for l, h in zip(mn, mx)) for k in range(d + 1)]
+    cells = sum(map(math.prod, shapes))
     if cells > SYMPOW_CELL_CAP:
         raise ResourceLimitError(
             f"symmetric_power would need {cells} DP cells, "
@@ -407,23 +410,19 @@ def symmetric_power(chi: Character, d: int) -> list[Character]:
     use_numpy = mass_bound < 2**62
     if use_numpy:
         # one array per degree, so each is freed once its dict is built
-        dp = [np.zeros(shape, dtype=np.int64) for _ in range(d + 1)]
-        dp[0][tuple(-l for l in lo)] = 1
+        dp = [np.zeros(shape, dtype=np.int64) for shape in shapes]
+        dp[0][(0,) * rank] = 1
         for w in weights:
-            src = tuple(
-                slice(max(0, -w[j]), min(shape[j], shape[j] - w[j])) for j in range(rank)
-            )
-            dst = tuple(
-                slice(max(0, w[j]), min(shape[j], shape[j] + w[j])) for j in range(rank)
-            )
+            off = [a - l for a, l in zip(w, mn)]
             for k in range(1, d + 1):
-                dp[k][dst] += dp[k - 1][src]
+                dst = tuple(slice(o, o + s) for o, s in zip(off, shapes[k - 1]))
+                dp[k][dst] += dp[k - 1]
         out = []
         for k in range(d + 1):
             layer, dp[k] = dp[k], None
             # values first: the index arrays are gone before the dict grows
             vals = layer[layer != 0].tolist()
-            cols = [(ix + l).tolist() for ix, l in zip(np.nonzero(layer), lo)]
+            cols = [(ix + k * l).tolist() for ix, l in zip(np.nonzero(layer), mn)]
             out.append(Character(chi.group, dict(zip(zip(*cols), vals)), False))
         return out
     # big-int fallback: dict DP
@@ -556,33 +555,47 @@ def _multigraded_mults(
     With A and B the products over the first and second half of the
     summands, the multiplicity is sum_w sign(w) (A*B)(w(lam+rho) - rho)
     = sum_x A(x) alt_B(x), where alt_B(x) = sum_w sign(w) B(w(lam+rho) - rho - x).
-    Keys come in ``itertools.product`` order.
+    Weights are packed keys (:func:`_packer`), so the sums and differences
+    of weights are sums and differences of ints.  Keys come in
+    ``itertools.product`` order.
     """
     g = summands[0].group
     if any(max_degrees):
         _check_weyl_order(g)
-    powers = [
-        [p.entries for p in symmetric_power(chi, d)]
-        for chi, d in zip(summands, max_degrees)
-    ]
-    half = len(powers) // 2
-    left = _convolve_powers(powers[:half], g.rank)
-    right = _convolve_powers(powers[half:], g.rank)
     delta = g.weyl_vector
+    orbits = [list(signed_orbit(g, tuple(a + b for a, b in zip(lam, delta)))) for lam in lams]
+    # a coordinate of S^k(chi_i) is at most k * top_i in size (checked as the
+    # layers are packed), so one of a product of powers is at most ``reach``,
+    # and one of an alternating key w(lam+rho) - rho - y at most ``reach`` +
+    # |w(lam+rho)| + |rho|
+    tops = [max((abs(x) for w in chi.expand().entries for x in w), default=0) for chi in summands]
+    reach = sum(map(mul, tops, max_degrees))
+    shift_bound = max(abs(x) for orbit in orbits for pt, _ in orbit for x in pt)
+    pack = _packer(reach + shift_bound + max(map(abs, delta), default=0))
+    powers = []
+    for chi, d, top in zip(summands, max_degrees, tops):
+        layers = []
+        for k, p in enumerate(symmetric_power(chi, d)):
+            require(
+                all(abs(x) <= k * top for w in p.entries for x in w),
+                f"a weight of S^{k} leaves the box of {k} times {top}",
+            )
+            layers.append({pack(w): c for w, c in p.entries.items()})
+        powers.append(layers)
+    half = len(powers) // 2
+    left = _convolve_powers(powers[:half])
+    right = _convolve_powers(powers[half:])
     tables = []
-    for lam in lams:
-        start = tuple(a + b for a, b in zip(lam, delta))
-        shifts = [
-            (tuple(a - b for a, b in zip(pt, delta)), sign)
-            for pt, sign in signed_orbit(g, start)
-        ]
-        alt_right: dict[Coords, dict[Coords, int]] = {}
+    for orbit in orbits:
+        shifts = [(pack(tuple(a - b for a, b in zip(pt, delta))), sign) for pt, sign in orbit]
+        alt_right: dict[Coords, dict[int, int]] = {}
         for degs, part in right.items():
-            alt: dict[Coords, int] = {}
+            alt: dict[int, int] = {}
+            get = alt.get
             for y, c in part.items():
                 for pt, sign in shifts:
-                    x = tuple(a - b for a, b in zip(pt, y))
-                    alt[x] = alt.get(x, 0) + sign * c
+                    x = pt - y
+                    alt[x] = get(x, 0) + sign * c
             alt_right[degs] = alt
         tables.append(
             {
@@ -594,21 +607,37 @@ def _multigraded_mults(
     return tables
 
 
+def _packer(bound: int) -> Callable[[Coords], int]:
+    """Packing of weights whose coordinates are at most ``bound`` in size into
+    ints: signed base-B digits with B = 2 * bound + 1, so that packing is
+    additive and two such weights pack equal only when they are equal."""
+    base = 2 * bound + 1
+
+    def pack(w: Coords) -> int:
+        key = 0
+        for x in reversed(w):
+            key = key * base + x
+        return key
+
+    return pack
+
+
 def _convolve_powers(
-    powers: Sequence[Sequence[dict[Coords, int]]], rank: int
-) -> dict[Coords, dict[Coords, int]]:
+    powers: Sequence[Sequence[dict[int, int]]],
+) -> dict[Coords, dict[int, int]]:
     """Products S^d1(chi_1)...S^dk(chi_k) for every multidegree, keyed by it,
-    given ``powers[i][d]`` = S^d(chi_i)."""
-    table: dict[Coords, dict[Coords, int]] = {(): {(0,) * rank: 1}}
+    given ``powers[i][d]`` = S^d(chi_i) with packed weights."""
+    table: dict[Coords, dict[int, int]] = {(): {0: 1}}
     for layers in powers:
-        nxt: dict[Coords, dict[Coords, int]] = {}
+        nxt: dict[Coords, dict[int, int]] = {}
         for degs, acc in table.items():
             for k, part in enumerate(layers):
-                prod: dict[Coords, int] = {}
+                prod: dict[int, int] = {}
+                get = prod.get
                 for x, c in acc.items():
                     for y, e in part.items():
-                        z = tuple(p + q for p, q in zip(x, y))
-                        prod[z] = prod.get(z, 0) + c * e
+                        z = x + y
+                        prod[z] = get(z, 0) + c * e
                 nxt[degs + (k,)] = prod
         table = nxt
     return table

@@ -89,7 +89,7 @@ def bad_toral_slice(
     read off the dominant diagram before any orbit is expanded."""
     if counts is None and chi is None:
         data = m.group.root_data
-        entries = module_dominant_diagram(m).entries
+        entries = module_dominant_diagram(m)
         if not all(entries.get(d, 0) >= 1 for d in data.dominant_roots):
             return None
         n = weight_counts(m)[1] - len(data.roots)

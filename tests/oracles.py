@@ -323,6 +323,29 @@ def chamber_count(normals, rank: int) -> int:
     return total
 
 
+def reference_rays(normals, rank: int) -> set:
+    """Both primitive directions of every line cut out by rank - 1 of the
+    normals' hyperplanes: the signed maximal minors of every (rank - 1)-subset,
+    one subset at a time, each minor by the Leibniz formula."""
+    import itertools
+    from math import gcd, prod
+
+    def det(m):
+        total = 0
+        for perm in itertools.permutations(range(len(m))):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            total += (-1) ** inversions * prod(row[p] for row, p in zip(m, perm))
+        return total
+
+    rays = set()
+    for sub in itertools.combinations(normals, rank - 1):
+        r = tuple((-1) ** j * det([h[:j] + h[j + 1 :] for h in sub]) for j in range(rank))
+        if any(r):
+            g = gcd(*r)
+            rays |= {tuple(x // g for x in r), tuple(-x // g for x in r)}
+    return rays
+
+
 def chamber_closure_rays(normals, rank: int, points) -> list[list[tuple]]:
     """For each point p, the primitive integer vectors r with h.r of the
     sign of h.p or 0 for every normal h, on the lines where rank - 1

@@ -420,6 +420,48 @@ def test_resource_limit_exit_three(monkeypatch, capsys):
         assert err.startswith("resource limit: ") and f"{cap} = 10" in err
 
 
+G2XG2_SYMPOW_CELLS = sum((4 * k + 1) ** 2 * (2 * k + 1) ** 2 for k in range(10))
+
+
+def test_sympow_cell_cap_counts_the_per_degree_boxes(monkeypatch, capsys):
+    """The G2xG2 S^9 of appendixB allocates one box per degree k, of
+    (4k+1)(2k+1) cells per G2 factor; the cap counts exactly those cells."""
+    from coreduce import repthy
+
+    assert G2XG2_SYMPOW_CELLS == 1_191_082
+    argv = ["verify-paper", "--suite", "appendixB"]
+    monkeypatch.setattr(repthy, "SYMPOW_CELL_CAP", G2XG2_SYMPOW_CELLS)
+    code, out = run_cli(argv)
+    assert code == 0 and json.loads(out)["ok"]
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(repthy, "SYMPOW_CELL_CAP", G2XG2_SYMPOW_CELLS - 1)
+    assert run_cli(argv) == (3, "")
+    assert capsys.readouterr().err == (
+        "resource limit: symmetric_power would need 1191082 DP cells, "
+        "over SYMPOW_CELL_CAP = 1191081\n"
+    )
+
+
+def test_appendix_b_is_the_same_under_python_optimize():
+    """``python -O`` drops every assert; the appendixB suite, whose
+    multigraded sums pack weights into ints, prints the same bytes with and
+    without it, so no packing bound rests on an assert."""
+    src = os.path.dirname(os.path.dirname(coreduce.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "coreduce.cli", "verify-paper", "--suite", "appendixB"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["ok"]
+
+
 def test_text_output_mode():
     code, out = run_cli(["--output", "text", "rootsys", "A2"])
     assert code == 0

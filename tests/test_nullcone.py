@@ -25,6 +25,8 @@ from coreduce.nullcone import (
     value_screen,
     Cocharacter,
     _chamber_samples,
+    _line,
+    _rays,
 )
 from coreduce.repthy import ModuleSpec, module_weights, parse_module
 from coreduce.rootsys import SL3, dynkin_to_eps, parse_group, root_scaled_of_dynkin
@@ -37,6 +39,7 @@ from oracles import (
     d4_triality_case_weights,
     exact_rank,
     reference_dominance,
+    reference_rays,
 )
 
 
@@ -234,6 +237,18 @@ def test_chamber_samples_meet_every_chamber(arr):
     assert all(_dot(h, p) != 0 for h in normals for p in samples)
     signs = {tuple(_dot(h, p) > 0 for h in normals) for p in samples}
     assert len(signs) == chamber_count(normals, rank)
+
+
+@given(arr=arrangements)
+@settings(max_examples=120, deadline=None)
+def test_rays_match_the_minors_of_every_subset(arr):
+    """Lines computed once each give the rays of every (rank - 1)-subset, for
+    raw normals (repeated and parallel ones included) and for the distinct
+    primitive normals that the chamber enumeration passes."""
+    rank, normals = arr
+    assert _rays(normals, rank) == reference_rays(normals, rank)
+    hyper = sorted({_line(h) for h in normals})
+    assert _rays(hyper, rank) == reference_rays(hyper, rank)
 
 
 @given(arr=arrangements, data=st.data())

@@ -302,3 +302,28 @@ def test_multigraded_routines_match_per_multidegree_reference(inp):
     assert (cert.multiplicity, cert.ideal_bound) == reference_covariant_counts(
         summands, degrees, target
     )
+
+
+@pytest.mark.parametrize(
+    "name, weights, lam",
+    [
+        ("A1", [(7,), (-7,)], (14,)),
+        ("A1xA1", [(7, 0), (-7, 0), (1, 0), (-1, 0), (0, 1), (0, -1)], (2, 0)),
+    ],
+)
+def test_packed_multigraded_keys_at_large_coordinates(name, weights, lam):
+    """Weights of size 7 to multidegree (6, 6): a full product reaches 84 in
+    its first coordinate, next to the packing bound of 84 + |w(lam+rho)| +
+    |rho|.  At rank 2 the weights span the lattice, so a base of 75 or less
+    (the packing uses twice the bound plus one) makes two keys collide and
+    the counts wrong."""
+    g = parse_group(name)
+    chi = Character(g, dict.fromkeys(weights, 1), False)
+    summands, degrees = [chi, chi], (6, 6)
+    series = graded_invariant_series(summands, degrees)
+    assert series == reference_graded_invariant_series(summands, degrees)
+    cert = covariant_generator_exists_multidegree(summands, degrees, lam)
+    assert cert.multiplicity > 0
+    assert (cert.multiplicity, cert.ideal_bound) == reference_covariant_counts(
+        summands, degrees, lam
+    )
