@@ -8,8 +8,19 @@ from __future__ import annotations
 
 
 class ResourceLimitError(RuntimeError):
-    """An engine's resource cap was hit (pathological input, not wrongness);
-    the message names the cap, its value and the count reached."""
+    """An engine's resource cap was hit (pathological input, not wrongness).
+
+    ``engine`` names the search, ``cap`` the module constant, ``limit`` its
+    value and ``count`` the amount reached.  The message is ``reached`` with
+    ``{count}`` filled in, then the cap: ``<reached>, over <cap> = <limit>``.
+    """
+
+    def __init__(self, engine: str, cap: str, limit: int, count: int, reached: str) -> None:
+        super().__init__(f"{reached.format(count=count)}, over {cap} = {limit}")
+        self.engine = engine
+        self.cap = cap
+        self.limit = limit
+        self.count = count
 
 
 class CertificateError(RuntimeError):

@@ -144,7 +144,8 @@ def admissible_sets(
     rank = g.rank
     if rank > CHAMBER_RANK_CAP:
         raise ResourceLimitError(
-            f"chamber enumeration got rank {rank}, over CHAMBER_RANK_CAP = {CHAMBER_RANK_CAP}"
+            "nullcone.chambers", "CHAMBER_RANK_CAP", CHAMBER_RANK_CAP, rank,
+            "chamber enumeration got rank {count}",
         )
     lines = sorted({_line(root_scaled_of_dynkin(g, w)) for w in chi.nonzero_weights()})
     if not lines:

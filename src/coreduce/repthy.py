@@ -399,8 +399,8 @@ def symmetric_power(chi: Character, d: int) -> list[Character]:
     cells = sum(map(math.prod, shapes))
     if cells > SYMPOW_CELL_CAP:
         raise ResourceLimitError(
-            f"symmetric_power would need {cells} DP cells, "
-            f"over SYMPOW_CELL_CAP = {SYMPOW_CELL_CAP}"
+            "repthy.sympow", "SYMPOW_CELL_CAP", SYMPOW_CELL_CAP, cells,
+            "symmetric_power would need {count} DP cells",
         )
     # overflow guard: every cell is bounded by the total mass of S^d
     mass_bound = 1
@@ -448,8 +448,8 @@ WEYL_ORDER_CAP = 100_000
 def _check_weyl_order(g: GroupSpec) -> None:
     if g.weyl_order > WEYL_ORDER_CAP:
         raise ResourceLimitError(
-            f"the alternating sum would enumerate a Weyl group of order "
-            f"{g.weyl_order}, over WEYL_ORDER_CAP = {WEYL_ORDER_CAP}"
+            "repthy.weyl_sum", "WEYL_ORDER_CAP", WEYL_ORDER_CAP, g.weyl_order,
+            "the alternating sum would enumerate a Weyl group of order {count}",
         )
 
 

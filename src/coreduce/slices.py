@@ -26,7 +26,7 @@ from .repthy import (
     module_weights,
     weight_counts,
 )
-from .rootsys import Coords, root_scaled_of_dynkin
+from .rootsys import Coords, GroupSpec, reflect, root_scaled_of_dynkin, simple_reflections
 
 GENERIC_HYPOTHESIS = "generic zero weight vector"
 
@@ -75,13 +75,34 @@ def toral_slice(m: ModuleSpec, chi: Optional[Character] = None) -> Optional[dict
     return {w: c for w, c in counts.items() if c}
 
 
+def weyl_symmetric_list(
+    g: GroupSpec, counts: dict[Coords, int]
+) -> tuple[list[Vec], list[list[int]]]:
+    """The weights of the Weyl-invariant multiset ``counts`` (Dynkin labels)
+    as a sorted list in root_scaled coordinates, and the simple reflections
+    as permutations of its indices: each sends the k-th copy of a weight to
+    the k-th copy of its image."""
+    distinct = sorted((root_scaled_of_dynkin(g, w), w) for w in counts)
+    ws: list[Vec] = []
+    first: dict[Coords, int] = {}  # Dynkin weight -> index of its first copy
+    for c, w in distinct:
+        first[w] = len(ws)
+        ws += [c] * counts[w]
+    symmetry = [
+        [first[reflect(g, w, s)] + k for _, w in distinct for k in range(counts[w])]
+        for s in simple_reflections(g)
+    ]
+    return ws, symmetry
+
+
 def bad_toral_slice(
     m: ModuleSpec,
     counts: Optional[dict[Coords, int]] = None,
     chi: Optional[Character] = None,
 ) -> Optional[BadSliceCertificate]:
     """The direct test: Hilbert-basis 0/1 criterion on the toral slice
-    weights, with multiplicity, in sorted root_scaled coordinates; None when
+    weights, with multiplicity, in sorted root_scaled coordinates, searched
+    with the Weyl group's simple reflections as symmetries; None when
     the slice is coreduced or there is none.  ``counts`` is ``toral_slice(m)``
     when the caller has it, and is computed here otherwise (from ``chi``,
     ``module_weights(m)``, when given).  The size of the search is checked
@@ -100,9 +121,8 @@ def bad_toral_slice(
         return None
     n = sum(counts.values())
     _check_stored(n, n)
-    g = m.group
-    ws = sorted(root_scaled_of_dynkin(g, w) for w, c in counts.items() for _ in range(c))
-    verdict = is_torus_coreduced(ws)
+    ws, symmetry = weyl_symmetric_list(m.group, counts)
+    verdict = is_torus_coreduced(ws, symmetry)
     gen = verdict.certificate
     if gen is None:
         return None

@@ -535,8 +535,8 @@ def reference_hilbert_basis(weights):
                 by_coord.setdefault((i, c), []).append(gen)
             if len(found) > monoid.HILBERT_GENERATOR_CAP:
                 raise ResourceLimitError(
-                    f"hilbert basis search found {len(found)} generators, "
-                    f"over HILBERT_GENERATOR_CAP = {monoid.HILBERT_GENERATOR_CAP}"
+                    "monoid.hilbert", "HILBERT_GENERATOR_CAP", monoid.HILBERT_GENERATOR_CAP,
+                    len(found), "hilbert basis search found {count} generators",
                 )
             yield Relation(x)
             continue

@@ -513,11 +513,13 @@ def test_out_of_memory_exits_three(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-# (visited candidates, weights) when each search below hits its cap; the
-# G2 "2*[3,3]" and F4 slices are sized before the search starts
+# (stored candidates, weights) when each search below hits its cap; the
+# search checks each candidate as it is stored, so it stops at the first
+# count over HILBERT_COORD_CAP // weights.  The G2 "2*[3,3]" and F4 slices
+# are sized before the search starts
 HILBERT_CAP_COUNTS = {
-    ("G2", "3*[0,2]"): (78521, 204),
-    ("B3", "[1,3,0]"): (5877, 2950),
+    ("G2", "3*[0,2]"): (78432, 204),
+    ("B3", "[1,3,0]"): (5424, 2950),
     ("G2", "2*[3,3]"): (8052, 8052),
     ("F4", "[3,2,2,1]"): (312481753416, 312481753416),
     ("F4", "[2,3,2,0]"): (208297263504, 208297263504),

@@ -1,16 +1,23 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import coreduce
 from coreduce import monoid, paper
-from coreduce.config import ResourceLimitError
+from coreduce.config import CertificateError, ResourceLimitError
 from coreduce.monoid import (
     exists_sum,
     hilbert_basis,
     is_torus_coreduced,
 )
+from coreduce.rootsys import parse_group, weyl_orbit
+from coreduce.slices import weyl_symmetric_list
 
 from oracles import (
     brute_force_minimal_relations,
@@ -85,13 +92,34 @@ def repeated_weight_lists(draw):
 )
 @settings(max_examples=200, deadline=None)
 def test_hilbert_search_matches_the_reference_kernel(ws, coord_cap, generator_cap):
-    # the packed kernel visits the candidates of the tuple kernel in the same
-    # order: the same generator sequence, and a cap fires at the same count
+    # the level-by-level kernel yields the generator sequence of the heap
+    # kernel.  A cap ends it after a prefix of that sequence, at the first
+    # count over the cap: the kernel checks each candidate as it is stored.
+    # The heap kernel visits only candidates the level kernel stores and
+    # their children, so n + 2 times the cap lets it reach that prefix.
+    n = len(ws)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monoid, "HILBERT_COORD_CAP", (n + 2) * coord_cap)
+        reference, reference_error = _search_outcome(reference_hilbert_basis, ws)
         mp.setattr(monoid, "HILBERT_COORD_CAP", coord_cap)
         mp.setattr(monoid, "HILBERT_GENERATOR_CAP", generator_cap)
-        got = _search_outcome(monoid.iter_hilbert_basis, ws)
-        assert got == _search_outcome(reference_hilbert_basis, ws)
+        gens, error = _search_outcome(monoid.iter_hilbert_basis, ws)
+    if not error:
+        assert reference_error == "" and gens == reference
+        return
+    assert gens == reference[: len(gens)]
+    if error.startswith("hilbert basis search found"):
+        assert len(gens) == generator_cap < len(reference)
+        assert error == (
+            f"hilbert basis search found {generator_cap + 1} generators, "
+            f"over HILBERT_GENERATOR_CAP = {generator_cap}"
+        )
+    else:
+        stored = max(n, coord_cap // n + 1)  # the unit vectors, or the first child over
+        assert error == (
+            f"hilbert basis search: {stored} candidates of {n} coefficients "
+            f"make {stored * n} coordinates, over HILBERT_COORD_CAP = {coord_cap}"
+        )
 
 
 def test_hilbert_search_wide_fields():
@@ -99,6 +127,82 @@ def test_hilbert_search_wide_fields():
     ws = [(5000,), (-1,)]
     assert [g.coeffs for g in monoid.iter_hilbert_basis(ws)] == [(1, 5000)]
     assert _search_outcome(reference_hilbert_basis, ws) == ([(1, 5000)], "")
+
+
+SYMMETRIC_GROUPS = ("A1", "A2", "B2", "G2", "A3", "B3", "C3", "A1xA2")
+
+
+@st.composite
+def weyl_invariant_lists(draw, budget=10):
+    """A group of rank at most 3 and a union of up to three Weyl orbits of
+    nonzero weights, each with multiplicity 1 to 3, of at most ``budget``
+    weights in all: the orbits must be small, as a single orbit of twelve
+    weights can have a Hilbert basis of hundreds of generators of degree 24."""
+    g = parse_group(draw(st.sampled_from(SYMMETRIC_GROUPS)))
+    dominant = st.tuples(*[st.integers(0, 2)] * g.rank).filter(any)
+    counts: dict = {}
+    for d in draw(st.lists(dominant, min_size=1, max_size=3, unique=True)):
+        orbit = weyl_orbit(g, d)
+        room = (budget - sum(counts.values())) // len(orbit)
+        if room:
+            mult = draw(st.integers(1, min(3, room)))
+            for w in orbit:
+                counts[w] = counts.get(w, 0) + mult
+    assume(counts)
+    return g, counts
+
+
+@given(group_counts=weyl_invariant_lists())
+@settings(max_examples=100, deadline=None)
+def test_symmetric_search_matches_the_reference_kernel(group_counts):
+    # one unit vector per orbit of indices, each level closed under the
+    # simple reflections: the generators and their order are the plain ones
+    g, counts = group_counts
+    ws, symmetry = weyl_symmetric_list(g, counts)
+    got = _search_outcome(lambda w: monoid.iter_hilbert_basis(w, symmetry), ws)
+    assert got == (_search_outcome(reference_hilbert_basis, ws)[0], "")
+    assert is_torus_coreduced(ws, symmetry) == is_torus_coreduced(ws)
+
+
+# e0 + e1 is a relation of [1, -1, 2]; swapping indices 1 and 2 sends it to
+# e0 + e2, whose sum is 3
+NOT_A_SYMMETRY = ([(1,), (-1,), (2,)], [(0, 2, 1)])
+
+
+def test_a_permutation_that_is_no_symmetry_raises():
+    ws, symmetry = NOT_A_SYMMETRY
+    with pytest.raises(CertificateError, match="non-relation"):
+        list(monoid.iter_hilbert_basis(ws, symmetry))
+    with pytest.raises(ValueError, match="permute"):
+        list(monoid.iter_hilbert_basis(ws, [(0, 0, 1)]))
+    with pytest.raises(ValueError, match="zero weights"):
+        is_torus_coreduced(ws + [(0,)], [(0, 1, 2, 3)])
+
+
+def test_the_symmetry_check_survives_python_O():
+    code = textwrap.dedent(
+        f"""
+        from coreduce.config import CertificateError
+        from coreduce.monoid import iter_hilbert_basis
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        try:
+            list(iter_hilbert_basis(*{NOT_A_SYMMETRY!r}))
+        except CertificateError:
+            pass
+        else:
+            raise SystemExit("a permutation that is no symmetry passed")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(coreduce.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 nonzero_triple = st.tuples(

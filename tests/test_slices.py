@@ -108,8 +108,8 @@ def test_f4_adjoint_plus_26_slice_certificate_is_pinned(monkeypatch):
     yielded = []
     search = monoid.iter_hilbert_basis
 
-    def recorded(ws):
-        for gen in search(ws):
+    def recorded(ws, symmetry=None):
+        for gen in search(ws, symmetry):
             yielded.append(gen)
             yield gen
 
