@@ -590,10 +590,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # looked up by name on every call, so that a handler replaced after the
     # parser was built (a test double, a tracing wrapper) is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
+    cfg = Config(getattr(args, "output", "json"))
     try:
-        return handler(Config(getattr(args, "output", "json")), args)
+        return handler(cfg, args)
     except ResourceLimitError as e:
-        print(f"resource limit: {e}", file=sys.stderr)
+        if cfg.output == "json":
+            fields = {"engine": e.engine, "cap": e.cap, "limit": e.limit, "count": e.count}
+            print(json.dumps({**fields, "message": str(e)}, sort_keys=True), file=sys.stderr)
+        else:
+            print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except MemoryError:
         print("resource limit: out of memory", file=sys.stderr)

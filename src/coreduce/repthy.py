@@ -21,7 +21,11 @@ irreducibles inside an arbitrary character use the alternating Weyl-sum
 
 Symmetric powers S^0..S^d come from one DP over the weight list, each degree
 k on its own dense array over the box that holds the weights of S^k, which
-grows linearly with k, so the low degrees cost little.
+grows linearly with k, so the low degrees cost little.  The arrays hold
+int64 counts, or Python ints once the counts could pass int64.  Each layer
+is returned as its array (:class:`BoxCharacter`): point lookups and the mass
+read the array in place, and the weight dict is decoded only for a caller
+that reads ``entries``.
 
 Multigraded multiplicities (one grading per summand) are computed for every
 multidegree at once: S^0..S^dmax of each summand come from a single
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, mul
 from typing import Callable, Optional, Sequence
 
@@ -253,6 +258,35 @@ class Character:
         return {w: m for w, m in full.items() if w != zero and m}
 
 
+class BoxCharacter(Character):
+    """A character held as a dense array over a box of weights: the cell at
+    index ``i`` counts the weight ``origin + i``, and every weight outside
+    the box has multiplicity 0.  Point lookups and the mass read the array;
+    ``entries`` is decoded on first use, in coordinate order."""
+
+    def __init__(self, group: GroupSpec, box, origin: Coords) -> None:
+        self.group = group
+        self.dominant_only = False
+        self.box = box
+        self.origin = origin
+
+    @cached_property
+    def entries(self) -> dict[Coords, int]:  # type: ignore[override]
+        nonzero = self.box.nonzero()
+        vals = self.box[nonzero].tolist()
+        cols = [(ix + o).tolist() for ix, o in zip(nonzero, self.origin)]
+        return dict(zip(zip(*cols), vals))
+
+    def mult(self, coords: Coords) -> int:
+        idx = tuple(a - o for a, o in zip(coords, self.origin))
+        if all(0 <= i < s for i, s in zip(idx, self.box.shape)):
+            return int(self.box[idx])
+        return 0
+
+    def mass(self) -> int:
+        return int(self.box.sum())
+
+
 def weight_diagram(g: GroupSpec, hw: Coords) -> Character:
     """Full weight diagram (with multiplicities) of the irreducible V(hw)."""
     return Character(g, dominant_diagram(g, hw), True).expand()
@@ -373,11 +407,14 @@ def symmetric_power(chi: Character, d: int) -> list[Character]:
     Dynamic programming over the weight list: multiplying in one weight ``w``
     of multiplicity one is the geometric-series pass
     ``S[k] += shift(S[k-1], w)`` taken in increasing ``k``.  Each degree k
-    runs on its own dense integer array over the box ``k*mn .. k*mx`` per
+    runs on its own dense array over the box ``k*mn .. k*mx`` per
     coordinate, with ``mn = min(0, min w)`` and ``mx = max(0, max w)``, which
     holds every weight of S^k; as ``mn <= 0 <= mx``, the shift by ``w`` from
     box k-1 into box k is the pure offset ``w - mn``.  The cells of all the
-    boxes together are capped by ``SYMPOW_CELL_CAP``.
+    boxes together are capped by ``SYMPOW_CELL_CAP``.  The arrays are int64
+    while the number of monomials of S^d, which bounds every cell, is below
+    2**62, and hold Python ints past that.  Layer k is returned as its box,
+    a :class:`BoxCharacter` with origin ``k*mn``.
     """
     import numpy as np  # here only, so that a cold start does not pay for it
 
@@ -407,35 +444,18 @@ def symmetric_power(chi: Character, d: int) -> list[Character]:
     n = len(weights)
     for i in range(d):
         mass_bound = mass_bound * (n + i) // (i + 1)
-    use_numpy = mass_bound < 2**62
-    if use_numpy:
-        # one array per degree, so each is freed once its dict is built
-        dp = [np.zeros(shape, dtype=np.int64) for shape in shapes]
-        dp[0][(0,) * rank] = 1
-        for w in weights:
-            off = [a - l for a, l in zip(w, mn)]
-            for k in range(1, d + 1):
-                dst = tuple(slice(o, o + s) for o, s in zip(off, shapes[k - 1]))
-                dp[k][dst] += dp[k - 1]
-        out = []
-        for k in range(d + 1):
-            layer, dp[k] = dp[k], None
-            # values first: the index arrays are gone before the dict grows
-            vals = layer[layer != 0].tolist()
-            cols = [(ix + k * l).tolist() for ix, l in zip(np.nonzero(layer), mn)]
-            out.append(Character(chi.group, dict(zip(zip(*cols), vals)), False))
-        return out
-    # big-int fallback: dict DP
-    zero = tuple(0 for _ in range(rank))
-    layers: list[dict[Coords, int]] = [{zero: 1}] + [dict() for _ in range(d)]
+    dtype = np.int64 if mass_bound < 2**62 else object
+    dp = [np.zeros(shape, dtype=dtype) for shape in shapes]
+    dp[0][(0,) * rank] = 1
     for w in weights:
+        off = [a - l for a, l in zip(w, mn)]
         for k in range(1, d + 1):
-            prev = layers[k - 1]
-            cur = layers[k]
-            for x, c in list(prev.items()):
-                y = tuple(a + b for a, b in zip(x, w))
-                cur[y] = cur.get(y, 0) + c
-    return [Character(chi.group, layer, False) for layer in layers]
+            dst = tuple(slice(o, o + s) for o, s in zip(off, shapes[k - 1]))
+            dp[k][dst] += dp[k - 1]
+    return [
+        BoxCharacter(chi.group, layer, tuple(k * l for l in mn))
+        for k, layer in enumerate(dp)
+    ]
 
 
 # ---------------------------------------------------------------------------

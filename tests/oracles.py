@@ -280,6 +280,27 @@ def reference_covariant_counts(summands, degrees, target) -> tuple:
     return reference_multidegree_mult(summands, degrees, target), bound
 
 
+def reference_covariant_generator_exists(m, target, d: int):
+    """The certificate of ``covariant_generator_exists`` with every
+    symmetric-power layer decoded into a weight dict before the alternating
+    sums read it."""
+    from coreduce.repthy import (
+        Character,
+        CovariantCertificate,
+        module_weights,
+        mult_in_character,
+        symmetric_power,
+    )
+
+    chi = module_weights(m)
+    layers = [Character(chi.group, dict(p.entries), False) for p in symmetric_power(chi, d)]
+    zero = tuple(0 for _ in target)
+    mults = tuple(mult_in_character(layers[e], target) for e in range(1, d + 1))
+    invs = tuple(mult_in_character(layers[e], zero) for e in range(1, d + 1))
+    bound = sum(invs[d - e - 1] * mults[e - 1] for e in range(1, d))
+    return CovariantCertificate(target, d, mults[d - 1], bound, mults, invs)
+
+
 def exact_rank(vectors) -> int:
     """Rank of a list of integer vectors, by Gaussian elimination over Q."""
     from fractions import Fraction

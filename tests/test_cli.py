@@ -413,11 +413,16 @@ def test_resource_limit_exit_three(monkeypatch, capsys):
         (repthy, "SYMPOW_CELL_CAP", ["verify-paper", "--suite", "appendixB"]),
         (monoid, "HILBERT_COORD_CAP", ["torus-check", "--weights", FOUR_SIX]),
     ]:
+        # JSON mode (the default) writes the error's fields as one object on
+        # stderr; text mode writes one line
         with monkeypatch.context() as mp:
             mp.setattr(module, cap, 10)
             assert run_cli(argv) == (3, ""), cap
-        err = capsys.readouterr().err
-        assert err.startswith("resource limit: ") and f"{cap} = 10" in err
+            err = json.loads(capsys.readouterr().err)
+            assert (err["cap"], err["limit"]) == (cap, 10)
+            assert err["message"].endswith(f", over {cap} = 10")
+            assert run_cli(["--output", "text", *argv]) == (3, ""), cap
+            assert capsys.readouterr().err == f"resource limit: {err['message']}\n"
 
 
 G2XG2_SYMPOW_CELLS = sum((4 * k + 1) ** 2 * (2 * k + 1) ** 2 for k in range(10))
@@ -436,10 +441,27 @@ def test_sympow_cell_cap_counts_the_per_degree_boxes(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
     monkeypatch.setattr(repthy, "SYMPOW_CELL_CAP", G2XG2_SYMPOW_CELLS - 1)
     assert run_cli(argv) == (3, "")
-    assert capsys.readouterr().err == (
-        "resource limit: symmetric_power would need 1191082 DP cells, "
-        "over SYMPOW_CELL_CAP = 1191081\n"
+    assert json.loads(capsys.readouterr().err) == {
+        "engine": "repthy.sympow",
+        "cap": "SYMPOW_CELL_CAP",
+        "limit": 1191081,
+        "count": 1191082,
+        "message": "symmetric_power would need 1191082 DP cells, "
+        "over SYMPOW_CELL_CAP = 1191081",
+    }
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported inside symmetric_power only, so a cold start that
+    # computes no symmetric power does not pay for it
+    src = os.path.dirname(os.path.dirname(coreduce.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, coreduce.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_appendix_b_is_the_same_under_python_optimize():
@@ -526,6 +548,20 @@ HILBERT_CAP_COUNTS = {
 }
 
 
+def hilbert_cap_error(group, module):
+    """The JSON object on stderr when the search for ``module`` hits the
+    coordinate cap."""
+    candidates, n = HILBERT_CAP_COUNTS[group, module]
+    return {
+        "engine": "monoid.hilbert",
+        "cap": "HILBERT_COORD_CAP",
+        "limit": 16000000,
+        "count": candidates * n,
+        "message": f"hilbert basis search: {candidates} candidates of {n} coefficients "
+        f"make {candidates * n} coordinates, over HILBERT_COORD_CAP = 16000000",
+    }
+
+
 @pytest.mark.parametrize(
     "group, module",
     [
@@ -558,11 +594,7 @@ def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(group, module):
     )
     assert time.perf_counter() - t0 < 10
     assert out.returncode == 3 and out.stdout == ""
-    candidates, n = HILBERT_CAP_COUNTS[group, module]
-    assert out.stderr == (
-        f"resource limit: hilbert basis search: {candidates} candidates of {n} coefficients "
-        f"make {candidates * n} coordinates, over HILBERT_COORD_CAP = 16000000\n"
-    )
+    assert json.loads(out.stderr) == hilbert_cap_error(group, module)
 
 
 @pytest.mark.parametrize("module", ["[3,2,2,1]", "[2,3,2,0]"])
@@ -574,11 +606,7 @@ def test_f4_slices_are_sized_before_any_orbit_is_expanded(module, monkeypatch, c
 
     monkeypatch.setattr(repthy.Character, "expand", refuse)
     assert main(["classify", "F4", module]) == 3
-    candidates, n = HILBERT_CAP_COUNTS["F4", module]
-    assert capsys.readouterr().err == (
-        f"resource limit: hilbert basis search: {candidates} candidates of {n} coefficients "
-        f"make {candidates * n} coordinates, over HILBERT_COORD_CAP = 16000000\n"
-    )
+    assert json.loads(capsys.readouterr().err) == hilbert_cap_error("F4", module)
 
 
 def test_rank3_components_are_byte_identical_across_runs():

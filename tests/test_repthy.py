@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coreduce import paper, repthy
+from coreduce.nullcone import G2XG2_DEGREE, G2XG2_TARGET
 from coreduce.repthy import (
     Character,
     ModuleSpec,
@@ -31,6 +32,7 @@ from oracles import (
     brute_force_symmetric_power,
     kostant_weight_multiplicity,
     reference_covariant_counts,
+    reference_covariant_generator_exists,
     reference_freudenthal,
     reference_graded_invariant_series,
 )
@@ -258,7 +260,7 @@ def test_symmetric_power_matches_brute_force(chi, d):
 
 def test_symmetric_power_big_integer_fallback():
     # 1200 weights: S^8 has more than 2**62 monomials and its coefficients
-    # overflow int64, so the big-integer dict DP runs
+    # overflow int64, so the DP runs on arrays of Python ints
     g = parse_group("A1")
     chi = Character(g, {(-1,): 600, (1,): 600}, False)
     powers = symmetric_power(chi, 8)
@@ -270,6 +272,50 @@ def test_symmetric_power_big_integer_fallback():
         }
         assert layer.entries == want
     assert max(powers[8].entries.values()) > 2**63
+
+
+@st.composite
+def small_modules(draw):
+    """A module of at most 3 summands and a target, all with labels 0..1."""
+    g = parse_group(draw(st.sampled_from(["A1", "A2", "B2", "G2", "A1xA1"])))
+    labels = st.tuples(*[st.integers(0, 1)] * g.rank)
+    hws = draw(st.lists(labels.filter(any), min_size=1, max_size=3))
+    m = ModuleSpec(g, tuple((1, hw) for hw in hws))
+    return m, draw(labels)
+
+
+@given(inp=small_modules(), d=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_covariant_generator_exists_matches_decoded_reference(inp, d):
+    m, target = inp
+    assert covariant_generator_exists(m, target, d) == reference_covariant_generator_exists(
+        m, target, d
+    )
+
+
+@pytest.mark.parametrize("target", [(0,), (1,), (2,)])
+def test_covariant_generator_exists_on_python_int_boxes(target):
+    # 600 copies of the standard module: S^8 has more than 2**62 monomials,
+    # so the boxes hold Python ints, some of them past int64
+    m = ModuleSpec(parse_group("A1"), ((600, (1,)),))
+    box = symmetric_power(module_weights(m), 8)[8].box
+    assert box.dtype == object and max(box) > 2**63
+    cert = covariant_generator_exists(m, target, 8)
+    assert cert == reference_covariant_generator_exists(m, target, 8)
+
+
+def test_covariant_generator_exists_decodes_no_layer(monkeypatch):
+    """The G2xG2 certificate of Appendix B reads its 144-point alternating
+    sums straight from the symmetric-power boxes."""
+
+    def refuse(layer):
+        raise AssertionError("a symmetric-power layer was decoded")
+
+    monkeypatch.setattr(repthy.BoxCharacter, "entries", property(refuse))
+    m = parse_module(parse_group(paper.G2XG2_GROUP), paper.G2XG2_MODULE)
+    cert = covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE)
+    assert cert.per_degree_mults == paper.G2XG2_COVARIANT_SERIES
+    assert cert.per_degree_invariants == paper.G2XG2_INVARIANT_SERIES
 
 
 # small highest weights per group, so the per-multidegree oracle stays cheap
