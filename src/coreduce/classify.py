@@ -43,7 +43,6 @@ from .repthy import (
     invariant_dimension,
     max_nonzero_weight_multiplicity,
     min_root_multiplicity,
-    module_weights,
     symmetric_power,
     weight_diagram,
 )
@@ -151,11 +150,10 @@ def classify_sl2(parts: Sequence[int]) -> Verdict:
         cert = _two_r2_screen()
         require(cert.not_reduced, "the two-quadratics screen does not fire")
         return Verdict(m, NO, (cert,), tag, ("rank of the quotient differential on the null cone",))
-    chi = module_weights(m)
-    bad = bad_toral_slice(m, chi=chi)
+    bad = bad_toral_slice(m)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
-    cov = _sl2_covariant_certificate(m, parts, chi)
+    cov = _sl2_covariant_certificate(m, parts)
     if cov is not None:
         return Verdict(m, NO, (cov,), tag, ("generating covariant of low target degree vanishes on the null cone",))
     return Verdict(
@@ -174,14 +172,14 @@ def _two_r2_screen() -> ScreenResult:
 
 
 def _sl2_covariant_certificate(
-    m: ModuleSpec, parts: tuple[int, ...], chi: Character
+    m: ModuleSpec, parts: tuple[int, ...]
 ) -> Optional[CovariantCertificate]:
     # Covariants to R_1 of degree >= 2 (odd weights present) or to R_2 of
     # degree >= 2 (all weights even) vanish on the null cone; a generating one
     # in such a degree certifies non-coreducedness.
     target = (1,) if any(p % 2 for p in parts) else (2,)
     for d in range(2, 9):
-        cert = covariant_generator_exists(m, target, d, chi)
+        cert = covariant_generator_exists(m, target, d)
         if cert.exists:
             return cert
     return None
@@ -192,8 +190,8 @@ def _require_simple(g: GroupSpec) -> None:
         raise ValueError(f"{g} is not a simple group; this driver covers one simple factor")
 
 
-def _check_no_negative_rule(m: ModuleSpec, counts: Optional[dict[Coords, int]] = None) -> None:
-    if bad_toral_slice(m, counts) is not None:
+def _check_no_negative_rule(m: ModuleSpec) -> None:
+    if bad_toral_slice(m) is not None:
         raise ContradictionError(f"bad toral slice on coreduced module {m}")
 
 
@@ -530,11 +528,10 @@ def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
     hw = m.summands[0][1]
     tag = "semisimple-irreducible"
     if _is_semisimple_yes_row(g, hw):
-        # one toral slice for both checks; without one neither can fire
-        counts = toral_slice(m)
-        if counts is not None:
-            _check_no_negative_rule(m, counts)
-            if product_group_rule(m, counts) is not None:
+        # without a toral slice neither check can fire
+        if toral_slice(m) is not None:
+            _check_no_negative_rule(m)
+            if product_group_rule(m) is not None:
                 raise ContradictionError(f"product rule fired on coreduced module {m}")
         return Verdict(m, YES_PAPER, (Citation("symmetric-space / cofree quotient argument"),), tag)
     keyed = tuple(str(t) for t in g.simple_factors)
@@ -551,12 +548,11 @@ def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
             m, NO, (cert, Citation("slice at the zero weight vector")), tag,
             ("screen applied to the rank-1 slice cocharacter with positive values 1 and 3",),
         )
-    counts = toral_slice(m)
-    if counts is not None:
-        cert = product_group_rule(m, counts)
+    if toral_slice(m) is not None:
+        cert = product_group_rule(m)
         if cert is not None:
             return Verdict(m, NO, (cert,), tag)
-        bad = bad_toral_slice(m, counts)
+        bad = bad_toral_slice(m)
         if bad is not None:
             return Verdict(m, NO, (bad,), tag)
     if _is_odd_orthogonal_triple(g, hw):
@@ -645,29 +641,28 @@ def classify_sl3(m: ModuleSpec) -> Verdict:
         if s in (((1, (1, 0)),), ((1, (0, 1)),), ((1, (2, 0)),), ((1, (0, 2)),), ((1, (3, 0)),), ((1, (0, 3)),)):
             return Verdict(m, YES_PAPER, (Citation("cofree; quotient of small dimension"),), tag)
         return Verdict(m, YES_PAPER, (Citation("classical invariant theory"),), tag)
-    chi = module_weights(m)
     if len(s) == 1 and s[0][0] == 1:
         r, t = s[0][1]
         if (r - t) % 3 == 0:
-            bad = bad_toral_slice(m, chi=chi)
+            bad = bad_toral_slice(m)
             if bad is not None:
                 return Verdict(m, NO, (bad,), tag)
-        sets = classify_components_sl3(m, chi)
-        screen = sl3_irreducible_rank_screen(chi, sets)
+        sets = classify_components_sl3(m)
+        screen = sl3_irreducible_rank_screen(m.weights, sets)
         if screen is not None:
             return Verdict(
                 m, NO, screen, tag,
                 ("rank of the invariant differentials on a dominant component",),
             )
-        cert = sl3_vanishing_generator_certificate(m, sets, chi)
+        cert = sl3_vanishing_generator_certificate(m, sets)
         if cert is not None:
             return Verdict(m, NO, cert, tag)
         return Verdict(m, NO_PAPER, (Citation("negative-weight count against the cubic-invariant bound"),), tag)
     # reducible non-listed modules
-    bad = bad_toral_slice(m, chi=chi)
+    bad = bad_toral_slice(m)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
-    screen = _sl3_reducible_screen(m, chi)
+    screen = _sl3_reducible_screen(m)
     if screen is not None:
         return Verdict(m, NO, screen, tag)
     return Verdict(m, NO_PAPER, (Citation("slice / associated-cone argument"),), tag)
@@ -760,13 +755,13 @@ def sl3_irreducible_rank_screen(
 
 
 def sl3_vanishing_generator_certificate(
-    m: ModuleSpec, sets: Sequence[AdmissibleSet], chi: Character
+    m: ModuleSpec, sets: Sequence[AdmissibleSet]
 ) -> Optional[tuple]:
     """Find a degree d and a standard-type covariant target such that every
     covariant of that type and degree vanishes on all potentially dominant
     null-cone components among ``sets`` (the output of
     :func:`classify_components_sl3` for ``m``), while a generating one exists
-    in degree d; ``chi`` is ``module_weights(m)``."""
+    in degree d."""
     candidates = [a for a in sets if a.status in ("dominant", "unknown")]
     if not candidates:
         return None
@@ -783,7 +778,7 @@ def sl3_vanishing_generator_certificate(
         if not feasible:
             continue
         for d in range(dmax + 1, dmax + 1 + SL3_EXTRA_DEGREES):
-            cert = covariant_generator_exists(m, target, d, chi)
+            cert = covariant_generator_exists(m, target, d)
             if cert.exists:
                 vanishes = all(
                     covariant_vanishes(a, target, d, all_degrees=False)
@@ -814,16 +809,16 @@ def _max_feasible_degree(a: AdmissibleSet, target: Coords) -> Optional[int]:
     return best
 
 
-def _sl3_reducible_screen(m: ModuleSpec, chi: Character) -> Optional[tuple]:
+def _sl3_reducible_screen(m: ModuleSpec) -> Optional[tuple]:
     """Rank-of-differentials screens for the handful of reducible modules the
     classification settles by cocharacter bookkeeping; codimension values are
     recorded fixture data."""
     sor = tuple(sorted(m.summands))
     if sor == ((2, (2, 0)),) or sor == ((2, (0, 2)),):
-        res = _sl3_eps_screen(chi, (1, 1, -2), codim=4, invariant_degrees=[3, 3, 3, 3])
+        res = _sl3_eps_screen(m.weights, (1, 1, -2), codim=4, invariant_degrees=[3, 3, 3, 3])
         return (res, {"codim_source": "recorded"}) if res.not_reduced else None
     if sor == ((1, (0, 2)), (1, (2, 0))):
-        res = _sl3_eps_screen(chi, (1, 1, -2), codim=4, invariant_degrees=[2, 3, 3, 6])
+        res = _sl3_eps_screen(m.weights, (1, 1, -2), codim=4, invariant_degrees=[2, 3, 3, 6])
         return (res, {"codim_source": "recorded"}) if res.not_reduced else None
     if sor in (((1, (2, 0)), (2, (0, 1))), ((1, (0, 2)), (2, (1, 0)))):
         screen = _two_r2_screen()
@@ -833,7 +828,7 @@ def _sl3_reducible_screen(m: ModuleSpec, chi: Character) -> Optional[tuple]:
             {"null_cone": "irreducible, codimension 3 (recorded)"},
         )
     if sor in (((1, (1, 0)), (1, (2, 0))), ((1, (0, 1)), (1, (0, 2)))):
-        res = _sl3_eps_screen(chi, (1, 1, -2), codim=2, invariant_degrees=[2, 3])
+        res = _sl3_eps_screen(m.weights, (1, 1, -2), codim=2, invariant_degrees=[2, 3])
         return (res, {"codim_source": "recorded"}) if res.not_reduced else None
     return None
 

@@ -37,7 +37,6 @@ from .repthy import (
     covariant_generator_exists,
     graded_invariant_series,
     group_weyl_dim,
-    module_weights,
     min_root_multiplicity,
     parse_module,
     weight_counts,
@@ -160,8 +159,7 @@ def torus_violating_generator(ws: Sequence[tuple[int, ...]]):
     coefficient >= 2: the lexicographically greatest coefficient vector, or
     None when the weights are coreduced; and the nonzero weights."""
     nz = tuple(w for w in ws if any(x != 0 for x in w))
-    basis = hilbert_basis(nz)
-    bad = [g for g in basis.generators if max(g.coeffs) >= 2]
+    bad = [g for g in hilbert_basis(nz) if max(g.coeffs) >= 2]
     return (max(bad, key=lambda g: g.coeffs), nz) if bad else (None, nz)
 
 
@@ -180,10 +178,9 @@ def cmd_torus_check(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_hilbert_basis(cfg: Config, args: argparse.Namespace) -> int:
     ws = _parse_scalar_or_vectors(args.weights)
-    basis = hilbert_basis(ws)
     payload = {
         "weights": [list(w) for w in ws],
-        "generators": [list(gen.coeffs) for gen in basis.generators],
+        "generators": [list(gen.coeffs) for gen in hilbert_basis(ws)],
     }
     _emit(cfg, payload)
     return EXIT_OK
@@ -191,11 +188,10 @@ def cmd_hilbert_basis(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_bad_slice(cfg: Config, args: argparse.Namespace) -> int:
     m = _module(args)
-    counts = toral_slice(m)
-    if counts is None:
+    if toral_slice(m) is None:
         _emit(cfg, {"module": str(m), "toral_slice": False, "bad": False})
         return EXIT_NO
-    cert = bad_toral_slice(m, counts)
+    cert = bad_toral_slice(m)
     payload: dict = {"module": str(m), "toral_slice": True, "bad": cert is not None}
     if cert is not None:
         payload["certificate"] = {
@@ -491,7 +487,7 @@ def _suite_appendix_b() -> list[dict]:
         )
     )
     a2a2 = parse_group("A2xA2")
-    summands = [module_weights(ModuleSpec(a2a2, ((1, hw),))) for hw in paper.A2XA2_SUMMANDS]
+    summands = [ModuleSpec(a2a2, ((1, hw),)).weights for hw in paper.A2XA2_SUMMANDS]
     want = paper.A2XA2_INVARIANTS
     series = graded_invariant_series(summands, max(want))
     got = [series[d] for d in want]
@@ -601,7 +597,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except MemoryError:
-        print("resource limit: out of memory", file=sys.stderr)
+        if cfg.output == "json":
+            print(json.dumps({"message": "out of memory"}), file=sys.stderr)
+        else:
+            print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except (RootSystemError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -85,18 +85,6 @@ class Relation:
     def max_coeff(self) -> int:
         return max(self.coeffs, default=0)
 
-    def verify(self, weights: Sequence[Vec]) -> bool:
-        dim = len(weights[0]) if weights else 0
-        return all(
-            sum(m * w[j] for m, w in zip(self.coeffs, weights)) == 0 for j in range(dim)
-        )
-
-
-@dataclass(frozen=True)
-class HilbertBasis:
-    weights: tuple[Vec, ...]
-    generators: tuple[Relation, ...]
-
 
 def _check_stored(candidates: int, n: int) -> None:
     if candidates * n > HILBERT_COORD_CAP:
@@ -288,10 +276,9 @@ def iter_hilbert_basis(
         level = nxt
 
 
-def hilbert_basis(weights: Sequence[Vec]) -> HilbertBasis:
-    ws = tuple(tuple(w) for w in weights)
-    gens = tuple(iter_hilbert_basis(ws))
-    return HilbertBasis(ws, gens)
+def hilbert_basis(weights: Sequence[Vec]) -> tuple[Relation, ...]:
+    """Every indecomposable relation among ``weights``, in search order."""
+    return tuple(iter_hilbert_basis(tuple(tuple(w) for w in weights)))
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from .config import ResourceLimitError, require
 from .monoid import Vec, exists_sum
-from .repthy import (
-    Character,
-    ModuleSpec,
-    module_weights,
-    weight_diagram,
-)
+from .repthy import Character, ModuleSpec, weight_diagram
 from .rootsys import (
     Coords,
     GroupSpec,
@@ -79,7 +74,6 @@ class AdmissibleSet:
     weights: tuple[Coords, ...]  # Dynkin coords, with multiplicity, sorted
     defining: Cocharacter
     status: str = "unknown"  # dominant | dominated | unknown | not_by_these_criteria
-    dominated_by: Optional[int] = None
 
     def weight_set(self) -> frozenset[Coords]:
         return frozenset(self.weights)
@@ -124,9 +118,7 @@ CHAMBER_RANK_CAP = 4
 """Largest rank whose chambers ``admissible_sets`` enumerates."""
 
 
-def admissible_sets(
-    m: ModuleSpec, mod_weyl: bool = True, chi: Optional[Character] = None
-) -> list[AdmissibleSet]:
+def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]:
     """One admissible set per chamber of the weight hyperplane arrangement.
 
     ``mod_weyl`` restricts to strictly dominant cocharacters (one chamber per
@@ -135,18 +127,16 @@ def admissible_sets(
     goes through :func:`_chamber_samples`, and each chamber's cocharacter is
     the sum of its primitive extreme rays (the tests count the chambers
     against Zaslavsky's theorem).  Larger ranks and modules without a nonzero
-    weight are refused.  ``chi`` is ``module_weights(m)`` when the caller
-    has it.
+    weight are refused.
     """
     g = m.group
-    if chi is None:
-        chi = module_weights(m)
     rank = g.rank
     if rank > CHAMBER_RANK_CAP:
         raise ResourceLimitError(
             "nullcone.chambers", "CHAMBER_RANK_CAP", CHAMBER_RANK_CAP, rank,
             "chamber enumeration got rank {count}",
         )
+    chi = m.weights
     lines = sorted({_line(root_scaled_of_dynkin(g, w)) for w in chi.nonzero_weights()})
     if not lines:
         # a zero-dimensional positive weight space answers every question vacuously
@@ -336,17 +326,15 @@ def sl3_two_quadrant_dominant(adm: AdmissibleSet, all_sets: Sequence[AdmissibleS
     return has_1 and has_2
 
 
-def classify_components_sl3(m: ModuleSpec, chi: Optional[Character] = None) -> list[AdmissibleSet]:
-    """Admissible sets of an A2 module with dominance statuses filled in;
-    ``chi`` is ``module_weights(m)`` when the caller has it."""
-    sets = admissible_sets(m, mod_weyl=True, chi=chi)
-    for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if i == j or a.weight_set() == b.weight_set():
+def classify_components_sl3(m: ModuleSpec) -> list[AdmissibleSet]:
+    """Admissible sets of an A2 module with dominance statuses filled in."""
+    sets = admissible_sets(m, mod_weyl=True)
+    for a in sets:
+        for b in sets:
+            if a is b or a.weight_set() == b.weight_set():
                 continue
             if dominance(a, b) == "dominated":
                 a.status = "dominated"
-                a.dominated_by = j
                 break
     for a in sets:
         if a.status != "unknown":
@@ -359,9 +347,8 @@ def classify_components_sl3(m: ModuleSpec, chi: Optional[Character] = None) -> l
 def sl3_critical_ratios(m: ModuleSpec) -> set[Fraction]:
     """Positive ratios t where a weight of the module pairs to zero with
     the dominant cocharacter normalized to value 1 on the first simple root."""
-    chi = module_weights(m)
     out: set[Fraction] = set()
-    for w in chi.nonzero_weights():
+    for w in m.weights.nonzero_weights():
         p, q = sl3_root_coords(w)
         if q != 0 and -p / q > 0:
             out.add(-p / q)

@@ -12,12 +12,13 @@ multiplicity is looked up once, through its dominant representative, in a
 memo that lives for one diagram, and <nu, alpha> is stepped along the
 string by adding <alpha, alpha>.  Counts read off the dominant diagram and
 orbit sizes (:func:`weight_counts`, :func:`min_root_multiplicity`) expand no
-orbit.  Full diagrams are materialized by orbit closure only where every
-weight is used: :func:`weight_diagram` and :func:`module_weights` (the
-weight lists of the chamber enumeration, the toral slices and the
-multigraded series) and :func:`symmetric_power`.  Multiplicities of
-irreducibles inside an arbitrary character use the alternating Weyl-sum
-(Racah) formula, which needs only point lookups.
+orbit.  A module builds its dominant diagram and its full weight multiset
+once each, on first use, and keeps them (``ModuleSpec.dominant_diagram`` and
+``ModuleSpec.weights``), so the toral slice, the chamber enumeration, the
+screens and the covariant counts of one module share them.  Orbits are
+expanded by closure only in :func:`weight_diagram`, where every weight is
+used.  Multiplicities of irreducibles inside an arbitrary character use the
+alternating Weyl-sum (Racah) formula, which needs only point lookups.
 
 Symmetric powers S^0..S^d come from one DP over the weight list, each degree
 k on its own dense array over the box that holds the weights of S^k, which
@@ -226,16 +227,11 @@ def dominant_diagram(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
 
 @dataclass
 class Character:
-    """A virtual character: map from weights (Dynkin coordinates) to integers.
-
-    A ``dominant_only`` character stores one value per Weyl orbit; only
-    :func:`weight_diagram` builds one, and it expands it at once, so the
-    other methods read full characters.
-    """
+    """A virtual character: map from every weight (Dynkin coordinates), not
+    one per Weyl orbit, to its integer multiplicity."""
 
     group: GroupSpec
     entries: dict[Coords, int]
-    dominant_only: bool = False
 
     def mult(self, coords: Coords) -> int:
         return self.entries.get(coords, 0)
@@ -243,19 +239,9 @@ class Character:
     def mass(self) -> int:
         return sum(self.entries.values())
 
-    def expand(self) -> "Character":
-        if not self.dominant_only:
-            return self
-        step = weyl_neighbours(self.group)
-        full: dict[Coords, int] = {}
-        for dom, m in self.entries.items():
-            full.update(dict.fromkeys(closure((dom,), step), m))
-        return Character(self.group, full, False)
-
     def nonzero_weights(self) -> dict[Coords, int]:
         zero = tuple(0 for _ in range(self.group.rank))
-        full = self.expand().entries
-        return {w: m for w, m in full.items() if w != zero and m}
+        return {w: m for w, m in self.entries.items() if w != zero and m}
 
 
 class BoxCharacter(Character):
@@ -266,7 +252,6 @@ class BoxCharacter(Character):
 
     def __init__(self, group: GroupSpec, box, origin: Coords) -> None:
         self.group = group
-        self.dominant_only = False
         self.box = box
         self.origin = origin
 
@@ -288,8 +273,14 @@ class BoxCharacter(Character):
 
 
 def weight_diagram(g: GroupSpec, hw: Coords) -> Character:
-    """Full weight diagram (with multiplicities) of the irreducible V(hw)."""
-    return Character(g, dominant_diagram(g, hw), True).expand()
+    """Full weight diagram (with multiplicities) of the irreducible V(hw):
+    each dominant weight's Weyl orbit, found by closure under the simple
+    reflections, carries its multiplicity."""
+    step = weyl_neighbours(g)
+    full: dict[Coords, int] = {}
+    for dom, m in dominant_diagram(g, hw).items():
+        full.update(dict.fromkeys(closure((dom,), step), m))
+    return Character(g, full)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +304,27 @@ class ModuleSpec:
     def dimension(self) -> int:
         return sum(c * group_weyl_dim(self.group, hw) for c, hw in self.summands)
 
+    @cached_property
+    def weights(self) -> Character:
+        """Weight multiset of the module (direct sums add, tensor via the
+        group), built on first use and kept with the module."""
+        total: dict[Coords, int] = {}
+        for coeff, hw in self.summands:
+            for w, mult in weight_diagram(self.group, hw).entries.items():
+                total[w] = total.get(w, 0) + coeff * mult
+        return Character(self.group, total)
+
+    @cached_property
+    def dominant_diagram(self) -> dict[Coords, int]:
+        """Dominant-weight multiplicities of the module: the summands'
+        dominant diagrams added with their coefficients, one value per Weyl
+        orbit; built on first use and kept with the module."""
+        total: dict[Coords, int] = {}
+        for coeff, hw in self.summands:
+            for d, mult in dominant_diagram(self.group, hw).items():
+                total[d] = total.get(d, 0) + coeff * mult
+        return total
+
     def __str__(self) -> str:
         terms = []
         for c, hw in self.summands:
@@ -334,31 +346,11 @@ def parse_module(g: GroupSpec, text: str) -> ModuleSpec:
     return ModuleSpec(g, tuple(summands))
 
 
-def module_weights(m: ModuleSpec) -> Character:
-    """Weight multiset of the module (direct sums add, tensor via the group)."""
-    total: dict[Coords, int] = {}
-    for coeff, hw in m.summands:
-        diag = weight_diagram(m.group, hw)
-        for w, mult in diag.entries.items():
-            total[w] = total.get(w, 0) + coeff * mult
-    return Character(m.group, total, False)
-
-
-def module_dominant_diagram(m: ModuleSpec) -> dict[Coords, int]:
-    """Dominant-weight multiplicities of the module: the summands' dominant
-    diagrams added with their coefficients, one value per Weyl orbit."""
-    total: dict[Coords, int] = {}
-    for coeff, hw in m.summands:
-        for d, mult in dominant_diagram(m.group, hw).items():
-            total[d] = total.get(d, 0) + coeff * mult
-    return total
-
-
 def weight_counts(m: ModuleSpec) -> tuple[int, int]:
     """(multiplicity of the zero weight, number of nonzero weights counted
     with multiplicity) of the module: each nonzero dominant weight counts its
     multiplicity times its orbit size, so no orbit is expanded."""
-    dom = module_dominant_diagram(m)
+    dom = m.dominant_diagram
     zero = tuple(0 for _ in range(m.group.rank))
     nonzero = sum(mult * orbit_size(m.group, d) for d, mult in dom.items() if d != zero)
     return dom.get(zero, 0), nonzero
@@ -375,7 +367,7 @@ def min_root_multiplicity(m: ModuleSpec) -> tuple[int, Coords]:
     data = g.root_data
     if not data.roots:
         raise ValueError(f"{g} has no roots")
-    entries = module_dominant_diagram(m)
+    entries = m.dominant_diagram
     return min(
         ((entries.get(dom, 0), root) for root, dom in zip(data.roots, data.dominant_roots)),
         key=lambda pair: pair[0],
@@ -418,7 +410,7 @@ def symmetric_power(chi: Character, d: int) -> list[Character]:
     """
     import numpy as np  # here only, so that a cold start does not pay for it
 
-    entries = chi.expand().entries
+    entries = chi.entries
     if any(m < 0 for m in entries.values()):
         raise ValueError("symmetric powers need an effective character")
     rank = chi.group.rank
@@ -427,8 +419,8 @@ def symmetric_power(chi: Character, d: int) -> list[Character]:
         weights.extend([w] * m)
     if d == 0 or not weights:
         zero = tuple(0 for _ in range(rank))
-        out = [Character(chi.group, {zero: 1}, False)]
-        out += [Character(chi.group, {}, False) for _ in range(d)]
+        out = [Character(chi.group, {zero: 1})]
+        out += [Character(chi.group, {}) for _ in range(d)]
         return out
     mn = [min(0, min(w[j] for w in weights)) for j in range(rank)]
     mx = [max(0, max(w[j] for w in weights)) for j in range(rank)]
@@ -479,11 +471,10 @@ def mult_in_character(chi: Character, lam: Coords) -> int:
     _check_weyl_order(g)
     delta = g.weyl_vector
     start = tuple(a + b for a, b in zip(lam, delta))
-    full = chi.expand()
     total = 0
     for pt, sign in signed_orbit(g, start):
         shifted = tuple(a - b for a, b in zip(pt, delta))
-        total += sign * full.mult(shifted)
+        total += sign * chi.mult(shifted)
     return total
 
 
@@ -509,19 +500,14 @@ class CovariantCertificate:
         return self.multiplicity > self.ideal_bound
 
 
-def covariant_generator_exists(
-    m: ModuleSpec, target: Coords, d: int, chi: Optional[Character] = None
-) -> CovariantCertificate:
+def covariant_generator_exists(m: ModuleSpec, target: Coords, d: int) -> CovariantCertificate:
     """Decide whether a generating covariant of type V(target) exists in degree d.
 
     True when the multiplicity of V(target) in S^d(V) exceeds the upper bound
     on the ideal part: sum over 0 < e < d of (invariants in degree d-e) times
-    (covariants of that type in degree e).  ``chi`` is ``module_weights(m)``
-    when the caller has it.
+    (covariants of that type in degree e).
     """
-    if chi is None:
-        chi = module_weights(m)
-    powers = symmetric_power(chi, d)
+    powers = symmetric_power(m.weights, d)
     mults = tuple(mult_in_character(powers[e], target) for e in range(1, d + 1))
     invs = tuple(invariant_dimension(powers[e]) for e in range(1, d + 1))
     bound = sum(invs[d - e - 1] * mults[e - 1] for e in range(1, d))
@@ -588,7 +574,7 @@ def _multigraded_mults(
     # layers are packed), so one of a product of powers is at most ``reach``,
     # and one of an alternating key w(lam+rho) - rho - y at most ``reach`` +
     # |w(lam+rho)| + |rho|
-    tops = [max((abs(x) for w in chi.expand().entries for x in w), default=0) for chi in summands]
+    tops = [max((abs(x) for w in chi.entries for x in w), default=0) for chi in summands]
     reach = sum(map(mul, tops, max_degrees))
     shift_bound = max(abs(x) for orbit in orbits for pt, _ in orbit for x in pt)
     pack = _packer(reach + shift_bound + max(map(abs, delta), default=0))

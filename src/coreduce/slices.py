@@ -18,14 +18,7 @@ from typing import Optional
 
 from .config import require
 from .monoid import Vec, _check_stored, is_torus_coreduced
-from .repthy import (
-    Character,
-    ModuleSpec,
-    min_root_multiplicity,
-    module_dominant_diagram,
-    module_weights,
-    weight_counts,
-)
+from .repthy import ModuleSpec, min_root_multiplicity, weight_counts
 from .rootsys import Coords, GroupSpec, reflect, root_scaled_of_dynkin, simple_reflections
 
 GENERIC_HYPOTHESIS = "generic zero weight vector"
@@ -58,14 +51,12 @@ class BadSliceCertificate:
             require(all(x == 0 for x in self.relation_sum()), "relation must sum to zero")
 
 
-def toral_slice(m: ModuleSpec, chi: Optional[Character] = None) -> Optional[dict[Coords, int]]:
+def toral_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
     """The torus weights of the slice at a generic zero-weight vector: the
     nonzero module weights (Dynkin coordinates) with one copy of each root
     removed, mapped to their multiplicities; None when some root of the
-    group is not a weight of the module, so that there is no toral slice.
-    ``chi`` is ``module_weights(m)`` when the caller has it."""
-    if chi is None:
-        chi = module_weights(m)
+    group is not a weight of the module, so that there is no toral slice."""
+    chi = m.weights
     roots = m.group.root_data.roots
     if not all(chi.mult(d) >= 1 for d in roots):
         return None
@@ -95,33 +86,20 @@ def weyl_symmetric_list(
     return ws, symmetry
 
 
-def bad_toral_slice(
-    m: ModuleSpec,
-    counts: Optional[dict[Coords, int]] = None,
-    chi: Optional[Character] = None,
-) -> Optional[BadSliceCertificate]:
+def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     """The direct test: Hilbert-basis 0/1 criterion on the toral slice
     weights, with multiplicity, in sorted root_scaled coordinates, searched
     with the Weyl group's simple reflections as symmetries; None when
-    the slice is coreduced or there is none.  ``counts`` is ``toral_slice(m)``
-    when the caller has it, and is computed here otherwise (from ``chi``,
-    ``module_weights(m)``, when given).  The size of the search is checked
-    before the weights are converted or listed; with neither given, it is
-    read off the dominant diagram before any orbit is expanded."""
-    if counts is None and chi is None:
-        data = m.group.root_data
-        entries = module_dominant_diagram(m)
-        if not all(entries.get(d, 0) >= 1 for d in data.dominant_roots):
-            return None
-        n = weight_counts(m)[1] - len(data.roots)
-        _check_stored(n, n)
-    if counts is None:
-        counts = toral_slice(m, chi)
-    if counts is None:
+    the slice is coreduced or there is none.  Whether there is a slice, and
+    the size of the search, are read off the dominant diagram before any
+    orbit is expanded; only then is the slice listed."""
+    data = m.group.root_data
+    entries = m.dominant_diagram
+    if not all(entries.get(d, 0) >= 1 for d in data.dominant_roots):
         return None
-    n = sum(counts.values())
+    n = weight_counts(m)[1] - len(data.roots)
     _check_stored(n, n)
-    ws, symmetry = weyl_symmetric_list(m.group, counts)
+    ws, symmetry = weyl_symmetric_list(m.group, toral_slice(m))
     verdict = is_torus_coreduced(ws, symmetry)
     gen = verdict.certificate
     if gen is None:
@@ -192,9 +170,7 @@ def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     )
 
 
-def product_group_rule(
-    m: ModuleSpec, counts: Optional[dict[Coords, int]] = None
-) -> Optional[BadSliceCertificate]:
+def product_group_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     """Bad-slice relation for irreducible tensor modules over product groups.
 
     For k > 2 simple factors with simple roots alpha, beta, gamma one per
@@ -203,17 +179,15 @@ def product_group_rule(
     (a+c) + (a-c) + 2(b-c) + 2(-(a+b)+c) = 0.  Absent exactly when the
     module is the A1 x A1 tensor square of the natural SL2-module (where no
     such relation exists).  Every participating weight is verified to occur
-    among the slice weights ``counts``, which is ``toral_slice(m)`` when the
-    caller has it and is computed here otherwise (the relation is linear, so
-    it is built in Dynkin coordinates and converted to root_scaled ones for
-    the certificate).
+    among the slice weights ``toral_slice(m)`` (the relation is linear, so it
+    is built in Dynkin coordinates and converted to root_scaled ones for the
+    certificate).
     """
     g = m.group
     k = len(g.simple_factors)
     if k < 2 or len(m.summands) != 1 or m.summands[0][0] != 1:
         raise ValueError("rule applies to irreducible tensor modules over >= 2 factors")
-    if counts is None:
-        counts = toral_slice(m)
+    counts = toral_slice(m)
     if counts is None:
         raise ValueError("some root of the group is not a weight of the module")
 

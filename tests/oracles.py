@@ -176,9 +176,7 @@ def brute_force_sl3_dominant_sets(m) -> list:
     for cross-checking the chamber enumeration."""
     from fractions import Fraction
     from coreduce.nullcone import Cocharacter, AdmissibleSet, _positive_set
-    from coreduce.repthy import module_weights
-
-    chi = module_weights(m)
+    chi = m.weights
     g = m.group
     # candidate slopes: mediants between consecutive critical slopes
     crits = set()
@@ -287,13 +285,12 @@ def reference_covariant_generator_exists(m, target, d: int):
     from coreduce.repthy import (
         Character,
         CovariantCertificate,
-        module_weights,
         mult_in_character,
         symmetric_power,
     )
 
-    chi = module_weights(m)
-    layers = [Character(chi.group, dict(p.entries), False) for p in symmetric_power(chi, d)]
+    chi = m.weights
+    layers = [Character(chi.group, dict(p.entries)) for p in symmetric_power(chi, d)]
     zero = tuple(0 for _ in target)
     mults = tuple(mult_in_character(layers[e], target) for e in range(1, d + 1))
     invs = tuple(mult_in_character(layers[e], zero) for e in range(1, d + 1))

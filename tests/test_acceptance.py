@@ -33,7 +33,6 @@ from coreduce.repthy import (
     group_weyl_dim,
     min_root_multiplicity,
     max_nonzero_weight_multiplicity,
-    module_weights,
     parse_module,
     weight_counts,
     weight_diagram,
@@ -92,7 +91,7 @@ def test_criterion_02_hilbert_oracle():
             cases += 1
             bound = 7
             fast = sorted(
-                g.coeffs for g in hilbert_basis(ws).generators
+                g.coeffs for g in hilbert_basis(ws)
                 if g.degree <= bound
             )
             slow = sorted(brute_force_minimal_relations(ws, bound))
@@ -145,7 +144,7 @@ def test_criterion_03_freudenthal():
         for name in ["A1", "A2", "B2", "G2"]:
             g = parse_group(name)
             for hw in _dominant_weights_with_dim_at_most(g, 50):
-                chi = weight_diagram(g, hw).expand()
+                chi = weight_diagram(g, hw)
                 for w, m in chi.entries.items():
                     assert kostant_weight_multiplicity(g, hw, w) == m
 
@@ -222,7 +221,7 @@ def test_criterion_07_g2xg2_appendix():
         assert bound <= paper.G2XG2_IDEAL_BOUND < mults[-1] == cert.multiplicity
         a2a2 = parse_group("A2xA2")
         summands = [
-            module_weights(ModuleSpec(a2a2, ((1, hw),))) for hw in paper.A2XA2_SUMMANDS
+            ModuleSpec(a2a2, ((1, hw),)).weights for hw in paper.A2XA2_SUMMANDS
         ]
         series = graded_invariant_series(summands, max(paper.A2XA2_INVARIANTS))
         for degrees, count in paper.A2XA2_INVARIANTS.items():
@@ -288,7 +287,7 @@ def test_criterion_10_property_suites():
             for _ in range(5):
                 hw = tuple(rng.randint(0, 2) for _ in range(g.rank))
                 chi = weight_diagram(g, hw)
-                items = list(chi.expand().entries.items())
+                items = list(chi.entries.items())
                 for w, m in rng.sample(items, min(6, len(items))):
                     for v in weyl_orbit(g, w):
                         assert chi.mult(v) == m

@@ -25,6 +25,7 @@ from coreduce.classify import (
     classify_sl2,
     classify_sl3,
     emit_report,
+    g2xg2_certificate,
     sl2_module,
 )
 from coreduce.repthy import CovariantCertificate, ModuleSpec, parse_module
@@ -133,22 +134,29 @@ def test_certificate_checks_survive_python_O():
 @pytest.mark.parametrize(
     "group,module", [("A2", "[2,1]"), ("A2", "[0,1]+[0,2]"), ("A1", "3*[1]+[2]")]
 )
-def test_sl2_and_sl3_classify_computes_the_weights_once(group, module, monkeypatch):
+def test_sl2_and_sl3_classify_computes_the_weights_once(group, module, weight_builds):
     # the toral slice, the chamber enumeration, the screens and the covariant
     # counts of one classify call share one weight multiset
-    from coreduce import classify, nullcone, repthy, slices
+    m = parse_module(parse_group(group), module)
+    classify_module(m)
+    assert sorted(weight_builds) == sorted(hw for _, hw in m.summands)
 
-    calls = []
-    weights = repthy.module_weights
 
-    def counted(mod):
-        calls.append(mod)
-        return weights(mod)
+@pytest.mark.parametrize("suite", ["appendixB", "sl3"])
+def test_paper_paths_compute_the_weights_once(suite, weight_builds):
+    # the chamber enumeration and the covariant counts of the G2xG2
+    # certificate, and the critical ratios and the verdict of the sl3
+    # suite's 24-dimensional module, share one weight multiset
+    from coreduce.nullcone import sl3_critical_ratios
 
-    for mod in (repthy, slices, nullcone, classify):
-        monkeypatch.setattr(mod, "module_weights", counted)
-    classify_module(parse_module(parse_group(group), module))
-    assert len(calls) == 1
+    if suite == "appendixB":
+        m = parse_module(parse_group(paper.G2XG2_GROUP), paper.G2XG2_MODULE)
+        g2xg2_certificate(m)
+    else:
+        m = parse_module(parse_group("A2"), paper.SL3_V31)
+        sl3_critical_ratios(m)
+        classify_sl3(m)
+    assert weight_builds == [hw for _, hw in m.summands]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 import coreduce
 from coreduce import paper
 from coreduce.cli import main
-from coreduce.repthy import group_weyl_dim, module_weights, parse_module
+from coreduce.repthy import group_weyl_dim, parse_module
 from coreduce.rootsys import parse_group
 
 FOUR_SIX = ",".join(map(str, paper.TORUS_FOUR_SIX))
@@ -148,7 +148,7 @@ def small_highest_weights(g, max_dim=1000):
 
 
 def expanded_weight_counts(g, module):
-    chi = module_weights(parse_module(g, module))
+    chi = parse_module(g, module).weights
     zero = tuple(0 for _ in range(g.rank))
     return chi.mult(zero), sum(chi.nonzero_weights().values())
 
@@ -204,7 +204,7 @@ def test_weights_expands_no_orbit(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(repthy.Character, "expand", counting("expand", repthy.Character.expand))
+    monkeypatch.setattr(repthy, "weight_diagram", counting("weight_diagram", repthy.weight_diagram))
     monkeypatch.setattr(repthy, "closure", counting("closure", repthy.closure))
     monkeypatch.setattr(rootsys, "closure", counting("closure", rootsys.closure))
     code, out = run_cli(["weights", "E6", "[0,0,0,0,3,0]"])
@@ -244,19 +244,10 @@ def test_bad_slice_command():
 
 
 @pytest.mark.parametrize("group,module", [("A1", "[6]"), ("G2", "[0,1]"), ("A1xA2", "[2,1,1]")])
-def test_bad_slice_command_computes_the_weights_once(group, module, monkeypatch):
-    from coreduce import slices
-
-    calls = []
-    weights = slices.module_weights
-
-    def counted(mod):
-        calls.append(mod)
-        return weights(mod)
-
-    monkeypatch.setattr(slices, "module_weights", counted)
+def test_bad_slice_command_computes_the_weights_once(group, module, weight_builds):
     assert run_cli(["bad-slice", group, module])[0] in (0, 1)
-    assert len(calls) == 1
+    m = parse_module(parse_group(group), module)
+    assert weight_builds == [hw for _, hw in m.summands]
 
 
 def test_components_command():
@@ -301,6 +292,109 @@ def test_classify_exit_zero_on_yes():
     assert code == 0
     row = json.loads(out)["rows"][0]
     assert row["coreduced"] in ("yes", "yes_paper_proof")
+
+
+# the exact classify output for one module per certificate kind
+CLASSIFY_GOLDEN = [
+    pytest.param(
+        "A1",
+        "[1]+2*[2]",
+        1,
+        (
+            '{"rows": [{"certificates": [{"coeffs": [2, 1], "kind": "toral_relation",'
+            ' "note": "", "weights": [[-1], [2]]}], "coreduced": "no", "group": "A1",'
+            ' "module": "[1]+2*[2]", "notes": [], "theorem": "binary-forms"}],'
+            ' "schema": 1}\n'
+        ),
+        id="toral_relation",
+    ),
+    pytest.param(
+        "E6",
+        "2*[0,1,0,0,0,0]",
+        1,
+        (
+            '{"rows": [{"certificates": [{"coeffs": [1, 1, 1, 2, 3, 2, 1],'
+            ' "kind": "roots_mult2",'
+            ' "note": "factor 0 (E6) root with a coefficient-2 expansion", "weights": [[3,'
+            ' 3, 6, 9, 6, 3], [-3, 0, 0, 0, 0, 0], [0, -3, 0, 0, 0, 0], [0, 0, -3, 0, 0,'
+            ' 0], [0, 0, 0, -3, 0, 0], [0, 0, 0, 0, -3, 0], [0, 0, 0, 0, 0, -3]]}],'
+            ' "coreduced": "no", "group": "E6", "module": "2*[0,1,0,0,0,0]", "notes": [],'
+            ' "theorem": "exceptional-E6"}], "schema": 1}\n'
+        ),
+        id="roots_mult2",
+    ),
+    pytest.param(
+        "A1xA2",
+        "[2,1,1]",
+        1,
+        (
+            '{"rows": [{"certificates": [{"coeffs": [1, 1, 2, 2], "kind": "product_rule",'
+            ' "note": "", "weights": [[2, 3, 0], [-2, 3, 0], [-2, 0, 3], [2, -3, -3]]}],'
+            ' "coreduced": "no", "group": "A1xA2", "module": "[2,1,1]", "notes": [],'
+            ' "theorem": "semisimple-irreducible"}], "schema": 1}\n'
+        ),
+        id="product_rule",
+    ),
+    pytest.param(
+        "A1",
+        "3*[2]",
+        1,
+        (
+            '{"rows": [{"certificates": [{"degree": 2, "ideal_bound": 0,'
+            ' "kind": "generating_covariant", "multiplicity": 3, "target": [2]}],'
+            ' "coreduced": "no", "group": "A1", "module": "3*[2]",'
+            ' "notes": ["generating covariant of low target degree vanishes on the null cone"],'
+            ' "theorem": "binary-forms"}], "schema": 1}\n'
+        ),
+        id="generating_covariant",
+    ),
+    pytest.param(
+        "A1",
+        "2*[2]",
+        1,
+        (
+            '{"rows": [{"certificates": [{"codim": 3, "invariants_available": 3,'
+            ' "kind": "degree_rank_screen", "max_useful_degree": 2, "rank_bound": 2}],'
+            ' "coreduced": "no", "group": "A1", "module": "2*[2]",'
+            ' "notes": ["rank of the quotient differential on the null cone"],'
+            ' "theorem": "binary-forms"}], "schema": 1}\n'
+        ),
+        id="degree_rank_screen",
+    ),
+    pytest.param(
+        "A2",
+        "[1,2]",
+        1,
+        (
+            '{"rows": [{"certificates": [{"kind": "citation",'
+            ' "statement": "codimension-2 bound for the slab in its component"},'
+            ' {"cocharacter": "(2, 5)", "codim_lower_bound": "2", "directions": "4",'
+            ' "generator_bounds_by_degree": "[0, 0, 1, 0, 0, 2, 0, 0, 1, 0, 0, 10]",'
+            ' "generators_available": "1", "kind": "data", "max_monomial_degree": "4"}],'
+            ' "coreduced": "no", "group": "A2", "module": "[1,2]",'
+            ' "notes": ["rank of the invariant differentials on a dominant component"],'
+            ' "theorem": "rank2-special-linear"}], "schema": 1}\n'
+        ),
+        id="data",
+    ),
+    pytest.param(
+        "A2",
+        "[0,1]",
+        0,
+        (
+            '{"rows": [{"certificates": [{"kind": "citation",'
+            ' "statement": "cofree; quotient of small dimension"}],'
+            ' "coreduced": "yes_paper_proof", "group": "A2", "module": "[0,1]",'
+            ' "notes": [], "theorem": "rank2-special-linear"}], "schema": 1}\n'
+        ),
+        id="citation",
+    ),
+]
+
+
+@pytest.mark.parametrize("group, module, code, stdout", CLASSIFY_GOLDEN)
+def test_classify_prints_the_recorded_bytes(group, module, code, stdout):
+    assert run_cli(["classify", group, module]) == (code, stdout)
 
 
 def test_usage_errors_exit_two():
@@ -530,9 +624,9 @@ def test_out_of_memory_exits_three(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "cmd_classify", exhausted)
     assert main(["classify", "A2", "[1,1]"]) == 3
-    err = capsys.readouterr().err
-    assert "out of memory" in err
-    assert "Traceback" not in err
+    assert json.loads(capsys.readouterr().err) == {"message": "out of memory"}
+    assert main(["--output", "text", "classify", "A2", "[1,1]"]) == 3
+    assert capsys.readouterr().err == "resource limit: out of memory\n"
 
 
 # (stored candidates, weights) when each search below hits its cap; the
@@ -601,10 +695,10 @@ def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(group, module):
 def test_f4_slices_are_sized_before_any_orbit_is_expanded(module, monkeypatch, capsys):
     from coreduce import repthy
 
-    def refuse(self):
-        raise AssertionError("Character.expand was called")
+    def refuse(g, hw):
+        raise AssertionError("an orbit was expanded")
 
-    monkeypatch.setattr(repthy.Character, "expand", refuse)
+    monkeypatch.setattr(repthy, "weight_diagram", refuse)
     assert main(["classify", "F4", module]) == 3
     assert json.loads(capsys.readouterr().err) == hilbert_cap_error("F4", module)
 

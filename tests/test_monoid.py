@@ -43,7 +43,7 @@ def test_four_six_example():
 
 def test_hilbert_basis_four_six():
     basis = hilbert_basis(FOUR_SIX)
-    got = sorted(g.coeffs for g in basis.generators)
+    got = sorted(g.coeffs for g in basis)
     assert got == [(0, 0, 1, 1), (0, 3, 2, 0), (1, 1, 0, 0), paper.TORUS_FOUR_SIX_GENERATOR]
 
 
@@ -57,7 +57,7 @@ weight_lists = st.lists(nonzero_pair, min_size=1, max_size=6)
 @settings(max_examples=250, deadline=None)
 def test_hilbert_basis_matches_brute_force_2d(ws):
     basis = hilbert_basis(ws)
-    small = sorted(g.coeffs for g in basis.generators if g.degree <= 7)
+    small = sorted(g.coeffs for g in basis if g.degree <= 7)
     oracle = sorted(brute_force_minimal_relations(ws, 7))
     assert small == oracle
 
@@ -214,7 +214,7 @@ nonzero_triple = st.tuples(
 @settings(max_examples=100, deadline=None)
 def test_hilbert_basis_matches_brute_force_3d(ws):
     basis = hilbert_basis(ws)
-    small = sorted(g.coeffs for g in basis.generators if g.degree <= 5)
+    small = sorted(g.coeffs for g in basis if g.degree <= 5)
     oracle = sorted(brute_force_minimal_relations(ws, 5))
     assert small == oracle
 

@@ -28,7 +28,7 @@ from coreduce.nullcone import (
     _line,
     _rays,
 )
-from coreduce.repthy import ModuleSpec, module_weights, parse_module
+from coreduce.repthy import ModuleSpec, parse_module
 from coreduce.rootsys import SL3, dynkin_to_eps, parse_group, root_scaled_of_dynkin
 
 from oracles import (
@@ -62,7 +62,7 @@ def test_cocharacter_value_is_the_root_scaled_pairing(data, name):
 def test_admissible_sets_verify_against_diagram():
     m = _sl3("[2,1]")
     for a in admissible_sets(m):
-        a.verify(module_weights(m))
+        a.verify(m.weights)
         assert a.defining.is_dominant()
 
 
@@ -153,7 +153,7 @@ def test_d4_triality_target_reachable_on_all_weights():
     # family plus s + (-s) = 0 from each half-spin family reaches the target
     m = d4_triality_module()
     a = admissible_sets(m)[0]
-    everything = AdmissibleSet(tuple(sorted(module_weights(m).nonzero_weights())), a.defining)
+    everything = AdmissibleSet(tuple(sorted(m.weights.nonzero_weights())), a.defining)
     assert d4_adjoint_target_reachable(everything)
 
 
@@ -203,7 +203,7 @@ def test_support_bound_at_most_support_size_plus_rank():
 
 def test_negative_weight_degree_screen_matches_value_screen():
     m = _sl3("2*[2,0]")
-    chi = module_weights(m)
+    chi = m.weights
     rho = Cocharacter((Fraction(7), Fraction(3)), SL3)
     res = negative_weight_degree_screen(chi, rho, 4, [3, 3, 3, 3])
     vals = {}
@@ -269,7 +269,7 @@ def test_chamber_points_are_sums_of_their_extreme_rays(arr, data):
 
 def _weight_lines(m):
     g = m.group
-    return [root_scaled_of_dynkin(g, w) for w in module_weights(m).nonzero_weights()]
+    return [root_scaled_of_dynkin(g, w) for w in m.weights.nonzero_weights()]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coreduce import monoid, slices
-from coreduce.repthy import ModuleSpec, min_root_multiplicity, module_weights, parse_module
+from coreduce import monoid
+from coreduce.repthy import ModuleSpec, min_root_multiplicity, parse_module
 from coreduce.rootsys import parse_group
 from coreduce.slices import (
     bad_toral_slice,
@@ -130,35 +130,21 @@ def test_f4_adjoint_plus_26_slice_certificate_is_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize("group,module", [("A1", "[6]"), ("A2", "[1,1]"), ("A2", "[1,0]")])
-def test_bad_toral_slice_computes_the_weights_once(group, module, monkeypatch):
+def test_bad_toral_slice_computes_the_weights_once(group, module, weight_builds):
     # A2 "[1,0]" has no toral slice: its dominant diagram misses the roots,
     # so no weight is listed
     m = parse_module(parse_group(group), module)
-    calls = []
-
-    def counted(mod):
-        calls.append(mod)
-        return module_weights(mod)
-
-    monkeypatch.setattr(slices, "module_weights", counted)
     bad_toral_slice(m)
-    assert len(calls) == (0 if module == "[1,0]" else 1)
+    assert weight_builds == ([] if module == "[1,0]" else [hw for _, hw in m.summands])
 
 
 @pytest.mark.parametrize(
     "group,module", [("A1xA2", "[2,1,1]"), ("A2xA2", "[1,1,1,1]"), ("A1xA1xA1", "[2,2,2]")]
 )
-def test_product_group_classify_computes_the_weights_once(group, module, monkeypatch):
-    # the product rule and the direct search share one toral slice
+def test_product_group_classify_computes_the_weights_once(group, module, weight_builds):
+    # the product rule and the direct search share one weight multiset
     from coreduce.classify import NO, classify_semisimple_irreducible
 
     m = parse_module(parse_group(group), module)
-    calls = []
-
-    def counted(mod):
-        calls.append(mod)
-        return module_weights(mod)
-
-    monkeypatch.setattr(slices, "module_weights", counted)
     assert classify_semisimple_irreducible(m).coreduced == NO
-    assert len(calls) == 1
+    assert weight_builds == [hw for _, hw in m.summands]
