@@ -63,6 +63,7 @@ from .slices import (
     BadSliceCertificate,
     bad_toral_slice,
     product_group_rule,
+    relation_certificate,
     roots_mult2_rule,
     toral_slice,
 )
@@ -556,11 +557,14 @@ def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
         if bad is not None:
             return Verdict(m, NO, (bad,), tag)
     if _is_odd_orthogonal_triple(g, hw):
-        tv = is_torus_coreduced([(2, 0), (0, 2), (1, 1), (-1, -1)])
-        if tv.coreduced:
+        cert = relation_certificate(
+            is_torus_coreduced([(2, 0), (0, 2), (1, 1), (-1, -1)]),
+            note="the rank-2 torus at the end of the slice-quotient chain",
+        )
+        if cert is None:
             raise ContradictionError("expected a bad rank-2 torus slice")
         return Verdict(
-            m, NO, (tv.certificate, Citation("slice-quotient chain to a rank-2 torus")),
+            m, NO, (cert, Citation("slice-quotient chain to a rank-2 torus")),
             tag, ("final torus step machine-checked",),
         )
     return Verdict(m, NO_PAPER, (Citation("slice-quotient chain"),), tag)

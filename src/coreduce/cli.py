@@ -296,15 +296,13 @@ def _verdict_rows(
 def _suite_torus() -> list[dict]:
     k = paper.TORUS_PLUS_MINUS
     v1 = is_torus_coreduced([(x,) for x in k])
-    ws = [(x,) for x in paper.TORUS_FOUR_SIX]
-    v2 = is_torus_coreduced(ws)
-    gen, _ = torus_violating_generator(ws)
+    gen, _ = torus_violating_generator([(x,) for x in paper.TORUS_FOUR_SIX])
     want = paper.TORUS_FOUR_SIX_GENERATOR
     return [
         _check("plus-minus-k coreduced", v1.coreduced),
         _check(
             f"{','.join(map(str, paper.TORUS_FOUR_SIX))} coefficient-{max(want)} generator",
-            not v2.coreduced and gen is not None and gen.coeffs == want,
+            gen is not None and gen.coeffs == want,
         ),
     ]
 

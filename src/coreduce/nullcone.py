@@ -39,7 +39,6 @@ from .rootsys import (
     dynkin_to_eps,
     reflect,
     root_scaled_of_dynkin,
-    simple_reflections,
     sl3_root_coords,
 )
 
@@ -278,10 +277,10 @@ def dominance(lam1: AdmissibleSet, lam2: AdmissibleSet) -> str:
     for w in lam1.weights:
         counts1[w] = counts1.get(w, 0) + 1
     pos_roots = g.root_data.positive_roots
-    refls = simple_reflections(g)
+    refls = range(g.rank - g.torus_rank)
 
     def reflections(ws: tuple[Coords, ...]) -> list[tuple[Coords, ...]]:
-        return [tuple(reflect(g, w, r) for w in ws) for r in refls]
+        return [tuple(reflect(g, w, i) for w in ws) for i in refls]
 
     for images in closure((tuple(counts1),), reflections):
         kept: list[Coords] = []

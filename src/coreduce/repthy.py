@@ -55,8 +55,11 @@ from .rootsys import (
     build_root_system,
     closure,
     dominant_weights_below,
+    dominantize,
     orbit_size,
     parse_weight,
+    reflect,
+    root_scaled_of_dynkin,
     signed_orbit,
     weyl_neighbours,
 )
@@ -108,13 +111,12 @@ def _root_orbits(t: SimpleType, zero: tuple[int, ...]) -> tuple[tuple[int, int],
     key = (t, zero)
     table = _root_orbit_cache.get(key)
     if table is None:
-        rs = build_root_system(t)
-        pos = rs.positive_roots_dynkin
+        g = GroupSpec((t,))
+        pos = g.root_data.positive_roots
         positive = set(pos)
-        rows = [(i, rs.cartan[i]) for i in zero]
 
         def step(d: Coords) -> list[Coords]:
-            return [tuple(x - d[i] * a for x, a in zip(d, row)) for i, row in rows if d[i]]
+            return [reflect(g, d, i) for i in zero if d[i]]
 
         seen: set[Coords] = set()
         out = []
@@ -135,12 +137,13 @@ def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
     for b orthogonal to mu; so one alpha-string per orbit, weighted as in
     :func:`_root_orbits`, gives twice the numerator."""
     rs = build_root_system(t)
+    g = GroupSpec((t,))
     if any(x < 0 for x in hw):
         raise RootSystemError("highest weight must be dominant")
     units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
     # the scaled root coordinates of each fundamental weight; their sums give
     # the height, which is linear in Dynkin labels
-    rows = [rs.root_scaled_of_dynkin(e) for e in units]
+    rows = [root_scaled_of_dynkin(g, e) for e in units]
     height = [sum(row) for row in rows]
     cols = list(zip(*rows))
     # <omega_i, alpha_i> in the scale of inner_dr
@@ -154,11 +157,10 @@ def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
         roots.append((a_dyn, tuple(rs.inner_dr(e, a) for e in units), rs.inner_dr(a_dyn, a)))
     # process in decreasing height, ties in coordinate order, so the
     # diagram's order does not rest on set layout
-    ordered = sorted(dominant_weights_below(GroupSpec((t,)), hw))
+    ordered = sorted(dominant_weights_below(g, hw))
     ordered.sort(key=lambda d: -sum(map(mul, d, height)))
-    dominantize_one = rs.dominantize
     mults: dict[Coords, int] = {hw: 1}
-    hw_rs = rs.root_scaled_of_dynkin(hw)
+    hw_rs = root_scaled_of_dynkin(g, hw)
     # string point -> the multiplicity of its dominant representative (0 off
     # the diagram), for this diagram only.  The representative is higher
     # than every weight whose strings reach the point, so it was processed
@@ -185,7 +187,7 @@ def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
                 while True:
                     m = mult_of.get(nu)
                     if m is None:
-                        m = mult_of[nu] = mults.get(dominantize_one(nu)[0], 0)
+                        m = mult_of[nu] = mults.get(dominantize(g, nu)[0], 0)
                     if not m:
                         tail = 0
                         break

@@ -6,8 +6,12 @@ in ``root_scaled`` coordinates: root-basis coordinates multiplied by the
 index of the root lattice in the weight lattice, so that every weight of the
 weight lattice has integer coordinates in both bases.
 
-Product groups concatenate coordinate blocks (simple factors first, then a
-central torus block); their Weyl group is the direct product.
+A group is a product of simple factors (their coordinate blocks first) and a
+central torus (last).  Its Weyl group is generated by the simple reflections
+of one block-diagonal Cartan matrix, the identity on the torus, so each
+Weyl-group operation is written once, over the group's :class:`RootData`; a
+simple type is the group of one factor, and :class:`RootSystem` only derives
+the facts of one type that the root data is built from.
 
 Weights are plain tuples of Dynkin labels; :func:`parse_weight` converts the
 other input bases once, at parse time.
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm, prod
+from operator import mul
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .config import require
@@ -64,9 +69,6 @@ class SimpleType:
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
-    @property
-    def weyl_order(self) -> int:
-        return _weyl_order(_cartan_matrix(self))
 
 
 def _cartan_matrix(t: SimpleType) -> tuple[Coords, ...]:
@@ -157,7 +159,9 @@ def _det(m: Sequence[Sequence[int]]) -> int:
 
 
 class RootSystem:
-    """Root-system data for one simple type (all coordinates exact)."""
+    """The facts of one simple type that a group's root data is built from:
+    Cartan matrix, symmetrizer and :meth:`inner_dr`, lattice index,
+    Dynkin-to-root_scaled matrix, positive roots and Weyl order."""
 
     def __init__(self, t: SimpleType):
         self.type = t
@@ -166,67 +170,21 @@ class RootSystem:
         self.symmetrizer = _symmetrizer(self.cartan)
         self.lattice_index = abs(_det(self.cartan))
         inv = _mat_inverse(self.cartan)
-        # row vector d (Dynkin) -> root coords: c = d @ cartan^{-1}
-        scaled = [[x * self.lattice_index for x in row] for row in inv]
+        # c = d @ cartan^{-1} * lattice_index; stored by columns, so that
+        # root_scaled[j] . d is the j-th root_scaled coordinate of d
+        scaled = [[x * self.lattice_index for x in col] for col in zip(*inv)]
         require(
-            all(x.denominator == 1 for row in scaled for x in row),
+            all(x.denominator == 1 for col in scaled for x in col),
             f"{t}: det(cartan) does not clear the inverse Cartan matrix",
         )
-        self._dynkin_to_root_scaled = tuple(tuple(int(x) for x in row) for row in scaled)
+        self.root_scaled = tuple(tuple(int(x) for x in col) for col in scaled)
         # common denominator for the symmetrizer, for integer inner products
         den = lcm(*(x.denominator for x in self.symmetrizer))
         self._sym_scaled = tuple(int(x * den) for x in self.symmetrizer)
         self._sym_den = den
         self.positive_roots, self.positive_roots_dynkin = self._positive_roots()
-        # the dominant weight in the Weyl orbit of each positive root (the
-        # highest root of its length)
-        self.dominant_roots = tuple(self.dominantize(d)[0] for d in self.positive_roots_dynkin)
         self.weyl_vector = (1,) * self.rank
-        self.weyl_order = t.weyl_order
-
-    # -- basis conversions (plain tuples) --------------------------------
-
-    def root_scaled_of_dynkin(self, d: Coords) -> Coords:
-        m = self._dynkin_to_root_scaled
-        return tuple(sum(d[i] * m[i][j] for i in range(self.rank)) for j in range(self.rank))
-
-    def dynkin_of_root_scaled(self, c: Coords) -> Coords:
-        out = []
-        for j in range(self.rank):
-            v = sum(c[i] * self.cartan[i][j] for i in range(self.rank))
-            if v % self.lattice_index:
-                raise RootSystemError(f"{c} is not in the weight lattice (root_scaled)")
-            out.append(v // self.lattice_index)
-        return tuple(out)
-
-    def dynkin_of_root(self, root: Coords) -> Coords:
-        """Dynkin labels of an element of the root lattice in root coords."""
-        return tuple(sum(root[i] * self.cartan[i][j] for i in range(self.rank)) for j in range(self.rank))
-
-    # -- reflections and orbits ------------------------------------------
-
-    def dominantize(self, d: Coords) -> tuple[Coords, int]:
-        """Dominant representative and the sign of a Weyl element achieving it."""
-        cur = list(d)
-        sign = 1
-        while True:
-            for i in range(self.rank):
-                if cur[i] < 0:
-                    ci = cur[i]
-                    row = self.cartan[i]
-                    for j in range(self.rank):
-                        cur[j] -= ci * row[j]
-                    sign = -sign
-                    break
-            else:
-                return tuple(cur), sign
-
-    def orbit_size(self, dominant: Coords) -> int:
-        """|W·dominant| via the stabilizer subdiagram, without materializing."""
-        zero = tuple(i for i, x in enumerate(dominant) if x == 0)
-        return self.weyl_order // _sub_weyl_order(self.cartan, zero)
-
-    # -- inner products ---------------------------------------------------
+        self.weyl_order = _weyl_order(self.cartan)
 
     def inner_dr(self, d: Coords, root: Coords) -> int:
         """Scaled invariant form <λ, μ> for λ in Dynkin labels, μ in root coords.
@@ -237,15 +195,13 @@ class RootSystem:
         s = self._sym_scaled
         return sum(root[j] * d[j] * s[j] for j in range(self.rank))
 
-    # -- construction of the root list ------------------------------------
-
     def _positive_roots(self) -> tuple[tuple[Coords, ...], tuple[Coords, ...]]:
         """The positive roots in root coordinates, sorted, and their Dynkin
         labels in the same order."""
         # orbit of the simple roots under simple reflections, in Dynkin labels
         roots = []
-        for d in closure(self.cartan, _reflections([(0, self.cartan)])):
-            rs = self.root_scaled_of_dynkin(d)
+        for d in closure(self.cartan, _neighbours(_moves(self.cartan, self.rank))):
+            rs = _times(d, self.root_scaled)
             require(all(x % self.lattice_index == 0 for x in rs), f"{d} is not in the root lattice")
             roots.append((tuple(x // self.lattice_index for x in rs), d))
         pos = sorted(p for p in roots if all(x >= 0 for x in p[0]))
@@ -301,14 +257,70 @@ def _weyl_order(cartan: tuple[Coords, ...]) -> int:
     return factorial(r) * prod(max(closure(simple, reflections), key=sum)) * _det(cartan)
 
 
+def _times(v: Coords, cols: Sequence[Coords]) -> Coords:
+    """The row vector ``v`` times the matrix with columns ``cols``."""
+    return tuple(sum(map(mul, v, col)) for col in cols)
+
+
+# One simple reflection s_i(d) = d - d_i * alpha_i on Dynkin labels: the
+# index i and the nonzero entries (j, cartan[i][j]) of alpha_i's labels.
+Move = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def _moves(cartan: Sequence[Coords], n: int) -> tuple[Move, ...]:
+    """The moves of the simple reflections of the first ``n`` rows of ``cartan``."""
+    return tuple((i, tuple((j, a) for j, a in enumerate(cartan[i]) if a)) for i in range(n))
+
+
+def _reflect(d: Coords, move: Move) -> Coords:
+    """The image of ``d`` under one simple reflection; ``d`` itself when the
+    reflection fixes it (its label is 0)."""
+    i, row = move
+    c = d[i]
+    if not c:
+        return d
+    e = list(d)
+    for j, a in row:
+        e[j] -= c * a
+    return tuple(e)
+
+
+def _neighbours(moves: Sequence[Move]) -> Callable[[Coords], list[Coords]]:
+    """Neighbour function for :func:`closure`: the images of a point under
+    the simple reflections that move it."""
+    return lambda d: [_reflect(d, move) for move in moves if d[move[0]]]
+
+
+def _dominantize(moves: Sequence[Move], d: Coords) -> tuple[Coords, int]:
+    """The dominant weight in the orbit of ``d``, and the sign of the Weyl
+    element that the descent applies: reflect in the first negative label
+    until none is left."""
+    sign = 1
+    while True:
+        for move in moves:
+            if d[move[0]] < 0:
+                d = _reflect(d, move)
+                sign = -sign
+                break
+        else:
+            return d, sign
+
+
 # ---------------------------------------------------------------------------
 # Product groups
 
 
 class RootData(NamedTuple):
-    """The root data of a product group, in full-length Dynkin labels."""
+    """The root data of a group in full-length coordinates (the simple
+    factors' blocks, then the torus), over which each Weyl-group operation is
+    written once."""
 
     factors: tuple[tuple[RootSystem, int, int], ...]  # (root system, lo, hi) per simple factor
+    cartan: tuple[Coords, ...]  # block-diagonal, the identity on the torus
+    root_scaled: tuple[Coords, ...]  # block-diagonal Dynkin -> root_scaled, by columns
+    lattice_index: Coords  # per coordinate; 1 on the torus
+    moves: tuple[Move, ...]  # one per simple reflection, in coordinate order
+    weyl_order: int
     positive_roots: tuple[Coords, ...]
     roots: tuple[Coords, ...]  # the positive roots, then their negatives
     dominant_roots: tuple[Coords, ...]  # the dominant weight in each root's Weyl orbit
@@ -339,26 +351,13 @@ class GroupSpec:
 
     @cached_property
     def root_data(self) -> RootData:
-        """The group's root data, built on first use and kept with the group;
-        the torus coordinates come after the simple factors' blocks."""
-        factors = []
-        pos: list[Coords] = []
-        dom: list[Coords] = []
-        lo = 0
-        for t in self.simple_factors:
-            rs = build_root_system(t)
-            hi = lo + t.rank
-            factors.append((rs, lo, hi))
-            pad = (0,) * (self.rank - hi)
-            pos += [(0,) * lo + d + pad for d in rs.positive_roots_dynkin]
-            dom += [(0,) * lo + d + pad for d in rs.dominant_roots]
-            lo = hi
-        roots = pos + [tuple(-x for x in r) for r in pos]
-        return RootData(tuple(factors), tuple(pos), tuple(roots), tuple(dom + dom))
+        """The group's root data, kept with the group; built once per
+        process for equal groups."""
+        return _root_data(self.simple_factors, self.torus_rank)
 
     @property
     def weyl_order(self) -> int:
-        return prod(t.weyl_order for t in self.simple_factors)
+        return self.root_data.weyl_order
 
     @property
     def num_positive_roots(self) -> int:
@@ -369,50 +368,66 @@ class GroupSpec:
         return (1,) * (self.rank - self.torus_rank) + (0,) * self.torus_rank
 
 
-# -- per-block conversions on plain tuples ----------------------------------
+@lru_cache(maxsize=None)
+def _root_data(simple_factors: tuple[SimpleType, ...], torus_rank: int) -> RootData:
+    """The root data of a product group, from its factors' blocks."""
+    n = sum(t.rank for t in simple_factors) + torus_rank
+    cartan = [[int(i == j) for j in range(n)] for i in range(n)]
+    scaled = [row[:] for row in cartan]
+    index = [1] * n
+    factors = []
+    pos: list[Coords] = []
+    lo = 0
+    for t in simple_factors:
+        rs = build_root_system(t)
+        hi = lo + t.rank
+        factors.append((rs, lo, hi))
+        for i in range(t.rank):
+            cartan[lo + i][lo:hi] = rs.cartan[i]
+            scaled[lo + i][lo:hi] = rs.root_scaled[i]
+        index[lo:hi] = [rs.lattice_index] * t.rank
+        pad = (0,) * (n - hi)
+        pos += [(0,) * lo + d + pad for d in rs.positive_roots_dynkin]
+        lo = hi
+    moves = _moves(cartan, lo)
+    roots = pos + [tuple(-x for x in r) for r in pos]
+    # a root and its negative share an orbit (s_a(a) = -a)
+    dom = [_dominantize(moves, r)[0] for r in pos]
+    return RootData(
+        tuple(factors), tuple(map(tuple, cartan)), tuple(map(tuple, scaled)), tuple(index), moves,
+        prod(rs.weyl_order for rs, _lo, _hi in factors), tuple(pos), tuple(roots),
+        tuple(dom + dom),
+    )
+
+
+# -- the Weyl-group operations, over the root data ---------------------------
 
 
 def root_scaled_of_dynkin(g: GroupSpec, d: Coords) -> Coords:
-    out = list(d)
-    for rs, lo, hi in g.root_data.factors:
-        out[lo:hi] = rs.root_scaled_of_dynkin(tuple(d[lo:hi]))
-    return tuple(out)
+    return _times(d, g.root_data.root_scaled)
 
 
 def dynkin_of_root_scaled(g: GroupSpec, c: Coords) -> Coords:
-    out = list(c)
-    for rs, lo, hi in g.root_data.factors:
-        out[lo:hi] = rs.dynkin_of_root_scaled(tuple(c[lo:hi]))
-    return tuple(out)
+    data = g.root_data
+    out = _times(c, tuple(zip(*data.cartan)))
+    for j, (v, k) in enumerate(zip(out, data.lattice_index)):
+        if v % k:
+            # name the weight's block: the component of j in the Dynkin diagram
+            block = sorted(closure((j,), lambda i: [x for x, a in enumerate(data.cartan[i]) if a]))
+            raise RootSystemError(f"{tuple(c[i] for i in block)} is not in the weight lattice (root_scaled)")
+    return tuple(v // k for v, k in zip(out, data.lattice_index))
 
 
 def in_root_lattice(g: GroupSpec, d: Coords) -> bool:
     """True iff the weight with Dynkin labels ``d`` is a sum of roots on
     every simple factor (the torus block is unconstrained)."""
     c = root_scaled_of_dynkin(g, d)
-    for rs, lo, hi in g.root_data.factors:
-        if any(x % rs.lattice_index for x in c[lo:hi]):
-            return False
-    return True
+    return not any(x % k for x, k in zip(c, g.root_data.lattice_index))
 
 
-def simple_reflections(g: GroupSpec) -> list[tuple[int, int, int]]:
-    """All simple reflections as (block index, block start, local index)."""
-    factors = g.root_data.factors
-    return [(k, lo, i) for k, (rs, lo, _hi) in enumerate(factors) for i in range(rs.rank)]
-
-
-def reflect(g: GroupSpec, d: Coords, refl: tuple[int, int, int]) -> Coords:
-    k, lo, i = refl
-    rs = g.root_data.factors[k][0]
-    ci = d[lo + i]
-    if ci == 0:
-        return d
-    row = rs.cartan[i]
-    out = list(d)
-    for j in range(rs.rank):
-        out[lo + j] -= ci * row[j]
-    return tuple(out)
+def reflect(g: GroupSpec, d: Coords, i: int) -> Coords:
+    """The image of ``d`` under the ``i``-th simple reflection."""
+    return _reflect(d, g.root_data.moves[i])
 
 
 def closure(seeds: Iterable[P], neighbours: Callable[[P], Iterable[P]]) -> dict[P, int]:
@@ -433,44 +448,14 @@ def closure(seeds: Iterable[P], neighbours: Callable[[P], Iterable[P]]) -> dict[
     return depth
 
 
-def _reflections(
-    blocks: Iterable[tuple[int, Sequence[Sequence[int]]]]
-) -> Callable[[Coords], list[Coords]]:
-    """Neighbour function for :func:`closure`: the images of a point (Dynkin
-    labels) under the simple reflections that move it.
-
-    ``blocks`` gives each factor's first coordinate and Cartan matrix.  A
-    reflection whose label is 0 fixes the point and is skipped; the others
-    touch only the nonzero entries of their Cartan row.
-    """
-    moves = [
-        (lo + i, [(lo + j, a) for j, a in enumerate(row) if a])
-        for lo, cartan in blocks
-        for i, row in enumerate(cartan)
-    ]
-
-    def neighbours(d: Coords) -> list[Coords]:
-        out = []
-        for p, row in moves:
-            c = d[p]
-            if c:
-                e = list(d)
-                for j, a in row:
-                    e[j] -= c * a
-                out.append(tuple(e))
-        return out
-
-    return neighbours
-
-
 def weyl_neighbours(g: GroupSpec) -> Callable[[Coords], list[Coords]]:
-    """The simple reflections of the product Weyl group as a neighbour
-    function for :func:`closure`; build it once per batch of orbits."""
-    return _reflections((lo, rs.cartan) for rs, lo, _hi in g.root_data.factors)
+    """The simple reflections of the Weyl group as a neighbour function for
+    :func:`closure`; build it once per batch of orbits."""
+    return _neighbours(g.root_data.moves)
 
 
 def weyl_orbit(g: GroupSpec, d: Coords) -> frozenset[Coords]:
-    """Orbit of a weight (Dynkin labels) under the product Weyl group."""
+    """Orbit of a weight (Dynkin labels) under the Weyl group."""
     return frozenset(closure((d,), weyl_neighbours(g)))
 
 
@@ -480,27 +465,21 @@ def signed_orbit(g: GroupSpec, d0: Coords) -> list[tuple[Coords, int]]:
     Regularity makes the orbit simply transitive, so the point at depth k
     is w·d0 for a unique w, of length k, and sign(w) = (-1)**k.
     """
-    for _rs, lo, hi in g.root_data.factors:
-        if any(x == 0 for x in d0[lo:hi]):
-            raise RootSystemError("signed_orbit needs a regular weight")
+    if any(not d0[i] for i, _row in g.root_data.moves):
+        raise RootSystemError("signed_orbit needs a regular weight")
     return [(d, (-1) ** k) for d, k in closure((d0,), weyl_neighbours(g)).items()]
 
 
 def dominantize(g: GroupSpec, d: Coords) -> tuple[Coords, int]:
-    out = list(d)
-    sign = 1
-    for rs, lo, hi in g.root_data.factors:
-        dom, s = rs.dominantize(tuple(out[lo:hi]))
-        out[lo:hi] = dom
-        sign *= s
-    return tuple(out), sign
+    """Dominant representative and the sign of a Weyl element achieving it."""
+    return _dominantize(g.root_data.moves, d)
 
 
 def orbit_size(g: GroupSpec, dominant: Coords) -> int:
-    n = 1
-    for rs, lo, hi in g.root_data.factors:
-        n *= rs.orbit_size(tuple(dominant[lo:hi]))
-    return n
+    """|W·dominant| via the stabilizer subdiagram, without materializing."""
+    data = g.root_data
+    zero = tuple(i for i, _row in data.moves if dominant[i] == 0)
+    return data.weyl_order // _sub_weyl_order(data.cartan, zero)
 
 
 def dominant_weights_below(g: GroupSpec, d0: Coords) -> frozenset[Coords]:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import require
-from .monoid import Vec, _check_stored, is_torus_coreduced
+from .monoid import TorusVerdict, Vec, _check_stored, is_torus_coreduced
 from .repthy import ModuleSpec, min_root_multiplicity, weight_counts
-from .rootsys import Coords, GroupSpec, reflect, root_scaled_of_dynkin, simple_reflections
+from .rootsys import Coords, GroupSpec, reflect, root_scaled_of_dynkin
 
 GENERIC_HYPOTHESIS = "generic zero weight vector"
 
@@ -80,8 +80,8 @@ def weyl_symmetric_list(
         first[w] = len(ws)
         ws += [c] * counts[w]
     symmetry = [
-        [first[reflect(g, w, s)] + k for _, w in distinct for k in range(counts[w])]
-        for s in simple_reflections(g)
+        [first[reflect(g, w, i)] + k for _, w in distinct for k in range(counts[w])]
+        for i in range(g.rank - g.torus_rank)
     ]
     return ws, symmetry
 
@@ -100,7 +100,13 @@ def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     n = weight_counts(m)[1] - len(data.roots)
     _check_stored(n, n)
     ws, symmetry = weyl_symmetric_list(m.group, toral_slice(m))
-    verdict = is_torus_coreduced(ws, symmetry)
+    return relation_certificate(is_torus_coreduced(ws, symmetry))
+
+
+def relation_certificate(verdict: TorusVerdict, note: str = "") -> Optional[BadSliceCertificate]:
+    """The violating relation of a torus verdict as a validated
+    ``toral_relation`` certificate on the relation's support; None when
+    the weights are coreduced."""
     gen = verdict.certificate
     if gen is None:
         return None
@@ -109,6 +115,7 @@ def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
         kind="toral_relation",
         weights=tuple(w for w, _ in support),
         coeffs=tuple(c for _, c in support),
+        note=note,
     )
     cert.validate()
     return cert
@@ -131,30 +138,22 @@ def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     mult, _witness = min_root_multiplicity(m)
     if mult < 2:
         return None
-    for k, (rs, lo, hi) in enumerate(g.root_data.factors):
+    data = g.root_data
+    for k, (rs, lo, _hi) in enumerate(data.factors):
         t = rs.type
         if t.family == "A":
             continue
-        roots = zip(rs.positive_roots, rs.positive_roots_dynkin)
-        root, alpha_d = max(roots, key=lambda pair: max(pair[0]))
+        root = max(rs.positive_roots, key=max)
         require(max(root) >= 2, f"{t} has no root with a coefficient >= 2")
-        weights: list[Vec] = []
-        coeffs: list[int] = []
-        full = [0] * g.rank
-        full[lo:hi] = alpha_d
-        weights.append(root_scaled_of_dynkin(g, tuple(full)))
-        coeffs.append(1)
-        for i, n_i in enumerate(root):
-            if n_i == 0:
-                continue
-            full = [0] * g.rank
-            full[lo:hi] = tuple(-x for x in rs.cartan[i])
-            weights.append(root_scaled_of_dynkin(g, tuple(full)))
-            coeffs.append(n_i)
+        # the simple roots in the root's support, in Dynkin labels: rows of
+        # the Cartan matrix
+        simple = [(n_i, data.cartan[lo + i]) for i, n_i in enumerate(root) if n_i]
+        alpha = tuple(sum(n_i * row[j] for n_i, row in simple) for j in range(g.rank))
+        weights = [alpha] + [tuple(-x for x in row) for _, row in simple]
         cert = BadSliceCertificate(
             kind="roots_mult2",
-            weights=tuple(weights),
-            coeffs=tuple(coeffs),
+            weights=tuple(root_scaled_of_dynkin(g, w) for w in weights),
+            coeffs=(1,) + tuple(n_i for n_i, _ in simple),
             note=f"factor {k} ({t}) root with a coefficient-2 expansion",
         )
         cert.validate()
@@ -191,11 +190,11 @@ def product_group_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     if counts is None:
         raise ValueError("some root of the group is not a weight of the module")
 
+    data = g.root_data
+
     def block_root(factor: int, local: int) -> Coords:
-        rs, lo, hi = g.root_data.factors[factor]
-        full = [0] * g.rank
-        full[lo:hi] = rs.cartan[local]
-        return tuple(full)
+        # a simple root's Dynkin labels are its row of the Cartan matrix
+        return data.cartan[data.factors[factor][1] + local]
 
     def combo(*terms: tuple[int, Coords]) -> Vec:
         out = [0] * g.rank
@@ -219,7 +218,7 @@ def product_group_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
             return None
         big = 0 if ranks[0] > 1 else 1
         other = 1 - big
-        rs = g.root_data.factors[big][0]
+        rs = data.factors[big][0]
         # adjacent pair of simple roots in the higher-rank factor
         i, j = next(
             (i, j)

@@ -15,10 +15,108 @@ from coreduce.rootsys import (
     RootSystemError,
     build_root_system,
     dominant_weights_below,
-    reflect,
     root_scaled_of_dynkin,
-    simple_reflections,
 )
+
+
+# ---------------------------------------------------------------------------
+# Per-factor references for the Weyl-group operations: each simple factor's
+# block is converted, reflected or dominantized on its own with that type's
+# Cartan matrix, without the group's block-diagonal root data.
+
+
+def factor_blocks(g: GroupSpec) -> list:
+    """(root system, lo, hi) per simple factor, from the factor list alone."""
+    out, lo = [], 0
+    for t in g.simple_factors:
+        out.append((build_root_system(t), lo, lo + t.rank))
+        lo += t.rank
+    return out
+
+
+def dynkin_of_root(rs, root: tuple) -> tuple:
+    """Dynkin labels of an element of one type's root lattice in root coords."""
+    n = rs.rank
+    return tuple(sum(root[i] * rs.cartan[i][j] for i in range(n)) for j in range(n))
+
+
+def reference_root_scaled_of_dynkin(g: GroupSpec, d: tuple) -> tuple:
+    out = list(d)
+    for rs, lo, hi in factor_blocks(g):
+        # rs.root_scaled holds the columns of the Dynkin -> root_scaled matrix
+        out[lo:hi] = [sum(d[lo + i] * col[i] for i in range(rs.rank)) for col in rs.root_scaled]
+    return tuple(out)
+
+
+def reference_dynkin_of_root_scaled(g: GroupSpec, c: tuple) -> tuple:
+    out = list(c)
+    for rs, lo, hi in factor_blocks(g):
+        block = tuple(c[lo:hi])
+        for j in range(rs.rank):
+            v = sum(block[i] * rs.cartan[i][j] for i in range(rs.rank))
+            if v % rs.lattice_index:
+                raise RootSystemError(f"{block} is not in the weight lattice (root_scaled)")
+            out[lo + j] = v // rs.lattice_index
+    return tuple(out)
+
+
+def reference_in_root_lattice(g: GroupSpec, d: tuple) -> bool:
+    c = reference_root_scaled_of_dynkin(g, d)
+    return all(x % rs.lattice_index == 0 for rs, lo, hi in factor_blocks(g) for x in c[lo:hi])
+
+
+def reference_simple_reflections(g: GroupSpec) -> list:
+    """All simple reflections as (block start, index in the block, Cartan
+    row), in coordinate order."""
+    return [(lo, i, row) for rs, lo, _hi in factor_blocks(g) for i, row in enumerate(rs.cartan)]
+
+
+def reference_reflect(d: tuple, refl: tuple) -> tuple:
+    lo, i, row = refl
+    ci = d[lo + i]
+    out = list(d)
+    for j, a in enumerate(row):
+        out[lo + j] -= ci * a
+    return tuple(out)
+
+
+def reference_dominantize(g: GroupSpec, d: tuple) -> tuple:
+    """Per block: reflect in the first negative label until none is left."""
+    cur = list(d)
+    sign = 1
+    for rs, lo, hi in factor_blocks(g):
+        while True:
+            i = next((i for i in range(rs.rank) if cur[lo + i] < 0), None)
+            if i is None:
+                break
+            cur = list(reference_reflect(tuple(cur), (lo, i, rs.cartan[i])))
+            sign = -sign
+    return tuple(cur), sign
+
+
+def reference_orbit(g: GroupSpec, d: tuple) -> dict:
+    """The Weyl orbit of ``d``, each point mapped to its breadth-first depth."""
+    refls = reference_simple_reflections(g)
+    depth = {d: 0}
+    frontier = [d]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for r in refls:
+                q = reference_reflect(p, r)
+                if q not in depth:
+                    depth[q] = depth[p] + 1
+                    nxt.append(q)
+        frontier = nxt
+    return depth
+
+
+def reference_orbit_size(g: GroupSpec, dominant: tuple) -> int:
+    """The product of the blocks' orbit sizes, each orbit listed."""
+    n = 1
+    for rs, lo, hi in factor_blocks(g):
+        n *= len(reference_orbit(GroupSpec((rs.type,)), tuple(dominant[lo:hi])))
+    return n
 
 
 def kostant_weight_multiplicity(g: GroupSpec, hw: tuple, target: tuple) -> int:
@@ -86,14 +184,14 @@ def weyl_matrices(g: GroupSpec, limit: int = 10_000) -> list[tuple[tuple[int, ..
     assert g.weyl_order <= limit, "Weyl group too large to materialize"
     n = g.rank
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    refls = simple_reflections(g)
+    refls = reference_simple_reflections(g)
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for mat in frontier:
             for r in refls:
-                image = tuple(reflect(g, row, r) for row in mat)
+                image = tuple(reference_reflect(row, r) for row in mat)
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
@@ -460,11 +558,11 @@ def reference_freudenthal(t, hw: tuple) -> dict:
     dom = dominant_weights_below(g, hw)
     # process in decreasing height (sum of scaled root coordinates), ties in
     # coordinate order, so the diagram's order does not rest on set layout
-    ordered = sorted(dom, key=lambda d: (-sum(rs.root_scaled_of_dynkin(d)), d))
-    pos_dynkin = [rs.dynkin_of_root(a) for a in rs.positive_roots]
+    ordered = sorted(dom, key=lambda d: (-sum(reference_root_scaled_of_dynkin(g, d)), d))
+    pos_dynkin = [dynkin_of_root(rs, a) for a in rs.positive_roots]
     delta = rs.weyl_vector
     mults: dict = {hw: 1}
-    hw_rs = rs.root_scaled_of_dynkin(hw)
+    hw_rs = reference_root_scaled_of_dynkin(g, hw)
     # string_tail[(nu, i)] = sum of mult(nu+k*alpha_i) * <nu+k*alpha_i, alpha_i>
     # over k >= 0 until the string leaves the diagram; weight strings through
     # a representation are contiguous, so the first absent point ends the sum
@@ -477,7 +575,7 @@ def reference_freudenthal(t, hw: tuple) -> dict:
             chain: list = []
             nu = tuple(m + d for m, d in zip(mu, a_dyn))
             while (nu, i) not in string_tail:
-                nu_dom, _ = rs.dominantize(nu)
+                nu_dom, _ = reference_dominantize(g, nu)
                 m = mults.get(nu_dom)
                 if m is None:
                     string_tail[(nu, i)] = 0
@@ -490,7 +588,7 @@ def reference_freudenthal(t, hw: tuple) -> dict:
                 string_tail[(point, i)] = total
             num += string_tail[(tuple(m + d for m, d in zip(mu, a_dyn)), i)]
         # denominator (|hw+delta|^2 - |mu+delta|^2) = <hw+mu+2delta, hw-mu>
-        diff_rs = tuple(a - b for a, b in zip(hw_rs, rs.root_scaled_of_dynkin(mu)))
+        diff_rs = tuple(a - b for a, b in zip(hw_rs, reference_root_scaled_of_dynkin(g, mu)))
         diff_root = tuple(x // rs.lattice_index for x in diff_rs)
         summ = tuple(a + b + 2 * c for a, b, c in zip(hw, mu, delta))
         den = rs.inner_dr(summ, diff_root)

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -32,6 +34,8 @@ from coreduce.repthy import CovariantCertificate, ModuleSpec, parse_module
 from coreduce.rootsys import build_root_system, parse_group
 from coreduce.slices import BadSliceCertificate
 from coreduce.nullcone import ScreenResult
+
+from oracles import dynkin_of_root
 
 
 
@@ -129,6 +133,19 @@ def test_certificate_checks_survive_python_O():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_no_assert_statement_in_the_package():
+    """Validity checks raise real exceptions, which ``python -O`` keeps; an
+    ``assert`` in the package would be stripped."""
+    pkg = pathlib.Path(coreduce.__file__).parent
+    found = [
+        f"{path.relative_to(pkg)}:{node.lineno}"
+        for path in sorted(pkg.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize(
@@ -269,7 +286,7 @@ def test_highest_root_module_is_the_coreduced_adjoint(name):
     rs = build_root_system(g.simple_factors[0])
     top = rs.highest_root
     assert all(sum(top) > sum(r) for r in rs.positive_roots if r != top)
-    m = ModuleSpec(g, ((1, rs.dynkin_of_root(top)),))
+    m = ModuleSpec(g, ((1, dynkin_of_root(rs, top)),))
     assert m.dimension() == g.rank + 2 * len(rs.positive_roots)
     assert classify_module(m).coreduced == YES
 

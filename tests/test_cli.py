@@ -309,6 +309,21 @@ CLASSIFY_GOLDEN = [
         id="toral_relation",
     ),
     pytest.param(
+        "B2xB2xB2",
+        "[1,0,1,0,1,0]",
+        1,
+        (
+            '{"rows": [{"certificates": [{"coeffs": [1, 1, 2], "kind": "toral_relation",'
+            ' "note": "the rank-2 torus at the end of the slice-quotient chain",'
+            ' "weights": [[2, 0], [0, 2], [-1, -1]]},'
+            ' {"kind": "citation", "statement": "slice-quotient chain to a rank-2 torus"}],'
+            ' "coreduced": "no", "group": "B2xB2xB2", "module": "[1,0,1,0,1,0]",'
+            ' "notes": ["final torus step machine-checked"],'
+            ' "theorem": "semisimple-irreducible"}], "schema": 1}\n'
+        ),
+        id="odd_orthogonal_triple",
+    ),
+    pytest.param(
         "E6",
         "2*[0,1,0,0,0,0]",
         1,

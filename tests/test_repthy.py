@@ -21,9 +21,11 @@ from coreduce.repthy import (
     weight_diagram,
 )
 from coreduce.rootsys import (
+    GroupSpec,
     SimpleType,
     build_root_system,
     parse_group,
+    root_scaled_of_dynkin,
     weyl_orbit,
 )
 
@@ -133,11 +135,11 @@ def test_dominant_diagram_breaks_height_ties_by_coordinates():
     # the witness of max_nonzero_weight_multiplicity) must not rest on the
     # iteration order of a set
     t = SimpleType("A", 3)
-    rs = build_root_system(t)
+    g = GroupSpec((t,))
     order = list(simple_dominant_diagram(t, (1, 1, 2)))
-    heights = [sum(rs.root_scaled_of_dynkin(w)) for w in order]
+    heights = [sum(root_scaled_of_dynkin(g, w)) for w in order]
     assert len(set(heights)) < len(heights)
-    assert order == sorted(order, key=lambda w: (-sum(rs.root_scaled_of_dynkin(w)), w))
+    assert order == sorted(order, key=lambda w: (-sum(root_scaled_of_dynkin(g, w)), w))
 
 
 # every simple type of rank at most 4, and G2 and F4

@@ -8,6 +8,7 @@ from coreduce.rootsys import (
     RootSystemError,
     SimpleType,
     build_root_system,
+    closure,
     dominant_weights_below,
     dominantize,
     dynkin_of_root_scaled,
@@ -17,13 +18,26 @@ from coreduce.rootsys import (
     orbit_size,
     parse_group,
     parse_weight,
+    reflect,
     root_scaled_of_dynkin,
     signed_orbit,
     sl3_root_coords,
+    weyl_neighbours,
     weyl_orbit,
 )
 
-from oracles import weyl_matrices
+from oracles import (
+    dynkin_of_root,
+    reference_dominantize,
+    reference_dynkin_of_root_scaled,
+    reference_in_root_lattice,
+    reference_orbit,
+    reference_orbit_size,
+    reference_reflect,
+    reference_root_scaled_of_dynkin,
+    reference_simple_reflections,
+    weyl_matrices,
+)
 
 WEYL_ORDERS = {
     "A1": 2,
@@ -169,12 +183,64 @@ def test_stored_roots_are_the_dynkin_labels_of_the_root_list(name):
     for t in g.simple_factors:
         rs = build_root_system(t)
         pad = (0,) * (g.rank - lo - t.rank)
-        want += [(0,) * lo + rs.dynkin_of_root(r) + pad for r in rs.positive_roots]
+        want += [(0,) * lo + dynkin_of_root(rs, r) + pad for r in rs.positive_roots]
         lo += t.rank
     data = g.root_data
     assert data.positive_roots == tuple(want)
     assert data.roots == tuple(want) + tuple(tuple(-x for x in r) for r in want)
     assert data.dominant_roots == tuple(dominantize(g, r)[0] for r in data.roots)
+
+
+# a torus factor, three factors, and blocks of differing types and ranks
+PRODUCT_GROUPS = ["A1xG2xT1", "B2xT1", "A2xB2", "A1xA1xA1", "D4xA1"]
+
+
+@st.composite
+def group_and_weight(draw):
+    g = parse_group(draw(st.sampled_from(PRODUCT_GROUPS)))
+    return g, tuple(draw(st.lists(st.integers(-6, 6), min_size=g.rank, max_size=g.rank)))
+
+
+@given(group_and_weight())
+@settings(max_examples=150, deadline=None)
+def test_operations_match_the_per_factor_references(gw):
+    """Each operation over the block-diagonal Cartan matrix agrees with the
+    per-factor reference, torus labels (negative ones too) included."""
+    g, d = gw
+    torus = slice(g.rank - g.torus_rank, g.rank)
+    assert root_scaled_of_dynkin(g, d) == reference_root_scaled_of_dynkin(g, d)
+    assert in_root_lattice(g, d) == reference_in_root_lattice(g, d)
+    # d read as root_scaled coordinates: the same labels, or the same error
+    try:
+        want = reference_dynkin_of_root_scaled(g, d)
+    except RootSystemError as exc:
+        with pytest.raises(RootSystemError) as got:
+            dynkin_of_root_scaled(g, d)
+        assert str(got.value) == str(exc)
+    else:
+        assert dynkin_of_root_scaled(g, d) == want
+    refls = reference_simple_reflections(g)
+    assert len(refls) == g.rank - g.torus_rank
+    for i, refl in enumerate(refls):
+        image = reflect(g, d, i)
+        assert image == reference_reflect(d, refl)
+        assert image[torus] == d[torus]
+    moved = [reference_reflect(d, r) for r in refls]
+    assert weyl_neighbours(g)(d) == [e for e in moved if e != d]
+    dom = dominantize(g, d)
+    assert dom == reference_dominantize(g, d)
+    assert orbit_size(g, dom[0]) == reference_orbit_size(g, dom[0])
+
+
+@given(group_and_weight())
+@settings(max_examples=30, deadline=None)
+def test_signed_orbit_matches_the_per_factor_reference(gw):
+    g, d = gw
+    # a regular weight: no zero label on the simple factors
+    d0 = tuple(abs(x) + 1 for x in d[: g.rank - g.torus_rank]) + d[g.rank - g.torus_rank :]
+    want = reference_orbit(g, d0)
+    assert signed_orbit(g, d0) == [(p, (-1) ** k) for p, k in want.items()]
+    assert closure((d0,), weyl_neighbours(g)) == want
 
 
 def test_sl3_root_coords():
