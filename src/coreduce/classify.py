@@ -692,7 +692,7 @@ def _invariant_generator_upper_bounds(chi: Character, dmax: int) -> list[int]:
     the products of lower-degree invariants span at least max_e dim_{d-e}
     dimensions in degree d whenever degree e carries an invariant.
     """
-    powers = symmetric_power(chi, dmax)
+    powers = symmetric_power(chi, dmax, (tuple(0 for _ in range(chi.group.rank)),))
     dims = [invariant_dimension(powers[d]) for d in range(dmax + 1)]
     gens = []
     for d in range(1, dmax + 1):

@@ -20,13 +20,16 @@ expanded by closure only in :func:`weight_diagram`, where every weight is
 used.  Multiplicities of irreducibles inside an arbitrary character use the
 alternating Weyl-sum (Racah) formula, which needs only point lookups.
 
-Symmetric powers S^0..S^d come from one DP over the weight list, each degree
-k on its own dense array over the box that holds the weights of S^k, which
-grows linearly with k, so the low degrees cost little.  The arrays hold
-int64 counts, or Python ints once the counts could pass int64.  Each layer
-is returned as its array (:class:`BoxCharacter`): point lookups and the mass
-read the array in place, and the weight dict is decoded only for a caller
-that reads ``entries``.
+Symmetric powers S^0..S^d come from one DP over the weight list in pure
+Python: each degree k is one packed int over the box that holds the weights
+of S^k, all degrees in one frame of mixed-radix strides, so adding a weight
+to a degree is one shift, one add and one mask.  Counts are exact Python
+ints.  A caller that only runs alternating Weyl sums names the highest
+weights it extracts, and each degree keeps only the cells that can still
+carry a weight into the points those sums read; such a clipped layer
+refuses a lookup outside what it kept.  Each layer is returned as its int
+(:class:`BoxCharacter`): point lookups read the int in place, and the weight
+dict is decoded only for a whole layer whose caller reads ``entries``.
 
 Multigraded multiplicities (one grading per summand) are computed for every
 multidegree at once: S^0..S^dmax of each summand come from a single
@@ -40,10 +43,11 @@ ints.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mul
+from operator import add, le, mul, sub
 from typing import Callable, Optional, Sequence
 
 from .config import CertificateError, ResourceLimitError, require
@@ -247,31 +251,69 @@ class Character:
 
 
 class BoxCharacter(Character):
-    """A character held as a dense array over a box of weights: the cell at
-    index ``i`` counts the weight ``origin + i``, and every weight outside
-    the box has multiplicity 0.  Point lookups and the mass read the array;
-    ``entries`` is decoded on first use, in coordinate order."""
+    """A layer S^k held as one packed int over the box ``lo .. hi`` of
+    weights: the weight v is the field of ``bits`` bits at cell
+    ``sum((v - lo) * strides)``, and S^k has no weight outside the box.
 
-    def __init__(self, group: GroupSpec, box, origin: Coords) -> None:
+    ``window`` is None for a whole layer.  A clipped layer holds S^k exactly
+    on the box ``window`` of dominant weights, for a caller that reads it
+    there only: a lookup reads the dominant representative (S^k is
+    Weyl-invariant), and one outside the window raises
+    :class:`CertificateError` rather than guess.  ``entries`` is decoded on
+    first use, in coordinate order, and only for a whole layer.
+    """
+
+    def __init__(
+        self,
+        group: GroupSpec,
+        value: int,
+        bits: int,
+        strides: Sequence[int],
+        lo: Coords,
+        hi: Coords,
+        window: Optional[tuple[Coords, Coords]],
+        reps: dict[Coords, Coords],
+    ) -> None:
         self.group = group
-        self.box = box
-        self.origin = origin
+        self.value = value
+        self.bits = bits
+        self.strides = strides
+        self.lo = lo
+        self.hi = hi
+        self.window = window
+        self.reps = reps
+
+    @cached_property
+    def _bytes(self) -> bytes:
+        return self.value.to_bytes((self.value.bit_length() + 7) // 8, "little")
+
+    def _field(self, coords: Coords) -> int:
+        at = self.bits * sum(map(mul, map(sub, coords, self.lo), self.strides))
+        chunk = self._bytes[at >> 3 : (at + self.bits + 7) >> 3]
+        return (int.from_bytes(chunk, "little") >> (at & 7)) & ((1 << self.bits) - 1)
 
     @cached_property
     def entries(self) -> dict[Coords, int]:  # type: ignore[override]
-        nonzero = self.box.nonzero()
-        vals = self.box[nonzero].tolist()
-        cols = [(ix + o).tolist() for ix, o in zip(nonzero, self.origin)]
-        return dict(zip(zip(*cols), vals))
+        require(self.window is None, "a clipped symmetric-power layer holds only part of S^k")
+        out = {}
+        for coords in itertools.product(*map(range, self.lo, [h + 1 for h in self.hi])):
+            m = self._field(coords)
+            if m:
+                out[coords] = m
+        return out
 
     def mult(self, coords: Coords) -> int:
-        idx = tuple(a - o for a, o in zip(coords, self.origin))
-        if all(0 <= i < s for i, s in zip(idx, self.box.shape)):
-            return int(self.box[idx])
+        if self.window is not None:
+            dom = self.reps.get(coords)
+            coords = dominantize(self.group, coords)[0] if dom is None else dom
+            lo, hi = self.window
+            require(
+                all(map(le, lo, coords)) and all(map(le, coords, hi)),
+                "a clipped symmetric-power layer was read outside the cells it kept",
+            )
+        if all(map(le, self.lo, coords)) and all(map(le, coords, self.hi)):
+            return self._field(coords)
         return 0
-
-    def mass(self) -> int:
-        return int(self.box.sum())
 
 
 def weight_diagram(g: GroupSpec, hw: Coords) -> Character:
@@ -391,65 +433,140 @@ def max_nonzero_weight_multiplicity(g: GroupSpec, hw: Coords) -> tuple[int, Opti
 # Symmetric powers
 
 SYMPOW_CELL_CAP = 50_000_000
-"""Dense DP cells (the boxes of all degrees together) that ``symmetric_power``
-may allocate; a hit raises ResourceLimitError (the CLI exits 3)."""
+"""Cells that ``symmetric_power`` may hold: the boxes of all degrees
+together, each clipped to the cells its caller's Weyl sums can reach.  They
+are counted before anything is built; a hit raises ResourceLimitError (the
+CLI exits 3)."""
 
 
-def symmetric_power(chi: Character, d: int) -> list[Character]:
+def symmetric_power(
+    chi: Character, d: int, targets: Optional[Sequence[Coords]] = None
+) -> list[Character]:
     """Characters of S^0(chi), ..., S^d(chi) for an effective character chi.
 
     Dynamic programming over the weight list: multiplying in one weight ``w``
     of multiplicity one is the geometric-series pass
-    ``S[k] += shift(S[k-1], w)`` taken in increasing ``k``.  Each degree k
-    runs on its own dense array over the box ``k*mn .. k*mx`` per
-    coordinate, with ``mn = min(0, min w)`` and ``mx = max(0, max w)``, which
-    holds every weight of S^k; as ``mn <= 0 <= mx``, the shift by ``w`` from
-    box k-1 into box k is the pure offset ``w - mn``.  The cells of all the
-    boxes together are capped by ``SYMPOW_CELL_CAP``.  The arrays are int64
-    while the number of monomials of S^d, which bounds every cell, is below
-    2**62, and hold Python ints past that.  Layer k is returned as its box,
-    a :class:`BoxCharacter` with origin ``k*mn``.
-    """
-    import numpy as np  # here only, so that a cold start does not pay for it
+    ``S[k] += shift(S[k-1], w)`` taken in increasing ``k``.  Degree k is held
+    on the box ``k*mn .. k*mx`` per coordinate, with ``mn = min(0, min w)``
+    and ``mx = max(0, max w)``, which holds every weight of S^k.
 
+    A caller that only runs alternating Weyl sums for the highest weights
+    ``targets`` reads S^k at the points w(lam+rho) - rho, or, as a
+    Weyl-invariant chi (a module's weights) has Weyl-invariant powers, at
+    their dominant representatives, which lie in a box ``F``.  A cell of degree k can reach
+    ``F`` in degree d only if it lies in ``F - (d-k)*mx .. F - (d-k)*mn``
+    (the window of degree k, which holds ``F`` itself), so each box is
+    clipped to its window; the cells of the window that a pass reads come
+    from the window of the degree below, so the clipped boxes are exact.
+    Without ``targets`` every layer is whole.
+
+    Each degree is one packed int, all in one frame of mixed-radix strides:
+    the weight v of S^k is the cell with the digits ``v - lo[k]``, ``lo[k]``
+    the first corner of its box, so each int starts at its box.  A pass is
+    ``S[k] = (S[k] + (S[k-1] << off)) & mask[k]``, with ``off`` the cells
+    of ``w + lo[k-1] - lo[k]`` (a right shift when negative, which drops
+    only cells below the box); the radices keep every moved cell that leaves
+    the box off the box's cells, so the mask clears it.  A field has the bit
+    length of the number of monomials of S^d, which bounds every count, so
+    counts are exact Python ints and no field spills.  The cells of all the
+    boxes together are capped by ``SYMPOW_CELL_CAP``.  Layer k is returned
+    as a :class:`BoxCharacter`.
+    """
     entries = chi.entries
     if any(m < 0 for m in entries.values()):
         raise ValueError("symmetric powers need an effective character")
-    rank = chi.group.rank
+    g = chi.group
+    rank = g.rank
     weights: list[Coords] = []
     for w, m in sorted(entries.items()):
         weights.extend([w] * m)
     if d == 0 or not weights:
         zero = tuple(0 for _ in range(rank))
-        out = [Character(chi.group, {zero: 1})]
-        out += [Character(chi.group, {}) for _ in range(d)]
+        out = [Character(g, {zero: 1})]
+        out += [Character(g, {}) for _ in range(d)]
         return out
     mn = [min(0, min(w[j] for w in weights)) for j in range(rank)]
     mx = [max(0, max(w[j] for w in weights)) for j in range(rank)]
-    shapes = [tuple(k * (h - l) + 1 for l, h in zip(mn, mx)) for k in range(d + 1)]
-    cells = sum(map(math.prod, shapes))
+    los = [tuple(k * l for l in mn) for k in range(d + 1)]
+    his = [tuple(k * h for h in mx) for k in range(d + 1)]
+    windows: list[Optional[tuple[Coords, Coords]]] = [None] * (d + 1)
+    # the points the Weyl sums read, each with its dominant representative
+    reps: dict[Coords, Coords] = {}
+    if targets is not None:
+        delta = g.weyl_vector
+        for lam in targets:
+            for pt, _ in signed_orbit(g, tuple(map(add, lam, delta))):
+                pt = tuple(map(sub, pt, delta))
+                reps[pt] = dominantize(g, pt)[0]
+        f_lo = [min(p[j] for p in reps.values()) for j in range(rank)]
+        f_hi = [max(p[j] for p in reps.values()) for j in range(rank)]
+        for k in range(d + 1):
+            wlo = tuple(f - (d - k) * h for f, h in zip(f_lo, mx))
+            whi = tuple(f - (d - k) * l for f, l in zip(f_hi, mn))
+            windows[k] = (wlo, whi)
+            los[k] = tuple(map(max, los[k], wlo))
+            his[k] = tuple(map(min, his[k], whi))
+    shapes = [[h - l + 1 for l, h in zip(lo, hi)] for lo, hi in zip(los, his)]
+    cells = sum(math.prod(shape) for shape in shapes if min(shape) > 0)
     if cells > SYMPOW_CELL_CAP:
         raise ResourceLimitError(
             "repthy.sympow", "SYMPOW_CELL_CAP", SYMPOW_CELL_CAP, cells,
             "symmetric_power would need {count} DP cells",
         )
-    # overflow guard: every cell is bounded by the total mass of S^d
-    mass_bound = 1
-    n = len(weights)
-    for i in range(d):
-        mass_bound = mass_bound * (n + i) // (i + 1)
-    dtype = np.int64 if mass_bound < 2**62 else object
-    dp = [np.zeros(shape, dtype=dtype) for shape in shapes]
-    dp[0][(0,) * rank] = 1
-    for w in weights:
-        off = [a - l for a, l in zip(w, mn)]
-        for k in range(1, d + 1):
-            dst = tuple(slice(o, o + s) for o, s in zip(off, shapes[k - 1]))
-            dp[k][dst] += dp[k - 1]
-    return [
-        BoxCharacter(chi.group, layer, tuple(k * l for l in mn))
-        for k, layer in enumerate(dp)
+    bits = math.comb(len(weights) + d - 1, d).bit_length()
+    # A pass moves a cell of degree k-1 to the digits v + w - lo[k], at least
+    # lo[k-1] + mn - lo[k] >= mn - mx and at most hi[k-1] + mx - lo[k].  A
+    # radix above that top carries no digit, and one above
+    # hi[k] - mn - lo[k-1] makes the lowest digit that falls below 0 borrow
+    # to past the box's top hi[k] - lo[k]; so a moved cell outside the box
+    # never lands on a cell of the box.
+    radix = [
+        1 + max(
+            0,
+            *(his[k - 1][j] + mx[j] - los[k][j] for k in range(1, d + 1)),
+            *(his[k][j] - mn[j] - los[k - 1][j] for k in range(1, d + 1)),
+        )
+        for j in range(rank)
     ]
+    strides = [1] * rank
+    for j in range(rank - 1, 0, -1):
+        strides[j - 1] = strides[j] * radix[j]
+    moves = [sum(map(mul, map(sub, los[k - 1], los[k]), strides)) for k in range(1, d + 1)]
+    masks = [_box_mask(shape, strides, bits) if min(shape) > 0 else 0 for shape in shapes]
+    packed = [0] * (d + 1)
+    packed[0] = masks[0] & 1  # the zero weight, unless clipped away
+    for w in weights:
+        step = sum(map(mul, w, strides))
+        for k in range(1, d + 1):
+            prev = packed[k - 1]
+            if prev:
+                off = (step + moves[k - 1]) * bits
+                moved = prev << off if off >= 0 else prev >> -off
+                packed[k] = (packed[k] + moved) & masks[k]
+    return [
+        BoxCharacter(g, value, bits, strides, lo, hi, window, reps)
+        for value, lo, hi, window in zip(packed, los, his, windows)
+    ]
+
+
+def _box_mask(shape: Sequence[int], strides: Sequence[int], bits: int) -> int:
+    """All-ones fields over a box of ``shape`` cells in the frame, the first
+    cell at bit 0: each coordinate, last first, repeats the mask so far by
+    doubling."""
+    mask = (1 << bits) - 1
+    for size, stride in zip(reversed(shape), reversed(strides)):
+        step = stride * bits
+        out, done, block, count = 0, 0, mask, 1
+        while size:
+            if size & 1:
+                out |= block << (done * step)
+                done += count
+            size >>= 1
+            if size:
+                block |= block << (count * step)
+                count *= 2
+        mask = out
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +626,8 @@ def covariant_generator_exists(m: ModuleSpec, target: Coords, d: int) -> Covaria
     on the ideal part: sum over 0 < e < d of (invariants in degree d-e) times
     (covariants of that type in degree e).
     """
-    powers = symmetric_power(m.weights, d)
+    zero = tuple(0 for _ in target)
+    powers = symmetric_power(m.weights, d, (target, zero))
     mults = tuple(mult_in_character(powers[e], target) for e in range(1, d + 1))
     invs = tuple(invariant_dimension(powers[e]) for e in range(1, d + 1))
     bound = sum(invs[d - e - 1] * mults[e - 1] for e in range(1, d))

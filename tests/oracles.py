@@ -439,23 +439,28 @@ def chamber_count(normals, rank: int) -> int:
     return total
 
 
+def leibniz_det(m) -> int:
+    """Determinant of a square integer matrix by the Leibniz formula."""
+    import itertools
+    from math import prod
+
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * prod(row[p] for row, p in zip(m, perm))
+    return total
+
+
 def reference_rays(normals, rank: int) -> set:
     """Both primitive directions of every line cut out by rank - 1 of the
     normals' hyperplanes: the signed maximal minors of every (rank - 1)-subset,
     one subset at a time, each minor by the Leibniz formula."""
     import itertools
-    from math import gcd, prod
-
-    def det(m):
-        total = 0
-        for perm in itertools.permutations(range(len(m))):
-            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-            total += (-1) ** inversions * prod(row[p] for row, p in zip(m, perm))
-        return total
+    from math import gcd
 
     rays = set()
     for sub in itertools.combinations(normals, rank - 1):
-        r = tuple((-1) ** j * det([h[:j] + h[j + 1 :] for h in sub]) for j in range(rank))
+        r = tuple((-1) ** j * leibniz_det([h[:j] + h[j + 1 :] for h in sub]) for j in range(rank))
         if any(r):
             g = gcd(*r)
             rays |= {tuple(x // g for x in r), tuple(-x // g for x in r)}

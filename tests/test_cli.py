@@ -1,5 +1,8 @@
+import ast
 import json
+import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -68,13 +71,38 @@ def test_torus_check_runs_one_hilbert_search(monkeypatch):
     assert len(searches) == 1
 
 
-def test_import_does_not_load_numpy():
-    """Only symmetric powers use numpy, so a cold start does not import it."""
-    code = "import sys, coreduce.cli; sys.exit('numpy' in sys.modules)"
+def test_neither_the_package_nor_appendix_b_loads_numpy():
+    """No module of the package imports numpy, and the appendixB suite,
+    whose G2xG2 symmetric powers are the largest the paper needs, ends
+    without it in ``sys.modules``."""
+    pkg = pathlib.Path(coreduce.__file__).parent
+    found = []
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(f"{path.relative_to(pkg)}:{node.lineno}")
+    assert found == []
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from coreduce.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = main(['verify-paper', '--suite', 'appendixB'])",
+        "print(code, 'numpy' in sys.modules)",
+    ])
     src = os.path.dirname(os.path.dirname(coreduce.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stdout + out.stderr
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (0, "0 False\n"), done.stderr
 
 
 def test_import_builds_no_parser_and_main_builds_it_once():
@@ -534,43 +562,45 @@ def test_resource_limit_exit_three(monkeypatch, capsys):
             assert capsys.readouterr().err == f"resource limit: {err['message']}\n"
 
 
-G2XG2_SYMPOW_CELLS = sum((4 * k + 1) ** 2 * (2 * k + 1) ** 2 for k in range(10))
+# The G2xG2 S^9 of appendixB, with the target (0,0,1,0) and 0: each G2 factor's
+# weights span -2..2 and -1..1, and the dominant representatives of the
+# points w(lam+rho) - rho fill the box F = 0..5 x 0..3 x 0..6 x 0..3.  Degree
+# k keeps the cells of k*mn .. k*mx inside F - (9-k)*mx .. F - (9-k)*mn.
+G2XG2_SYMPOW_CELLS = sum(
+    math.prod(
+        min(k * h, f_hi - (9 - k) * l) - max(k * l, f_lo - (9 - k) * h) + 1
+        for l, h, f_lo, f_hi in zip((-2, -1, -2, -1), (2, 1, 2, 1), (0, 0, 0, 0), (5, 3, 6, 3))
+    )
+    for k in range(10)
+)
 
 
 def test_sympow_cell_cap_counts_the_per_degree_boxes(monkeypatch, capsys):
-    """The G2xG2 S^9 of appendixB allocates one box per degree k, of
-    (4k+1)(2k+1) cells per G2 factor; the cap counts exactly those cells."""
+    """The G2xG2 S^9 of appendixB holds one clipped box per degree; the cap
+    counts exactly those cells, before any is built."""
     from coreduce import repthy
 
-    assert G2XG2_SYMPOW_CELLS == 1_191_082
+    assert G2XG2_SYMPOW_CELLS == 122_313
     argv = ["verify-paper", "--suite", "appendixB"]
     monkeypatch.setattr(repthy, "SYMPOW_CELL_CAP", G2XG2_SYMPOW_CELLS)
     code, out = run_cli(argv)
     assert code == 0 and json.loads(out)["ok"]
     assert capsys.readouterr().err == ""
     monkeypatch.setattr(repthy, "SYMPOW_CELL_CAP", G2XG2_SYMPOW_CELLS - 1)
+
+    def refuse(*args):
+        raise AssertionError("a mask was built past the cap")
+
+    monkeypatch.setattr(repthy, "_box_mask", refuse)
     assert run_cli(argv) == (3, "")
     assert json.loads(capsys.readouterr().err) == {
         "engine": "repthy.sympow",
         "cap": "SYMPOW_CELL_CAP",
-        "limit": 1191081,
-        "count": 1191082,
-        "message": "symmetric_power would need 1191082 DP cells, "
-        "over SYMPOW_CELL_CAP = 1191081",
+        "limit": 122312,
+        "count": 122313,
+        "message": "symmetric_power would need 122313 DP cells, "
+        "over SYMPOW_CELL_CAP = 122312",
     }
-
-
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported inside symmetric_power only, so a cold start that
-    # computes no symmetric power does not pay for it
-    src = os.path.dirname(os.path.dirname(coreduce.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, coreduce.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_appendix_b_is_the_same_under_python_optimize():

@@ -2,9 +2,10 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coreduce import paper, repthy
+from coreduce.config import CertificateError
 from coreduce.nullcone import G2XG2_DEGREE, G2XG2_TARGET
 from coreduce.repthy import (
     Character,
@@ -14,6 +15,7 @@ from coreduce.repthy import (
     graded_invariant_series,
     group_weyl_dim,
     invariant_dimension,
+    mult_in_character,
     parse_module,
     simple_dominant_diagram,
     symmetric_power,
@@ -260,8 +262,9 @@ def test_symmetric_power_matches_brute_force(chi, d):
 
 
 def test_symmetric_power_big_integer_fallback():
-    # 1200 weights: S^8 has more than 2**62 monomials and its coefficients
-    # overflow int64, so the DP runs on arrays of Python ints
+    # 1200 weights: S^8 has more than 2**62 monomials and some counts pass
+    # int64; the packed fields are wide enough for the monomial count of S^8,
+    # so the counts stay exact Python ints
     g = parse_group("A1")
     chi = Character(g, {(-1,): 600, (1,): 600})
     powers = symmetric_power(chi, 8)
@@ -285,29 +288,40 @@ def small_modules(draw):
     return m, draw(labels)
 
 
-@given(inp=small_modules(), d=st.integers(1, 6))
+BRUTE_FORCE_MONOMIALS = 20_000
+"""Largest number of monomials the brute-force layer is compared at."""
+
+
+@given(inp=small_modules(), d=st.integers(1, 8))
+@example(inp=(ModuleSpec(parse_group("A1"), ((600, (1,)),)), (1,)), d=8)
 @settings(max_examples=60, deadline=None)
 def test_covariant_generator_exists_matches_decoded_reference(inp, d):
+    """The clipped layers give the counts that whole, decoded layers give,
+    and whole layers match the brute-force sum over monomials wherever it
+    is cheap (600 copies of the standard module pass 2**63 at degree 8)."""
     m, target = inp
     assert covariant_generator_exists(m, target, d) == reference_covariant_generator_exists(
         m, target, d
     )
+    n = m.dimension()
+    for k, layer in enumerate(symmetric_power(m.weights, d)):
+        if math.comb(n + k - 1, k) <= BRUTE_FORCE_MONOMIALS:
+            assert layer.entries == brute_force_symmetric_power(m.weights.entries, k)
 
 
 @pytest.mark.parametrize("target", [(0,), (1,), (2,)])
 def test_covariant_generator_exists_on_python_int_boxes(target):
     # 600 copies of the standard module: S^8 has more than 2**62 monomials,
-    # so the boxes hold Python ints, some of them past int64
+    # and some of its counts pass int64
     m = ModuleSpec(parse_group("A1"), ((600, (1,)),))
-    box = symmetric_power(m.weights, 8)[8].box
-    assert box.dtype == object and max(box) > 2**63
+    assert max(symmetric_power(m.weights, 8)[8].entries.values()) > 2**63
     cert = covariant_generator_exists(m, target, 8)
     assert cert == reference_covariant_generator_exists(m, target, 8)
 
 
 def test_covariant_generator_exists_decodes_no_layer(monkeypatch):
     """The G2xG2 certificate of Appendix B reads its 144-point alternating
-    sums straight from the symmetric-power boxes."""
+    sums straight from the clipped packed layers."""
 
     def refuse(layer):
         raise AssertionError("a symmetric-power layer was decoded")
@@ -317,6 +331,25 @@ def test_covariant_generator_exists_decodes_no_layer(monkeypatch):
     cert = covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE)
     assert cert.per_degree_mults == paper.G2XG2_COVARIANT_SERIES
     assert cert.per_degree_invariants == paper.G2XG2_INVARIANT_SERIES
+
+
+def test_clipped_layer_refuses_to_guess():
+    """A layer clipped for the target 0 answers the invariant count, and a
+    count the clipping cannot vouch for raises instead of reading 0."""
+    g = parse_group("A2")
+    chi = ModuleSpec(g, ((1, (1, 1)),)).weights
+    whole = symmetric_power(chi, 6)
+    clipped = symmetric_power(chi, 6, ((0, 0),))
+    for k in range(7):
+        assert invariant_dimension(clipped[k]) == invariant_dimension(whole[k])
+    assert clipped[6].mult((2, -1)) == clipped[6].mult((1, 1)) == whole[6].mult((1, 1))
+    assert whole[6].mult((6, 6)) > 0
+    with pytest.raises(CertificateError):
+        clipped[6].mult((6, 6))
+    with pytest.raises(CertificateError):
+        mult_in_character(clipped[6], (3, 3))
+    with pytest.raises(CertificateError):
+        clipped[6].entries
 
 
 # small highest weights per group, so the per-multidegree oracle stays cheap

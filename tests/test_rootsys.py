@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +27,7 @@ from coreduce.rootsys import (
 
 from oracles import (
     dynkin_of_root,
+    leibniz_det,
     reference_dominantize,
     reference_dynkin_of_root_scaled,
     reference_in_root_lattice,
@@ -163,7 +163,7 @@ def test_signed_orbit_matches_weyl_matrices(name):
     expected = {}
     for mat in weyl_matrices(g):
         image = tuple(sum(rho[i] * mat[i][j] for i in range(g.rank)) for j in range(g.rank))
-        expected[image] = round(np.linalg.det(np.array(mat, dtype=float)))
+        expected[image] = leibniz_det(mat)
     got = signed_orbit(g, rho)
     assert len(got) == len(expected) == g.weyl_order
     assert dict(got) == expected
