@@ -71,10 +71,9 @@ def test_torus_check_runs_one_hilbert_search(monkeypatch):
     assert len(searches) == 1
 
 
-def test_neither_the_package_nor_appendix_b_loads_numpy():
-    """No module of the package imports numpy, and the appendixB suite,
-    whose G2xG2 symmetric powers are the largest the paper needs, ends
-    without it in ``sys.modules``."""
+def test_import_does_not_load_numpy():
+    """No module of the package imports numpy, and a cold import of the CLI
+    leaves it out of ``sys.modules``."""
     pkg = pathlib.Path(coreduce.__file__).parent
     found = []
     for path in sorted(pkg.rglob("*.py")):
@@ -88,6 +87,16 @@ def test_neither_the_package_nor_appendix_b_loads_numpy():
             if any(name.split(".")[0] == "numpy" for name in names):
                 found.append(f"{path.relative_to(pkg)}:{node.lineno}")
     assert found == []
+    code = "import sys, coreduce.cli; sys.exit('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(coreduce.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """The appendixB suite, whose G2xG2 symmetric powers are the largest the
+    paper needs, ends without numpy in ``sys.modules``."""
     code = "\n".join([
         "import contextlib, io, sys",
         "from coreduce.cli import main",
