@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .config import CertificateError, require
 from .monoid import exists_sum, is_torus_coreduced
 from .nullcone import (
+    F4_26_HW,
     G2XG2_DEGREE,
     G2XG2_TARGET,
     AdmissibleSet,
@@ -51,7 +52,6 @@ from .rootsys import (
     GroupSpec,
     SL3,
     SimpleType,
-    build_root_system,
     dynkin_to_eps,
     eps_to_dynkin,
     in_root_lattice,
@@ -203,12 +203,12 @@ _EXCEPTIONAL_FAMILIES = ("E", "F", "G")
 
 
 def _adjoint_hw(t: SimpleType) -> Coords:
-    """Highest weight of the adjoint module: the Dynkin labels of the highest root."""
-    rs = build_root_system(t)
-    return rs.positive_roots_dynkin[rs.positive_roots.index(rs.highest_root)]
+    """Highest weight of the adjoint module: the Dynkin labels of the highest
+    root, the positive root of maximal height."""
+    data = GroupSpec((t,)).root_data
+    return max(zip(data.positive_roots, data.root_coords), key=lambda p: sum(p[1]))[0]
 
 
-F4_26_HW = (0, 0, 0, 1)
 G2_7_HW = (1, 0)
 
 
@@ -332,7 +332,6 @@ def _eps_relation_certificate(
         hypotheses=(GENERIC_HYPOTHESIS,),
         note=note,
     )
-    cert.validate()
     counts = toral_slice(m)
     for d, w in zip(dynkin, weights):
         require(counts is not None and d in counts, f"weight {w} not in the toral slice")
@@ -413,10 +412,7 @@ def _classical_relation_certificate(
             k = hw[0] // mm
             return _psl_symmetric_relation(m, t, mm, k)
         if hw[-1] and all(x == 0 for x in hw[:-1]) and hw[-1] % mm == 0:
-            dual = ModuleSpec(m.group, ((1, tuple(reversed(hw))),))
-            k = hw[-1] // mm
-            cert = _psl_symmetric_relation(dual, t, mm, k)
-            return None if cert is None else _psl_symmetric_relation(m, t, mm, k, dualize=True)
+            return _psl_symmetric_relation(m, t, mm, hw[-1] // mm, dualize=True)
     if fam == "B" and len(s) == 1 and s[0][0] == 1:
         ew = dynkin_to_eps(t, s[0][1])
 
@@ -597,7 +593,7 @@ def _is_semisimple_yes_row(g: GroupSpec, hw: Coords) -> bool:
 
 def _is_odd_orthogonal_triple(g: GroupSpec, hw: Coords) -> bool:
     return len(g.simple_factors) == 3 and all(
-        _odd_orthogonal_standard(rs.type, hw[lo:hi]) for rs, lo, hi in g.root_data.factors
+        _odd_orthogonal_standard(t, hw[lo:hi]) for t, lo, hi in g.root_data.factors
     )
 
 

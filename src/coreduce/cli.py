@@ -36,10 +36,10 @@ from .nullcone import (
 from .repthy import (
     covariant_generator_exists,
     graded_invariant_series,
-    group_weyl_dim,
     min_root_multiplicity,
     parse_module,
     weight_counts,
+    weyl_dim,
     ModuleSpec,
 )
 from .rootsys import (
@@ -349,7 +349,7 @@ def _suite_exceptional() -> list[dict]:
     out = [
         _check(
             f"{paper.F4_26_DIM}-dim module facts",
-            group_weyl_dim(f4, hw) == paper.F4_26_DIM
+            weyl_dim(f4, hw) == paper.F4_26_DIM
             and zero == paper.F4_26_ZERO_MULTIPLICITY
             and nonzero == paper.F4_26_NONZERO_WEIGHTS,
         )

@@ -37,6 +37,7 @@ from .rootsys import (
     _det,
     closure,
     dynkin_to_eps,
+    parse_weight,
     reflect,
     root_scaled_of_dynkin,
     sl3_root_coords,
@@ -560,13 +561,16 @@ def support_rank_bound(columns: set[Column]) -> tuple[int, dict]:
 
 
 def support_orbit_dim_bound(
-    m: ModuleSpec, v_support: Sequence[tuple[Coords, int]]
+    m: ModuleSpec,
+    v_support: Sequence[tuple[Coords, int]],
+    zero_class: Callable[[Coords], object] = lambda delta: "0",
 ) -> tuple[int, dict]:
     """Certified lower bound for dim G·v at a generic vector with the given
     weight support, via support-matrix reduction.  ``v_support`` lists
-    (weight in Dynkin coordinates, summand copy index).  Root-vector images
-    inside the zero weight space are lumped together, which is always safe
-    but may be weak.
+    (weight in Dynkin coordinates, summand copy index).  ``zero_class`` is
+    as in :func:`support_columns`; by default all root-vector images inside
+    the zero weight space are lumped together, which is always safe but may
+    be weak.
     """
     if not v_support:
         return 0, {"columns": 0, "bound": 0}
@@ -576,7 +580,7 @@ def support_orbit_dim_bound(
         diag = weight_diagram(g, hw).entries
         copies.extend([dict(diag)] * coeff)
     roots = g.root_data.roots
-    cols = support_columns(copies, roots, v_support, lambda delta: "0")
+    cols = support_columns(copies, roots, v_support, zero_class)
     return support_rank_bound(cols)
 
 
@@ -588,11 +592,11 @@ def support_columns(
 ) -> set[Column]:
     """Weight supports of the root-vector images of v, plus the torus images.
 
-    ``copies``: weight multiset of each summand copy (coordinates in any fixed
-    integral basis, e.g. doubled epsilon coordinates); nonzero weight spaces
-    must be one-dimensional.  ``v_support``: (weight, copy index) components of
-    v, distinct within each copy.  ``zero_class`` labels the line that a root
-    vector image takes inside the zero weight space.
+    ``copies``: weight multiset of each summand copy (Dynkin labels, as
+    ``roots``); nonzero weight spaces must be one-dimensional.
+    ``v_support``: (weight, copy index) components of v, distinct within each
+    copy.  ``zero_class`` maps a root to the label of the line that its root
+    vector's image takes inside the zero weight space.
     """
     for diag in copies:
         for w, m in diag.items():
@@ -778,44 +782,31 @@ def d4_adjoint_target_reachable(adm: AdmissibleSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Fixture: the support matrix for two copies of the 26-dimensional module of
-# the rank-4 exceptional group.  Doubled epsilon coordinates keep everything
-# integral: the module's nonzero weights are the 24 short roots, split into
-# the eight "integral" ones (doubled: +-2e_i) and the sixteen half-sum ones
-# (doubled: all coordinates +-1); the 24 long roots are +-2e_i +- 2e_j.
+# Appendix A: two copies of the 26-dimensional module of the rank-4
+# exceptional group, whose nonzero weights are the short roots.  A root vector
+# maps a support component of weight -delta into the zero weight space along
+# one of two lines, told apart by whether the root delta has integral epsilon
+# coordinates (+-e_i, +-e_i+-e_j) or half-integral ones ((+-e1+-e2+-e3+-e4)/2).
 
-
-def f4_roots_doubled() -> tuple[list[Vec], list[Vec]]:
-    """The short and the long roots of the rank-4 exceptional root system,
-    in doubled epsilon coordinates."""
-    t = SimpleType("F", 4)
-    short: list[Vec] = []
-    long: list[Vec] = []
-    for d in GroupSpec((t,)).root_data.roots:
-        v = tuple(int(2 * x) for x in dynkin_to_eps(t, d))
-        (short if sum(x * x for x in v) == 4 else long).append(v)
-    return short, long
+F4_26_HW = (0, 0, 0, 1)
+F4_TWO_26_WITNESS = (
+    ("e3@eps", 0),
+    ("1/2e1-1/2e2-1/2e3+1/2e4@eps", 0),
+    ("e2@eps", 1),
+    ("1/2e1-1/2e2-1/2e3-1/2e4@eps", 1),
+)
 
 
 def f4_two_26_support_bound() -> tuple[int, dict]:
     """Support-matrix rank bound at the witness vector with weight components
     (e3, (e1-e2-e3+e4)/2) in the first copy and (e2, (e1-e2-e3-e4)/2) in the
-    second; the two zero-weight image lines are distinguished by whether the
-    acting root vector carries an integral short root."""
-    short, long = f4_roots_doubled()
-    diag = {w: 1 for w in short}
-    diag[(0, 0, 0, 0)] = 2
-    copies = [dict(diag), dict(diag)]
-    roots = short + long
-    v_support = [
-        ((0, 0, 2, 0), 0),
-        ((1, -1, -1, 1), 0),
-        ((0, 2, 0, 0), 1),
-        ((1, -1, -1, -1), 1),
-    ]
+    second."""
+    f4 = SimpleType("F", 4)
+    g = GroupSpec((f4,))
+    witness = [(parse_weight(g, text), copy) for text, copy in F4_TWO_26_WITNESS]
 
-    def zero_class(delta: Vec) -> str:
-        return "0_int" if any(abs(x) == 2 for x in delta) else "0_half"
+    def zero_class(delta: Coords) -> str:
+        integral = all(x.denominator == 1 for x in dynkin_to_eps(f4, delta))
+        return "0_int" if integral else "0_half"
 
-    cols = support_columns(copies, roots, v_support, zero_class)
-    return support_rank_bound(cols)
+    return support_orbit_dim_bound(ModuleSpec(g, ((2, F4_26_HW),)), witness, zero_class)

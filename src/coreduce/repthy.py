@@ -5,9 +5,14 @@ over dominant weights only (the diagram is Weyl-invariant, so one value per
 orbit suffices), in the orbit-wise form of Moody and Patera ("Fast recursion
 formula for weight multiplicities", Bull. AMS 1982): at a dominant weight
 mu, the sum over the positive roots becomes one alpha-string per orbit of
-the stabilizer W_mu, weighted by the orbit's size.  The orbit tables are
-derived from the root system by closure under the simple reflections that
-fix mu, and cached per type and zero-label set.  Each string point's
+the stabilizer W_mu, weighted by the orbit's size.  The recursion reads
+only ``GroupSpec.root_data`` of the one-factor group: its positive roots,
+their root coordinates and the integer invariant form.  The orbit tables
+are derived from it by closure under the simple reflections that fix mu,
+and cached per group and zero-label set, as the diagrams are per type and
+highest weight; a product group's diagram is the product of its factors'.
+The Weyl dimension formula is one product over the group's positive
+roots.  Each string point's
 multiplicity is looked up once, through its dominant representative, in a
 memo that lives for one diagram, and <nu, alpha> is stepped along the
 string by adding <alpha, alpha>.  Counts read off the dominant diagram and
@@ -46,8 +51,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from operator import add, le, mul, sub
+from functools import cached_property, lru_cache
+from operator import add, le, mod, mul, sub
 from typing import Callable, Optional, Sequence
 
 from .config import CertificateError, ResourceLimitError, require
@@ -56,7 +61,6 @@ from .rootsys import (
     GroupSpec,
     RootSystemError,
     SimpleType,
-    build_root_system,
     closure,
     dominant_weights_below,
     dominantize,
@@ -68,97 +72,81 @@ from .rootsys import (
     weyl_neighbours,
 )
 
-_freudenthal_cache: dict[tuple[SimpleType, Coords], dict[Coords, int]] = {}
-_root_orbit_cache: dict[tuple[SimpleType, tuple[int, ...]], tuple[tuple[int, int], ...]] = {}
-
-
-def weyl_dim(t: SimpleType, hw: Coords) -> int:
-    """Dimension of the irreducible with highest weight ``hw`` (Weyl formula)."""
-    rs = build_root_system(t)
-    delta = rs.weyl_vector
+def weyl_dim(g: GroupSpec, hw: Coords) -> int:
+    """Dimension of the irreducible with highest weight ``hw`` (Weyl formula):
+    one product over the group's positive roots; the torus labels do not
+    enter."""
+    data = g.root_data
+    delta = g.weyl_vector
+    lam_delta = tuple(map(add, hw, delta))
     num = 1
     den = 1
-    lam_delta = tuple(a + b for a, b in zip(hw, delta))
-    for alpha in rs.positive_roots:
-        num *= rs.inner_dr(lam_delta, alpha)
-        den *= rs.inner_dr(delta, alpha)
-    require(num % den == 0, f"Weyl dimension of V({hw}) over {t} is not an integer")
+    for alpha in data.root_coords:
+        vec = tuple(map(mul, alpha, data.form))
+        num *= sum(map(mul, lam_delta, vec))
+        den *= sum(map(mul, delta, vec))
+    require(num % den == 0, f"Weyl dimension of V({hw}) over {g} is not an integer")
     return num // den
 
 
-def group_weyl_dim(g: GroupSpec, hw: Coords) -> int:
-    d = 1
-    for rs, lo, hi in g.root_data.factors:
-        d *= weyl_dim(rs.type, tuple(hw[lo:hi]))
-    return d
-
-
+@lru_cache(maxsize=None)
 def simple_dominant_diagram(t: SimpleType, hw: Coords) -> dict[Coords, int]:
-    """Multiplicities of the dominant weights of the irreducible V(hw).
-
-    Freudenthal recursion, exact integer arithmetic; results are cached in
-    memory.
-    """
-    hw = tuple(hw)
-    key = (t, hw)
-    if key not in _freudenthal_cache:
-        _freudenthal_cache[key] = _freudenthal(t, hw)
-    return _freudenthal_cache[key]
+    """Multiplicities of the dominant weights of the irreducible V(hw) of the
+    simple type ``t``: Freudenthal recursion, exact integer arithmetic,
+    cached per type and highest weight."""
+    return _freudenthal(GroupSpec((t,)), hw)
 
 
-def _root_orbits(t: SimpleType, zero: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+@lru_cache(maxsize=None)
+def _root_orbits(g: GroupSpec, zero: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """One ``(w, k)`` per orbit O of W_J = <s_i : i in ``zero``> on the roots
     that meet the positive roots: k indexes the first positive root of O,
     and w is 2|O| for an orbit of roots outside the span of the simple roots
     in J, |O| for one inside it (it holds -b with b), so the w sum to twice
     the number of positive roots."""
-    key = (t, zero)
-    table = _root_orbit_cache.get(key)
-    if table is None:
-        g = GroupSpec((t,))
-        pos = g.root_data.positive_roots
-        positive = set(pos)
+    pos = g.root_data.positive_roots
+    positive = set(pos)
 
-        def step(d: Coords) -> list[Coords]:
-            return [reflect(g, d, i) for i in zero if d[i]]
+    def step(d: Coords) -> list[Coords]:
+        return [reflect(g, d, i) for i in zero if d[i]]
 
-        seen: set[Coords] = set()
-        out = []
-        for k, d in enumerate(pos):
-            if d not in seen:
-                orbit = closure((d,), step)
-                seen.update(orbit)
-                out.append((2 * len(orbit) if positive.issuperset(orbit) else len(orbit), k))
-        table = _root_orbit_cache[key] = tuple(out)
-    return table
+    seen: set[Coords] = set()
+    out = []
+    for k, d in enumerate(pos):
+        if d not in seen:
+            orbit = closure((d,), step)
+            seen.update(orbit)
+            out.append((2 * len(orbit) if positive.issuperset(orbit) else len(orbit), k))
+    return tuple(out)
 
 
-def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
+def _freudenthal(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
     """Freudenthal's recursion over the stabilizer orbits of the positive
     roots (Moody-Patera).  For dominant mu, f(a) = sum over k >= 1 of
     m(mu+ka) (mu+ka, a) is constant on the orbits of the stabilizer W_mu,
     which the simple reflections s_i with mu_i = 0 generate, and f(-b) = f(b)
     for b orthogonal to mu; so one alpha-string per orbit, weighted as in
-    :func:`_root_orbits`, gives twice the numerator."""
-    rs = build_root_system(t)
-    g = GroupSpec((t,))
+    :func:`_root_orbits`, gives twice the numerator.  Inner products are
+    those of ``root_data.form``."""
+    data = g.root_data
     if any(x < 0 for x in hw):
         raise RootSystemError("highest weight must be dominant")
-    units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
-    # the scaled root coordinates of each fundamental weight; their sums give
-    # the height, which is linear in Dynkin labels
-    rows = [root_scaled_of_dynkin(g, e) for e in units]
-    height = [sum(row) for row in rows]
-    cols = list(zip(*rows))
-    # <omega_i, alpha_i> in the scale of inner_dr
-    sym = [rs.inner_dr(e, e) for e in units]
+    # the scaled root coordinates of each fundamental weight are the columns
+    # of root_scaled; their sums give the height, which is linear in Dynkin
+    # labels
+    cols = data.root_scaled
+    height = [sum(row) for row in zip(*cols)]
+    form = data.form
     hw_2delta = [x + 2 for x in hw]
-    index = rs.lattice_index
+    # the form on root_scaled coordinates, in units of 1/scale
+    scale = math.lcm(*data.lattice_index)
+    sym = [s * (scale // k) for s, k in zip(form, data.lattice_index)]
     # per positive root: Dynkin labels, the vector v with <nu, a> = nu . v,
     # and <a, a>, which steps <nu, a> along an a-string
     roots = []
-    for a, a_dyn in zip(rs.positive_roots, rs.positive_roots_dynkin):
-        roots.append((a_dyn, tuple(rs.inner_dr(e, a) for e in units), rs.inner_dr(a_dyn, a)))
+    for a_dyn, a in zip(data.positive_roots, data.root_coords):
+        vec = tuple(map(mul, a, form))
+        roots.append((a_dyn, vec, sum(map(mul, a_dyn, vec))))
     # process in decreasing height, ties in coordinate order, so the
     # diagram's order does not rest on set layout
     ordered = sorted(dominant_weights_below(g, hw))
@@ -175,12 +163,12 @@ def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
     # strings through a representation are contiguous and every dominant
     # weight below hw occurs, so the first point of multiplicity 0 ends the
     # sum
-    tails: list[dict[Coords, int]] = [{} for _ in rs.positive_roots]
+    tails: list[dict[Coords, int]] = [{} for _ in roots]
     for mu in ordered:
         if mu == hw:
             continue
         num = 0
-        for w, k in _root_orbits(t, tuple(i for i, x in enumerate(mu) if x == 0)):
+        for w, k in _root_orbits(g, tuple(i for i, x in enumerate(mu) if x == 0)):
             a, vec, norm = roots[k]
             nu = tuple(map(add, mu, a))
             tails_k = tails[k]
@@ -208,11 +196,11 @@ def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
         # denominator (|hw+delta|^2 - |mu+delta|^2) = <hw+mu+2delta, hw-mu>,
         # exact once hw - mu is in the root lattice
         diff_rs = [h - sum(map(mul, mu, col)) for h, col in zip(hw_rs, cols)]
-        on_lattice = not any(x % index for x in diff_rs)
-        den = sum(map(mul, map(mul, sym, diff_rs), map(add, hw_2delta, mu))) // index
+        on_lattice = not any(map(mod, diff_rs, data.lattice_index))
+        den = sum(map(mul, map(mul, sym, diff_rs), map(add, hw_2delta, mu))) // scale
         # an explicit test rather than require, so the success path builds no message
         if not on_lattice or den <= 0 or num % den:
-            raise CertificateError(f"Freudenthal step fails at {mu} in V({hw}) of {t}")
+            raise CertificateError(f"Freudenthal step fails at {mu} in V({hw}) of {g}")
         mults[mu] = num // den
     return mults
 
@@ -220,8 +208,8 @@ def _freudenthal(t: SimpleType, hw: Coords) -> dict[Coords, int]:
 def dominant_diagram(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
     """Dominant-weight multiplicities of the product-group irreducible V(hw)."""
     combos: list[tuple[Coords, int]] = [((), 1)]
-    for rs, lo, hi in g.root_data.factors:
-        part = simple_dominant_diagram(rs.type, tuple(hw[lo:hi]))
+    for t, lo, hi in g.root_data.factors:
+        part = simple_dominant_diagram(t, tuple(hw[lo:hi]))
         combos = [
             (prefix + coords, mult * m)
             for prefix, mult in combos
@@ -346,7 +334,7 @@ class ModuleSpec:
                 raise ValueError("highest weights must be dominant")
 
     def dimension(self) -> int:
-        return sum(c * group_weyl_dim(self.group, hw) for c, hw in self.summands)
+        return sum(c * weyl_dim(self.group, hw) for c, hw in self.summands)
 
     @cached_property
     def weights(self) -> Character:
@@ -493,6 +481,7 @@ def symmetric_power(
     # the points the Weyl sums read, each with its dominant representative
     reps: dict[Coords, Coords] = {}
     if targets is not None:
+        _check_weyl_order(g)
         delta = g.weyl_vector
         for lam in targets:
             for pt, _ in signed_orbit(g, tuple(map(add, lam, delta))):

@@ -10,8 +10,10 @@ A group is a product of simple factors (their coordinate blocks first) and a
 central torus (last).  Its Weyl group is generated by the simple reflections
 of one block-diagonal Cartan matrix, the identity on the torus, so each
 Weyl-group operation is written once, over the group's :class:`RootData`; a
-simple type is the group of one factor, and :class:`RootSystem` only derives
-the facts of one type that the root data is built from.
+simple type is the group of one factor.  :class:`RootSystem` derives the
+facts of one type that :func:`_root_data` assembles (Cartan matrix, lattice
+index, integer invariant form, positive roots, Weyl order); no other module
+reads it, and the tests keep it as the per-factor reference.
 
 Weights are plain tuples of Dynkin labels; :func:`parse_weight` converts the
 other input bases once, at parse time.
@@ -160,7 +162,7 @@ def _det(m: Sequence[Sequence[int]]) -> int:
 
 class RootSystem:
     """The facts of one simple type that a group's root data is built from:
-    Cartan matrix, symmetrizer and :meth:`inner_dr`, lattice index,
+    Cartan matrix, symmetrizer and the integer invariant form, lattice index,
     Dynkin-to-root_scaled matrix, positive roots and Weyl order."""
 
     def __init__(self, t: SimpleType):
@@ -178,22 +180,19 @@ class RootSystem:
             f"{t}: det(cartan) does not clear the inverse Cartan matrix",
         )
         self.root_scaled = tuple(tuple(int(x) for x in col) for col in scaled)
-        # common denominator for the symmetrizer, for integer inner products
+        # the symmetrizer times its common denominator: integer inner products
         den = lcm(*(x.denominator for x in self.symmetrizer))
-        self._sym_scaled = tuple(int(x * den) for x in self.symmetrizer)
-        self._sym_den = den
+        self.form = tuple(int(x * den) for x in self.symmetrizer)
         self.positive_roots, self.positive_roots_dynkin = self._positive_roots()
-        self.weyl_vector = (1,) * self.rank
         self.weyl_order = _weyl_order(self.cartan)
 
     def inner_dr(self, d: Coords, root: Coords) -> int:
         """Scaled invariant form <λ, μ> for λ in Dynkin labels, μ in root coords.
 
-        The result is ``den * (λ, μ)`` with the fixed denominator
-        ``self._sym_den``; differences/ratios of such values are exact.
+        The result is ``den * (λ, μ)``, ``den`` the common denominator of the
+        symmetrizer; differences/ratios of such values are exact.
         """
-        s = self._sym_scaled
-        return sum(root[j] * d[j] * s[j] for j in range(self.rank))
+        return sum(root[j] * d[j] * self.form[j] for j in range(self.rank))
 
     def _positive_roots(self) -> tuple[tuple[Coords, ...], tuple[Coords, ...]]:
         """The positive roots in root coordinates, sorted, and their Dynkin
@@ -315,13 +314,17 @@ class RootData(NamedTuple):
     factors' blocks, then the torus), over which each Weyl-group operation is
     written once."""
 
-    factors: tuple[tuple[RootSystem, int, int], ...]  # (root system, lo, hi) per simple factor
+    factors: tuple[tuple[SimpleType, int, int], ...]  # (type, lo, hi) per simple factor
     cartan: tuple[Coords, ...]  # block-diagonal, the identity on the torus
     root_scaled: tuple[Coords, ...]  # block-diagonal Dynkin -> root_scaled, by columns
     lattice_index: Coords  # per coordinate; 1 on the torus
+    # the invariant form, scaled to integers on each block: <omega_i, alpha_j>
+    # is form[i] if i == j and 0 otherwise; 0 on the torus
+    form: Coords
     moves: tuple[Move, ...]  # one per simple reflection, in coordinate order
     weyl_order: int
     positive_roots: tuple[Coords, ...]
+    root_coords: tuple[Coords, ...]  # each positive root in the basis of simple roots
     roots: tuple[Coords, ...]  # the positive roots, then their negatives
     dominant_roots: tuple[Coords, ...]  # the dominant weight in each root's Weyl orbit
 
@@ -375,28 +378,33 @@ def _root_data(simple_factors: tuple[SimpleType, ...], torus_rank: int) -> RootD
     cartan = [[int(i == j) for j in range(n)] for i in range(n)]
     scaled = [row[:] for row in cartan]
     index = [1] * n
+    form = [0] * n
     factors = []
     pos: list[Coords] = []
+    coords: list[Coords] = []
+    order = 1
     lo = 0
     for t in simple_factors:
         rs = build_root_system(t)
         hi = lo + t.rank
-        factors.append((rs, lo, hi))
+        factors.append((t, lo, hi))
         for i in range(t.rank):
             cartan[lo + i][lo:hi] = rs.cartan[i]
             scaled[lo + i][lo:hi] = rs.root_scaled[i]
         index[lo:hi] = [rs.lattice_index] * t.rank
+        form[lo:hi] = rs.form
         pad = (0,) * (n - hi)
         pos += [(0,) * lo + d + pad for d in rs.positive_roots_dynkin]
+        coords += [(0,) * lo + r + pad for r in rs.positive_roots]
+        order *= rs.weyl_order
         lo = hi
     moves = _moves(cartan, lo)
     roots = pos + [tuple(-x for x in r) for r in pos]
     # a root and its negative share an orbit (s_a(a) = -a)
     dom = [_dominantize(moves, r)[0] for r in pos]
     return RootData(
-        tuple(factors), tuple(map(tuple, cartan)), tuple(map(tuple, scaled)), tuple(index), moves,
-        prod(rs.weyl_order for rs, _lo, _hi in factors), tuple(pos), tuple(roots),
-        tuple(dom + dom),
+        tuple(factors), tuple(map(tuple, cartan)), tuple(map(tuple, scaled)), tuple(index),
+        tuple(form), moves, order, tuple(pos), tuple(coords), tuple(roots), tuple(dom + dom),
     )
 
 

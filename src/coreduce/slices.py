@@ -30,7 +30,8 @@ class BadSliceCertificate:
 
     ``weights`` are the (root_scaled) slice weights in the support of the
     violating relation; ``coeffs`` are the matching relation coefficients
-    (some coefficient is >= 2 and the weighted sum is exactly zero).
+    (some coefficient is >= 2 and the weighted sum is exactly zero), which
+    construction checks.
     """
 
     kind: str  # toral_relation | roots_mult2 | product_rule
@@ -38,6 +39,9 @@ class BadSliceCertificate:
     coeffs: tuple[int, ...]
     hypotheses: tuple[str, ...] = (GENERIC_HYPOTHESIS,)
     note: str = ""
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def relation_sum(self) -> Vec:
         dim = len(self.weights[0]) if self.weights else 0
@@ -51,17 +55,21 @@ class BadSliceCertificate:
             require(all(x == 0 for x in self.relation_sum()), "relation must sum to zero")
 
 
+def _has_every_root(m: ModuleSpec) -> bool:
+    """Whether every root of the group is a weight of the module (a torus
+    has none to miss)."""
+    return not m.group.simple_factors or min_root_multiplicity(m)[0] >= 1
+
+
 def toral_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
     """The torus weights of the slice at a generic zero-weight vector: the
     nonzero module weights (Dynkin coordinates) with one copy of each root
     removed, mapped to their multiplicities; None when some root of the
     group is not a weight of the module, so that there is no toral slice."""
-    chi = m.weights
-    roots = m.group.root_data.roots
-    if not all(chi.mult(d) >= 1 for d in roots):
+    if not _has_every_root(m):
         return None
-    counts = chi.nonzero_weights()
-    for d in roots:
+    counts = m.weights.nonzero_weights()
+    for d in m.group.root_data.roots:
         counts[d] -= 1
     return {w: c for w, c in counts.items() if c}
 
@@ -93,11 +101,9 @@ def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     the slice is coreduced or there is none.  Whether there is a slice, and
     the size of the search, are read off the dominant diagram before any
     orbit is expanded; only then is the slice listed."""
-    data = m.group.root_data
-    entries = m.dominant_diagram
-    if not all(entries.get(d, 0) >= 1 for d in data.dominant_roots):
+    if not _has_every_root(m):
         return None
-    n = weight_counts(m)[1] - len(data.roots)
+    n = weight_counts(m)[1] - len(m.group.root_data.roots)
     _check_stored(n, n)
     ws, symmetry = weyl_symmetric_list(m.group, toral_slice(m))
     return relation_certificate(is_torus_coreduced(ws, symmetry))
@@ -111,14 +117,12 @@ def relation_certificate(verdict: TorusVerdict, note: str = "") -> Optional[BadS
     if gen is None:
         return None
     support = [(w, c) for w, c in zip(verdict.weights, gen.coeffs) if c]
-    cert = BadSliceCertificate(
+    return BadSliceCertificate(
         kind="toral_relation",
         weights=tuple(w for w, _ in support),
         coeffs=tuple(c for _, c in support),
         note=note,
     )
-    cert.validate()
-    return cert
 
 
 def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
@@ -139,25 +143,22 @@ def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     if mult < 2:
         return None
     data = g.root_data
-    for k, (rs, lo, _hi) in enumerate(data.factors):
-        t = rs.type
+    for k, (t, lo, hi) in enumerate(data.factors):
         if t.family == "A":
             continue
-        root = max(rs.positive_roots, key=max)
+        root = max((r[lo:hi] for r in data.root_coords if any(r[lo:hi])), key=max)
         require(max(root) >= 2, f"{t} has no root with a coefficient >= 2")
         # the simple roots in the root's support, in Dynkin labels: rows of
         # the Cartan matrix
         simple = [(n_i, data.cartan[lo + i]) for i, n_i in enumerate(root) if n_i]
         alpha = tuple(sum(n_i * row[j] for n_i, row in simple) for j in range(g.rank))
         weights = [alpha] + [tuple(-x for x in row) for _, row in simple]
-        cert = BadSliceCertificate(
+        return BadSliceCertificate(
             kind="roots_mult2",
             weights=tuple(root_scaled_of_dynkin(g, w) for w in weights),
             coeffs=(1,) + tuple(n_i for n_i, _ in simple),
             note=f"factor {k} ({t}) root with a coefficient-2 expansion",
         )
-        cert.validate()
-        return cert
     return BadSliceCertificate(
         kind="roots_mult2",
         weights=(),
@@ -218,15 +219,12 @@ def product_group_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
             return None
         big = 0 if ranks[0] > 1 else 1
         other = 1 - big
-        rs = data.factors[big][0]
+        _t, lo, hi = data.factors[big]
         # adjacent pair of simple roots in the higher-rank factor
         i, j = next(
-            (i, j)
-            for i in range(rs.rank)
-            for j in range(rs.rank)
-            if i != j and rs.cartan[i][j] != 0
+            (i, j) for i in range(lo, hi) for j in range(lo, hi) if i != j and data.cartan[i][j]
         )
-        a, b = block_root(big, i), block_root(big, j)
+        a, b = data.cartan[i], data.cartan[j]
         c = block_root(other, 0)
         weights = (
             combo((1, a), (1, c)),
@@ -238,10 +236,8 @@ def product_group_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     for w in weights:
         if counts.get(w, 0) < 1:
             raise ValueError(f"expected slice weight {w} is absent")
-    cert = BadSliceCertificate(
+    return BadSliceCertificate(
         kind="product_rule",
         weights=tuple(root_scaled_of_dynkin(g, w) for w in weights),
         coeffs=coeffs,
     )
-    cert.validate()
-    return cert

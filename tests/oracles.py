@@ -227,13 +227,6 @@ def reference_dominance(lam1, lam2) -> str:
     return "not_by_these_criteria"
 
 
-def brute_force_symmetric_power_mass(dim: int, d: int) -> int:
-    """dim S^d(C^dim) by the multiset-coefficient formula."""
-    import math
-
-    return math.comb(dim + d - 1, d)
-
-
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)
@@ -565,7 +558,7 @@ def reference_freudenthal(t, hw: tuple) -> dict:
     # coordinate order, so the diagram's order does not rest on set layout
     ordered = sorted(dom, key=lambda d: (-sum(reference_root_scaled_of_dynkin(g, d)), d))
     pos_dynkin = [dynkin_of_root(rs, a) for a in rs.positive_roots]
-    delta = rs.weyl_vector
+    delta = (1,) * rs.rank
     mults: dict = {hw: 1}
     hw_rs = reference_root_scaled_of_dynkin(g, hw)
     # string_tail[(nu, i)] = sum of mult(nu+k*alpha_i) * <nu+k*alpha_i, alpha_i>

@@ -30,12 +30,12 @@ from coreduce.repthy import (
     ModuleSpec,
     covariant_generator_exists,
     graded_invariant_series,
-    group_weyl_dim,
     min_root_multiplicity,
     max_nonzero_weight_multiplicity,
     parse_module,
     weight_counts,
     weight_diagram,
+    weyl_dim,
 )
 from coreduce.rootsys import dynkin_to_eps, parse_group, weyl_orbit
 from coreduce.slices import bad_toral_slice, roots_mult2_rule, toral_slice
@@ -110,7 +110,7 @@ def _dominant_weights_with_dim_at_most(g, cap):
     while frontier:
         nxt = []
         for hw in frontier:
-            if group_weyl_dim(g, hw) > cap:
+            if weyl_dim(g, hw) > cap:
                 continue
             out.append(hw)
             for i in range(rank):
@@ -134,7 +134,7 @@ def test_criterion_03_freudenthal():
         for name in names:
             g = parse_group(name)
             for hw in _dominant_weights_with_dim_at_most(g, 3000):
-                assert weight_diagram(g, hw).mass() == group_weyl_dim(g, hw), (
+                assert weight_diagram(g, hw).mass() == weyl_dim(g, hw), (
                     name,
                     hw,
                 )
@@ -154,7 +154,7 @@ def test_criterion_04_f4_facts():
         f4 = parse_group("F4")
         t = f4.simple_factors[0]
         phi4 = paper.F4_26
-        assert group_weyl_dim(f4, phi4) == paper.F4_26_DIM
+        assert weyl_dim(f4, phi4) == paper.F4_26_DIM
         assert weight_counts(ModuleSpec(f4, ((1, phi4),)))[0] == paper.F4_26_ZERO_MULTIPLICITY
         support = weight_diagram(f4, phi4).nonzero_weights()
         assert len(support) == paper.F4_26_NONZERO_WEIGHTS

@@ -116,11 +116,9 @@ def test_certificate_checks_survive_python_O():
             raise SystemExit("a disconnected Cartan matrix got a symmetrizer")
         # a weight outside the root-lattice coset of the highest weight
         from coreduce import repthy
-        from coreduce.rootsys import SimpleType
-
         repthy.dominant_weights_below = lambda g, hw: frozenset({(1, 1), (1, 0), (0, 0)})
         try:
-            repthy._freudenthal(SimpleType("A", 2), (1, 1))
+            repthy._freudenthal(parse_group("A2"), (1, 1))
         except CertificateError:
             pass
         else:
@@ -301,6 +299,19 @@ def test_classical_relation_certificates_validate():
         assert isinstance(cert, BadSliceCertificate)
         cert.validate()
         assert max(cert.coeffs) >= 2
+
+
+@pytest.mark.parametrize("name,text,dual", [("A3", "[4,0,0]", "[0,0,4]"), ("A4", "[5,0,0,0]", "[0,0,0,5]")])
+def test_dual_symmetric_power_relation_is_the_negated_one(name, text, dual):
+    # S^{k(n+1)} of the dual standard module of the adjoint group of A_n
+    # carries the relation of S^{k(n+1)} of the standard one, negated
+    g = parse_group(name)
+    plain = classify_module(parse_module(g, text))
+    negated = classify_module(parse_module(g, dual))
+    assert plain.coreduced == negated.coreduced == NO
+    (a,), (b,) = plain.certificates, negated.certificates
+    assert b.coeffs == a.coeffs
+    assert b.weights == tuple(tuple(-x for x in w) for w in a.weights)
 
 
 def test_semisimple_rows():

@@ -11,7 +11,7 @@ import pytest
 import coreduce
 from coreduce import paper
 from coreduce.cli import main
-from coreduce.repthy import group_weyl_dim, parse_module
+from coreduce.repthy import parse_module, weyl_dim
 from coreduce.rootsys import parse_group
 
 FOUR_SIX = ",".join(map(str, paper.TORUS_FOUR_SIX))
@@ -71,27 +71,46 @@ def test_torus_check_runs_one_hilbert_search(monkeypatch):
     assert len(searches) == 1
 
 
-def test_import_does_not_load_numpy():
-    """No module of the package imports numpy, and a cold import of the CLI
-    leaves it out of ``sys.modules``."""
+def _package_names(skip=()):
+    """(module:line, name) for every module or name that an import brings
+    in and every name or attribute read, over the package's modules but
+    those named in ``skip``."""
     pkg = pathlib.Path(coreduce.__file__).parent
-    found = []
     for path in sorted(pkg.rglob("*.py")):
+        if path.stem in skip:
+            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
             else:
                 continue
-            if any(name.split(".")[0] == "numpy" for name in names):
-                found.append(f"{path.relative_to(pkg)}:{node.lineno}")
+            yield from ((f"{path.relative_to(pkg)}:{node.lineno}", name) for name in names)
+
+
+def test_import_does_not_load_numpy():
+    """No module of the package imports numpy, and a cold import of the CLI
+    leaves it out of ``sys.modules``."""
+    found = [where for where, name in _package_names() if name.split(".")[0] == "numpy"]
     assert found == []
     code = "import sys, coreduce.cli; sys.exit('numpy' in sys.modules)"
     src = os.path.dirname(os.path.dirname(coreduce.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_only_rootsys_reads_the_per_type_root_systems():
+    """The engines read a group's root data; the per-type builder stays
+    inside ``rootsys``."""
+    per_type = {"RootSystem", "build_root_system"}
+    found = [where for where, name in _package_names(skip=("rootsys",)) if name in per_type]
+    assert found == []
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -181,7 +200,7 @@ def small_highest_weights(g, max_dim=1000):
     units = [tuple(int(i == j) for j in range(g.rank)) for i in range(g.rank)]
     hws = {tuple(0 for _ in range(g.rank))} | set(units)
     hws |= {tuple(a + b for a, b in zip(u, v)) for u in units for v in units}
-    return sorted(hw for hw in hws if group_weyl_dim(g, hw) <= max_dim)
+    return sorted(hw for hw in hws if weyl_dim(g, hw) <= max_dim)
 
 
 def expanded_weight_counts(g, module):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coreduce import paper, repthy
-from coreduce.config import CertificateError
+from coreduce.config import CertificateError, ResourceLimitError
 from coreduce.nullcone import G2XG2_DEGREE, G2XG2_TARGET
 from coreduce.repthy import (
     Character,
@@ -13,7 +13,6 @@ from coreduce.repthy import (
     covariant_generator_exists,
     covariant_generator_exists_multidegree,
     graded_invariant_series,
-    group_weyl_dim,
     invariant_dimension,
     mult_in_character,
     parse_module,
@@ -21,6 +20,7 @@ from coreduce.repthy import (
     symmetric_power,
     weight_counts,
     weight_diagram,
+    weyl_dim,
 )
 from coreduce.rootsys import (
     GroupSpec,
@@ -61,8 +61,27 @@ KNOWN_DIMS = [
 @pytest.mark.parametrize("name,hw,dim", KNOWN_DIMS)
 def test_known_dimensions(name, hw, dim):
     g = parse_group(name)
-    assert group_weyl_dim(g, hw) == dim
+    assert weyl_dim(g, hw) == dim
     assert weight_diagram(g, hw).mass() == dim
+
+
+def test_weyl_dim_of_a_product_is_the_product_over_its_factors():
+    assert weyl_dim(parse_group("A1xG2xT1"), (2, 1, 0, 5)) == 3 * 7
+    assert weyl_dim(parse_group("B3xA2"), (1, 0, 0, 1, 1)) == 7 * 8
+    assert weyl_dim(parse_group("T2"), (3, -1)) == 1
+
+
+def test_weyl_order_cap_fires_before_any_orbit_is_listed(monkeypatch):
+    """E7 (|W| = 2,903,040) is past WEYL_ORDER_CAP: the clipped symmetric
+    power refuses before it lists the signed Weyl orbits of its targets."""
+
+    def refuse(*args):
+        raise AssertionError("a signed Weyl orbit was listed")
+
+    monkeypatch.setattr(repthy, "signed_orbit", refuse)
+    m = parse_module(parse_group("E7"), "[0,0,0,0,0,0,1]")
+    with pytest.raises(ResourceLimitError, match="WEYL_ORDER_CAP"):
+        covariant_generator_exists(m, (1, 0, 0, 0, 0, 0, 0), 2)
 
 
 def test_mass_equals_weyl_dim_sweep():
@@ -70,16 +89,16 @@ def test_mass_equals_weyl_dim_sweep():
     for name in ["A2", "B2", "G2", "A3", "B3", "C3"]:
         g = parse_group(name)
         for hw in itertools.product(range(3), repeat=g.rank):
-            if group_weyl_dim(g, hw) > 600:
+            if weyl_dim(g, hw) > 600:
                 continue
-            assert weight_diagram(g, hw).mass() == group_weyl_dim(g, hw)
+            assert weight_diagram(g, hw).mass() == weyl_dim(g, hw)
 
 
 def test_pointwise_kostant_oracle_rank2():
     for name in ["A2", "B2", "G2", "A1xA1"]:
         g = parse_group(name)
         for hw in itertools.product(range(4), repeat=2):
-            if group_weyl_dim(g, hw) > 50:
+            if weyl_dim(g, hw) > 50:
                 continue
             chi = weight_diagram(g, hw)
             for w, m in chi.entries.items():
@@ -172,12 +191,13 @@ def test_dominant_diagram_matches_the_recursion_over_every_root(case):
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
 def test_root_orbit_tables_cover_the_positive_roots_once(name):
-    t = parse_group(name).simple_factors[0]
+    g = parse_group(name)
+    t = g.simple_factors[0]
     npos = len(build_root_system(t).positive_roots)
     for size in range(t.rank + 1):
         for zero in itertools.combinations(range(t.rank), size):
-            table = repthy._root_orbits(t, zero)
-            assert repthy._root_orbits(t, zero) is table
+            table = repthy._root_orbits(g, zero)
+            assert repthy._root_orbits(g, zero) is table
             assert sum(w for w, _ in table) == 2 * npos
             assert len({k for _, k in table}) == len(table)
 

@@ -179,13 +179,23 @@ def test_dominant_weights_below_adjoint_a2():
 def test_stored_roots_are_the_dynkin_labels_of_the_root_list(name):
     g = parse_group(name)
     want = []
+    coords = []
+    form = []
     lo = 0
     for t in g.simple_factors:
         rs = build_root_system(t)
         pad = (0,) * (g.rank - lo - t.rank)
         want += [(0,) * lo + dynkin_of_root(rs, r) + pad for r in rs.positive_roots]
+        coords += [(0,) * lo + r + pad for r in rs.positive_roots]
+        # <omega_i, alpha_i> in the scale of the factor's inner_dr
+        units = [tuple(int(i == j) for j in range(t.rank)) for i in range(t.rank)]
+        form += [rs.inner_dr(e, e) for e in units]
         lo += t.rank
     data = g.root_data
+    assert [t for t, _lo, _hi in data.factors] == list(g.simple_factors)
+    assert [hi - lo for _t, lo, hi in data.factors] == [t.rank for t in g.simple_factors]
+    assert data.form == tuple(form) + (0,) * g.torus_rank
+    assert data.root_coords == tuple(coords)
     assert data.positive_roots == tuple(want)
     assert data.roots == tuple(want) + tuple(tuple(-x for x in r) for r in want)
     assert data.dominant_roots == tuple(dominantize(g, r)[0] for r in data.roots)
