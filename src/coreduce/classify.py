@@ -41,11 +41,10 @@ from .repthy import (
     ModuleSpec,
     covariant_generator_exists,
     covariant_generator_exists_multidegree,
-    invariant_dimension,
     max_nonzero_weight_multiplicity,
     min_root_multiplicity,
-    symmetric_power,
     weight_diagram,
+    weyl_sum_series,
 )
 from .rootsys import (
     Coords,
@@ -286,7 +285,7 @@ def f4_three_26_certificate() -> tuple:
     exterior squares misses every null-cone component (one block check per
     maximal set of the chamber enumeration, six in all) while 7 copies exist
     against only 5 in the ideal."""
-    sets = maximal_sets(admissible_sets(d4_triality_module(), mod_weyl=True))
+    sets = maximal_sets(admissible_sets(d4_triality_module()))
     checks = tuple(d4_adjoint_target_reachable(a) for a in sets)
     if any(checks):
         raise ContradictionError("adjoint target reachable on a null-cone component")
@@ -304,8 +303,8 @@ def g2_three_7_certificate() -> tuple:
     if not cert.exists:
         raise ContradictionError("expected a generating covariant in tridegree (1,1,1)")
     m3 = ModuleSpec(g, ((3, G2_7_HW),))
-    sets = maximal_sets(admissible_sets(m3, mod_weyl=True))
-    vanish = all(covariant_vanishes(s, G2_7_HW, 3, all_degrees=False) for s in sets)
+    sets = maximal_sets(admissible_sets(m3))
+    vanish = all(covariant_vanishes(s, G2_7_HW, 3) for s in sets)
     if not vanish:
         raise ContradictionError("degree-3 covariant fails to vanish on a component")
     return (cert, {"degree3_vanishes_on_all_components": True, "components": len(sets)})
@@ -601,7 +600,7 @@ def g2xg2_certificate(m: ModuleSpec) -> tuple:
     """The 49-dimensional module of the product of two rank-2 exceptional
     groups: a generating covariant in degree 9 vanishes on every null-cone
     component."""
-    sets = maximal_sets(admissible_sets(m, mod_weyl=True))
+    sets = maximal_sets(admissible_sets(m))
     if not all(covariant_vanishes(a, G2XG2_TARGET, G2XG2_DEGREE) for a in sets):
         raise ContradictionError("degree-9 covariant fails to vanish on a component")
     cert = covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE)
@@ -636,7 +635,7 @@ def classify_sl3(m: ModuleSpec) -> Verdict:
     s = m.summands
     if _is_sl3_yes_row(s):
         _check_no_negative_rule(m)
-        if s in (((1, (1, 1)),),):
+        if s == ((1, (1, 1)),):
             return Verdict(m, YES, theorem_tag=tag, notes=("adjoint module",))
         if s in (((1, (1, 0)),), ((1, (0, 1)),), ((1, (2, 0)),), ((1, (0, 2)),), ((1, (3, 0)),), ((1, (0, 3)),)):
             return Verdict(m, YES_PAPER, (Citation("cofree; quotient of small dimension"),), tag)
@@ -688,8 +687,7 @@ def _invariant_generator_upper_bounds(chi: Character, dmax: int) -> list[int]:
     the products of lower-degree invariants span at least max_e dim_{d-e}
     dimensions in degree d whenever degree e carries an invariant.
     """
-    powers = symmetric_power(chi, dmax, (tuple(0 for _ in range(chi.group.rank)),))
-    dims = [invariant_dimension(powers[d]) for d in range(dmax + 1)]
+    dims = weyl_sum_series(chi, dmax, (tuple(0 for _ in range(chi.group.rank)),))[0]
     gens = []
     for d in range(1, dmax + 1):
         spanned = max(
@@ -780,10 +778,7 @@ def sl3_vanishing_generator_certificate(
         for d in range(dmax + 1, dmax + 1 + SL3_EXTRA_DEGREES):
             cert = covariant_generator_exists(m, target, d)
             if cert.exists:
-                vanishes = all(
-                    covariant_vanishes(a, target, d, all_degrees=False)
-                    for a in candidates
-                )
+                vanishes = all(covariant_vanishes(a, target, d) for a in candidates)
                 if not vanishes:
                     raise ContradictionError(
                         f"degree-{d} covariant fails to vanish on a component"
@@ -809,17 +804,23 @@ def _max_feasible_degree(a: AdmissibleSet, target: Coords) -> Optional[int]:
     return best
 
 
+# (codim, invariant degrees) of the eps screens of _sl3_reducible_screen,
+# keyed by sorted summands; every row reads the cocharacter of the eps-values
+# (1, 1, -2)
+_SL3_EPS_SCREENS = {
+    ((2, (2, 0)),): (4, (3, 3, 3, 3)),
+    ((2, (0, 2)),): (4, (3, 3, 3, 3)),
+    ((1, (0, 2)), (1, (2, 0))): (4, (2, 3, 3, 6)),
+    ((1, (1, 0)), (1, (2, 0))): (2, (2, 3)),
+    ((1, (0, 1)), (1, (0, 2))): (2, (2, 3)),
+}
+
+
 def _sl3_reducible_screen(m: ModuleSpec) -> Optional[tuple]:
     """Rank-of-differentials screens for the handful of reducible modules the
     classification settles by cocharacter bookkeeping; codimension values are
     recorded fixture data."""
     sor = tuple(sorted(m.summands))
-    if sor == ((2, (2, 0)),) or sor == ((2, (0, 2)),):
-        res = _sl3_eps_screen(m.weights, (1, 1, -2), codim=4, invariant_degrees=[3, 3, 3, 3])
-        return (res, {"codim_source": "recorded"}) if res.not_reduced else None
-    if sor == ((1, (0, 2)), (1, (2, 0))):
-        res = _sl3_eps_screen(m.weights, (1, 1, -2), codim=4, invariant_degrees=[2, 3, 3, 6])
-        return (res, {"codim_source": "recorded"}) if res.not_reduced else None
     if sor in (((1, (2, 0)), (2, (0, 1))), ((1, (0, 2)), (2, (1, 0)))):
         screen = _two_r2_screen()
         return (
@@ -827,14 +828,15 @@ def _sl3_reducible_screen(m: ModuleSpec) -> Optional[tuple]:
             Citation("associated cone of the 2R2-slice fiber is the null cone"),
             {"null_cone": "irreducible, codimension 3 (recorded)"},
         )
-    if sor in (((1, (1, 0)), (1, (2, 0))), ((1, (0, 1)), (1, (0, 2)))):
-        res = _sl3_eps_screen(m.weights, (1, 1, -2), codim=2, invariant_degrees=[2, 3])
-        return (res, {"codim_source": "recorded"}) if res.not_reduced else None
-    return None
+    if sor not in _SL3_EPS_SCREENS:
+        return None
+    codim, degrees = _SL3_EPS_SCREENS[sor]
+    res = _sl3_eps_screen(m.weights, (1, 1, -2), codim=codim, invariant_degrees=degrees)
+    return (res, {"codim_source": "recorded"}) if res.not_reduced else None
 
 
 def _sl3_eps_screen(
-    chi: Character, eps_vals: tuple[int, int, int], codim: int, invariant_degrees: list
+    chi: Character, eps_vals: tuple[int, int, int], codim: int, invariant_degrees: Sequence[int]
 ) -> ScreenResult:
     a, b, c = eps_vals
     rho = _sl3_cocharacter_from_eps(a, b, c)

@@ -328,7 +328,7 @@ def sl3_two_quadrant_dominant(adm: AdmissibleSet, all_sets: Sequence[AdmissibleS
 
 def classify_components_sl3(m: ModuleSpec) -> list[AdmissibleSet]:
     """Admissible sets of an A2 module with dominance statuses filled in."""
-    sets = admissible_sets(m, mod_weyl=True)
+    sets = admissible_sets(m)
     for a in sets:
         for b in sets:
             if a is b or a.weight_set() == b.weight_set():
@@ -579,21 +579,20 @@ def support_orbit_dim_bound(
     for coeff, hw in m.summands:
         diag = weight_diagram(g, hw).entries
         copies.extend([dict(diag)] * coeff)
-    roots = g.root_data.roots
-    cols = support_columns(copies, roots, v_support, zero_class)
+    cols = support_columns(copies, g, v_support, zero_class)
     return support_rank_bound(cols)
 
 
 def support_columns(
     copies: Sequence[dict[Coords, int]],
-    roots: Sequence[Coords],
+    g: GroupSpec,
     v_support: Sequence[tuple[Coords, int]],
     zero_class: Callable[[Coords], object],
 ) -> set[Column]:
     """Weight supports of the root-vector images of v, plus the torus images.
 
-    ``copies``: weight multiset of each summand copy (Dynkin labels, as
-    ``roots``); nonzero weight spaces must be one-dimensional.
+    ``copies``: weight multiset of each summand copy of a module of ``g``
+    (Dynkin labels); nonzero weight spaces must be one-dimensional.
     ``v_support``: (weight, copy index) components of v, distinct within each
     copy.  ``zero_class`` maps a root to the label of the line that its root
     vector's image takes inside the zero weight space.
@@ -607,8 +606,8 @@ def support_columns(
         if copies[copy].get(w, 0) < 1:
             raise ValueError(f"support weight {w} not in copy {copy}")
         cols.add(frozenset([("w", w, copy)]))
-    zero = tuple(0 for _ in roots[0])
-    for delta in roots:
+    zero = tuple(0 for _ in range(g.rank))
+    for delta in g.root_data.roots:
         support: set = set()
         for w, copy in v_support:
             t = tuple(a + b for a, b in zip(w, delta))

@@ -22,19 +22,20 @@ once each, on first use, and keeps them (``ModuleSpec.dominant_diagram`` and
 ``ModuleSpec.weights``), so the toral slice, the chamber enumeration, the
 screens and the covariant counts of one module share them.  Orbits are
 expanded by closure only in :func:`weight_diagram`, where every weight is
-used.  Multiplicities of irreducibles inside an arbitrary character use the
-alternating Weyl-sum (Racah) formula, which needs only point lookups.
+used.  Multiplicities of irreducibles use the alternating Weyl-sum (Racah)
+formula, which needs only point lookups; its signed points w(lam+rho) - rho
+are listed once per group and lam.
 
 Symmetric powers S^0..S^d come from one DP over the weight list in pure
 Python: each degree k is one packed int over the box that holds the weights
 of S^k, all degrees in one frame of mixed-radix strides, so adding a weight
 to a degree is one shift, one add and one mask.  Counts are exact Python
-ints.  A caller that only runs alternating Weyl sums names the highest
-weights it extracts, and each degree keeps only the cells that can still
-carry a weight into the points those sums read; such a clipped layer
-refuses a lookup outside what it kept.  Each layer is returned as its int
-(:class:`BoxCharacter`): point lookups read the int in place, and the weight
-dict is decoded only for a whole layer whose caller reads ``entries``.
+ints.  :func:`symmetric_power` decodes whole layers into characters.
+:func:`weyl_sum_series` gives the multiplicities of a few highest weights in
+every S^k of a module: it folds their signed points onto dominant
+representatives, keeps in each degree only the cells that can still carry a
+weight into those, and reads each sum straight off the packed ints, so no
+layer is decoded.
 
 Multigraded multiplicities (one grading per summand) are computed for every
 multidegree at once: S^0..S^dmax of each summand come from a single
@@ -238,72 +239,6 @@ class Character:
         return {w: m for w, m in self.entries.items() if w != zero and m}
 
 
-class BoxCharacter(Character):
-    """A layer S^k held as one packed int over the box ``lo .. hi`` of
-    weights: the weight v is the field of ``bits`` bits at cell
-    ``sum((v - lo) * strides)``, and S^k has no weight outside the box.
-
-    ``window`` is None for a whole layer.  A clipped layer holds S^k exactly
-    on the box ``window`` of dominant weights, for a caller that reads it
-    there only: a lookup reads the dominant representative (S^k is
-    Weyl-invariant), and one outside the window raises
-    :class:`CertificateError` rather than guess.  ``entries`` is decoded on
-    first use, in coordinate order, and only for a whole layer.
-    """
-
-    def __init__(
-        self,
-        group: GroupSpec,
-        value: int,
-        bits: int,
-        strides: Sequence[int],
-        lo: Coords,
-        hi: Coords,
-        window: Optional[tuple[Coords, Coords]],
-        reps: dict[Coords, Coords],
-    ) -> None:
-        self.group = group
-        self.value = value
-        self.bits = bits
-        self.strides = strides
-        self.lo = lo
-        self.hi = hi
-        self.window = window
-        self.reps = reps
-
-    @cached_property
-    def _bytes(self) -> bytes:
-        return self.value.to_bytes((self.value.bit_length() + 7) // 8, "little")
-
-    def _field(self, coords: Coords) -> int:
-        at = self.bits * sum(map(mul, map(sub, coords, self.lo), self.strides))
-        chunk = self._bytes[at >> 3 : (at + self.bits + 7) >> 3]
-        return (int.from_bytes(chunk, "little") >> (at & 7)) & ((1 << self.bits) - 1)
-
-    @cached_property
-    def entries(self) -> dict[Coords, int]:  # type: ignore[override]
-        require(self.window is None, "a clipped symmetric-power layer holds only part of S^k")
-        out = {}
-        for coords in itertools.product(*map(range, self.lo, [h + 1 for h in self.hi])):
-            m = self._field(coords)
-            if m:
-                out[coords] = m
-        return out
-
-    def mult(self, coords: Coords) -> int:
-        if self.window is not None:
-            dom = self.reps.get(coords)
-            coords = dominantize(self.group, coords)[0] if dom is None else dom
-            lo, hi = self.window
-            require(
-                all(map(le, lo, coords)) and all(map(le, coords, hi)),
-                "a clipped symmetric-power layer was read outside the cells it kept",
-            )
-        if all(map(le, self.lo, coords)) and all(map(le, coords, self.hi)):
-            return self._field(coords)
-        return 0
-
-
 def weight_diagram(g: GroupSpec, hw: Coords) -> Character:
     """Full weight diagram (with multiplicities) of the irreducible V(hw):
     each dominant weight's Weyl orbit, found by closure under the simple
@@ -421,16 +356,35 @@ def max_nonzero_weight_multiplicity(g: GroupSpec, hw: Coords) -> tuple[int, Opti
 # Symmetric powers
 
 SYMPOW_CELL_CAP = 50_000_000
-"""Cells that ``symmetric_power`` may hold: the boxes of all degrees
-together, each clipped to the cells its caller's Weyl sums can reach.  They
-are counted before anything is built; a hit raises ResourceLimitError (the
-CLI exits 3)."""
+"""Cells that the symmetric-power DP may hold: the boxes of all degrees
+together, each clipped, for :func:`weyl_sum_series`, to the cells that can
+reach the points its sums read.  They are counted before anything is built;
+a hit raises ResourceLimitError (the CLI exits 3)."""
 
 
-def symmetric_power(
-    chi: Character, d: int, targets: Optional[Sequence[Coords]] = None
-) -> list[Character]:
-    """Characters of S^0(chi), ..., S^d(chi) for an effective character chi.
+def symmetric_power(chi: Character, d: int) -> list[Character]:
+    """Characters of S^0(chi), ..., S^d(chi) for an effective character chi,
+    decoded from the packed DP of :func:`_packed_powers` in coordinate order."""
+    layers, bits, strides = _packed_powers(chi, d, None)
+    out = []
+    for value, lo, hi in layers:
+        data = _bytes(value)
+        entries = {}
+        for coords in itertools.product(*map(range, lo, [h + 1 for h in hi])):
+            m = _field(data, bits, sum(map(mul, map(sub, coords, lo), strides)))
+            if m:
+                entries[coords] = m
+        out.append(Character(chi.group, entries))
+    return out
+
+
+def _packed_powers(
+    chi: Character, d: int, reads: Optional[Sequence[Coords]]
+) -> tuple[list[tuple[int, Coords, Coords]], int, list[int]]:
+    """S^0(chi), ..., S^d(chi) as ``(value, lo, hi)`` per degree, the field
+    width ``bits`` and the cell ``strides``: the weight v of S^k is the field
+    at cell ``sum((v - lo) * strides)`` of ``value``, and S^k has no weight
+    outside the box ``lo .. hi``.
 
     Dynamic programming over the weight list: multiplying in one weight ``w``
     of multiplicity one is the geometric-series pass
@@ -438,15 +392,13 @@ def symmetric_power(
     on the box ``k*mn .. k*mx`` per coordinate, with ``mn = min(0, min w)``
     and ``mx = max(0, max w)``, which holds every weight of S^k.
 
-    A caller that only runs alternating Weyl sums for the highest weights
-    ``targets`` reads S^k at the points w(lam+rho) - rho, or, as a
-    Weyl-invariant chi (a module's weights) has Weyl-invariant powers, at
-    their dominant representatives, which lie in a box ``F``.  A cell of degree k can reach
-    ``F`` in degree d only if it lies in ``F - (d-k)*mx .. F - (d-k)*mn``
-    (the window of degree k, which holds ``F`` itself), so each box is
-    clipped to its window; the cells of the window that a pass reads come
-    from the window of the degree below, so the clipped boxes are exact.
-    Without ``targets`` every layer is whole.
+    ``reads`` is None for whole layers.  Otherwise the caller reads S^k only
+    at the weights ``reads``, which lie in a box ``F``: a cell of degree k can
+    reach ``F`` in degree d only if it lies in
+    ``F - (d-k)*mx .. F - (d-k)*mn`` (the window of degree k, which holds
+    ``F`` itself), so each box is clipped to its window; the cells of the
+    window that a pass reads come from the window of the degree below, so the
+    clipped boxes are exact on their windows.
 
     Each degree is one packed int, all in one frame of mixed-radix strides:
     the weight v of S^k is the cell with the digits ``v - lo[k]``, ``lo[k]``
@@ -455,46 +407,28 @@ def symmetric_power(
     of ``w + lo[k-1] - lo[k]`` (a right shift when negative, which drops
     only cells below the box); the radices keep every moved cell that leaves
     the box off the box's cells, so the mask clears it.  A field has the bit
-    length of the number of monomials of S^d, which bounds every count, so
-    counts are exact Python ints and no field spills.  The cells of all the
-    boxes together are capped by ``SYMPOW_CELL_CAP``.  Layer k is returned
-    as a :class:`BoxCharacter`.
+    length of the number of monomials of degree at most d, which bounds
+    every count, so counts are exact Python ints and no field spills.  The
+    cells of all the boxes together are capped by ``SYMPOW_CELL_CAP``.
     """
     entries = chi.entries
     if any(m < 0 for m in entries.values()):
         raise ValueError("symmetric powers need an effective character")
-    g = chi.group
-    rank = g.rank
+    rank = chi.group.rank
     weights: list[Coords] = []
     for w, m in sorted(entries.items()):
         weights.extend([w] * m)
-    if d == 0 or not weights:
-        zero = tuple(0 for _ in range(rank))
-        out = [Character(g, {zero: 1})]
-        out += [Character(g, {}) for _ in range(d)]
-        return out
-    mn = [min(0, min(w[j] for w in weights)) for j in range(rank)]
-    mx = [max(0, max(w[j] for w in weights)) for j in range(rank)]
+    cols = list(zip(*weights)) or [()] * rank
+    mn = [min((0, *col)) for col in cols]
+    mx = [max((0, *col)) for col in cols]
     los = [tuple(k * l for l in mn) for k in range(d + 1)]
     his = [tuple(k * h for h in mx) for k in range(d + 1)]
-    windows: list[Optional[tuple[Coords, Coords]]] = [None] * (d + 1)
-    # the points the Weyl sums read, each with its dominant representative
-    reps: dict[Coords, Coords] = {}
-    if targets is not None:
-        _check_weyl_order(g)
-        delta = g.weyl_vector
-        for lam in targets:
-            for pt, _ in signed_orbit(g, tuple(map(add, lam, delta))):
-                pt = tuple(map(sub, pt, delta))
-                reps[pt] = dominantize(g, pt)[0]
-        f_lo = [min(p[j] for p in reps.values()) for j in range(rank)]
-        f_hi = [max(p[j] for p in reps.values()) for j in range(rank)]
+    if reads is not None:
+        f_lo = [min(p[j] for p in reads) for j in range(rank)]
+        f_hi = [max(p[j] for p in reads) for j in range(rank)]
         for k in range(d + 1):
-            wlo = tuple(f - (d - k) * h for f, h in zip(f_lo, mx))
-            whi = tuple(f - (d - k) * l for f, l in zip(f_hi, mn))
-            windows[k] = (wlo, whi)
-            los[k] = tuple(map(max, los[k], wlo))
-            his[k] = tuple(map(min, his[k], whi))
+            los[k] = tuple(max(a, f - (d - k) * h) for a, f, h in zip(los[k], f_lo, mx))
+            his[k] = tuple(min(b, f - (d - k) * l) for b, f, l in zip(his[k], f_hi, mn))
     shapes = [[h - l + 1 for l, h in zip(lo, hi)] for lo, hi in zip(los, his)]
     cells = sum(math.prod(shape) for shape in shapes if min(shape) > 0)
     if cells > SYMPOW_CELL_CAP:
@@ -502,7 +436,7 @@ def symmetric_power(
             "repthy.sympow", "SYMPOW_CELL_CAP", SYMPOW_CELL_CAP, cells,
             "symmetric_power would need {count} DP cells",
         )
-    bits = math.comb(len(weights) + d - 1, d).bit_length()
+    bits = math.comb(len(weights) + d, d).bit_length()
     # A pass moves a cell of degree k-1 to the digits v + w - lo[k], at least
     # lo[k-1] + mn - lo[k] >= mn - mx and at most hi[k-1] + mx - lo[k].  A
     # radix above that top carries no digit, and one above
@@ -510,11 +444,11 @@ def symmetric_power(
     # to past the box's top hi[k] - lo[k]; so a moved cell outside the box
     # never lands on a cell of the box.
     radix = [
-        1 + max(
+        1 + max([
             0,
             *(his[k - 1][j] + mx[j] - los[k][j] for k in range(1, d + 1)),
             *(his[k][j] - mn[j] - los[k - 1][j] for k in range(1, d + 1)),
-        )
+        ])
         for j in range(rank)
     ]
     strides = [1] * rank
@@ -532,10 +466,19 @@ def symmetric_power(
                 off = (step + moves[k - 1]) * bits
                 moved = prev << off if off >= 0 else prev >> -off
                 packed[k] = (packed[k] + moved) & masks[k]
-    return [
-        BoxCharacter(g, value, bits, strides, lo, hi, window, reps)
-        for value, lo, hi, window in zip(packed, los, his, windows)
-    ]
+    return list(zip(packed, los, his)), bits, strides
+
+
+def _bytes(value: int) -> bytes:
+    return value.to_bytes((value.bit_length() + 7) // 8, "little")
+
+
+def _field(data: bytes, bits: int, cell: int) -> int:
+    """The field of ``bits`` bits at ``cell`` of a packed int given as its
+    little-endian bytes."""
+    at = bits * cell
+    chunk = data[at >> 3 : (at + bits + 7) >> 3]
+    return (int.from_bytes(chunk, "little") >> (at & 7)) & ((1 << bits) - 1)
 
 
 def _box_mask(shape: Sequence[int], strides: Sequence[int], bits: int) -> int:
@@ -565,29 +508,54 @@ WEYL_ORDER_CAP = 100_000
 """Largest Weyl group the alternating sum enumerates."""
 
 
-def _check_weyl_order(g: GroupSpec) -> None:
+@lru_cache(maxsize=None)
+def _alternating_points(g: GroupSpec, lam: Coords) -> tuple[tuple[Coords, int], ...]:
+    """The points w(lam+rho) - rho of the alternating Weyl sum for V(lam),
+    each with sign(w), listed once per group and lam; the Weyl group's order
+    is checked against ``WEYL_ORDER_CAP`` before any point is listed."""
     if g.weyl_order > WEYL_ORDER_CAP:
         raise ResourceLimitError(
             "repthy.weyl_sum", "WEYL_ORDER_CAP", WEYL_ORDER_CAP, g.weyl_order,
             "the alternating sum would enumerate a Weyl group of order {count}",
         )
-
-
-def mult_in_character(chi: Character, lam: Coords) -> int:
-    """Multiplicity of the irreducible V(lam) inside the character chi."""
-    g = chi.group
-    _check_weyl_order(g)
     delta = g.weyl_vector
-    start = tuple(a + b for a, b in zip(lam, delta))
-    total = 0
-    for pt, sign in signed_orbit(g, start):
-        shifted = tuple(a - b for a, b in zip(pt, delta))
-        total += sign * chi.mult(shifted)
-    return total
+    orbit = signed_orbit(g, tuple(map(add, lam, delta)))
+    return tuple((tuple(map(sub, pt, delta)), sign) for pt, sign in orbit)
 
 
-def invariant_dimension(chi: Character) -> int:
-    return mult_in_character(chi, tuple(0 for _ in range(chi.group.rank)))
+def weyl_sum_series(
+    chi: Character, d: int, targets: Sequence[Coords]
+) -> list[tuple[int, ...]]:
+    """Multiplicities of V(lam) in S^0(chi), ..., S^d(chi), one tuple per lam
+    in ``targets``, for a Weyl-invariant effective character chi (a module's
+    weights).
+
+    The alternating sum for V(lam) reads S^k at the points w(lam+rho) - rho;
+    S^k is Weyl-invariant, so each point is read at its dominant
+    representative, and the points are folded there with their signs
+    summed.  The DP of :func:`_packed_powers` keeps only the cells that can
+    reach those representatives, and each degree's sums are read straight
+    off its packed int.
+    """
+    g = chi.group
+    folded = []
+    for lam in targets:
+        reps: dict[Coords, int] = {}
+        for pt, sign in _alternating_points(g, lam):
+            rep = dominantize(g, pt)[0]
+            reps[rep] = reps.get(rep, 0) + sign
+        folded.append(reps)
+    layers, bits, strides = _packed_powers(chi, d, [rep for reps in folded for rep in reps])
+    series: list[list[int]] = [[] for _ in folded]
+    for value, lo, hi in layers:
+        data = _bytes(value)
+        for reps, out in zip(folded, series):
+            out.append(sum(
+                sign * _field(data, bits, sum(map(mul, map(sub, rep, lo), strides)))
+                for rep, sign in reps.items()
+                if sign and all(map(le, lo, rep)) and all(map(le, rep, hi))
+            ))
+    return [tuple(out) for out in series]
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +584,7 @@ def covariant_generator_exists(m: ModuleSpec, target: Coords, d: int) -> Covaria
     (covariants of that type in degree e).
     """
     zero = tuple(0 for _ in target)
-    powers = symmetric_power(m.weights, d, (target, zero))
-    mults = tuple(mult_in_character(powers[e], target) for e in range(1, d + 1))
-    invs = tuple(invariant_dimension(powers[e]) for e in range(1, d + 1))
+    mults, invs = (series[1:] for series in weyl_sum_series(m.weights, d, (target, zero)))
     bound = sum(invs[d - e - 1] * mults[e - 1] for e in range(1, d))
     return CovariantCertificate(target, d, mults[d - 1], bound, mults, invs)
 
@@ -675,18 +641,14 @@ def _multigraded_mults(
     ``itertools.product`` order.
     """
     g = summands[0].group
-    if any(max_degrees):
-        _check_weyl_order(g)
-    delta = g.weyl_vector
-    orbits = [list(signed_orbit(g, tuple(a + b for a, b in zip(lam, delta)))) for lam in lams]
+    orbits = [_alternating_points(g, lam) for lam in lams]
     # a coordinate of S^k(chi_i) is at most k * top_i in size (checked as the
     # layers are packed), so one of a product of powers is at most ``reach``,
     # and one of an alternating key w(lam+rho) - rho - y at most ``reach`` +
-    # |w(lam+rho)| + |rho|
+    # |w(lam+rho) - rho|
     tops = [max((abs(x) for w in chi.entries for x in w), default=0) for chi in summands]
     reach = sum(map(mul, tops, max_degrees))
-    shift_bound = max(abs(x) for orbit in orbits for pt, _ in orbit for x in pt)
-    pack = _packer(reach + shift_bound + max(map(abs, delta), default=0))
+    pack = _packer(reach + max(abs(x) for orbit in orbits for pt, _ in orbit for x in pt))
     powers = []
     for chi, d, top in zip(summands, max_degrees, tops):
         layers = []
@@ -702,7 +664,7 @@ def _multigraded_mults(
     right = _convolve_powers(powers[half:])
     tables = []
     for orbit in orbits:
-        shifts = [(pack(tuple(a - b for a, b in zip(pt, delta))), sign) for pt, sign in orbit]
+        shifts = [(pack(pt), sign) for pt, sign in orbit]
         alt_right: dict[Coords, dict[int, int]] = {}
         for degs, part in right.items():
             alt: dict[int, int] = {}

@@ -462,11 +462,6 @@ def weyl_neighbours(g: GroupSpec) -> Callable[[Coords], list[Coords]]:
     return _neighbours(g.root_data.moves)
 
 
-def weyl_orbit(g: GroupSpec, d: Coords) -> frozenset[Coords]:
-    """Orbit of a weight (Dynkin labels) under the Weyl group."""
-    return frozenset(closure((d,), weyl_neighbours(g)))
-
-
 def signed_orbit(g: GroupSpec, d0: Coords) -> list[tuple[Coords, int]]:
     """(w·d0, sign(w)) for all w in W; requires d0 regular (no zero label).
 
@@ -531,77 +526,63 @@ def sl3_root_coords(d: Coords) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 # Epsilon coordinates for the classical types and F4/G2.
 
+_HALF = Fraction(1, 2)
+
+# The simple roots in the standard realization, in Bourbaki order: per
+# family, a function of the rank giving the number of epsilon coordinates and
+# each root as {epsilon index: coefficient}.  Type E has none.
+_EPS_SIMPLE_ROOTS = {
+    "A": lambda n: (n + 1, [{i: 1, i + 1: -1} for i in range(n)]),
+    "B": lambda n: (n, [{i: 1, i + 1: -1} for i in range(n - 1)] + [{n - 1: 1}]),
+    "C": lambda n: (n, [{i: 1, i + 1: -1} for i in range(n - 1)] + [{n - 1: 2}]),
+    "D": lambda n: (n, [{i: 1, i + 1: -1} for i in range(n - 1)] + [{n - 2: 1, n - 1: 1}]),
+    "F": lambda n: (
+        4, [{1: 1, 2: -1}, {2: 1, 3: -1}, {3: 1}, {0: _HALF, 1: -_HALF, 2: -_HALF, 3: -_HALF}]
+    ),
+    "G": lambda n: (3, [{0: 1, 1: -1}, {0: -2, 1: 1, 2: 1}]),
+}
+
+
+@lru_cache(maxsize=None)
+def _eps_roots(t: SimpleType) -> tuple[tuple[Fraction, ...], ...]:
+    """The simple roots of ``t`` in epsilon coordinates."""
+    if t.family not in _EPS_SIMPLE_ROOTS:
+        raise RootSystemError(f"no epsilon realization for {t}")
+    dim, roots = _EPS_SIMPLE_ROOTS[t.family](t.rank)
+    return tuple(tuple(Fraction(r.get(i, 0)) for i in range(dim)) for r in roots)
+
+
 def _eps_dim(t: SimpleType) -> int:
-    return {"A": t.rank + 1, "B": t.rank, "C": t.rank, "D": t.rank, "F": 4, "G": 3}.get(t.family, -1)
+    return len(_eps_roots(t)[0])
 
 
 def eps_to_dynkin(t: SimpleType, coeffs: Sequence[Fraction]) -> Coords:
-    """Dynkin labels of sum_i coeffs[i] * eps_i in the standard realization."""
-    n = t.rank
+    """Dynkin labels 2(v, alpha_i)/(alpha_i, alpha_i) of v = sum_i coeffs[i] *
+    eps_i in the standard realization."""
+    roots = _eps_roots(t)
     c = [Fraction(x) for x in coeffs]
-    if len(c) != _eps_dim(t):
-        raise RootSystemError(f"{t} epsilon coordinates need {_eps_dim(t)} entries")
-    out: list[Fraction]
-    if t.family == "A":
-        # project modulo (1,...,1)
-        out = [c[i] - c[i + 1] for i in range(n)]
-    elif t.family == "B":
-        out = [c[i] - c[i + 1] for i in range(n - 1)] + [2 * c[n - 1]]
-    elif t.family == "C":
-        out = [c[i] - c[i + 1] for i in range(n - 1)] + [c[n - 1]]
-    elif t.family == "D":
-        out = [c[i] - c[i + 1] for i in range(n - 2)] + [c[n - 2] - c[n - 1], c[n - 2] + c[n - 1]]
-    elif t.family == "F":
-        out = [c[1] - c[2], c[2] - c[3], 2 * c[3], c[0] - c[1] - c[2] - c[3]]
-    elif t.family == "G":
-        out = [c[0] - c[1], Fraction(-2 * c[0] + c[1] + c[2], 3)]
-    else:
-        raise RootSystemError(f"no epsilon realization for {t}")
-    bad = [x for x in out if x.denominator != 1]
-    if bad:
+    if len(c) != len(roots[0]):
+        raise RootSystemError(f"{t} epsilon coordinates need {len(roots[0])} entries")
+    out = [2 * sum(map(mul, c, a)) / sum(map(mul, a, a)) for a in roots]
+    if any(x.denominator != 1 for x in out):
         raise RootSystemError(f"epsilon vector {coeffs} is not in the weight lattice of {t}")
     return tuple(int(x) for x in out)
 
 
 def dynkin_to_eps(t: SimpleType, d: Coords) -> tuple[Fraction, ...]:
-    """Canonical epsilon coordinates of a weight (inverse of eps_to_dynkin).
+    """Canonical epsilon coordinates of a weight (inverse of eps_to_dynkin):
+    sum_j a_j alpha_j over the weight's root coordinates a_j.
 
     For type A the representative with last coordinate 0 is returned.
     """
-    n = t.rank
-    dd = [Fraction(x) for x in d]
+    roots = _eps_roots(t)
+    g = GroupSpec((t,))
+    k = g.root_data.lattice_index[0]
+    coords = [Fraction(x, k) for x in root_scaled_of_dynkin(g, d)]
+    c = [sum(map(mul, coords, col)) for col in zip(*roots)]
     if t.family == "A":
-        c = [Fraction(0)] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            c[i] = c[i + 1] + dd[i]
-        return tuple(c)
-    if t.family in ("B", "C", "D"):
-        # fix the last (two) coordinates, then c_i = c_{i+1} + d_i going up
-        c = [Fraction(0)] * n
-        if t.family == "D":
-            c[n - 1] = (dd[n - 1] - dd[n - 2]) / 2
-            c[n - 2] = (dd[n - 1] + dd[n - 2]) / 2
-            start = n - 3
-        else:
-            c[n - 1] = dd[n - 1] / 2 if t.family == "B" else dd[n - 1]
-            start = n - 2
-        for i in range(start, -1, -1):
-            c[i] = c[i + 1] + dd[i]
-        return tuple(c)
-    if t.family == "F":
-        c4 = dd[2] / 2
-        c3 = dd[1] + c4
-        c2 = dd[0] + c3
-        c1 = dd[3] + c2 + c3 + c4
-        return (c1, c2, c3, c4)
-    if t.family == "G":
-        # representative with c1 + c2 + c3 = 0, where alpha1 = e1 - e2 and
-        # alpha2 = -2e1 + e2 + e3: d1 = c1 - c2 and d2 = -c1 on that slice.
-        c1 = -dd[1]
-        c2 = -dd[0] - dd[1]
-        c3 = dd[0] + 2 * dd[1]
-        return (c1, c2, c3)
-    raise RootSystemError(f"no epsilon realization for {t}")
+        c = [x - c[-1] for x in c]
+    return tuple(c)
 
 
 # ---------------------------------------------------------------------------

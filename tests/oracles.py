@@ -14,8 +14,10 @@ from coreduce.rootsys import (
     GroupSpec,
     RootSystemError,
     build_root_system,
+    closure,
     dominant_weights_below,
     root_scaled_of_dynkin,
+    weyl_neighbours,
 )
 
 
@@ -109,6 +111,12 @@ def reference_orbit(g: GroupSpec, d: tuple) -> dict:
                     nxt.append(q)
         frontier = nxt
     return depth
+
+
+def weyl_orbit(g: GroupSpec, d: tuple) -> frozenset:
+    """The Weyl orbit of a weight (Dynkin labels), by the package's closure
+    under the simple reflections."""
+    return frozenset(closure((d,), weyl_neighbours(g)))
 
 
 def reference_orbit_size(g: GroupSpec, dominant: tuple) -> int:
@@ -319,8 +327,7 @@ def reference_multidegree_mult(summands, degrees, lam) -> int:
     pieces, and the alternating Weyl sum evaluated point by point.  It shares
     ``symmetric_power`` with the package, which is checked separately against
     :func:`brute_force_symmetric_power`."""
-    from coreduce.repthy import symmetric_power
-    from coreduce.rootsys import signed_orbit
+    from coreduce.repthy import Character, symmetric_power
 
     g = summands[0].group
     prod = {tuple(0 for _ in range(g.rank)): 1}
@@ -332,12 +339,7 @@ def reference_multidegree_mult(summands, degrees, lam) -> int:
                 z = tuple(a + b for a, b in zip(x, y))
                 nxt[z] = nxt.get(z, 0) + c * e
         prod = nxt
-    delta = g.weyl_vector
-    start = tuple(a + b for a, b in zip(lam, delta))
-    total = 0
-    for pt, sign in signed_orbit(g, start):
-        total += sign * prod.get(tuple(a - b for a, b in zip(pt, delta)), 0)
-    return total
+    return mult_in_character(Character(g, prod), lam)
 
 
 def reference_graded_invariant_series(summands, max_degrees) -> dict:
@@ -369,19 +371,25 @@ def reference_covariant_counts(summands, degrees, target) -> tuple:
     return reference_multidegree_mult(summands, degrees, target), bound
 
 
+def mult_in_character(chi, lam: tuple) -> int:
+    """Multiplicity of the irreducible V(lam) inside the character chi: the
+    alternating Weyl sum over the signed orbit of lam + rho, read point by
+    point in the whole character."""
+    delta = chi.group.weyl_vector
+    start = tuple(a + b for a, b in zip(lam, delta))
+    return sum(
+        sign * chi.mult(tuple(a - b for a, b in zip(pt, delta)))
+        for pt, sign in _signed_orbit(chi.group, start)
+    )
+
+
 def reference_covariant_generator_exists(m, target, d: int):
     """The certificate of ``covariant_generator_exists`` with every
     symmetric-power layer decoded into a weight dict before the alternating
     sums read it."""
-    from coreduce.repthy import (
-        Character,
-        CovariantCertificate,
-        mult_in_character,
-        symmetric_power,
-    )
+    from coreduce.repthy import CovariantCertificate, symmetric_power
 
-    chi = m.weights
-    layers = [Character(chi.group, dict(p.entries)) for p in symmetric_power(chi, d)]
+    layers = symmetric_power(m.weights, d)
     zero = tuple(0 for _ in target)
     mults = tuple(mult_in_character(layers[e], target) for e in range(1, d + 1))
     invs = tuple(mult_in_character(layers[e], zero) for e in range(1, d + 1))

@@ -37,7 +37,7 @@ from coreduce.repthy import (
     weight_diagram,
     weyl_dim,
 )
-from coreduce.rootsys import dynkin_to_eps, parse_group, weyl_orbit
+from coreduce.rootsys import dynkin_to_eps, parse_group
 from coreduce.slices import bad_toral_slice, roots_mult2_rule, toral_slice
 from coreduce.classify import (
     NO,
@@ -46,7 +46,7 @@ from coreduce.classify import (
     classify_sl3,
 )
 
-from oracles import brute_force_minimal_relations, kostant_weight_multiplicity
+from oracles import brute_force_minimal_relations, kostant_weight_multiplicity, weyl_orbit
 from test_classify import SL2_TABLE
 
 

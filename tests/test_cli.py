@@ -93,6 +93,26 @@ def _package_names(skip=()):
             yield from ((f"{path.relative_to(pkg)}:{node.lineno}", name) for name in names)
 
 
+def test_every_top_level_definition_is_read():
+    """No dead helpers: every top-level function and class of the package is
+    read somewhere in it outside its own definition.  The ``cmd_*`` handlers
+    are exempt: ``main`` looks them up by name."""
+    pkg = pathlib.Path(coreduce.__file__).parent
+    spans = {}
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("cmd_"):
+                spans.setdefault(node.name, []).append(
+                    (str(path.relative_to(pkg)), node.lineno, node.end_lineno)
+                )
+    read = set()
+    for where, name in _package_names():
+        path, line = where.rsplit(":", 1)
+        if all(path != p or not lo <= int(line) <= hi for p, lo, hi in spans.get(name, ())):
+            read.add(name)
+    assert sorted(set(spans) - read) == []
+
+
 def test_import_does_not_load_numpy():
     """No module of the package imports numpy, and a cold import of the CLI
     leaves it out of ``sys.modules``."""
@@ -332,6 +352,10 @@ def test_weights_on_one_line_still_have_a_component():
     code, out = run_cli(["components", "A1xT1", "[2,0]"])
     assert code == 0
     assert [c["weights"] for c in json.loads(out)["candidates"]] == [[[2, 0]]]
+    # a group with no roots: the one support weight is the only column
+    code, out = run_cli(["support-rank", "T1", "[1]", "--support", "[1]:0"])
+    assert code == 0
+    assert json.loads(out)["bound"] == 1
 
 
 @pytest.mark.parametrize("copy", ["1", "-1"])

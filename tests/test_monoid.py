@@ -16,13 +16,14 @@ from coreduce.monoid import (
     hilbert_basis,
     is_torus_coreduced,
 )
-from coreduce.rootsys import parse_group, weyl_orbit
+from coreduce.rootsys import parse_group
 from coreduce.slices import weyl_symmetric_list
 
 from oracles import (
     brute_force_minimal_relations,
     brute_force_torus_coreduced,
     reference_hilbert_basis,
+    weyl_orbit,
 )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coreduce import paper, repthy
-from coreduce.config import CertificateError, ResourceLimitError
+from coreduce.config import ResourceLimitError
 from coreduce.nullcone import G2XG2_DEGREE, G2XG2_TARGET
 from coreduce.repthy import (
     Character,
@@ -13,14 +13,13 @@ from coreduce.repthy import (
     covariant_generator_exists,
     covariant_generator_exists_multidegree,
     graded_invariant_series,
-    invariant_dimension,
-    mult_in_character,
     parse_module,
     simple_dominant_diagram,
     symmetric_power,
     weight_counts,
     weight_diagram,
     weyl_dim,
+    weyl_sum_series,
 )
 from coreduce.rootsys import (
     GroupSpec,
@@ -28,16 +27,17 @@ from coreduce.rootsys import (
     build_root_system,
     parse_group,
     root_scaled_of_dynkin,
-    weyl_orbit,
 )
 
 from oracles import (
     brute_force_symmetric_power,
     kostant_weight_multiplicity,
+    mult_in_character,
     reference_covariant_counts,
     reference_covariant_generator_exists,
     reference_freudenthal,
     reference_graded_invariant_series,
+    weyl_orbit,
 )
 
 
@@ -72,8 +72,8 @@ def test_weyl_dim_of_a_product_is_the_product_over_its_factors():
 
 
 def test_weyl_order_cap_fires_before_any_orbit_is_listed(monkeypatch):
-    """E7 (|W| = 2,903,040) is past WEYL_ORDER_CAP: the clipped symmetric
-    power refuses before it lists the signed Weyl orbits of its targets."""
+    """E7 (|W| = 2,903,040) is past WEYL_ORDER_CAP: the alternating points
+    refuse before the signed Weyl orbit of a target is listed."""
 
     def refuse(*args):
         raise AssertionError("a signed Weyl orbit was listed")
@@ -132,7 +132,7 @@ def test_symmetric_power_binary_quadratic():
     g = parse_group("A1")
     chi = ModuleSpec(g, ((1, (2,)),)).weights
     powers = symmetric_power(chi, 6)
-    assert [invariant_dimension(powers[d]) for d in range(1, 7)] == [0, 1, 0, 1, 0, 1]
+    assert [mult_in_character(powers[d], (0,)) for d in range(1, 7)] == [0, 1, 0, 1, 0, 1]
 
 
 def test_invariant_dimension_is_trivial_isotypic_count():
@@ -140,7 +140,7 @@ def test_invariant_dimension_is_trivial_isotypic_count():
     chi = ModuleSpec(g, ((1, (1, 0)), (1, (0, 1)))).weights
     powers = symmetric_power(chi, 4)
     # C^3 + (C^3)*: invariants generated by the pairing, one per degree step
-    assert [invariant_dimension(powers[d]) for d in range(1, 5)] == [0, 1, 0, 1]
+    assert [mult_in_character(powers[d], (0, 0)) for d in range(1, 5)] == [0, 1, 0, 1]
 
 
 def test_zero_weight_multiplicities():
@@ -237,7 +237,7 @@ def test_multidegree_refines_total_degree():
         cert = covariant_generator_exists_multidegree([chi, chi], (a, b), (0,))
         agg += cert.multiplicity
     two = symmetric_power(ModuleSpec(g, ((2, (2,)),)).weights, 4)
-    assert agg == invariant_dimension(two[4])
+    assert agg == mult_in_character(two[4], (0,))
 
 
 def test_graded_invariant_series_small():
@@ -343,33 +343,52 @@ def test_covariant_generator_exists_decodes_no_layer(monkeypatch):
     """The G2xG2 certificate of Appendix B reads its 144-point alternating
     sums straight from the clipped packed layers."""
 
-    def refuse(layer):
+    def refuse(*args):
         raise AssertionError("a symmetric-power layer was decoded")
 
-    monkeypatch.setattr(repthy.BoxCharacter, "entries", property(refuse))
+    monkeypatch.setattr(repthy, "symmetric_power", refuse)
     m = parse_module(parse_group(paper.G2XG2_GROUP), paper.G2XG2_MODULE)
     cert = covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE)
     assert cert.per_degree_mults == paper.G2XG2_COVARIANT_SERIES
     assert cert.per_degree_invariants == paper.G2XG2_INVARIANT_SERIES
 
 
-def test_clipped_layer_refuses_to_guess():
-    """A layer clipped for the target 0 answers the invariant count, and a
-    count the clipping cannot vouch for raises instead of reading 0."""
-    g = parse_group("A2")
-    chi = ModuleSpec(g, ((1, (1, 1)),)).weights
-    whole = symmetric_power(chi, 6)
-    clipped = symmetric_power(chi, 6, ((0, 0),))
-    for k in range(7):
-        assert invariant_dimension(clipped[k]) == invariant_dimension(whole[k])
-    assert clipped[6].mult((2, -1)) == clipped[6].mult((1, 1)) == whole[6].mult((1, 1))
-    assert whole[6].mult((6, 6)) > 0
-    with pytest.raises(CertificateError):
-        clipped[6].mult((6, 6))
-    with pytest.raises(CertificateError):
-        mult_in_character(clipped[6], (3, 3))
-    with pytest.raises(CertificateError):
-        clipped[6].entries
+def test_g2xg2_certificate_lists_each_signed_orbit_once(monkeypatch):
+    """The degree-9 G2xG2 certificate lists the signed Weyl orbit of its
+    target and of 0 once each, not once per degree."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return signed_orbit(*args)
+
+    signed_orbit = repthy.signed_orbit
+    monkeypatch.setattr(repthy, "signed_orbit", counted)
+    repthy._alternating_points.cache_clear()
+    m = parse_module(parse_group(paper.G2XG2_GROUP), paper.G2XG2_MODULE)
+    assert covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE).exists
+    assert len(calls) == 2
+
+
+@given(
+    inp=small_modules(),
+    other=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    d=st.integers(0, 6),
+)
+@example(inp=(ModuleSpec(parse_group("A2"), ((1, (1, 1)),)), (0, 0)), other=(0, 0), d=6)
+@example(inp=(ModuleSpec(parse_group("A2"), ((1, (1, 1)),)), (0, 0)), other=(3, 3), d=6)
+@settings(max_examples=60, deadline=None)
+def test_weyl_sum_series_matches_whole_layers(inp, other, d):
+    """The series read off the clipped DP equals the alternating sum over
+    whole, decoded layers at every degree up to d, for the target 0 and two
+    random ones."""
+    m, target = inp
+    zero = tuple(0 for _ in target)
+    targets = [target, zero, other[: len(zero)]]
+    layers = symmetric_power(m.weights, d)
+    assert weyl_sum_series(m.weights, d, targets) == [
+        tuple(mult_in_character(layer, lam) for layer in layers) for lam in targets
+    ]
 
 
 # small highest weights per group, so the per-multidegree oracle stays cheap
@@ -413,10 +432,10 @@ def test_multigraded_routines_match_per_multidegree_reference(inp):
 )
 def test_packed_multigraded_keys_at_large_coordinates(name, weights, lam):
     """Weights of size 7 to multidegree (6, 6): a full product reaches 84 in
-    its first coordinate, next to the packing bound of 84 + |w(lam+rho)| +
-    |rho|.  At rank 2 the weights span the lattice, so a base of 75 or less
-    (the packing uses twice the bound plus one) makes two keys collide and
-    the counts wrong."""
+    its first coordinate, next to the packing bound of 84 +
+    |w(lam+rho) - rho|.  At rank 2 the weights span the lattice, so a base
+    of 75 or less (the packing uses twice the bound plus one) makes two keys
+    collide and the counts wrong."""
     g = parse_group(name)
     chi = Character(g, dict.fromkeys(weights, 1))
     summands, degrees = [chi, chi], (6, 6)

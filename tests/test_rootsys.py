@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coreduce import rootsys
 from coreduce.rootsys import (
     RootSystemError,
     SimpleType,
@@ -22,7 +24,6 @@ from coreduce.rootsys import (
     signed_orbit,
     sl3_root_coords,
     weyl_neighbours,
-    weyl_orbit,
 )
 
 from oracles import (
@@ -37,6 +38,7 @@ from oracles import (
     reference_root_scaled_of_dynkin,
     reference_simple_reflections,
     weyl_matrices,
+    weyl_orbit,
 )
 
 WEYL_ORDERS = {
@@ -146,12 +148,32 @@ def test_dominantize_lands_in_orbit_and_is_dominant(name, coords):
     assert dom in weyl_orbit(g, coords)
 
 
-@pytest.mark.parametrize("t", [SimpleType("B", 3), SimpleType("C", 3), SimpleType("D", 4), SimpleType("A", 2), SimpleType("F", 4), SimpleType("G", 2)])
+# A1-A5, B2-B5, C2-C5, D3-D5, F4 and G2
+EPS_TYPES = [SimpleType("B", 3), SimpleType("C", 3), SimpleType("D", 4), SimpleType("A", 2),
+             SimpleType("F", 4), SimpleType("G", 2)] + [
+    SimpleType(family, rank)
+    for family, ranks in (("A", (1, 3, 4, 5)), ("B", (2, 4, 5)), ("C", (2, 4, 5)), ("D", (3, 5)))
+    for rank in ranks
+]
+
+
+@pytest.mark.parametrize("t", EPS_TYPES)
 def test_eps_roundtrip(t):
-    g = parse_group(f"{t.family}{t.rank}")
-    for d in [tuple(1 if i == j else 0 for i in range(t.rank)) for j in range(t.rank)]:
+    """Each simple root's epsilon vector has its Cartan row as Dynkin labels,
+    random weights survive the round trip (type A with last coordinate 0),
+    and a vector off the weight lattice is refused."""
+    cartan = build_root_system(t).cartan
+    for root, row in zip(rootsys._eps_roots(t), cartan):
+        assert eps_to_dynkin(t, root) == row
+    rng = random.Random(str(t))
+    for _ in range(100):
+        d = tuple(rng.randint(-4, 4) for _ in range(t.rank))
         eps = dynkin_to_eps(t, d)
         assert eps_to_dynkin(t, eps) == d
+        assert t.family != "A" or eps[-1] == 0
+    off = [Fraction(1, 3)] + [Fraction(0)] * (len(eps) - 1)
+    with pytest.raises(RootSystemError, match="not in the weight lattice"):
+        eps_to_dynkin(t, off)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "A1xA2"])
