@@ -39,6 +39,7 @@ from .repthy import (
     Character,
     CovariantCertificate,
     ModuleSpec,
+    covariant_certificates,
     covariant_generator_exists,
     covariant_generator_exists_multidegree,
     max_nonzero_weight_multiplicity,
@@ -178,11 +179,17 @@ def _sl2_covariant_certificate(
     # degree >= 2 (all weights even) vanish on the null cone; a generating one
     # in such a degree certifies non-coreducedness.
     target = (1,) if any(p % 2 for p in parts) else (2,)
-    for d in range(2, 9):
-        cert = covariant_generator_exists(m, target, d)
-        if cert.exists:
-            return cert
-    return None
+    return _first_generating_covariant(m, target, range(2, 9))
+
+
+def _first_generating_covariant(
+    m: ModuleSpec, target: Coords, degrees: range
+) -> Optional[CovariantCertificate]:
+    """The certificate of the lowest degree in ``degrees`` with a generating
+    covariant of type V(target), all read off one Weyl-sum series to the
+    top degree; None when there is none."""
+    certs = covariant_certificates(m, target, degrees[-1])[degrees[0] - 1 :]
+    return next((cert for cert in certs if cert.exists), None)
 
 
 def _require_simple(g: GroupSpec) -> None:
@@ -775,15 +782,12 @@ def sl3_vanishing_generator_certificate(
             dmax = max(dmax, d)
         if not feasible:
             continue
-        for d in range(dmax + 1, dmax + 1 + SL3_EXTRA_DEGREES):
-            cert = covariant_generator_exists(m, target, d)
-            if cert.exists:
-                vanishes = all(covariant_vanishes(a, target, d) for a in candidates)
-                if not vanishes:
-                    raise ContradictionError(
-                        f"degree-{d} covariant fails to vanish on a component"
-                    )
-                return (cert, {"vanishing_degree_bound": dmax, "components": len(candidates)})
+        cert = _first_generating_covariant(m, target, range(dmax + 1, dmax + 1 + SL3_EXTRA_DEGREES))
+        if cert is not None:
+            d = cert.degree
+            if not all(covariant_vanishes(a, target, d) for a in candidates):
+                raise ContradictionError(f"degree-{d} covariant fails to vanish on a component")
+            return (cert, {"vanishing_degree_bound": dmax, "components": len(candidates)})
     return None
 
 

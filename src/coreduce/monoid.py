@@ -42,11 +42,23 @@ that cannot change an answer:
   ``v + rem*lo <= T <= v + rem*hi`` for the target value ``T``.  The bound
   holds for each coordinate and for an optional grading, such as the
   cocharacter of an admissible set, which is positive on every weight.
+
+Each search is a pure function of its input, so each is memoized in a
+bounded ``functools.lru_cache`` keyed on that input as tuples, in the order
+given (the order fixes the coefficient order of a certificate, so no key is
+sorted), ``MEMO_SIZE`` entries each: ``is_torus_coreduced`` on the nonzero
+weights and the symmetry permutations, ``hilbert_basis`` on the weights,
+and ``exists_sum`` on the weights, target, count and grading.  Only
+immutable values are stored: the frozen ``TorusVerdict``, ``Relation`` and
+``SumWitness``, and tuples of them.  A search stopped by a cap raises, and
+``lru_cache`` stores no exception, so a repeat runs the search again and
+stops at the same count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .config import ResourceLimitError, require
@@ -69,6 +81,11 @@ bounds the degree, and so every coefficient, of a candidate the search
 reaches."""
 HILBERT_GENERATOR_CAP = 100_000
 """Generators the Hilbert search may find."""
+
+MEMO_SIZE = 256
+"""Entries each memo of the three searches keeps: above the distinct inputs
+of a session of a few hundred CLI requests (at most 35 torus verdicts, 16
+Hilbert bases and 61 bounded sums in 260 ``queries`` requests)."""
 
 
 @dataclass(frozen=True)
@@ -278,7 +295,12 @@ def iter_hilbert_basis(
 
 def hilbert_basis(weights: Sequence[Vec]) -> tuple[Relation, ...]:
     """Every indecomposable relation among ``weights``, in search order."""
-    return tuple(iter_hilbert_basis(tuple(tuple(w) for w in weights)))
+    return _hilbert_basis(tuple(tuple(w) for w in weights))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _hilbert_basis(weights: tuple[Vec, ...]) -> tuple[Relation, ...]:
+    return tuple(iter_hilbert_basis(weights))
 
 
 @dataclass(frozen=True)
@@ -300,6 +322,11 @@ def is_torus_coreduced(
     ws = tuple(tuple(w) for w in weights if any(x != 0 for x in w))
     if symmetry and len(ws) < len(weights):
         raise ValueError("a symmetry needs a weight list without zero weights")
+    return _torus_verdict(ws, tuple(tuple(p) for p in symmetry or ()))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _torus_verdict(ws: tuple[Vec, ...], symmetry: tuple[tuple[int, ...], ...]) -> TorusVerdict:
     for gen in iter_hilbert_basis(ws, symmetry):
         if gen.max_coeff >= 2:
             return TorusVerdict(False, ws, gen)
@@ -334,8 +361,14 @@ def exists_sum(
     on its admissible set, bounds the degree: the search then often ends
     before the first level.
     """
-    target = tuple(target)
-    ws = [tuple(w) for w in weights]
+    ws = tuple(tuple(w) for w in weights)
+    return _exists_sum(ws, tuple(target), count, None if grading is None else tuple(grading))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _exists_sum(
+    ws: tuple[Vec, ...], target: Vec, count: int, grading: Optional[Vec]
+) -> SumWitness:
     if any(len(w) != len(target) for w in ws):
         raise ValueError("weight/target dimension mismatch")
     if count == 0 and all(x == 0 for x in target):
@@ -347,7 +380,7 @@ def exists_sum(
         if len(grading) != len(target):
             raise ValueError("grading/target dimension mismatch")
         target += (sum(g * x for g, x in zip(grading, target)),)
-        ws = [w + (sum(g * x for g, x in zip(grading, w)),) for w in ws]
+        ws = tuple(w + (sum(g * x for g, x in zip(grading, w)),) for w in ws)
     lo = [min(col) for col in zip(*ws)]
     hi = [max(col) for col in zip(*ws)]
 

@@ -15,12 +15,23 @@ arrangement of the hyperplanes through the ray, so taking every ray cut out
 by rank - 1 normals and recursing around it, down to the two half-lines of
 rank 1, reaches every chamber.  The tests count the chambers against
 Zaslavsky's theorem (1975).
+
+The enumeration is a pure function of its hyperplanes, so
+``_chamber_samples`` is memoized in a bounded ``functools.lru_cache``
+(``CHAMBER_MEMO_SIZE`` entries) keyed on the normals, the rank and the cone
+walls as tuples, in the order given: the recursion reuses the
+sub-arrangements around rays it has met before, within one enumeration and
+across requests.  It stores only tuples of points; ``admissible_sets``
+builds fresh ``AdmissibleSet`` objects from them, because callers write
+their ``status``.  A rank over ``CHAMBER_RANK_CAP`` is refused before the
+memo is read, so no stopped enumeration is ever stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -116,6 +127,10 @@ def weight_values(chi: Character, rho: Cocharacter) -> list[tuple[Coords, int, i
 
 CHAMBER_RANK_CAP = 4
 """Largest rank whose chambers ``admissible_sets`` enumerates."""
+CHAMBER_MEMO_SIZE = 1024
+"""Arrangements whose chamber points ``_chamber_samples`` keeps: above the
+sub-arrangements met in a session of a few hundred CLI requests (under 100)
+and in one rank-4 enumeration (41 for the Appendix B module)."""
 
 
 def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]:
@@ -137,14 +152,14 @@ def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]
             "chamber enumeration got rank {count}",
         )
     chi = m.weights
-    lines = sorted({_line(root_scaled_of_dynkin(g, w)) for w in chi.nonzero_weights()})
+    lines = tuple(sorted({_line(root_scaled_of_dynkin(g, w)) for w in chi.nonzero_weights()}))
     if not lines:
         # a zero-dimensional positive weight space answers every question vacuously
         raise ValueError("need a nontrivial module with no trivial summands")
-    walls = [_primitive(root_scaled_of_dynkin(g, d)) for d in g.root_data.positive_roots]
+    walls = tuple(_primitive(root_scaled_of_dynkin(g, d)) for d in g.root_data.positive_roots)
     out: list[AdmissibleSet] = []
     seen: set[tuple[Coords, ...]] = set()
-    for vals in _chamber_samples(lines, rank, walls if mod_weyl else []):
+    for vals in _chamber_samples(lines, rank, walls if mod_weyl else ()):
         rho = Cocharacter(vals, g)
         require(not mod_weyl or rho.is_dominant(), f"chamber point {vals} is not dominant")
         pos = _positive_set(chi, rho)
@@ -166,9 +181,10 @@ def _primitive(v: Vec) -> Vec:
     return tuple(x // g for x in v)
 
 
+@lru_cache(maxsize=CHAMBER_MEMO_SIZE)
 def _chamber_samples(
-    normals: Sequence[Vec], rank: int, cone: Sequence[Vec]
-) -> list[Vec]:
+    normals: tuple[Vec, ...], rank: int, cone: tuple[Vec, ...]
+) -> tuple[Vec, ...]:
     """The sum of the primitive extreme rays of every chamber of the
     hyperplanes ``normals`` and ``cone``, an integer interior point that
     depends only on the chamber; with ``cone`` walls given, only the chambers
@@ -186,7 +202,7 @@ def _chamber_samples(
     there, so the rays add up to its point as they are visited.
     """
     if rank == 1:
-        return [p for p in ((1,), (-1,)) if all(_dot(w, p) > 0 for w in cone)]
+        return tuple(p for p in ((1,), (-1,)) if all(_dot(w, p) > 0 for w in cone))
     hyper = sorted({_line(h) for h in (*normals, *cone)})
     rays = _rays(hyper, rank)
     if not any(_dot(h, r) for h in hyper for r in rays):
@@ -201,15 +217,15 @@ def _chamber_samples(
         if any(_dot(w, r) < 0 for w in cone):
             continue
         k = next(i for i, x in enumerate(r) if x)
-        local = [h[:k] + h[k + 1 :] for h in hyper if _dot(h, r) == 0]
-        local_cone = [w[:k] + w[k + 1 :] for w in cone if _dot(w, r) == 0]
+        local = tuple(h[:k] + h[k + 1 :] for h in hyper if _dot(h, r) == 0)
+        local_cone = tuple(w[:k] + w[k + 1 :] for w in cone if _dot(w, r) == 0)
         for s in _chamber_samples(local, rank - 1, local_cone):
             s = s[:k] + (0,) + s[k:]
             n = 1 + max(abs(_dot(h, s)) for h in hyper)
             p = tuple(n * a + b for a, b in zip(r, s))
             key = tuple(_dot(h, p) > 0 for h in hyper)
             sums[key] = tuple(a + b for a, b in zip(sums.get(key, (0,) * rank), r))
-    return list(sums.values())
+    return tuple(sums.values())
 
 
 def _rays(hyper: Sequence[Vec], rank: int) -> set[Vec]:

@@ -583,10 +583,22 @@ def covariant_generator_exists(m: ModuleSpec, target: Coords, d: int) -> Covaria
     on the ideal part: sum over 0 < e < d of (invariants in degree d-e) times
     (covariants of that type in degree e).
     """
+    return covariant_certificates(m, target, d)[-1]
+
+
+def covariant_certificates(m: ModuleSpec, target: Coords, d: int) -> list[CovariantCertificate]:
+    """The certificates of :func:`covariant_generator_exists` for the degrees
+    1..d, each read off a prefix of one :func:`weyl_sum_series` to degree d
+    (the DP keeps every lower degree exact where the sums read it)."""
     zero = tuple(0 for _ in target)
     mults, invs = (series[1:] for series in weyl_sum_series(m.weights, d, (target, zero)))
-    bound = sum(invs[d - e - 1] * mults[e - 1] for e in range(1, d))
-    return CovariantCertificate(target, d, mults[d - 1], bound, mults, invs)
+    return [
+        CovariantCertificate(
+            target, k, mults[k - 1], sum(invs[k - e - 1] * mults[e - 1] for e in range(1, k)),
+            mults[:k], invs[:k],
+        )
+        for k in range(1, d + 1)
+    ]
 
 
 def covariant_generator_exists_multidegree(

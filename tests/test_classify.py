@@ -352,6 +352,34 @@ def test_sl3_covariant_certificate_revalidates():
     )
 
 
+def test_each_covariant_certificate_search_runs_one_dp(monkeypatch):
+    """The degrees a driver tries are read off one symmetric-power DP at the
+    top degree, and each one's certificate is the one
+    ``covariant_generator_exists`` gives for that degree alone."""
+    from coreduce import classify, repthy
+    from coreduce.nullcone import classify_components_sl3
+
+    tops = []
+    dp = repthy._packed_powers
+
+    def counted(chi, d, reads):
+        tops.append(d)
+        return dp(chi, d, reads)
+
+    monkeypatch.setattr(repthy, "_packed_powers", counted)
+    m = _module("A1", "[5]")
+    cert = classify._sl2_covariant_certificate(m, (5,))
+    assert (cert.degree, tops) == (5, [8])
+    assert cert == repthy.covariant_generator_exists(m, (1,), 5)
+    m = _module("A2", paper.SL3_V31)
+    sets = classify_components_sl3(m)
+    tops.clear()
+    cert, info = classify.sl3_vanishing_generator_certificate(m, sets)
+    assert (cert.degree, info["vanishing_degree_bound"]) == (8, 5)
+    assert tops == [5 + classify.SL3_EXTRA_DEGREES]
+    assert cert == repthy.covariant_generator_exists(m, (1, 0), 8)
+
+
 # ---------------------------------------------------------------------------
 # Dispatcher and report
 

@@ -1,0 +1,131 @@
+"""The memos of the exact searches: a repeat in one process prints what a
+cold call and a fresh process print, runs no search again, never shares a
+mutable object, keeps the order of its input, and never stores a search
+that a cap stopped."""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import coreduce
+from coreduce import monoid, nullcone, paper
+from coreduce.cli import main
+from coreduce.repthy import parse_module
+from coreduce.rootsys import parse_group
+
+FOUR_SIX = ",".join(map(str, paper.TORUS_FOUR_SIX))
+
+# each request runs at least one of the memoized searches when cold
+WARM_REQUESTS = [
+    ["classify", "A2", "[3,1]"],  # chambers, covariant certificate, exists_sum
+    ["classify", "A2", "[2,2]"],  # the Hilbert search of a toral slice
+    ["torus-check", "--weights", FOUR_SIX],
+    ["hilbert-basis", "--weights", "2,-3,5,-4"],
+    ["components", "A1xA2", "[1,0,1]"],
+    ["covariant-vanish", "A2", "[3,1]", "--target", "[1,0]", "--degree", "3"],
+]
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one request in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_fresh(argv):
+    """(exit code, stdout, stderr) of one request in a new process."""
+    src = os.path.dirname(os.path.dirname(coreduce.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "coreduce.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts of the Hilbert searches and the ``_rays`` calls run while the
+    test runs."""
+    counts = {"hilbert": 0, "rays": 0}
+    search, rays = monoid.iter_hilbert_basis, nullcone._rays
+
+    def counted_search(*args, **kwargs):
+        counts["hilbert"] += 1
+        return search(*args, **kwargs)
+
+    def counted_rays(*args, **kwargs):
+        counts["rays"] += 1
+        return rays(*args, **kwargs)
+
+    monkeypatch.setattr(monoid, "iter_hilbert_basis", counted_search)
+    monkeypatch.setattr(nullcone, "_rays", counted_rays)
+    return counts
+
+
+def test_a_warm_repeat_prints_the_cold_bytes_and_runs_no_search(searches):
+    cold = []
+    for argv in WARM_REQUESTS:
+        cold.append(run(argv))
+    assert searches["hilbert"] > 0 and searches["rays"] > 0
+    searches.update(hilbert=0, rays=0)
+    warm = [run(argv) for argv in WARM_REQUESTS]
+    assert searches == {"hilbert": 0, "rays": 0}
+    assert warm == cold
+    assert [run_fresh(argv) for argv in WARM_REQUESTS] == cold
+
+
+def test_components_after_classify_prints_what_it_prints_cold():
+    """``classify`` writes dominance statuses on the admissible sets of an
+    A2 module; ``components`` of the same module must not see them."""
+    argv = ["components", "A2", "[3,1]"]
+    cold = run(argv)
+    sets = nullcone.classify_components_sl3(parse_module(parse_group("A2"), "[3,1]"))
+    assert {a.status for a in sets} != {"unknown"}
+    assert run(["classify", "A2", "[3,1]"])[0] == 1
+    assert run(argv) == cold
+    assert {c["status"] for c in json.loads(cold[1])["candidates"]} == {"unknown"}
+
+
+def test_the_same_weights_in_another_order_get_that_orders_certificate():
+    ws = [(4,), (-4,), (6,), (-6,)]
+    orders = [ws, ws[::-1], [ws[2], ws[0], ws[3], ws[1]]]
+    cold = []
+    for order in orders:
+        monoid._torus_verdict.cache_clear()
+        monoid._hilbert_basis.cache_clear()
+        cold.append((monoid.is_torus_coreduced(order), monoid.hilbert_basis(order)))
+    # all three orders now in the memos, each answered in its own order
+    for order, (verdict, basis) in zip(orders, cold):
+        assert (monoid.is_torus_coreduced(order), monoid.hilbert_basis(order)) == (verdict, basis)
+        assert verdict.weights == tuple(order)
+        for gen in (verdict.certificate, *basis):
+            assert sum(c * w[0] for c, w in zip(gen.coeffs, order)) == 0
+    # 3*(-4) + 2*6 = 0, in each order's own coefficient order
+    assert cold[0][0].certificate.coeffs == (0, 3, 2, 0)
+    assert cold[1][0].certificate.coeffs == (0, 2, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "module, cap, argv",
+    [
+        (monoid, "HILBERT_COORD_CAP", ["torus-check", "--weights", FOUR_SIX]),
+        (monoid, "HILBERT_COORD_CAP", ["hilbert-basis", "--weights", "2,-3,5,-4"]),
+        (monoid, "SUM_STATE_CAP",
+         ["covariant-vanish", "A2", "[3,1]", "--target", "[1,0]", "--degree", "5"]),
+    ],
+)
+def test_a_search_stopped_by_a_cap_stops_again_on_the_repeat(module, cap, argv, monkeypatch):
+    monkeypatch.setattr(module, cap, 10)
+    first = run(argv)
+    assert first[:2] == (3, "")
+    assert json.loads(first[2])["cap"] == cap
+    assert run(argv) == first
+    monkeypatch.undo()
+    assert run(argv)[0] in (0, 1)

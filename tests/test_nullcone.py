@@ -233,7 +233,7 @@ def test_chamber_samples_meet_every_chamber(arr):
     """One generic sample per chamber, counted against Zaslavsky's theorem;
     arrangements that do not span are included."""
     rank, normals = arr
-    samples = _chamber_samples(normals, rank, [])
+    samples = _chamber_samples(tuple(normals), rank, ())
     assert all(_dot(h, p) != 0 for h in normals for p in samples)
     signs = {tuple(_dot(h, p) > 0 for h in normals) for p in samples}
     assert len(signs) == chamber_count(normals, rank)
@@ -261,7 +261,7 @@ def test_chamber_points_are_sums_of_their_extreme_rays(arr, data):
     cone = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank).filter(any), max_size=3))
     hyper = normals + cone
     assume(exact_rank(hyper) == rank)
-    samples = _chamber_samples(normals, rank, cone)
+    samples = _chamber_samples(tuple(normals), rank, tuple(cone))
     for p, rays in zip(samples, chamber_closure_rays(hyper, rank, samples)):
         assert all(_dot(w, p) > 0 for w in cone)
         assert p == tuple(map(sum, zip(*rays)))
