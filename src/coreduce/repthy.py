@@ -15,10 +15,20 @@ The Weyl dimension formula is one product over the group's positive
 roots.  Each string point's
 multiplicity is looked up once, through its dominant representative, in a
 memo that lives for one diagram, and <nu, alpha> is stepped along the
-string by adding <alpha, alpha>.  Counts read off the dominant diagram and
-orbit sizes (:func:`weight_counts`, :func:`min_root_multiplicity`) expand no
-orbit.  A module builds its dominant diagram and its full weight multiset
-once each, on first use, and keeps them (``ModuleSpec.dominant_diagram`` and
+string by adding <alpha, alpha>.  The descent to the dominant weights is
+capped by ``DIAGRAM_CAP`` before the recursion starts.
+
+Counts read off the dominant diagram and orbit sizes (:func:`weight_counts`,
+:func:`min_root_multiplicity`) expand no orbit, and they follow the coset
+rule: every weight of V(lam) is lam minus a sum of positive roots, so a
+summand whose highest weight is off the root lattice, or has a nonzero
+torus label, has zero multiplicity 0 and no root among its weights.  They
+read the diagram of the root-lattice part alone
+(``ModuleSpec.root_lattice_diagram``) and count every weight of any other
+summand as nonzero through its Weyl dimension, so such a summand runs no
+recursion.  A module builds its dominant diagrams and its full weight
+multiset once each, on first use, and keeps them
+(``ModuleSpec.dominant_diagram``, ``ModuleSpec.root_lattice_diagram`` and
 ``ModuleSpec.weights``), so the toral slice, the chamber enumeration, the
 screens and the covariant counts of one module share them.  Orbits are
 expanded by closure only in :func:`weight_diagram`, where every weight is
@@ -65,6 +75,7 @@ from .rootsys import (
     closure,
     dominant_weights_below,
     dominantize,
+    in_root_lattice,
     orbit_size,
     parse_weight,
     reflect,
@@ -121,6 +132,13 @@ def _root_orbits(g: GroupSpec, zero: tuple[int, ...]) -> tuple[tuple[int, int], 
     return tuple(out)
 
 
+DIAGRAM_CAP = 100_000
+"""Root tests the dominant-weight descent of one simple factor's diagram may
+make: the dominant weights it has visited times the positive roots, counted
+as each weight is visited, before the recursion starts; a hit raises
+ResourceLimitError (the CLI exits 3)."""
+
+
 def _freudenthal(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
     """Freudenthal's recursion over the stabilizer orbits of the positive
     roots (Moody-Patera).  For dominant mu, f(a) = sum over k >= 1 of
@@ -148,9 +166,19 @@ def _freudenthal(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
     for a_dyn, a in zip(data.positive_roots, data.root_coords):
         vec = tuple(map(mul, a, form))
         roots.append((a_dyn, vec, sum(map(mul, a_dyn, vec))))
+    npos = len(roots)
+
+    def visit(found: int) -> None:
+        if found * npos > DIAGRAM_CAP:
+            raise ResourceLimitError(
+                "repthy.diagram", "DIAGRAM_CAP", DIAGRAM_CAP, found * npos,
+                f"the diagram of V({hw}) over {g} reached {found} dominant weights "
+                f"times {npos} positive roots, {{count}} root tests",
+            )
+
     # process in decreasing height, ties in coordinate order, so the
     # diagram's order does not rest on set layout
-    ordered = sorted(dominant_weights_below(g, hw))
+    ordered = sorted(dominant_weights_below(g, hw, visit))
     ordered.sort(key=lambda d: -sum(map(mul, d, height)))
     mults: dict[Coords, int] = {hw: 1}
     hw_rs = root_scaled_of_dynkin(g, hw)
@@ -286,11 +314,17 @@ class ModuleSpec:
         """Dominant-weight multiplicities of the module: the summands'
         dominant diagrams added with their coefficients, one value per Weyl
         orbit; built on first use and kept with the module."""
-        total: dict[Coords, int] = {}
-        for coeff, hw in self.summands:
-            for d, mult in dominant_diagram(self.group, hw).items():
-                total[d] = total.get(d, 0) + coeff * mult
-        return total
+        return _summed_diagram(self.group, self.summands)
+
+    @cached_property
+    def root_lattice_diagram(self) -> dict[Coords, int]:
+        """The dominant diagram of the module's root-lattice part: the
+        summands whose highest weight lies in the root lattice with every
+        torus label 0 (:func:`in_root_part`).  The zero weight and every
+        root take their multiplicity from it alone; built on first use and
+        kept with the module."""
+        g = self.group
+        return _summed_diagram(g, [(c, hw) for c, hw in self.summands if in_root_part(g, hw)])
 
     def __str__(self) -> str:
         terms = []
@@ -298,6 +332,24 @@ class ModuleSpec:
             w = "[" + ",".join(str(x) for x in hw) + "]"
             terms.append(w if c == 1 else f"{c}*{w}")
         return "+".join(terms)
+
+
+def _summed_diagram(g: GroupSpec, summands: Sequence[tuple[int, Coords]]) -> dict[Coords, int]:
+    """The dominant diagrams of ``summands`` added with their coefficients."""
+    total: dict[Coords, int] = {}
+    for coeff, hw in summands:
+        for d, mult in dominant_diagram(g, hw).items():
+            total[d] = total.get(d, 0) + coeff * mult
+    return total
+
+
+def in_root_part(g: GroupSpec, hw: Coords) -> bool:
+    """Whether the weights of V(hw) lie in the root lattice with every torus
+    label 0, the coset of the zero weight and the roots.  Every weight is hw
+    minus a sum of positive roots, so they all lie in the coset of hw, and
+    an irreducible off it has zero multiplicity 0 and no root among its
+    weights."""
+    return in_root_lattice(g, hw) and not any(hw[g.rank - g.torus_rank :])
 
 
 def parse_module(g: GroupSpec, text: str) -> ModuleSpec:
@@ -315,11 +367,16 @@ def parse_module(g: GroupSpec, text: str) -> ModuleSpec:
 
 def weight_counts(m: ModuleSpec) -> tuple[int, int]:
     """(multiplicity of the zero weight, number of nonzero weights counted
-    with multiplicity) of the module: each nonzero dominant weight counts its
-    multiplicity times its orbit size, so no orbit is expanded."""
-    dom = m.dominant_diagram
-    zero = tuple(0 for _ in range(m.group.rank))
-    nonzero = sum(mult * orbit_size(m.group, d) for d, mult in dom.items() if d != zero)
+    with multiplicity) of the module.  On the root-lattice part each nonzero
+    dominant weight counts its multiplicity times its orbit size, so no
+    orbit is expanded; every weight of a summand off the root lattice is
+    nonzero, so it counts its coefficient times its Weyl dimension and runs
+    no recursion."""
+    g = m.group
+    dom = m.root_lattice_diagram
+    zero = tuple(0 for _ in range(g.rank))
+    nonzero = sum(mult * orbit_size(g, d) for d, mult in dom.items() if d != zero)
+    nonzero += sum(c * weyl_dim(g, hw) for c, hw in m.summands if not in_root_part(g, hw))
     return dom.get(zero, 0), nonzero
 
 
@@ -328,13 +385,15 @@ def min_root_multiplicity(m: ModuleSpec) -> tuple[int, Coords]:
 
     Returns (0, some absent root) when a root is missing.  Multiplicities are
     Weyl-invariant, so each root is looked up through the dominant weight of
-    its orbit; the witness is the first root of minimal multiplicity.
+    its orbit, in the root-lattice part's diagram (no summand off the root
+    lattice has a root among its weights); the witness is the first root of
+    minimal multiplicity.
     """
     g = m.group
     data = g.root_data
     if not data.roots:
         raise ValueError(f"{g} has no roots")
-    entries = m.dominant_diagram
+    entries = m.root_lattice_diagram
     return min(
         ((entries.get(dom, 0), root) for root, dom in zip(data.roots, data.dominant_roots)),
         key=lambda pair: pair[0],

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm, prod
 from operator import mul
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from .config import require
 
@@ -485,20 +485,30 @@ def orbit_size(g: GroupSpec, dominant: Coords) -> int:
     return data.weyl_order // _sub_weyl_order(data.cartan, zero)
 
 
-def dominant_weights_below(g: GroupSpec, d0: Coords) -> frozenset[Coords]:
+def dominant_weights_below(
+    g: GroupSpec, d0: Coords, visit: Optional[Callable[[int], None]] = None
+) -> frozenset[Coords]:
     """All dominant μ ⪯ d0 (d0 − μ a nonnegative sum of simple roots), for
     a dominant weight d0 in Dynkin labels.
 
     Computed by the dominant-chain descent: every such μ is reachable from
-    d0 through dominant weights by subtracting single positive roots.
+    d0 through dominant weights by subtracting single positive roots.  Each
+    weight is visited once, when its positive roots are tried; ``visit``,
+    when given, is called with the number of weights visited so far before
+    that weight's roots are tried, and may raise to stop the descent.
     """
     if not all(x >= 0 for x in d0):
         raise RootSystemError("weight is not dominant")
     # for dominant d, d - b is dominant iff d_j >= b_j at each positive label
     # b_j of the root b, so a candidate is tested before its tuple is built
     steps = [(b, [(j, x) for j, x in enumerate(b) if x > 0]) for b in g.root_data.positive_roots]
+    visited = 0
 
     def below(d: Coords) -> list[Coords]:
+        nonlocal visited
+        if visit is not None:
+            visited += 1
+            visit(visited)
         out = []
         for b, need in steps:
             for j, x in need:
@@ -633,14 +643,18 @@ def parse_weight(g: GroupSpec, text: str) -> Coords:
         body = text[: -len("@root")].strip()
         if not (body.startswith("(") and body.endswith(")")):
             raise RootSystemError(f"root_scaled weights look like (a,b)@root, got {text!r}")
-        return dynkin_of_root_scaled(g, _coords_of_rank(g, body[1:-1]))
+        return dynkin_of_root_scaled(g, _coords_of_rank(g, body[1:-1], text))
     if text.startswith("[") and text.endswith("]"):
-        return _coords_of_rank(g, text[1:-1])
+        return _coords_of_rank(g, text[1:-1], text)
     raise RootSystemError(f"cannot parse weight {text!r}")
 
 
-def _coords_of_rank(g: GroupSpec, body: str) -> Coords:
-    coords = tuple(int(x) for x in body.split(","))
+def _coords_of_rank(g: GroupSpec, body: str, text: str) -> Coords:
+    """The integers of the comma-separated ``body`` of the weight ``text``."""
+    try:
+        coords = tuple(int(x) for x in body.split(","))
+    except ValueError:
+        raise RootSystemError(f"weight coordinates must be integers, got {text!r}") from None
     if len(coords) != g.rank:
         raise RootSystemError(f"weight has {len(coords)} coordinates; {g} has rank {g.rank}")
     return coords

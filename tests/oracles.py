@@ -16,6 +16,7 @@ from coreduce.rootsys import (
     build_root_system,
     closure,
     dominant_weights_below,
+    orbit_size,
     root_scaled_of_dynkin,
     weyl_neighbours,
 )
@@ -603,6 +604,30 @@ def reference_freudenthal(t, hw: tuple) -> dict:
             raise CertificateError(f"Freudenthal step fails at {mu} in V({hw}) of {t}")
         mults[mu] = 2 * num // den
     return mults
+
+
+def reference_weight_counts(m) -> tuple:
+    """(zero multiplicity, nonzero weights with multiplicity) of a module
+    over its full dominant diagram, every summand's Freudenthal diagram
+    included: the formula ``coreduce.repthy.weight_counts`` used before it
+    read the root-lattice part alone, kept as the reference for it."""
+    dom = m.dominant_diagram
+    zero = tuple(0 for _ in range(m.group.rank))
+    nonzero = sum(mult * orbit_size(m.group, d) for d, mult in dom.items() if d != zero)
+    return dom.get(zero, 0), nonzero
+
+
+def reference_min_root_multiplicity(m) -> tuple:
+    """The least root multiplicity of a module and its first witness, looked
+    up in the full dominant diagram: the formula
+    ``coreduce.repthy.min_root_multiplicity`` used before it read the
+    root-lattice part alone, kept as the reference for it."""
+    data = m.group.root_data
+    entries = m.dominant_diagram
+    return min(
+        ((entries.get(dom, 0), root) for root, dom in zip(data.roots, data.dominant_roots)),
+        key=lambda pair: pair[0],
+    )
 
 
 def reference_hilbert_basis(weights):

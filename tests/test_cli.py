@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -290,6 +291,33 @@ def test_weights_expands_no_orbit(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "group,module",
+    [("A2", "[1,0]+2*[0,1]"), ("A1xT1", "[2,-3]"), ("E7", "[0,0,0,0,0,0,1]"), ("B3", "[0,0,1]+[1,0,1]")],
+)
+def test_weights_off_the_root_lattice_run_no_recursion(group, module, monkeypatch):
+    # every summand is off the coset of the zero weight: all its weights are
+    # nonzero and none is a root, so no diagram is needed
+    from coreduce import repthy
+
+    calls = []
+    freudenthal = repthy._freudenthal
+
+    def counted(g, hw):
+        calls.append((str(g), hw))
+        return freudenthal(g, hw)
+
+    monkeypatch.setattr(repthy, "_freudenthal", counted)
+    code, out = run_cli(["weights", group, module])
+    assert code == 0
+    got = json.loads(out)
+    assert calls == []
+    assert (got["zero_multiplicity"], got["min_root_multiplicity"]) == (0, 0)
+    assert got["nonzero_weight_count"] == got["dimension"]
+    assert run_cli(["weights", "A2", "[1,1]"])[0] == 0
+    assert calls == [("A2", (1, 1))]
+
+
 def test_weights_of_a_rootless_group_exit_two(capsys):
     assert main(["weights", "T1", "[1]"]) == 2
     assert "T1 has no roots" in capsys.readouterr().err
@@ -309,6 +337,20 @@ def test_bad_weights_usage_message(command, weights, capsys):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert "--weights" in err
+    assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("command", ["weights", "classify"])
+@pytest.mark.parametrize(
+    "group,weight",
+    [("A1", "[a]"), ("A1", "[1,]"), ("A1", "[1.5]"), ("A2", "(1,)@root")],
+    ids=["letter", "empty-entry", "decimal", "root-empty-entry"],
+)
+def test_bad_weight_labels_usage_message(command, group, weight, capsys):
+    code, out = run_cli([command, group, weight])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert repr(weight) in err
     assert "invalid literal" not in err
 
 
@@ -612,6 +654,88 @@ def test_resource_limit_exit_three(monkeypatch, capsys):
             assert err["message"].endswith(f", over {cap} = 10")
             assert run_cli(["--output", "text", *argv]) == (3, ""), cap
             assert capsys.readouterr().err == f"resource limit: {err['message']}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,npos",
+    [(["weights", "A1", "[100000000]"], 1), (["weights", "E8", "[3,3,3,3,3,3,3,3]"], 120)],
+    ids=["A1", "E8"],
+)
+def test_oversized_diagrams_exit_three(argv, npos, capsys):
+    # the descent stops at the first dominant weight it visits that takes
+    # the visited weights times the positive roots past the cap
+    from coreduce import repthy
+
+    count = (repthy.DIAGRAM_CAP // npos + 1) * npos
+    start = time.monotonic()
+    assert run_cli(argv) == (3, "")
+    assert time.monotonic() - start < 5
+    err = json.loads(capsys.readouterr().err)
+    assert {k: err[k] for k in ("engine", "cap", "limit", "count")} == {
+        "engine": "repthy.diagram",
+        "cap": "DIAGRAM_CAP",
+        "limit": repthy.DIAGRAM_CAP,
+        "count": count,
+    }
+    assert err["message"].endswith(f"{count} root tests, over DIAGRAM_CAP = {repthy.DIAGRAM_CAP}")
+
+
+def test_diagram_cap_fires_at_its_count_before_the_recursion(monkeypatch, capsys):
+    """A2 [4,1] has 6 dominant weights and 3 positive roots: 18 root tests.
+    A cap of 18 lets the diagram through; one of 17 stops the descent at
+    its last weight, before the recursion takes its first root orbit."""
+    from coreduce import repthy
+
+    argv = ["weights", "A2", "[4,1]"]
+    monkeypatch.setattr(repthy, "DIAGRAM_CAP", 18)
+    assert run_cli(argv)[0] == 0
+    repthy.simple_dominant_diagram.cache_clear()
+    monkeypatch.setattr(repthy, "DIAGRAM_CAP", 17)
+
+    def refuse(*args):
+        raise AssertionError("the recursion ran past the cap")
+
+    monkeypatch.setattr(repthy, "_root_orbits", refuse)
+    assert run_cli(argv) == (3, "")
+    assert json.loads(capsys.readouterr().err) == {
+        "engine": "repthy.diagram",
+        "cap": "DIAGRAM_CAP",
+        "limit": 17,
+        "count": 18,
+        "message": "the diagram of V((4, 1)) over A2 reached 6 dominant weights "
+        "times 3 positive roots, 18 root tests, over DIAGRAM_CAP = 17",
+    }
+
+
+def test_every_cap_is_documented_with_its_value():
+    """Each constant passed as the ``cap`` of a ``ResourceLimitError`` in
+    the package is named in README's paragraph on resource caps, with its
+    value in the parenthesis after its name."""
+    import importlib
+    import re
+
+    pkg = pathlib.Path(coreduce.__file__).parent
+    readme = (pkg.parent.parent / "README.md").read_text()
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("Resource caps are"))
+    paragraph = " ".join(paragraph.split())
+    caps = []
+    for path in sorted(pkg.glob("*.py")):
+        module = importlib.import_module(f"coreduce.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "ResourceLimitError"
+            ):
+                name = node.args[1].value
+                caps.append(f"{path.stem}.{name}")
+                found = re.search(rf"`{path.stem}\.{name}` \(([^)]*)\)", paragraph)
+                assert found, f"README does not name {path.stem}.{name}"
+                value = f"{getattr(module, name):,}"
+                assert re.search(rf"(?<![\d,]){re.escape(value)}(?![\d,])", found.group(1)), (
+                    f"README does not give {path.stem}.{name} = {value}"
+                )
+    assert "repthy.DIAGRAM_CAP" in caps and len(caps) >= 7
 
 
 # The G2xG2 S^9 of appendixB, with the target (0,0,1,0) and 0: each G2 factor's

@@ -13,6 +13,8 @@ from coreduce.repthy import (
     covariant_generator_exists,
     covariant_generator_exists_multidegree,
     graded_invariant_series,
+    in_root_part,
+    min_root_multiplicity,
     parse_module,
     simple_dominant_diagram,
     symmetric_power,
@@ -25,6 +27,7 @@ from coreduce.rootsys import (
     GroupSpec,
     SimpleType,
     build_root_system,
+    in_root_lattice,
     parse_group,
     root_scaled_of_dynkin,
 )
@@ -37,6 +40,8 @@ from oracles import (
     reference_covariant_generator_exists,
     reference_freudenthal,
     reference_graded_invariant_series,
+    reference_min_root_multiplicity,
+    reference_weight_counts,
     weyl_orbit,
 )
 
@@ -187,6 +192,71 @@ def test_dominant_diagram_matches_the_recursion_over_every_root(case):
     assert list(simple_dominant_diagram(t, hw).items()) == list(
         reference_freudenthal(t, hw).items()
     )
+
+
+# the rank-5 to rank-8 types that ``weights`` runs, at labels at most 1: the
+# fundamental weights with the smallest diagrams and a sum of two
+LARGER_TYPE_CASES = [
+    ("B", 5, (1, 0, 0, 0, 0)), ("B", 5, (0, 1, 0, 0, 0)), ("B", 5, (0, 0, 0, 0, 1)),
+    ("B", 5, (0, 0, 1, 1, 0)),
+    ("D", 5, (1, 0, 0, 0, 0)), ("D", 5, (0, 1, 0, 0, 0)), ("D", 5, (0, 0, 0, 0, 1)),
+    ("D", 5, (1, 0, 1, 0, 0)),
+    ("E", 6, (1, 0, 0, 0, 0, 0)), ("E", 6, (0, 1, 0, 0, 0, 0)), ("E", 6, (0, 0, 0, 1, 0, 0)),
+    ("E", 6, (1, 0, 0, 0, 0, 1)),
+    ("E", 7, (1, 0, 0, 0, 0, 0, 0)), ("E", 7, (0, 0, 0, 0, 0, 0, 1)),
+    ("E", 7, (0, 0, 1, 0, 0, 0, 0)), ("E", 7, (0, 1, 0, 0, 0, 0, 1)),
+    ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1)), ("E", 8, (1, 0, 0, 0, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("family,rank,hw", LARGER_TYPE_CASES)
+def test_dominant_diagram_matches_the_recursion_on_larger_types(family, rank, hw):
+    t = SimpleType(family, rank)
+    assert list(simple_dominant_diagram(t, hw).items()) == list(
+        reference_freudenthal(t, hw).items()
+    )
+
+
+# simple and product groups, some with a torus; labels are kept small so
+# that the full diagrams of the reference stay quick
+COSET_GROUPS = ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A1xA1", "A1xA2", "A1xT1", "A2xT1",
+                "B2xT2", "A1xG2"]
+
+
+@st.composite
+def random_modules(draw):
+    g = parse_group(draw(st.sampled_from(COSET_GROUPS)))
+    semisimple = g.rank - g.torus_rank
+    summand = st.tuples(
+        st.integers(1, 3),
+        st.tuples(*[st.integers(0, 2)] * semisimple, *[st.integers(-3, 3)] * g.torus_rank),
+    )
+    return ModuleSpec(g, tuple(draw(st.lists(summand, min_size=1, max_size=3))))
+
+
+@given(m=random_modules())
+@example(m=parse_module(parse_group("A1xT1"), "[2,-3]"))
+@example(m=parse_module(parse_group("A2"), "[1,0]+[1,1]"))
+@example(m=parse_module(parse_group("E7"), "[0,0,0,0,0,0,1]"))
+@settings(max_examples=80, deadline=None)
+def test_counts_from_the_root_lattice_part_equal_the_full_diagram(m):
+    # weight counts and root multiplicities read off the summands in the
+    # coset of the zero weight (the rest counted by Weyl dimension) equal
+    # the formulas over every summand's diagram, and the counts add up to
+    # the dimension on and off the root lattice alike
+    zero, nonzero = weight_counts(m)
+    assert (zero, nonzero) == reference_weight_counts(m)
+    assert zero + nonzero == m.dimension()
+    assert min_root_multiplicity(m) == reference_min_root_multiplicity(m)
+
+
+def test_root_lattice_diagram_keeps_the_summands_in_the_coset_of_zero():
+    g = parse_group("A1xT1")
+    # [2,-3] is in the root lattice of A1 but has a nonzero torus label
+    assert in_root_lattice(g, (2, -3)) and not in_root_part(g, (2, -3))
+    m = parse_module(g, "[2,-3]+2*[2,0]+[1,0]")
+    assert m.root_lattice_diagram == {(2, 0): 2, (0, 0): 2}
+    assert weight_counts(m) == (2, 3 + 4 + 2)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
