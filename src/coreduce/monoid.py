@@ -30,9 +30,21 @@ that cannot change an answer:
   and a child ``x + e_j`` is compared only with generators whose j-th
   coefficient equals the child's.  The generators and their order are
   those of the plain scan.
+- Equal weights are interchangeable, so the search grows only
+  *copy-ascending* candidates, whose coefficients do not decrease along the
+  copies of each weight, and expands each such generator into its
+  arrangements over the copies before its degree is yielded.  A weight of
+  multiplicity m no longer makes each relation be found once per
+  arrangement.  The other arrangements of a generator still count against
+  the coordinate cap, as the plain search stores them, so the cap bounds
+  what a caller keeps; the B2 slice of ``3*[0,2]+3*[1,0]``, 28 weights of
+  which 8 are distinct, grows 39 candidates and counts 521 instead of 875,
+  and the G2 slice of ``3*[0,2]``, which stopped at the cap, counts 27,300
+  of the 78,431 it allows at its certificate.  A list of distinct weights
+  is searched as before.
 - A symmetry of the weight list, given as index permutations (the simple
   reflections acting on a toral slice), shrinks the search: it starts from
-  one unit vector per orbit of indices, and each level's generators are
+  the last copy of one weight per orbit, and each level's generators are
   closed under the permutations.  The F4 slice of the ``exceptional``
   suite, 24 weights in one W(F4)-orbit, stores 7,552 candidates instead of
   79,013.
@@ -57,8 +69,12 @@ stops at the same count.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .config import ResourceLimitError, require
@@ -147,15 +163,38 @@ def iter_hilbert_basis(
     ``m[j] == y[j]``, because ``x`` dominates none of them, so the child is
     compared only with that one bucket of the index.
 
+    Equal weights are interchangeable, so the search grows only
+    *copy-ascending* candidates, whose coefficients do not decrease along
+    the copies of each weight (in index order): it starts from the last
+    copy of each weight, and grows a copy other than the last only while
+    its coefficient is below the next copy's.  Each generator's orbit under
+    swapping copies holds exactly one copy-ascending member, and the search
+    finds just those; before a degree is yielded each is expanded into its
+    distinct arrangements over the copies, so the generators and their
+    order are those of the plain search.  The search stays complete: from
+    a copy-ascending ``y`` below a copy-ascending minimal relation ``s``,
+    the Contejean–Devié step takes a copy ``k`` of some weight with
+    ``y[k] < s[k]``; the last copy ``j`` with ``y[j] == y[k]`` has
+    ``y[j] < s[k] <= s[j]``, and ``y + e_j`` is copy-ascending.  The
+    index needs only copy-ascending generators: if a copy-ascending ``y``
+    dominates a generator, it dominates the generator with each weight's
+    coefficients sorted along its copies, because sorting keeps ``m <= y``.
+    Each generator's other arrangements count as stored candidates before
+    its degree is yielded, as the plain search has stored them by then, so
+    without a symmetry the search reaches the coordinate cap only where the
+    plain one does, and no search lists a degree whose arrangements pass it.
+
     ``symmetry`` lists permutations of the indices that map the weight list
     onto itself, such as the simple reflections acting on a Weyl-invariant
-    list.  The search then starts from one unit vector per orbit of
-    indices, and each level's generators are closed under the permutations
-    before they are indexed and yielded.  Every generator orbit has a
-    member whose support meets a starting index, and the completion from
-    ``e_r`` reaches every minimal relation with ``r`` in its support, so
-    the generators are those of the plain search, in the same order.  Each
-    image is checked to be a relation.
+    list; each must send the k-th copy of a weight to the k-th copy of its
+    image, so that it maps copy-ascending candidates to copy-ascending ones.
+    The search then starts from one last copy per orbit of indices, and
+    each level's generators are closed under the permutations before they
+    are indexed and yielded.  Every generator orbit has a member whose
+    support meets a starting index, and the completion from ``e_r``
+    reaches every copy-ascending minimal relation with ``r`` in its
+    support, so the generators are those of the plain search, in the same
+    order.  Each image is checked to be a relation.
     """
     n = len(weights)
     if n == 0:
@@ -165,12 +204,27 @@ def iter_hilbert_basis(
         raise ValueError("weights must share a dimension")
     if any(all(x == 0 for x in w) for w in weights):
         raise ValueError("zero weights must be discarded before basis computation")
+    distinct = list(dict.fromkeys(map(tuple, weights)))
+    field = {w: f for f, w in enumerate(distinct)}
+    members: list[list[int]] = [[] for _ in distinct]  # field -> weight indices
+    for j, w in enumerate(weights):
+        members[field[tuple(w)]].append(j)
+    copy = [(0, 0)] * n  # j -> (field of its weight, its rank among the copies)
+    for f, js in enumerate(members):
+        for k, j in enumerate(js):
+            copy[j] = (f, k)
     perms = [tuple(p) for p in symmetry or ()]
     if any(sorted(p) != list(range(n)) for p in perms):
         raise ValueError("a symmetry must permute the weight indices")
-    starts: list[int] = []  # the least index of each orbit of indices
+    for p in perms:
+        image = [copy[p[js[0]]][0] for js in members]  # field -> field of its image
+        if any(copy[p[j]] != (image[f], k) for j, (f, k) in enumerate(copy)):
+            raise ValueError(
+                "a symmetry must send the k-th copy of a weight to the k-th copy of its image"
+            )
+    starts: list[int] = []  # the least last copy of each orbit of indices
     seen: set[int] = set()
-    for i in range(n):
+    for i in sorted(js[-1] for js in members):
         if i not in seen:
             starts.append(i)
             seen.update(closure((i,), lambda j: [p[j] for p in perms]))
@@ -184,7 +238,7 @@ def iter_hilbert_basis(
     # _check_stored keeps at most cap // n while children one degree higher
     # are made: cb - 1 bits hold every coefficient, so no field overflows,
     # and the top bit of each field is a guard for _dominates.  A symmetry
-    # image has the degree of a stored generator.
+    # image and an arrangement have the coefficients of a stored generator.
     max_stored = HILBERT_COORD_CAP // n
     deg_cap = max_stored + 1
     cb = deg_cap.bit_length() + 1
@@ -192,6 +246,10 @@ def iter_hilbert_basis(
     shift = [cb * (n - 1 - j) for j in range(n)]
     unit = [1 << s for s in shift]
     guard = _repunit(cb, n) << cb - 1
+    # the copies of each weight a child may grow: (j, shift of the next
+    # copy), or (j, None) for the last copy, which always may
+    grow = [[(j, shift[k]) for j, k in zip(js, js[1:])] + [(js[-1], None)] for js in members]
+    repeated = [js for js in members if len(js) > 1]
 
     # Pairings: the int d holds <val, w> for each distinct weight w in a
     # field of nb bytes, plus half the field's range, so a pairing is
@@ -201,11 +259,6 @@ def iter_hilbert_basis(
     # packed coordinate columns, and a child's d is its parent's plus that
     # row.  val lies in the span of the weights, so val == 0 exactly when
     # every pairing is 0, that is when d == bias.
-    distinct = list(dict.fromkeys(map(tuple, weights)))
-    field = {w: f for f, w in enumerate(distinct)}
-    members: list[list[int]] = [[] for _ in distinct]  # field -> weight indices
-    for j, w in enumerate(weights):
-        members[field[tuple(w)]].append(j)
     nb = (deg_cap * max(sum(a * a for a in w) for w in distinct)).bit_length() // 8 + 1
     nbytes = nb * len(distinct)
     half = 1 << 8 * nb - 1
@@ -235,13 +288,57 @@ def iter_hilbert_basis(
             out.append(y)
         return out
 
-    # the minimality index: m[j] * n + j -> (support mask, m) of generators m
+    def arrangement_count(support: list[tuple[int, int]]) -> int:
+        """How many distinct arrangements over the copies of each weight the
+        generator with this support has: a multinomial per weight."""
+        held: dict[int, list[int]] = {}
+        for j, c in support:
+            held.setdefault(copy[j][0], []).append(c)
+        count = 1
+        for f, cs in held.items():
+            left = len(members[f])
+            for m in Counter(cs).values():
+                count *= comb(left, m)
+                left -= m
+        return count
+
+    def arrangements(coeffs: list[int]) -> Iterator[Vec]:
+        """The copy-ascending generator with coefficients ``coeffs`` and its
+        other distinct arrangements over the copies of each weight, in
+        increasing order.  Each next one raises the last copy that a larger
+        value among the later copies of its weight can fill, to the least
+        such value, and refills the copies after it with what is left of
+        each weight's values, ascending: the least arrangement above.  Only
+        the copies of weights whose copies hold more than one value move."""
+        free = sorted(j for js in repeated if coeffs[js[0]] != coeffs[js[-1]] for j in js)
+        while True:
+            yield tuple(coeffs)
+            # field -> the values of its copies after i; ascending, as none of
+            # those copies could take a larger value from the ones after it
+            later: dict[int, list[int]] = {}
+            for i in range(len(free) - 1, -1, -1):
+                j = free[i]
+                values = later.setdefault(copy[j][0], [])
+                k = bisect_right(values, coeffs[j])
+                if k < len(values):
+                    break
+                values.append(coeffs[j])
+            else:
+                return
+            values[k], coeffs[j] = coeffs[j], values[k]
+            refill = {f: iter(vs) for f, vs in later.items()}
+            for j in free[i + 1 :]:
+                coeffs[j] = next(refill[copy[j][0]])
+
+    # the minimality index: m[j] * n + j -> (support mask, m) of the
+    # copy-ascending generators m
     by_coord: dict[int, list[tuple[int, int]]] = {}
     found = 0
     # the candidates of one degree: x -> (support mask, pairings)
     level = {unit[j]: (1 << j, bias + gram[field[tuple(weights[j])]]) for j in starts}
     while level:
-        # the generators of this degree, as sparse supports [(j, x[j])]
+        # the copy-ascending generators of this degree, as sparse supports
+        # [(j, x[j])]
         batch: dict[int, list[tuple[int, int]]] = {}
         for x, (_xmask, d) in level.items():
             if d == bias:
@@ -253,6 +350,7 @@ def iter_hilbert_basis(
                 ]
         if perms:
             closure(list(batch), images)
+        streams = []
         for x in sorted(batch):
             support = batch[x]
             xmask = 0
@@ -262,13 +360,24 @@ def iter_hilbert_basis(
                 coeffs[j] = c
             for j, c in support:
                 by_coord.setdefault(c * n + j, []).append((xmask, x))
+            # its other arrangements count as stored candidates, as the plain
+            # search stores them, so what is yielded stays under the cap; a
+            # cap error names the first one past it
+            stored = min(stored + arrangement_count(support) - 1, max_stored + 1)
+            if stored > max_stored:
+                _check_stored(stored, n)
+            streams.append(arrangements(coeffs))
+        # merged lazily: a level with more arrangements than
+        # HILBERT_GENERATOR_CAP allows is never listed whole.  Tuples compare
+        # as the packed candidates do.
+        for coeffs in heapq.merge(*streams):
             found += 1
             if found > HILBERT_GENERATOR_CAP:
                 raise ResourceLimitError(
                     "monoid.hilbert", "HILBERT_GENERATOR_CAP", HILBERT_GENERATOR_CAP, found,
                     "hilbert basis search found {count} generators",
                 )
-            yield Relation(tuple(coeffs))
+            yield Relation(coeffs)
         nxt: dict[int, tuple[int, int]] = {}
         for x, (xmask, d) in level.items():
             if d == bias:
@@ -277,7 +386,9 @@ def iter_hilbert_basis(
             negative = (~d & bias).to_bytes(nbytes, "little")[nb - 1 :: nb]
             f = negative.find(0x80)
             while f >= 0:
-                for j in members[f]:
+                for j, after in grow[f]:
+                    if after is not None and (x >> shift[j]) & fmask >= (x >> after) & fmask:
+                        continue  # y would not be copy-ascending
                     y = x + unit[j]
                     if y in nxt:
                         continue

@@ -26,15 +26,15 @@ torus label, has zero multiplicity 0 and no root among its weights.  They
 read the diagram of the root-lattice part alone
 (``ModuleSpec.root_lattice_diagram``) and count every weight of any other
 summand as nonzero through its Weyl dimension, so such a summand runs no
-recursion.  A module builds its dominant diagrams and its full weight
-multiset once each, on first use, and keeps them
-(``ModuleSpec.dominant_diagram``, ``ModuleSpec.root_lattice_diagram`` and
-``ModuleSpec.weights``), so the toral slice, the chamber enumeration, the
-screens and the covariant counts of one module share them.  Orbits are
-expanded by closure only in :func:`weight_diagram`, where every weight is
-used.  Multiplicities of irreducibles use the alternating Weyl-sum (Racah)
-formula, which needs only point lookups; its signed points w(lam+rho) - rho
-are listed once per group and lam.
+recursion.  A module builds the dominant diagram of its root-lattice part
+and its full weight multiset once each, on first use, and keeps them
+(``ModuleSpec.root_lattice_diagram`` and ``ModuleSpec.weights``), so the
+toral slice, the chamber enumeration, the screens and the covariant counts
+of one module share them.  Orbits are expanded by closure only in
+:func:`weight_diagram`, where every weight is used.  Multiplicities of
+irreducibles use the alternating Weyl-sum (Racah) formula, which needs only
+point lookups; its signed points w(lam+rho) - rho are listed once per group
+and lam.
 
 Symmetric powers S^0..S^d come from one DP over the weight list in pure
 Python: each degree k is one packed int over the box that holds the weights
@@ -137,6 +137,13 @@ DIAGRAM_CAP = 100_000
 make: the dominant weights it has visited times the positive roots, counted
 as each weight is visited, before the recursion starts; a hit raises
 ResourceLimitError (the CLI exits 3)."""
+PRODUCT_DIAGRAM_CAP = 100_000
+"""Dominant weights the diagram of a product group may hold: the product of
+its factors' diagram sizes, counted after the factors' diagrams and before
+the product is built; a hit raises ResourceLimitError (the CLI exits 3).
+The largest product diagram of the tests holds 10 (A1xA2 ``[2,2,2]``) and
+the largest of the benchmark and the paper suites 8, a margin of 10,000
+times; ``A1xA1xA1 [400,400,400]`` would hold 8,120,601."""
 
 
 def _freudenthal(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
@@ -235,10 +242,18 @@ def _freudenthal(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
 
 
 def dominant_diagram(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
-    """Dominant-weight multiplicities of the product-group irreducible V(hw)."""
+    """Dominant-weight multiplicities of the product-group irreducible V(hw):
+    the product of its factors' diagrams, sized against
+    ``PRODUCT_DIAGRAM_CAP`` before it is built."""
+    parts = [simple_dominant_diagram(t, tuple(hw[lo:hi])) for t, lo, hi in g.root_data.factors]
+    size = math.prod(map(len, parts))
+    if size > PRODUCT_DIAGRAM_CAP:
+        raise ResourceLimitError(
+            "repthy.diagram", "PRODUCT_DIAGRAM_CAP", PRODUCT_DIAGRAM_CAP, size,
+            f"the diagram of V({hw}) over {g} would hold {{count}} dominant weights",
+        )
     combos: list[tuple[Coords, int]] = [((), 1)]
-    for t, lo, hi in g.root_data.factors:
-        part = simple_dominant_diagram(t, tuple(hw[lo:hi]))
+    for part in parts:
         combos = [
             (prefix + coords, mult * m)
             for prefix, mult in combos
@@ -310,13 +325,6 @@ class ModuleSpec:
         return Character(self.group, total)
 
     @cached_property
-    def dominant_diagram(self) -> dict[Coords, int]:
-        """Dominant-weight multiplicities of the module: the summands'
-        dominant diagrams added with their coefficients, one value per Weyl
-        orbit; built on first use and kept with the module."""
-        return _summed_diagram(self.group, self.summands)
-
-    @cached_property
     def root_lattice_diagram(self) -> dict[Coords, int]:
         """The dominant diagram of the module's root-lattice part: the
         summands whose highest weight lies in the root lattice with every
@@ -324,7 +332,12 @@ class ModuleSpec:
         root take their multiplicity from it alone; built on first use and
         kept with the module."""
         g = self.group
-        return _summed_diagram(g, [(c, hw) for c, hw in self.summands if in_root_part(g, hw)])
+        total: dict[Coords, int] = {}
+        for coeff, hw in self.summands:
+            if in_root_part(g, hw):
+                for d, mult in dominant_diagram(g, hw).items():
+                    total[d] = total.get(d, 0) + coeff * mult
+        return total
 
     def __str__(self) -> str:
         terms = []
@@ -332,15 +345,6 @@ class ModuleSpec:
             w = "[" + ",".join(str(x) for x in hw) + "]"
             terms.append(w if c == 1 else f"{c}*{w}")
         return "+".join(terms)
-
-
-def _summed_diagram(g: GroupSpec, summands: Sequence[tuple[int, Coords]]) -> dict[Coords, int]:
-    """The dominant diagrams of ``summands`` added with their coefficients."""
-    total: dict[Coords, int] = {}
-    for coeff, hw in summands:
-        for d, mult in dominant_diagram(g, hw).items():
-            total[d] = total.get(d, 0) + coeff * mult
-    return total
 
 
 def in_root_part(g: GroupSpec, hw: Coords) -> bool:
@@ -358,7 +362,12 @@ def parse_module(g: GroupSpec, text: str) -> ModuleSpec:
     for term in text.replace(" ", "").split("+"):
         if "*" in term:
             c_text, w_text = term.split("*", 1)
-            coeff = int(c_text)
+            try:
+                coeff = int(c_text)
+            except ValueError:
+                raise RootSystemError(
+                    f"cannot parse the coefficient of the term {term!r}"
+                ) from None
         else:
             coeff, w_text = 1, term
         summands.append((coeff, parse_weight(g, w_text)))

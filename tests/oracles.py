@@ -606,12 +606,23 @@ def reference_freudenthal(t, hw: tuple) -> dict:
     return mults
 
 
+def _full_dominant_diagram(m) -> dict:
+    """The summands' dominant diagrams added with their coefficients."""
+    from coreduce.repthy import dominant_diagram
+
+    total: dict = {}
+    for coeff, hw in m.summands:
+        for d, mult in dominant_diagram(m.group, hw).items():
+            total[d] = total.get(d, 0) + coeff * mult
+    return total
+
+
 def reference_weight_counts(m) -> tuple:
     """(zero multiplicity, nonzero weights with multiplicity) of a module
     over its full dominant diagram, every summand's Freudenthal diagram
     included: the formula ``coreduce.repthy.weight_counts`` used before it
     read the root-lattice part alone, kept as the reference for it."""
-    dom = m.dominant_diagram
+    dom = _full_dominant_diagram(m)
     zero = tuple(0 for _ in range(m.group.rank))
     nonzero = sum(mult * orbit_size(m.group, d) for d, mult in dom.items() if d != zero)
     return dom.get(zero, 0), nonzero
@@ -623,7 +634,7 @@ def reference_min_root_multiplicity(m) -> tuple:
     ``coreduce.repthy.min_root_multiplicity`` used before it read the
     root-lattice part alone, kept as the reference for it."""
     data = m.group.root_data
-    entries = m.dominant_diagram
+    entries = _full_dominant_diagram(m)
     return min(
         ((entries.get(dom, 0), root) for root, dom in zip(data.roots, data.dominant_roots)),
         key=lambda pair: pair[0],

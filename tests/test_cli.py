@@ -354,6 +354,29 @@ def test_bad_weight_labels_usage_message(command, group, weight, capsys):
     assert "invalid literal" not in err
 
 
+@pytest.mark.parametrize("command", ["weights", "classify"])
+@pytest.mark.parametrize(
+    "module,term",
+    [("a*[1]", "a*[1]"), ("*[1]", "*[1]"), ("1.5*[1]", "1.5*[1]"), ("[1]+x*[2]", "x*[2]")],
+    ids=["letter", "empty", "decimal", "second-term"],
+)
+def test_bad_coefficient_usage_message(command, module, term, capsys):
+    code, out = run_cli([command, "A1", module])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == f"error: cannot parse the coefficient of the term {term!r}\n"
+
+
+@pytest.mark.parametrize("command", ["weights", "classify"])
+@pytest.mark.parametrize("module", ["-1*[1]", "0*[1]"], ids=["negative", "zero"])
+def test_nonpositive_coefficient_usage_message(command, module, capsys):
+    # a coefficient that parses is checked for its sign, not reported
+    # unparsable; "--" keeps argparse from reading "-1*[1]" as an option
+    code, out = run_cli([command, "A1", "--", module])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: summand coefficients must be positive\n"
+
+
 def test_bad_slice_command():
     code, out = run_cli(["bad-slice", "A1", "[6]"])
     assert code == 0 and json.loads(out)["bad"]
@@ -680,6 +703,24 @@ def test_oversized_diagrams_exit_three(argv, npos, capsys):
     assert err["message"].endswith(f"{count} root tests, over DIAGRAM_CAP = {repthy.DIAGRAM_CAP}")
 
 
+def test_oversized_product_diagram_exits_three(capsys):
+    # each A1 factor holds 201 dominant weights, small enough; their product
+    # is sized before it is built
+    from coreduce import repthy
+
+    start = time.monotonic()
+    assert run_cli(["weights", "A1xA1xA1", "[400,400,400]"]) == (3, "")
+    assert time.monotonic() - start < 5
+    assert json.loads(capsys.readouterr().err) == {
+        "engine": "repthy.diagram",
+        "cap": "PRODUCT_DIAGRAM_CAP",
+        "limit": repthy.PRODUCT_DIAGRAM_CAP,
+        "count": 201**3,
+        "message": "the diagram of V((400, 400, 400)) over A1xA1xA1 would hold 8120601 "
+        f"dominant weights, over PRODUCT_DIAGRAM_CAP = {repthy.PRODUCT_DIAGRAM_CAP}",
+    }
+
+
 def test_diagram_cap_fires_at_its_count_before_the_recursion(monkeypatch, capsys):
     """A2 [4,1] has 6 dominant weights and 3 positive roots: 18 root tests.
     A cap of 18 lets the diagram through; one of 17 stops the descent at
@@ -855,7 +896,7 @@ def test_out_of_memory_exits_three(monkeypatch, capsys):
 # count over HILBERT_COORD_CAP // weights.  The G2 "2*[3,3]" and F4 slices
 # are sized before the search starts
 HILBERT_CAP_COUNTS = {
-    ("G2", "3*[0,2]"): (78432, 204),
+    ("G2", "2*[2,2]"): (11397, 1404),
     ("B3", "[1,3,0]"): (5424, 2950),
     ("G2", "2*[3,3]"): (8052, 8052),
     ("F4", "[3,2,2,1]"): (312481753416, 312481753416),
@@ -880,7 +921,7 @@ def hilbert_cap_error(group, module):
 @pytest.mark.parametrize(
     "group, module",
     [
-        ("G2", "3*[0,2]"),
+        ("G2", "2*[2,2]"),
         ("B3", "[1,3,0]"),
         ("F4", "[3,2,2,1]"),
         ("F4", "[2,3,2,0]"),
@@ -888,9 +929,18 @@ def hilbert_cap_error(group, module):
     ],
 )
 def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(group, module):
-    # every toral-slice search here once ran until a 1 GB address space was
-    # full; the F4 slices (about 3e11 weights) are sized before they are
-    # listed.  The counts pin the candidates the search stores.
+    # each toral-slice search here stops at the coordinate cap inside a 1 GB
+    # address space, which all but G2 "2*[2,2]" were once seen to fill; the
+    # F4 slices (about 3e11 weights) are sized before they are listed.  The
+    # counts pin the candidates the search stores.
+    out = run_in_one_gigabyte(["classify", group, module])
+    assert out.returncode == 3 and out.stdout == ""
+    assert json.loads(out.stderr) == hilbert_cap_error(group, module)
+
+
+def run_in_one_gigabyte(argv):
+    """Run the CLI in a child process limited to a 1 GB address space;
+    it must finish within 10 s."""
     import resource
     import time
 
@@ -900,7 +950,7 @@ def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(group, module):
     src = os.path.dirname(os.path.dirname(coreduce.__file__))
     t0 = time.perf_counter()
     out = subprocess.run(
-        [sys.executable, "-m", "coreduce.cli", "classify", group, module],
+        [sys.executable, "-m", "coreduce.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
@@ -908,8 +958,50 @@ def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(group, module):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert time.perf_counter() - t0 < 10
+    return out
+
+
+@pytest.mark.parametrize("command", ["torus-check", "hilbert-basis"])
+@pytest.mark.parametrize("copies, candidates", [(300, 26667), (2000, 4001)])
+def test_long_copy_chains_stop_at_the_coordinate_cap(command, copies, candidates):
+    # k copies of 1 and k of -1: the degree-2 relations are the k * k
+    # arrangements of one copy of each, which count against the cap before
+    # any is listed, so the search stops at the first candidate past
+    # HILBERT_COORD_CAP // 2k, as when every arrangement was grown
+    n = 2 * copies
+    out = run_in_one_gigabyte([command, "--weights", ",".join(["1"] * copies + ["-1"] * copies)])
     assert out.returncode == 3 and out.stdout == ""
-    assert json.loads(out.stderr) == hilbert_cap_error(group, module)
+    assert json.loads(out.stderr) == {
+        "engine": "monoid.hilbert",
+        "cap": "HILBERT_COORD_CAP",
+        "limit": 16000000,
+        "count": candidates * n,
+        "message": f"hilbert basis search: {candidates} candidates of {n} coefficients "
+        f"make {candidates * n} coordinates, over HILBERT_COORD_CAP = 16000000",
+    }
+
+
+@pytest.mark.parametrize(
+    "group, module", [("G2", "3*[0,2]"), ("G2", "3*[1,1]"), ("B2", "3*[2,2]")]
+)
+def test_slices_with_many_equal_weights_get_a_certificate(group, module):
+    # these searches once stopped at the coordinate cap; grown only over
+    # copy-ascending candidates, each finds a degree-3 relation
+    from coreduce.slices import toral_slice, weyl_symmetric_list
+    from oracles import brute_force_minimal_relations
+
+    code, out = run_cli(["classify", group, module])
+    assert code == 1
+    (row,) = json.loads(out)["rows"]
+    assert row["coreduced"] == "no"
+    (cert,) = row["certificates"]
+    assert cert["kind"] == "toral_relation" and cert["coeffs"] == [2, 1]
+    weights = [tuple(w) for w in cert["weights"]]
+    coeffs = tuple(cert["coeffs"])
+    assert coeffs in brute_force_minimal_relations(weights, sum(coeffs))
+    g = parse_group(group)
+    slice_weights, _ = weyl_symmetric_list(g, toral_slice(parse_module(g, module)))
+    assert set(weights) <= set(slice_weights)
 
 
 @pytest.mark.parametrize("module", ["[3,2,2,1]", "[2,3,2,0]"])

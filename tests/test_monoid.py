@@ -16,8 +16,9 @@ from coreduce.monoid import (
     hilbert_basis,
     is_torus_coreduced,
 )
+from coreduce.repthy import ModuleSpec, parse_module
 from coreduce.rootsys import parse_group
-from coreduce.slices import weyl_symmetric_list
+from coreduce.slices import bad_toral_slice, toral_slice, weyl_symmetric_list
 
 from oracles import (
     brute_force_minimal_relations,
@@ -78,9 +79,12 @@ def _search_outcome(search, ws) -> tuple[list, str]:
 @st.composite
 def repeated_weight_lists(draw):
     """Weights of one rank in 1..4 with entries in [-3, 3], drawn from a
-    smaller pool of distinct vectors, so that some weight repeats."""
+    smaller pool of distinct vectors, so that some weight repeats; or, in
+    one draw of four, the pool itself, without repeats."""
     rank = draw(st.integers(1, 4))
     vec = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(vec, min_size=1, max_size=7, unique=True))
     pool = draw(st.lists(vec, min_size=1, max_size=5))
     picks = draw(st.lists(st.sampled_from(pool), min_size=len(pool) + 1, max_size=8))
     return picks
@@ -98,29 +102,47 @@ def test_hilbert_search_matches_the_reference_kernel(ws, coord_cap, generator_ca
     # count over the cap: the kernel checks each candidate as it is stored.
     # The heap kernel visits only candidates the level kernel stores and
     # their children, so n + 2 times the cap lets it reach that prefix.
+    # With equal weights the level kernel stores only copy-ascending
+    # candidates, fewer than the heap kernel visits, so it may get further
+    # before a cap: its sequence must match wherever the heap kernel's
+    # ends, and its coordinate cap fire only where the heap kernel's does.
     n = len(ws)
+    repeat_free = len(set(ws)) == n
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monoid, "HILBERT_COORD_CAP", (n + 2) * coord_cap)
         reference, reference_error = _search_outcome(reference_hilbert_basis, ws)
         mp.setattr(monoid, "HILBERT_COORD_CAP", coord_cap)
         mp.setattr(monoid, "HILBERT_GENERATOR_CAP", generator_cap)
         gens, error = _search_outcome(monoid.iter_hilbert_basis, ws)
+    # both yield prefixes of one sequence, all of it when no cap stops them;
+    # without repeats the heap kernel gets at least as far
+    common = min(len(gens), len(reference))
+    assert gens[:common] == reference[:common]
+    assert error or len(gens) >= len(reference)
+    assert reference_error or len(gens) <= len(reference)
+    if repeat_free:
+        assert len(gens) <= len(reference) and (error or not reference_error)
     if not error:
-        assert reference_error == "" and gens == reference
         return
-    assert gens == reference[: len(gens)]
     if error.startswith("hilbert basis search found"):
-        assert len(gens) == generator_cap < len(reference)
+        assert len(gens) == generator_cap
+        assert generator_cap < len(reference) or (reference_error and not repeat_free)
         assert error == (
             f"hilbert basis search found {generator_cap + 1} generators, "
             f"over HILBERT_GENERATOR_CAP = {generator_cap}"
         )
-    else:
+    elif repeat_free:
         stored = max(n, coord_cap // n + 1)  # the unit vectors, or the first child over
         assert error == (
             f"hilbert basis search: {stored} candidates of {n} coefficients "
             f"make {stored * n} coordinates, over HILBERT_COORD_CAP = {coord_cap}"
         )
+    else:
+        assert error.endswith(f"over HILBERT_COORD_CAP = {coord_cap}")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(monoid, "HILBERT_COORD_CAP", coord_cap)
+            same_cap_error = _search_outcome(reference_hilbert_basis, ws)[1]
+        assert same_cap_error.endswith(f"over HILBERT_COORD_CAP = {coord_cap}")
 
 
 def test_hilbert_search_wide_fields():
@@ -163,6 +185,76 @@ def test_symmetric_search_matches_the_reference_kernel(group_counts):
     got = _search_outcome(lambda w: monoid.iter_hilbert_basis(w, symmetry), ws)
     assert got == (_search_outcome(reference_hilbert_basis, ws)[0], "")
     assert is_torus_coreduced(ws, symmetry) == is_torus_coreduced(ws)
+
+
+@st.composite
+def lists_with_copies(draw):
+    """Weights of rank 1..3 with entries in [-3, 3], one of which is forced
+    to occur 2 to 4 times, the copies at drawn positions."""
+    rank = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+    ws = draw(st.lists(vec, min_size=1, max_size=4))
+    w = draw(st.sampled_from(ws))
+    for _ in range(draw(st.integers(2, 4)) - ws.count(w)):
+        ws.insert(draw(st.integers(0, len(ws))), w)
+    return ws, None
+
+
+@st.composite
+def small_module_slices(draw):
+    """The toral slice of a module of A2, B2 or G2 with one or two summands
+    of coefficient 1 to 3, as a Weyl-symmetric list, with the simple
+    reflections; at most 24 weights, so that the reference kernel ends."""
+    g = parse_group(draw(st.sampled_from(("A2", "B2", "G2"))))
+    hw = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    summands = draw(
+        st.lists(st.tuples(st.integers(1, 3), hw), min_size=1, max_size=2, unique_by=lambda t: t[1])
+    )
+    counts = toral_slice(ModuleSpec(g, tuple(summands)))
+    assume(counts and sum(counts.values()) <= 24)
+    return weyl_symmetric_list(g, counts)
+
+
+@given(case=lists_with_copies() | small_module_slices())
+@settings(max_examples=100, deadline=None)
+def test_torus_verdict_is_the_first_coefficient_two_generator(case):
+    # the first generator with a coefficient >= 2, in (degree, tuple) order,
+    # is copy-ascending: the search over copy-ascending candidates finds it
+    ws, symmetry = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monoid, "HILBERT_COORD_CAP", 2_000 * len(ws))
+        reference = reference_hilbert_basis(ws)
+        try:
+            first = next((g for g in reference if g.max_coeff >= 2), None)
+        except ResourceLimitError:
+            assume(False)
+    verdict = is_torus_coreduced(ws, symmetry)
+    assert verdict.coreduced == (first is None)
+    assert verdict.certificate == first
+
+
+def test_copy_ascending_search_answers_a_b2_slice_under_a_small_cap(monkeypatch):
+    # the slice of B2 3*[0,2]+3*[1,0] has 28 weights, 8 distinct: grown over
+    # every arrangement of equal weights, its search stored 875 candidates
+    # before the certificate, over the 600 that this cap allows.  Grown over
+    # copy-ascending candidates, with each generator's other arrangements
+    # counted as stored, it holds 521
+    g = parse_group("B2")
+    m = parse_module(g, "3*[0,2]+3*[1,0]")
+    n = sum(toral_slice(m).values())
+    monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 600 * n)
+    assert bad_toral_slice(m).coeffs == (1, 2, 1)
+    monoid._torus_verdict.cache_clear()
+    monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 520 * n)
+    with pytest.raises(ResourceLimitError, match="521 candidates of 28 coefficients"):
+        bad_toral_slice(m)
+
+
+def test_a_symmetry_must_keep_the_rank_of_each_copy():
+    # swapping the two copies of (1,) maps the weight list onto itself, but
+    # not a copy-ascending candidate onto one
+    with pytest.raises(ValueError, match="k-th copy"):
+        list(monoid.iter_hilbert_basis([(1,), (1,), (-1,)], [(1, 0, 2)]))
 
 
 # e0 + e1 is a relation of [1, -1, 2]; swapping indices 1 and 2 sends it to
