@@ -40,7 +40,6 @@ from .repthy import (
     CovariantCertificate,
     ModuleSpec,
     covariant_certificates,
-    covariant_generator_exists,
     covariant_generator_exists_multidegree,
     max_nonzero_weight_multiplicity,
     min_root_multiplicity,
@@ -154,7 +153,10 @@ def classify_sl2(parts: Sequence[int]) -> Verdict:
     bad = bad_toral_slice(m)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
-    cov = _sl2_covariant_certificate(m, parts)
+    # covariants to R_1 (odd weights present) or to R_2 (all weights even)
+    # of degree >= 2 vanish on the null cone
+    target = (1,) if any(p % 2 for p in parts) else (2,)
+    cov = vanishing_covariant_certificate(m, maximal_sets(admissible_sets(m)), target, range(2, 9))
     if cov is not None:
         return Verdict(m, NO, (cov,), tag, ("generating covariant of low target degree vanishes on the null cone",))
     return Verdict(
@@ -172,26 +174,6 @@ def _two_r2_screen() -> ScreenResult:
     return value_screen(vals, codim=3, invariant_degrees=[2, 2, 2])
 
 
-def _sl2_covariant_certificate(
-    m: ModuleSpec, parts: tuple[int, ...]
-) -> Optional[CovariantCertificate]:
-    # Covariants to R_1 of degree >= 2 (odd weights present) or to R_2 of
-    # degree >= 2 (all weights even) vanish on the null cone; a generating one
-    # in such a degree certifies non-coreducedness.
-    target = (1,) if any(p % 2 for p in parts) else (2,)
-    return _first_generating_covariant(m, target, range(2, 9))
-
-
-def _first_generating_covariant(
-    m: ModuleSpec, target: Coords, degrees: range
-) -> Optional[CovariantCertificate]:
-    """The certificate of the lowest degree in ``degrees`` with a generating
-    covariant of type V(target), all read off one Weyl-sum series to the
-    top degree; None when there is none."""
-    certs = covariant_certificates(m, target, degrees[-1])[degrees[0] - 1 :]
-    return next((cert for cert in certs if cert.exists), None)
-
-
 def _require_simple(g: GroupSpec) -> None:
     if len(g.simple_factors) != 1 or g.torus_rank:
         raise ValueError(f"{g} is not a simple group; this driver covers one simple factor")
@@ -200,6 +182,30 @@ def _require_simple(g: GroupSpec) -> None:
 def _check_no_negative_rule(m: ModuleSpec) -> None:
     if bad_toral_slice(m) is not None:
         raise ContradictionError(f"bad toral slice on coreduced module {m}")
+
+
+def vanishing_covariant_certificate(
+    m: ModuleSpec, components: Sequence[AdmissibleSet], target: Coords, degrees: range
+) -> Optional[CovariantCertificate]:
+    """The generating covariant of type V(target) of the lowest degree in
+    ``degrees``, read off one :func:`covariant_certificates` series at the top
+    degree; None when there is none.
+
+    It certifies a non-reduced null cone when every covariant of its type and
+    degree vanishes on each of ``components``, whose saturations cover the
+    null cone: it then vanishes on the null cone without lying in the ideal of
+    the invariants.  A component on which it may not vanish raises
+    :class:`ContradictionError`.  Both halves hold for any module: the
+    components come from the Hilbert-Mumford chambers, which do not assume an
+    irreducible module, and the ideal bound of
+    :func:`covariant_generator_exists` counts products of invariants and
+    covariants in any module.
+    """
+    certs = covariant_certificates(m, target, degrees[-1])[degrees[0] - 1 :]
+    cert = next((c for c in certs if c.exists), None)
+    if cert is not None and not all(covariant_vanishes(a, target, cert.degree) for a in components):
+        raise ContradictionError(f"degree-{cert.degree} covariant fails to vanish on a component")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +614,10 @@ def g2xg2_certificate(m: ModuleSpec) -> tuple:
     groups: a generating covariant in degree 9 vanishes on every null-cone
     component."""
     sets = maximal_sets(admissible_sets(m))
-    if not all(covariant_vanishes(a, G2XG2_TARGET, G2XG2_DEGREE) for a in sets):
-        raise ContradictionError("degree-9 covariant fails to vanish on a component")
-    cert = covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE)
-    if not cert.exists:
+    cert = vanishing_covariant_certificate(
+        m, sets, G2XG2_TARGET, range(G2XG2_DEGREE, G2XG2_DEGREE + 1)
+    )
+    if cert is None:
         raise ContradictionError("expected a generating covariant in degree 9")
     return (cert, {"components_checked": len(sets), "vanishes_on_all": True})
 
@@ -772,22 +778,17 @@ def sl3_vanishing_generator_certificate(
         return None
     for target in ((1, 0), (0, 1)):
         dmax = 0
-        feasible = True
         for a in candidates:
             # largest degree with a monomial of the target weight
             d = _max_feasible_degree(a, target)
             if d is None:
-                feasible = False
                 break
             dmax = max(dmax, d)
-        if not feasible:
-            continue
-        cert = _first_generating_covariant(m, target, range(dmax + 1, dmax + 1 + SL3_EXTRA_DEGREES))
-        if cert is not None:
-            d = cert.degree
-            if not all(covariant_vanishes(a, target, d) for a in candidates):
-                raise ContradictionError(f"degree-{d} covariant fails to vanish on a component")
-            return (cert, {"vanishing_degree_bound": dmax, "components": len(candidates)})
+        else:
+            degrees = range(dmax + 1, dmax + 1 + SL3_EXTRA_DEGREES)
+            cert = vanishing_covariant_certificate(m, candidates, target, degrees)
+            if cert is not None:
+                return (cert, {"vanishing_degree_bound": dmax, "components": len(candidates)})
     return None
 
 
@@ -815,8 +816,6 @@ _SL3_EPS_SCREENS = {
     ((2, (2, 0)),): (4, (3, 3, 3, 3)),
     ((2, (0, 2)),): (4, (3, 3, 3, 3)),
     ((1, (0, 2)), (1, (2, 0))): (4, (2, 3, 3, 6)),
-    ((1, (1, 0)), (1, (2, 0))): (2, (2, 3)),
-    ((1, (0, 1)), (1, (0, 2))): (2, (2, 3)),
 }
 
 
@@ -835,16 +834,9 @@ def _sl3_reducible_screen(m: ModuleSpec) -> Optional[tuple]:
     if sor not in _SL3_EPS_SCREENS:
         return None
     codim, degrees = _SL3_EPS_SCREENS[sor]
-    res = _sl3_eps_screen(m.weights, (1, 1, -2), codim=codim, invariant_degrees=degrees)
+    rho = _sl3_cocharacter_from_eps(1, 1, -2)
+    res = negative_weight_degree_screen(m.weights, rho, codim, degrees)
     return (res, {"codim_source": "recorded"}) if res.not_reduced else None
-
-
-def _sl3_eps_screen(
-    chi: Character, eps_vals: tuple[int, int, int], codim: int, invariant_degrees: Sequence[int]
-) -> ScreenResult:
-    a, b, c = eps_vals
-    rho = _sl3_cocharacter_from_eps(a, b, c)
-    return negative_weight_degree_screen(chi, rho, codim, invariant_degrees)
 
 
 def _sl3_cocharacter_from_eps(a: int, b: int, c: int) -> Cocharacter:

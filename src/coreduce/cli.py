@@ -254,7 +254,10 @@ def cmd_support_rank(cfg: Config, args: argparse.Namespace) -> int:
         if not w_text:
             raise RootSystemError(f"support entries look like [w]:copy, got {item!r}")
         w = parse_weight(m.group, w_text)
-        copy = int(copy_text)
+        try:
+            copy = int(copy_text)
+        except ValueError:
+            raise RootSystemError(f"support copy of {item!r} is not an integer") from None
         if not 0 <= copy < copies:
             raise ValueError(
                 f"support copy {copy} of {item!r} is outside the copy range 0..{copies - 1}"

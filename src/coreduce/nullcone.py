@@ -395,6 +395,8 @@ def covariant_vanishes(
     if d < 1:
         raise ValueError(f"covariant degree must be at least 1, got {d}")
     g = adm.defining.group
+    if any(x < 0 for x in lam_star[: g.rank - g.torus_rank]):
+        raise ValueError(f"covariant target {lam_star} is not a dominant weight")
     ws = adm.root_scaled()
     target = root_scaled_of_dynkin(g, lam_star)
     degrees = range(1, d + 1) if all_degrees else [d]

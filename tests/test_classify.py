@@ -20,6 +20,8 @@ from coreduce.classify import (
     ContradictionError,
     MultiplicityCertificate,
     Verdict,
+    _SL3_EPS_SCREENS,
+    _sl3_reducible_screen,
     classify_adjoint_classical,
     classify_adjoint_exceptional,
     classify_module,
@@ -33,7 +35,7 @@ from coreduce.classify import (
 from coreduce.repthy import CovariantCertificate, ModuleSpec, parse_module
 from coreduce.rootsys import build_root_system, parse_group
 from coreduce.slices import BadSliceCertificate
-from coreduce.nullcone import ScreenResult
+from coreduce.nullcone import G2XG2_DEGREE, G2XG2_TARGET, ScreenResult
 
 from oracles import dynkin_of_root
 
@@ -147,7 +149,7 @@ def test_no_assert_statement_in_the_package():
 
 
 @pytest.mark.parametrize(
-    "group,module", [("A2", "[2,1]"), ("A2", "[0,1]+[0,2]"), ("A1", "3*[1]+[2]")]
+    "group,module", [("A2", "[2,1]"), ("A2", "[0,2]+[2,0]"), ("A1", "3*[1]+[2]")]
 )
 def test_sl2_and_sl3_classify_computes_the_weights_once(group, module, weight_builds):
     # the toral slice, the chamber enumeration, the screens and the covariant
@@ -367,10 +369,10 @@ def test_each_covariant_certificate_search_runs_one_dp(monkeypatch):
         return dp(chi, d, reads)
 
     monkeypatch.setattr(repthy, "_packed_powers", counted)
-    m = _module("A1", "[5]")
-    cert = classify._sl2_covariant_certificate(m, (5,))
+    v = classify_sl2((5,))
+    cert = v.certificates[0]
     assert (cert.degree, tops) == (5, [8])
-    assert cert == repthy.covariant_generator_exists(m, (1,), 5)
+    assert cert == repthy.covariant_generator_exists(v.module, (1,), 5)
     m = _module("A2", paper.SL3_V31)
     sets = classify_components_sl3(m)
     tops.clear()
@@ -378,6 +380,47 @@ def test_each_covariant_certificate_search_runs_one_dp(monkeypatch):
     assert (cert.degree, info["vanishing_degree_bound"]) == (8, 5)
     assert tops == [5 + classify.SL3_EXTRA_DEGREES]
     assert cert == repthy.covariant_generator_exists(m, (1, 0), 8)
+    m = _module(paper.G2XG2_GROUP, paper.G2XG2_MODULE)
+    tops.clear()
+    cert, info = g2xg2_certificate(m)
+    assert (cert.degree, tops) == (G2XG2_DEGREE, [G2XG2_DEGREE])
+    assert cert == repthy.covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE)
+
+
+@pytest.mark.parametrize(
+    "group,module",
+    [("A1", "[5]"), ("A1", "3*[2]"), ("A2", paper.SL3_V31), (paper.G2XG2_GROUP, paper.G2XG2_MODULE)],
+)
+def test_a_covariant_that_may_not_vanish_is_a_contradiction(group, module, monkeypatch):
+    """Each driver's covariant certificate checks that the covariant vanishes
+    on every null-cone component; the binary-form driver once rested that on
+    a comment."""
+    from coreduce import classify
+
+    monkeypatch.setattr(classify, "covariant_vanishes", lambda a, target, d: False)
+    with pytest.raises(ContradictionError, match="covariant fails to vanish on a component"):
+        classify_module(_module(group, module))
+
+
+@pytest.mark.parametrize(
+    "summands",
+    [
+        pytest.param(
+            s,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 4: the screen reads the eps-values (1, 1, -2) "
+                "for the dual module too",
+            ),
+        )
+        if s == ((2, (0, 2)),)
+        else s
+        for s in _SL3_EPS_SCREENS
+    ],
+    ids=str,
+)
+def test_each_eps_screen_row_fires_on_its_module(summands):
+    assert _sl3_reducible_screen(ModuleSpec(parse_group("A2"), summands)) is not None
 
 
 # ---------------------------------------------------------------------------

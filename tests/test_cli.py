@@ -432,6 +432,17 @@ def test_support_copy_out_of_range_exits_two(copy, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("copy", ["x", ""])
+def test_support_copy_not_an_integer_exits_two(copy, capsys):
+    # the copy index once reached int() unchecked and exited 2 with its raw
+    # "invalid literal" message, which names no entry
+    code, out = run_cli(["support-rank", "A2", "[1,1]", "--support", f"[1,1]:{copy}"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert f"support copy of '[1,1]:{copy}' is not an integer" in err
+    assert "invalid literal" not in err and "Traceback" not in err
+
+
 def test_classify_exit_zero_on_yes():
     code, out = run_cli(["classify", "A2", "[1,1]"])
     assert code == 0
@@ -616,6 +627,27 @@ def test_covariant_degree_below_one_exits_two(degree):
     )
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("group,module,target", [("A2", "[1,1]", "[-1,0]"), ("A1xT1", "[2,0]", "[-2,0]")])
+def test_non_dominant_covariant_target_exits_two(group, module, target, capsys):
+    # V(target) with a negative semisimple label is no covariant type; the
+    # check once answered vanishes_on_all: true with exit 0
+    code, out = run_cli(
+        ["covariant-vanish", group, module, "--target", target, "--degree", "2"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert "is not a dominant weight" in err and "Traceback" not in err
+
+
+def test_covariant_target_torus_label_may_be_negative():
+    # torus labels are free, as in a module's highest weights
+    code, out = run_cli(
+        ["covariant-vanish", "A1xT1", "[1,-2]", "--target", "[1,-1]", "--degree", "1"]
+    )
+    assert code == 0
+    assert json.loads(out)["vanishes_on_all"]
 
 
 def test_limit_states_flag_is_gone():
