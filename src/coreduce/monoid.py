@@ -32,16 +32,23 @@ that cannot change an answer:
   those of the plain scan.
 - Equal weights are interchangeable, so the search grows only
   *copy-ascending* candidates, whose coefficients do not decrease along the
-  copies of each weight, and expands each such generator into its
-  arrangements over the copies before its degree is yielded.  A weight of
-  multiplicity m no longer makes each relation be found once per
-  arrangement.  The other arrangements of a generator still count against
-  the coordinate cap, as the plain search stores them, so the cap bounds
-  what a caller keeps; the B2 slice of ``3*[0,2]+3*[1,0]``, 28 weights of
-  which 8 are distinct, grows 39 candidates and counts 521 instead of 875,
-  and the G2 slice of ``3*[0,2]``, which stopped at the cap, counts 27,300
-  of the 78,431 it allows at its certificate.  A list of distinct weights
-  is searched as before.
+  copies of each weight.  Each degree is handed on as its copy-ascending
+  generators, sorted, with the count of all their arrangements over the
+  copies: ``iter_hilbert_basis`` lists the arrangements, merged lazily, and
+  the torus verdict reads only the generators, as the least copy-ascending
+  one with a coefficient >= 2 is the first such generator of its degree.
+  A weight of multiplicity m no longer makes each relation be found once
+  per arrangement.  The other arrangements of a generator still count
+  against the coordinate cap, as the plain search stores them, so the cap
+  bounds what a caller keeps, and against the generator cap as one total
+  per degree; the verdict lists a degree that would pass the generator
+  cap, so it answers or stops where the listing does.  The B2 slice of
+  ``3*[0,2]+3*[1,0]``, 28 weights of which 8 are distinct, grows 39
+  candidates and counts 521 instead of 875, and its verdict lists none of
+  the 258 generators that come before its certificate; the G2 slice of
+  ``3*[0,2]``, which stopped at the cap, counts 27,300 of the 78,431 it
+  allows at its certificate.  A list of distinct weights has one
+  arrangement per generator and counts none.
 - A symmetry of the weight list, given as index permutations (the simple
   reflections acting on a toral slice), shrinks the search: it starts from
   the last copy of one weight per orbit, and each level's generators are
@@ -75,7 +82,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .config import ResourceLimitError, require
 from .rootsys import closure
@@ -144,19 +151,58 @@ def _repunit(width: int, count: int) -> int:
     return ((1 << width * count) - 1) // ((1 << width) - 1)
 
 
+class _Degree(NamedTuple):
+    """The generators of one degree of the Hilbert search."""
+
+    generators: list[Vec]  # the copy-ascending ones, in increasing order
+    count: int  # all their arrangements over the copies
+    arrangements: Callable[[Vec], Iterator[Vec]]  # of one generator, increasing
+
+    def listed(self) -> Iterator[Vec]:
+        """Every generator of the degree, in increasing order: the
+        arrangements of all copy-ascending ones, merged lazily, so that a
+        degree with more than ``HILBERT_GENERATOR_CAP`` is never listed
+        whole.  Tuples compare as the packed candidates do."""
+        if self.count == len(self.generators):
+            return iter(self.generators)  # each is its only arrangement
+        return heapq.merge(*map(self.arrangements, self.generators))
+
+
+def _check_found(found: int) -> None:
+    if found > HILBERT_GENERATOR_CAP:
+        raise ResourceLimitError(
+            "monoid.hilbert", "HILBERT_GENERATOR_CAP", HILBERT_GENERATOR_CAP, found,
+            "hilbert basis search found {count} generators",
+        )
+
+
 def iter_hilbert_basis(
     weights: Sequence[Vec], symmetry: Optional[Sequence[Sequence[int]]] = None
 ) -> Iterator[Relation]:
     """Yield the indecomposable relations among ``weights`` (Contejean–Devié),
-    in order of degree and, within a degree, of coefficient tuple.
+    in order of degree and, within a degree, of coefficient tuple: every
+    arrangement of each generator that :func:`_degrees` finds, one degree
+    at a time, so early consumers may stop at the first interesting
+    generator.  ``symmetry`` is as in :func:`_degrees`."""
+    found = 0
+    for degree in _degrees(weights, symmetry):
+        for coeffs in degree.listed():
+            found += 1
+            _check_found(found)
+            yield Relation(coeffs)
+
+
+def _degrees(
+    weights: Sequence[Vec], symmetry: Optional[Sequence[Sequence[int]]]
+) -> Iterator[_Degree]:
+    """The indecomposable relations among ``weights``, one degree at a time.
 
     The completion runs level by level.  All candidates of degree d are
     made before any generator of degree d is known, each checked once
     against every generator of lower degree, so the relations among them
-    are minimal; they are yielded, sorted, before the children of degree
+    are minimal; the degree is yielded before the children of degree
     d + 1 are made.  A child can dominate only generators of lower degree,
-    so that one check is complete, and early consumers (e.g. the 0/1 test)
-    may stop at the first interesting generator.
+    so that one check is complete.
 
     The check is indexed rather than a scan of every generator.  A child
     ``y = x + e_j`` of ``x`` can dominate a generator ``m`` only if
@@ -169,9 +215,12 @@ def iter_hilbert_basis(
     copy of each weight, and grows a copy other than the last only while
     its coefficient is below the next copy's.  Each generator's orbit under
     swapping copies holds exactly one copy-ascending member, and the search
-    finds just those; before a degree is yielded each is expanded into its
-    distinct arrangements over the copies, so the generators and their
-    order are those of the plain search.  The search stays complete: from
+    finds just those; a degree yields them with the count of their distinct
+    arrangements over the copies and the function that lists them, so that
+    listing them all gives the generators of the plain search in its
+    order.  The copy-ascending arrangement is the least in tuple order, so
+    the least copy-ascending generator with a coefficient >= 2 is the first
+    such generator of its degree.  The search stays complete: from
     a copy-ascending ``y`` below a copy-ascending minimal relation ``s``,
     the Contejean–Devié step takes a copy ``k`` of some weight with
     ``y[k] < s[k]``; the last copy ``j`` with ``y[j] == y[k]`` has
@@ -182,7 +231,8 @@ def iter_hilbert_basis(
     Each generator's other arrangements count as stored candidates before
     its degree is yielded, as the plain search has stored them by then, so
     without a symmetry the search reaches the coordinate cap only where the
-    plain one does, and no search lists a degree whose arrangements pass it.
+    plain one does, and no search yields a degree whose arrangements pass
+    it.  A list of distinct weights has one arrangement per generator.
 
     ``symmetry`` lists permutations of the indices that map the weight list
     onto itself, such as the simple reflections acting on a Weyl-invariant
@@ -288,28 +338,28 @@ def iter_hilbert_basis(
             out.append(y)
         return out
 
-    def arrangement_count(support: list[tuple[int, int]]) -> int:
+    def arrangement_count(coeffs: list[int]) -> int:
         """How many distinct arrangements over the copies of each weight the
-        generator with this support has: a multinomial per weight."""
-        held: dict[int, list[int]] = {}
-        for j, c in support:
-            held.setdefault(copy[j][0], []).append(c)
+        copy-ascending generator ``coeffs`` has: a multinomial per weight
+        whose copies hold more than one value."""
         count = 1
-        for f, cs in held.items():
-            left = len(members[f])
-            for m in Counter(cs).values():
-                count *= comb(left, m)
-                left -= m
+        for js in repeated:
+            if coeffs[js[0]] != coeffs[js[-1]]:
+                left = len(js)
+                for m in Counter(coeffs[j] for j in js).values():
+                    count *= comb(left, m)
+                    left -= m
         return count
 
-    def arrangements(coeffs: list[int]) -> Iterator[Vec]:
-        """The copy-ascending generator with coefficients ``coeffs`` and its
-        other distinct arrangements over the copies of each weight, in
-        increasing order.  Each next one raises the last copy that a larger
-        value among the later copies of its weight can fill, to the least
-        such value, and refills the copies after it with what is left of
-        each weight's values, ascending: the least arrangement above.  Only
-        the copies of weights whose copies hold more than one value move."""
+    def arrangements(generator: Vec) -> Iterator[Vec]:
+        """The copy-ascending ``generator`` and its other distinct
+        arrangements over the copies of each weight, in increasing order.
+        Each next one raises the last copy that a larger value among the
+        later copies of its weight can fill, to the least such value, and
+        refills the copies after it with what is left of each weight's
+        values, ascending: the least arrangement above.  Only the copies of
+        weights whose copies hold more than one value move."""
+        coeffs = list(generator)
         free = sorted(j for js in repeated if coeffs[js[0]] != coeffs[js[-1]] for j in js)
         while True:
             yield tuple(coeffs)
@@ -333,24 +383,19 @@ def iter_hilbert_basis(
     # the minimality index: m[j] * n + j -> (support mask, m) of the
     # copy-ascending generators m
     by_coord: dict[int, list[tuple[int, int]]] = {}
-    found = 0
     # the candidates of one degree: x -> (support mask, pairings)
     level = {unit[j]: (1 << j, bias + gram[field[tuple(weights[j])]]) for j in starts}
     while level:
         # the copy-ascending generators of this degree, as sparse supports
         # [(j, x[j])]
         batch: dict[int, list[tuple[int, int]]] = {}
-        for x, (_xmask, d) in level.items():
+        for x, (xmask, d) in level.items():
             if d == bias:
-                digits = format(x, f"0{n * cb}b")
-                batch[x] = [
-                    (j, c)
-                    for j, c in enumerate(int(digits[k : k + cb], 2) for k in range(0, n * cb, cb))
-                    if c
-                ]
+                batch[x] = [(j, x >> shift[j] & fmask) for j in range(n) if xmask >> j & 1]
         if perms:
             closure(list(batch), images)
-        streams = []
+        generators: list[Vec] = []
+        count = 0
         for x in sorted(batch):
             support = batch[x]
             xmask = 0
@@ -360,24 +405,18 @@ def iter_hilbert_basis(
                 coeffs[j] = c
             for j, c in support:
                 by_coord.setdefault(c * n + j, []).append((xmask, x))
-            # its other arrangements count as stored candidates, as the plain
-            # search stores them, so what is yielded stays under the cap; a
-            # cap error names the first one past it
-            stored = min(stored + arrangement_count(support) - 1, max_stored + 1)
-            if stored > max_stored:
-                _check_stored(stored, n)
-            streams.append(arrangements(coeffs))
-        # merged lazily: a level with more arrangements than
-        # HILBERT_GENERATOR_CAP allows is never listed whole.  Tuples compare
-        # as the packed candidates do.
-        for coeffs in heapq.merge(*streams):
-            found += 1
-            if found > HILBERT_GENERATOR_CAP:
-                raise ResourceLimitError(
-                    "monoid.hilbert", "HILBERT_GENERATOR_CAP", HILBERT_GENERATOR_CAP, found,
-                    "hilbert basis search found {count} generators",
-                )
-            yield Relation(coeffs)
+            generators.append(tuple(coeffs))
+            count += 1
+            if repeated:
+                # its other arrangements count as stored candidates, as the
+                # plain search stores them, so what is yielded stays under
+                # the cap; a cap error names the first one past it
+                others = arrangement_count(coeffs) - 1
+                count += others
+                stored = min(stored + others, max_stored + 1)
+                if stored > max_stored:
+                    _check_stored(stored, n)
+        yield _Degree(generators, count, arrangements)
         nxt: dict[int, tuple[int, int]] = {}
         for x, (xmask, d) in level.items():
             if d == bias:
@@ -438,9 +477,24 @@ def is_torus_coreduced(
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _torus_verdict(ws: tuple[Vec, ...], symmetry: tuple[tuple[int, ...], ...]) -> TorusVerdict:
-    for gen in iter_hilbert_basis(ws, symmetry):
-        if gen.max_coeff >= 2:
-            return TorusVerdict(False, ws, gen)
+    """The first generator with a coefficient >= 2 in the order of
+    :func:`iter_hilbert_basis`: the least copy-ascending one of its degree,
+    so no arrangement is listed.  A degree whose arrangements would pass
+    ``HILBERT_GENERATOR_CAP`` is listed, so that the verdict, or the cap
+    error, is the one the listing reaches."""
+    found = 0
+    for degree in _degrees(ws, symmetry):
+        if found + degree.count > HILBERT_GENERATOR_CAP:
+            for coeffs in degree.listed():
+                found += 1
+                _check_found(found)
+                if max(coeffs) >= 2:
+                    return TorusVerdict(False, ws, Relation(coeffs))
+        else:
+            gen = next((c for c in degree.generators if max(c) >= 2), None)
+            if gen is not None:
+                return TorusVerdict(False, ws, Relation(gen))
+            found += degree.count
     return TorusVerdict(True, ws, None)
 
 

@@ -14,7 +14,14 @@ cone with an extreme ray, and near that ray it is a chamber of the rank - 1
 arrangement of the hyperplanes through the ray, so taking every ray cut out
 by rank - 1 normals and recursing around it, down to the two half-lines of
 rank 1, reaches every chamber.  The tests count the chambers against
-Zaslavsky's theorem (1975).
+Zaslavsky's theorem (1975).  Each chamber met at a ray is told apart by its
+sign vector, read off the ray: the ray's signs, overwritten on the
+hyperplanes through the ray by those of the local chamber's point.  That is
+the sign vector of the point lifted from the local chamber to near the ray,
+which is the argument for the key; the lift itself is never built.
+``admissible_sets`` sorts a module's nonzero weights once and reads each
+chamber's positive weights off that list with the chamber's cocharacter,
+after sizing the module against ``CHAMBER_WEIGHT_CAP``.
 
 The enumeration is a pure function of its hyperplanes, so
 ``_chamber_samples`` is memoized in a bounded ``functools.lru_cache``
@@ -29,6 +36,7 @@ memo is read, so no stopped enumeration is ever stored.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -37,9 +45,9 @@ from math import gcd
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .config import ResourceLimitError, require
+from .config import CertificateError, ResourceLimitError, require
 from .monoid import Vec, exists_sum
-from .repthy import Character, ModuleSpec, weight_diagram
+from .repthy import Character, ModuleSpec, weight_counts, weight_diagram
 from .rootsys import (
     Coords,
     GroupSpec,
@@ -66,9 +74,10 @@ class Cocharacter:
     pairing: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        g = self.group
-        units = [tuple(int(i == j) for j in range(g.rank)) for i in range(g.rank)]
-        pairing = tuple(sum(map(mul, self.values, root_scaled_of_dynkin(g, e))) for e in units)
+        # the value on the i-th fundamental weight: the values times its
+        # root_scaled coordinates, the i-th entries of the columns
+        rows = zip(*self.group.root_data.root_scaled)
+        pairing = tuple(sum(map(mul, self.values, row)) for row in rows)
         object.__setattr__(self, "pairing", pairing)
 
     def value(self, dynkin: Coords) -> int:
@@ -97,16 +106,13 @@ class AdmissibleSet:
         return len(self.weights)
 
     def verify(self, chi: Character) -> None:
-        counts: dict[Coords, int] = {}
-        for w in self.weights:
-            counts[w] = counts.get(w, 0) + 1
-        for w, c in counts.items():
-            require(self.defining.value(w) > 0, f"weight {w} is not positive on the cocharacter")
-            require(chi.mult(w) == c, f"weight {w} occurs {c} times, not {chi.mult(w)}")
-
-
-def _positive_set(chi: Character, rho: Cocharacter) -> tuple[Coords, ...]:
-    return tuple(w for w, v, m in weight_values(chi, rho) if v > 0 for _ in range(m))
+        # explicit tests rather than require, so the success path builds no
+        # message
+        for w, c in Counter(self.weights).items():
+            if self.defining.value(w) <= 0:
+                raise CertificateError(f"weight {w} is not positive on the cocharacter")
+            if chi.mult(w) != c:
+                raise CertificateError(f"weight {w} occurs {c} times, not {chi.mult(w)}")
 
 
 def weight_values(chi: Character, rho: Cocharacter) -> list[tuple[Coords, int, int]]:
@@ -127,6 +133,14 @@ def weight_values(chi: Character, rho: Cocharacter) -> list[tuple[Coords, int, i
 
 CHAMBER_RANK_CAP = 4
 """Largest rank whose chambers ``admissible_sets`` enumerates."""
+CHAMBER_WEIGHT_CAP = 10_000
+"""Nonzero weights, counted with multiplicity, of a module whose admissible
+sets ``admissible_sets`` lists: each set holds its weights with
+multiplicity, so the count bounds every set.  It is read off the dominant
+diagram (``repthy.weight_counts``) before the first chamber.  The largest
+module whose sets the tests, the benchmark or the paper suites list has 48
+nonzero weights (the Appendix B module); ``99999999999*[1,1]`` over A2 has
+about 6e11."""
 CHAMBER_MEMO_SIZE = 1024
 """Arrangements whose chamber points ``_chamber_samples`` keeps: above the
 sub-arrangements met in a session of a few hundred CLI requests (under 100)
@@ -141,8 +155,10 @@ def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]
     arrangement as the walls of a cone.  Every rank up to ``CHAMBER_RANK_CAP``
     goes through :func:`_chamber_samples`, and each chamber's cocharacter is
     the sum of its primitive extreme rays (the tests count the chambers
-    against Zaslavsky's theorem).  Larger ranks and modules without a nonzero
-    weight are refused.
+    against Zaslavsky's theorem).  Larger ranks, modules with more than
+    ``CHAMBER_WEIGHT_CAP`` nonzero weights and modules without a nonzero
+    weight are refused.  The nonzero weights are sorted once, and each
+    chamber's positive set is read off that list with its cocharacter.
     """
     g = m.group
     rank = g.rank
@@ -151,18 +167,34 @@ def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]
             "nullcone.chambers", "CHAMBER_RANK_CAP", CHAMBER_RANK_CAP, rank,
             "chamber enumeration got rank {count}",
         )
+    count = weight_counts(m)[1]
+    if count > CHAMBER_WEIGHT_CAP:
+        raise ResourceLimitError(
+            "nullcone.chambers", "CHAMBER_WEIGHT_CAP", CHAMBER_WEIGHT_CAP, count,
+            "chamber enumeration got a module of {count} nonzero weights",
+        )
     chi = m.weights
-    lines = tuple(sorted({_line(root_scaled_of_dynkin(g, w)) for w in chi.nonzero_weights()}))
+    nonzero = sorted(chi.nonzero_weights().items())
+    lines = tuple(sorted({_line(root_scaled_of_dynkin(g, w)) for w, _m in nonzero}))
     if not lines:
         # a zero-dimensional positive weight space answers every question vacuously
         raise ValueError("need a nontrivial module with no trivial summands")
+    copies = [(w, (w,) * mult) for w, mult in nonzero]
     walls = tuple(_primitive(root_scaled_of_dynkin(g, d)) for d in g.root_data.positive_roots)
     out: list[AdmissibleSet] = []
     seen: set[tuple[Coords, ...]] = set()
     for vals in _chamber_samples(lines, rank, walls if mod_weyl else ()):
         rho = Cocharacter(vals, g)
         require(not mod_weyl or rho.is_dominant(), f"chamber point {vals} is not dominant")
-        pos = _positive_set(chi, rho)
+        pairing = rho.pairing
+        positive: list[Coords] = []
+        for w, ws in copies:
+            v = sum(map(mul, pairing, w))
+            if v > 0:
+                positive += ws
+            elif not v:
+                raise RootSystemError(f"cocharacter is not generic: weight {w} pairs to 0")
+        pos = tuple(positive)
         if pos in seen:
             continue
         seen.add(pos)
@@ -196,10 +228,13 @@ def _chamber_samples(
     it has an extreme ray r, the common kernel of rank - 1 of the normals.
     Near r the chamber is a chamber of the hyperplanes through r, which form
     an essential rank - 1 arrangement on the slice x_k = 0 (any k with
-    r[k] != 0); a point s there lifts to N*r + s with N = 1 + max |h.s|,
-    which keeps the sign of every other hyperplane as it is on r, since
-    |h.r| >= 1.  A chamber is met once at each of its extreme rays, and only
-    there, so the rays add up to its point as they are visited.
+    r[k] != 0).  A point s there lifts to N*r + s with N = 1 + max |h.s|,
+    which has the sign of s on every hyperplane through r and, since
+    |h.r| >= 1, the sign of r on every other one.  So the chamber's sign
+    vector is r's, overwritten on the hyperplanes through r by s's, and
+    neither N nor the lift is built.  A chamber is met once at each of its
+    extreme rays, and only there, so the rays add up to its point as they
+    are visited.
     """
     if rank == 1:
         return tuple(p for p in ((1,), (-1,)) if all(_dot(w, p) > 0 for w in cone))
@@ -217,13 +252,15 @@ def _chamber_samples(
         if any(_dot(w, r) < 0 for w in cone):
             continue
         k = next(i for i, x in enumerate(r) if x)
-        local = tuple(h[:k] + h[k + 1 :] for h in hyper if _dot(h, r) == 0)
+        dots = [_dot(h, r) for h in hyper]
+        through = [i for i, x in enumerate(dots) if not x]
+        local = tuple(hyper[i][:k] + hyper[i][k + 1 :] for i in through)
         local_cone = tuple(w[:k] + w[k + 1 :] for w in cone if _dot(w, r) == 0)
+        signs = [x > 0 for x in dots]
         for s in _chamber_samples(local, rank - 1, local_cone):
-            s = s[:k] + (0,) + s[k:]
-            n = 1 + max(abs(_dot(h, s)) for h in hyper)
-            p = tuple(n * a + b for a, b in zip(r, s))
-            key = tuple(_dot(h, p) > 0 for h in hyper)
+            for i, h in zip(through, local):
+                signs[i] = _dot(h, s) > 0
+            key = tuple(signs)
             sums[key] = tuple(a + b for a, b in zip(sums.get(key, (0,) * rank), r))
     return tuple(sums.values())
 
@@ -255,7 +292,7 @@ def _rays(hyper: Sequence[Vec], rank: int) -> set[Vec]:
 
 
 def _dot(a: Vec, b: Vec) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _line(h: Vec) -> Vec:

@@ -30,8 +30,10 @@ recursion.  A module builds the dominant diagram of its root-lattice part
 and its full weight multiset once each, on first use, and keeps them
 (``ModuleSpec.root_lattice_diagram`` and ``ModuleSpec.weights``), so the
 toral slice, the chamber enumeration, the screens and the covariant counts
-of one module share them.  Orbits are expanded by closure only in
-:func:`weight_diagram`, where every weight is used.  Multiplicities of
+of one module share them.  Orbits are expanded only in
+:func:`weight_diagram`, where every weight is used, by the orbit walk of
+``rootsys``, which makes each point once from its parent and keeps no set
+of the points seen.  Multiplicities of
 irreducibles use the alternating Weyl-sum (Racah) formula, which needs only
 point lookups; its signed points w(lam+rho) - rho are listed once per group
 and lam.
@@ -77,11 +79,11 @@ from .rootsys import (
     dominantize,
     in_root_lattice,
     orbit_size,
+    orbit_walk,
     parse_weight,
     reflect,
     root_scaled_of_dynkin,
     signed_orbit,
-    weyl_neighbours,
 )
 
 def weyl_dim(g: GroupSpec, hw: Coords) -> int:
@@ -284,12 +286,11 @@ class Character:
 
 def weight_diagram(g: GroupSpec, hw: Coords) -> Character:
     """Full weight diagram (with multiplicities) of the irreducible V(hw):
-    each dominant weight's Weyl orbit, found by closure under the simple
-    reflections, carries its multiplicity."""
-    step = weyl_neighbours(g)
+    each dominant weight's Weyl orbit, walked level by level
+    (:func:`orbit_walk`), carries its multiplicity."""
     full: dict[Coords, int] = {}
     for dom, m in dominant_diagram(g, hw).items():
-        full.update(dict.fromkeys(closure((dom,), step), m))
+        full.update({d: m for d, _level in orbit_walk(g, dom)})
     return Character(g, full)
 
 

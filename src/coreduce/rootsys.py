@@ -18,10 +18,13 @@ reads it, and the tests keep it as the per-factor reference.
 Weights are plain tuples of Dynkin labels; :func:`parse_weight` converts the
 other input bases once, at parse time.
 
-Every orbit-like set (Weyl orbits with or without signs, the root list,
-dominant weights below a highest weight, the Weyl images of a tuple of
-weights) comes from the one breadth-first :func:`closure`, which maps each
-reachable point to its depth; callers supply only the neighbour function.
+The Weyl orbit of a dominant weight, with or without signs, comes from one
+walk, :func:`orbit_walk`, that makes each point once from its parent, level
+by level.  Every other orbit-like set (the root list, dominant weights below
+a highest weight, the stabilizer orbits of the roots, the Weyl images of a
+tuple of weights) comes from the one breadth-first :func:`closure`, which
+maps each reachable point to its depth; callers supply only the neighbour
+function.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm, prod
 from operator import mul
-from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .config import require
 
@@ -456,21 +459,52 @@ def closure(seeds: Iterable[P], neighbours: Callable[[P], Iterable[P]]) -> dict[
     return depth
 
 
-def weyl_neighbours(g: GroupSpec) -> Callable[[Coords], list[Coords]]:
-    """The simple reflections of the Weyl group as a neighbour function for
-    :func:`closure`; build it once per batch of orbits."""
-    return _neighbours(g.root_data.moves)
+def orbit_walk(g: GroupSpec, dominant: Coords) -> Iterator[tuple[Coords, int]]:
+    """Each point of the Weyl orbit of a dominant weight with its level, the
+    length of the shortest w with w·dominant = point, level by level
+    (Stembridge's orbit walk).
+
+    Every point ν other than the dominant one has one parent, s_j ν, where
+    j is the first index with ν_j < 0; the parent is one level up, because
+    s_j raises ν by -ν_j α_j.  So the children of μ are the s_i μ with
+    μ_i > 0 whose first negative label is at i, and each point is made
+    once, from its parent, with no set of the points seen.  When i is below
+    μ's own first negative label, s_i μ has none before i, since s_i only
+    raises the labels next to i.
+    """
+    moves = g.root_data.moves
+    if moves and min(dominant[: len(moves)]) < 0:
+        raise RootSystemError("weight is not dominant")
+    yield dominant, 0
+    # each point made, with the index of its first negative label (none, past
+    # the last label, for the dominant weight) and its level; read as it
+    # grows, so points are made in order of level
+    tree = [(dominant, len(dominant), 0)]
+    for mu, first, level in tree:
+        level += 1
+        for i, row in moves:
+            c = mu[i]
+            if c > 0:
+                nu = list(mu)
+                for j, a in row:
+                    nu[j] -= c * a
+                if i < first or min(nu[:i]) >= 0:
+                    nu = tuple(nu)
+                    yield nu, level
+                    tree.append((nu, i, level))
 
 
 def signed_orbit(g: GroupSpec, d0: Coords) -> list[tuple[Coords, int]]:
     """(w·d0, sign(w)) for all w in W; requires d0 regular (no zero label).
 
-    Regularity makes the orbit simply transitive, so the point at depth k
-    is w·d0 for a unique w, of length k, and sign(w) = (-1)**k.
+    Regularity makes the orbit simply transitive, so the point at level k of
+    the walk from the dominant u·d0 is v·u·d0 for a unique v, of length k,
+    and w = v·u has sign (-1)**k * sign(u).
     """
     if any(not d0[i] for i, _row in g.root_data.moves):
         raise RootSystemError("signed_orbit needs a regular weight")
-    return [(d, (-1) ** k) for d, k in closure((d0,), weyl_neighbours(g)).items()]
+    dominant, sign = dominantize(g, d0)
+    return [(d, sign * (-1) ** k) for d, k in orbit_walk(g, dominant)]
 
 
 def dominantize(g: GroupSpec, d: Coords) -> tuple[Coords, int]:

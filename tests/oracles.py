@@ -17,8 +17,8 @@ from coreduce.rootsys import (
     closure,
     dominant_weights_below,
     orbit_size,
+    reflect,
     root_scaled_of_dynkin,
-    weyl_neighbours,
 )
 
 
@@ -116,8 +116,13 @@ def reference_orbit(g: GroupSpec, d: tuple) -> dict:
 
 def weyl_orbit(g: GroupSpec, d: tuple) -> frozenset:
     """The Weyl orbit of a weight (Dynkin labels), by the package's closure
-    under the simple reflections."""
-    return frozenset(closure((d,), weyl_neighbours(g)))
+    under the simple reflections that move a point."""
+    refls = range(g.rank - g.torus_rank)
+
+    def neighbours(p: tuple) -> list:
+        return [q for q in (reflect(g, p, i) for i in refls) if q != p]
+
+    return frozenset(closure((d,), neighbours))
 
 
 def reference_orbit_size(g: GroupSpec, dominant: tuple) -> int:
@@ -275,7 +280,7 @@ def brute_force_sl3_dominant_sets(m) -> list:
     """Admissible sets of an A2 module by exhaustive rational slope sweep,
     for cross-checking the chamber enumeration."""
     from fractions import Fraction
-    from coreduce.nullcone import Cocharacter, AdmissibleSet, _positive_set
+    from coreduce.nullcone import Cocharacter, AdmissibleSet, weight_values
     chi = m.weights
     g = m.group
     # candidate slopes: mediants between consecutive critical slopes
@@ -296,9 +301,10 @@ def brute_force_sl3_dominant_sets(m) -> list:
         if not rho.is_dominant():
             continue
         try:
-            pos = _positive_set(chi, rho)
+            values = weight_values(chi, rho)
         except Exception:
             continue
+        pos = tuple(w for w, v, mult in values if v > 0 for _ in range(mult))
         if pos in seen:
             continue
         seen.add(pos)
@@ -519,6 +525,45 @@ def chamber_closure_rays(normals, rank: int, points) -> list[list[tuple]]:
         sorted(r for r in rays if all(dot(h, r) * dot(h, p) >= 0 for h in normals))
         for p in points
     ]
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+@lru_cache(maxsize=None)
+def reference_chamber_samples(normals: tuple, rank: int, cone: tuple) -> tuple:
+    """The chamber enumeration as it built each chamber's key before it read
+    the key off the ray: by lifting every local sample s to the point
+    N*r + s and taking that point's signs.  Kept as it was, the rays
+    (``nullcone._rays``) and the primitive normals aside."""
+    from coreduce.nullcone import _line, _rays
+
+    if rank == 1:
+        return tuple(p for p in ((1,), (-1,)) if all(_dot(w, p) > 0 for w in cone))
+    hyper = sorted({_line(h) for h in (*normals, *cone)})
+    rays = _rays(hyper, rank)
+    if not any(_dot(h, r) for h in hyper for r in rays):
+        # the normals do not span; the coordinate hyperplanes make the
+        # arrangement essential and only refine its chambers
+        hyper = sorted(set(hyper) | {tuple(int(i == j) for j in range(rank)) for i in range(rank)})
+        rays = _rays(hyper, rank)
+    sums: dict = {}
+    for r in sorted(rays):
+        # a chamber inside the cone has no extreme ray outside it; the cone
+        # walls not through r are then positive on every lift from r
+        if any(_dot(w, r) < 0 for w in cone):
+            continue
+        k = next(i for i, x in enumerate(r) if x)
+        local = tuple(h[:k] + h[k + 1 :] for h in hyper if _dot(h, r) == 0)
+        local_cone = tuple(w[:k] + w[k + 1 :] for w in cone if _dot(w, r) == 0)
+        for s in reference_chamber_samples(local, rank - 1, local_cone):
+            s = s[:k] + (0,) + s[k:]
+            n = 1 + max(abs(_dot(h, s)) for h in hyper)
+            p = tuple(n * a + b for a, b in zip(r, s))
+            key = tuple(_dot(h, p) > 0 for h in hyper)
+            sums[key] = tuple(a + b for a, b in zip(sums.get(key, (0,) * rank), r))
+    return tuple(sums.values())
 
 
 # The three components of the triality module 8v+8s+8c of D4 that the

@@ -993,6 +993,30 @@ def run_in_one_gigabyte(argv):
     return out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["components", "A2", "99999999999*[1,1]"],
+        ["covariant-vanish", "A2", "99999999999*[1,1]", "--target", "[1,1]", "--degree", "2"],
+    ],
+)
+def test_admissible_sets_are_sized_before_they_are_listed(argv):
+    # each admissible set holds its weights with multiplicity; the count,
+    # read off the dominant diagram, stops the enumeration before the first
+    # chamber instead of an allocation with no bound
+    out = run_in_one_gigabyte(argv)
+    assert out.returncode == 3 and out.stdout == ""
+    count = 6 * 99999999999
+    assert json.loads(out.stderr) == {
+        "engine": "nullcone.chambers",
+        "cap": "CHAMBER_WEIGHT_CAP",
+        "limit": 10000,
+        "count": count,
+        "message": f"chamber enumeration got a module of {count} nonzero weights, "
+        "over CHAMBER_WEIGHT_CAP = 10000",
+    }
+
+
 @pytest.mark.parametrize("command", ["torus-check", "hilbert-basis"])
 @pytest.mark.parametrize("copies, candidates", [(300, 26667), (2000, 4001)])
 def test_long_copy_chains_stop_at_the_coordinate_cap(command, copies, candidates):

@@ -38,6 +38,7 @@ from oracles import (
     chamber_count,
     d4_triality_case_weights,
     exact_rank,
+    reference_chamber_samples,
     reference_dominance,
     reference_rays,
 )
@@ -265,6 +266,20 @@ def test_chamber_points_are_sums_of_their_extreme_rays(arr, data):
     for p, rays in zip(samples, chamber_closure_rays(hyper, rank, samples)):
         assert all(_dot(w, p) > 0 for w in cone)
         assert p == tuple(map(sum, zip(*rays)))
+
+
+@given(arr=arrangements, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_chamber_keys_read_off_the_rays_match_the_lifted_points(arr, data):
+    """Reading each chamber's key off its extreme ray gives the points of the
+    enumeration that lifted every local sample, in the same order, with and
+    without cone walls."""
+    rank, normals = arr
+    wall = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+    cone = data.draw(st.lists(wall, min_size=1, max_size=3))
+    for walls in ((), tuple(cone)):
+        got = _chamber_samples(tuple(normals), rank, walls)
+        assert got == reference_chamber_samples(tuple(normals), rank, walls)
 
 
 def _weight_lines(m):

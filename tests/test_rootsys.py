@@ -2,14 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coreduce import rootsys
 from coreduce.rootsys import (
     RootSystemError,
     SimpleType,
     build_root_system,
-    closure,
     dominant_weights_below,
     dominantize,
     dynkin_of_root_scaled,
@@ -17,13 +16,13 @@ from coreduce.rootsys import (
     eps_to_dynkin,
     in_root_lattice,
     orbit_size,
+    orbit_walk,
     parse_group,
     parse_weight,
     reflect,
     root_scaled_of_dynkin,
     signed_orbit,
     sl3_root_coords,
-    weyl_neighbours,
 )
 
 from oracles import (
@@ -257,8 +256,6 @@ def test_operations_match_the_per_factor_references(gw):
         image = reflect(g, d, i)
         assert image == reference_reflect(d, refl)
         assert image[torus] == d[torus]
-    moved = [reference_reflect(d, r) for r in refls]
-    assert weyl_neighbours(g)(d) == [e for e in moved if e != d]
     dom = dominantize(g, d)
     assert dom == reference_dominantize(g, d)
     assert orbit_size(g, dom[0]) == reference_orbit_size(g, dom[0])
@@ -271,8 +268,52 @@ def test_signed_orbit_matches_the_per_factor_reference(gw):
     # a regular weight: no zero label on the simple factors
     d0 = tuple(abs(x) + 1 for x in d[: g.rank - g.torus_rank]) + d[g.rank - g.torus_rank :]
     want = reference_orbit(g, d0)
-    assert signed_orbit(g, d0) == [(p, (-1) ** k) for p, k in want.items()]
-    assert closure((d0,), weyl_neighbours(g)) == want
+    got = signed_orbit(g, d0)
+    assert len(got) == len(want)
+    assert dict(got) == {p: (-1) ** k for p, k in want.items()}
+    assert weyl_orbit(g, d0) == frozenset(want)
+
+
+# simple, product and torus groups of rank at most 4
+WALK_GROUPS = (
+    "A1 A2 B2 G2 A3 B3 C3 A4 B4 C4 D4 F4 A1xA1 A1xG2 A2xA2 A1xA1xA1 A1xT1 B2xT1 A2xT2 T1".split()
+)
+
+
+@st.composite
+def dominant_weight(draw):
+    g = parse_group(draw(st.sampled_from(WALK_GROUPS)))
+    labels = draw(st.tuples(*[st.integers(0, 3)] * (g.rank - g.torus_rank)))
+    return g, labels + draw(st.tuples(*[st.integers(-3, 3)] * g.torus_rank))
+
+
+@given(gw=dominant_weight())
+@example(gw=(parse_group("A1"), (0,)))
+@example(gw=(parse_group("G2"), (1, 1)))
+@example(gw=(parse_group("A1xT1"), (2, -3)))
+@settings(max_examples=100, deadline=None)
+def test_orbit_walk_lists_each_point_once_at_its_depth(gw):
+    """The walk gives the orbit that closure finds, each point once and at
+    its breadth-first depth; for a regular weight, signed_orbit gives each
+    point the sign of its depth, from the dominant weight or from any other
+    point of the orbit."""
+    g, d = gw
+    walk = list(orbit_walk(g, d))
+    points = [p for p, _level in walk]
+    assert frozenset(points) == weyl_orbit(g, d)
+    assert len(points) == orbit_size(g, d)
+    depth = reference_orbit(g, d)
+    assert [level for _p, level in walk] == [depth[p] for p in points]
+    assert [level for _p, level in walk] == sorted(depth.values())
+    if all(d[: g.rank - g.torus_rank]):
+        for start in (d, points[-1]):
+            from_start = reference_orbit(g, start)
+            assert dict(signed_orbit(g, start)) == {p: (-1) ** k for p, k in from_start.items()}
+
+
+def test_orbit_walk_needs_a_dominant_weight():
+    with pytest.raises(RootSystemError, match="not dominant"):
+        next(orbit_walk(parse_group("A2xT1"), (1, -1, 0)))
 
 
 def test_sl3_root_coords():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from coreduce.slices import (
     product_group_rule,
     roots_mult2_rule,
     toral_slice,
+    weyl_symmetric_list,
 )
 
 
@@ -101,23 +104,22 @@ def test_bad_slice_certificates_always_validate(name, data):
         assert all(x == 0 for x in cert.relation_sum())
 
 
-def test_f4_adjoint_plus_26_slice_certificate_is_pinned(monkeypatch):
+def test_f4_adjoint_plus_26_slice_certificate_is_pinned():
     # the first generator with a coefficient >= 2 in the completion order,
     # the 213th, after 212 with 0/1 coefficients; neither pruning the
-    # minimality test nor packing the search may change which one is found
-    yielded = []
-    search = monoid.iter_hilbert_basis
-
-    def recorded(ws, symmetry=None):
-        for gen in search(ws, symmetry):
-            yielded.append(gen)
-            yield gen
-
-    monkeypatch.setattr(monoid, "iter_hilbert_basis", recorded)
+    # minimality test, packing the search nor skipping the listing of
+    # arrangements may change which one is found.  The whole basis of the
+    # slice passes the coordinate cap, so the generators are read off the
+    # listing of the same search, which yields them in that order.
     g = parse_group("F4")
-    cert = bad_toral_slice(parse_module(g, "[1,0,0,0]+[0,0,0,1]"))
-    assert len(yielded) == 213
-    assert all(gen.max_coeff == 1 for gen in yielded[:-1])
+    m = parse_module(g, "[1,0,0,0]+[0,0,0,1]")
+    cert = bad_toral_slice(m)
+    ws, symmetry = weyl_symmetric_list(g, toral_slice(m))
+    listed = list(itertools.islice(monoid.iter_hilbert_basis(ws, symmetry), 213))
+    assert len(listed) == 213
+    assert all(gen.max_coeff == 1 for gen in listed[:-1])
+    support = [(w, c) for w, c in zip(ws, listed[-1].coeffs) if c]
+    assert support == list(zip(cert.weights, cert.coeffs))
     assert cert.kind == "toral_relation"
     assert cert.weights == (
         (-1, -1, -1, 0),
