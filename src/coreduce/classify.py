@@ -9,10 +9,9 @@ contradiction and raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .config import CertificateError, require
 from .monoid import exists_sum, is_torus_coreduced
@@ -75,36 +74,44 @@ NO_PAPER = "no_paper_proof"
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class Citation:
+class Citation(NamedTuple):
     statement: str
 
 
-@dataclass(frozen=True)
-class MultiplicityCertificate:
-    """A computed weight multiplicity that feeds a slice argument."""
-
+class _MultiplicityFields(NamedTuple):
     weight: Coords
     multiplicity: int
     threshold: int
     note: str = ""
 
-    def __post_init__(self) -> None:
+
+class MultiplicityCertificate(_MultiplicityFields):
+    """A computed weight multiplicity that feeds a slice argument."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> MultiplicityCertificate:
+        self = super().__new__(cls, *args, **kwargs)
         require(
             self.multiplicity >= self.threshold,
             f"multiplicity {self.multiplicity} of {self.weight} is below {self.threshold}",
         )
+        return self
 
 
-@dataclass
-class Verdict:
+class _VerdictFields(NamedTuple):
     module: ModuleSpec
     coreduced: str
     certificates: tuple = ()
     theorem_tag: str = ""
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class Verdict(_VerdictFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Verdict:
+        self = super().__new__(cls, *args, **kwargs)
         require(
             self.coreduced in (YES, NO, YES_PAPER, NO_PAPER), f"unknown verdict {self.coreduced!r}"
         )
@@ -115,6 +122,7 @@ class Verdict:
                 any(isinstance(c, Citation) for c in self.certificates),
                 f"a {self.coreduced!r} verdict needs a citation",
             )
+        return self
 
 
 class ContradictionError(CertificateError):

@@ -79,7 +79,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -111,8 +110,7 @@ of a session of a few hundred CLI requests (at most 35 torus verdicts, 16
 Hilbert bases and 61 bounded sums in 260 ``queries`` requests)."""
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """Nonnegative coefficients with sum_i coeffs[i] * weights[i] = 0."""
 
     coeffs: Vec
@@ -453,8 +451,7 @@ def _hilbert_basis(weights: tuple[Vec, ...]) -> tuple[Relation, ...]:
     return tuple(iter_hilbert_basis(weights))
 
 
-@dataclass(frozen=True)
-class TorusVerdict:
+class TorusVerdict(NamedTuple):
     coreduced: bool
     weights: tuple[Vec, ...]
     certificate: Optional[Relation]  # a generator with a coefficient >= 2
@@ -502,8 +499,7 @@ def _torus_verdict(ws: tuple[Vec, ...], symmetry: tuple[tuple[int, ...], ...]) -
 # Bounded feasibility: sum x_i w_i = target with a count constraint.
 
 
-@dataclass(frozen=True)
-class SumWitness:
+class SumWitness(NamedTuple):
     # a wrapper only because the benchmark's tracer reads ``result.feasible``
     feasible: bool
 

@@ -37,13 +37,12 @@ memo is read, so no stopped enumeration is ever stored.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .config import CertificateError, ResourceLimitError, require
 from .monoid import Vec, exists_sum
@@ -63,22 +62,23 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True)
-class Cocharacter:
-    """A cocharacter given by its integer pairing with root_scaled
-    coordinates.  ``pairing`` holds the same functional on Dynkin labels (its
-    values on the fundamental weights), computed once."""
-
+class _CocharacterFields(NamedTuple):
     values: tuple[int, ...]
     group: GroupSpec
-    pairing: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+
+class Cocharacter(_CocharacterFields):
+    """A cocharacter given by its integer pairing with root_scaled
+    coordinates.  ``pairing`` holds the same functional on Dynkin labels (its
+    values on the fundamental weights), computed once and left out of
+    equality, hash and repr."""
+
+    @cached_property
+    def pairing(self) -> tuple[int, ...]:
         # the value on the i-th fundamental weight: the values times its
         # root_scaled coordinates, the i-th entries of the columns
         rows = zip(*self.group.root_data.root_scaled)
-        pairing = tuple(sum(map(mul, self.values, row)) for row in rows)
-        object.__setattr__(self, "pairing", pairing)
+        return tuple(sum(map(mul, self.values, row)) for row in rows)
 
     def value(self, dynkin: Coords) -> int:
         return sum(map(mul, self.pairing, dynkin))
@@ -87,13 +87,15 @@ class Cocharacter:
         return all(self.value(d) > 0 for d in self.group.root_data.positive_roots)
 
 
-@dataclass
 class AdmissibleSet:
     """The strictly positive weights of a module for a generic cocharacter."""
 
-    weights: tuple[Coords, ...]  # Dynkin coords, with multiplicity, sorted
-    defining: Cocharacter
-    status: str = "unknown"  # dominant | dominated | unknown | not_by_these_criteria
+    __slots__ = ("weights", "defining", "status")
+
+    def __init__(self, weights: tuple[Coords, ...], defining: Cocharacter) -> None:
+        self.weights = weights  # Dynkin coords, with multiplicity, sorted
+        self.defining = defining
+        self.status = "unknown"  # dominant | dominated | unknown | not_by_these_criteria
 
     def weight_set(self) -> frozenset[Coords]:
         return frozenset(self.weights)
@@ -447,8 +449,7 @@ def covariant_vanishes(
 # Degree/rank screens from the rho-value bookkeeping
 
 
-@dataclass(frozen=True)
-class ScreenResult:
+class ScreenResult(NamedTuple):
     max_useful_degree: Optional[int]  # degrees above this have vanishing differentials
     invariants_available: int  # number of generating invariants of degree <= that
     rank_bound: int  # complement weight-space dimensions reachable by the value DP

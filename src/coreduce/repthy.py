@@ -63,10 +63,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, le, mod, mul, sub
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .config import CertificateError, ResourceLimitError, require
 from .rootsys import (
@@ -265,8 +264,7 @@ def dominant_diagram(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
     return {prefix + torus: mult for prefix, mult in combos}
 
 
-@dataclass
-class Character:
+class Character(NamedTuple):
     """A virtual character: map from every weight (Dynkin coordinates), not
     one per Weyl orbit, to its integer multiplicity."""
 
@@ -298,12 +296,14 @@ def weight_diagram(g: GroupSpec, hw: Coords) -> Character:
 # Modules: formal sums of irreducibles of a product group.
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class _ModuleSpecFields(NamedTuple):
     group: GroupSpec
     summands: tuple[tuple[int, Coords], ...]  # (coefficient, highest weight)
 
-    def __post_init__(self) -> None:
+
+class ModuleSpec(_ModuleSpecFields):
+    def __new__(cls, *args, **kwargs) -> ModuleSpec:
+        self = super().__new__(cls, *args, **kwargs)
         for coeff, hw in self.summands:
             if coeff <= 0:
                 raise ValueError("summand coefficients must be positive")
@@ -311,6 +311,7 @@ class ModuleSpec:
                 raise ValueError("highest weight rank mismatch")
             if any(x < 0 for x in hw[: self.group.rank - self.group.torus_rank]):
                 raise ValueError("highest weights must be dominant")
+        return self
 
     def dimension(self) -> int:
         return sum(c * weyl_dim(self.group, hw) for c, hw in self.summands)
@@ -631,8 +632,7 @@ def weyl_sum_series(
 # Generating-covariant existence (the counting bound)
 
 
-@dataclass(frozen=True)
-class CovariantCertificate:
+class CovariantCertificate(NamedTuple):
     target: Coords
     degree: int
     multiplicity: int  # of V(target) in S^d(V)
@@ -682,7 +682,8 @@ def covariant_generator_exists_multidegree(
     """
     degrees = tuple(degrees)
     zero = tuple(0 for _ in target)
-    mults, invs = _multigraded_mults(summands, degrees, (target, zero))
+    box = itertools.product(*(range(d + 1) for d in degrees))
+    mults, invs = _multigraded_mults(summands, box, (target, zero))
     bound = sum(
         invs[tuple(a - b for a, b in zip(degrees, e))] * m
         for e, m in mults.items()
@@ -693,26 +694,29 @@ def covariant_generator_exists_multidegree(
 
 def graded_invariant_series(
     summands: Sequence[Character],
-    max_multidegree: Sequence[int],
+    multidegrees: Iterable[Sequence[int]],
 ) -> dict[Coords, int]:
-    """Invariant dimensions of every multigraded piece up to the bound.
+    """Invariant dimensions of the given multigraded pieces.
 
     One call of :func:`symmetric_power` per summand (at its top degree); the
-    pieces of each half of the summands are convolved once, and the
-    alternating Weyl sum is folded into the second half (see
-    :func:`_multigraded_mults`), so each multidegree costs one dot product.
+    pieces of each half of the summands that the multidegrees need are
+    convolved once, and the alternating Weyl sum is folded into the second
+    half (see :func:`_multigraded_mults`), so each multidegree costs one dot
+    product.
     """
     zero = tuple(0 for _ in range(summands[0].group.rank))
-    return _multigraded_mults(summands, max_multidegree, (zero,))[0]
+    return _multigraded_mults(summands, multidegrees, (zero,))[0]
 
 
 def _multigraded_mults(
     summands: Sequence[Character],
-    max_degrees: Sequence[int],
+    multidegrees: Iterable[Sequence[int]],
     lams: Sequence[Coords],
 ) -> list[dict[Coords, int]]:
-    """Multiplicity of V(lam) in S^d1(chi_1)...S^dk(chi_k) for every d <= max_degrees,
-    one table per lam in ``lams``; the powers and convolutions are shared.
+    """Multiplicity of V(lam) in S^d1(chi_1)...S^dk(chi_k) for each given
+    multidegree d, one table per lam in ``lams``; the powers and
+    convolutions are shared, and only the half-multidegrees that some d
+    splits into are convolved.
 
     With A and B the products over the first and second half of the
     summands, the multiplicity is sum_w sign(w) (A*B)(w(lam+rho) - rho)
@@ -722,6 +726,8 @@ def _multigraded_mults(
     ``itertools.product`` order.
     """
     g = summands[0].group
+    wanted = {tuple(d) for d in multidegrees}
+    max_degrees = [max(ds) for ds in zip(*wanted)]
     orbits = [_alternating_points(g, lam) for lam in lams]
     # a coordinate of S^k(chi_i) is at most k * top_i in size (checked as the
     # layers are packed), so one of a product of powers is at most ``reach``,
@@ -741,8 +747,8 @@ def _multigraded_mults(
             layers.append({pack(w): c for w, c in p.entries.items()})
         powers.append(layers)
     half = len(powers) // 2
-    left = _convolve_powers(powers[:half])
-    right = _convolve_powers(powers[half:])
+    left = _convolve_powers(powers[:half], {d[:half] for d in wanted})
+    right = _convolve_powers(powers[half:], {d[half:] for d in wanted})
     tables = []
     for orbit in orbits:
         shifts = [(pack(pt), sign) for pt, sign in orbit]
@@ -760,6 +766,7 @@ def _multigraded_mults(
                 da + db: sum(c * alt.get(x, 0) for x, c in part.items())
                 for da, part in left.items()
                 for db, alt in alt_right.items()
+                if da + db in wanted
             }
         )
     return tables
@@ -782,14 +789,19 @@ def _packer(bound: int) -> Callable[[Coords], int]:
 
 def _convolve_powers(
     powers: Sequence[Sequence[dict[int, int]]],
+    wanted: set[Coords],
 ) -> dict[Coords, dict[int, int]]:
-    """Products S^d1(chi_1)...S^dk(chi_k) for every multidegree, keyed by it,
-    given ``powers[i][d]`` = S^d(chi_i) with packed weights."""
+    """Products S^d1(chi_1)...S^dk(chi_k) for each multidegree in ``wanted``,
+    keyed by it, given ``powers[i][d]`` = S^d(chi_i) with packed weights;
+    only prefixes of wanted multidegrees are built."""
     table: dict[Coords, dict[int, int]] = {(): {0: 1}}
-    for layers in powers:
+    for i, layers in enumerate(powers):
+        prefixes = {d[: i + 1] for d in wanted}
         nxt: dict[Coords, dict[int, int]] = {}
         for degs, acc in table.items():
             for k, part in enumerate(layers):
+                if degs + (k,) not in prefixes:
+                    continue
                 prod: dict[int, int] = {}
                 get = prod.get
                 for x, c in acc.items():

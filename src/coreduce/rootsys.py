@@ -30,7 +30,6 @@ function.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm, prod
@@ -57,19 +56,29 @@ class RootSystemError(ValueError):
     """Invalid simple type, rank, or weight data."""
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
-    """A simple Lie type, e.g. ``SimpleType("A", 2)``."""
+# A record that validates or caches is a subclass of a NamedTuple of its
+# fields: a NamedTuple body may not define ``__new__``, and a subclass without
+# ``__slots__`` has the ``__dict__`` that ``cached_property`` stores into.
 
+
+class _SimpleTypeFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
+
+class SimpleType(_SimpleTypeFields):
+    """A simple Lie type, e.g. ``SimpleType("A", 2)``; ordered by (family, rank)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SimpleType:
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in _FAMILY_BOUNDS:
             raise RootSystemError(f"unknown family {self.family!r}")
         lo, hi = _FAMILY_BOUNDS[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):
             raise RootSystemError(f"invalid rank {self.rank} for family {self.family}")
+        return self
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -332,18 +341,21 @@ class RootData(NamedTuple):
     dominant_roots: tuple[Coords, ...]  # the dominant weight in each root's Weyl orbit
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """An ordered product of simple factors and a central torus."""
-
+class _GroupSpecFields(NamedTuple):
     simple_factors: tuple[SimpleType, ...]
     torus_rank: int = 0
 
-    def __post_init__(self) -> None:
+
+class GroupSpec(_GroupSpecFields):
+    """An ordered product of simple factors and a central torus."""
+
+    def __new__(cls, *args, **kwargs) -> GroupSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.simple_factors and self.torus_rank <= 0:
             raise RootSystemError("need at least one simple factor or a torus")
         if self.torus_rank < 0:
             raise RootSystemError("torus rank must be nonnegative")
+        return self
 
     def __str__(self) -> str:
         parts = [str(t) for t in self.simple_factors]

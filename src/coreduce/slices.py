@@ -13,8 +13,7 @@ certificate's hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .config import require
 from .monoid import TorusVerdict, Vec, _check_stored, is_torus_coreduced
@@ -24,8 +23,15 @@ from .rootsys import Coords, GroupSpec, reflect, root_scaled_of_dynkin
 GENERIC_HYPOTHESIS = "generic zero weight vector"
 
 
-@dataclass(frozen=True)
-class BadSliceCertificate:
+class _BadSliceFields(NamedTuple):
+    kind: str  # toral_relation | roots_mult2 | product_rule
+    weights: tuple[Vec, ...]
+    coeffs: tuple[int, ...]
+    hypotheses: tuple[str, ...] = (GENERIC_HYPOTHESIS,)
+    note: str = ""
+
+
+class BadSliceCertificate(_BadSliceFields):
     """A witnessed failure of torus coreducedness for a slice representation.
 
     ``weights`` are the (root_scaled) slice weights in the support of the
@@ -34,14 +40,12 @@ class BadSliceCertificate:
     construction checks.
     """
 
-    kind: str  # toral_relation | roots_mult2 | product_rule
-    weights: tuple[Vec, ...]
-    coeffs: tuple[int, ...]
-    hypotheses: tuple[str, ...] = (GENERIC_HYPOTHESIS,)
-    note: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> BadSliceCertificate:
+        self = super().__new__(cls, *args, **kwargs)
         self.validate()
+        return self
 
     def relation_sum(self) -> Vec:
         dim = len(self.weights[0]) if self.weights else 0
@@ -66,8 +70,11 @@ def toral_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
     nonzero module weights (Dynkin coordinates) with one copy of each root
     removed, mapped to their multiplicities; None when some root of the
     group is not a weight of the module, so that there is no toral slice."""
-    if not _has_every_root(m):
-        return None
+    return _slice_counts(m) if _has_every_root(m) else None
+
+
+def _slice_counts(m: ModuleSpec) -> dict[Coords, int]:
+    """The toral slice of a module that has every root as a weight."""
     counts = m.weights.nonzero_weights()
     for d in m.group.root_data.roots:
         counts[d] -= 1
@@ -105,7 +112,7 @@ def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
         return None
     n = weight_counts(m)[1] - len(m.group.root_data.roots)
     _check_stored(n, n)
-    ws, symmetry = weyl_symmetric_list(m.group, toral_slice(m))
+    ws, symmetry = weyl_symmetric_list(m.group, _slice_counts(m))
     return relation_certificate(is_torus_coreduced(ws, symmetry))
 
 

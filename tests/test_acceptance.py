@@ -223,7 +223,7 @@ def test_criterion_07_g2xg2_appendix():
         summands = [
             ModuleSpec(a2a2, ((1, hw),)).weights for hw in paper.A2XA2_SUMMANDS
         ]
-        series = graded_invariant_series(summands, max(paper.A2XA2_INVARIANTS))
+        series = graded_invariant_series(summands, paper.A2XA2_INVARIANTS)
         for degrees, count in paper.A2XA2_INVARIANTS.items():
             assert series[degrees] == count
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 import os
 import pathlib
@@ -32,10 +33,11 @@ from coreduce.classify import (
     g2xg2_certificate,
     sl2_module,
 )
+from coreduce.monoid import Relation, SumWitness, TorusVerdict
 from coreduce.repthy import CovariantCertificate, ModuleSpec, parse_module
-from coreduce.rootsys import build_root_system, parse_group
+from coreduce.rootsys import GroupSpec, RootSystemError, SimpleType, build_root_system, parse_group
 from coreduce.slices import BadSliceCertificate
-from coreduce.nullcone import G2XG2_DEGREE, G2XG2_TARGET, ScreenResult
+from coreduce.nullcone import G2XG2_DEGREE, G2XG2_TARGET, Cocharacter, ScreenResult
 
 from oracles import dynkin_of_root
 
@@ -61,6 +63,85 @@ def test_paper_verdict_needs_citation():
 def test_multiplicity_certificate_enforces_threshold():
     with pytest.raises(CertificateError):
         MultiplicityCertificate((1, 0), 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Record semantics: immutable fields, order, equality, hash, errors, repr
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (SimpleType("A", 2), "rank"),
+        (GroupSpec((SimpleType("A", 1),)), "torus_rank"),
+        (sl2_module((2,)), "summands"),
+        (Cocharacter((1, 2), parse_group("A2")), "values"),
+        (Relation((1, 1)), "coeffs"),
+        (TorusVerdict(True, (), None), "coreduced"),
+        (SumWitness(False), "feasible"),
+        (Citation("recorded argument"), "statement"),
+        (MultiplicityCertificate((1, 0), 2, 2), "multiplicity"),
+        (BadSliceCertificate("toral_relation", ((1,), (-2,)), (2, 1)), "coeffs"),
+        (CovariantCertificate((0,), 2, 1, 0, (), ()), "degree"),
+        (ScreenResult(None, 0, 0, 1), "codim"),
+        (Verdict(sl2_module((2,)), YES), "coreduced"),
+    ],
+)
+def test_record_fields_refuse_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+def test_simple_types_sort_by_family_then_rank():
+    names = ["B2", "A10", "G2", "A2", "D4", "A1"]
+    types = sorted(SimpleType(n[0], int(n[1:])) for n in names)
+    assert [str(t) for t in types] == ["A1", "A2", "A10", "B2", "D4", "G2"]
+
+
+def test_equal_specs_are_equal_hash_equal_and_share_a_cache_entry():
+    a2 = parse_group("A2")
+    pairs = [
+        (a2, GroupSpec((SimpleType("A", 2),), 0)),
+        (parse_module(a2, "[1,0]+2*[1,1]"), ModuleSpec(a2, ((1, (1, 0)), (2, (1, 1))))),
+        (Cocharacter((1, 2), a2), Cocharacter((1, 2), parse_group("A2"))),
+    ]
+    # state cached on one side only takes no part in equality or hash
+    assert a2.root_data.weyl_order == 6 and pairs[1][0].weights.mass() == 19
+    assert pairs[2][0].pairing == (4, 5)
+    calls = []
+
+    @functools.lru_cache(maxsize=None)
+    def cached(key):
+        calls.append(key)
+        return len(calls)
+
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert cached(a) == cached(b)
+    assert len(calls) == len(pairs)
+
+
+def test_record_validation_errors_are_kept():
+    with pytest.raises(RootSystemError, match="unknown family 'Z'"):
+        SimpleType("Z", 1)
+    with pytest.raises(RootSystemError, match="invalid rank 9 for family G"):
+        SimpleType("G", 9)
+    with pytest.raises(ValueError, match="summand coefficients must be positive"):
+        ModuleSpec(parse_group("A1"), ((-1, (2,)),))
+    with pytest.raises(CertificateError, match="a machine 'no' needs a certificate"):
+        Verdict(sl2_module((2,)), NO, ())
+
+
+def test_multiplicity_certificate_repr_is_pinned():
+    """A certificate with no summary of its own reaches the JSON report as
+    its repr."""
+    cert = MultiplicityCertificate((1, 0), 2, 2)
+    text = "MultiplicityCertificate(weight=(1, 0), multiplicity=2, threshold=2, note='')"
+    assert repr(cert) == text
+    verdict = Verdict(sl2_module((2,)), NO, (cert,))
+    assert emit_report([verdict])["rows"][0]["certificates"] == [
+        {"kind": "MultiplicityCertificate", "repr": text}
+    ]
 
 
 def test_certificate_checks_survive_python_O():

@@ -114,6 +114,24 @@ def test_every_top_level_definition_is_read():
     assert sorted(set(spans) - read) == []
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    """The records are NamedTuples and short classes, so importing the CLI
+    loads neither ``dataclasses`` nor the ``inspect`` it pulls in; a module
+    already loaded before the import (say, by a ``.pth`` file) does not
+    count."""
+    code = (
+        "import sys; before = set(sys.modules); import coreduce.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = os.path.dirname(os.path.dirname(coreduce.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    added = set(out.stdout.split())
+    assert "coreduce.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
+
+
 def test_import_does_not_load_numpy():
     """No module of the package imports numpy, and a cold import of the CLI
     leaves it out of ``sys.modules``."""
