@@ -242,7 +242,7 @@ def classify_adjoint_exceptional(g: GroupSpec, m: ModuleSpec) -> Verdict:
     for _, hw in m.summands:
         if not in_root_lattice(g, hw):
             raise ValueError(f"{hw} is not a module of the adjoint group of {t}")
-    summands = m.summands
+    summands = m.collected
     if summands == ((1, _adjoint_hw(t)),):
         _check_no_negative_rule(m)
         return Verdict(m, YES, theorem_tag=tag, notes=("adjoint module",))
@@ -382,13 +382,13 @@ def classify_adjoint_classical(g: GroupSpec, m: ModuleSpec) -> Verdict:
 
 
 def _is_adjoint_module(t: SimpleType, m: ModuleSpec) -> bool:
-    return m.summands == ((1, _adjoint_hw(t)),)
+    return m.collected == ((1, _adjoint_hw(t)),)
 
 
 def _is_classical_yes_row(t: SimpleType, m: ModuleSpec) -> bool:
     n = t.rank
     fam = t.family
-    s = m.summands
+    s = m.collected
     if _is_adjoint_module(t, m):
         return True
 
@@ -424,7 +424,7 @@ def _classical_relation_certificate(
 ) -> Optional[BadSliceCertificate]:
     n = t.rank
     fam = t.family
-    s = m.summands
+    s = m.collected
     if fam == "A" and len(s) == 1 and s[0][0] == 1:
         hw = s[0][1]
         mm = n + 1
@@ -537,12 +537,12 @@ def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
             f"{g} is outside the classification: it covers products of two or "
             "more simple groups"
         )
-    if len(m.summands) != 1 or m.summands[0][0] != 1:
+    if len(m.collected) != 1 or m.collected[0][0] != 1:
         raise ValueError(
             f"{m} is outside the classification: it covers irreducible modules "
             "of product groups"
         )
-    hw = m.summands[0][1]
+    hw = m.collected[0][1]
     tag = "semisimple-irreducible"
     if _is_semisimple_yes_row(g, hw):
         # without a toral slice neither check can fire
@@ -653,7 +653,7 @@ def classify_sl3(m: ModuleSpec) -> Verdict:
     if m.group != SL3:
         raise ValueError(f"{m.group} is not the rank-2 special linear group A2")
     tag = "rank2-special-linear"
-    s = m.summands
+    s = m.collected
     if _is_sl3_yes_row(s):
         _check_no_negative_rule(m)
         if s == ((1, (1, 1)),):
@@ -667,14 +667,14 @@ def classify_sl3(m: ModuleSpec) -> Verdict:
             bad = bad_toral_slice(m)
             if bad is not None:
                 return Verdict(m, NO, (bad,), tag)
-        sets = classify_components_sl3(m)
-        screen = sl3_irreducible_rank_screen(m.weights, sets)
+        statuses = classify_components_sl3(m)
+        screen = sl3_irreducible_rank_screen(m.weights, statuses)
         if screen is not None:
             return Verdict(
                 m, NO, screen, tag,
                 ("rank of the invariant differentials on a dominant component",),
             )
-        cert = sl3_vanishing_generator_certificate(m, sets)
+        cert = sl3_vanishing_generator_certificate(m, statuses)
         if cert is not None:
             return Verdict(m, NO, cert, tag)
         return Verdict(m, NO_PAPER, (Citation("negative-weight count against the cubic-invariant bound"),), tag)
@@ -728,11 +728,12 @@ FEASIBLE_DEGREE_CAP = 40
 
 
 def sl3_irreducible_rank_screen(
-    chi: Character, sets: Sequence[AdmissibleSet]
+    chi: Character, statuses: dict[AdmissibleSet, str]
 ) -> Optional[tuple]:
-    """Rank-of-differentials screen on a certified dominant component of
-    ``sets``, the output of :func:`classify_components_sl3` for the module
-    with weights ``chi``.
+    """Rank-of-differentials screen on a certified dominant component among
+    ``statuses``, the admissible sets and their dominance statuses that
+    :func:`classify_components_sl3` gives for the module with weights
+    ``chi``.
 
     For a subset S of the negative-weight directions reachable only by
     monomials of total degree <= d, the rank of the invariant differentials
@@ -742,8 +743,8 @@ def sl3_irreducible_rank_screen(
     certifies a non-reduced component.
     """
     gens: Optional[list[int]] = None
-    for a in sets:
-        if a.status != "dominant":
+    for a, status in statuses.items():
+        if status != "dominant":
             continue
         ks = positive_factor_counts([(v, m) for _, v, m in weight_values(chi, a.defining)])
         if len(ks) <= 2:
@@ -774,14 +775,14 @@ def sl3_irreducible_rank_screen(
 
 
 def sl3_vanishing_generator_certificate(
-    m: ModuleSpec, sets: Sequence[AdmissibleSet]
+    m: ModuleSpec, statuses: dict[AdmissibleSet, str]
 ) -> Optional[tuple]:
     """Find a degree d and a standard-type covariant target such that every
     covariant of that type and degree vanishes on all potentially dominant
-    null-cone components among ``sets`` (the output of
-    :func:`classify_components_sl3` for ``m``), while a generating one exists
-    in degree d."""
-    candidates = [a for a in sets if a.status in ("dominant", "unknown")]
+    null-cone components among ``statuses`` (the admissible sets and their
+    dominance statuses that :func:`classify_components_sl3` gives for
+    ``m``), while a generating one exists in degree d."""
+    candidates = [a for a, status in statuses.items() if status in ("dominant", "unknown")]
     if not candidates:
         return None
     for target in ((1, 0), (0, 1)):
@@ -818,8 +819,8 @@ def _max_feasible_degree(a: AdmissibleSet, target: Coords) -> Optional[int]:
 
 
 # (codim, invariant degrees) of the eps screens of _sl3_reducible_screen,
-# keyed by sorted summands; every row reads the cocharacter of the eps-values
-# (1, 1, -2)
+# keyed by the sorted collected summands; every row reads the cocharacter of
+# the eps-values (1, 1, -2)
 _SL3_EPS_SCREENS = {
     ((2, (2, 0)),): (4, (3, 3, 3, 3)),
     ((2, (0, 2)),): (4, (3, 3, 3, 3)),
@@ -831,7 +832,7 @@ def _sl3_reducible_screen(m: ModuleSpec) -> Optional[tuple]:
     """Rank-of-differentials screens for the handful of reducible modules the
     classification settles by cocharacter bookkeeping; codimension values are
     recorded fixture data."""
-    sor = tuple(sorted(m.summands))
+    sor = tuple(sorted(m.collected))
     if sor in (((1, (2, 0)), (2, (0, 1))), ((1, (0, 2)), (2, (1, 0)))):
         screen = _two_r2_screen()
         return (

@@ -210,7 +210,8 @@ def cmd_components(cfg: Config, args: argparse.Namespace) -> int:
             {
                 "weights": [list(w) for w in a.weights],
                 "dimension": a.dimension(),
-                "status": a.status,
+                # the dominance criteria run only in ``classify``
+                "status": "unknown",
                 "cocharacter": [str(v) for v in a.defining.values],
             }
             for a in sets

@@ -1,10 +1,19 @@
-"""The errors the engines raise, and a check that survives ``python -O``.
+"""The errors the engines raise, a check that survives ``python -O``, and
+the size of the per-process memos.
 
 Each resource cap is a module constant of the engine that enforces it
 (``monoid``, ``repthy``, ``nullcone``); nothing sets the caps from outside.
 """
 
 from __future__ import annotations
+
+MEMO_SIZE = 256
+"""Entries each bounded memo keyed on request input keeps (the three
+searches of ``monoid``, the admissible sets and toral-slice verdicts of a
+module, and the specs ``parse_group`` and ``parse_module`` intern): above
+the distinct inputs of a session of a few hundred CLI requests (at most 35
+torus verdicts, 16 Hilbert bases and 61 bounded sums in 260 ``queries``
+requests)."""
 
 
 class ResourceLimitError(RuntimeError):

@@ -65,8 +65,8 @@ that cannot change an answer:
 Each search is a pure function of its input, so each is memoized in a
 bounded ``functools.lru_cache`` keyed on that input as tuples, in the order
 given (the order fixes the coefficient order of a certificate, so no key is
-sorted), ``MEMO_SIZE`` entries each: ``is_torus_coreduced`` on the nonzero
-weights and the symmetry permutations, ``hilbert_basis`` on the weights,
+sorted), ``config.MEMO_SIZE`` entries each: ``is_torus_coreduced`` on the
+nonzero weights and the symmetry permutations, ``hilbert_basis`` on the weights,
 and ``exists_sum`` on the weights, target, count and grading.  Only
 immutable values are stored: the frozen ``TorusVerdict``, ``Relation`` and
 ``SumWitness``, and tuples of them.  A search stopped by a cap raises, and
@@ -83,7 +83,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .config import ResourceLimitError, require
+from .config import MEMO_SIZE, ResourceLimitError, require
 from .rootsys import closure
 
 Vec = tuple[int, ...]
@@ -103,12 +103,6 @@ bounds the degree, and so every coefficient, of a candidate the search
 reaches."""
 HILBERT_GENERATOR_CAP = 100_000
 """Generators the Hilbert search may find."""
-
-MEMO_SIZE = 256
-"""Entries each memo of the three searches keeps: above the distinct inputs
-of a session of a few hundred CLI requests (at most 35 torus verdicts, 16
-Hilbert bases and 61 bounded sums in 260 ``queries`` requests)."""
-
 
 class Relation(NamedTuple):
     """Nonnegative coefficients with sum_i coeffs[i] * weights[i] = 0."""

@@ -28,10 +28,14 @@ The enumeration is a pure function of its hyperplanes, so
 (``CHAMBER_MEMO_SIZE`` entries) keyed on the normals, the rank and the cone
 walls as tuples, in the order given: the recursion reuses the
 sub-arrangements around rays it has met before, within one enumeration and
-across requests.  It stores only tuples of points; ``admissible_sets``
-builds fresh ``AdmissibleSet`` objects from them, because callers write
-their ``status``.  A rank over ``CHAMBER_RANK_CAP`` is refused before the
-memo is read, so no stopped enumeration is ever stored.
+across requests.  It stores only tuples of points.  A rank over
+``CHAMBER_RANK_CAP`` is refused before the memo is read, so no stopped
+enumeration is ever stored.  ``AdmissibleSet`` is an immutable tuple of its
+weights and cocharacter, so the verified sets of a module are kept too, in
+``_admissible_sets`` (``config.MEMO_SIZE`` entries, keyed on the module and
+``mod_weyl``); a module refused by a cap raises, and ``lru_cache`` stores no
+exception.  Dominance statuses are not part of a set: the A2 driver's
+:func:`classify_components_sl3` returns them next to the sets.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from math import gcd
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .config import CertificateError, ResourceLimitError, require
+from .config import MEMO_SIZE, CertificateError, ResourceLimitError, require
 from .monoid import Vec, exists_sum
 from .repthy import Character, ModuleSpec, weight_counts, weight_diagram
 from .rootsys import (
@@ -87,15 +91,11 @@ class Cocharacter(_CocharacterFields):
         return all(self.value(d) > 0 for d in self.group.root_data.positive_roots)
 
 
-class AdmissibleSet:
+class AdmissibleSet(NamedTuple):
     """The strictly positive weights of a module for a generic cocharacter."""
 
-    __slots__ = ("weights", "defining", "status")
-
-    def __init__(self, weights: tuple[Coords, ...], defining: Cocharacter) -> None:
-        self.weights = weights  # Dynkin coords, with multiplicity, sorted
-        self.defining = defining
-        self.status = "unknown"  # dominant | dominated | unknown | not_by_these_criteria
+    weights: tuple[Coords, ...]  # Dynkin coords, with multiplicity, sorted
+    defining: Cocharacter
 
     def weight_set(self) -> frozenset[Coords]:
         return frozenset(self.weights)
@@ -149,7 +149,7 @@ sub-arrangements met in a session of a few hundred CLI requests (under 100)
 and in one rank-4 enumeration (41 for the Appendix B module)."""
 
 
-def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]:
+def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> tuple[AdmissibleSet, ...]:
     """One admissible set per chamber of the weight hyperplane arrangement.
 
     ``mod_weyl`` restricts to strictly dominant cocharacters (one chamber per
@@ -161,7 +161,14 @@ def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]
     ``CHAMBER_WEIGHT_CAP`` nonzero weights and modules without a nonzero
     weight are refused.  The nonzero weights are sorted once, and each
     chamber's positive set is read off that list with its cocharacter.
+    The sets of each module are built and verified once per process
+    (:func:`_admissible_sets`).
     """
+    return _admissible_sets(m, mod_weyl)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _admissible_sets(m: ModuleSpec, mod_weyl: bool) -> tuple[AdmissibleSet, ...]:
     g = m.group
     rank = g.rank
     if rank > CHAMBER_RANK_CAP:
@@ -203,7 +210,7 @@ def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> list[AdmissibleSet]
         adm = AdmissibleSet(pos, rho)
         adm.verify(chi)
         out.append(adm)
-    return out
+    return tuple(out)
 
 
 def _primitive(v: Vec) -> Vec:
@@ -381,22 +388,25 @@ def sl3_two_quadrant_dominant(adm: AdmissibleSet, all_sets: Sequence[AdmissibleS
     return has_1 and has_2
 
 
-def classify_components_sl3(m: ModuleSpec) -> list[AdmissibleSet]:
-    """Admissible sets of an A2 module with dominance statuses filled in."""
+def classify_components_sl3(m: ModuleSpec) -> dict[AdmissibleSet, str]:
+    """The admissible sets of an A2 module, in the order of
+    :func:`admissible_sets`, each mapped to its dominance status:
+    "dominated" when :func:`dominance` finds another set dominating it,
+    "dominant" when :func:`sl3_two_quadrant_dominant` holds, and "unknown"
+    otherwise."""
     sets = admissible_sets(m)
+    status: dict[AdmissibleSet, str] = {}
     for a in sets:
-        for b in sets:
-            if a is b or a.weight_set() == b.weight_set():
-                continue
-            if dominance(a, b) == "dominated":
-                a.status = "dominated"
-                break
-    for a in sets:
-        if a.status != "unknown":
-            continue
-        if sl3_two_quadrant_dominant(a, sets):
-            a.status = "dominant"
-    return sets
+        dominated = any(
+            a.weight_set() != b.weight_set() and dominance(a, b) == "dominated" for b in sets
+        )
+        if dominated:
+            status[a] = "dominated"
+        elif sl3_two_quadrant_dominant(a, sets):
+            status[a] = "dominant"
+        else:
+            status[a] = "unknown"
+    return status
 
 
 def sl3_critical_ratios(m: ModuleSpec) -> set[Fraction]:

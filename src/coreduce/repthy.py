@@ -12,7 +12,8 @@ are derived from it by closure under the simple reflections that fix mu,
 and cached per group and zero-label set, as the diagrams are per type and
 highest weight; a product group's diagram is the product of its factors'.
 The Weyl dimension formula is one product over the group's positive
-roots.  Each string point's
+roots, of the pairing vectors the root data keeps, over its Weyl
+denominator.  Each string point's
 multiplicity is looked up once, through its dominant representative, in a
 memo that lives for one diagram, and <nu, alpha> is stepped along the
 string by adding <alpha, alpha>.  The descent to the dominant weights is
@@ -30,7 +31,8 @@ recursion.  A module builds the dominant diagram of its root-lattice part
 and its full weight multiset once each, on first use, and keeps them
 (``ModuleSpec.root_lattice_diagram`` and ``ModuleSpec.weights``), so the
 toral slice, the chamber enumeration, the screens and the covariant counts
-of one module share them.  Orbits are expanded only in
+of one module share them; :func:`parse_module` hands out one instance per
+group and text, so they are kept from one request to the next.  Orbits are expanded only in
 :func:`weight_diagram`, where every weight is used, by the orbit walk of
 ``rootsys``, which makes each point once from its parent and keeps no set
 of the points seen.  Multiplicities of
@@ -67,7 +69,7 @@ from functools import cached_property, lru_cache
 from operator import add, le, mod, mul, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .config import CertificateError, ResourceLimitError, require
+from .config import MEMO_SIZE, CertificateError, ResourceLimitError, require
 from .rootsys import (
     Coords,
     GroupSpec,
@@ -87,17 +89,13 @@ from .rootsys import (
 
 def weyl_dim(g: GroupSpec, hw: Coords) -> int:
     """Dimension of the irreducible with highest weight ``hw`` (Weyl formula):
-    one product over the group's positive roots; the torus labels do not
-    enter."""
+    one product over the group's positive roots, of their pairing vectors
+    with hw + rho, over the root data's Weyl denominator; the torus labels
+    do not enter."""
     data = g.root_data
-    delta = g.weyl_vector
-    lam_delta = tuple(map(add, hw, delta))
-    num = 1
-    den = 1
-    for alpha in data.root_coords:
-        vec = tuple(map(mul, alpha, data.form))
-        num *= sum(map(mul, lam_delta, vec))
-        den *= sum(map(mul, delta, vec))
+    lam_delta = tuple(map(add, hw, g.weyl_vector))
+    num = math.prod(sum(map(mul, lam_delta, vec)) for vec in data.pairings)
+    den = data.weyl_denominator
     require(num % den == 0, f"Weyl dimension of V({hw}) over {g} is not an integer")
     return num // den
 
@@ -170,10 +168,10 @@ def _freudenthal(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
     sym = [s * (scale // k) for s, k in zip(form, data.lattice_index)]
     # per positive root: Dynkin labels, the vector v with <nu, a> = nu . v,
     # and <a, a>, which steps <nu, a> along an a-string
-    roots = []
-    for a_dyn, a in zip(data.positive_roots, data.root_coords):
-        vec = tuple(map(mul, a, form))
-        roots.append((a_dyn, vec, sum(map(mul, a_dyn, vec))))
+    roots = [
+        (a_dyn, vec, sum(map(mul, a_dyn, vec)))
+        for a_dyn, vec in zip(data.positive_roots, data.pairings)
+    ]
     npos = len(roots)
 
     def visit(found: int) -> None:
@@ -327,6 +325,18 @@ class ModuleSpec(_ModuleSpecFields):
         return Character(self.group, total)
 
     @cached_property
+    def collected(self) -> tuple[tuple[int, Coords], ...]:
+        """The summands with equal highest weights merged, their
+        coefficients added, in the order of first occurrence: the form every
+        classification rule reads, so that a verdict does not depend on how a
+        coefficient is written; built on first use and kept with the module.
+        ``str`` prints the summands as given."""
+        coeffs: dict[Coords, int] = {}
+        for coeff, hw in self.summands:
+            coeffs[hw] = coeffs.get(hw, 0) + coeff
+        return tuple((coeff, hw) for hw, coeff in coeffs.items())
+
+    @cached_property
     def root_lattice_diagram(self) -> dict[Coords, int]:
         """The dominant diagram of the module's root-lattice part: the
         summands whose highest weight lies in the root lattice with every
@@ -359,7 +369,14 @@ def in_root_part(g: GroupSpec, hw: Coords) -> bool:
 
 
 def parse_module(g: GroupSpec, text: str) -> ModuleSpec:
-    """Parse module text like ``[1,1]``, ``2*[0,1]+[2,0]``, ``3*[1]``."""
+    """Parse module text like ``[1,1]``, ``2*[0,1]+[2,0]``, ``3*[1]``: one
+    instance per group and text, so that its weights and diagram are kept
+    from one request to the next."""
+    return _parse_module(g, text)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _parse_module(g: GroupSpec, text: str) -> ModuleSpec:
     summands = []
     for term in text.replace(" ", "").split("+"):
         if "*" in term:

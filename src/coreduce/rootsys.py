@@ -36,7 +36,7 @@ from math import factorial, lcm, prod
 from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
-from .config import require
+from .config import MEMO_SIZE, require
 
 Coords = tuple[int, ...]
 P = TypeVar("P", bound=Hashable)
@@ -337,6 +337,10 @@ class RootData(NamedTuple):
     weyl_order: int
     positive_roots: tuple[Coords, ...]
     root_coords: tuple[Coords, ...]  # each positive root in the basis of simple roots
+    # each positive root's pairing vector, root_coords[k] times form entrywise:
+    # <lam, alpha_k> = lam . pairings[k] for lam in Dynkin labels
+    pairings: tuple[Coords, ...]
+    weyl_denominator: int  # the product of <rho, alpha> over the positive roots
     roots: tuple[Coords, ...]  # the positive roots, then their negatives
     dominant_roots: tuple[Coords, ...]  # the dominant weight in each root's Weyl orbit
 
@@ -417,9 +421,13 @@ def _root_data(simple_factors: tuple[SimpleType, ...], torus_rank: int) -> RootD
     roots = pos + [tuple(-x for x in r) for r in pos]
     # a root and its negative share an orbit (s_a(a) = -a)
     dom = [_dominantize(moves, r)[0] for r in pos]
+    pairings = tuple(tuple(map(mul, r, form)) for r in coords)
+    # rho has every label 1 on the simple factors, so <rho, alpha> is the sum
+    # of alpha's pairing vector
     return RootData(
         tuple(factors), tuple(map(tuple, cartan)), tuple(map(tuple, scaled)), tuple(index),
-        tuple(form), moves, order, tuple(pos), tuple(coords), tuple(roots), tuple(dom + dom),
+        tuple(form), moves, order, tuple(pos), tuple(coords), pairings,
+        prod(map(sum, pairings)), tuple(roots), tuple(dom + dom),
     )
 
 
@@ -650,7 +658,14 @@ _EPS_TERM_RE = re.compile(r"([+-]?)\s*(\d+(?:/\d+)?)?\s*e(\d+)")
 
 
 def parse_group(text: str) -> GroupSpec:
-    """Parse strings like ``"A2"``, ``"A1xA1xG2"``, ``"B3xT1"``, ``"T1"``."""
+    """Parse strings like ``"A2"``, ``"A1xA1xG2"``, ``"B3xT1"``, ``"T1"``:
+    one instance per text, so that its ``root_data`` is kept from one
+    request to the next."""
+    return _parse_group(text)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _parse_group(text: str) -> GroupSpec:
     factors: list[SimpleType] = []
     torus = 0
     for part in text.strip().split("x"):

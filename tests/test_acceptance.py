@@ -186,8 +186,8 @@ def test_criterion_06_sl3_v31():
         g = parse_group("A2")
         m = parse_module(g, paper.SL3_V31)
         assert sl3_critical_ratios(m) == paper.SL3_V31_RATIOS
-        sets = classify_components_sl3(m)
-        dominant = [a for a in maximal_sets(sets) if a.status == "dominant"]
+        statuses = classify_components_sl3(m)
+        dominant = [a for a in maximal_sets(list(statuses)) if statuses[a] == "dominant"]
         assert len(dominant) == 2
         degree = paper.SL3_V31_COVARIANT_DEGREE
         cert = covariant_generator_exists(m, (1, 0), degree)

@@ -516,6 +516,37 @@ def test_classify_module_dispatch():
         assert v.coreduced == want, (name, text)
 
 
+def _split_coefficient_variants(text):
+    """Each way of writing one term c*[x] of ``text``, c >= 2, as
+    [x]+(c-1)*[x]."""
+    terms = text.split("+")
+    for i, term in enumerate(terms):
+        c, star, w = term.partition("*")
+        if star and int(c) >= 2:
+            rest = w if int(c) == 2 else f"{int(c) - 1}*{w}"
+            yield "+".join(terms[:i] + [w, rest] + terms[i + 1 :])
+
+
+def _verdict_shape(v):
+    row = emit_report([v])["rows"][0]
+    return row["coreduced"], row["theorem"], [c["kind"] for c in row["certificates"]]
+
+
+def test_a_split_coefficient_gets_the_verdict_of_the_collected_one():
+    # the rules read the collected summands, so F4 [0,0,0,1]+[0,0,0,1] is
+    # the yes of F4 2*[0,0,0,1]; the module prints as typed
+    split = 0
+    for name, text, want in DRIVER_TABLES:
+        shape = _verdict_shape(classify_module(_module(name, text)))
+        assert shape[0] == want, (name, text)
+        for variant in _split_coefficient_variants(text):
+            v = classify_module(_module(name, variant))
+            assert _verdict_shape(v) == shape, (name, text, variant)
+            assert str(v.module) == variant
+            split += 1
+    assert split == 9
+
+
 def test_emit_report_is_deterministic_and_sorted():
     g = parse_group("A2")
     vs = [

@@ -114,6 +114,76 @@ def test_every_top_level_definition_is_read():
     assert sorted(set(spans) - read) == []
 
 
+# memos of the package that are not keyed on request input, or whose
+# entries are bounded by the group types and weights a session names
+MEMO_SCAN_EXEMPT = {
+    "cli.build_parser": "takes no argument: the one parser of the process",
+    "rootsys.build_root_system": "a per-type root-system table",
+    "rootsys._root_data": "a per-group root-system table",
+    "rootsys._sub_weyl_order": "a per-type root-system table",
+    "rootsys._weyl_order": "a per-type root-system table",
+    "rootsys._eps_roots": "a per-type root-system table",
+    "repthy._root_orbits": "a per-group root-system table",
+    "repthy._alternating_points": "the signed Weyl orbit of one group and weight, "
+    "sized against WEYL_ORDER_CAP",
+    "repthy.simple_dominant_diagram": "a dict per type and highest weight, which no "
+    "caller mutates",
+}
+
+
+def _package_memos():
+    """'module.name' of every function of the package decorated with a
+    ``functools.lru_cache``."""
+    pkg = pathlib.Path(coreduce.__file__).parent
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.attr if isinstance(target, ast.Attribute) else target.id
+                    if name in ("lru_cache", "cache"):
+                        yield f"{path.stem}.{node.name}"
+
+
+def test_every_memo_keyed_on_request_input_is_bounded_and_stores_hashable_values(monkeypatch):
+    """Each ``lru_cache`` of the package but those named in
+    ``MEMO_SCAN_EXEMPT`` is keyed on request input (specs, text, weight
+    lists), so it must have a bound and hand every caller the same immutable
+    value: what it returns must hash, which no list, dict or set does, nor a
+    tuple holding one."""
+    import importlib
+
+    memos = sorted(_package_memos())
+    assert set(MEMO_SCAN_EXEMPT) <= set(memos)
+    returned = {}
+    for memo in memos:
+        if memo in MEMO_SCAN_EXEMPT:
+            continue
+        stem, name = memo.split(".")
+        module = importlib.import_module(f"coreduce.{stem}")
+        fn = getattr(module, name)
+        assert fn.cache_parameters()["maxsize"] is not None, f"{memo} has no bound"
+        returned[memo] = []
+
+        def recorded(*args, _fn=fn, _out=returned[memo], **kwargs):
+            value = _fn(*args, **kwargs)
+            _out.append(value)
+            return value
+
+        monkeypatch.setattr(module, name, recorded)
+    for argv in (
+        ["classify", "A2", "[3,1]"],
+        ["classify", "A2", "[2,2]"],
+        ["components", "A1xA2", "[1,0,1]"],
+        ["hilbert-basis", "--weights", "2,-3,5,-4"],
+    ):
+        assert run_cli(argv)[0] in (0, 1)
+    for memo, values in returned.items():
+        assert values, f"no request read {memo}"
+        for value in values:
+            hash(value)
+
+
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     """The records are NamedTuples and short classes, so importing the CLI
     loads neither ``dataclasses`` nor the ``inspect`` it pulls in; a module
@@ -780,7 +850,9 @@ def test_diagram_cap_fires_at_its_count_before_the_recursion(monkeypatch, capsys
     argv = ["weights", "A2", "[4,1]"]
     monkeypatch.setattr(repthy, "DIAGRAM_CAP", 18)
     assert run_cli(argv)[0] == 0
+    # the interned module keeps its diagram too
     repthy.simple_dominant_diagram.cache_clear()
+    repthy._parse_module.cache_clear()
     monkeypatch.setattr(repthy, "DIAGRAM_CAP", 17)
 
     def refuse(*args):

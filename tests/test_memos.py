@@ -1,7 +1,7 @@
-"""The memos of the exact searches: a repeat in one process prints what a
-cold call and a fresh process print, runs no search again, never shares a
-mutable object, keeps the order of its input, and never stores a search
-that a cap stopped."""
+"""The memos of the exact searches and of each module's derived data: a
+repeat in one process prints what a cold call and a fresh process print,
+runs no search again, never shares a mutable object, keeps the order of its
+input, and never stores a search that a cap stopped."""
 
 import contextlib
 import io
@@ -13,9 +13,10 @@ import sys
 import pytest
 
 import coreduce
-from coreduce import monoid, nullcone, paper
+from coreduce import monoid, nullcone, paper, slices
 from coreduce.cli import main
-from coreduce.repthy import parse_module
+from coreduce.config import ResourceLimitError
+from coreduce.repthy import ModuleSpec, parse_module
 from coreduce.rootsys import parse_group
 
 FOUR_SIX = ",".join(map(str, paper.TORUS_FOUR_SIX))
@@ -82,12 +83,12 @@ def test_a_warm_repeat_prints_the_cold_bytes_and_runs_no_search(searches):
 
 
 def test_components_after_classify_prints_what_it_prints_cold():
-    """``classify`` writes dominance statuses on the admissible sets of an
-    A2 module; ``components`` of the same module must not see them."""
+    """``classify`` computes dominance statuses for the admissible sets of
+    an A2 module; ``components`` of the same module must not see them."""
     argv = ["components", "A2", "[3,1]"]
     cold = run(argv)
-    sets = nullcone.classify_components_sl3(parse_module(parse_group("A2"), "[3,1]"))
-    assert {a.status for a in sets} != {"unknown"}
+    statuses = nullcone.classify_components_sl3(parse_module(parse_group("A2"), "[3,1]"))
+    assert set(statuses.values()) != {"unknown"}
     assert run(["classify", "A2", "[3,1]"])[0] == 1
     assert run(argv) == cold
     assert {c["status"] for c in json.loads(cold[1])["candidates"]} == {"unknown"}
@@ -129,3 +130,82 @@ def test_a_search_stopped_by_a_cap_stops_again_on_the_repeat(module, cap, argv, 
     assert run(argv) == first
     monkeypatch.undo()
     assert run(argv)[0] in (0, 1)
+
+
+# an A2, a G2 and a product-group module, each asked classify, components,
+# covariant-vanish and classify again, with refused inputs in between
+SESSION = [
+    argv
+    for group, module, target in [
+        ("A2", "[2,1]", "[1,0]"),
+        ("G2", "2*[1,0]", "[1,0]"),
+        ("A1xA2", "[1,0,1]", "[1,1,0]"),
+    ]
+    for argv in (
+        ["classify", group, module],
+        ["components", group, module],
+        ["classify", group, module + "+[x]"],
+        ["covariant-vanish", group, module, "--target", target, "--degree", "3"],
+        ["components", "A2", "[1,0,1]"],
+        ["classify", group, module],
+    )
+]
+
+
+def test_an_interleaved_session_prints_the_bytes_of_fresh_processes():
+    fresh = [run_fresh(argv) for argv in SESSION]
+    assert {code for code, _, _ in fresh} == {0, 1, 2}
+    assert [run(argv) for argv in SESSION] == fresh
+    assert [run(argv) for argv in SESSION] == fresh
+
+
+def test_an_admissible_set_cannot_be_changed():
+    a = nullcone.admissible_sets(parse_module(parse_group("A2"), "[3,1]"))[0]
+    for field in ("weights", "defining", "status"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, ())
+
+
+def test_a_repeated_admissible_sets_call_returns_the_same_tuple(searches):
+    m = parse_module(parse_group("A2"), "[3,1]")
+    sets = nullcone.admissible_sets(m)
+    assert type(sets) is tuple and searches["rays"] > 0
+    searches.update(rays=0)
+    # an equal module, not the same instance, reads the same entry
+    again = nullcone.admissible_sets(ModuleSpec(m.group, m.summands))
+    assert again is sets and searches["rays"] == 0
+    assert nullcone.admissible_sets(m, mod_weyl=False) is not sets
+
+
+def test_a_repeated_toral_slice_verdict_reads_no_torus_verdict():
+    m = parse_module(parse_group("A1"), "[6]")
+    cert = slices.bad_toral_slice(m)
+    assert cert is not None
+    assert slices.bad_toral_slice(ModuleSpec(m.group, m.summands)) is cert
+    assert monoid._torus_verdict.cache_info()[:2] == (0, 1)  # hits, misses
+
+
+def test_specs_are_interned_per_text(weight_builds):
+    g = parse_group("A2")
+    assert parse_group("A2") is g and parse_group("A2xT1") is not g
+    m = parse_module(g, "2*[1,1]+[1,0]")
+    assert parse_module(g, "2*[1,1]+[1,0]") is m
+    assert parse_module(g, "[1,0]+2*[1,1]") is not m
+    # the weights are built once, for the first request that reads them
+    for argv in (["weights", "A2", "2*[1,1]+[1,0]"], ["classify", "A2", "2*[1,1]+[1,0]"]) * 2:
+        run(argv)
+    assert sorted(weight_builds) == [(1, 0), (1, 1)]
+
+
+def test_a_chamber_weight_cap_refusal_raises_again_on_the_repeat(monkeypatch):
+    m = parse_module(parse_group("A2"), "[3,1]")
+    argv = ["components", "A2", "[3,1]"]
+    monkeypatch.setattr(nullcone, "CHAMBER_WEIGHT_CAP", 10)
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match="a module of 24 nonzero weights"):
+            nullcone.admissible_sets(m)
+    first = run(argv)
+    assert first[:2] == (3, "") and json.loads(first[2])["cap"] == "CHAMBER_WEIGHT_CAP"
+    assert run(argv) == first
+    monkeypatch.undo()
+    assert run(argv)[0] == 0

@@ -76,8 +76,8 @@ def test_chamber_enumeration_matches_slope_sweep(text):
 
 
 def test_v31_has_exactly_two_dominant_classes():
-    sets = classify_components_sl3(_sl3("[3,1]"))
-    dominant = [a for a in maximal_sets(sets) if a.status == "dominant"]
+    statuses = classify_components_sl3(_sl3("[3,1]"))
+    dominant = [a for a in maximal_sets(list(statuses)) if statuses[a] == "dominant"]
     assert len(dominant) == 2
 
 

@@ -330,6 +330,15 @@ def test_parse_module_roundtrip():
         assert str(parse_module(g, str(m))) == str(m)
 
 
+def test_collected_summands_merge_equal_highest_weights_in_first_order():
+    g = parse_group("A2")
+    m = parse_module(g, "[1,0]+2*[0,1]+3*[1,0]")
+    assert m.collected == ((4, (1, 0)), (2, (0, 1)))
+    assert m.summands == ((1, (1, 0)), (2, (0, 1)), (3, (1, 0)))
+    assert str(m) == "[1,0]+2*[0,1]+3*[1,0]"
+    assert parse_module(g, "2*[1,1]").collected == ((2, (1, 1)),)
+
+
 def test_module_dimension_additivity():
     g = parse_group("B3")
     m = parse_module(g, "2*[1,0,0]+[0,0,1]")

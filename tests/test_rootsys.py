@@ -72,6 +72,40 @@ POSITIVE_ROOT_COUNTS = {
 }
 
 
+def _old_weyl_dim(g, hw):
+    """The Weyl dimension formula as it was written before the root data
+    kept each positive root's pairing vector and the Weyl denominator: both
+    products rebuilt from the root coordinates and the form on every call."""
+    data = g.root_data
+    delta = g.weyl_vector
+    lam_delta = [a + b for a, b in zip(hw, delta)]
+    num = den = 1
+    for alpha in data.root_coords:
+        vec = [a * f for a, f in zip(alpha, data.form)]
+        num *= sum(x * v for x, v in zip(lam_delta, vec))
+        den *= sum(x * v for x, v in zip(delta, vec))
+    assert num % den == 0
+    return num // den
+
+
+@pytest.mark.parametrize("name", [*sorted(WEYL_ORDERS), "A1xG2xT1", "B3xA2", "T2"])
+def test_weyl_dim_matches_the_formula_rebuilt_per_call(name):
+    from coreduce.repthy import weyl_dim
+
+    g = parse_group(name)
+    n, semisimple = g.rank, g.rank - g.torus_rank
+    rng = random.Random(name)
+    hws = [(0,) * n, (1,) * semisimple + (0,) * g.torus_rank]
+    hws += [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    hws += [
+        tuple(rng.randrange(4) for _ in range(semisimple))
+        + tuple(rng.randrange(-3, 4) for _ in range(g.torus_rank))
+        for _ in range(5)
+    ]
+    for hw in hws:
+        assert weyl_dim(g, hw) == _old_weyl_dim(g, hw), hw
+
+
 @pytest.mark.parametrize("name,order", sorted(WEYL_ORDERS.items()))
 def test_weyl_group_orders(name, order):
     assert parse_group(name).weyl_order == order
