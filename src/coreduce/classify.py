@@ -144,17 +144,18 @@ def sl2_module(parts: Sequence[int]) -> ModuleSpec:
     return ModuleSpec(_a1(), tuple((c, (p,)) for p, c in sorted(counts.items())))
 
 
-def classify_sl2(parts: Sequence[int]) -> Verdict:
+def classify_sl2(m: ModuleSpec) -> Verdict:
     """Sums of binary-form modules R_p (p >= 1 per summand)."""
-    parts = tuple(sorted(parts))
-    if not parts or any(p < 1 for p in parts):
+    if m.group != _a1():
+        raise ValueError(f"{m.group} is not A1; this driver covers binary forms")
+    copies = {hw[0]: c for c, hw in m.collected}  # p -> copies of R_p
+    if not copies or 0 in copies:
         raise ValueError("need a nontrivial module with no trivial summands")
-    m = sl2_module(parts)
     tag = "binary-forms"
-    if parts in ((2,), (3,), (4,)) or set(parts) == {1}:
+    if copies in ({2: 1}, {3: 1}, {4: 1}) or set(copies) == {1}:
         _check_no_negative_rule(m)
         return Verdict(m, YES, theorem_tag=tag)
-    if parts == (2, 2):
+    if copies == {2: 2}:
         cert = _two_r2_screen()
         require(cert.not_reduced, "the two-quadratics screen does not fire")
         return Verdict(m, NO, (cert,), tag, ("rank of the quotient differential on the null cone",))
@@ -163,7 +164,7 @@ def classify_sl2(parts: Sequence[int]) -> Verdict:
         return Verdict(m, NO, (bad,), tag)
     # covariants to R_1 (odd weights present) or to R_2 (all weights even)
     # of degree >= 2 vanish on the null cone
-    target = (1,) if any(p % 2 for p in parts) else (2,)
+    target = (1,) if any(p % 2 for p in copies) else (2,)
     cov = vanishing_covariant_certificate(m, maximal_sets(admissible_sets(m)), target, range(2, 9))
     if cov is not None:
         return Verdict(m, NO, (cov,), tag, ("generating covariant of low target degree vanishes on the null cone",))
@@ -870,10 +871,7 @@ def classify_module(m: ModuleSpec) -> Verdict:
         return classify_semisimple_irreducible(m)
     t = g.simple_factors[0]
     if str(t) == "A1":
-        parts = []
-        for c, hw in m.summands:
-            parts.extend([hw[0]] * c)
-        return classify_sl2(parts)
+        return classify_sl2(m)
     if str(t) == "A2":
         return classify_sl3(m)
     if t.family in _EXCEPTIONAL_FAMILIES:

@@ -40,15 +40,13 @@ that cannot change an answer:
   A weight of multiplicity m no longer makes each relation be found once
   per arrangement.  The other arrangements of a generator still count
   against the coordinate cap, as the plain search stores them, so the cap
-  bounds what a caller keeps, and against the generator cap as one total
-  per degree; the verdict lists a degree that would pass the generator
-  cap, so it answers or stops where the listing does.  The B2 slice of
-  ``3*[0,2]+3*[1,0]``, 28 weights of which 8 are distinct, grows 39
-  candidates and counts 521 instead of 875, and its verdict lists none of
-  the 258 generators that come before its certificate; the G2 slice of
-  ``3*[0,2]``, which stopped at the cap, counts 27,300 of the 78,431 it
-  allows at its certificate.  A list of distinct weights has one
-  arrangement per generator and counts none.
+  bounds what a caller keeps.  The B2 slice of ``3*[0,2]+3*[1,0]``, 28
+  weights of which 8 are distinct, grows 39 candidates and counts 521
+  instead of 875, and its verdict lists none of the 258 generators that
+  come before its certificate; the G2 slice of ``3*[0,2]``, which stopped
+  at the cap, counts 27,300 of the 78,431 it allows at its certificate.
+  A list of distinct weights has one arrangement per generator and counts
+  none.
 - A symmetry of the weight list, given as index permutations (the simple
   reflections acting on a toral slice), shrinks the search: it starts from
   the last copy of one weight per orbit, and each level's generators are
@@ -112,10 +110,6 @@ class Relation(NamedTuple):
     @property
     def degree(self) -> int:
         return sum(self.coeffs)
-
-    @property
-    def max_coeff(self) -> int:
-        return max(self.coeffs, default=0)
 
 
 def _check_stored(candidates: int, n: int) -> None:
@@ -470,22 +464,15 @@ def is_torus_coreduced(
 def _torus_verdict(ws: tuple[Vec, ...], symmetry: tuple[tuple[int, ...], ...]) -> TorusVerdict:
     """The first generator with a coefficient >= 2 in the order of
     :func:`iter_hilbert_basis`: the least copy-ascending one of its degree,
-    so no arrangement is listed.  A degree whose arrangements would pass
-    ``HILBERT_GENERATOR_CAP`` is listed, so that the verdict, or the cap
-    error, is the one the listing reaches."""
+    so no arrangement is listed.  The arrangements of a degree without one
+    count against ``HILBERT_GENERATOR_CAP`` as one total."""
     found = 0
     for degree in _degrees(ws, symmetry):
-        if found + degree.count > HILBERT_GENERATOR_CAP:
-            for coeffs in degree.listed():
-                found += 1
-                _check_found(found)
-                if max(coeffs) >= 2:
-                    return TorusVerdict(False, ws, Relation(coeffs))
-        else:
-            gen = next((c for c in degree.generators if max(c) >= 2), None)
-            if gen is not None:
-                return TorusVerdict(False, ws, Relation(gen))
-            found += degree.count
+        gen = next((c for c in degree.generators if max(c) >= 2), None)
+        if gen is not None:
+            return TorusVerdict(False, ws, Relation(gen))
+        found += degree.count
+        _check_found(found)
     return TorusVerdict(True, ws, None)
 
 

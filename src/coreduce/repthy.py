@@ -272,9 +272,6 @@ class Character(NamedTuple):
     def mult(self, coords: Coords) -> int:
         return self.entries.get(coords, 0)
 
-    def mass(self) -> int:
-        return sum(self.entries.values())
-
     def nonzero_weights(self) -> dict[Coords, int]:
         zero = tuple(0 for _ in range(self.group.rank))
         return {w: m for w, m in self.entries.items() if w != zero and m}

@@ -198,14 +198,6 @@ class RootSystem:
         self.positive_roots, self.positive_roots_dynkin = self._positive_roots()
         self.weyl_order = _weyl_order(self.cartan)
 
-    def inner_dr(self, d: Coords, root: Coords) -> int:
-        """Scaled invariant form <λ, μ> for λ in Dynkin labels, μ in root coords.
-
-        The result is ``den * (λ, μ)``, ``den`` the common denominator of the
-        symmetrizer; differences/ratios of such values are exact.
-        """
-        return sum(root[j] * d[j] * self.form[j] for j in range(self.rank))
-
     def _positive_roots(self) -> tuple[tuple[Coords, ...], tuple[Coords, ...]]:
         """The positive roots in root coordinates, sorted, and their Dynkin
         labels in the same order."""
@@ -218,12 +210,6 @@ class RootSystem:
         pos = sorted(p for p in roots if all(x >= 0 for x in p[0]))
         require(2 * len(pos) == len(roots), f"{self.type}: roots are not positive or negative")
         return tuple(r for r, _ in pos), tuple(d for _, d in pos)
-
-    @property
-    def highest_root(self) -> Coords:
-        """The positive root of maximal height (root coordinates); its Dynkin
-        labels are the highest weight of the adjoint module."""
-        return max(self.positive_roots, key=sum)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type})"

@@ -598,6 +598,12 @@ def d4_triality_case_weights(case: dict) -> frozenset:
     return frozenset(tuple(Fraction(x) for x in v) for v in case["vector"]) | frozenset(half)
 
 
+def _inner(rs, d: tuple, root: tuple) -> int:
+    """The invariant form of ``d`` (Dynkin labels) and ``root`` (root
+    coordinates), scaled to integers by ``rs.form``."""
+    return sum(r * x * f for r, x, f in zip(root, d, rs.form))
+
+
 def reference_freudenthal(t, hw: tuple) -> dict:
     """Dominant-weight multiplicities of V(hw) by Freudenthal's recursion
     summed over every positive root, one alpha-string each: the kernel
@@ -632,7 +638,7 @@ def reference_freudenthal(t, hw: tuple) -> dict:
                 if m is None:
                     string_tail[(nu, i)] = 0
                     break
-                chain.append((nu, m * rs.inner_dr(nu, a_root)))
+                chain.append((nu, m * _inner(rs, nu, a_root)))
                 nu = tuple(x + d for x, d in zip(nu, a_dyn))
             total = string_tail[(nu, i)]
             for point, f in reversed(chain):
@@ -643,7 +649,7 @@ def reference_freudenthal(t, hw: tuple) -> dict:
         diff_rs = tuple(a - b for a, b in zip(hw_rs, reference_root_scaled_of_dynkin(g, mu)))
         diff_root = tuple(x // rs.lattice_index for x in diff_rs)
         summ = tuple(a + b + 2 * c for a, b, c in zip(hw, mu, delta))
-        den = rs.inner_dr(summ, diff_root)
+        den = _inner(rs, summ, diff_root)
         # an explicit test rather than require, so the success path builds no message
         if any(x % rs.lattice_index for x in diff_rs) or den <= 0 or (2 * num) % den:
             raise CertificateError(f"Freudenthal step fails at {mu} in V({hw}) of {t}")

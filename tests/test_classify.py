@@ -106,7 +106,7 @@ def test_equal_specs_are_equal_hash_equal_and_share_a_cache_entry():
         (Cocharacter((1, 2), a2), Cocharacter((1, 2), parse_group("A2"))),
     ]
     # state cached on one side only takes no part in equality or hash
-    assert a2.root_data.weyl_order == 6 and pairs[1][0].weights.mass() == 19
+    assert a2.root_data.weyl_order == 6 and sum(pairs[1][0].weights.entries.values()) == 19
     assert pairs[2][0].pairing == (4, 5)
     calls = []
 
@@ -279,12 +279,12 @@ SL2_TABLE = [
 
 @pytest.mark.parametrize("parts,want", SL2_TABLE)
 def test_sl2_verdicts(parts, want):
-    v = classify_sl2(parts)
+    v = classify_sl2(sl2_module(parts))
     assert v.coreduced == want
 
 
 def test_sl2_two_quadratics_certificate():
-    v = classify_sl2(paper.SL2_TWO_QUADRATICS)
+    v = classify_sl2(sl2_module(paper.SL2_TWO_QUADRATICS))
     screen = v.certificates[0]
     assert isinstance(screen, ScreenResult)
     assert screen.rank_bound == paper.SL2_TWO_QUADRATICS_RANK
@@ -294,7 +294,7 @@ def test_sl2_two_quadratics_certificate():
 def test_sl2_exhaustive_small_has_verdict():
     for n in range(1, 4):
         for parts in itertools.product(range(1, 5), repeat=n):
-            v = classify_sl2(parts)
+            v = classify_sl2(sl2_module(parts))
             assert v.coreduced in {YES, NO, YES_PAPER, NO_PAPER}
 
 
@@ -365,7 +365,7 @@ def test_highest_root_module_is_the_coreduced_adjoint(name):
     # [1,0,...,0]; D3's is [0,1,1], not the 4-dim [0,1,0]
     g = parse_group(name)
     rs = build_root_system(g.simple_factors[0])
-    top = rs.highest_root
+    top = max(rs.positive_roots, key=sum)  # the root of greatest height
     assert all(sum(top) > sum(r) for r in rs.positive_roots if r != top)
     m = ModuleSpec(g, ((1, dynkin_of_root(rs, top)),))
     assert m.dimension() == g.rank + 2 * len(rs.positive_roots)
@@ -450,7 +450,7 @@ def test_each_covariant_certificate_search_runs_one_dp(monkeypatch):
         return dp(chi, d, reads)
 
     monkeypatch.setattr(repthy, "_packed_powers", counted)
-    v = classify_sl2((5,))
+    v = classify_sl2(sl2_module((5,)))
     cert = v.certificates[0]
     assert (cert.degree, tops) == (5, [8])
     assert cert == repthy.covariant_generator_exists(v.module, (1,), 5)
@@ -545,6 +545,20 @@ def test_a_split_coefficient_gets_the_verdict_of_the_collected_one():
             assert str(v.module) == variant
             split += 1
     assert split == 9
+
+
+def test_a_binary_form_verdict_keeps_the_module_as_typed():
+    # the sl2 rules read the collected summands, and the verdict prints the
+    # module as it was given, not sorted and collected
+    written = [("[2]+[1]", "[1]+[2]"), ("[2]+[2]", "2*[2]"), ("[1]+[2]+[1]", "2*[1]+[2]")]
+    for text, canonical in written:
+        v = classify_module(_module("A1", text))
+        assert str(v.module) == text
+        assert _verdict_shape(v) == _verdict_shape(classify_module(_module("A1", canonical)))
+    with pytest.raises(ValueError, match="not A1"):
+        classify_sl2(_module("A2", "[1,1]"))
+    with pytest.raises(ValueError, match="trivial summands"):
+        classify_sl2(_module("A1", "[0]+[1]"))
 
 
 def test_emit_report_is_deterministic_and_sorted():

@@ -8,6 +8,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coreduce
 from coreduce import paper
@@ -52,24 +53,83 @@ def test_torus_check_exit_codes_and_certificate():
     assert code == 0
     code, out = run_cli(["torus-check", "--weights", FOUR_SIX])
     assert code == 1
-    assert json.loads(out)["certificate"]["coeffs"] == list(paper.TORUS_FOUR_SIX_GENERATOR)
+    # the torus verdict's certificate, 3*(-4) + 2*6 = 0: the first generator
+    # with a coefficient >= 2, where the paper names (3,0,0,2)
+    assert json.loads(out)["certificate"]["coeffs"] == [0, 3, 2, 0]
 
 
 def test_torus_check_runs_one_hilbert_search(monkeypatch):
+    # the torus verdict reads one search degree by degree and lists no basis
     from coreduce import monoid
 
-    searches = []
-    search = monoid.iter_hilbert_basis
+    calls = {"iter_hilbert_basis": 0, "_degrees": 0}
 
-    def counted(*args, **kwargs):
-        searches.append(args)
-        return search(*args, **kwargs)
+    def counted(name):
+        search = getattr(monoid, name)
 
-    monkeypatch.setattr(monoid, "iter_hilbert_basis", counted)
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return search(*args, **kwargs)
+
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(monoid, name, counted(name))
+    monoid._torus_verdict.cache_clear()
     code, out = run_cli(["torus-check", "--weights", FOUR_SIX])
     assert code == 1
-    assert json.loads(out)["certificate"]["coeffs"] == list(paper.TORUS_FOUR_SIX_GENERATOR)
-    assert len(searches) == 1
+    assert json.loads(out)["certificate"]["coeffs"] == [0, 3, 2, 0]
+    assert calls == {"iter_hilbert_basis": 0, "_degrees": 1}
+
+
+def test_torus_check_answers_on_the_f4_slice_with_the_classify_certificate():
+    # the 24 weights of the toral slice of F4 [1,0,0,0]+[0,0,0,1]: a full
+    # listing of the basis stops at HILBERT_COORD_CAP, the torus verdict
+    # stops at its first degree with a coefficient >= 2
+    from coreduce.slices import toral_slice, weyl_symmetric_list
+
+    g = parse_group("F4")
+    m = parse_module(g, "[1,0,0,0]+[0,0,0,1]")
+    ws, _ = weyl_symmetric_list(g, toral_slice(m))
+    weights = ";".join("(" + ",".join(map(str, w)) + ")" for w in ws)
+    code, out = run_cli(["torus-check", f"--weights={weights}"])
+    assert code == 1
+    cert = json.loads(out)["certificate"]
+    support = [(w, c) for w, c in zip(cert["weights"], cert["coeffs"]) if c]
+    assert support == [
+        ([-1, -1, -1, 0], 1), ([0, -1, -1, 0], 1), ([0, 0, -1, 0], 1), ([0, 0, 0, -1], 2),
+        ([1, 2, 3, 2], 1),
+    ]
+    row = json.loads(run_cli(["classify", "F4", str(m)])[1])["rows"][0]
+    (toral,) = row["certificates"]
+    assert toral["kind"] == "toral_relation"
+    assert list(zip(toral["weights"], toral["coeffs"])) == support
+
+
+# --weights values by the rule the benchmark draws them by: rank 1, 2-8
+# nonzero weights in -6..6; rank 2, 2-6 nonzero weights in -3..3
+TORUS_WEIGHTS = st.one_of(
+    st.lists(st.integers(-6, 6).filter(bool), min_size=2, max_size=8).map(
+        lambda ws: ",".join(map(str, ws))
+    ),
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any), min_size=2, max_size=6
+    ).map(lambda ws: ";".join(f"({a},{b})" for a, b in ws)),
+)
+
+
+@given(weights=TORUS_WEIGHTS)
+@settings(max_examples=150, deadline=None)
+def test_torus_check_agrees_with_the_hilbert_basis_listing(weights):
+    # torus-check reads the torus verdict and hilbert-basis lists the whole
+    # basis: the certificate is the first listed generator with a
+    # coefficient >= 2, in (degree, tuple) order
+    code, out = run_cli(["torus-check", f"--weights={weights}"])
+    verdict = json.loads(out)
+    basis = json.loads(run_cli(["hilbert-basis", f"--weights={weights}"])[1])["generators"]
+    first = next((g for g in basis if max(g) >= 2), None)
+    assert verdict["coreduced"] == (first is None) == (code == 0)
+    assert verdict.get("certificate", {}).get("coeffs") == first
 
 
 def _package_names(skip=()):
@@ -95,14 +155,22 @@ def _package_names(skip=()):
 
 
 def test_every_top_level_definition_is_read():
-    """No dead helpers: every top-level function and class of the package is
-    read somewhere in it outside its own definition.  The ``cmd_*`` handlers
-    are exempt: ``main`` looks them up by name."""
+    """No dead helpers: every top-level function and class of the package,
+    and every method and property of its classes, is read somewhere in it
+    outside its own definition.  The ``cmd_*`` handlers are exempt, as
+    ``main`` looks them up by name, and so are the dunders, which Python
+    calls."""
     pkg = pathlib.Path(coreduce.__file__).parent
     spans = {}
     for path in sorted(pkg.rglob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("cmd_"):
+        body = ast.parse(path.read_text(), str(path)).body
+        methods = [n for c in body if isinstance(c, ast.ClassDef) for n in c.body]
+        for node in body + methods:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("cmd_")
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+            ):
                 spans.setdefault(node.name, []).append(
                     (str(path.relative_to(pkg)), node.lineno, node.end_lineno)
                 )
@@ -538,7 +606,8 @@ def test_classify_exit_zero_on_yes():
     assert row["coreduced"] in ("yes", "yes_paper_proof")
 
 
-# the exact classify output for one module per certificate kind
+# the exact classify output for one module per certificate kind, and for
+# an A1 module typed out of order, which prints as typed
 CLASSIFY_GOLDEN = [
     pytest.param(
         "A1",
@@ -647,6 +716,19 @@ CLASSIFY_GOLDEN = [
             ' "notes": [], "theorem": "rank2-special-linear"}], "schema": 1}\n'
         ),
         id="citation",
+    ),
+    pytest.param(
+        "A1",
+        "[2]+[1]",
+        1,
+        (
+            '{"rows": [{"certificates": [{"degree": 2, "ideal_bound": 0,'
+            ' "kind": "generating_covariant", "multiplicity": 1, "target": [1]}],'
+            ' "coreduced": "no", "group": "A1", "module": "[2]+[1]",'
+            ' "notes": ["generating covariant of low target degree vanishes on the null cone"],'
+            ' "theorem": "binary-forms"}], "schema": 1}\n'
+        ),
+        id="module_as_typed",
     ),
 ]
 

@@ -225,12 +225,34 @@ def test_torus_verdict_is_the_first_coefficient_two_generator(case):
         mp.setattr(monoid, "HILBERT_COORD_CAP", 2_000 * len(ws))
         reference = reference_hilbert_basis(ws)
         try:
-            first = next((g for g in reference if g.max_coeff >= 2), None)
+            first = next((g for g in reference if max(g.coeffs) >= 2), None)
         except ResourceLimitError:
             assume(False)
     verdict = is_torus_coreduced(ws, symmetry)
     assert verdict.coreduced == (first is None)
     assert verdict.certificate == first
+
+
+def test_the_torus_verdict_stops_before_the_generator_cap_of_a_listing(monkeypatch):
+    # degree 2 holds the 9 relations x_i + y_j and degree 3 starts with
+    # (0,0,2,0,0,0,1): the verdict answers from the copy-ascending
+    # generators, while the listing's tenth generator passes the cap
+    ws = [(x,) for x in (1, 1, 1, -1, -1, -1, -2)]
+    monkeypatch.setattr(monoid, "HILBERT_GENERATOR_CAP", 9)
+    monoid._torus_verdict.cache_clear()
+    monoid._hilbert_basis.cache_clear()
+    assert is_torus_coreduced(ws).certificate.coeffs == (0, 0, 2, 0, 0, 0, 1)
+    with pytest.raises(
+        ResourceLimitError, match=r"found 10 generators, over HILBERT_GENERATOR_CAP = 9"
+    ):
+        hilbert_basis(ws)
+    # a degree without such a generator counts against the cap as a whole
+    monkeypatch.setattr(monoid, "HILBERT_GENERATOR_CAP", 8)
+    monoid._torus_verdict.cache_clear()
+    with pytest.raises(
+        ResourceLimitError, match=r"found 9 generators, over HILBERT_GENERATOR_CAP = 8"
+    ):
+        is_torus_coreduced(ws)
 
 
 def test_copy_ascending_search_answers_a_b2_slice_under_a_small_cap(monkeypatch):

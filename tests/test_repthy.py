@@ -71,7 +71,7 @@ KNOWN_DIMS = [
 def test_known_dimensions(name, hw, dim):
     g = parse_group(name)
     assert weyl_dim(g, hw) == dim
-    assert weight_diagram(g, hw).mass() == dim
+    assert sum(weight_diagram(g, hw).entries.values()) == dim
 
 
 def test_weyl_dim_of_a_product_is_the_product_over_its_factors():
@@ -100,7 +100,7 @@ def test_mass_equals_weyl_dim_sweep():
         for hw in itertools.product(range(3), repeat=g.rank):
             if weyl_dim(g, hw) > 600:
                 continue
-            assert weight_diagram(g, hw).mass() == weyl_dim(g, hw)
+            assert sum(weight_diagram(g, hw).entries.values()) == weyl_dim(g, hw)
 
 
 def test_pointwise_kostant_oracle_rank2():
@@ -132,7 +132,7 @@ def test_symmetric_power_mass():
     chi = ModuleSpec(g, ((1, (1, 1)),)).weights
     powers = symmetric_power(chi, 5)
     for d in range(1, 6):
-        assert powers[d].mass() == math.comb(8 + d - 1, d)
+        assert sum(powers[d].entries.values()) == math.comb(8 + d - 1, d)
 
 
 def test_symmetric_power_binary_quadratic():
@@ -343,7 +343,7 @@ def test_module_dimension_additivity():
     g = parse_group("B3")
     m = parse_module(g, "2*[1,0,0]+[0,0,1]")
     assert m.dimension() == 2 * 7 + 8
-    assert m.weights.mass() == m.dimension()
+    assert sum(m.weights.entries.values()) == m.dimension()
 
 
 @st.composite

@@ -242,9 +242,8 @@ def test_stored_roots_are_the_dynkin_labels_of_the_root_list(name):
         pad = (0,) * (g.rank - lo - t.rank)
         want += [(0,) * lo + dynkin_of_root(rs, r) + pad for r in rs.positive_roots]
         coords += [(0,) * lo + r + pad for r in rs.positive_roots]
-        # <omega_i, alpha_i> in the scale of the factor's inner_dr
-        units = [tuple(int(i == j) for j in range(t.rank)) for i in range(t.rank)]
-        form += [rs.inner_dr(e, e) for e in units]
+        # <omega_i, alpha_i> in the factor's integer scale
+        form += rs.form
         lo += t.rank
     data = g.root_data
     assert [t for t, _lo, _hi in data.factors] == list(g.simple_factors)
