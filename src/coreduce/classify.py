@@ -812,7 +812,7 @@ def _max_feasible_degree(a: AdmissibleSet, target: Coords) -> Optional[int]:
     if dbound > FEASIBLE_DEGREE_CAP:
         return None
     best = 0
-    ws = a.root_scaled()
+    ws = a.root_scaled
     for d in range(1, dbound + 1):
         if exists_sum(ws, tgt, d, grading=a.defining.values).feasible:
             best = d
@@ -884,18 +884,18 @@ def classify_module(m: ModuleSpec) -> Verdict:
 
 
 def emit_report(verdicts: Sequence[Verdict]) -> dict:
-    rows = []
-    for v in sorted(verdicts, key=lambda v: (v.theorem_tag, str(v.module))):
-        rows.append(
-            {
-                "module": str(v.module),
-                "group": str(v.module.group),
-                "coreduced": v.coreduced,
-                "theorem": v.theorem_tag,
-                "certificates": [_cert_summary(c) for c in v.certificates],
-                "notes": list(v.notes),
-            }
-        )
+    rows = [
+        {
+            "module": str(v.module),
+            "group": str(v.module.group),
+            "coreduced": v.coreduced,
+            "theorem": v.theorem_tag,
+            "certificates": [_cert_summary(c) for c in v.certificates],
+            "notes": list(v.notes),
+        }
+        for v in verdicts
+    ]
+    rows.sort(key=lambda row: (row["theorem"], row["module"]))
     return {"schema": 1, "rows": rows}
 
 

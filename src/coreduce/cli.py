@@ -62,11 +62,15 @@ class Config(NamedTuple):
     output: str = "json"
 
 
+# ``json.dumps`` with keyword arguments builds an encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
 def _emit(cfg: Config, payload: dict) -> None:
     payload = dict(payload)
     payload["schema"] = SCHEMA
     if cfg.output == "json":
-        print(json.dumps(payload, sort_keys=True, default=str))
+        print(_ENCODER.encode(payload))
     else:
         _emit_text(payload)
 
@@ -109,11 +113,15 @@ def _parse_vectors(text: str) -> list[tuple[int, ...]]:
 
 
 def _parse_scalar_or_vectors(text: str) -> list[tuple[int, ...]]:
-    if not text.strip():
-        raise ValueError("--weights is empty; give weights like 4,-4,6,-6 or (1,0);(0,1)")
     if ";" in text or "(" in text:
-        return _parse_vectors(text)
-    return [(_weight_int(x),) for x in text.replace(" ", "").split(",")]
+        ws = _parse_vectors(text)
+    elif text.strip():
+        ws = [(_weight_int(x),) for x in text.replace(" ", "").split(",")]
+    else:
+        ws = []
+    if not ws:
+        raise ValueError("--weights is empty; give weights like 4,-4,6,-6 or (1,0);(0,1)")
+    return ws
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +537,10 @@ def cmd_verify_paper(cfg: Config, args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused by every later
     one: parsing makes a fresh namespace each time and leaves the parser as
-    it was.  Subcommand ``x-y`` runs ``cmd_x_y``, looked up at dispatch time
-    (see :func:`main`)."""
+    it was.  Its ``subcommands`` maps each subcommand name to that
+    subcommand's own parser, which :func:`parse_args` calls directly.
+    Subcommand ``x-y`` runs ``cmd_x_y``, looked up at dispatch time (see
+    :func:`main`)."""
     # SUPPRESS keeps a subcommand from clobbering a global flag that was
     # given before the subcommand name
     common = argparse.ArgumentParser(add_help=False)
@@ -543,6 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = p.add_subparsers(dest="command", required=True)
+    p.subcommands = sub.choices
 
     def add(name: str, help_text: str, *positionals: str) -> argparse.ArgumentParser:
         s = sub.add_parser(name, help=help_text, parents=[common])
@@ -570,9 +581,34 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace of ``build_parser().parse_args(argv)``, parsed once.
+
+    The top-level parser hands everything after the subcommand name to that
+    subcommand's parser, so an argv that starts with a subcommand goes to
+    that parser alone.  The top-level parser still parses, and so prints
+    its own usage errors, when argv does not start with a subcommand (no
+    argument, ``-h``, ``--output text classify ...``, an unknown command),
+    when the subcommand's parser leaves arguments over (``coreduce: error:
+    unrecognized arguments``), and when an argument starts with ``--=``,
+    which the top-level parser refuses as ambiguous between ``--help`` and
+    ``--output`` before it reaches the subcommand."""
+    parser = build_parser()
+    if argv and argv[0] in parser.subcommands and not any(a.startswith("--=") for a in argv):
+        args, extra = parser.subcommands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one request; ``argv`` defaults to ``sys.argv[1:]``.  The argv is
+    parsed once, by its subcommand's parser where it starts with one (see
+    :func:`parse_args`)."""
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     # looked up by name on every call, so that a handler replaced after the
@@ -584,13 +620,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimitError as e:
         if cfg.output == "json":
             fields = {"engine": e.engine, "cap": e.cap, "limit": e.limit, "count": e.count}
-            print(json.dumps({**fields, "message": str(e)}, sort_keys=True), file=sys.stderr)
+            print(_ENCODER.encode({**fields, "message": str(e)}), file=sys.stderr)
         else:
             print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except MemoryError:
         if cfg.output == "json":
-            print(json.dumps({"message": "out of memory"}), file=sys.stderr)
+            print(_ENCODER.encode({"message": "out of memory"}), file=sys.stderr)
         else:
             print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE

@@ -31,11 +31,13 @@ sub-arrangements around rays it has met before, within one enumeration and
 across requests.  It stores only tuples of points.  A rank over
 ``CHAMBER_RANK_CAP`` is refused before the memo is read, so no stopped
 enumeration is ever stored.  ``AdmissibleSet`` is an immutable tuple of its
-weights and cocharacter, so the verified sets of a module are kept too, in
-``_admissible_sets`` (``config.MEMO_SIZE`` entries, keyed on the module and
-``mod_weyl``); a module refused by a cap raises, and ``lru_cache`` stores no
-exception.  Dominance statuses are not part of a set: the A2 driver's
-:func:`classify_components_sl3` returns them next to the sets.
+weights, its cocharacter and its weights in root_scaled coordinates
+(converted once per module weight, as the sets are made), so the verified
+sets of a module are kept too, in ``_admissible_sets`` (``config.MEMO_SIZE``
+entries, keyed on the module and ``mod_weyl``); a module refused by a cap
+raises, and ``lru_cache`` stores no exception.  Dominance statuses are not
+part of a set: the A2 driver's :func:`classify_components_sl3` returns them
+next to the sets.
 """
 
 from __future__ import annotations
@@ -96,13 +98,10 @@ class AdmissibleSet(NamedTuple):
 
     weights: tuple[Coords, ...]  # Dynkin coords, with multiplicity, sorted
     defining: Cocharacter
+    root_scaled: tuple[Vec, ...]  # the same weights in root_scaled coordinates
 
     def weight_set(self) -> frozenset[Coords]:
         return frozenset(self.weights)
-
-    def root_scaled(self) -> list[Vec]:
-        g = self.defining.group
-        return [root_scaled_of_dynkin(g, w) for w in self.weights]
 
     def dimension(self) -> int:
         return len(self.weights)
@@ -184,11 +183,12 @@ def _admissible_sets(m: ModuleSpec, mod_weyl: bool) -> tuple[AdmissibleSet, ...]
         )
     chi = m.weights
     nonzero = sorted(chi.nonzero_weights().items())
-    lines = tuple(sorted({_line(root_scaled_of_dynkin(g, w)) for w, _m in nonzero}))
+    # each weight's copies, in Dynkin and in root_scaled coordinates
+    copies = [(w, (w,) * mult, (root_scaled_of_dynkin(g, w),) * mult) for w, mult in nonzero]
+    lines = tuple(sorted({_line(rs[0]) for _w, _ws, rs in copies}))
     if not lines:
         # a zero-dimensional positive weight space answers every question vacuously
         raise ValueError("need a nontrivial module with no trivial summands")
-    copies = [(w, (w,) * mult) for w, mult in nonzero]
     walls = tuple(_primitive(root_scaled_of_dynkin(g, d)) for d in g.root_data.positive_roots)
     out: list[AdmissibleSet] = []
     seen: set[tuple[Coords, ...]] = set()
@@ -197,17 +197,19 @@ def _admissible_sets(m: ModuleSpec, mod_weyl: bool) -> tuple[AdmissibleSet, ...]
         require(not mod_weyl or rho.is_dominant(), f"chamber point {vals} is not dominant")
         pairing = rho.pairing
         positive: list[Coords] = []
-        for w, ws in copies:
+        scaled: list[Vec] = []
+        for w, ws, rs in copies:
             v = sum(map(mul, pairing, w))
             if v > 0:
                 positive += ws
+                scaled += rs
             elif not v:
                 raise RootSystemError(f"cocharacter is not generic: weight {w} pairs to 0")
         pos = tuple(positive)
         if pos in seen:
             continue
         seen.add(pos)
-        adm = AdmissibleSet(pos, rho)
+        adm = AdmissibleSet(pos, rho, tuple(scaled))
         adm.verify(chi)
         out.append(adm)
     return tuple(out)
@@ -446,7 +448,7 @@ def covariant_vanishes(
     g = adm.defining.group
     if any(x < 0 for x in lam_star[: g.rank - g.torus_rank]):
         raise ValueError(f"covariant target {lam_star} is not a dominant weight")
-    ws = adm.root_scaled()
+    ws = adm.root_scaled
     target = root_scaled_of_dynkin(g, lam_star)
     degrees = range(1, d + 1) if all_degrees else [d]
     for e in degrees:

@@ -308,7 +308,7 @@ def brute_force_sl3_dominant_sets(m) -> list:
         if pos in seen:
             continue
         seen.add(pos)
-        adm = AdmissibleSet(pos, rho)
+        adm = AdmissibleSet(pos, rho, tuple(root_scaled_of_dynkin(g, w) for w in pos))
         adm.verify(chi)
         out.append(adm)
     return out

@@ -208,7 +208,7 @@ def test_criterion_07_g2xg2_appendix():
             assert a.dimension() == paper.G2XG2_SET_DIM
             assert a.defining.is_dominant()
             assert not exists_sum(
-                a.root_scaled(),
+                a.root_scaled,
                 _root_scaled(a.defining.group, target),
                 9
             ).feasible

@@ -366,6 +366,141 @@ def test_usage_error_leaves_the_parser_usable(capsys):
     assert code == 0 and json.loads(out)["dimension"] == 8
 
 
+def _parsed(parse, argv):
+    """What ``parse(argv)`` returns or exits with, and what it prints."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("namespace", vars(parse(argv)))
+        except SystemExit as e:
+            result = ("exit", e.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _top_level_parse(argv):
+    from coreduce.cli import build_parser
+
+    return build_parser().parse_args(argv)
+
+
+def assert_parses_as_the_top_level_parser(argv):
+    """Returns what the top-level parser gives."""
+    from coreduce.cli import parse_args
+
+    want = _parsed(_top_level_parse, argv)
+    assert _parsed(parse_args, argv) == want
+    return want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["classify", "-h"],
+        ["--output", "text", "classify", "A2", "[1,1]"],
+        ["classify", "A2", "[1,1]", "extra"],
+        ["classify", "--", "A2", "[1,1]"],
+        ["classify", "--output", "xml", "A2", "[1,1]"],
+        ["classify", "A2", "[1,1]", "--out", "text"],
+        ["torus-check"],
+        ["torus-check", "--weights"],
+        ["covariant-vanish", "A2", "[1,1]", "--target", "[1,1]", "--degree", "x"],
+        ["nope", "A2"],
+        # the top-level parser refuses "--=" as ambiguous before the subcommand runs
+        ["classify", "A2", "--=x"],
+    ],
+    ids=repr,
+)
+def test_the_subcommand_parser_parses_as_the_top_level_parser(argv):
+    assert_parses_as_the_top_level_parser(argv)
+
+
+SUBCOMMANDS = [
+    "rootsys", "weights", "torus-check", "hilbert-basis", "bad-slice", "components",
+    "covariant-vanish", "support-rank", "classify", "verify-paper",
+]
+ARGV_GROUPS = ["A1", "A2", "B2", "A1xA2", "Z9"]
+ARGV_MODULES = ["[1]", "[2]", "[1,0]", "[1,1]", "[2,1]", "2*[1,0]", "[1,0]+[0,1]", "[1,0,1]", "-1*[1]"]
+ARGV_TOKENS = st.sampled_from(SUBCOMMANDS + ARGV_GROUPS + ARGV_MODULES + [
+    "nope", "--output", "--out", "--output=text", "--output=xml", "json", "text", "xml",
+    "-h", "--help", "--", "--=x", "-x", "--weights", "--weights=;", "--target", "--degree",
+    "--deg", "--all-degrees", "--support", "--suite", "torus", "sl2",
+    "[1,0]:0", "4,-4,6,-6", "(1,0);(0,1)", ";", "1", "2", "x", "",
+])
+
+
+@st.composite
+def well_formed_argv(draw):
+    """A well-formed request of a random subcommand, with up to two random
+    tokens put in anywhere."""
+    pick = lambda xs: draw(st.sampled_from(xs))  # noqa: E731
+    command = pick(SUBCOMMANDS)
+    if command == "rootsys":
+        argv = [command, pick(ARGV_GROUPS)]
+    elif command in ("torus-check", "hilbert-basis"):
+        argv = [command, "--weights", pick(["4,-4,6,-6", "(1,0);(0,1)", "1,-1", ";", ""])]
+    elif command == "verify-paper":
+        argv = [command, "--suite", pick(["torus", "sl2", "nope"])]
+    else:
+        argv = [command, pick(ARGV_GROUPS), pick(ARGV_MODULES)]
+        if command == "covariant-vanish":
+            argv += ["--target", pick(ARGV_MODULES), "--degree", pick(["1", "2", "x"])]
+        elif command == "support-rank":
+            argv += ["--support", pick(["[1,0]:0", "[1]:0", "[1]:x"])]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(ARGV_TOKENS))
+    return argv
+
+
+ARGVS = st.one_of(well_formed_argv(), st.lists(ARGV_TOKENS, max_size=6))
+
+
+@given(argv=ARGVS)
+@settings(max_examples=300, deadline=None)
+def test_any_argv_parses_as_the_top_level_parser_and_main_exits_cleanly(argv):
+    """The same namespace, or the same exit code and messages, as the
+    top-level parser; and ``main`` answers with an exit code of the CLI and
+    no traceback."""
+    import contextlib
+    import io
+
+    (how, parsed), _, _ = assert_parses_as_the_top_level_parser(argv)
+    if how == "namespace" and parsed.get("suite", "") is None:
+        return  # every verify-paper suite, which test_fast_suites_pass runs
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_a_request_that_starts_with_its_subcommand_is_parsed_once(monkeypatch):
+    import argparse
+
+    from coreduce.cli import build_parser
+
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    progs = []
+
+    def counted(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    build_parser()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run_cli(["classify", "A2", "[3,1]"])[0] == 1
+    assert progs == ["coreduce classify"]
+    progs.clear()
+    # a global flag before the subcommand goes through the top-level parser
+    code, out = run_cli(["--output", "text", "rootsys", "A2"])
+    assert code == 0 and "weyl_order: 6" in out
+    assert progs == ["coreduce", "coreduce rootsys"]
+
+
 WEIGHTS_POOL_GROUPS = [
     "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4", "E6", "E7",
 ]
@@ -487,7 +622,11 @@ def test_hilbert_basis_command():
 
 
 @pytest.mark.parametrize("command", ["torus-check", "hilbert-basis"])
-@pytest.mark.parametrize("weights", ["", "  ", "4,,6"], ids=["empty", "blank", "empty-entry"])
+@pytest.mark.parametrize(
+    "weights",
+    ["", "  ", "4,,6", ";", " ; "],
+    ids=["empty", "blank", "empty-entry", "no-vector", "blank-vectors"],
+)
 def test_bad_weights_usage_message(command, weights, capsys):
     code, out = run_cli([command, "--weights", weights])
     err = capsys.readouterr().err

@@ -67,6 +67,16 @@ def test_admissible_sets_verify_against_diagram():
         assert a.defining.is_dominant()
 
 
+@pytest.mark.parametrize(
+    "group,module", [("A2", "2*[1,0]+[2,1]"), ("B2", "[1,1]"), ("A1xA2", "[1,0,1]")]
+)
+@pytest.mark.parametrize("mod_weyl", [True, False])
+def test_admissible_sets_hold_their_weights_in_root_scaled_coordinates(group, module, mod_weyl):
+    g = parse_group(group)
+    for a in admissible_sets(parse_module(g, module), mod_weyl):
+        assert a.root_scaled == tuple(root_scaled_of_dynkin(g, w) for w in a.weights)
+
+
 @pytest.mark.parametrize("text", ["[3,1]", "[2,1]", "[4,0]", "[2,0]+[0,1]", "2*[1,0]"])
 def test_chamber_enumeration_matches_slope_sweep(text):
     m = _sl3(text)
@@ -154,7 +164,8 @@ def test_d4_triality_target_reachable_on_all_weights():
     # family plus s + (-s) = 0 from each half-spin family reaches the target
     m = d4_triality_module()
     a = admissible_sets(m)[0]
-    everything = AdmissibleSet(tuple(sorted(m.weights.nonzero_weights())), a.defining)
+    ws = tuple(sorted(m.weights.nonzero_weights()))
+    everything = AdmissibleSet(ws, a.defining, tuple(root_scaled_of_dynkin(m.group, w) for w in ws))
     assert d4_adjoint_target_reachable(everything)
 
 
