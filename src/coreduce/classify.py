@@ -22,14 +22,12 @@ from .nullcone import (
     AdmissibleSet,
     Cocharacter,
     ScreenResult,
-    admissible_sets,
     classify_components_sl3,
+    components,
     covariant_vanishes,
     d4_adjoint_target_reachable,
     d4_triality_module,
     f4_two_26_support_bound,
-    maximal_sets,
-    negative_weight_degree_screen,
     positive_factor_counts,
     value_screen,
     weight_values,
@@ -165,7 +163,7 @@ def classify_sl2(m: ModuleSpec) -> Verdict:
     # covariants to R_1 (odd weights present) or to R_2 (all weights even)
     # of degree >= 2 vanish on the null cone
     target = (1,) if any(p % 2 for p in copies) else (2,)
-    cov = vanishing_covariant_certificate(m, maximal_sets(admissible_sets(m)), target, range(2, 9))
+    cov = vanishing_covariant_certificate(m, components(m), target, range(2, 9))
     if cov is not None:
         return Verdict(m, NO, (cov,), tag, ("generating covariant of low target degree vanishes on the null cone",))
     return Verdict(
@@ -307,7 +305,7 @@ def f4_three_26_certificate() -> tuple:
     exterior squares misses every null-cone component (one block check per
     maximal set of the chamber enumeration, six in all) while 7 copies exist
     against only 5 in the ideal."""
-    sets = maximal_sets(admissible_sets(d4_triality_module()))
+    sets = components(d4_triality_module())
     checks = tuple(d4_adjoint_target_reachable(a) for a in sets)
     if any(checks):
         raise ContradictionError("adjoint target reachable on a null-cone component")
@@ -325,7 +323,7 @@ def g2_three_7_certificate() -> tuple:
     if not cert.exists:
         raise ContradictionError("expected a generating covariant in tridegree (1,1,1)")
     m3 = ModuleSpec(g, ((3, G2_7_HW),))
-    sets = maximal_sets(admissible_sets(m3))
+    sets = components(m3)
     vanish = all(covariant_vanishes(s, G2_7_HW, 3) for s in sets)
     if not vanish:
         raise ContradictionError("degree-3 covariant fails to vanish on a component")
@@ -622,7 +620,7 @@ def g2xg2_certificate(m: ModuleSpec) -> tuple:
     """The 49-dimensional module of the product of two rank-2 exceptional
     groups: a generating covariant in degree 9 vanishes on every null-cone
     component."""
-    sets = maximal_sets(admissible_sets(m))
+    sets = components(m)
     cert = vanishing_covariant_certificate(
         m, sets, G2XG2_TARGET, range(G2XG2_DEGREE, G2XG2_DEGREE + 1)
     )
@@ -732,7 +730,7 @@ def sl3_irreducible_rank_screen(
     chi: Character, statuses: dict[AdmissibleSet, str]
 ) -> Optional[tuple]:
     """Rank-of-differentials screen on a certified dominant component among
-    ``statuses``, the admissible sets and their dominance statuses that
+    ``statuses``, the components and their dominance statuses that
     :func:`classify_components_sl3` gives for the module with weights
     ``chi``.
 
@@ -780,7 +778,7 @@ def sl3_vanishing_generator_certificate(
 ) -> Optional[tuple]:
     """Find a degree d and a standard-type covariant target such that every
     covariant of that type and degree vanishes on all potentially dominant
-    null-cone components among ``statuses`` (the admissible sets and their
+    null-cone components among ``statuses`` (the components and their
     dominance statuses that :func:`classify_components_sl3` gives for
     ``m``), while a generating one exists in degree d."""
     candidates = [a for a, status in statuses.items() if status in ("dominant", "unknown")]
@@ -845,7 +843,7 @@ def _sl3_reducible_screen(m: ModuleSpec) -> Optional[tuple]:
         return None
     codim, degrees = _SL3_EPS_SCREENS[sor]
     rho = _sl3_cocharacter_from_eps(1, 1, -2)
-    res = negative_weight_degree_screen(m.weights, rho, codim, degrees)
+    res = value_screen([(v, mult) for _, v, mult in weight_values(m.weights, rho)], codim, degrees)
     return (res, {"codim_source": "recorded"}) if res.not_reduced else None
 
 

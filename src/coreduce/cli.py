@@ -20,12 +20,11 @@ from .monoid import hilbert_basis, is_torus_coreduced
 from .nullcone import (
     G2XG2_DEGREE,
     G2XG2_TARGET,
-    admissible_sets,
+    components,
     covariant_vanishes,
     d4_adjoint_target_reachable,
     d4_triality_module,
     f4_two_26_support_bound,
-    maximal_sets,
     sl3_pair_differential_vanishes,
     sl3_critical_ratios,
     sl3_pair_validate_model,
@@ -202,7 +201,7 @@ def cmd_bad_slice(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_components(cfg: Config, args: argparse.Namespace) -> int:
     m = _module(args)
-    sets = maximal_sets(admissible_sets(m))
+    sets = components(m)
     payload = {
         "module": str(m),
         "candidates": [
@@ -223,7 +222,7 @@ def cmd_components(cfg: Config, args: argparse.Namespace) -> int:
 def cmd_covariant_vanish(cfg: Config, args: argparse.Namespace) -> int:
     m = _module(args)
     target = parse_weight(m.group, args.target)
-    sets = maximal_sets(admissible_sets(m))
+    sets = components(m)
     results = []
     all_vanish = True
     for a in sets:
@@ -412,7 +411,7 @@ def _suite_appendix_a() -> list[dict]:
             and stats["singletons_after_column_reduction"] == singletons,
         )
     ]
-    for i, a in enumerate(maximal_sets(admissible_sets(d4_triality_module()))):
+    for i, a in enumerate(components(d4_triality_module())):
         out.append(
             _check(
                 f"triality case {i}: adjoint target unreachable",
@@ -449,7 +448,7 @@ def _suite_appendix_a() -> list[dict]:
 
 def _suite_appendix_b() -> list[dict]:
     m = parse_module(parse_group(paper.G2XG2_GROUP), paper.G2XG2_MODULE)
-    sets = maximal_sets(admissible_sets(m))
+    sets = components(m)
     out = [
         _check(
             f"sixteen {paper.G2XG2_SET_DIM}-dim maximal sets",

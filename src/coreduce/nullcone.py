@@ -35,9 +35,12 @@ weights, its cocharacter and its weights in root_scaled coordinates
 (converted once per module weight, as the sets are made), so the verified
 sets of a module are kept too, in ``_admissible_sets`` (``config.MEMO_SIZE``
 entries, keyed on the module and ``mod_weyl``); a module refused by a cap
-raises, and ``lru_cache`` stores no exception.  Dominance statuses are not
-part of a set: the A2 driver's :func:`classify_components_sl3` returns them
-next to the sets.
+raises, and ``lru_cache`` stores no exception.  By Hilbert-Mumford the null
+cone is the union of the saturations of the maximal sets, the components,
+which only :func:`components` picks out and keeps, in a memo of the same size.
+Dominance statuses are not part of a set: :func:`classify_components_sl3`
+returns them next to the components, marking one "dominated" only when one not
+so marked dominates it, so the components it keeps still cover the null cone.
 """
 
 from __future__ import annotations
@@ -215,6 +218,17 @@ def _admissible_sets(m: ModuleSpec, mod_weyl: bool) -> tuple[AdmissibleSet, ...]
     return tuple(out)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def components(m: ModuleSpec) -> tuple[AdmissibleSet, ...]:
+    """The candidate null-cone components of ``m``: the admissible sets whose
+    weight set no other set's weight set strictly contains, in the order of
+    :func:`admissible_sets`.  The only place that decides maximality; kept
+    per module like the sets themselves."""
+    sets = admissible_sets(m)
+    weight_sets = [a.weight_set() for a in sets]
+    return tuple(a for a, s in zip(sets, weight_sets) if not any(s < t for t in weight_sets))
+
+
 def _primitive(v: Vec) -> Vec:
     g = 0
     for x in v:
@@ -312,16 +326,6 @@ def _line(h: Vec) -> Vec:
     return max(h, tuple(-x for x in h))
 
 
-def maximal_sets(sets: Sequence[AdmissibleSet]) -> list[AdmissibleSet]:
-    out = []
-    for a in sets:
-        sa = a.weight_set()
-        if any(sa < b.weight_set() for b in sets):
-            continue
-        out.append(a)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Dominance: the sufficient criteria
 
@@ -368,8 +372,9 @@ def dominance(lam1: AdmissibleSet, lam2: AdmissibleSet) -> str:
     return "not_by_these_criteria"
 
 
-def sl3_two_quadrant_dominant(adm: AdmissibleSet, all_sets: Sequence[AdmissibleSet]) -> bool:
-    """Sufficient dominance criterion for a maximal admissible set over A2.
+def sl3_two_quadrant_dominant(adm: AdmissibleSet) -> bool:
+    """Sufficient dominance criterion for a component (a maximal admissible
+    set, :func:`components`) over A2.
 
     Requires nonzero member weights of the forms (-a, b) and (c, -d) in
     root coordinates with nonnegative coefficients.
@@ -377,34 +382,33 @@ def sl3_two_quadrant_dominant(adm: AdmissibleSet, all_sets: Sequence[AdmissibleS
     g = adm.defining.group
     if len(g.simple_factors) != 1 or str(g.simple_factors[0]) != "A2" or g.torus_rank:
         raise RootSystemError("two-quadrant criterion is specific to A2")
-    sa = adm.weight_set()
-    if any(sa < b.weight_set() for b in all_sets):
-        return False  # not maximal
-    has_1 = has_2 = False
-    for w in sa:
-        p, q = sl3_root_coords(w)
-        if p <= 0 and q >= 0 and (p, q) != (0, 0):
-            has_1 = True
-        if p >= 0 and q <= 0 and (p, q) != (0, 0):
-            has_2 = True
-    return has_1 and has_2
+    # the weights of an admissible set are nonzero
+    coords = [sl3_root_coords(w) for w in adm.weight_set()]
+    return any(p <= 0 <= q for p, q in coords) and any(q <= 0 <= p for p, q in coords)
 
 
 def classify_components_sl3(m: ModuleSpec) -> dict[AdmissibleSet, str]:
-    """The admissible sets of an A2 module, in the order of
-    :func:`admissible_sets`, each mapped to its dominance status:
-    "dominated" when :func:`dominance` finds another set dominating it,
-    "dominant" when :func:`sl3_two_quadrant_dominant` holds, and "unknown"
-    otherwise."""
-    sets = admissible_sets(m)
+    """The components of an A2 module, in the order of :func:`components`,
+    each mapped to its dominance status.  Walked in that order, a component
+    is "dominated" when :func:`dominance` finds another component, not
+    already marked "dominated", dominating it; else "dominant" when
+    :func:`sl3_two_quadrant_dominant` holds, and "unknown" otherwise.
+
+    The kept components still cover the null cone.  A dominated component
+    points to one unmarked at that time: an earlier one, which is kept, or
+    a later one, which is kept or points on in the same way.  Each step
+    ends at a kept component or moves later in the order, so every chain
+    ends at a kept one, and the saturations nest along it.
+    """
+    sets = components(m)
     status: dict[AdmissibleSet, str] = {}
     for a in sets:
-        dominated = any(
-            a.weight_set() != b.weight_set() and dominance(a, b) == "dominated" for b in sets
-        )
-        if dominated:
+        if any(
+            b is not a and status.get(b) != "dominated" and dominance(a, b) == "dominated"
+            for b in sets
+        ):
             status[a] = "dominated"
-        elif sl3_two_quadrant_dominant(a, sets):
+        elif sl3_two_quadrant_dominant(a):
             status[a] = "dominant"
         else:
             status[a] = "unknown"
@@ -483,30 +487,21 @@ class ScreenResult(NamedTuple):
         return self.degree_rule_fires or self.rank_rule_fires
 
 
-def negative_weight_degree_screen(
-    chi: Character,
-    rho: Cocharacter,
-    codim: int,
-    invariant_degrees: Sequence[int],
-) -> ScreenResult:
-    """Bound the rank of the invariant differentials on a positive weight space.
-
-    Only monomials with exactly one factor from the complement (the
-    nonpositive weights) contribute to the differentials there.  The degree
-    bound is the largest total degree of a zero-weight monomial of that
-    shape; the rank bound counts the complement weight-space dimensions that
-    can appear in such a monomial at all.
-    """
-    return value_screen([(v, m) for _, v, m in weight_values(chi, rho)], codim, invariant_degrees)
-
-
 def value_screen(
     values: Sequence[tuple[int, int]],
     codim: int,
     invariant_degrees: Sequence[int],
 ) -> ScreenResult:
-    """Like :func:`negative_weight_degree_screen` but on a raw multiset of
-    nonzero cocharacter values (value, multiplicity)."""
+    """Bound the rank of the invariant differentials on a positive weight
+    space from the nonzero values (value, multiplicity) of a generic
+    cocharacter on the module's weights.
+
+    Only monomials with exactly one factor outside the positive weights
+    contribute to the differentials there.  The degree bound is the largest
+    total degree of a zero-weight monomial of that shape; the rank bound
+    counts the complement weight-space dimensions that can appear in such a
+    monomial at all.
+    """
     ks = [k for k in positive_factor_counts(values) if k is not None]
     max_degree = max(ks) + 1 if ks else None
     avail = (

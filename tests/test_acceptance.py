@@ -18,11 +18,11 @@ from coreduce.nullcone import (
     SL3_PAIR_MODELS,
     admissible_sets,
     classify_components_sl3,
+    components,
     covariant_vanishes,
     d4_adjoint_target_reachable,
     d4_triality_module,
     f4_two_26_support_bound,
-    maximal_sets,
     sl3_critical_ratios,
     sl3_pair_differential_vanishes,
 )
@@ -188,7 +188,7 @@ def test_criterion_06_sl3_v31():
         m = parse_module(g, paper.SL3_V31)
         assert sl3_critical_ratios(m) == paper.SL3_V31_RATIOS
         statuses = classify_components_sl3(m)
-        dominant = [a for a in maximal_sets(list(statuses)) if statuses[a] == "dominant"]
+        dominant = [a for a in components(m) if statuses[a] == "dominant"]
         assert len(dominant) == 2
         degree = paper.SL3_V31_COVARIANT_DEGREE
         cert = covariant_generator_exists(m, (1, 0), degree)
@@ -201,7 +201,7 @@ def test_criterion_06_sl3_v31():
 def test_criterion_07_g2xg2_appendix():
     with criterion(7, 600.0):
         m = parse_module(parse_group(paper.G2XG2_GROUP), paper.G2XG2_MODULE)
-        sets = maximal_sets(admissible_sets(m, mod_weyl=True))
+        sets = components(m)
         assert len(sets) == paper.G2XG2_MAXIMAL_SETS
         target = (0, 0, 1, 0)  # adjoint weight of the second factor
         for a in sets:
@@ -241,7 +241,7 @@ def test_criterion_08_f4_appendix():
         assert bound == paper.F4_SUPPORT_BOUND == 2 * paper.F4_26_DIM - 8
         assert stats["columns"] == paper.F4_SUPPORT_COLUMNS
         assert stats["singletons_after_column_reduction"] == paper.F4_SUPPORT_SINGLETONS
-        triality = maximal_sets(admissible_sets(d4_triality_module(), mod_weyl=True))
+        triality = components(d4_triality_module())
         assert len(triality) == 6
         for a in triality:
             assert not d4_adjoint_target_reachable(a)

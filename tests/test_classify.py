@@ -421,6 +421,20 @@ def test_sl3_rows():
         assert v.coreduced == want, text
 
 
+@pytest.mark.parametrize("text", ["[8,0]", "[0,8]"])
+def test_the_a2_covariant_certificate_covers_every_component(text):
+    """None of the four components of these modules is dominated by another,
+    so the vanishing covariant is checked on all four."""
+    from coreduce.nullcone import components
+
+    m = _module("A2", text)
+    v = classify_sl3(m)
+    assert v.coreduced == NO
+    cert, info = v.certificates
+    assert isinstance(cert, CovariantCertificate)
+    assert info["components"] == len(components(m)) == 4
+
+
 def test_sl3_covariant_certificate_revalidates():
     v = classify_sl3(_module("A2", paper.SL3_V31))
     cert = v.certificates[0]

@@ -83,8 +83,8 @@ def test_a_warm_repeat_prints_the_cold_bytes_and_runs_no_search(searches):
 
 
 def test_components_after_classify_prints_what_it_prints_cold():
-    """``classify`` computes dominance statuses for the admissible sets of
-    an A2 module; ``components`` of the same module must not see them."""
+    """``classify`` computes dominance statuses for the components of an A2
+    module; ``components`` of the same module must not see them."""
     argv = ["components", "A2", "[3,1]"]
     cold = run(argv)
     statuses = nullcone.classify_components_sl3(parse_module(parse_group("A2"), "[3,1]"))
@@ -177,6 +177,14 @@ def test_a_repeated_admissible_sets_call_returns_the_same_tuple(searches):
     assert nullcone.admissible_sets(m, mod_weyl=False) is not sets
 
 
+def test_a_repeated_components_call_returns_the_same_tuple():
+    m = parse_module(parse_group("A2"), "[3,1]")
+    comps = nullcone.components(m)
+    assert type(comps) is tuple
+    # an equal module, not the same instance, reads the same entry
+    assert nullcone.components(ModuleSpec(m.group, m.summands)) is comps
+
+
 def test_a_repeated_toral_slice_verdict_reads_no_torus_verdict():
     m = parse_module(parse_group("A1"), "[6]")
     cert = slices.bad_toral_slice(m)
@@ -204,6 +212,9 @@ def test_a_chamber_weight_cap_refusal_raises_again_on_the_repeat(monkeypatch):
     for _ in range(2):
         with pytest.raises(ResourceLimitError, match="a module of 24 nonzero weights"):
             nullcone.admissible_sets(m)
+        with pytest.raises(ResourceLimitError, match="a module of 24 nonzero weights"):
+            nullcone.components(m)
+    assert nullcone.components.cache_info().currsize == 0
     first = run(argv)
     assert first[:2] == (3, "") and json.loads(first[2])["cap"] == "CHAMBER_WEIGHT_CAP"
     assert run(argv) == first

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,18 +12,18 @@ from coreduce.nullcone import (
     AdmissibleSet,
     admissible_sets,
     classify_components_sl3,
+    components,
     covariant_vanishes,
     d4_adjoint_target_reachable,
     d4_triality_module,
     dominance,
     f4_two_26_support_bound,
-    maximal_sets,
-    negative_weight_degree_screen,
     sl3_critical_ratios,
     sl3_pair_differential_vanishes,
     sl3_pair_validate_model,
     support_orbit_dim_bound,
     value_screen,
+    weight_values,
     Cocharacter,
     _chamber_samples,
     _line,
@@ -86,9 +87,64 @@ def test_chamber_enumeration_matches_slope_sweep(text):
 
 
 def test_v31_has_exactly_two_dominant_classes():
-    statuses = classify_components_sl3(_sl3("[3,1]"))
-    dominant = [a for a in maximal_sets(list(statuses)) if statuses[a] == "dominant"]
+    m = _sl3("[3,1]")
+    statuses = classify_components_sl3(m)
+    dominant = [a for a in components(m) if statuses[a] == "dominant"]
     assert len(dominant) == 2
+
+
+@pytest.mark.parametrize(
+    "group, text",
+    [
+        ("A1", "[3]+2*[1]"),
+        ("A2", "[1,2]"),
+        ("A2", "2*[1,0]+[2,1]"),
+        ("B2", "[1,1]"),
+        ("G2", "2*[1,0]"),
+        ("A1xA2", "[1,0,1]"),
+        (paper.G2XG2_GROUP, paper.G2XG2_MODULE),
+    ],
+)
+def test_components_are_the_maximal_admissible_sets_in_order(group, text):
+    m = parse_module(parse_group(group), text)
+    sets = admissible_sets(m)
+    maximal = tuple(a for a in sets if not any(set(a.weights) < set(b.weights) for b in sets))
+    assert components(m) == maximal
+    if group == paper.G2XG2_GROUP:
+        assert len(maximal) == paper.G2XG2_MAXIMAL_SETS
+
+
+def test_a2_statuses_keep_a_component_over_every_dominated_one():
+    """Over A2 ``[a,b]``, 0 <= a, b <= 6: the statuses hold every component
+    and no set that is not maximal, and each component marked "dominated" is
+    dominated by a component that is not, so the kept ones cover the null
+    cone."""
+    for hw in itertools.product(range(7), repeat=2):
+        if not any(hw):
+            continue
+        m = _sl3(str(list(hw)).replace(" ", ""))
+        sets = admissible_sets(m)
+        statuses = classify_components_sl3(m)
+        assert tuple(statuses) == components(m), hw
+        for a in statuses:
+            assert not any(set(a.weights) < set(b.weights) for b in sets), hw
+        kept = [a for a, status in statuses.items() if status != "dominated"]
+        for a, status in statuses.items():
+            if status == "dominated":
+                assert any(dominance(a, b) == "dominated" for b in kept), (hw, a.defining)
+
+
+def test_a_component_dominated_only_by_its_own_subset_is_kept():
+    """Over A2 ``[1,2]`` the one set that dominates the component with
+    cocharacter (5,1) is its own subset, the set with cocharacter (5,2),
+    which is no component."""
+    m = _sl3("[1,2]")
+    sets = {a.defining.values: a for a in admissible_sets(m)}
+    big, small = sets[(5, 1)], sets[(5, 2)]
+    assert set(small.weights) < set(big.weights)
+    assert [b for b in sets.values() if b is not big and dominance(big, b) == "dominated"] == [small]
+    statuses = classify_components_sl3(m)
+    assert small not in statuses and statuses[big] != "dominated"
 
 
 def test_v31_critical_ratios():
@@ -148,7 +204,7 @@ def test_f4_support_bound_numbers():
 
 
 def _d4_triality_sets():
-    return maximal_sets(admissible_sets(d4_triality_module(), mod_weyl=True))
+    return components(d4_triality_module())
 
 
 def test_d4_triality_blocks_unreachable():
@@ -197,7 +253,7 @@ def test_sl3_pair_row_five_numbers():
 
 def test_g2xg2_sixteen_sets():
     m = parse_module(parse_group(paper.G2XG2_GROUP), paper.G2XG2_MODULE)
-    sets = maximal_sets(admissible_sets(m, mod_weyl=True))
+    sets = components(m)
     assert len(sets) == paper.G2XG2_MAXIMAL_SETS
     assert all(a.dimension() == paper.G2XG2_SET_DIM for a in sets)
     for a in sets:
@@ -217,7 +273,7 @@ def test_negative_weight_degree_screen_matches_value_screen():
     m = _sl3("2*[2,0]")
     chi = m.weights
     rho = Cocharacter((Fraction(7), Fraction(3)), SL3)
-    res = negative_weight_degree_screen(chi, rho, 4, [3, 3, 3, 3])
+    res = value_screen([(v, mult) for _, v, mult in weight_values(chi, rho)], 4, [3, 3, 3, 3])
     vals = {}
     for w, mult in chi.nonzero_weights().items():
         vals[rho.value(w)] = vals.get(rho.value(w), 0) + mult
