@@ -10,10 +10,11 @@ contradiction and raises.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .config import CertificateError, require
+from .config import MEMO_SIZE, CertificateError, require
 from .monoid import exists_sum, is_torus_coreduced
 from .nullcone import (
     F4_26_HW,
@@ -74,6 +75,35 @@ Q = Fraction
 
 class Citation(NamedTuple):
     statement: str
+
+
+class Data:
+    """A certificate's named values, read as a dict is (``items()``,
+    ``[key]``), immutable and hashable, so that a verdict carrying one can
+    be kept in a memo.  A list value is kept as a tuple; ``printed`` holds
+    each value's ``repr`` as it was given, which the report prints."""
+
+    __slots__ = ("_items", "printed")
+
+    def __init__(self, **values: object) -> None:
+        frozen = tuple((k, tuple(v) if isinstance(v, list) else v) for k, v in values.items())
+        object.__setattr__(self, "_items", frozen)
+        object.__setattr__(self, "printed", tuple((k, repr(v)) for k, v in values.items()))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("certificate data cannot be changed")
+
+    def items(self) -> tuple[tuple[str, object], ...]:
+        return self._items
+
+    def __getitem__(self, key: str) -> object:
+        return dict(self._items)[key]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Data) and self._items == other._items
+
+    def __hash__(self) -> int:
+        return hash(self._items)
 
 
 class _MultiplicityFields(NamedTuple):
@@ -309,10 +339,10 @@ def f4_three_26_certificate() -> tuple:
     checks = tuple(d4_adjoint_target_reachable(a) for a in sets)
     if any(checks):
         raise ContradictionError("adjoint target reachable on a null-cone component")
-    counts = {"copies_in_degree_222": 7, "in_ideal": 5}  # cross-checked fixture
     return (
         Citation("slice through a generic pair of zero weight vectors is the triality module"),
-        {"block_checks_reachable": checks, **counts},
+        # the two counts are cross-checked fixture data
+        Data(block_checks_reachable=checks, copies_in_degree_222=7, in_ideal=5),
     )
 
 
@@ -327,7 +357,7 @@ def g2_three_7_certificate() -> tuple:
     vanish = all(covariant_vanishes(s, G2_7_HW, 3) for s in sets)
     if not vanish:
         raise ContradictionError("degree-3 covariant fails to vanish on a component")
-    return (cert, {"degree3_vanishes_on_all_components": True, "components": len(sets)})
+    return (cert, Data(degree3_vanishes_on_all_components=True, components=len(sets)))
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +656,7 @@ def g2xg2_certificate(m: ModuleSpec) -> tuple:
     )
     if cert is None:
         raise ContradictionError("expected a generating covariant in degree 9")
-    return (cert, {"components_checked": len(sets), "vanishes_on_all": True})
+    return (cert, Data(components_checked=len(sets), vanishes_on_all=True))
 
 
 def _so_g2_screen() -> ScreenResult:
@@ -761,14 +791,14 @@ def sl3_irreducible_rank_screen(
             if available < subset - 2:
                 return (
                     Citation("codimension-2 bound for the slab in its component"),
-                    {
-                        "cocharacter": a.defining.values,
-                        "max_monomial_degree": kk + 1,
-                        "directions": subset,
-                        "generators_available": available,
-                        "codim_lower_bound": subset - 2,
-                        "generator_bounds_by_degree": gens,
-                    },
+                    Data(
+                        cocharacter=a.defining.values,
+                        max_monomial_degree=kk + 1,
+                        directions=subset,
+                        generators_available=available,
+                        codim_lower_bound=subset - 2,
+                        generator_bounds_by_degree=gens,
+                    ),
                 )
     return None
 
@@ -796,7 +826,7 @@ def sl3_vanishing_generator_certificate(
             degrees = range(dmax + 1, dmax + 1 + SL3_EXTRA_DEGREES)
             cert = vanishing_covariant_certificate(m, candidates, target, degrees)
             if cert is not None:
-                return (cert, {"vanishing_degree_bound": dmax, "components": len(candidates)})
+                return (cert, Data(vanishing_degree_bound=dmax, components=len(candidates)))
     return None
 
 
@@ -837,14 +867,14 @@ def _sl3_reducible_screen(m: ModuleSpec) -> Optional[tuple]:
         return (
             screen,
             Citation("associated cone of the 2R2-slice fiber is the null cone"),
-            {"null_cone": "irreducible, codimension 3 (recorded)"},
+            Data(null_cone="irreducible, codimension 3 (recorded)"),
         )
     if sor not in _SL3_EPS_SCREENS:
         return None
     codim, degrees = _SL3_EPS_SCREENS[sor]
     rho = _sl3_cocharacter_from_eps(1, 1, -2)
     res = value_screen([(v, mult) for _, v, mult in weight_values(m.weights, rho)], codim, degrees)
-    return (res, {"codim_source": "recorded"}) if res.not_reduced else None
+    return (res, Data(codim_source="recorded")) if res.not_reduced else None
 
 
 def _sl3_cocharacter_from_eps(a: int, b: int, c: int) -> Cocharacter:
@@ -858,8 +888,11 @@ def _sl3_cocharacter_from_eps(a: int, b: int, c: int) -> Cocharacter:
 # Dispatch
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def classify_module(m: ModuleSpec) -> Verdict:
-    """Route a module to the driver for its group family."""
+    """Route a module to the driver for its group family.  The verdict is
+    kept per module, so a repeated request runs no driver; a raise is not
+    kept."""
     g = m.group
     if g.torus_rank:
         raise ValueError("classification drivers cover semisimple groups only")
@@ -923,6 +956,6 @@ def _cert_summary(c) -> dict:
             "rank_bound": c.rank_bound,
             "codim": c.codim,
         }
-    if isinstance(c, dict):
-        return {"kind": "data", **{k: repr(v) for k, v in c.items()}}
+    if isinstance(c, Data):
+        return {"kind": "data", **dict(c.printed)}
     return {"kind": type(c).__name__, "repr": repr(c)}

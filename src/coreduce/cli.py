@@ -5,6 +5,11 @@ engine's resource cap was hit (the caps are fixed module constants).  Output
 is JSON (sorted keys, versioned with a ``schema`` field) or a plain-text
 table.  Weight and module grammar lives in :mod:`rootsys` /
 :mod:`repthy`; the CLI only splits flag values.
+
+The subcommands and their arguments are written once, in :data:`COMMANDS`.
+A well-formed request is read off that table without ``argparse``;
+``argparse``'s parser, built from the same table, parses the rest and prints
+help and usage errors (see :func:`parse_args`).
 """
 
 from __future__ import annotations
@@ -532,79 +537,160 @@ def cmd_verify_paper(cfg: Config, args: argparse.Namespace) -> int:
 # Entry point
 
 
+class Subcommand(NamedTuple):
+    """One subcommand: its help line, its positional arguments and each of
+    its options with the keywords ``add_argument`` takes for it."""
+
+    help: str
+    positionals: tuple[str, ...] = ()
+    options: dict[str, dict] = {}
+
+
+# options of the top-level parser and of every subcommand; SUPPRESS keeps a
+# subcommand from clobbering one that was given before the subcommand name
+GLOBAL_OPTIONS = {"--output": {"choices": ("json", "text"), "default": argparse.SUPPRESS}}
+
+_MODULE = ("group", "module")
+_WEIGHTS = {"--weights": {"required": True}}
+
+COMMANDS: dict[str, Subcommand] = {
+    "rootsys": Subcommand("root-system facts for a group", ("group",)),
+    "weights": Subcommand("weight facts for a module", _MODULE),
+    "torus-check": Subcommand("0/1-relation criterion for torus weights", options=_WEIGHTS),
+    "hilbert-basis": Subcommand("indecomposable relations among weights", options=_WEIGHTS),
+    "bad-slice": Subcommand("bad toral slice search", _MODULE),
+    "components": Subcommand("candidate null-cone components", _MODULE),
+    "covariant-vanish": Subcommand(
+        "degree-d covariant vanishing check",
+        _MODULE,
+        {
+            "--target": {"required": True},
+            "--degree": {"type": int, "required": True},
+            "--all-degrees": {"action": "store_true"},
+        },
+    ),
+    "support-rank": Subcommand(
+        "orbit-dimension lower bound from support",
+        _MODULE,
+        {"--support": {"action": "append", "required": True, "metavar": "WEIGHT:COPY"}},
+    ),
+    "classify": Subcommand("verdict for a module", _MODULE),
+    "verify-paper": Subcommand(
+        "reproduce the recorded computations", options={"--suite": {"default": None}}
+    ),
+}
+"""The CLI's arguments, written once: :func:`build_parser` builds argparse's
+parser from this table and :func:`parse_args` reads a well-formed argv off
+it.  Subcommand ``x-y`` runs ``cmd_x_y``, looked up at dispatch time (see
+:func:`main`)."""
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused by every later
-    one: parsing makes a fresh namespace each time and leaves the parser as
-    it was.  Its ``subcommands`` maps each subcommand name to that
-    subcommand's own parser, which :func:`parse_args` calls directly.
-    Subcommand ``x-y`` runs ``cmd_x_y``, looked up at dispatch time (see
-    :func:`main`)."""
-    # SUPPRESS keeps a subcommand from clobbering a global flag that was
-    # given before the subcommand name
+    """The argument parser of :data:`COMMANDS`, built on the first call and
+    reused by every later one: parsing makes a fresh namespace each time and
+    leaves the parser as it was."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--output", choices=["json", "text"], default=argparse.SUPPRESS
-    )
+    for flag, keywords in GLOBAL_OPTIONS.items():
+        common.add_argument(flag, **keywords)
     p = argparse.ArgumentParser(
         prog="coreduce",
         description="Certificates for null-cone reducedness questions.",
         parents=[common],
     )
     sub = p.add_subparsers(dest="command", required=True)
-    p.subcommands = sub.choices
-
-    def add(name: str, help_text: str, *positionals: str) -> argparse.ArgumentParser:
-        s = sub.add_parser(name, help=help_text, parents=[common])
-        for arg in positionals:
+    for name, command in COMMANDS.items():
+        s = sub.add_parser(name, help=command.help, parents=[common])
+        for arg in command.positionals:
             s.add_argument(arg)
-        return s
-
-    add("rootsys", "root-system facts for a group", "group")
-    add("weights", "weight facts for a module", "group", "module")
-    s = add("torus-check", "0/1-relation criterion for torus weights")
-    s.add_argument("--weights", required=True)
-    s = add("hilbert-basis", "indecomposable relations among weights")
-    s.add_argument("--weights", required=True)
-    add("bad-slice", "bad toral slice search", "group", "module")
-    add("components", "candidate null-cone components", "group", "module")
-    s = add("covariant-vanish", "degree-d covariant vanishing check", "group", "module")
-    s.add_argument("--target", required=True)
-    s.add_argument("--degree", type=int, required=True)
-    s.add_argument("--all-degrees", action="store_true")
-    s = add("support-rank", "orbit-dimension lower bound from support", "group", "module")
-    s.add_argument("--support", action="append", required=True, metavar="WEIGHT:COPY")
-    add("classify", "verdict for a module", "group", "module")
-    s = add("verify-paper", "reproduce the recorded computations")
-    s.add_argument("--suite", default=None)
+        for flag, keywords in command.options.items():
+            s.add_argument(flag, **keywords)
     return p
 
 
-def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """The namespace of ``build_parser().parse_args(argv)``, parsed once.
+def _read(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse gives a well-formed request, read off
+    :data:`COMMANDS` in one pass; None for every other shape.
 
-    The top-level parser hands everything after the subcommand name to that
-    subcommand's parser, so an argv that starts with a subcommand goes to
-    that parser alone.  The top-level parser still parses, and so prints
-    its own usage errors, when argv does not start with a subcommand (no
-    argument, ``-h``, ``--output text classify ...``, an unknown command),
-    when the subcommand's parser leaves arguments over (``coreduce: error:
-    unrecognized arguments``), and when an argument starts with ``--=``,
-    which the top-level parser refuses as ambiguous between ``--help`` and
-    ``--output`` before it reaches the subcommand."""
-    parser = build_parser()
-    if argv and argv[0] in parser.subcommands and not any(a.startswith("--=") for a in argv):
-        args, extra = parser.subcommands[argv[0]].parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0])
-        )
-        if not extra:
-            return args
-    return parser.parse_args(argv)
+    Well-formed: a subcommand name, then exactly its positionals, and its
+    options by their exact names as ``--opt value`` or ``--opt=value``
+    (``--flag`` alone for ``store_true``), each value of its type and among
+    its choices, every required option given.  Any other token that starts
+    with ``-`` (``-h``, ``--``, an abbreviation, a negative number) and any
+    separate value that starts with ``-`` returns None, so argparse parses
+    it and prints its own help or error."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    positionals: list[str] = []
+    given: dict[str, object] = {}
+    i, n = 1, len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        keywords = command.options.get(flag, GLOBAL_OPTIONS.get(flag))
+        if keywords is None:
+            return None
+        action = keywords.get("action")
+        if action == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            if i == n or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+            i += 1
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        if action == "append":
+            given.setdefault(flag, []).append(value)
+        else:
+            given[flag] = value
+    if len(positionals) != len(command.positionals):
+        return None
+    args = argparse.Namespace(command=argv[0], **dict(zip(command.positionals, positionals)))
+    for flag, keywords in command.options.items():
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+        setattr(args, _dest(flag), value)
+    for flag in GLOBAL_OPTIONS:
+        if flag in given:
+            setattr(args, _dest(flag), given[flag])
+    return args
+
+
+def _dest(flag: str) -> str:
+    """The namespace attribute argparse gives an option: ``--all-degrees``
+    sets ``all_degrees``."""
+    return flag[2:].replace("-", "_")
+
+
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace of ``build_parser().parse_args(argv)``: a well-formed
+    request is read off :data:`COMMANDS` (:func:`_read`), and every other
+    argv goes to argparse, which prints its own help and usage errors."""
+    args = _read(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one request; ``argv`` defaults to ``sys.argv[1:]``.  The argv is
-    parsed once, by its subcommand's parser where it starts with one (see
+    """Run one request; ``argv`` defaults to ``sys.argv[1:]`` (parsed by
     :func:`parse_args`)."""
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)

@@ -309,6 +309,10 @@ class ModuleSpec(_ModuleSpecFields):
         return self
 
     def dimension(self) -> int:
+        return self._dimension
+
+    @cached_property
+    def _dimension(self) -> int:
         return sum(c * weyl_dim(self.group, hw) for c, hw in self.summands)
 
     @cached_property
@@ -348,12 +352,36 @@ class ModuleSpec(_ModuleSpecFields):
                     total[d] = total.get(d, 0) + coeff * mult
         return total
 
-    def __str__(self) -> str:
+    @cached_property
+    def _weight_counts(self) -> tuple[int, int]:
+        g = self.group
+        dom = self.root_lattice_diagram
+        zero = tuple(0 for _ in range(g.rank))
+        nonzero = sum(mult * orbit_size(g, d) for d, mult in dom.items() if d != zero)
+        nonzero += sum(c * weyl_dim(g, hw) for c, hw in self.summands if not in_root_part(g, hw))
+        return dom.get(zero, 0), nonzero
+
+    @cached_property
+    def _min_root_multiplicity(self) -> tuple[int, Coords]:
+        data = self.group.root_data
+        if not data.roots:
+            raise ValueError(f"{self.group} has no roots")
+        entries = self.root_lattice_diagram
+        return min(
+            ((entries.get(dom, 0), root) for root, dom in zip(data.roots, data.dominant_roots)),
+            key=lambda pair: pair[0],
+        )
+
+    @cached_property
+    def _text(self) -> str:
         terms = []
         for c, hw in self.summands:
             w = "[" + ",".join(str(x) for x in hw) + "]"
             terms.append(w if c == 1 else f"{c}*{w}")
         return "+".join(terms)
+
+    def __str__(self) -> str:
+        return self._text
 
 
 def in_root_part(g: GroupSpec, hw: Coords) -> bool:
@@ -396,13 +424,8 @@ def weight_counts(m: ModuleSpec) -> tuple[int, int]:
     dominant weight counts its multiplicity times its orbit size, so no
     orbit is expanded; every weight of a summand off the root lattice is
     nonzero, so it counts its coefficient times its Weyl dimension and runs
-    no recursion."""
-    g = m.group
-    dom = m.root_lattice_diagram
-    zero = tuple(0 for _ in range(g.rank))
-    nonzero = sum(mult * orbit_size(g, d) for d, mult in dom.items() if d != zero)
-    nonzero += sum(c * weyl_dim(g, hw) for c, hw in m.summands if not in_root_part(g, hw))
-    return dom.get(zero, 0), nonzero
+    no recursion.  Counted once per module and kept with it."""
+    return m._weight_counts
 
 
 def min_root_multiplicity(m: ModuleSpec) -> tuple[int, Coords]:
@@ -412,17 +435,9 @@ def min_root_multiplicity(m: ModuleSpec) -> tuple[int, Coords]:
     Weyl-invariant, so each root is looked up through the dominant weight of
     its orbit, in the root-lattice part's diagram (no summand off the root
     lattice has a root among its weights); the witness is the first root of
-    minimal multiplicity.
+    minimal multiplicity.  Found once per module and kept with it.
     """
-    g = m.group
-    data = g.root_data
-    if not data.roots:
-        raise ValueError(f"{g} has no roots")
-    entries = m.root_lattice_diagram
-    return min(
-        ((entries.get(dom, 0), root) for root, dom in zip(data.roots, data.dominant_roots)),
-        key=lambda pair: pair[0],
-    )
+    return m._min_root_multiplicity
 
 
 def max_nonzero_weight_multiplicity(g: GroupSpec, hw: Coords) -> tuple[int, Optional[Coords]]:

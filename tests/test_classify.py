@@ -601,3 +601,20 @@ def test_no_negative_rule_fires_on_yes_rows():
         except ContradictionError as e:  # pragma: no cover - must not happen
             pytest.fail(f"negative rule fired on positive row {name} {text}: {e}")
         assert v.coreduced == want, (name, text)
+
+
+def test_certificate_data_reads_like_a_dict_hashes_and_cannot_change():
+    from coreduce.classify import Data, _cert_summary, classify_module
+
+    d = Data(bounds=[0, 2], components=3)
+    assert dict(d.items()) == {"bounds": (0, 2), "components": 3}
+    assert d["components"] == 3 and hash(d) == hash(Data(bounds=[0, 2], components=3))
+    with pytest.raises(AttributeError):
+        d.printed = ()
+    with pytest.raises(KeyError):
+        d["nope"]
+    # the report prints each value as it was given: a list as a list
+    assert _cert_summary(d) == {"kind": "data", "bounds": "[0, 2]", "components": "3"}
+    v = classify_module(_module("A2", "[1,2]"))
+    assert any(isinstance(c, Data) for c in v.certificates)
+    assert hash(v) == hash(classify_module(_module("A2", "[1,2]")))

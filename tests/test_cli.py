@@ -311,8 +311,10 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def test_import_builds_no_parser_and_main_builds_it_once():
-    """The parser is built on the first main() call, not at import, and is
-    reused by every later call."""
+    """The parser is built neither at import nor for a well-formed request,
+    which is read off the subcommand table; the first request that needs
+    argparse (here a usage error) builds it, and every later one reuses
+    it."""
     code = "\n".join([
         "import argparse, contextlib, io, json",
         "made = []",
@@ -323,9 +325,9 @@ def test_import_builds_no_parser_and_main_builds_it_once():
         "argparse.ArgumentParser.__init__ = counted",
         "import coreduce.cli",
         "counts = [len(made)]",
-        "for _ in range(2):",
-        "    with contextlib.redirect_stdout(io.StringIO()):",
-        "        assert coreduce.cli.main(['rootsys', 'A1']) == 0",
+        "for argv, code in ((['rootsys', 'A1'], 0), (['rootsys'], 2), (['rootsys'], 2)):",
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        "        assert coreduce.cli.main(argv) == code",
         "    counts.append(len(made))",
         "print(json.dumps(counts))",
     ])
@@ -333,8 +335,8 @@ def test_import_builds_no_parser_and_main_builds_it_once():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stdout + out.stderr
-    at_import, first, second = json.loads(out.stdout)
-    assert at_import == 0
+    at_import, well_formed, first, second = json.loads(out.stdout)
+    assert at_import == 0 and well_formed == 0
     assert first > 0 and second == first
 
 
@@ -412,6 +414,20 @@ def assert_parses_as_the_top_level_parser(argv):
         ["nope", "A2"],
         # the top-level parser refuses "--=" as ambiguous before the subcommand runs
         ["classify", "A2", "--=x"],
+        ["covariant-vanish", "A2", "[1,1]", "--target", "[1,1]", "--deg", "2"],
+        ["covariant-vanish", "A2", "[1,1]", "--target", "[1,1]", "--degree=-1"],
+        ["covariant-vanish", "A2", "[1,1]", "--target", "[1,1]", "--degree", "-1"],
+        ["covariant-vanish", "A2", "[1,1]", "--target", "[1,1]", "--degree", "2", "--all-degrees=1"],
+        ["covariant-vanish", "A2", "[1,1]", "--degree", "2"],
+        ["torus-check", "--weights=-1,2"],
+        ["torus-check", "--weights", "-1,2"],
+        ["support-rank", "A2", "[1,1]", "--support", "[1,1]:0", "--support", "[1,0]:1"],
+        ["classify", "A2", "[1,1]", "--output=text"],
+        ["classify", "A2", "[1,1]", "--output", "xml"],
+        ["classify", "A2", "[1,1]", "--"],
+        ["rootsys", "A2", "-h"],
+        ["classify", "", "[1,1]"],
+        ["rootsys", "A2", "A3"],
     ],
     ids=repr,
 )
@@ -478,6 +494,89 @@ def test_any_argv_parses_as_the_top_level_parser_and_main_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue()
 
 
+def _table_requests(name):
+    """Two requests of subcommand ``name`` written from the table: the
+    least it takes (its positionals and its required options) and one with
+    every option of the table and the global flag."""
+    from coreduce.cli import COMMANDS
+
+    command = COMMANDS[name]
+    least = [name] + ["x"] * len(command.positionals)
+    every = list(least)
+    for flag, keywords in command.options.items():
+        value = [] if keywords.get("action") == "store_true" else ["1"]
+        every += [flag, *value]
+        if keywords.get("required"):
+            least += [flag, *value]
+    return least, every + ["--output", "text"]
+
+
+def test_the_table_and_the_parser_agree():
+    """Every subcommand of the table is a subparser of ``build_parser``
+    with the same arguments: dests, flags, required, type, default, choices
+    and action; and the table's reader reads a request of each as argparse
+    does, defaults included."""
+    import argparse
+
+    from coreduce.cli import COMMANDS, GLOBAL_OPTIONS, _read, build_parser
+
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(COMMANDS) == SUBCOMMANDS
+
+    def option(flag, keywords):
+        action = keywords.get("action")
+        default = keywords.get("default", False if action == "store_true" else None)
+        dest = flag[2:].replace("-", "_")
+        kind = parser._registry_get("action", action)
+        return (dest, [flag], keywords.get("required", False), keywords.get("type"),
+                default, keywords.get("choices"), kind)
+
+    for name, command in COMMANDS.items():
+        sub = subparsers.choices[name]
+        got = [
+            (a.dest, a.option_strings, a.required, a.type, a.default, a.choices, type(a))
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        want = [option(flag, keywords) for flag, keywords in GLOBAL_OPTIONS.items()]
+        want += [(arg, [], True, None, None, None, argparse._StoreAction) for arg in command.positionals]
+        want += [option(flag, keywords) for flag, keywords in command.options.items()]
+        assert got == want, name
+        for argv in _table_requests(name):
+            assert _read(argv) is not None, argv
+            assert assert_parses_as_the_top_level_parser(argv)[0][0] == "namespace"
+
+
+WELL_FORMED = {
+    "rootsys": ["rootsys", "A2"],
+    "weights": ["weights", "A2", "[1,1]"],
+    "torus-check": ["torus-check", "--weights=4,-4,6,-6"],
+    "hilbert-basis": ["hilbert-basis", "--weights", "2,-3,5,-4", "--output=text"],
+    "bad-slice": ["bad-slice", "A1", "[6]"],
+    "components": ["components", "A2", "[1,1]", "--output", "text"],
+    "covariant-vanish": [
+        "covariant-vanish", "A2", "[1,1]", "--target", "[1,1]", "--degree", "2", "--all-degrees",
+    ],
+    "support-rank": ["support-rank", "A2", "2*[1,1]", "--support", "[1,1]:0", "--support=[1,1]:1"],
+    "classify": ["classify", "A2", "[1,1]"],
+    "verify-paper": ["verify-paper", "--suite", "torus"],
+}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_a_well_formed_request_builds_no_parser(name):
+    """A well-formed request is read off the subcommand table, so it runs
+    without argparse's parser; a malformed one builds it."""
+    from coreduce.cli import build_parser
+
+    build_parser.cache_clear()
+    assert run_cli(WELL_FORMED[name])[0] in (0, 1)
+    assert build_parser.cache_info().misses == 0
+    assert run_cli([name, "--nope"])[0] == 2
+    assert build_parser.cache_info().misses == 1
+
+
 def test_a_request_that_starts_with_its_subcommand_is_parsed_once(monkeypatch):
     import argparse
 
@@ -493,7 +592,7 @@ def test_a_request_that_starts_with_its_subcommand_is_parsed_once(monkeypatch):
     build_parser()
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
     assert run_cli(["classify", "A2", "[3,1]"])[0] == 1
-    assert progs == ["coreduce classify"]
+    assert progs == []
     progs.clear()
     # a global flag before the subcommand goes through the top-level parser
     code, out = run_cli(["--output", "text", "rootsys", "A2"])

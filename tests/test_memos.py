@@ -220,3 +220,57 @@ def test_a_chamber_weight_cap_refusal_raises_again_on_the_repeat(monkeypatch):
     assert run(argv) == first
     monkeypatch.undo()
     assert run(argv)[0] == 0
+
+
+CLASSIFY_DRIVERS = (
+    "classify_sl2", "classify_sl3", "classify_adjoint_exceptional",
+    "classify_adjoint_classical", "classify_semisimple_irreducible",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "A2", "[3,1]"], ["classify", "G2", "2*[1,0]"], ["classify", "A1xA2", "[2,1,1]"]],
+    ids=" ".join,
+)
+def test_a_repeated_classify_prints_the_same_bytes_and_runs_no_driver(argv, monkeypatch):
+    from coreduce import classify
+
+    calls = []
+    for name in CLASSIFY_DRIVERS:
+        driver = getattr(classify, name)
+
+        def counted(*args, _driver=driver, _name=name):
+            calls.append(_name)
+            return _driver(*args)
+
+        monkeypatch.setattr(classify, name, counted)
+    first = run(argv)
+    assert calls
+    calls.clear()
+    assert run(argv) == first
+    assert calls == []
+    assert classify.classify_module.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+def test_a_repeated_weights_request_prints_the_same_bytes_and_sums_nothing(monkeypatch):
+    """The weight counts, the root multiplicity, the dimension and the text
+    of a module are kept with its interned spec."""
+    from coreduce import repthy
+
+    calls = []
+    for name in ("orbit_size", "weyl_dim"):
+        fn = getattr(repthy, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(repthy, name, counted)
+    # [1,1] is in the root lattice, [1,0] is not: both sums of weight_counts run
+    argv = ["weights", "A2", "2*[1,1]+[1,0]"]
+    first = run(argv)
+    assert set(calls) == {"orbit_size", "weyl_dim"}
+    calls.clear()
+    assert run(argv) == first
+    assert calls == []
