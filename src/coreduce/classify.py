@@ -77,54 +77,16 @@ class Citation(NamedTuple):
     statement: str
 
 
-class Data:
-    """A certificate's named values, read as a dict is (``items()``,
-    ``[key]``), immutable and hashable, so that a verdict carrying one can
-    be kept in a memo.  A list value is kept as a tuple; ``printed`` holds
-    each value's ``repr`` as it was given, which the report prints."""
-
-    __slots__ = ("_items", "printed")
-
-    def __init__(self, **values: object) -> None:
-        frozen = tuple((k, tuple(v) if isinstance(v, list) else v) for k, v in values.items())
-        object.__setattr__(self, "_items", frozen)
-        object.__setattr__(self, "printed", tuple((k, repr(v)) for k, v in values.items()))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("certificate data cannot be changed")
-
-    def items(self) -> tuple[tuple[str, object], ...]:
-        return self._items
-
-    def __getitem__(self, key: str) -> object:
-        return dict(self._items)[key]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Data) and self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
-
-class _MultiplicityFields(NamedTuple):
-    weight: Coords
-    multiplicity: int
-    threshold: int
-    note: str = ""
-
-
-class MultiplicityCertificate(_MultiplicityFields):
-    """A computed weight multiplicity that feeds a slice argument."""
+class Data(tuple):
+    """A certificate's named values as ``(name, value)`` pairs, so that a
+    verdict carrying one hashes and can be kept in a memo.  A list value is
+    frozen to a tuple; every value prints as the JSON of that value."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> MultiplicityCertificate:
-        self = super().__new__(cls, *args, **kwargs)
-        require(
-            self.multiplicity >= self.threshold,
-            f"multiplicity {self.multiplicity} of {self.weight} is below {self.threshold}",
-        )
-        return self
+    def __new__(cls, **values: object) -> Data:
+        frozen = ((k, tuple(v) if isinstance(v, list) else v) for k, v in values.items())
+        return super().__new__(cls, frozen)
 
 
 class _VerdictFields(NamedTuple):
@@ -321,7 +283,7 @@ def classify_adjoint_exceptional(g: GroupSpec, m: ModuleSpec) -> Verdict:
                 m,
                 NO,
                 (
-                    MultiplicityCertificate(witness, wmult, 2),
+                    Data(weight=witness, multiplicity=wmult),
                     Citation("a repeated nonzero weight forces a bad toral slice"),
                 ),
                 tag,
@@ -914,23 +876,24 @@ def classify_module(m: ModuleSpec) -> Verdict:
 # Reports
 
 
-def emit_report(verdicts: Sequence[Verdict]) -> dict:
-    rows = [
-        {
-            "module": str(v.module),
-            "group": str(v.module.group),
-            "coreduced": v.coreduced,
-            "theorem": v.theorem_tag,
-            "certificates": [_cert_summary(c) for c in v.certificates],
-            "notes": list(v.notes),
-        }
-        for v in verdicts
-    ]
-    rows.sort(key=lambda row: (row["theorem"], row["module"]))
-    return {"schema": 1, "rows": rows}
+def emit_report(v: Verdict) -> dict:
+    return {
+        "rows": [
+            {
+                "module": str(v.module),
+                "group": str(v.module.group),
+                "coreduced": v.coreduced,
+                "theorem": v.theorem_tag,
+                "certificates": [certificate_json(c) for c in v.certificates],
+                "notes": list(v.notes),
+            }
+        ]
+    }
 
 
-def _cert_summary(c) -> dict:
+def certificate_json(c) -> dict:
+    """The one JSON form of each certificate kind, every value a plain JSON
+    value."""
     if isinstance(c, Citation):
         return {"kind": "citation", "statement": c.statement}
     if isinstance(c, BadSliceCertificate):
@@ -957,5 +920,5 @@ def _cert_summary(c) -> dict:
             "codim": c.codim,
         }
     if isinstance(c, Data):
-        return {"kind": "data", **dict(c.printed)}
-    return {"kind": type(c).__name__, "repr": repr(c)}
+        return {"kind": "data", **dict(c)}
+    raise TypeError(f"no JSON form for a certificate of type {type(c).__name__}")

@@ -4,7 +4,8 @@ Exit codes: 0 success / boolean yes; 1 boolean no; 2 usage error; 3 an
 engine's resource cap was hit (the caps are fixed module constants).  Output
 is JSON (sorted keys, versioned with a ``schema`` field) or a plain-text
 table.  Weight and module grammar lives in :mod:`rootsys` /
-:mod:`repthy`; the CLI only splits flag values.
+:mod:`repthy`; the CLI only splits flag values.  Each ``cmd_*`` handler
+returns its payload and exit code, and :func:`main` alone prints.
 
 The subcommands and their arguments are written once, in :data:`COMMANDS`.
 A well-formed request is read off that table without ``argparse``;
@@ -54,7 +55,7 @@ from .rootsys import (
 from .slices import bad_toral_slice, toral_slice
 from . import classify as cls, paper
 
-SCHEMA = 1
+SCHEMA = 2
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -62,18 +63,12 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-class Config(NamedTuple):
-    output: str = "json"
-
-
 # ``json.dumps`` with keyword arguments builds an encoder on every call
-_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def _emit(cfg: Config, payload: dict) -> None:
-    payload = dict(payload)
-    payload["schema"] = SCHEMA
-    if cfg.output == "json":
+def _emit(payload: dict, output: str) -> None:
+    if output == "json":
         print(_ENCODER.encode(payload))
     else:
         _emit_text(payload)
@@ -136,7 +131,7 @@ def _module(args: argparse.Namespace) -> ModuleSpec:
     return parse_module(parse_group(args.group), args.module)
 
 
-def cmd_rootsys(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_rootsys(args: argparse.Namespace) -> tuple[dict, int]:
     g = parse_group(args.group)
     payload = {
         "group": str(g),
@@ -145,11 +140,10 @@ def cmd_rootsys(cfg: Config, args: argparse.Namespace) -> int:
         "positive_roots": g.num_positive_roots,
         "simple_factors": [str(t) for t in g.simple_factors],
     }
-    _emit(cfg, payload)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_weights(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_weights(args: argparse.Namespace) -> tuple[dict, int]:
     m = _module(args)
     zero, nonzero = weight_counts(m)
     payload = {
@@ -160,11 +154,10 @@ def cmd_weights(cfg: Config, args: argparse.Namespace) -> int:
         "nonzero_weight_count": nonzero,
         "min_root_multiplicity": min_root_multiplicity(m)[0],
     }
-    _emit(cfg, payload)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_torus_check(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_torus_check(args: argparse.Namespace) -> tuple[dict, int]:
     ws = _parse_scalar_or_vectors(args.weights)
     verdict = is_torus_coreduced(ws)
     payload: dict = {"weights": [list(w) for w in ws], "coreduced": verdict.coreduced}
@@ -173,38 +166,30 @@ def cmd_torus_check(cfg: Config, args: argparse.Namespace) -> int:
             "coeffs": list(verdict.certificate.coeffs),
             "weights": [list(w) for w in verdict.weights],
         }
-    _emit(cfg, payload)
-    return EXIT_OK if verdict.coreduced else EXIT_NO
+    return payload, EXIT_OK if verdict.coreduced else EXIT_NO
 
 
-def cmd_hilbert_basis(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_hilbert_basis(args: argparse.Namespace) -> tuple[dict, int]:
     ws = _parse_scalar_or_vectors(args.weights)
     payload = {
         "weights": [list(w) for w in ws],
         "generators": [list(gen.coeffs) for gen in hilbert_basis(ws)],
     }
-    _emit(cfg, payload)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_bad_slice(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_bad_slice(args: argparse.Namespace) -> tuple[dict, int]:
     m = _module(args)
     if toral_slice(m) is None:
-        _emit(cfg, {"module": str(m), "toral_slice": False, "bad": False})
-        return EXIT_NO
+        return {"module": str(m), "toral_slice": False, "bad": False}, EXIT_NO
     cert = bad_toral_slice(m)
     payload: dict = {"module": str(m), "toral_slice": True, "bad": cert is not None}
     if cert is not None:
-        payload["certificate"] = {
-            "kind": cert.kind,
-            "weights": [list(w) for w in cert.weights],
-            "coeffs": list(cert.coeffs),
-        }
-    _emit(cfg, payload)
-    return EXIT_OK if cert is not None else EXIT_NO
+        payload["certificate"] = cls.certificate_json(cert)
+    return payload, EXIT_OK if cert is not None else EXIT_NO
 
 
-def cmd_components(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_components(args: argparse.Namespace) -> tuple[dict, int]:
     m = _module(args)
     sets = components(m)
     payload = {
@@ -213,18 +198,15 @@ def cmd_components(cfg: Config, args: argparse.Namespace) -> int:
             {
                 "weights": [list(w) for w in a.weights],
                 "dimension": a.dimension(),
-                # the dominance criteria run only in ``classify``
-                "status": "unknown",
-                "cocharacter": [str(v) for v in a.defining.values],
+                "cocharacter": list(a.defining.values),
             }
             for a in sets
         ],
     }
-    _emit(cfg, payload)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_covariant_vanish(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_covariant_vanish(args: argparse.Namespace) -> tuple[dict, int]:
     m = _module(args)
     target = parse_weight(m.group, args.target)
     sets = components(m)
@@ -234,20 +216,17 @@ def cmd_covariant_vanish(cfg: Config, args: argparse.Namespace) -> int:
         ok = covariant_vanishes(a, target, args.degree, args.all_degrees)
         all_vanish = all_vanish and ok
         results.append({"dimension": a.dimension(), "vanishes": ok})
-    _emit(
-        cfg,
-        {
-            "module": str(m),
-            "target": list(target),
-            "degree": args.degree,
-            "vanishes_on_all": all_vanish,
-            "per_component": results,
-        },
-    )
-    return EXIT_OK if all_vanish else EXIT_NO
+    payload = {
+        "module": str(m),
+        "target": list(target),
+        "degree": args.degree,
+        "vanishes_on_all": all_vanish,
+        "per_component": results,
+    }
+    return payload, EXIT_OK if all_vanish else EXIT_NO
 
 
-def cmd_support_rank(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_support_rank(args: argparse.Namespace) -> tuple[dict, int]:
     m = _module(args)
     copies = sum(c for c, _ in m.summands)
     support = []
@@ -266,15 +245,14 @@ def cmd_support_rank(cfg: Config, args: argparse.Namespace) -> int:
             )
         support.append((w, copy))
     bound, stats = support_orbit_dim_bound(m, support)
-    _emit(cfg, {"module": str(m), "bound": bound, "stats": stats})
-    return EXIT_OK
+    return {"module": str(m), "bound": bound, "stats": stats}, EXIT_OK
 
 
-def cmd_classify(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     m = _module(args)
     verdict = cls.classify_module(m)
-    _emit(cfg, cls.emit_report([verdict]))
-    return EXIT_OK if verdict.coreduced in (cls.YES, cls.YES_PAPER) else EXIT_NO
+    code = EXIT_OK if verdict.coreduced in (cls.YES, cls.YES_PAPER) else EXIT_NO
+    return cls.emit_report(verdict), code
 
 
 # ---------------------------------------------------------------------------
@@ -521,16 +499,11 @@ SUITES: dict[str, Callable[[], list[dict]]] = {
 }
 
 
-def cmd_verify_paper(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_verify_paper(args: argparse.Namespace) -> tuple[dict, int]:
     names = [args.suite] if args.suite else sorted(SUITES)
-    for n in names:
-        if n not in SUITES:
-            print(f"unknown suite {n!r}; choose from {sorted(SUITES)}", file=sys.stderr)
-            return EXIT_USAGE
     results = {n: SUITES[n]() for n in names}
     all_ok = all(c["ok"] for cs in results.values() for c in cs)
-    _emit(cfg, {"suites": results, "ok": all_ok})
-    return EXIT_OK if all_ok else EXIT_NO
+    return {"suites": results, "ok": all_ok}, EXIT_OK if all_ok else EXIT_NO
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +549,8 @@ COMMANDS: dict[str, Subcommand] = {
     ),
     "classify": Subcommand("verdict for a module", _MODULE),
     "verify-paper": Subcommand(
-        "reproduce the recorded computations", options={"--suite": {"default": None}}
+        "reproduce the recorded computations",
+        options={"--suite": {"choices": tuple(SUITES), "default": None}},
     ),
 }
 """The CLI's arguments, written once: :func:`build_parser` builds argparse's
@@ -691,7 +665,8 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one request; ``argv`` defaults to ``sys.argv[1:]`` (parsed by
-    :func:`parse_args`)."""
+    :func:`parse_args`).  The handler returns its payload, which is printed
+    here, stamped with :data:`SCHEMA`."""
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
@@ -699,18 +674,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # looked up by name on every call, so that a handler replaced after the
     # parser was built (a test double, a tracing wrapper) is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
-    cfg = Config(getattr(args, "output", "json"))
+    output = getattr(args, "output", "json")
     try:
-        return handler(cfg, args)
+        payload, code = handler(args)
     except ResourceLimitError as e:
-        if cfg.output == "json":
+        if output == "json":
             fields = {"engine": e.engine, "cap": e.cap, "limit": e.limit, "count": e.count}
             print(_ENCODER.encode({**fields, "message": str(e)}), file=sys.stderr)
         else:
             print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except MemoryError:
-        if cfg.output == "json":
+        if output == "json":
             print(_ENCODER.encode({"message": "out of memory"}), file=sys.stderr)
         else:
             print("resource limit: out of memory", file=sys.stderr)
@@ -718,6 +693,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (RootSystemError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    _emit({**payload, "schema": SCHEMA}, output)
+    return code
 
 
 if __name__ == "__main__":

@@ -615,7 +615,7 @@ def eps_to_dynkin(t: SimpleType, coeffs: Sequence[Fraction]) -> Coords:
         raise RootSystemError(f"{t} epsilon coordinates need {len(roots[0])} entries")
     out = [2 * sum(map(mul, c, a)) / sum(map(mul, a, a)) for a in roots]
     if any(x.denominator != 1 for x in out):
-        raise RootSystemError(f"epsilon vector {coeffs} is not in the weight lattice of {t}")
+        raise RootSystemError(f"epsilon vector ({', '.join(map(str, c))}) is not in the weight lattice of {t}")
     return tuple(int(x) for x in out)
 
 

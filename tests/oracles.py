@@ -330,16 +330,15 @@ def brute_force_symmetric_power(entries: dict, d: int) -> dict:
 
 def reference_multidegree_mult(summands, degrees, lam) -> int:
     """Multiplicity of V(lam) in S^d1(chi_1)...S^dk(chi_k), one multidegree at
-    a time: a symmetric power per summand and degree, dict convolution of the
-    pieces, and the alternating Weyl sum evaluated point by point.  It shares
-    ``symmetric_power`` with the package, which is checked separately against
-    :func:`brute_force_symmetric_power`."""
-    from coreduce.repthy import Character, symmetric_power
+    a time: a symmetric power per summand and degree, summed multiset by
+    multiset (:func:`brute_force_symmetric_power`), dict convolution of the
+    pieces, and the alternating Weyl sum evaluated point by point."""
+    from coreduce.repthy import Character
 
     g = summands[0].group
     prod = {tuple(0 for _ in range(g.rank)): 1}
     for chi, d in zip(summands, degrees):
-        part = symmetric_power(chi, d)[d].entries
+        part = brute_force_symmetric_power(chi.entries, d)
         nxt: dict = {}
         for x, c in prod.items():
             for y, e in part.items():

@@ -1,6 +1,7 @@
 import ast
 import functools
 import itertools
+import json
 import os
 import pathlib
 import subprocess
@@ -19,7 +20,7 @@ from coreduce.classify import (
     YES_PAPER,
     Citation,
     ContradictionError,
-    MultiplicityCertificate,
+    Data,
     Verdict,
     _SL3_EPS_SCREENS,
     _sl3_reducible_screen,
@@ -29,6 +30,7 @@ from coreduce.classify import (
     classify_semisimple_irreducible,
     classify_sl2,
     classify_sl3,
+    certificate_json,
     emit_report,
     g2xg2_certificate,
     sl2_module,
@@ -60,11 +62,6 @@ def test_paper_verdict_needs_citation():
     Verdict(m, NO_PAPER, (Citation("recorded argument"),))
 
 
-def test_multiplicity_certificate_enforces_threshold():
-    with pytest.raises(CertificateError):
-        MultiplicityCertificate((1, 0), 1, 2)
-
-
 # ---------------------------------------------------------------------------
 # Record semantics: immutable fields, order, equality, hash, errors, repr
 
@@ -80,7 +77,6 @@ def test_multiplicity_certificate_enforces_threshold():
         (TorusVerdict(True, (), None), "coreduced"),
         (SumWitness(False), "feasible"),
         (Citation("recorded argument"), "statement"),
-        (MultiplicityCertificate((1, 0), 2, 2), "multiplicity"),
         (BadSliceCertificate("toral_relation", ((1,), (-2,)), (2, 1)), "coeffs"),
         (CovariantCertificate((0,), 2, 1, 0, (), ()), "degree"),
         (ScreenResult(None, 0, 0, 1), "codim"),
@@ -132,15 +128,20 @@ def test_record_validation_errors_are_kept():
         Verdict(sl2_module((2,)), NO, ())
 
 
-def test_multiplicity_certificate_repr_is_pinned():
-    """A certificate with no summary of its own reaches the JSON report as
-    its repr."""
-    cert = MultiplicityCertificate((1, 0), 2, 2)
-    text = "MultiplicityCertificate(weight=(1, 0), multiplicity=2, threshold=2, note='')"
-    assert repr(cert) == text
-    verdict = Verdict(sl2_module((2,)), NO, (cert,))
-    assert emit_report([verdict])["rows"][0]["certificates"] == [
-        {"kind": "MultiplicityCertificate", "repr": text}
+def test_repeated_weight_certificate_prints_as_data():
+    """The exceptional driver's certificate for a repeated nonzero weight
+    (no module of the driver tables reaches it) prints its weight and
+    multiplicity as JSON values."""
+    cert = Data(weight=(1, 0), multiplicity=2)
+    verdict = Verdict(
+        parse_module(parse_group("G2"), "[1,1]"),
+        NO,
+        (cert, Citation("a repeated nonzero weight forces a bad toral slice")),
+        "exceptional-G2",
+    )
+    assert emit_report(verdict)["rows"][0]["certificates"] == [
+        {"kind": "data", "weight": (1, 0), "multiplicity": 2},
+        {"kind": "citation", "statement": "a repeated nonzero weight forces a bad toral slice"},
     ]
 
 
@@ -343,10 +344,10 @@ def test_exceptional_rejects_non_adjoint_lattice():
         classify_adjoint_classical(b3, parse_module(b3, "[0,0,1]"))
 
 
-@pytest.mark.parametrize("text,cocharacter", [("[2,1]", "(5, 2)"), ("[1,2]", "(2, 5)")])
+@pytest.mark.parametrize("text,cocharacter", [("[2,1]", (5, 2)), ("[1,2]", (2, 5))])
 def test_sl3_rank_screen_records_an_integer_cocharacter(text, cocharacter):
     m = parse_module(parse_group("A2"), text)
-    (row,) = emit_report([classify_module(m)])["rows"]
+    (row,) = emit_report(classify_module(m))["rows"]
     (data,) = [c for c in row["certificates"] if c["kind"] == "data"]
     assert data["cocharacter"] == cocharacter
 
@@ -432,7 +433,7 @@ def test_the_a2_covariant_certificate_covers_every_component(text):
     assert v.coreduced == NO
     cert, info = v.certificates
     assert isinstance(cert, CovariantCertificate)
-    assert info["components"] == len(components(m)) == 4
+    assert dict(info)["components"] == len(components(m)) == 4
 
 
 def test_sl3_covariant_certificate_revalidates():
@@ -472,7 +473,7 @@ def test_each_covariant_certificate_search_runs_one_dp(monkeypatch):
     sets = classify_components_sl3(m)
     tops.clear()
     cert, info = classify.sl3_vanishing_generator_certificate(m, sets)
-    assert (cert.degree, info["vanishing_degree_bound"]) == (8, 5)
+    assert (cert.degree, dict(info)["vanishing_degree_bound"]) == (8, 5)
     assert tops == [5 + classify.SL3_EXTRA_DEGREES]
     assert cert == repthy.covariant_generator_exists(m, (1, 0), 8)
     m = _module(paper.G2XG2_GROUP, paper.G2XG2_MODULE)
@@ -542,7 +543,7 @@ def _split_coefficient_variants(text):
 
 
 def _verdict_shape(v):
-    row = emit_report([v])["rows"][0]
+    row = emit_report(v)["rows"][0]
     return row["coreduced"], row["theorem"], [c["kind"] for c in row["certificates"]]
 
 
@@ -575,21 +576,6 @@ def test_a_binary_form_verdict_keeps_the_module_as_typed():
         classify_sl2(_module("A1", "[0]+[1]"))
 
 
-def test_emit_report_is_deterministic_and_sorted():
-    g = parse_group("A2")
-    vs = [
-        classify_sl3(parse_module(g, t))
-        for t in ["[3,1]", "[1,1]", "[2,1]"]
-    ]
-    r1 = emit_report(vs)
-    r2 = emit_report(list(reversed(vs)))
-    assert r1 == r2
-    assert r1["schema"] == 1
-    rows = r1["rows"]
-    keys = [(row["theorem"], row["module"]) for row in rows]
-    assert keys == sorted(keys)
-
-
 def test_no_negative_rule_fires_on_yes_rows():
     """Fixture consistency: a negative rule firing on a recorded positive
     row is a build-breaking contradiction."""
@@ -604,17 +590,16 @@ def test_no_negative_rule_fires_on_yes_rows():
 
 
 def test_certificate_data_reads_like_a_dict_hashes_and_cannot_change():
-    from coreduce.classify import Data, _cert_summary, classify_module
-
     d = Data(bounds=[0, 2], components=3)
-    assert dict(d.items()) == {"bounds": (0, 2), "components": 3}
-    assert d["components"] == 3 and hash(d) == hash(Data(bounds=[0, 2], components=3))
+    assert d == (("bounds", (0, 2)), ("components", 3))
+    assert dict(d) == {"bounds": (0, 2), "components": 3}
+    assert hash(d) == hash(Data(bounds=[0, 2], components=3))
     with pytest.raises(AttributeError):
-        d.printed = ()
-    with pytest.raises(KeyError):
-        d["nope"]
-    # the report prints each value as it was given: a list as a list
-    assert _cert_summary(d) == {"kind": "data", "bounds": "[0, 2]", "components": "3"}
+        d.bounds = ()
+    # the report prints each value as a JSON value: the list as a list
+    assert json.dumps(certificate_json(d), sort_keys=True) == (
+        '{"bounds": [0, 2], "components": 3, "kind": "data"}'
+    )
     v = classify_module(_module("A2", "[1,2]"))
     assert any(isinstance(c, Data) for c in v.certificates)
     assert hash(v) == hash(classify_module(_module("A2", "[1,2]")))

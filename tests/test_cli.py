@@ -34,7 +34,7 @@ def test_rootsys_json():
     code, out = run_cli(["rootsys", "G2"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["weyl_order"] == 12
     assert payload["positive_roots"] == 6
 
@@ -504,7 +504,10 @@ def _table_requests(name):
     least = [name] + ["x"] * len(command.positionals)
     every = list(least)
     for flag, keywords in command.options.items():
-        value = [] if keywords.get("action") == "store_true" else ["1"]
+        if keywords.get("action") == "store_true":
+            value = []
+        else:
+            value = [keywords["choices"][0]] if "choices" in keywords else ["1"]
         every += [flag, *value]
         if keywords.get("required"):
             least += [flag, *value]
@@ -855,7 +858,7 @@ CLASSIFY_GOLDEN = [
             '{"rows": [{"certificates": [{"coeffs": [2, 1], "kind": "toral_relation",'
             ' "note": "", "weights": [[-1], [2]]}], "coreduced": "no", "group": "A1",'
             ' "module": "[1]+2*[2]", "notes": [], "theorem": "binary-forms"}],'
-            ' "schema": 1}\n'
+            ' "schema": 2}\n'
         ),
         id="toral_relation",
     ),
@@ -870,7 +873,7 @@ CLASSIFY_GOLDEN = [
             ' {"kind": "citation", "statement": "slice-quotient chain to a rank-2 torus"}],'
             ' "coreduced": "no", "group": "B2xB2xB2", "module": "[1,0,1,0,1,0]",'
             ' "notes": ["final torus step machine-checked"],'
-            ' "theorem": "semisimple-irreducible"}], "schema": 1}\n'
+            ' "theorem": "semisimple-irreducible"}], "schema": 2}\n'
         ),
         id="odd_orthogonal_triple",
     ),
@@ -885,7 +888,7 @@ CLASSIFY_GOLDEN = [
             ' 3, 6, 9, 6, 3], [-3, 0, 0, 0, 0, 0], [0, -3, 0, 0, 0, 0], [0, 0, -3, 0, 0,'
             ' 0], [0, 0, 0, -3, 0, 0], [0, 0, 0, 0, -3, 0], [0, 0, 0, 0, 0, -3]]}],'
             ' "coreduced": "no", "group": "E6", "module": "2*[0,1,0,0,0,0]", "notes": [],'
-            ' "theorem": "exceptional-E6"}], "schema": 1}\n'
+            ' "theorem": "exceptional-E6"}], "schema": 2}\n'
         ),
         id="roots_mult2",
     ),
@@ -897,7 +900,7 @@ CLASSIFY_GOLDEN = [
             '{"rows": [{"certificates": [{"coeffs": [1, 1, 2, 2], "kind": "product_rule",'
             ' "note": "", "weights": [[2, 3, 0], [-2, 3, 0], [-2, 0, 3], [2, -3, -3]]}],'
             ' "coreduced": "no", "group": "A1xA2", "module": "[2,1,1]", "notes": [],'
-            ' "theorem": "semisimple-irreducible"}], "schema": 1}\n'
+            ' "theorem": "semisimple-irreducible"}], "schema": 2}\n'
         ),
         id="product_rule",
     ),
@@ -910,7 +913,7 @@ CLASSIFY_GOLDEN = [
             ' "kind": "generating_covariant", "multiplicity": 3, "target": [2]}],'
             ' "coreduced": "no", "group": "A1", "module": "3*[2]",'
             ' "notes": ["generating covariant of low target degree vanishes on the null cone"],'
-            ' "theorem": "binary-forms"}], "schema": 1}\n'
+            ' "theorem": "binary-forms"}], "schema": 2}\n'
         ),
         id="generating_covariant",
     ),
@@ -923,7 +926,7 @@ CLASSIFY_GOLDEN = [
             ' "kind": "degree_rank_screen", "max_useful_degree": 2, "rank_bound": 2}],'
             ' "coreduced": "no", "group": "A1", "module": "2*[2]",'
             ' "notes": ["rank of the quotient differential on the null cone"],'
-            ' "theorem": "binary-forms"}], "schema": 1}\n'
+            ' "theorem": "binary-forms"}], "schema": 2}\n'
         ),
         id="degree_rank_screen",
     ),
@@ -934,14 +937,27 @@ CLASSIFY_GOLDEN = [
         (
             '{"rows": [{"certificates": [{"kind": "citation",'
             ' "statement": "codimension-2 bound for the slab in its component"},'
-            ' {"cocharacter": "(2, 5)", "codim_lower_bound": "2", "directions": "4",'
-            ' "generator_bounds_by_degree": "[0, 0, 1, 0, 0, 2, 0, 0, 1, 0, 0, 10]",'
-            ' "generators_available": "1", "kind": "data", "max_monomial_degree": "4"}],'
+            ' {"cocharacter": [2, 5], "codim_lower_bound": 2, "directions": 4,'
+            ' "generator_bounds_by_degree": [0, 0, 1, 0, 0, 2, 0, 0, 1, 0, 0, 10],'
+            ' "generators_available": 1, "kind": "data", "max_monomial_degree": 4}],'
             ' "coreduced": "no", "group": "A2", "module": "[1,2]",'
             ' "notes": ["rank of the invariant differentials on a dominant component"],'
-            ' "theorem": "rank2-special-linear"}], "schema": 1}\n'
+            ' "theorem": "rank2-special-linear"}], "schema": 2}\n'
         ),
         id="data",
+    ),
+    pytest.param(
+        "A2",
+        "2*[2,0]",
+        1,
+        (
+            '{"rows": [{"certificates": [{"codim": 4, "invariants_available": 4,'
+            ' "kind": "degree_rank_screen", "max_useful_degree": 3, "rank_bound": 2},'
+            ' {"codim_source": "recorded", "kind": "data"}], "coreduced": "no",'
+            ' "group": "A2", "module": "2*[2,0]", "notes": [],'
+            ' "theorem": "rank2-special-linear"}], "schema": 2}\n'
+        ),
+        id="data_string",
     ),
     pytest.param(
         "A2",
@@ -951,7 +967,7 @@ CLASSIFY_GOLDEN = [
             '{"rows": [{"certificates": [{"kind": "citation",'
             ' "statement": "cofree; quotient of small dimension"}],'
             ' "coreduced": "yes_paper_proof", "group": "A2", "module": "[0,1]",'
-            ' "notes": [], "theorem": "rank2-special-linear"}], "schema": 1}\n'
+            ' "notes": [], "theorem": "rank2-special-linear"}], "schema": 2}\n'
         ),
         id="citation",
     ),
@@ -964,7 +980,7 @@ CLASSIFY_GOLDEN = [
             ' "kind": "generating_covariant", "multiplicity": 1, "target": [1]}],'
             ' "coreduced": "no", "group": "A1", "module": "[2]+[1]",'
             ' "notes": ["generating covariant of low target degree vanishes on the null cone"],'
-            ' "theorem": "binary-forms"}], "schema": 1}\n'
+            ' "theorem": "binary-forms"}], "schema": 2}\n'
         ),
         id="module_as_typed",
     ),
@@ -976,11 +992,71 @@ def test_classify_prints_the_recorded_bytes(group, module, code, stdout):
     assert run_cli(["classify", group, module]) == (code, stdout)
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(capsys):
     assert run_cli(["no-such-command"])[0] == 2
     assert run_cli([])[0] == 2
     assert run_cli(["rootsys", "Z9"])[0] == 2
     assert run_cli(["classify", "A2", "[1,0,0]"])[0] == 2
+    capsys.readouterr()
+    # the message names the epsilon coefficients by their values
+    assert run_cli(["weights", "G2", "1/2e1@eps"]) == (2, "")
+    err = capsys.readouterr().err
+    assert "epsilon vector (1/2, 0, 0) is not in the weight lattice of G2" in err
+    assert "Fraction(" not in err
+
+
+# one JSON request of each subcommand, in the order of the table
+CONTRACT_REQUESTS = [
+    ["rootsys", "A2"],
+    ["weights", "A2", "[1,1]"],
+    ["torus-check", "--weights", FOUR_SIX],
+    ["hilbert-basis", "--weights", FOUR_SIX],
+    ["bad-slice", "A1", "[6]"],
+    ["components", "A2", "[3,1]"],
+    ["covariant-vanish", "A2", "[2,1]", "--target", "[1,0]", "--degree", "3"],
+    ["support-rank", "A2", "2*[1,1]", "--support", "[1,1]:0", "--support=[1,1]:1"],
+    ["classify", "A2", "[1,2]"],
+    ["verify-paper", "--suite", "torus"],
+]
+
+
+def test_every_output_is_plain_json(monkeypatch, capsys):
+    """Every subcommand prints one object of plain JSON values, stamped with
+    the schema, which a plain encoder writes back byte for byte; so does the
+    object on stderr of a request stopped by a cap.  Text mode and a usage
+    error print no JSON."""
+    from coreduce import monoid
+
+    encoder = json.JSONEncoder(sort_keys=True)
+    with monkeypatch.context() as mp:
+        mp.setattr(monoid, "HILBERT_COORD_CAP", 10)
+        assert run_cli(["torus-check", "--weights", FOUR_SIX]) == (3, "")
+    err = capsys.readouterr().err
+    assert err == encoder.encode(json.loads(err)) + "\n"
+    assert [argv[0] for argv in CONTRACT_REQUESTS] == SUBCOMMANDS
+    for argv in CONTRACT_REQUESTS:
+        code, out = run_cli(argv)
+        payload = json.loads(out)
+        assert code in (0, 1) and out == encoder.encode(payload) + "\n", argv
+        assert payload["schema"] == 2
+    code, out = run_cli(["--output", "text", "classify", "A2", "[1,2]"])
+    assert code == 1 and out.endswith("\nschema: 2\n")
+    assert "    codim_lower_bound: 2\n" in out
+    assert run_cli(["rootsys", "Z9"]) == (2, "")
+
+
+def test_classify_and_bad_slice_print_one_certificate_form():
+    _, out = run_cli(["classify", "A1", "[6]"])
+    (cert,) = json.loads(out)["rows"][0]["certificates"]
+    _, out = run_cli(["bad-slice", "A1", "[6]"])
+    assert json.loads(out)["certificate"] == cert
+
+
+def test_a_certificate_without_a_json_form_raises():
+    from coreduce.classify import certificate_json
+
+    with pytest.raises(TypeError):
+        certificate_json(object())
 
 
 def test_reducible_product_group_classify_exits_two(capsys):
@@ -1073,7 +1149,7 @@ def assert_environment_is_ignored(monkeypatch, capsys, settings):
         with monkeypatch.context() as mp:
             mp.setenv(name, value)
             assert run_cli(argv) == want, (name, value)
-    assert want[0] == 1 and json.loads(want[1])["schema"] == 1
+    assert want[0] == 1 and json.loads(want[1])["schema"] == 2
     assert capsys.readouterr().err == ""
 
 
@@ -1297,8 +1373,9 @@ def test_fast_suites_pass():
         assert all(c["ok"] for c in payload["suites"][suite])
 
 
-def test_unknown_suite_is_usage_error():
-    assert run_cli(["verify-paper", "--suite", "nonsense"])[0] == 2
+def test_unknown_suite_is_usage_error(capsys):
+    assert run_cli(["verify-paper", "--suite", "nonsense"]) == (2, "")
+    assert "argument --suite: invalid choice: 'nonsense'" in capsys.readouterr().err
 
 
 def test_console_script_installed():
@@ -1323,7 +1400,7 @@ def test_components_lists_every_maximal_set():
 def test_out_of_memory_exits_three(monkeypatch, capsys):
     from coreduce import cli
 
-    def exhausted(cfg, args):
+    def exhausted(args):
         raise MemoryError
 
     monkeypatch.setattr(cli, "cmd_classify", exhausted)
@@ -1486,7 +1563,7 @@ def test_rank3_components_are_byte_identical_across_runs():
     a = run_cli(["components", "A3", "[0,1,2]"])
     assert a == run_cli(["components", "A3", "[0,1,2]"])
     assert all(
-        "/" not in v for c in json.loads(a[1])["candidates"] for v in c["cocharacter"]
+        type(v) is int for c in json.loads(a[1])["candidates"] for v in c["cocharacter"]
     )
 
 
