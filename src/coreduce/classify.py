@@ -223,7 +223,8 @@ def _adjoint_hw(t: SimpleType) -> Coords:
 G2_7_HW = (1, 0)
 
 
-def classify_adjoint_exceptional(g: GroupSpec, m: ModuleSpec) -> Verdict:
+def classify_adjoint_exceptional(m: ModuleSpec) -> Verdict:
+    g = m.group
     _require_simple(g)
     t = g.simple_factors[0]
     if t.family not in _EXCEPTIONAL_FAMILIES:
@@ -349,7 +350,8 @@ def _eps_relation_certificate(
     return cert
 
 
-def classify_adjoint_classical(g: GroupSpec, m: ModuleSpec) -> Verdict:
+def classify_adjoint_classical(m: ModuleSpec) -> Verdict:
+    g = m.group
     _require_simple(g)
     t = g.simple_factors[0]
     n = t.rank
@@ -868,8 +870,8 @@ def classify_module(m: ModuleSpec) -> Verdict:
     if str(t) == "A2":
         return classify_sl3(m)
     if t.family in _EXCEPTIONAL_FAMILIES:
-        return classify_adjoint_exceptional(g, m)
-    return classify_adjoint_classical(g, m)
+        return classify_adjoint_exceptional(m)
+    return classify_adjoint_classical(m)
 
 
 # ---------------------------------------------------------------------------

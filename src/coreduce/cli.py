@@ -46,12 +46,7 @@ from .repthy import (
     weyl_dim,
     ModuleSpec,
 )
-from .rootsys import (
-    GroupSpec,
-    RootSystemError,
-    parse_group,
-    parse_weight,
-)
+from .rootsys import RootSystemError, parse_group, parse_weight
 from .slices import bad_toral_slice, toral_slice
 from . import classify as cls, paper
 
@@ -85,6 +80,8 @@ def _emit_text(payload: dict, indent: str = "") -> None:
             for item in value:
                 _emit_text(item, indent + "  ")
                 print(f"{indent}  -")
+        elif isinstance(value, (list, tuple)):
+            print(f"{indent}{key}: {_ENCODER.encode(value)}")
         else:
             print(f"{indent}{key}: {value}")
 
@@ -264,14 +261,12 @@ def _check(name: str, ok: bool, **detail) -> dict:
 
 
 def _verdict_rows(
-    driver: Callable[[GroupSpec, ModuleSpec], cls.Verdict],
-    rows: Sequence[tuple[str, str, str]],
+    driver: Callable[[ModuleSpec], cls.Verdict], rows: Sequence[tuple[str, str, str]]
 ) -> list[dict]:
     """One check per recorded (group, module, verdict) row of a driver's table."""
     out = []
     for gs, ms, want in rows:
-        g = parse_group(gs)
-        v = driver(g, parse_module(g, ms))
+        v = driver(parse_module(parse_group(gs), ms))
         out.append(_check(f"{gs} {ms} -> {want}", v.coreduced == want))
     return out
 
@@ -488,11 +483,7 @@ SUITES: dict[str, Callable[[], list[dict]]] = {
     "sl2": _suite_sl2,
     "exceptional": _suite_exceptional,
     "classical": partial(_verdict_rows, cls.classify_adjoint_classical, paper.CLASSICAL),
-    "semisimple": partial(
-        _verdict_rows,
-        lambda g, m: cls.classify_semisimple_irreducible(m),
-        paper.SEMISIMPLE,
-    ),
+    "semisimple": partial(_verdict_rows, cls.classify_semisimple_irreducible, paper.SEMISIMPLE),
     "sl3": _suite_sl3,
     "appendixA": _suite_appendix_a,
     "appendixB": _suite_appendix_b,

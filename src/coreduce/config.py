@@ -9,11 +9,12 @@ from __future__ import annotations
 
 MEMO_SIZE = 256
 """Entries each bounded memo keyed on request input keeps (the three
-searches of ``monoid``, the admissible sets and toral-slice verdicts of a
-module, and the specs ``parse_group`` and ``parse_module`` intern): above
-the distinct inputs of a session of a few hundred CLI requests (at most 35
-torus verdicts, 16 Hilbert bases and 61 bounded sums in 260 ``queries``
-requests)."""
+searches of ``monoid``, the components and verdict of a module, the specs
+``parse_group`` and ``parse_module`` intern, and the Freudenthal diagrams
+and alternating-sum points of ``repthy``): above the distinct inputs of a
+session of a few hundred CLI requests (at most 35 torus verdicts, 16
+Hilbert bases and 61 bounded sums in 260 ``queries`` requests, 104
+diagrams in a ``weights`` run)."""
 
 
 class ResourceLimitError(RuntimeError):

@@ -32,12 +32,11 @@ across requests.  It stores only tuples of points.  A rank over
 ``CHAMBER_RANK_CAP`` is refused before the memo is read, so no stopped
 enumeration is ever stored.  ``AdmissibleSet`` is an immutable tuple of its
 weights, its cocharacter and its weights in root_scaled coordinates
-(converted once per module weight, as the sets are made), so the verified
-sets of a module are kept too, in ``_admissible_sets`` (``config.MEMO_SIZE``
-entries, keyed on the module and ``mod_weyl``); a module refused by a cap
-raises, and ``lru_cache`` stores no exception.  By Hilbert-Mumford the null
-cone is the union of the saturations of the maximal sets, the components,
-which only :func:`components` picks out and keeps, in a memo of the same size.
+(converted once per module weight, as the sets are made).  By
+Hilbert-Mumford the null cone is the union of the saturations of the
+maximal sets, the components, which only :func:`components` picks out and
+keeps per module, in a bounded memo (``config.MEMO_SIZE`` entries); a
+module refused by a cap raises, and ``lru_cache`` stores no exception.
 Dominance statuses are not part of a set: :func:`classify_components_sl3`
 returns them next to the components, marking one "dominated" only when one not
 so marked dominates it, so the components it keeps still cover the null cone.
@@ -151,26 +150,19 @@ sub-arrangements met in a session of a few hundred CLI requests (under 100)
 and in one rank-4 enumeration (41 for the Appendix B module)."""
 
 
-def admissible_sets(m: ModuleSpec, mod_weyl: bool = True) -> tuple[AdmissibleSet, ...]:
-    """One admissible set per chamber of the weight hyperplane arrangement.
-
-    ``mod_weyl`` restricts to strictly dominant cocharacters (one chamber per
-    Weyl-group orbit for a simple group), with the root walls added to the
-    arrangement as the walls of a cone.  Every rank up to ``CHAMBER_RANK_CAP``
-    goes through :func:`_chamber_samples`, and each chamber's cocharacter is
-    the sum of its primitive extreme rays (the tests count the chambers
-    against Zaslavsky's theorem).  Larger ranks, modules with more than
-    ``CHAMBER_WEIGHT_CAP`` nonzero weights and modules without a nonzero
-    weight are refused.  The nonzero weights are sorted once, and each
-    chamber's positive set is read off that list with its cocharacter.
-    The sets of each module are built and verified once per process
-    (:func:`_admissible_sets`).
+def admissible_sets(m: ModuleSpec) -> tuple[AdmissibleSet, ...]:
+    """One admissible set per chamber of the weight hyperplane arrangement
+    inside the dominant cone: the cocharacters are strictly dominant (one
+    chamber per Weyl-group orbit for a simple group), with the root walls
+    added to the arrangement as the walls of a cone.  Every rank up to
+    ``CHAMBER_RANK_CAP`` goes through :func:`_chamber_samples`, and each
+    chamber's cocharacter is the sum of its primitive extreme rays (the
+    tests count the chambers against Zaslavsky's theorem).  Larger ranks,
+    modules with more than ``CHAMBER_WEIGHT_CAP`` nonzero weights and
+    modules without a nonzero weight are refused.  The nonzero weights are
+    sorted once, and each chamber's positive set is read off that list with
+    its cocharacter.
     """
-    return _admissible_sets(m, mod_weyl)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _admissible_sets(m: ModuleSpec, mod_weyl: bool) -> tuple[AdmissibleSet, ...]:
     g = m.group
     rank = g.rank
     if rank > CHAMBER_RANK_CAP:
@@ -195,9 +187,9 @@ def _admissible_sets(m: ModuleSpec, mod_weyl: bool) -> tuple[AdmissibleSet, ...]
     walls = tuple(_primitive(root_scaled_of_dynkin(g, d)) for d in g.root_data.positive_roots)
     out: list[AdmissibleSet] = []
     seen: set[tuple[Coords, ...]] = set()
-    for vals in _chamber_samples(lines, rank, walls if mod_weyl else ()):
+    for vals in _chamber_samples(lines, rank, walls):
         rho = Cocharacter(vals, g)
-        require(not mod_weyl or rho.is_dominant(), f"chamber point {vals} is not dominant")
+        require(rho.is_dominant(), f"chamber point {vals} is not dominant")
         pairing = rho.pairing
         positive: list[Coords] = []
         scaled: list[Vec] = []
@@ -222,8 +214,9 @@ def _admissible_sets(m: ModuleSpec, mod_weyl: bool) -> tuple[AdmissibleSet, ...]
 def components(m: ModuleSpec) -> tuple[AdmissibleSet, ...]:
     """The candidate null-cone components of ``m``: the admissible sets whose
     weight set no other set's weight set strictly contains, in the order of
-    :func:`admissible_sets`.  The only place that decides maximality; kept
-    per module like the sets themselves."""
+    :func:`admissible_sets`.  The only place that decides maximality, and
+    the only caller of the enumeration: kept per module, so a repeated
+    request enumerates no chamber."""
     sets = admissible_sets(m)
     weight_sets = [a.weight_set() for a in sets]
     return tuple(a for a, s in zip(sets, weight_sets) if not any(s < t for t in weight_sets))
@@ -795,7 +788,7 @@ def sl3_pair_differential_vanishes(model: Sequence[int]) -> tuple[bool, dict]:
 # ---------------------------------------------------------------------------
 # The two modules whose null-cone components the appendices check.  Nothing
 # of them is typed in: the components are the maximal sets of
-# ``admissible_sets(m, mod_weyl=True)``.  Their cocharacters are dominant, so
+# ``admissible_sets(m)``.  Their cocharacters are dominant, so
 # every set is stable under the Borel subgroup, and a covariant of degree d
 # vanishes on its saturation as soon as no degree-d monomial in the set has
 # the covariant's highest weight (:func:`covariant_vanishes`).

@@ -100,12 +100,13 @@ def weyl_dim(g: GroupSpec, hw: Coords) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
-def simple_dominant_diagram(t: SimpleType, hw: Coords) -> dict[Coords, int]:
-    """Multiplicities of the dominant weights of the irreducible V(hw) of the
-    simple type ``t``: Freudenthal recursion, exact integer arithmetic,
-    cached per type and highest weight."""
-    return _freudenthal(GroupSpec((t,)), hw)
+@lru_cache(maxsize=MEMO_SIZE)
+def simple_dominant_diagram(t: SimpleType, hw: Coords) -> tuple[tuple[Coords, int], ...]:
+    """The dominant weights of the irreducible V(hw) of the simple type
+    ``t`` with their multiplicities, as pairs in the order of the recursion:
+    Freudenthal recursion, exact integer arithmetic, cached per type and
+    highest weight."""
+    return tuple(_freudenthal(GroupSpec((t,)), hw).items())
 
 
 @lru_cache(maxsize=None)
@@ -256,7 +257,7 @@ def dominant_diagram(g: GroupSpec, hw: Coords) -> dict[Coords, int]:
         combos = [
             (prefix + coords, mult * m)
             for prefix, mult in combos
-            for coords, m in part.items()
+            for coords, m in part
         ]
     torus = tuple(hw[g.rank - g.torus_rank :])
     return {prefix + torus: mult for prefix, mult in combos}
@@ -393,15 +394,11 @@ def in_root_part(g: GroupSpec, hw: Coords) -> bool:
     return in_root_lattice(g, hw) and not any(hw[g.rank - g.torus_rank :])
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def parse_module(g: GroupSpec, text: str) -> ModuleSpec:
     """Parse module text like ``[1,1]``, ``2*[0,1]+[2,0]``, ``3*[1]``: one
     instance per group and text, so that its weights and diagram are kept
     from one request to the next."""
-    return _parse_module(g, text)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _parse_module(g: GroupSpec, text: str) -> ModuleSpec:
     summands = []
     for term in text.replace(" ", "").split("+"):
         if "*" in term:
@@ -607,7 +604,7 @@ WEYL_ORDER_CAP = 100_000
 """Largest Weyl group the alternating sum enumerates."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _alternating_points(g: GroupSpec, lam: Coords) -> tuple[tuple[Coords, int], ...]:
     """The points w(lam+rho) - rho of the alternating Weyl sum for V(lam),
     each with sign(w), listed once per group and lam; the Weyl group's order

@@ -643,15 +643,11 @@ _TORUS_RE = re.compile(r"^T(\d+)$")
 _EPS_TERM_RE = re.compile(r"([+-]?)\s*(\d+(?:/\d+)?)?\s*e(\d+)")
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def parse_group(text: str) -> GroupSpec:
     """Parse strings like ``"A2"``, ``"A1xA1xG2"``, ``"B3xT1"``, ``"T1"``:
     one instance per text, so that its ``root_data`` is kept from one
     request to the next."""
-    return _parse_group(text)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _parse_group(text: str) -> GroupSpec:
     factors: list[SimpleType] = []
     torus = 0
     for part in text.strip().split("x"):

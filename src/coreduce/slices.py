@@ -8,18 +8,17 @@ coreduced as soon as that torus weight list admits an indecomposable
 relation with a coefficient at least 2.
 
 The generic vector itself is never materialized: genericity is part of the
-certificate's hypotheses.  The verdict of :func:`bad_toral_slice` is kept
-per module in a bounded ``functools.lru_cache`` (``config.MEMO_SIZE``
-entries); it is None or a validated, immutable certificate, and a search
-stopped by a cap raises and is never stored.
+certificate's hypotheses.  :func:`bad_toral_slice` keeps nothing itself:
+the classify drivers that call it sit under ``classify.classify_module``'s
+memo, and ``monoid`` keeps the Hilbert search it runs, so a repeated call
+lists the slice again but searches nothing.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .config import MEMO_SIZE, require
+from .config import require
 from .monoid import TorusVerdict, Vec, _check_stored, is_torus_coreduced
 from .repthy import ModuleSpec, min_root_multiplicity, weight_counts
 from .rootsys import Coords, GroupSpec, reflect, root_scaled_of_dynkin
@@ -111,13 +110,7 @@ def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     with the Weyl group's simple reflections as symmetries; None when
     the slice is coreduced or there is none.  Whether there is a slice, and
     the size of the search, are read off the dominant diagram before any
-    orbit is expanded; only then is the slice listed.  The verdict of each
-    module is reached once per process (:func:`_bad_toral_slice`)."""
-    return _bad_toral_slice(m)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
+    orbit is expanded; only then is the slice listed."""
     if not _has_every_root(m):
         return None
     n = weight_counts(m)[1] - len(m.group.root_data.roots)

@@ -315,16 +315,16 @@ DRIVER_TABLES = (
 def test_exceptional_rows():
     for name, text, want in paper.EXCEPTIONAL:
         g = parse_group(name)
-        v = classify_adjoint_exceptional(g, parse_module(g, text))
+        v = classify_adjoint_exceptional(parse_module(g, text))
         assert v.coreduced == want, (name, text)
 
 
 @pytest.mark.parametrize(
     "driver",
     [
-        lambda m: classify_adjoint_exceptional(m.group, m),
-        lambda m: classify_adjoint_classical(m.group, m),
-        lambda m: classify_sl3(m),
+        classify_adjoint_exceptional,
+        classify_adjoint_classical,
+        classify_sl3,
     ],
     ids=["exceptional", "classical", "sl3"],
 )
@@ -341,7 +341,7 @@ def test_exceptional_rejects_non_adjoint_lattice():
     # by the classical driver below
     b3 = parse_group("B3")
     with pytest.raises(ValueError):
-        classify_adjoint_classical(b3, parse_module(b3, "[0,0,1]"))
+        classify_adjoint_classical(parse_module(b3, "[0,0,1]"))
 
 
 @pytest.mark.parametrize("text,cocharacter", [("[2,1]", (5, 2)), ("[1,2]", (2, 5))])
@@ -377,7 +377,7 @@ def test_classical_relation_certificates_validate():
     rows = [(name, text) for name, text, want in paper.CLASSICAL if want == NO]
     for name, text in rows + [("B4", "[0,0,1,0]")]:
         g = parse_group(name)
-        v = classify_adjoint_classical(g, parse_module(g, text))
+        v = classify_adjoint_classical(parse_module(g, text))
         assert v.coreduced == NO, (name, text)
         cert = v.certificates[0]
         assert isinstance(cert, BadSliceCertificate)

@@ -192,10 +192,6 @@ MEMO_SCAN_EXEMPT = {
     "rootsys._weyl_order": "a per-type root-system table",
     "rootsys._eps_roots": "a per-type root-system table",
     "repthy._root_orbits": "a per-group root-system table",
-    "repthy._alternating_points": "the signed Weyl orbit of one group and weight, "
-    "sized against WEYL_ORDER_CAP",
-    "repthy.simple_dominant_diagram": "a dict per type and highest weight, which no "
-    "caller mutates",
 }
 
 
@@ -218,9 +214,15 @@ def test_every_memo_keyed_on_request_input_is_bounded_and_stores_hashable_values
     ``MEMO_SCAN_EXEMPT`` is keyed on request input (specs, text, weight
     lists), so it must have a bound and hand every caller the same immutable
     value: what it returns must hash, which no list, dict or set does, nor a
-    tuple holding one."""
+    tuple holding one.  Each memo is recorded under every name a module of
+    the package binds it to, since ``from .x import y`` copies the binding."""
     import importlib
+    import pkgutil
 
+    modules = [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(coreduce.__path__, "coreduce.")
+    ]
     memos = sorted(_package_memos())
     assert set(MEMO_SCAN_EXEMPT) <= set(memos)
     returned = {}
@@ -228,8 +230,7 @@ def test_every_memo_keyed_on_request_input_is_bounded_and_stores_hashable_values
         if memo in MEMO_SCAN_EXEMPT:
             continue
         stem, name = memo.split(".")
-        module = importlib.import_module(f"coreduce.{stem}")
-        fn = getattr(module, name)
+        fn = getattr(importlib.import_module(f"coreduce.{stem}"), name)
         assert fn.cache_parameters()["maxsize"] is not None, f"{memo} has no bound"
         returned[memo] = []
 
@@ -238,7 +239,10 @@ def test_every_memo_keyed_on_request_input_is_bounded_and_stores_hashable_values
             _out.append(value)
             return value
 
-        monkeypatch.setattr(module, name, recorded)
+        for module in modules:
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, recorded)
     for argv in (
         ["classify", "A2", "[3,1]"],
         ["classify", "A2", "[2,2]"],
@@ -1023,8 +1027,9 @@ CONTRACT_REQUESTS = [
 def test_every_output_is_plain_json(monkeypatch, capsys):
     """Every subcommand prints one object of plain JSON values, stamped with
     the schema, which a plain encoder writes back byte for byte; so does the
-    object on stderr of a request stopped by a cap.  Text mode and a usage
-    error print no JSON."""
+    object on stderr of a request stopped by a cap.  Text mode prints no JSON
+    object, but its list values print as JSON arrays, not Python reprs; a
+    usage error prints nothing."""
     from coreduce import monoid
 
     encoder = json.JSONEncoder(sort_keys=True)
@@ -1042,6 +1047,9 @@ def test_every_output_is_plain_json(monkeypatch, capsys):
     code, out = run_cli(["--output", "text", "classify", "A2", "[1,2]"])
     assert code == 1 and out.endswith("\nschema: 2\n")
     assert "    codim_lower_bound: 2\n" in out
+    assert '  notes: ["rank of the invariant differentials on a dominant component"]\n' in out
+    assert "    generator_bounds_by_degree: [0, 0, 1, " in out
+    assert "['" not in out and "(0," not in out
     assert run_cli(["rootsys", "Z9"]) == (2, "")
 
 
@@ -1248,7 +1256,7 @@ def test_diagram_cap_fires_at_its_count_before_the_recursion(monkeypatch, capsys
     assert run_cli(argv)[0] == 0
     # the interned module keeps its diagram too
     repthy.simple_dominant_diagram.cache_clear()
-    repthy._parse_module.cache_clear()
+    repthy.parse_module.cache_clear()
     monkeypatch.setattr(repthy, "DIAGRAM_CAP", 17)
 
     def refuse(*args):

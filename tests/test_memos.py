@@ -166,15 +166,23 @@ def test_an_admissible_set_cannot_be_changed():
             setattr(a, field, ())
 
 
-def test_a_repeated_admissible_sets_call_returns_the_same_tuple(searches):
-    m = parse_module(parse_group("A2"), "[3,1]")
-    sets = nullcone.admissible_sets(m)
-    assert type(sets) is tuple and searches["rays"] > 0
-    searches.update(rays=0)
-    # an equal module, not the same instance, reads the same entry
-    again = nullcone.admissible_sets(ModuleSpec(m.group, m.summands))
-    assert again is sets and searches["rays"] == 0
-    assert nullcone.admissible_sets(m, mod_weyl=False) is not sets
+def test_a_repeated_components_request_enumerates_no_chamber(monkeypatch):
+    """``components`` keeps each module's candidates; the enumeration behind
+    them keeps nothing of its own, so a repeat that reached it would show."""
+    calls = []
+    enumerate_sets = nullcone.admissible_sets
+
+    def counted(m):
+        calls.append(m)
+        return enumerate_sets(m)
+
+    monkeypatch.setattr(nullcone, "admissible_sets", counted)
+    argv = ["components", "A2", "[3,1]"]
+    first = run(argv)
+    assert first[0] == 0 and len(calls) == 1
+    chambers = nullcone._chamber_samples.cache_info()
+    assert run(argv) == first
+    assert len(calls) == 1 and nullcone._chamber_samples.cache_info() == chambers
 
 
 def test_a_repeated_components_call_returns_the_same_tuple():
@@ -186,11 +194,21 @@ def test_a_repeated_components_call_returns_the_same_tuple():
 
 
 def test_a_repeated_toral_slice_verdict_reads_no_torus_verdict():
+    """``bad_toral_slice`` keeps nothing itself: a repeat lists the slice
+    again and reads its search off the torus-verdict memo.  A repeated
+    ``classify`` reads its verdict off ``classify_module``'s memo, and so
+    reads no torus verdict at all."""
     m = parse_module(parse_group("A1"), "[6]")
     cert = slices.bad_toral_slice(m)
     assert cert is not None
-    assert slices.bad_toral_slice(ModuleSpec(m.group, m.summands)) is cert
-    assert monoid._torus_verdict.cache_info()[:2] == (0, 1)  # hits, misses
+    assert slices.bad_toral_slice(ModuleSpec(m.group, m.summands)) == cert
+    assert monoid._torus_verdict.cache_info()[:2] == (1, 1)  # hits, misses
+    argv = ["classify", "A1", "[6]"]
+    first = run(argv)
+    assert first[0] == 1
+    read = monoid._torus_verdict.cache_info()
+    assert run(argv) == first
+    assert monoid._torus_verdict.cache_info() == read
 
 
 def test_specs_are_interned_per_text(weight_builds):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import coreduce
-from coreduce import monoid, paper, slices
+from coreduce import monoid, paper
 from coreduce.config import CertificateError, ResourceLimitError
 from coreduce.monoid import (
     exists_sum,
@@ -267,7 +267,6 @@ def test_copy_ascending_search_answers_a_b2_slice_under_a_small_cap(monkeypatch)
     monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 600 * n)
     assert bad_toral_slice(m).coeffs == (1, 2, 1)
     monoid._torus_verdict.cache_clear()
-    slices._bad_toral_slice.cache_clear()
     monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 520 * n)
     with pytest.raises(ResourceLimitError, match="521 candidates of 28 coefficients"):
         bad_toral_slice(m)

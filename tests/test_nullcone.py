@@ -71,10 +71,9 @@ def test_admissible_sets_verify_against_diagram():
 @pytest.mark.parametrize(
     "group,module", [("A2", "2*[1,0]+[2,1]"), ("B2", "[1,1]"), ("A1xA2", "[1,0,1]")]
 )
-@pytest.mark.parametrize("mod_weyl", [True, False])
-def test_admissible_sets_hold_their_weights_in_root_scaled_coordinates(group, module, mod_weyl):
+def test_admissible_sets_hold_their_weights_in_root_scaled_coordinates(group, module):
     g = parse_group(group)
-    for a in admissible_sets(parse_module(g, module), mod_weyl):
+    for a in admissible_sets(parse_module(g, module)):
         assert a.root_scaled == tuple(root_scaled_of_dynkin(g, w) for w in a.weights)
 
 
@@ -354,6 +353,22 @@ def _weight_lines(m):
     return [root_scaled_of_dynkin(g, w) for w in m.weights.nonzero_weights()]
 
 
+def _full_arrangement_sets(m):
+    """One admissible set per chamber of the weight arrangement alone, with
+    no root walls: the chamber points of ``_chamber_samples`` with no cone,
+    each read off the module's weights as ``admissible_sets`` reads them."""
+    g = m.group
+    nonzero = sorted(m.weights.nonzero_weights().items())
+    lines = tuple(sorted({_line(v) for v in _weight_lines(m)}))
+    sets = {}
+    for vals in _chamber_samples(lines, g.rank, ()):
+        rho = Cocharacter(vals, g)
+        pos = tuple(w for w, mult in nonzero for _ in range(mult) if rho.value(w) > 0)
+        scaled = tuple(root_scaled_of_dynkin(g, w) for w in pos)
+        sets.setdefault(pos, AdmissibleSet(pos, rho, scaled)).verify(m.weights)
+    return tuple(sets.values())
+
+
 @pytest.mark.parametrize(
     "group, text, chambers",
     [
@@ -370,7 +385,7 @@ def _weight_lines(m):
 def test_full_arrangement_count_matches_zaslavsky(group, text, chambers):
     m = parse_module(parse_group(group), text)
     assert chamber_count(_weight_lines(m), m.group.rank) == chambers
-    assert len(admissible_sets(m, mod_weyl=False)) == chambers
+    assert len(_full_arrangement_sets(m)) == chambers
 
 
 @pytest.mark.parametrize("group, text", [("A1xA2", "[1,0,1]"), ("A1xA2", "[1,1,0]")])
@@ -402,7 +417,7 @@ def test_dominance_matches_weyl_matrix_oracle(name, hw, data):
     """Pairs of admissible sets from every chamber, so that Weyl-conjugate
     sets (dominated) and unrelated ones both occur."""
     g = parse_group(name)
-    sets = admissible_sets(ModuleSpec(g, ((1, hw),)), mod_weyl=False)
+    sets = _full_arrangement_sets(ModuleSpec(g, ((1, hw),)))
     index = st.integers(0, len(sets) - 1)
     for _ in range(8):
         a, b = sets[data.draw(index)], sets[data.draw(index)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coreduce import paper, repthy
-from coreduce.config import ResourceLimitError
+from coreduce.config import MEMO_SIZE, ResourceLimitError
 from coreduce.nullcone import G2XG2_DEGREE, G2XG2_TARGET
 from coreduce.repthy import (
     Character,
@@ -166,7 +166,7 @@ def test_dominant_diagram_breaks_height_ties_by_coordinates():
     # iteration order of a set
     t = SimpleType("A", 3)
     g = GroupSpec((t,))
-    order = list(simple_dominant_diagram(t, (1, 1, 2)))
+    order = [w for w, _ in simple_dominant_diagram(t, (1, 1, 2))]
     heights = [sum(root_scaled_of_dynkin(g, w)) for w in order]
     assert len(set(heights)) < len(heights)
     assert order == sorted(order, key=lambda w: (-sum(root_scaled_of_dynkin(g, w)), w))
@@ -193,9 +193,7 @@ def test_dominant_diagram_matches_the_recursion_over_every_root(case):
     # the orbit-wise recursion gives the same multiplicities, in the same
     # order, as one alpha-string per positive root
     t, hw = case
-    assert list(simple_dominant_diagram(t, hw).items()) == list(
-        reference_freudenthal(t, hw).items()
-    )
+    assert list(simple_dominant_diagram(t, hw)) == list(reference_freudenthal(t, hw).items())
 
 
 # the rank-5 to rank-8 types that ``weights`` runs, at labels at most 1: the
@@ -216,9 +214,19 @@ LARGER_TYPE_CASES = [
 @pytest.mark.parametrize("family,rank,hw", LARGER_TYPE_CASES)
 def test_dominant_diagram_matches_the_recursion_on_larger_types(family, rank, hw):
     t = SimpleType(family, rank)
-    assert list(simple_dominant_diagram(t, hw).items()) == list(
-        reference_freudenthal(t, hw).items()
-    )
+    assert list(simple_dominant_diagram(t, hw)) == list(reference_freudenthal(t, hw).items())
+
+
+def test_a_session_of_more_highest_weights_than_memo_size_keeps_at_most_memo_size():
+    """The diagrams and the alternating-sum points are kept per highest
+    weight, which request input names freely, so both memos are bounded."""
+    t = SimpleType("A", 1)
+    g = GroupSpec((t,))
+    for n in range(MEMO_SIZE + 10):
+        simple_dominant_diagram(t, (n,))
+        repthy._alternating_points(g, (n,))
+    assert simple_dominant_diagram.cache_info().currsize == MEMO_SIZE
+    assert repthy._alternating_points.cache_info().currsize == MEMO_SIZE
 
 
 # simple and product groups, some with a torus; labels are kept small so
