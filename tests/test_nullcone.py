@@ -71,9 +71,10 @@ def test_admissible_sets_verify_against_diagram():
 @pytest.mark.parametrize(
     "group,module", [("A2", "2*[1,0]+[2,1]"), ("B2", "[1,1]"), ("A1xA2", "[1,0,1]")]
 )
-def test_admissible_sets_hold_their_weights_in_root_scaled_coordinates(group, module):
+@pytest.mark.parametrize("sets_of", [admissible_sets, components], ids=lambda f: f.__name__)
+def test_admissible_sets_hold_their_weights_in_root_scaled_coordinates(group, module, sets_of):
     g = parse_group(group)
-    for a in admissible_sets(parse_module(g, module)):
+    for a in sets_of(parse_module(g, module)):
         assert a.root_scaled == tuple(root_scaled_of_dynkin(g, w) for w in a.weights)
 
 
