@@ -651,7 +651,7 @@ def classify_sl3(m: ModuleSpec) -> Verdict:
         _check_no_negative_rule(m)
         if s == ((1, (1, 1)),):
             return Verdict(m, YES, theorem_tag=tag, notes=("adjoint module",))
-        if s in (((1, (1, 0)),), ((1, (0, 1)),), ((1, (2, 0)),), ((1, (0, 2)),), ((1, (3, 0)),), ((1, (0, 3)),)):
+        if len(s) == 1 and s[0][0] == 1 and s[0][1] in _SL3_IRRED_YES:
             return Verdict(m, YES_PAPER, (Citation("cofree; quotient of small dimension"),), tag)
         return Verdict(m, YES_PAPER, (Citation("classical invariant theory"),), tag)
     if len(s) == 1 and s[0][0] == 1:

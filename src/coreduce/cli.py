@@ -2,10 +2,10 @@
 
 Exit codes: 0 success / boolean yes; 1 boolean no; 2 usage error; 3 an
 engine's resource cap was hit (the caps are fixed module constants).  Output
-is JSON (sorted keys, versioned with a ``schema`` field) or a plain-text
-table.  Weight and module grammar lives in :mod:`rootsys` /
-:mod:`repthy`; the CLI only splits flag values.  Each ``cmd_*`` handler
-returns its payload and exit code, and :func:`main` alone prints.
+is JSON (sorted keys, versioned with a ``schema`` field).  Weight and module
+grammar lives in :mod:`rootsys` / :mod:`repthy`; the CLI only splits flag
+values.  Each ``cmd_*`` handler returns its payload and exit code, and
+:func:`main` alone prints.
 
 The subcommands and their arguments are written once, in :data:`COMMANDS`.
 A well-formed request is read off that table without ``argparse``;
@@ -60,30 +60,6 @@ EXIT_RESOURCE = 3
 
 # ``json.dumps`` with keyword arguments builds an encoder on every call
 _ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def _emit(payload: dict, output: str) -> None:
-    if output == "json":
-        print(_ENCODER.encode(payload))
-    else:
-        _emit_text(payload)
-
-
-def _emit_text(payload: dict, indent: str = "") -> None:
-    for key in sorted(payload):
-        value = payload[key]
-        if isinstance(value, dict):
-            print(f"{indent}{key}:")
-            _emit_text(value, indent + "  ")
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            print(f"{indent}{key}:")
-            for item in value:
-                _emit_text(item, indent + "  ")
-                print(f"{indent}  -")
-        elif isinstance(value, (list, tuple)):
-            print(f"{indent}{key}: {_ENCODER.encode(value)}")
-        else:
-            print(f"{indent}{key}: {value}")
 
 
 def _weight_int(x: str) -> int:
@@ -210,7 +186,7 @@ def cmd_covariant_vanish(args: argparse.Namespace) -> tuple[dict, int]:
     results = []
     all_vanish = True
     for a in sets:
-        ok = covariant_vanishes(a, target, args.degree, args.all_degrees)
+        ok = covariant_vanishes(a, target, args.degree)
         all_vanish = all_vanish and ok
         results.append({"dimension": a.dimension(), "vanishes": ok})
     payload = {
@@ -510,10 +486,6 @@ class Subcommand(NamedTuple):
     options: dict[str, dict] = {}
 
 
-# options of the top-level parser and of every subcommand; SUPPRESS keeps a
-# subcommand from clobbering one that was given before the subcommand name
-GLOBAL_OPTIONS = {"--output": {"choices": ("json", "text"), "default": argparse.SUPPRESS}}
-
 _MODULE = ("group", "module")
 _WEIGHTS = {"--weights": {"required": True}}
 
@@ -530,7 +502,6 @@ COMMANDS: dict[str, Subcommand] = {
         {
             "--target": {"required": True},
             "--degree": {"type": int, "required": True},
-            "--all-degrees": {"action": "store_true"},
         },
     ),
     "support-rank": Subcommand(
@@ -555,17 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser of :data:`COMMANDS`, built on the first call and
     reused by every later one: parsing makes a fresh namespace each time and
     leaves the parser as it was."""
-    common = argparse.ArgumentParser(add_help=False)
-    for flag, keywords in GLOBAL_OPTIONS.items():
-        common.add_argument(flag, **keywords)
     p = argparse.ArgumentParser(
-        prog="coreduce",
-        description="Certificates for null-cone reducedness questions.",
-        parents=[common],
+        prog="coreduce", description="Certificates for null-cone reducedness questions."
     )
     sub = p.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        s = sub.add_parser(name, help=command.help, parents=[common])
+        s = sub.add_parser(name, help=command.help)
         for arg in command.positionals:
             s.add_argument(arg)
         for flag, keywords in command.options.items():
@@ -578,12 +544,11 @@ def _read(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     :data:`COMMANDS` in one pass; None for every other shape.
 
     Well-formed: a subcommand name, then exactly its positionals, and its
-    options by their exact names as ``--opt value`` or ``--opt=value``
-    (``--flag`` alone for ``store_true``), each value of its type and among
-    its choices, every required option given.  Any other token that starts
-    with ``-`` (``-h``, ``--``, an abbreviation, a negative number) and any
-    separate value that starts with ``-`` returns None, so argparse parses
-    it and prints its own help or error."""
+    options by their exact names as ``--opt value`` or ``--opt=value``, each
+    value of its type and among its choices, every required option given.
+    Any other token that starts with ``-`` (``-h``, ``--``, an abbreviation,
+    a negative number) and any separate value that starts with ``-`` returns
+    None, so argparse parses it and prints its own help or error."""
     command = COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
@@ -597,15 +562,9 @@ def _read(argv: Sequence[str]) -> Optional[argparse.Namespace]:
             positionals.append(token)
             continue
         flag, eq, value = token.partition("=")
-        keywords = command.options.get(flag, GLOBAL_OPTIONS.get(flag))
+        keywords = command.options.get(flag)
         if keywords is None:
             return None
-        action = keywords.get("action")
-        if action == "store_true":
-            if eq:
-                return None
-            given[flag] = True
-            continue
         if not eq:
             if i == n or argv[i].startswith("-"):
                 return None
@@ -619,7 +578,7 @@ def _read(argv: Sequence[str]) -> Optional[argparse.Namespace]:
         choices = keywords.get("choices")
         if choices is not None and value not in choices:
             return None
-        if action == "append":
+        if keywords.get("action") == "append":
             given.setdefault(flag, []).append(value)
         else:
             given[flag] = value
@@ -632,17 +591,14 @@ def _read(argv: Sequence[str]) -> Optional[argparse.Namespace]:
         elif keywords.get("required"):
             return None
         else:
-            value = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+            value = keywords.get("default")
         setattr(args, _dest(flag), value)
-    for flag in GLOBAL_OPTIONS:
-        if flag in given:
-            setattr(args, _dest(flag), given[flag])
     return args
 
 
 def _dest(flag: str) -> str:
-    """The namespace attribute argparse gives an option: ``--all-degrees``
-    sets ``all_degrees``."""
+    """The namespace attribute argparse gives an option: ``--suite`` sets
+    ``suite``."""
     return flag[2:].replace("-", "_")
 
 
@@ -665,26 +621,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # looked up by name on every call, so that a handler replaced after the
     # parser was built (a test double, a tracing wrapper) is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
-    output = getattr(args, "output", "json")
     try:
         payload, code = handler(args)
     except ResourceLimitError as e:
-        if output == "json":
-            fields = {"engine": e.engine, "cap": e.cap, "limit": e.limit, "count": e.count}
-            print(_ENCODER.encode({**fields, "message": str(e)}), file=sys.stderr)
-        else:
-            print(f"resource limit: {e}", file=sys.stderr)
+        fields = {"engine": e.engine, "cap": e.cap, "limit": e.limit, "count": e.count}
+        print(_ENCODER.encode({**fields, "message": str(e)}), file=sys.stderr)
         return EXIT_RESOURCE
     except MemoryError:
-        if output == "json":
-            print(_ENCODER.encode({"message": "out of memory"}), file=sys.stderr)
-        else:
-            print("resource limit: out of memory", file=sys.stderr)
+        print(_ENCODER.encode({"message": "out of memory"}), file=sys.stderr)
         return EXIT_RESOURCE
     except (RootSystemError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    _emit({**payload, "schema": SCHEMA}, output)
+    print(_ENCODER.encode({**payload, "schema": SCHEMA}))
     return code
 
 

@@ -162,25 +162,21 @@ def _check_found(found: int) -> None:
         )
 
 
-def iter_hilbert_basis(
-    weights: Sequence[Vec], symmetry: Optional[Sequence[Sequence[int]]] = None
-) -> Iterator[Relation]:
+def iter_hilbert_basis(weights: Sequence[Vec]) -> Iterator[Relation]:
     """Yield the indecomposable relations among ``weights`` (Contejean–Devié),
     in order of degree and, within a degree, of coefficient tuple: every
     arrangement of each generator that :func:`_degrees` finds, one degree
     at a time, so early consumers may stop at the first interesting
-    generator.  ``symmetry`` is as in :func:`_degrees`."""
+    generator."""
     found = 0
-    for degree in _degrees(weights, symmetry):
+    for degree in _degrees(weights, ()):
         for coeffs in degree.listed():
             found += 1
             _check_found(found)
             yield Relation(coeffs)
 
 
-def _degrees(
-    weights: Sequence[Vec], symmetry: Optional[Sequence[Sequence[int]]]
-) -> Iterator[_Degree]:
+def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Iterator[_Degree]:
     """The indecomposable relations among ``weights``, one degree at a time.
 
     The completion runs level by level.  All candidates of degree d are
@@ -249,7 +245,7 @@ def _degrees(
     for f, js in enumerate(members):
         for k, j in enumerate(js):
             copy[j] = (f, k)
-    perms = [tuple(p) for p in symmetry or ()]
+    perms = [tuple(p) for p in symmetry]
     if any(sorted(p) != list(range(n)) for p in perms):
         raise ValueError("a symmetry must permute the weight indices")
     for p in perms:
@@ -451,7 +447,7 @@ def is_torus_coreduced(
     """Decide whether every indecomposable relation has 0/1 coefficients.
 
     Zero weights are discarded first (they impose no relation constraints
-    beyond a free coordinate); ``symmetry`` (see ``iter_hilbert_basis``)
+    beyond a free coordinate); ``symmetry`` (see :func:`_degrees`)
     needs a list without them.  Stops at the first violating generator.
     """
     ws = tuple(tuple(w) for w in weights if any(x != 0 for x in w))

@@ -423,35 +423,24 @@ def sl3_critical_ratios(m: ModuleSpec) -> set[Fraction]:
 # Covariant vanishing by integer feasibility
 
 
-def covariant_vanishes(
-    adm: AdmissibleSet,
-    lam_star: Coords,
-    d: int,
-    all_degrees: bool = False,
-) -> bool:
+def covariant_vanishes(adm: AdmissibleSet, lam_star: Coords, d: int) -> bool:
     """True when no degree-d monomial in the positive weight space has the
     weight ``lam_star`` (so every degree-d covariant of that type vanishes on
-    the saturation of the positive weight space).  With ``all_degrees`` the
-    check covers every degree 1..d.
+    the saturation of the positive weight space).
 
     The defining cocharacter is positive on every weight of the set, so a
-    degree-e monomial has a value between e*min and e*max of the weight
+    degree-d monomial has a value between d*min and d*max of the weight
     values; ``exists_sum`` drops every partial monomial that can no longer
     meet the value of ``lam_star`` (and likewise per coordinate), and
-    answers at once when degree e is out of that range.
+    answers at once when degree d is out of that range.
     """
     if d < 1:
         raise ValueError(f"covariant degree must be at least 1, got {d}")
     g = adm.defining.group
     if any(x < 0 for x in lam_star[: g.rank - g.torus_rank]):
         raise ValueError(f"covariant target {lam_star} is not a dominant weight")
-    ws = adm.root_scaled
     target = root_scaled_of_dynkin(g, lam_star)
-    degrees = range(1, d + 1) if all_degrees else [d]
-    for e in degrees:
-        if exists_sum(ws, target, e, grading=adm.defining.values).feasible:
-            return False
-    return True
+    return not exists_sum(adm.root_scaled, target, d, grading=adm.defining.values).feasible
 
 
 # ---------------------------------------------------------------------------

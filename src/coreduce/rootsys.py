@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm, prod
 from operator import mul
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .config import MEMO_SIZE, require
 
@@ -526,16 +526,16 @@ def orbit_size(g: GroupSpec, dominant: Coords) -> int:
 
 
 def dominant_weights_below(
-    g: GroupSpec, d0: Coords, visit: Optional[Callable[[int], None]] = None
+    g: GroupSpec, d0: Coords, visit: Callable[[int], None]
 ) -> frozenset[Coords]:
     """All dominant μ ⪯ d0 (d0 − μ a nonnegative sum of simple roots), for
     a dominant weight d0 in Dynkin labels.
 
     Computed by the dominant-chain descent: every such μ is reachable from
     d0 through dominant weights by subtracting single positive roots.  Each
-    weight is visited once, when its positive roots are tried; ``visit``,
-    when given, is called with the number of weights visited so far before
-    that weight's roots are tried, and may raise to stop the descent.
+    weight is visited once, when its positive roots are tried; ``visit`` is
+    called with the number of weights visited so far before that weight's
+    roots are tried, and may raise to stop the descent.
     """
     if not all(x >= 0 for x in d0):
         raise RootSystemError("weight is not dominant")
@@ -546,9 +546,8 @@ def dominant_weights_below(
 
     def below(d: Coords) -> list[Coords]:
         nonlocal visited
-        if visit is not None:
-            visited += 1
-            visit(visited)
+        visited += 1
+        visit(visited)
         out = []
         for b, need in steps:
             for j, x in need:

@@ -612,7 +612,7 @@ def reference_freudenthal(t, hw: tuple) -> dict:
     g = GroupSpec((t,))
     if any(x < 0 for x in hw):
         raise RootSystemError("highest weight must be dominant")
-    dom = dominant_weights_below(g, hw)
+    dom = dominant_weights_below(g, hw, lambda visited: None)
     # process in decreasing height (sum of scaled root coordinates), ties in
     # coordinate order, so the diagram's order does not rest on set layout
     ordered = sorted(dom, key=lambda d: (-sum(reference_root_scaled_of_dynkin(g, d)), d))

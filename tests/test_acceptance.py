@@ -4,6 +4,7 @@ Each test prints ``CRITERION n: PASS`` (or FAIL) so the gate can be read off
 the pytest output directly.  Stated runtime budgets are asserted.
 """
 
+import itertools
 import random
 import time
 from contextlib import contextmanager
@@ -292,14 +293,18 @@ def test_criterion_10_property_suites():
                 for w, m in rng.sample(items, min(6, len(items))):
                     for v in weyl_orbit(g, w):
                         assert chi.mult(v) == m
-        # antitonicity of covariant_vanishes in the degree list
+        # covariant_vanishes agrees with a listing of every degree-d monomial
         g = parse_group("A2")
         m = parse_module(g, "[2,1]")
-        adm = admissible_sets(m)[0]
-        for d in range(1, 6):
-            if covariant_vanishes(adm, (1, 0), d, True):
-                for e in range(1, d):
-                    assert covariant_vanishes(adm, (1, 0), e, True)
+        for adm in admissible_sets(m):
+            ws = sorted(adm.weight_set())
+            for target in [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (3, 0), (2, 2)]:
+                for d in range(1, 6):
+                    reached = any(
+                        tuple(map(sum, zip(*monomial))) == target
+                        for monomial in itertools.combinations_with_replacement(ws, d)
+                    )
+                    assert covariant_vanishes(adm, target, d) == (not reached), (target, d)
         # cross-rule consistency on randomized modules of rank <= 3:
         # whenever the root-multiplicity rule applies, the toral-slice search
         # must also produce a certificate

@@ -182,6 +182,50 @@ def test_every_top_level_definition_is_read():
     assert sorted(set(spans) - read) == []
 
 
+# defaulted parameters that package calls need not both pass and leave out
+PARAMETER_SCAN_EXEMPT = {
+    "cli.main.argv": "the console script calls main() without it, and bench/serve.py "
+    "passes argv from outside the package",
+}
+
+
+def test_every_defaulted_parameter_is_passed_and_left_at_its_default():
+    """No parameter without a caller: each parameter with a default, of
+    every function and method of the package, is passed by at least one
+    call in the package and left at its default by at least one, calls
+    matched to functions by name.  A parameter that only tests pass is code
+    that no request runs; one that every call passes needs no default."""
+    pkg = pathlib.Path(coreduce.__file__).parent
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(pkg.rglob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpaid = []
+    for path, tree in trees.items():
+        methods = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for n in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args][id(fn) in methods :]
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for param in defaulted:
+                where = f"{path.stem}.{fn.name}.{param}"
+                at = positional.index(param) if param in positional else len(positional)
+                passed = [
+                    at < len(call.args) or any(k.arg == param for k in call.keywords)
+                    for call in calls.get(fn.name, ())
+                ]
+                if where not in PARAMETER_SCAN_EXEMPT and not (any(passed) and not all(passed)):
+                    unpaid.append(where)
+    assert unpaid == []
+
+
 # memos of the package that are not keyed on request input, or whose
 # entries are bounded by the group types and weights a session names
 MEMO_SCAN_EXEMPT = {
@@ -344,13 +388,6 @@ def test_import_builds_no_parser_and_main_builds_it_once():
     assert first > 0 and second == first
 
 
-def test_reused_parser_keeps_no_output_mode():
-    code, out = run_cli(["--output", "text", "rootsys", "A2"])
-    assert code == 0 and "weyl_order: 6" in out
-    code, out = run_cli(["rootsys", "A2"])
-    assert code == 0 and json.loads(out)["weyl_order"] == 6
-
-
 def test_reused_parser_keeps_no_support_entries(monkeypatch):
     from coreduce import cli
 
@@ -501,21 +538,18 @@ def test_any_argv_parses_as_the_top_level_parser_and_main_exits_cleanly(argv):
 def _table_requests(name):
     """Two requests of subcommand ``name`` written from the table: the
     least it takes (its positionals and its required options) and one with
-    every option of the table and the global flag."""
+    every option of the table."""
     from coreduce.cli import COMMANDS
 
     command = COMMANDS[name]
     least = [name] + ["x"] * len(command.positionals)
     every = list(least)
     for flag, keywords in command.options.items():
-        if keywords.get("action") == "store_true":
-            value = []
-        else:
-            value = [keywords["choices"][0]] if "choices" in keywords else ["1"]
-        every += [flag, *value]
+        value = keywords["choices"][0] if "choices" in keywords else "1"
+        every += [flag, value]
         if keywords.get("required"):
-            least += [flag, *value]
-    return least, every + ["--output", "text"]
+            least += [flag, value]
+    return least, every
 
 
 def test_the_table_and_the_parser_agree():
@@ -525,19 +559,17 @@ def test_the_table_and_the_parser_agree():
     does, defaults included."""
     import argparse
 
-    from coreduce.cli import COMMANDS, GLOBAL_OPTIONS, _read, build_parser
+    from coreduce.cli import COMMANDS, _read, build_parser
 
     parser = build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(subparsers.choices) == list(COMMANDS) == SUBCOMMANDS
 
     def option(flag, keywords):
-        action = keywords.get("action")
-        default = keywords.get("default", False if action == "store_true" else None)
         dest = flag[2:].replace("-", "_")
-        kind = parser._registry_get("action", action)
+        kind = parser._registry_get("action", keywords.get("action"))
         return (dest, [flag], keywords.get("required", False), keywords.get("type"),
-                default, keywords.get("choices"), kind)
+                keywords.get("default"), keywords.get("choices"), kind)
 
     for name, command in COMMANDS.items():
         sub = subparsers.choices[name]
@@ -546,8 +578,7 @@ def test_the_table_and_the_parser_agree():
             for a in sub._actions
             if not isinstance(a, argparse._HelpAction)
         ]
-        want = [option(flag, keywords) for flag, keywords in GLOBAL_OPTIONS.items()]
-        want += [(arg, [], True, None, None, None, argparse._StoreAction) for arg in command.positionals]
+        want = [(arg, [], True, None, None, None, argparse._StoreAction) for arg in command.positionals]
         want += [option(flag, keywords) for flag, keywords in command.options.items()]
         assert got == want, name
         for argv in _table_requests(name):
@@ -559,12 +590,10 @@ WELL_FORMED = {
     "rootsys": ["rootsys", "A2"],
     "weights": ["weights", "A2", "[1,1]"],
     "torus-check": ["torus-check", "--weights=4,-4,6,-6"],
-    "hilbert-basis": ["hilbert-basis", "--weights", "2,-3,5,-4", "--output=text"],
+    "hilbert-basis": ["hilbert-basis", "--weights", "2,-3,5,-4"],
     "bad-slice": ["bad-slice", "A1", "[6]"],
-    "components": ["components", "A2", "[1,1]", "--output", "text"],
-    "covariant-vanish": [
-        "covariant-vanish", "A2", "[1,1]", "--target", "[1,1]", "--degree", "2", "--all-degrees",
-    ],
+    "components": ["components", "A2", "[1,1]"],
+    "covariant-vanish": ["covariant-vanish", "A2", "[1,1]", "--target", "[1,1]", "--degree=2"],
     "support-rank": ["support-rank", "A2", "2*[1,1]", "--support", "[1,1]:0", "--support=[1,1]:1"],
     "classify": ["classify", "A2", "[1,1]"],
     "verify-paper": ["verify-paper", "--suite", "torus"],
@@ -600,10 +629,8 @@ def test_a_request_that_starts_with_its_subcommand_is_parsed_once(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
     assert run_cli(["classify", "A2", "[3,1]"])[0] == 1
     assert progs == []
-    progs.clear()
-    # a global flag before the subcommand goes through the top-level parser
-    code, out = run_cli(["--output", "text", "rootsys", "A2"])
-    assert code == 0 and "weyl_order: 6" in out
+    # a flag before the subcommand goes through the top-level parser
+    assert run_cli(["--nope", "rootsys", "A2"]) == (2, "")
     assert progs == ["coreduce", "coreduce rootsys"]
 
 
@@ -1027,9 +1054,8 @@ CONTRACT_REQUESTS = [
 def test_every_output_is_plain_json(monkeypatch, capsys):
     """Every subcommand prints one object of plain JSON values, stamped with
     the schema, which a plain encoder writes back byte for byte; so does the
-    object on stderr of a request stopped by a cap.  Text mode prints no JSON
-    object, but its list values print as JSON arrays, not Python reprs; a
-    usage error prints nothing."""
+    object on stderr of a request stopped by a cap; a usage error prints
+    nothing."""
     from coreduce import monoid
 
     encoder = json.JSONEncoder(sort_keys=True)
@@ -1044,12 +1070,6 @@ def test_every_output_is_plain_json(monkeypatch, capsys):
         payload = json.loads(out)
         assert code in (0, 1) and out == encoder.encode(payload) + "\n", argv
         assert payload["schema"] == 2
-    code, out = run_cli(["--output", "text", "classify", "A2", "[1,2]"])
-    assert code == 1 and out.endswith("\nschema: 2\n")
-    assert "    codim_lower_bound: 2\n" in out
-    assert '  notes: ["rank of the invariant differentials on a dominant component"]\n' in out
-    assert "    generator_bounds_by_degree: [0, 0, 1, " in out
-    assert "['" not in out and "(0," not in out
     assert run_cli(["rootsys", "Z9"]) == (2, "")
 
 
@@ -1183,6 +1203,26 @@ def test_cache_dir_flag_is_gone(tmp_path):
     assert run_cli(["--cache-dir", str(tmp_path), "rootsys", "A1"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--output", "json", "rootsys", "A1"],
+        ["--output", "text", "rootsys", "A1"],
+        ["classify", "A2", "[1,1]", "--output=text"],
+        ["covariant-vanish", "A2", "[1,1]", "--target", "[1,1]", "--degree", "2", "--all-degrees"],
+    ],
+    ids=repr,
+)
+def test_output_and_all_degrees_flags_are_gone(argv, capsys):
+    from coreduce.cli import _read
+
+    assert _read(argv) is None
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: coreduce") and "\ncoreduce: error: " in err
+    assert "Traceback" not in err
+
+
 def test_resource_limit_exit_three(monkeypatch, capsys):
     from coreduce import monoid, repthy
 
@@ -1191,16 +1231,13 @@ def test_resource_limit_exit_three(monkeypatch, capsys):
         (repthy, "SYMPOW_CELL_CAP", ["verify-paper", "--suite", "appendixB"]),
         (monoid, "HILBERT_COORD_CAP", ["torus-check", "--weights", FOUR_SIX]),
     ]:
-        # JSON mode (the default) writes the error's fields as one object on
-        # stderr; text mode writes one line
+        # the error's fields go to stderr as one object
         with monkeypatch.context() as mp:
             mp.setattr(module, cap, 10)
             assert run_cli(argv) == (3, ""), cap
             err = json.loads(capsys.readouterr().err)
             assert (err["cap"], err["limit"]) == (cap, 10)
             assert err["message"].endswith(f", over {cap} = 10")
-            assert run_cli(["--output", "text", *argv]) == (3, ""), cap
-            assert capsys.readouterr().err == f"resource limit: {err['message']}\n"
 
 
 @pytest.mark.parametrize(
@@ -1366,12 +1403,6 @@ def test_appendix_b_is_the_same_under_python_optimize():
     assert json.loads(runs[0].stdout)["ok"]
 
 
-def test_text_output_mode():
-    code, out = run_cli(["--output", "text", "rootsys", "A2"])
-    assert code == 0
-    assert "weyl_order: 6" in out
-
-
 def test_fast_suites_pass():
     for suite in ["torus", "sl2", "classical", "semisimple", "appendixA"]:
         code, out = run_cli(["verify-paper", "--suite", suite])
@@ -1414,8 +1445,6 @@ def test_out_of_memory_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_classify", exhausted)
     assert main(["classify", "A2", "[1,1]"]) == 3
     assert json.loads(capsys.readouterr().err) == {"message": "out of memory"}
-    assert main(["--output", "text", "classify", "A2", "[1,1]"]) == 3
-    assert capsys.readouterr().err == "resource limit: out of memory\n"
 
 
 # (stored candidates, weights) when each search below hits its cap; the

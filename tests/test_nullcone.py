@@ -160,18 +160,8 @@ def test_covariant_vanishes_antitone_in_weights():
             if not small.weight_set() < big.weight_set():
                 continue
             for d in range(1, 5):
-                if covariant_vanishes(big, (1, 0), d, False):
-                    assert covariant_vanishes(small, (1, 0), d, False)
-
-
-def test_covariant_vanishes_all_degrees_is_conjunction():
-    m = _sl3("[3,1]")
-    adm = admissible_sets(m)[0]
-    for d in range(1, 6):
-        conj = all(
-            covariant_vanishes(adm, (1, 0), e, False) for e in range(1, d + 1)
-        )
-        assert covariant_vanishes(adm, (1, 0), d, True) == conj
+                if covariant_vanishes(big, (1, 0), d):
+                    assert covariant_vanishes(small, (1, 0), d)
 
 
 def test_value_screen_rank_and_degree_rules():
@@ -258,7 +248,7 @@ def test_g2xg2_sixteen_sets():
     assert all(a.dimension() == paper.G2XG2_SET_DIM for a in sets)
     for a in sets:
         assert a.defining.is_dominant()
-        assert covariant_vanishes(a, G2XG2_TARGET, G2XG2_DEGREE, False)
+        assert covariant_vanishes(a, G2XG2_TARGET, G2XG2_DEGREE)
 
 
 def test_support_bound_at_most_support_size_plus_rank():

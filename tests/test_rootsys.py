@@ -226,7 +226,7 @@ def test_signed_orbit_matches_weyl_matrices(name):
 
 def test_dominant_weights_below_adjoint_a2():
     g = parse_group("A2")
-    below = dominant_weights_below(g, (1, 1))
+    below = dominant_weights_below(g, (1, 1), lambda visited: None)
     assert below == frozenset({(1, 1), (0, 0)})
 
 
