@@ -9,9 +9,7 @@ contradiction and raises.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .config import MEMO_SIZE, CertificateError, require
@@ -49,28 +47,22 @@ from .rootsys import (
     GroupSpec,
     SL3,
     SimpleType,
-    dynkin_to_eps,
-    eps_to_dynkin,
     in_root_lattice,
     parse_group,
     root_scaled_of_dynkin,
 )
 from .slices import (
-    GENERIC_HYPOTHESIS,
     BadSliceCertificate,
     bad_toral_slice,
-    product_group_rule,
+    circuit_certificate,
     relation_certificate,
     roots_mult2_rule,
-    toral_slice,
 )
 
 YES = "yes"
 NO = "no"
 YES_PAPER = "yes_paper_proof"
 NO_PAPER = "no_paper_proof"
-
-Q = Fraction
 
 
 class Citation(NamedTuple):
@@ -327,29 +319,6 @@ def g2_three_7_certificate() -> tuple:
 # Classical adjoint groups
 
 
-def _eps_relation_certificate(
-    m: ModuleSpec,
-    t: SimpleType,
-    eps_weights: Sequence[Sequence[Fraction]],
-    coeffs: Sequence[int],
-    note: str,
-) -> BadSliceCertificate:
-    g = m.group
-    dynkin = [eps_to_dynkin(t, [Q(x) for x in ew]) for ew in eps_weights]
-    weights = [root_scaled_of_dynkin(g, d) for d in dynkin]
-    cert = BadSliceCertificate(
-        kind="toral_relation",
-        weights=tuple(weights),
-        coeffs=tuple(coeffs),
-        hypotheses=(GENERIC_HYPOTHESIS,),
-        note=note,
-    )
-    counts = toral_slice(m)
-    for d, w in zip(dynkin, weights):
-        require(counts is not None and d in counts, f"weight {w} not in the toral slice")
-    return cert
-
-
 def classify_adjoint_classical(m: ModuleSpec) -> Verdict:
     g = m.group
     _require_simple(g)
@@ -365,10 +334,7 @@ def classify_adjoint_classical(m: ModuleSpec) -> Verdict:
         certs = () if verdict == YES else (Citation("classical invariant theory / cofreeness"),)
         notes = ("adjoint module",) if verdict == YES else ()
         return Verdict(m, verdict, certs, tag, notes)
-    cert = _classical_relation_certificate(t, m)
-    if cert is not None:
-        return Verdict(m, NO, (cert,), tag)
-    bad = bad_toral_slice(m)
+    bad = circuit_certificate(m) or bad_toral_slice(m)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
     return Verdict(m, NO_PAPER, (Citation("slice-quotient chain"),), tag)
@@ -412,113 +378,6 @@ def _is_classical_yes_row(t: SimpleType, m: ModuleSpec) -> bool:
     return False
 
 
-def _classical_relation_certificate(
-    t: SimpleType, m: ModuleSpec
-) -> Optional[BadSliceCertificate]:
-    n = t.rank
-    fam = t.family
-    s = m.collected
-    if fam == "A" and len(s) == 1 and s[0][0] == 1:
-        hw = s[0][1]
-        mm = n + 1
-        if hw[0] and all(x == 0 for x in hw[1:]) and hw[0] % mm == 0:
-            k = hw[0] // mm
-            return _psl_symmetric_relation(m, t, mm, k)
-        if hw[-1] and all(x == 0 for x in hw[:-1]) and hw[-1] % mm == 0:
-            return _psl_symmetric_relation(m, t, mm, hw[-1] // mm, dualize=True)
-    if fam == "B" and len(s) == 1 and s[0][0] == 1:
-        ew = dynkin_to_eps(t, s[0][1])
-
-        def e(*cs: int) -> list[Fraction]:
-            return [Q(c) for c in cs] + [Q(0)] * (n - len(cs))
-
-        if n >= 3 and ew == tuple(e(1, 1, 1)):
-            # exterior cube of the standard module:
-            # (e1+e2+e3) + (-e1+e2+e3) + 2(-e2) + 2(-e3) = 0
-            return _eps_relation_certificate(
-                m, t,
-                [e(1, 1, 1), e(-1, 1, 1), e(0, -1, 0), e(0, 0, -1)],
-                [1, 1, 2, 2],
-                "exterior-cube slice relation",
-            )
-        if n >= 2 and ew == tuple(e(2, 1)):
-            # (2e1+e2) + 2(-e1) + (-e2) = 0
-            return _eps_relation_certificate(
-                m, t,
-                [e(2, 1), e(-1, 0), e(0, -1)],
-                [1, 2, 1],
-                "product of the standard and symmetric-square generators",
-            )
-        if ew[0] >= 3 and all(x == 0 for x in ew[1:]):
-            # line of highest weight vectors: 2(r e1) + r(-2 e1) = 0
-            r = int(ew[0])
-            gpair = gcd(r, 2)
-            return _eps_relation_certificate(
-                m, t, [e(r), e(-2)], [2 // gpair, r // gpair], "high-power line relation"
-            )
-    if fam == "C" and n >= 3 and len(s) == 1 and s[0][0] == 1:
-        hw = s[0][1]
-        odd_pair = _c_odd_pair(hw)
-        if odd_pair:
-            e = lambda *cs: [Q(c) for c in cs] + [Q(0)] * (n - 3)
-            return _eps_relation_certificate(
-                m, t,
-                [e(2, 1, 1), e(2, -1, -1), e(-1, 2, 1), e(-1, -2, -1)],
-                [1, 1, 2, 2],
-                "odd-fundamental product relation",
-            )
-    return None
-
-
-def _c_odd_pair(hw: Coords) -> bool:
-    """Cartan product of two odd fundamentals phi_i phi_j, j >= 3."""
-    odd_positions = [i + 1 for i, x in enumerate(hw) if x]
-    if len(odd_positions) == 1 and hw[odd_positions[0] - 1] == 2:
-        i = j = odd_positions[0]
-    elif len(odd_positions) == 2 and all(hw[p - 1] == 1 for p in odd_positions):
-        i, j = odd_positions
-    else:
-        return False
-    return i % 2 == 1 and j % 2 == 1 and max(i, j) >= 3
-
-
-def _psl_symmetric_relation(
-    m: ModuleSpec, t: SimpleType, mm: int, k: int, dualize: bool = False
-) -> Optional[BadSliceCertificate]:
-    """S^{k m}(C^m) over the adjoint group: m a + 2 b1 + 2 b2 + b3 + ... = 0
-    for m >= 4, and k a + (k-1) b1 + (k-2) b2 = 0 for m = 3, k >= 2."""
-    if k < 1:
-        return None
-
-    def e(idx: int, c: Fraction) -> list[Fraction]:
-        v = [Q(0)] * mm
-        v[idx] = Q(c)
-        return v
-
-    def neg(vs: list[list[Fraction]]) -> list[list[Fraction]]:
-        return [[-x for x in v] for v in vs] if dualize else vs
-
-    if mm >= 4:
-        alpha = [Q(0)] * mm
-        for i, c in enumerate([2, 2] + [1] * (mm - 4)):
-            alpha[i] = Q(-k * c)
-        betas = [e(i, Q(k * mm)) for i in range(mm - 2)]
-        coeffs = [mm, 2, 2] + [1] * (mm - 4)
-        return _eps_relation_certificate(
-            m, t, neg([alpha] + betas), coeffs, "symmetric-power slice relation"
-        )
-    if mm == 3 and k >= 2:
-        alpha = [Q(-3 * (k - 1)), Q(-3 * (k - 2)), Q(0)]
-        b1 = e(0, Q(3 * k))
-        b2 = e(1, Q(3 * k))
-        ws = [alpha, b1, b2] if k > 2 else [alpha, b1]
-        cs = [k, k - 1, k - 2][: len(ws)]
-        return _eps_relation_certificate(
-            m, t, neg(ws), cs, "symmetric-power slice relation"
-        )
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Irreducible modules of semisimple non-simple adjoint groups
 
@@ -538,11 +397,7 @@ def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
     hw = m.collected[0][1]
     tag = "semisimple-irreducible"
     if _is_semisimple_yes_row(g, hw):
-        # without a toral slice neither check can fire
-        if toral_slice(m) is not None:
-            _check_no_negative_rule(m)
-            if product_group_rule(m) is not None:
-                raise ContradictionError(f"product rule fired on coreduced module {m}")
+        _check_no_negative_rule(m)
         return Verdict(m, YES_PAPER, (Citation("symmetric-space / cofree quotient argument"),), tag)
     keyed = tuple(str(t) for t in g.simple_factors)
     if keyed == ("G2", "G2") and hw == (1, 0, 1, 0):
@@ -558,13 +413,9 @@ def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
             m, NO, (cert, Citation("slice at the zero weight vector")), tag,
             ("screen applied to the rank-1 slice cocharacter with positive values 1 and 3",),
         )
-    if toral_slice(m) is not None:
-        cert = product_group_rule(m)
-        if cert is not None:
-            return Verdict(m, NO, (cert,), tag)
-        bad = bad_toral_slice(m)
-        if bad is not None:
-            return Verdict(m, NO, (bad,), tag)
+    bad = circuit_certificate(m) or bad_toral_slice(m)
+    if bad is not None:
+        return Verdict(m, NO, (bad,), tag)
     if _is_odd_orthogonal_triple(g, hw):
         cert = relation_certificate(
             is_torus_coreduced([(2, 0), (0, 2), (1, 1), (-1, -1)]),
@@ -657,7 +508,7 @@ def classify_sl3(m: ModuleSpec) -> Verdict:
     if len(s) == 1 and s[0][0] == 1:
         r, t = s[0][1]
         if (r - t) % 3 == 0:
-            bad = bad_toral_slice(m)
+            bad = circuit_certificate(m) or bad_toral_slice(m)
             if bad is not None:
                 return Verdict(m, NO, (bad,), tag)
         statuses = classify_components_sl3(m)

@@ -7,19 +7,35 @@ the module with one copy of each root removed.  The module is then not
 coreduced as soon as that torus weight list admits an indecomposable
 relation with a coefficient at least 2.
 
+Two tests look for one.  :func:`bad_toral_slice` is complete: it runs the
+Hilbert search to its first such generator.  :func:`circuit_certificate`
+only looks at circuits, minimal dependent sets of distinct weights, of two
+or three weights.  The nonnegative relations on a circuit form a ray, so
+its primitive relation (coefficients of gcd 1) is indecomposable among the
+circuit's weights: a sub-relation below it is a rational multiple of it,
+and primitivity makes the multiple 0 or 1.  It is indecomposable in the
+whole slice too, because any decomposition of a relation has its support
+inside the relation's support; so a violating generator of a sub-list of
+the slice is a violating generator of the slice.  The slice is
+Weyl-invariant and the Weyl group maps circuits to circuits with the same
+coefficients, so every Weyl orbit of circuits has a member through a
+dominant weight, and the scan for three-weight circuits starts only there.
+Finding no violating circuit proves nothing.
+
 The generic vector itself is never materialized: genericity is part of the
-certificate's hypotheses.  :func:`bad_toral_slice` keeps nothing itself:
-the classify drivers that call it sit under ``classify.classify_module``'s
-memo, and ``monoid`` keeps the Hilbert search it runs, so a repeated call
-lists the slice again but searches nothing.
+certificate's hypotheses.  Neither test keeps anything itself: the classify
+drivers that call them sit under ``classify.classify_module``'s memo, and
+``monoid`` keeps the Hilbert search, so a repeated call lists the slice
+again but searches nothing.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from math import gcd
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .config import require
-from .monoid import TorusVerdict, Vec, _check_stored, is_torus_coreduced
+from .monoid import Relation, TorusVerdict, Vec, _check_stored, is_torus_coreduced
 from .repthy import ModuleSpec, min_root_multiplicity, weight_counts
 from .rootsys import Coords, GroupSpec, reflect, root_scaled_of_dynkin
 
@@ -27,7 +43,7 @@ GENERIC_HYPOTHESIS = "generic zero weight vector"
 
 
 class _BadSliceFields(NamedTuple):
-    kind: str  # toral_relation | roots_mult2 | product_rule
+    kind: str  # toral_relation (a Hilbert generator or a circuit) | roots_mult2
     weights: tuple[Vec, ...]
     coeffs: tuple[int, ...]
     hypotheses: tuple[str, ...] = (GENERIC_HYPOTHESIS,)
@@ -39,8 +55,8 @@ class BadSliceCertificate(_BadSliceFields):
 
     ``weights`` are the (root_scaled) slice weights in the support of the
     violating relation; ``coeffs`` are the matching relation coefficients
-    (some coefficient is >= 2 and the weighted sum is exactly zero), which
-    construction checks.
+    (some coefficient is >= 2, their gcd is 1 and the weighted sum is
+    exactly zero), which construction checks.
     """
 
     __slots__ = ()
@@ -59,6 +75,7 @@ class BadSliceCertificate(_BadSliceFields):
     def validate(self) -> None:
         if self.coeffs:
             require(any(c >= 2 for c in self.coeffs), "certificate needs a coefficient >= 2")
+            require(gcd(*self.coeffs) == 1, "a relation must be primitive (coefficients of gcd 1)")
             require(all(x == 0 for x in self.relation_sum()), "relation must sum to zero")
 
 
@@ -111,12 +128,21 @@ def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     the slice is coreduced or there is none.  Whether there is a slice, and
     the size of the search, are read off the dominant diagram before any
     orbit is expanded; only then is the slice listed."""
+    counts = _sized_slice(m)
+    if counts is None:
+        return None
+    ws, symmetry = weyl_symmetric_list(m.group, counts)
+    return relation_certificate(is_torus_coreduced(ws, symmetry))
+
+
+def _sized_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
+    """:func:`toral_slice`, once the Hilbert search's coordinate cap admits
+    a start on every slice weight."""
     if not _has_every_root(m):
         return None
     n = weight_counts(m)[1] - len(m.group.root_data.roots)
     _check_stored(n, n)
-    ws, symmetry = weyl_symmetric_list(m.group, _slice_counts(m))
-    return relation_certificate(is_torus_coreduced(ws, symmetry))
+    return _slice_counts(m)
 
 
 def relation_certificate(verdict: TorusVerdict, note: str = "") -> Optional[BadSliceCertificate]:
@@ -180,74 +206,92 @@ def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     )
 
 
-def product_group_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
-    """Bad-slice relation for irreducible tensor modules over product groups.
-
-    For k > 2 simple factors with simple roots alpha, beta, gamma one per
-    factor: (a+b) + (b+c) + (a+c) + 2(-a-b-c) = 0.  For k = 2 with
-    rk G1 > 1 and adjacent simple roots alpha, beta of G1, gamma of G2:
-    (a+c) + (a-c) + 2(b-c) + 2(-(a+b)+c) = 0.  Absent exactly when the
-    module is the A1 x A1 tensor square of the natural SL2-module (where no
-    such relation exists).  Every participating weight is verified to occur
-    among the slice weights ``toral_slice(m)`` (the relation is linear, so it
-    is built in Dynkin coordinates and converted to root_scaled ones for the
-    certificate).
-    """
-    g = m.group
-    k = len(g.simple_factors)
-    if k < 2 or len(m.summands) != 1 or m.summands[0][0] != 1:
-        raise ValueError("rule applies to irreducible tensor modules over >= 2 factors")
-    counts = toral_slice(m)
+def circuit_certificate(m: ModuleSpec) -> Optional[BadSliceCertificate]:
+    """A violating circuit of two or three distinct weights of the toral
+    slice (see :func:`violating_circuit`) as a ``toral_relation``
+    certificate, its weights in sorted slice order; None when the scan
+    finds none or there is no slice.  The slice is sized against the
+    Hilbert search's cap first, so a slice too large for
+    :func:`bad_toral_slice` stops here with the same error."""
+    counts = _sized_slice(m)
     if counts is None:
-        raise ValueError("some root of the group is not a weight of the module")
+        return None
+    ws: list[Vec] = []
+    dominant: list[int] = []  # the first copy of each dominant weight
+    for c, w in sorted((root_scaled_of_dynkin(m.group, w), w) for w in counts):
+        if min(w) >= 0:
+            dominant.append(len(ws))
+        ws += [c] * counts[w]
+    found = violating_circuit(ws, dominant)
+    return relation_certificate(TorusVerdict(found is None, tuple(ws), found))
 
-    data = g.root_data
 
-    def block_root(factor: int, local: int) -> Coords:
-        # a simple root's Dynkin labels are its row of the Cartan matrix
-        return data.cartan[data.factors[factor][1] + local]
+def violating_circuit(ws: Sequence[Vec], starts: Iterable[int]) -> Optional[Relation]:
+    """A primitive relation with a coefficient >= 2 on a circuit of two or
+    three distinct nonzero weights of ``ws``, each at its last copy; None
+    when there is none.
 
-    def combo(*terms: tuple[int, Coords]) -> Vec:
-        out = [0] * g.rank
-        for sgn, vec in terms:
-            out = [a + sgn * b for a, b in zip(out, vec)]
-        return tuple(out)
-
-    if k > 2:
-        a, b, c = block_root(0, 0), block_root(1, 0), block_root(2, 0)
-        weights = (
-            combo((1, a), (1, b)),
-            combo((1, b), (1, c)),
-            combo((1, a), (1, c)),
-            combo((-1, a), (-1, b), (-1, c)),
-        )
-        coeffs = (1, 1, 1, 2)
-    else:
-        ranks = [t.rank for t in g.simple_factors]
-        if max(ranks) == 1:
-            # A1 x A1: the rule is silent (sl2 tensor sl2 is the exception)
-            return None
-        big = 0 if ranks[0] > 1 else 1
-        other = 1 - big
-        _t, lo, hi = data.factors[big]
-        # adjacent pair of simple roots in the higher-rank factor
-        i, j = next(
-            (i, j) for i in range(lo, hi) for j in range(lo, hi) if i != j and data.cartan[i][j]
-        )
-        a, b = data.cartan[i], data.cartan[j]
-        c = block_root(other, 0)
-        weights = (
-            combo((1, a), (1, c)),
-            combo((1, a), (-1, c)),
-            combo((1, b), (-1, c)),
-            combo((-1, a), (-1, b), (1, c)),
-        )
-        coeffs = (1, 1, 2, 2)
-    for w in weights:
-        if counts.get(w, 0) < 1:
-            raise ValueError(f"expected slice weight {w} is absent")
-    return BadSliceCertificate(
-        kind="product_rule",
-        weights=tuple(root_scaled_of_dynkin(g, w) for w in weights),
-        coeffs=coeffs,
+    A pair is ``k p`` and ``l (-p)`` with ``k != l`` for a primitive
+    direction ``p``, with relation ``(l, k) / gcd(k, l)``; the least one in
+    the Hilbert search's order is returned.  Only without a pair are
+    triples scanned: each runs through ``ws[i]`` for some ``i`` in
+    ``starts``, with the other two in its plane and the three 2x2 minors,
+    the relation's coefficients, of one sign.  The least such triple in the
+    same order is returned.
+    """
+    last = {w: i for i, w in enumerate(ws)}  # weight -> index of its last copy
+    found = min(_pairs(last), key=_search_order, default=None) or min(
+        _triples(last, dict.fromkeys(ws[i] for i in starts)), key=_search_order, default=None
     )
+    if found is None:
+        return None
+    coeffs = dict(found)
+    return Relation(tuple(coeffs.get(i, 0) for i in range(len(ws))))
+
+
+def _search_order(support: tuple[tuple[int, int], ...]) -> tuple:
+    """The Hilbert search's order on relations given by their (index,
+    coefficient) pairs, sorted by index: degree, then the tuple of all
+    coefficients, in which the later the first index, the smaller.  The
+    least arrangement of a relation over the copies of a weight is the one
+    on its last copy."""
+    return sum(c for _, c in support), tuple((-i, c) for i, c in support)
+
+
+def _primitive(*support: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    k = gcd(*(c for _, c in support))
+    return tuple(sorted((i, c // k) for i, c in support))
+
+
+def _pairs(last: dict[Vec, int]) -> Iterator[tuple[tuple[int, int], ...]]:
+    rays: dict[Vec, list[tuple[int, int]]] = {}  # primitive direction -> (multiple, index)
+    for w, i in last.items():
+        k = gcd(*w)
+        rays.setdefault(tuple(x // k for x in w), []).append((k, i))
+    for p, ks in rays.items():
+        for l, j in rays.get(tuple(-x for x in p), ()):
+            yield from (_primitive((i, l), (j, k)) for k, i in ks if k != l)
+
+
+def _triples(last: dict[Vec, int], starts: Iterable[Vec]) -> Iterator[tuple[tuple[int, int], ...]]:
+    for a in starts:
+        # b - (b_s / a_s) a, scaled to integers, is zero exactly when b is
+        # on a's line, and its direction names the plane of a and b
+        s = next(j for j, x in enumerate(a) if x)
+        planes: dict[Vec, list[tuple[Vec, list[int]]]] = {}
+        for b in last:
+            v = [a[s] * y - b[s] * x for x, y in zip(a, b)]
+            if any(v):
+                k = gcd(*v)
+                k = k if next(x for x in v if x) > 0 else -k
+                planes.setdefault(tuple(x // k for x in v), []).append((b, v))
+        for plane, bs in planes.items():
+            # the plane's coordinates s and t, on which z = det(a, b) is v_b[t]
+            t = next(j for j, x in enumerate(plane) if x)
+            for n, (b, vb) in enumerate(bs):
+                for c, vc in bs[n + 1 :]:
+                    x, y, z = b[s] * c[t] - b[t] * c[s], -vc[t], vb[t]
+                    if (x > 0 and y > 0 and z > 0) or (x < 0 and y < 0 and z < 0):
+                        support = _primitive((last[a], abs(x)), (last[b], abs(y)), (last[c], abs(z)))
+                        if max(coeff for _, coeff in support) >= 2:
+                            yield support

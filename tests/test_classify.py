@@ -2,11 +2,13 @@ import ast
 import functools
 import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -37,11 +39,18 @@ from coreduce.classify import (
 )
 from coreduce.monoid import Relation, SumWitness, TorusVerdict
 from coreduce.repthy import CovariantCertificate, ModuleSpec, parse_module
-from coreduce.rootsys import GroupSpec, RootSystemError, SimpleType, build_root_system, parse_group
-from coreduce.slices import BadSliceCertificate
+from coreduce.rootsys import (
+    GroupSpec,
+    RootSystemError,
+    SimpleType,
+    build_root_system,
+    parse_group,
+    root_scaled_of_dynkin,
+)
+from coreduce.slices import BadSliceCertificate, toral_slice
 from coreduce.nullcone import G2XG2_DEGREE, G2XG2_TARGET, Cocharacter, ScreenResult
 
-from oracles import dynkin_of_root
+from oracles import dynkin_of_root, exact_rank
 
 
 
@@ -169,19 +178,13 @@ def test_certificate_checks_survive_python_O():
             pass
         else:
             raise SystemExit("a model row outside the chamber validated")
-        # 2*e1 + (-2e1) = 0, but e1 is not a weight of the toral slice of [2,0,0]
-        from coreduce.classify import _eps_relation_certificate
-        from coreduce.repthy import parse_module
-        from coreduce.rootsys import parse_group
-
-        b3 = parse_group("B3")
-        m = parse_module(b3, "[2,0,0]")
+        # 2*w + 2*(-w) = 0 is twice the relation w + (-w) = 0
         try:
-            _eps_relation_certificate(m, b3.simple_factors[0], [(1, 0, 0), (-2, 0, 0)], (2, 1), "")
+            BadSliceCertificate("toral_relation", ((1,), (-1,)), (2, 2))
         except CertificateError:
             pass
         else:
-            raise SystemExit("a relation on a weight outside the slice validated")
+            raise SystemExit("a relation with coefficients of gcd 2 validated")
         from coreduce.classify import _sl3_cocharacter_from_eps
 
         try:
@@ -190,7 +193,7 @@ def test_certificate_checks_survive_python_O():
             pass
         else:
             raise SystemExit("eps values summing to 1 gave a cocharacter")
-        from coreduce.rootsys import _symmetrizer
+        from coreduce.rootsys import _symmetrizer, parse_group
 
         try:
             _symmetrizer(((2, 0), (0, 2)))
@@ -385,17 +388,118 @@ def test_classical_relation_certificates_validate():
         assert max(cert.coeffs) >= 2
 
 
+def is_primitive_circuit(weights, coeffs):
+    """A relation on distinct weights of rank one less than their number,
+    with coefficients of gcd 1: an indecomposable relation on any list
+    that holds the weights."""
+    return (
+        len(set(weights)) == len(weights)
+        and exact_rank(weights) == len(weights) - 1
+        and math.gcd(*coeffs) == 1
+    )
+
+
 @pytest.mark.parametrize("name,text,dual", [("A3", "[4,0,0]", "[0,0,4]"), ("A4", "[5,0,0,0]", "[0,0,0,5]")])
 def test_dual_symmetric_power_relation_is_the_negated_one(name, text, dual):
-    # S^{k(n+1)} of the dual standard module of the adjoint group of A_n
-    # carries the relation of S^{k(n+1)} of the standard one, negated
+    # the slice of S^{k(n+1)} of the dual standard module of the adjoint
+    # group of A_n is the negated slice of S^{k(n+1)} of the standard one, so
+    # each module's relation, negated, is a relation of the other's slice
     g = parse_group(name)
-    plain = classify_module(parse_module(g, text))
-    negated = classify_module(parse_module(g, dual))
-    assert plain.coreduced == negated.coreduced == NO
-    (a,), (b,) = plain.certificates, negated.certificates
-    assert b.coeffs == a.coeffs
-    assert b.weights == tuple(tuple(-x for x in w) for w in a.weights)
+    plain, negated = (parse_module(g, t) for t in (text, dual))
+    for m, other in ((plain, negated), (negated, plain)):
+        v = classify_module(m)
+        assert v.coreduced == NO
+        (cert,) = v.certificates
+        assert is_primitive_circuit(cert.weights, cert.coeffs)
+        flipped = tuple(tuple(-x for x in w) for w in cert.weights)
+        slice_weights = {root_scaled_of_dynkin(g, w) for w in toral_slice(other)}
+        assert set(flipped) <= slice_weights
+        BadSliceCertificate(cert.kind, flipped, cert.coeffs).validate()
+
+
+def _family_members():
+    """The modules of dimension at most 1,000 in the classical families
+    whose relations were once typed out: S^{k(n+1)} of the standard module
+    of A_n (n = 2..5, and k >= 2 for n = 2) and of its dual; for B_n
+    (n = 2..8) the exterior cube of the standard module, the Cartan product
+    2e1 + e2 of the standard module and its square, and the harmonic powers
+    r e1 with r >= 3; for C_n (n = 3..5) the Cartan products of two odd
+    fundamental weights phi_i phi_j with j >= 3."""
+    rows = []
+    for n in range(2, 6):
+        for k in range(2 if n == 2 else 1, 20):
+            hw = (k * (n + 1),) + (0,) * (n - 1)
+            rows += [(f"A{n}", hw), (f"A{n}", hw[::-1])]
+    for n in range(2, 9):
+        if n >= 3:
+            rows.append((f"B{n}", (0, 0, 2) if n == 3 else (0, 0, 1) + (0,) * (n - 3)))
+        rows.append((f"B{n}", (1, 2) if n == 2 else (1, 1) + (0,) * (n - 2)))
+        rows += [(f"B{n}", (r,) + (0,) * (n - 1)) for r in range(3, 20)]
+    for n in range(3, 6):
+        for i, j in itertools.combinations_with_replacement(range(0, n, 2), 2):
+            if j >= 2:
+                hw = [0] * n
+                hw[i] += 1
+                hw[j] += 1
+                rows.append((f"C{n}", tuple(hw)))
+    modules = [ModuleSpec(parse_group(name), ((1, hw),)) for name, hw in rows]
+    return [m for m in modules if m.dimension() <= 1000]
+
+
+FAMILY_MEMBERS = _family_members()
+
+
+def test_family_table_has_every_member():
+    assert len(FAMILY_MEMBERS) == 75
+
+
+@pytest.mark.parametrize("m", FAMILY_MEMBERS, ids=lambda m: f"{m.group}-{m}")
+def test_family_member_classifies_no_through_a_circuit(m):
+    start = time.perf_counter()
+    v = classify_module(m)
+    assert time.perf_counter() - start < 1
+    assert v.coreduced == NO
+    (cert,) = v.certificates
+    assert cert.kind == "toral_relation" and len(cert.weights) <= 3
+    assert is_primitive_circuit(cert.weights, cert.coeffs)
+
+
+# irreducible A2 modules whose Hilbert search stops at its coordinate cap,
+# and a B3 module whose search does too
+CAPPED_SEARCHES = [
+    *(("A2", t) for t in ("[3,9]", "[5,8]", "[6,6]", "[6,9]", "[7,7]", "[8,5]", "[8,8]", "[9,3]", "[9,6]", "[9,9]")),
+    *(("A2", f"[{3 * k},0]") for k in range(6, 15)),
+    *(("A2", f"[0,{3 * k}]") for k in range(6, 15)),
+    ("B3", "[1,3,0]"),
+]
+
+
+@pytest.mark.parametrize("group,module", CAPPED_SEARCHES)
+def test_a_violating_circuit_answers_where_the_search_stops_at_its_cap(group, module):
+    v = classify_module(_module(group, module))
+    assert v.coreduced == NO
+    (cert,) = v.certificates
+    assert is_primitive_circuit(cert.weights, cert.coeffs)
+
+
+def test_every_toral_relation_of_the_paper_tables_is_a_primitive_circuit():
+    drivers = [
+        (classify_adjoint_exceptional, paper.EXCEPTIONAL),
+        (classify_adjoint_classical, paper.CLASSICAL),
+        (classify_semisimple_irreducible, paper.SEMISIMPLE),
+        (classify_sl3, paper.SL3_IRREDUCIBLE + paper.SL3_REDUCIBLE),
+    ]
+    verdicts = [driver(_module(name, text)) for driver, table in drivers for name, text, _ in table]
+    verdicts += [classify_sl2(sl2_module(p)) for p in (*paper.SL2_YES, paper.SL2_TWO_QUADRATICS, paper.SL2_SEXTIC)]
+    relations = [
+        c
+        for v in verdicts
+        for c in v.certificates
+        if isinstance(c, BadSliceCertificate) and c.kind == "toral_relation"
+    ]
+    assert len(relations) == 12
+    for c in relations:
+        assert is_primitive_circuit(c.weights, c.coeffs), c
 
 
 def test_semisimple_rows():

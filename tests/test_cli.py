@@ -290,6 +290,8 @@ def test_every_memo_keyed_on_request_input_is_bounded_and_stores_hashable_values
     for argv in (
         ["classify", "A2", "[3,1]"],
         ["classify", "A2", "[2,2]"],
+        # classify answers A2 "[2,2]" with a violating pair; the search runs here
+        ["bad-slice", "A2", "[2,2]"],
         ["components", "A1xA2", "[1,0,1]"],
         ["hilbert-basis", "--weights", "2,-3,5,-4"],
     ):
@@ -878,8 +880,9 @@ def test_classify_exit_zero_on_yes():
     assert row["coreduced"] in ("yes", "yes_paper_proof")
 
 
-# the exact classify output for one module per certificate kind, and for
-# an A1 module typed out of order, which prints as typed
+# the exact classify output for one module per certificate kind and per
+# route to a toral relation (the search, the odd orthogonal triple, a
+# circuit), and for an A1 module typed out of order, which prints as typed
 CLASSIFY_GOLDEN = [
     pytest.param(
         "A1",
@@ -928,12 +931,12 @@ CLASSIFY_GOLDEN = [
         "[2,1,1]",
         1,
         (
-            '{"rows": [{"certificates": [{"coeffs": [1, 1, 2, 2], "kind": "product_rule",'
-            ' "note": "", "weights": [[2, 3, 0], [-2, 3, 0], [-2, 0, 3], [2, -3, -3]]}],'
+            '{"rows": [{"certificates": [{"coeffs": [2, 1, 1], "kind": "toral_relation",'
+            ' "note": "", "weights": [[-2, 0, 0], [2, -3, -3], [2, 3, 3]]}],'
             ' "coreduced": "no", "group": "A1xA2", "module": "[2,1,1]", "notes": [],'
             ' "theorem": "semisimple-irreducible"}], "schema": 2}\n'
         ),
-        id="product_rule",
+        id="product_group_circuit",
     ),
     pytest.param(
         "A1",
@@ -1475,21 +1478,23 @@ def hilbert_cap_error(group, module):
 
 
 @pytest.mark.parametrize(
-    "group, module",
+    "command, group, module",
     [
-        ("G2", "2*[2,2]"),
-        ("B3", "[1,3,0]"),
-        ("F4", "[3,2,2,1]"),
-        ("F4", "[2,3,2,0]"),
-        ("G2", "2*[3,3]"),
+        ("classify", "G2", "2*[2,2]"),
+        ("bad-slice", "B3", "[1,3,0]"),
+        ("classify", "F4", "[3,2,2,1]"),
+        ("classify", "F4", "[2,3,2,0]"),
+        ("classify", "G2", "2*[3,3]"),
     ],
 )
-def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(group, module):
+def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(command, group, module):
     # each toral-slice search here stops at the coordinate cap inside a 1 GB
     # address space, which all but G2 "2*[2,2]" were once seen to fill; the
     # F4 slices (about 3e11 weights) are sized before they are listed.  The
-    # counts pin the candidates the search stores.
-    out = run_in_one_gigabyte(["classify", group, module])
+    # counts pin the candidates the search stores.  classify answers B3
+    # "[1,3,0]" with a violating pair before any search, so bad-slice, which
+    # runs the search alone, stands in for it
+    out = run_in_one_gigabyte([command, group, module])
     assert out.returncode == 3 and out.stdout == ""
     assert json.loads(out.stderr) == hilbert_cap_error(group, module)
 

@@ -8,9 +8,10 @@ from coreduce.repthy import ModuleSpec, min_root_multiplicity, parse_module
 from coreduce.rootsys import parse_group
 from coreduce.slices import (
     bad_toral_slice,
-    product_group_rule,
+    circuit_certificate,
     roots_mult2_rule,
     toral_slice,
+    violating_circuit,
     weyl_symmetric_list,
 )
 
@@ -72,12 +73,38 @@ def test_roots_mult2_rule_type_a_reduction():
     assert cert is not None  # record-only reduction path for type A
 
 
-def test_product_group_rule_requires_toral_slice():
+def test_circuit_certificate_is_none_without_a_toral_slice():
     g = parse_group("B2xG2")
     m = parse_module(g, "[1,0,1,0]")
     assert toral_slice(m) is None
-    with pytest.raises(ValueError):
-        product_group_rule(m)
+    assert circuit_certificate(m) is None
+
+
+# short lists of small nonzero weights, some of them repeated
+REPEATED_WEIGHTS = st.integers(1, 3).flatmap(
+    lambda dim: st.lists(
+        st.tuples(*[st.integers(-2, 2)] * dim).filter(any), min_size=2, max_size=6, unique=True
+    ).flatmap(
+        lambda ws: st.lists(st.sampled_from(ws), max_size=3).flatmap(
+            lambda extra: st.permutations(ws + extra)
+        )
+    )
+)
+
+
+@given(ws=REPEATED_WEIGHTS)
+@settings(max_examples=300, deadline=None)
+def test_a_violating_circuit_is_a_violating_hilbert_generator(ws):
+    found = violating_circuit(ws, range(len(ws)))
+    verdict = monoid.is_torus_coreduced(ws)
+    if found is None:
+        return
+    assert found in monoid.hilbert_basis(ws)
+    assert max(found.coeffs) >= 2 and not verdict.coreduced
+    # a pair is found in the search's own order, so where the search's
+    # first violating generator is a pair, the scan finds that one
+    if sum(1 for c in verdict.certificate.coeffs if c) == 2:
+        assert found == verdict.certificate
 
 
 @given(
@@ -145,7 +172,7 @@ def test_bad_toral_slice_computes_the_weights_once(group, module, weight_builds)
     "group,module", [("A1xA2", "[2,1,1]"), ("A2xA2", "[1,1,1,1]"), ("A1xA1xA1", "[2,2,2]")]
 )
 def test_product_group_classify_computes_the_weights_once(group, module, weight_builds):
-    # the product rule and the direct search share one weight multiset
+    # the circuit scan and the direct search share one weight multiset
     from coreduce.classify import NO, classify_semisimple_irreducible
 
     m = parse_module(parse_group(group), module)
