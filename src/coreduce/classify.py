@@ -54,9 +54,9 @@ from .rootsys import (
 from .slices import (
     BadSliceCertificate,
     bad_toral_slice,
-    circuit_certificate,
     relation_certificate,
     roots_mult2_rule,
+    slice_certificate,
 )
 
 YES = "yes"
@@ -334,7 +334,7 @@ def classify_adjoint_classical(m: ModuleSpec) -> Verdict:
         certs = () if verdict == YES else (Citation("classical invariant theory / cofreeness"),)
         notes = ("adjoint module",) if verdict == YES else ()
         return Verdict(m, verdict, certs, tag, notes)
-    bad = circuit_certificate(m) or bad_toral_slice(m)
+    bad = slice_certificate(m)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
     return Verdict(m, NO_PAPER, (Citation("slice-quotient chain"),), tag)
@@ -413,7 +413,7 @@ def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
             m, NO, (cert, Citation("slice at the zero weight vector")), tag,
             ("screen applied to the rank-1 slice cocharacter with positive values 1 and 3",),
         )
-    bad = circuit_certificate(m) or bad_toral_slice(m)
+    bad = slice_certificate(m)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
     if _is_odd_orthogonal_triple(g, hw):
@@ -508,7 +508,7 @@ def classify_sl3(m: ModuleSpec) -> Verdict:
     if len(s) == 1 and s[0][0] == 1:
         r, t = s[0][1]
         if (r - t) % 3 == 0:
-            bad = circuit_certificate(m) or bad_toral_slice(m)
+            bad = slice_certificate(m)
             if bad is not None:
                 return Verdict(m, NO, (bad,), tag)
         statuses = classify_components_sl3(m)

@@ -7,10 +7,11 @@ the module with one copy of each root removed.  The module is then not
 coreduced as soon as that torus weight list admits an indecomposable
 relation with a coefficient at least 2.
 
-Two tests look for one.  :func:`bad_toral_slice` is complete: it runs the
-Hilbert search to its first such generator.  :func:`circuit_certificate`
-only looks at circuits, minimal dependent sets of distinct weights, of two
-or three weights.  The nonnegative relations on a circuit form a ray, so
+:func:`bad_toral_slice` is the complete test: it runs the Hilbert search
+to its first such generator.  :func:`slice_certificate` first scans for
+circuits, minimal dependent sets of distinct weights, of two or three
+weights (:func:`violating_circuit`), and runs the same search only when the
+scan finds none.  The nonnegative relations on a circuit form a ray, so
 its primitive relation (coefficients of gcd 1) is indecomposable among the
 circuit's weights: a sub-relation below it is a rational multiple of it,
 and primitivity makes the multiple 0 or 1.  It is indecomposable in the
@@ -23,10 +24,10 @@ dominant weight, and the scan for three-weight circuits starts only there.
 Finding no violating circuit proves nothing.
 
 The generic vector itself is never materialized: genericity is part of the
-certificate's hypotheses.  Neither test keeps anything itself: the classify
-drivers that call them sit under ``classify.classify_module``'s memo, and
-``monoid`` keeps the Hilbert search, so a repeated call lists the slice
-again but searches nothing.
+certificate's hypotheses.  Neither function keeps anything itself: the
+classify drivers that call them sit under ``classify.classify_module``'s
+memo, and ``monoid`` keeps the Hilbert search, so a repeated call lists the
+slice again but searches nothing.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .config import require
-from .monoid import Relation, TorusVerdict, Vec, _check_stored, is_torus_coreduced
-from .repthy import ModuleSpec, min_root_multiplicity, weight_counts
-from .rootsys import Coords, GroupSpec, reflect, root_scaled_of_dynkin
+from .monoid import HILBERT_COORD_CAP, Relation, TorusVerdict, Vec, _check_stored, is_torus_coreduced
+from .repthy import ModuleSpec, dominant_diagram, min_root_multiplicity, weight_counts
+from .rootsys import Coords, GroupSpec, orbit_size, reflect, root_scaled_of_dynkin
 
 GENERIC_HYPOTHESIS = "generic zero weight vector"
 
@@ -102,13 +103,15 @@ def _slice_counts(m: ModuleSpec) -> dict[Coords, int]:
 
 
 def weyl_symmetric_list(
-    g: GroupSpec, counts: dict[Coords, int]
+    g: GroupSpec, counts: dict[Coords, int], distinct: Optional[list[tuple[Vec, Coords]]] = None
 ) -> tuple[list[Vec], list[list[int]]]:
     """The weights of the Weyl-invariant multiset ``counts`` (Dynkin labels)
     as a sorted list in root_scaled coordinates, and the simple reflections
     as permutations of its indices: each sends the k-th copy of a weight to
-    the k-th copy of its image."""
-    distinct = sorted((root_scaled_of_dynkin(g, w), w) for w in counts)
+    the k-th copy of its image.  ``distinct`` is the distinct weights as
+    sorted (root_scaled, Dynkin) pairs, where the caller has them."""
+    if distinct is None:
+        distinct = sorted((root_scaled_of_dynkin(g, w), w) for w in counts)
     ws: list[Vec] = []
     first: dict[Coords, int] = {}  # Dynkin weight -> index of its first copy
     for c, w in distinct:
@@ -128,21 +131,12 @@ def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     the slice is coreduced or there is none.  Whether there is a slice, and
     the size of the search, are read off the dominant diagram before any
     orbit is expanded; only then is the slice listed."""
-    counts = _sized_slice(m)
-    if counts is None:
-        return None
-    ws, symmetry = weyl_symmetric_list(m.group, counts)
-    return relation_certificate(is_torus_coreduced(ws, symmetry))
-
-
-def _sized_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
-    """:func:`toral_slice`, once the Hilbert search's coordinate cap admits
-    a start on every slice weight."""
     if not _has_every_root(m):
         return None
     n = weight_counts(m)[1] - len(m.group.root_data.roots)
     _check_stored(n, n)
-    return _slice_counts(m)
+    ws, symmetry = weyl_symmetric_list(m.group, _slice_counts(m))
+    return relation_certificate(is_torus_coreduced(ws, symmetry))
 
 
 def relation_certificate(verdict: TorusVerdict, note: str = "") -> Optional[BadSliceCertificate]:
@@ -206,27 +200,34 @@ def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     )
 
 
-def circuit_certificate(m: ModuleSpec) -> Optional[BadSliceCertificate]:
-    """A violating circuit of two or three distinct weights of the toral
-    slice (see :func:`violating_circuit`) as a ``toral_relation``
-    certificate, its weights in sorted slice order; None when the scan
-    finds none or there is no slice.  The slice is sized against the
-    Hilbert search's cap first, so a slice too large for
-    :func:`bad_toral_slice` stops here with the same error."""
-    counts = _sized_slice(m)
-    if counts is None:
+def slice_certificate(m: ModuleSpec) -> Optional[BadSliceCertificate]:
+    """The toral slice's violating circuit of two or three distinct weights
+    (:func:`violating_circuit`) as a ``toral_relation`` certificate, its
+    weights in sorted slice order; failing one, :func:`bad_toral_slice`'s
+    certificate, searched on the same sorted list; None when the slice is
+    coreduced or there is none.  The scan lists distinct weights only, and
+    only while the module's distinct nonzero weights times its distinct
+    nonzero dominant ones, read off the dominant diagrams, are within
+    ``HILBERT_COORD_CAP``: a larger module has more weights than the
+    search admits, and :func:`bad_toral_slice` refuses it unlisted."""
+    if not _has_every_root(m):
         return None
-    ws: list[Vec] = []
-    dominant: list[int] = []  # the first copy of each dominant weight
-    for c, w in sorted((root_scaled_of_dynkin(m.group, w), w) for w in counts):
-        if min(w) >= 0:
-            dominant.append(len(ws))
-        ws += [c] * counts[w]
-    found = violating_circuit(ws, dominant)
-    return relation_certificate(TorusVerdict(found is None, tuple(ws), found))
+    g = m.group
+    dominant = {d for _, hw in m.collected for d in dominant_diagram(g, hw) if any(d)}
+    if len(dominant) * sum(orbit_size(g, d) for d in dominant) > HILBERT_COORD_CAP:
+        return bad_toral_slice(m)
+    counts = _slice_counts(m)
+    distinct = sorted((root_scaled_of_dynkin(g, w), w) for w in counts)
+    ws = [c for c, _ in distinct]
+    found = violating_circuit(ws, [c for c, w in distinct if min(w) >= 0])
+    if found is not None:
+        return relation_certificate(TorusVerdict(False, tuple(ws), found))
+    n = sum(counts.values())
+    _check_stored(n, n)
+    return relation_certificate(is_torus_coreduced(*weyl_symmetric_list(g, counts, distinct)))
 
 
-def violating_circuit(ws: Sequence[Vec], starts: Iterable[int]) -> Optional[Relation]:
+def violating_circuit(ws: Sequence[Vec], starts: Iterable[Vec]) -> Optional[Relation]:
     """A primitive relation with a coefficient >= 2 on a circuit of two or
     three distinct nonzero weights of ``ws``, each at its last copy; None
     when there is none.
@@ -234,14 +235,14 @@ def violating_circuit(ws: Sequence[Vec], starts: Iterable[int]) -> Optional[Rela
     A pair is ``k p`` and ``l (-p)`` with ``k != l`` for a primitive
     direction ``p``, with relation ``(l, k) / gcd(k, l)``; the least one in
     the Hilbert search's order is returned.  Only without a pair are
-    triples scanned: each runs through ``ws[i]`` for some ``i`` in
-    ``starts``, with the other two in its plane and the three 2x2 minors,
-    the relation's coefficients, of one sign.  The least such triple in the
+    triples scanned: each runs through a weight of ``starts``, with the
+    other two in its plane and the three 2x2 minors, the relation's
+    coefficients, of one sign.  The least such triple in the
     same order is returned.
     """
     last = {w: i for i, w in enumerate(ws)}  # weight -> index of its last copy
     found = min(_pairs(last), key=_search_order, default=None) or min(
-        _triples(last, dict.fromkeys(ws[i] for i in starts)), key=_search_order, default=None
+        _triples(last, dict.fromkeys(starts)), key=_search_order, default=None
     )
     if found is None:
         return None

@@ -14,7 +14,7 @@ import pytest
 
 import coreduce
 from coreduce import paper
-from coreduce.config import CertificateError
+from coreduce.config import CertificateError, ResourceLimitError
 from coreduce.classify import (
     NO,
     NO_PAPER,
@@ -47,7 +47,7 @@ from coreduce.rootsys import (
     parse_group,
     root_scaled_of_dynkin,
 )
-from coreduce.slices import BadSliceCertificate, toral_slice
+from coreduce.slices import BadSliceCertificate, bad_toral_slice, slice_certificate, toral_slice
 from coreduce.nullcone import G2XG2_DEGREE, G2XG2_TARGET, Cocharacter, ScreenResult
 
 from oracles import dynkin_of_root, exact_rank
@@ -465,12 +465,17 @@ def test_family_member_classifies_no_through_a_circuit(m):
 
 
 # irreducible A2 modules whose Hilbert search stops at its coordinate cap,
-# and a B3 module whose search does too
+# a B3 module whose search does too, and modules with more slice weights
+# than the cap admits whose relations were once typed out: a symmetric
+# power of A3, a harmonic power of B2 and a product-group module
 CAPPED_SEARCHES = [
     *(("A2", t) for t in ("[3,9]", "[5,8]", "[6,6]", "[6,9]", "[7,7]", "[8,5]", "[8,8]", "[9,3]", "[9,6]", "[9,9]")),
     *(("A2", f"[{3 * k},0]") for k in range(6, 15)),
     *(("A2", f"[0,{3 * k}]") for k in range(6, 15)),
     ("B3", "[1,3,0]"),
+    ("A3", "[32,0,0]"),
+    ("B2", "[24,0]"),
+    ("A2xA2", "[4,4,4,4]"),
 ]
 
 
@@ -480,6 +485,29 @@ def test_a_violating_circuit_answers_where_the_search_stops_at_its_cap(group, mo
     assert v.coreduced == NO
     (cert,) = v.certificates
     assert is_primitive_circuit(cert.weights, cert.coeffs)
+
+
+@pytest.mark.parametrize(
+    "group,module",
+    [
+        # too many distinct weights to scan
+        ("A2", "[60,60]"),
+        # a scan of the 12 distinct weights finds nothing (type A roots
+        # have only 0/1 circuits), and the search is sized on the 4,788
+        # copies before they are listed
+        ("A3", "400*[1,0,1]"),
+    ],
+)
+def test_a_slice_the_search_cannot_take_stops_at_its_cap_at_once(group, module):
+    m = _module(group, module)
+    with pytest.raises(ResourceLimitError) as search:
+        bad_toral_slice(m)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as scan:
+        slice_certificate(m)
+    assert time.perf_counter() - start < 0.5
+    assert str(scan.value) == str(search.value)
+    assert scan.value.cap == "HILBERT_COORD_CAP"
 
 
 def test_every_toral_relation_of_the_paper_tables_is_a_primitive_circuit():

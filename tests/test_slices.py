@@ -8,8 +8,8 @@ from coreduce.repthy import ModuleSpec, min_root_multiplicity, parse_module
 from coreduce.rootsys import parse_group
 from coreduce.slices import (
     bad_toral_slice,
-    circuit_certificate,
     roots_mult2_rule,
+    slice_certificate,
     toral_slice,
     violating_circuit,
     weyl_symmetric_list,
@@ -73,11 +73,11 @@ def test_roots_mult2_rule_type_a_reduction():
     assert cert is not None  # record-only reduction path for type A
 
 
-def test_circuit_certificate_is_none_without_a_toral_slice():
+def test_slice_certificate_is_none_without_a_toral_slice():
     g = parse_group("B2xG2")
     m = parse_module(g, "[1,0,1,0]")
     assert toral_slice(m) is None
-    assert circuit_certificate(m) is None
+    assert slice_certificate(m) is None
 
 
 # short lists of small nonzero weights, some of them repeated
@@ -95,7 +95,7 @@ REPEATED_WEIGHTS = st.integers(1, 3).flatmap(
 @given(ws=REPEATED_WEIGHTS)
 @settings(max_examples=300, deadline=None)
 def test_a_violating_circuit_is_a_violating_hilbert_generator(ws):
-    found = violating_circuit(ws, range(len(ws)))
+    found = violating_circuit(ws, ws)
     verdict = monoid.is_torus_coreduced(ws)
     if found is None:
         return
