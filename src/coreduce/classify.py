@@ -56,7 +56,6 @@ from .slices import (
     bad_toral_slice,
     relation_certificate,
     roots_mult2_rule,
-    slice_certificate,
 )
 
 YES = "yes"
@@ -334,7 +333,7 @@ def classify_adjoint_classical(m: ModuleSpec) -> Verdict:
         certs = () if verdict == YES else (Citation("classical invariant theory / cofreeness"),)
         notes = ("adjoint module",) if verdict == YES else ()
         return Verdict(m, verdict, certs, tag, notes)
-    bad = slice_certificate(m)
+    bad = bad_toral_slice(m)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
     return Verdict(m, NO_PAPER, (Citation("slice-quotient chain"),), tag)
@@ -413,7 +412,7 @@ def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
             m, NO, (cert, Citation("slice at the zero weight vector")), tag,
             ("screen applied to the rank-1 slice cocharacter with positive values 1 and 3",),
         )
-    bad = slice_certificate(m)
+    bad = bad_toral_slice(m)
     if bad is not None:
         return Verdict(m, NO, (bad,), tag)
     if _is_odd_orthogonal_triple(g, hw):
@@ -505,12 +504,10 @@ def classify_sl3(m: ModuleSpec) -> Verdict:
         if len(s) == 1 and s[0][0] == 1 and s[0][1] in _SL3_IRRED_YES:
             return Verdict(m, YES_PAPER, (Citation("cofree; quotient of small dimension"),), tag)
         return Verdict(m, YES_PAPER, (Citation("classical invariant theory"),), tag)
+    bad = bad_toral_slice(m)
+    if bad is not None:
+        return Verdict(m, NO, (bad,), tag)
     if len(s) == 1 and s[0][0] == 1:
-        r, t = s[0][1]
-        if (r - t) % 3 == 0:
-            bad = slice_certificate(m)
-            if bad is not None:
-                return Verdict(m, NO, (bad,), tag)
         statuses = classify_components_sl3(m)
         screen = sl3_irreducible_rank_screen(m.weights, statuses)
         if screen is not None:
@@ -523,9 +520,6 @@ def classify_sl3(m: ModuleSpec) -> Verdict:
             return Verdict(m, NO, cert, tag)
         return Verdict(m, NO_PAPER, (Citation("negative-weight count against the cubic-invariant bound"),), tag)
     # reducible non-listed modules
-    bad = bad_toral_slice(m)
-    if bad is not None:
-        return Verdict(m, NO, (bad,), tag)
     screen = _sl3_reducible_screen(m)
     if screen is not None:
         return Verdict(m, NO, screen, tag)

@@ -47,7 +47,7 @@ from .repthy import (
     ModuleSpec,
 )
 from .rootsys import RootSystemError, parse_group, parse_weight
-from .slices import bad_toral_slice, toral_slice
+from .slices import bad_toral_slice, has_toral_slice
 from . import classify as cls, paper
 
 SCHEMA = 2
@@ -153,7 +153,7 @@ def cmd_hilbert_basis(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_bad_slice(args: argparse.Namespace) -> tuple[dict, int]:
     m = _module(args)
-    if toral_slice(m) is None:
+    if not has_toral_slice(m):
         return {"module": str(m), "toral_slice": False, "bad": False}, EXIT_NO
     cert = bad_toral_slice(m)
     payload: dict = {"module": str(m), "toral_slice": True, "bad": cert is not None}

@@ -7,27 +7,26 @@ the module with one copy of each root removed.  The module is then not
 coreduced as soon as that torus weight list admits an indecomposable
 relation with a coefficient at least 2.
 
-:func:`bad_toral_slice` is the complete test: it runs the Hilbert search
-to its first such generator.  :func:`slice_certificate` first scans for
-circuits, minimal dependent sets of distinct weights, of two or three
-weights (:func:`violating_circuit`), and runs the same search only when the
-scan finds none.  The nonnegative relations on a circuit form a ray, so
-its primitive relation (coefficients of gcd 1) is indecomposable among the
-circuit's weights: a sub-relation below it is a rational multiple of it,
-and primitivity makes the multiple 0 or 1.  It is indecomposable in the
-whole slice too, because any decomposition of a relation has its support
-inside the relation's support; so a violating generator of a sub-list of
-the slice is a violating generator of the slice.  The slice is
-Weyl-invariant and the Weyl group maps circuits to circuits with the same
-coefficients, so every Weyl orbit of circuits has a member through a
-dominant weight, and the scan for three-weight circuits starts only there.
-Finding no violating circuit proves nothing.
+:func:`bad_toral_slice` is the one test, for every caller.  It first scans
+the distinct slice weights for circuits, minimal dependent sets of distinct
+weights, of two or three weights (:func:`violating_circuit`), and runs the
+Hilbert search to its first such generator only when the scan finds none.
+The nonnegative relations on a circuit form a ray, so its primitive
+relation (coefficients of gcd 1) is indecomposable among the circuit's
+weights: a sub-relation below it is a rational multiple of it, and
+primitivity makes the multiple 0 or 1.  It is indecomposable in the whole
+slice too, because any decomposition of a relation has its support inside
+the relation's support; so a violating generator of a sub-list of the
+slice is a violating generator of the slice.  The scan returns the least
+violating circuit in the search's own order, so where the search's first
+violating generator is a circuit of at most three weights, the scan finds
+that very generator.  Finding no violating circuit proves nothing.
 
 The generic vector itself is never materialized: genericity is part of the
-certificate's hypotheses.  Neither function keeps anything itself: the
-classify drivers that call them sit under ``classify.classify_module``'s
-memo, and ``monoid`` keeps the Hilbert search, so a repeated call lists the
-slice again but searches nothing.
+certificate's hypotheses.  The test keeps nothing itself: the classify
+drivers that call it sit under ``classify.classify_module``'s memo, and
+``monoid`` keeps the Hilbert search, so a repeated call lists the slice
+again but searches nothing.
 """
 
 from __future__ import annotations
@@ -80,9 +79,10 @@ class BadSliceCertificate(_BadSliceFields):
             require(all(x == 0 for x in self.relation_sum()), "relation must sum to zero")
 
 
-def _has_every_root(m: ModuleSpec) -> bool:
+def has_toral_slice(m: ModuleSpec) -> bool:
     """Whether every root of the group is a weight of the module (a torus
-    has none to miss)."""
+    has none to miss), so that there is a toral slice; read off the
+    root-lattice dominant diagram, with no orbit expanded."""
     return not m.group.simple_factors or min_root_multiplicity(m)[0] >= 1
 
 
@@ -91,27 +91,20 @@ def toral_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
     nonzero module weights (Dynkin coordinates) with one copy of each root
     removed, mapped to their multiplicities; None when some root of the
     group is not a weight of the module, so that there is no toral slice."""
-    return _slice_counts(m) if _has_every_root(m) else None
-
-
-def _slice_counts(m: ModuleSpec) -> dict[Coords, int]:
-    """The toral slice of a module that has every root as a weight."""
+    if not has_toral_slice(m):
+        return None
     counts = m.weights.nonzero_weights()
     for d in m.group.root_data.roots:
         counts[d] -= 1
     return {w: c for w, c in counts.items() if c}
 
 
-def weyl_symmetric_list(
-    g: GroupSpec, counts: dict[Coords, int], distinct: Optional[list[tuple[Vec, Coords]]] = None
-) -> tuple[list[Vec], list[list[int]]]:
+def weyl_symmetric_list(g: GroupSpec, counts: dict[Coords, int]) -> tuple[list[Vec], list[list[int]]]:
     """The weights of the Weyl-invariant multiset ``counts`` (Dynkin labels)
     as a sorted list in root_scaled coordinates, and the simple reflections
     as permutations of its indices: each sends the k-th copy of a weight to
-    the k-th copy of its image.  ``distinct`` is the distinct weights as
-    sorted (root_scaled, Dynkin) pairs, where the caller has them."""
-    if distinct is None:
-        distinct = sorted((root_scaled_of_dynkin(g, w), w) for w in counts)
+    the k-th copy of its image."""
+    distinct = sorted((root_scaled_of_dynkin(g, w), w) for w in counts)
     ws: list[Vec] = []
     first: dict[Coords, int] = {}  # Dynkin weight -> index of its first copy
     for c, w in distinct:
@@ -125,17 +118,30 @@ def weyl_symmetric_list(
 
 
 def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
-    """The direct test: Hilbert-basis 0/1 criterion on the toral slice
-    weights, with multiplicity, in sorted root_scaled coordinates, searched
-    with the Weyl group's simple reflections as symmetries; None when
-    the slice is coreduced or there is none.  Whether there is a slice, and
-    the size of the search, are read off the dominant diagram before any
-    orbit is expanded; only then is the slice listed."""
-    if not _has_every_root(m):
+    """The toral slice's first violating relation as a ``toral_relation``
+    certificate on its support, in sorted root_scaled coordinates; None
+    when the slice is coreduced or there is none.
+
+    The distinct slice weights are scanned for a violating circuit of two
+    or three weights (:func:`violating_circuit`), listed only while the
+    module's distinct nonzero weights times its distinct nonzero dominant
+    ones, read off the dominant diagrams, are within ``HILBERT_COORD_CAP``.
+    Failing one, the Hilbert search runs on the weights with multiplicity,
+    in the same sorted order, with the Weyl group's simple reflections as
+    symmetries; it is sized on the copies, read off the dominant diagrams
+    too, before the slice is listed for it."""
+    if not has_toral_slice(m):
         return None
-    n = weight_counts(m)[1] - len(m.group.root_data.roots)
+    g = m.group
+    dominant = {d for _, hw in m.collected for d in dominant_diagram(g, hw) if any(d)}
+    if len(dominant) * sum(orbit_size(g, d) for d in dominant) <= HILBERT_COORD_CAP:
+        ws = sorted(root_scaled_of_dynkin(g, w) for w in toral_slice(m))
+        found = violating_circuit(ws)
+        if found is not None:
+            return relation_certificate(TorusVerdict(False, tuple(ws), found))
+    n = weight_counts(m)[1] - len(g.root_data.roots)
     _check_stored(n, n)
-    ws, symmetry = weyl_symmetric_list(m.group, _slice_counts(m))
+    ws, symmetry = weyl_symmetric_list(g, toral_slice(m))
     return relation_certificate(is_torus_coreduced(ws, symmetry))
 
 
@@ -200,50 +206,35 @@ def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     )
 
 
-def slice_certificate(m: ModuleSpec) -> Optional[BadSliceCertificate]:
-    """The toral slice's violating circuit of two or three distinct weights
-    (:func:`violating_circuit`) as a ``toral_relation`` certificate, its
-    weights in sorted slice order; failing one, :func:`bad_toral_slice`'s
-    certificate, searched on the same sorted list; None when the slice is
-    coreduced or there is none.  The scan lists distinct weights only, and
-    only while the module's distinct nonzero weights times its distinct
-    nonzero dominant ones, read off the dominant diagrams, are within
-    ``HILBERT_COORD_CAP``: a larger module has more weights than the
-    search admits, and :func:`bad_toral_slice` refuses it unlisted."""
-    if not _has_every_root(m):
-        return None
-    g = m.group
-    dominant = {d for _, hw in m.collected for d in dominant_diagram(g, hw) if any(d)}
-    if len(dominant) * sum(orbit_size(g, d) for d in dominant) > HILBERT_COORD_CAP:
-        return bad_toral_slice(m)
-    counts = _slice_counts(m)
-    distinct = sorted((root_scaled_of_dynkin(g, w), w) for w in counts)
-    ws = [c for c, _ in distinct]
-    found = violating_circuit(ws, [c for c, w in distinct if min(w) >= 0])
-    if found is not None:
-        return relation_certificate(TorusVerdict(False, tuple(ws), found))
-    n = sum(counts.values())
-    _check_stored(n, n)
-    return relation_certificate(is_torus_coreduced(*weyl_symmetric_list(g, counts, distinct)))
-
-
-def violating_circuit(ws: Sequence[Vec], starts: Iterable[Vec]) -> Optional[Relation]:
-    """A primitive relation with a coefficient >= 2 on a circuit of two or
-    three distinct nonzero weights of ``ws``, each at its last copy; None
-    when there is none.
+def violating_circuit(ws: Sequence[Vec]) -> Optional[Relation]:
+    """The least primitive relation with a coefficient >= 2 on a circuit of
+    two or three distinct nonzero weights of ``ws``, each at its last copy,
+    in the Hilbert search's order; None when there is none.
 
     A pair is ``k p`` and ``l (-p)`` with ``k != l`` for a primitive
-    direction ``p``, with relation ``(l, k) / gcd(k, l)``; the least one in
-    the Hilbert search's order is returned.  Only without a pair are
-    triples scanned: each runs through a weight of ``starts``, with the
-    other two in its plane and the three 2x2 minors, the relation's
-    coefficients, of one sign.  The least such triple in the
-    same order is returned.
+    direction ``p``, with relation ``(l, k) / gcd(k, l)``.  A triple has
+    its second and third weight in the plane of its first, off its line,
+    and the three 2x2 minors, the relation's coefficients, of one sign.  A
+    violating pair has degree at least 3 and a violating triple at least
+    4, and at equal degree the later the first index, the smaller.  So
+    triples are scanned by first index, the last first, each with partners
+    of higher index only, and the scan stops when no triple through an
+    earlier first index can come before the least relation found: one of
+    degree 3, or of degree 4 with a later first index.  Where the search's
+    first violating generator is a circuit of at most three weights, this
+    is that generator.
     """
     last = {w: i for i, w in enumerate(ws)}  # weight -> index of its last copy
-    found = min(_pairs(last), key=_search_order, default=None) or min(
-        _triples(last, dict.fromkeys(starts)), key=_search_order, default=None
-    )
+    order = sorted(last, key=last.__getitem__)
+    found = min(_pairs(last), key=_search_order, default=None)
+    for k in range(len(order) - 1, -1, -1):
+        if found is not None:
+            degree = sum(c for _, c in found)
+            if degree == 3 or (degree == 4 and found[0][0] > last[order[k]]):
+                break
+        for triple in _triples(order[k], order[k + 1 :], last):
+            if found is None or _search_order(triple) < _search_order(found):
+                found = triple
     if found is None:
         return None
     coeffs = dict(found)
@@ -271,28 +262,32 @@ def _pairs(last: dict[Vec, int]) -> Iterator[tuple[tuple[int, int], ...]]:
         rays.setdefault(tuple(x // k for x in w), []).append((k, i))
     for p, ks in rays.items():
         for l, j in rays.get(tuple(-x for x in p), ()):
-            yield from (_primitive((i, l), (j, k)) for k, i in ks if k != l)
+            # each pair once, from the direction of its lower index
+            yield from (_primitive((i, l), (j, k)) for k, i in ks if k != l and i < j)
 
 
-def _triples(last: dict[Vec, int], starts: Iterable[Vec]) -> Iterator[tuple[tuple[int, int], ...]]:
-    for a in starts:
-        # b - (b_s / a_s) a, scaled to integers, is zero exactly when b is
-        # on a's line, and its direction names the plane of a and b
-        s = next(j for j, x in enumerate(a) if x)
-        planes: dict[Vec, list[tuple[Vec, list[int]]]] = {}
-        for b in last:
-            v = [a[s] * y - b[s] * x for x, y in zip(a, b)]
-            if any(v):
-                k = gcd(*v)
-                k = k if next(x for x in v if x) > 0 else -k
-                planes.setdefault(tuple(x // k for x in v), []).append((b, v))
-        for plane, bs in planes.items():
-            # the plane's coordinates s and t, on which z = det(a, b) is v_b[t]
-            t = next(j for j, x in enumerate(plane) if x)
-            for n, (b, vb) in enumerate(bs):
-                for c, vc in bs[n + 1 :]:
-                    x, y, z = b[s] * c[t] - b[t] * c[s], -vc[t], vb[t]
-                    if (x > 0 and y > 0 and z > 0) or (x < 0 and y < 0 and z < 0):
-                        support = _primitive((last[a], abs(x)), (last[b], abs(y)), (last[c], abs(z)))
-                        if max(coeff for _, coeff in support) >= 2:
-                            yield support
+def _triples(
+    a: Vec, partners: Iterable[Vec], last: dict[Vec, int]
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The violating circuits of three weights through ``a`` and two of
+    ``partners``."""
+    # b - (b_s / a_s) a, scaled to integers, is zero exactly when b is on
+    # a's line, and its direction names the plane of a and b
+    s = next(j for j, x in enumerate(a) if x)
+    planes: dict[Vec, list[tuple[Vec, list[int]]]] = {}
+    for b in partners:
+        v = [a[s] * y - b[s] * x for x, y in zip(a, b)]
+        if any(v):
+            k = gcd(*v)
+            k = k if next(x for x in v if x) > 0 else -k
+            planes.setdefault(tuple(x // k for x in v), []).append((b, v))
+    for plane, bs in planes.items():
+        # the plane's coordinates s and t, on which z = det(a, b) is v_b[t]
+        t = next(j for j, x in enumerate(plane) if x)
+        for n, (b, vb) in enumerate(bs):
+            for c, vc in bs[n + 1 :]:
+                x, y, z = b[s] * c[t] - b[t] * c[s], -vc[t], vb[t]
+                if (x > 0 and y > 0 and z > 0) or (x < 0 and y < 0 and z < 0):
+                    support = _primitive((last[a], abs(x)), (last[b], abs(y)), (last[c], abs(z)))
+                    if max(coeff for _, coeff in support) >= 2:
+                        yield support

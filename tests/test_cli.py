@@ -16,6 +16,8 @@ from coreduce.cli import main
 from coreduce.repthy import parse_module, weyl_dim
 from coreduce.rootsys import parse_group
 
+from test_classify import CAPPED_SEARCHES
+
 FOUR_SIX = ",".join(map(str, paper.TORUS_FOUR_SIX))
 
 
@@ -290,8 +292,9 @@ def test_every_memo_keyed_on_request_input_is_bounded_and_stores_hashable_values
     for argv in (
         ["classify", "A2", "[3,1]"],
         ["classify", "A2", "[2,2]"],
-        # classify answers A2 "[2,2]" with a violating pair; the search runs here
-        ["bad-slice", "A2", "[2,2]"],
+        # classify and bad-slice answer A2 "[2,2]" with a violating pair; the
+        # coreduced slice of A1 "[4]" runs the search
+        ["bad-slice", "A1", "[4]"],
         ["components", "A1xA2", "[1,0,1]"],
         ["hilbert-basis", "--weights", "2,-3,5,-4"],
     ):
@@ -821,6 +824,53 @@ def test_bad_slice_command_computes_the_weights_once(group, module, weight_build
     assert weight_builds == [hw for _, hw in m.summands]
 
 
+@pytest.mark.parametrize("group,module", [("A2xA2", "[7,7,7,7]"), ("A3", "[48,0,0]")])
+def test_bad_slice_refuses_a_slice_the_search_cannot_take_unlisted(group, module, weight_builds, capsys):
+    # whether there is a slice is read off the root multiplicity, and the
+    # size of the scan and of the search off the dominant diagrams, so no
+    # weight diagram is built
+    assert run_cli(["bad-slice", group, module]) == (3, "")
+    assert json.loads(capsys.readouterr().err)["cap"] == "HILBERT_COORD_CAP"
+    assert weight_builds == []
+
+
+# bench rows, then paper rows, whose classify certificate differed from
+# bad-slice's while the classical, product-group and irreducible A2 drivers
+# scanned for triples through dominant weights only
+ONCE_TWO_CERTIFICATES = [
+    ("A3", "[0,1,2]"), ("A3", "2*[0,2,0]"), ("A3", "[2,1,0]"), ("A3", "[0,2,0]+[1,0,1]"),
+    ("B3", "[0,0,2]"), ("B3", "2*[0,1,0]"), ("B3", "[0,0,2]+[1,0,0]"), ("C3", "2*[2,0,0]"),
+    ("A1xA2", "[2,1,1]"), ("A1xG2", "[2,0,1]"),
+    ("A2xA2", "[1,1,1,1]"), ("A3", "[4,0,0]"), ("C3", "[1,0,1]"),
+]
+PAPER_ROWS = [
+    (group, module)
+    for group, module, _ in paper.EXCEPTIONAL + paper.CLASSICAL + paper.SEMISIMPLE
+    + paper.SL3_IRREDUCIBLE + paper.SL3_REDUCIBLE
+] + [
+    ("A1", "+".join(f"[{p}]" for p in parts))
+    for parts in (*paper.SL2_YES, paper.SL2_TWO_QUADRATICS, paper.SL2_SEXTIC)
+]
+
+
+@pytest.mark.parametrize("group,module", ONCE_TWO_CERTIFICATES + PAPER_ROWS + CAPPED_SEARCHES)
+def test_classify_prints_the_toral_relation_that_bad_slice_prints(group, module):
+    # one toral-slice test serves every command: a relation on the module's
+    # own slice (one with no note) is the one bad-slice prints
+    _, out = run_cli(["classify", group, module])
+    (row,) = json.loads(out)["rows"]
+    relations = [
+        c for c in row["certificates"]
+        if isinstance(c, dict) and c.get("kind") == "toral_relation" and not c["note"]
+    ]
+    _, out = run_cli(["bad-slice", group, module])
+    bad = json.loads(out).get("certificate")
+    if (group, module) in ONCE_TWO_CERTIFICATES + CAPPED_SEARCHES:
+        assert relations == [bad] and bad is not None
+    else:
+        assert relations in ([], [bad])
+
+
 def test_components_command():
     code, out = run_cli(["components", "A2", "[3,1]"])
     assert code == 0
@@ -881,8 +931,9 @@ def test_classify_exit_zero_on_yes():
 
 
 # the exact classify output for one module per certificate kind and per
-# route to a toral relation (the search, the odd orthogonal triple, a
-# circuit), and for an A1 module typed out of order, which prints as typed
+# route to a toral relation (a circuit of the scan, the search, the odd
+# orthogonal triple), and for an A1 module typed out of order, which prints
+# as typed
 CLASSIFY_GOLDEN = [
     pytest.param(
         "A1",
@@ -895,6 +946,19 @@ CLASSIFY_GOLDEN = [
             ' "schema": 2}\n'
         ),
         id="toral_relation",
+    ),
+    pytest.param(
+        "F4",
+        "[1,0,0,0]+[0,0,0,1]",
+        1,
+        (
+            '{"rows": [{"certificates": [{"coeffs": [1, 1, 1, 2, 1], "kind": "toral_relation",'
+            ' "note": "", "weights": [[-1, -1, -1, 0], [0, -1, -1, 0], [0, 0, -1, 0],'
+            ' [0, 0, 0, -1], [1, 2, 3, 2]]}], "coreduced": "no", "group": "F4",'
+            ' "module": "[1,0,0,0]+[0,0,0,1]", "notes": [], "theorem": "exceptional-F4"}],'
+            ' "schema": 2}\n'
+        ),
+        id="searched_relation",
     ),
     pytest.param(
         "B2xB2xB2",
@@ -932,7 +996,7 @@ CLASSIFY_GOLDEN = [
         1,
         (
             '{"rows": [{"certificates": [{"coeffs": [2, 1, 1], "kind": "toral_relation",'
-            ' "note": "", "weights": [[-2, 0, 0], [2, -3, -3], [2, 3, 3]]}],'
+            ' "note": "", "weights": [[-2, 0, 0], [2, 0, -3], [2, 0, 3]]}],'
             ' "coreduced": "no", "group": "A1xA2", "module": "[2,1,1]", "notes": [],'
             ' "theorem": "semisimple-irreducible"}], "schema": 2}\n'
         ),
@@ -1477,31 +1541,42 @@ def hilbert_cap_error(group, module):
     }
 
 
-@pytest.mark.parametrize(
-    "command, group, module",
-    [
-        ("classify", "G2", "2*[2,2]"),
-        ("bad-slice", "B3", "[1,3,0]"),
-        ("classify", "F4", "[3,2,2,1]"),
-        ("classify", "F4", "[2,3,2,0]"),
-        ("classify", "G2", "2*[3,3]"),
-    ],
+@pytest.mark.parametrize("module", ["[3,2,2,1]", "[2,3,2,0]"])
+def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(module):
+    # each toral-slice search here and below stops at the coordinate cap
+    # inside a 1 GB address space, which all but G2 "2*[2,2]" were once seen
+    # to fill; these F4 slices (about 3e11 weights) are sized before they
+    # are listed, for the scan and for the search.  The counts pin the
+    # candidates the search stores
+    out = run_in_one_gigabyte(["classify", "F4", module])
+    assert out.returncode == 3 and out.stdout == ""
+    assert json.loads(out.stderr) == hilbert_cap_error("F4", module)
+
+
+# the CLI with the circuit scan finding nothing, so that bad-slice runs the
+# Hilbert search on every slice
+WITHOUT_THE_SCAN = (
+    "import sys\n"
+    "from coreduce import cli, slices\n"
+    "slices.violating_circuit = lambda ws: None\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
 )
-def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(command, group, module):
-    # each toral-slice search here stops at the coordinate cap inside a 1 GB
-    # address space, which all but G2 "2*[2,2]" were once seen to fill; the
-    # F4 slices (about 3e11 weights) are sized before they are listed.  The
-    # counts pin the candidates the search stores.  classify answers B3
-    # "[1,3,0]" with a violating pair before any search, so bad-slice, which
-    # runs the search alone, stands in for it
-    out = run_in_one_gigabyte([command, group, module])
+
+
+@pytest.mark.parametrize("group, module", [("G2", "2*[2,2]"), ("B3", "[1,3,0]"), ("G2", "2*[3,3]")])
+def test_the_search_behind_the_scan_stops_at_its_cap_before_memory_runs_out(group, module):
+    # each of these slices holds a violating pair, which classify and
+    # bad-slice answer with before any search, so the search runs here with
+    # the scan switched off; G2 "2*[3,3]" is sized on its copies first
+    out = run_in_one_gigabyte(["bad-slice", group, module], WITHOUT_THE_SCAN)
     assert out.returncode == 3 and out.stdout == ""
     assert json.loads(out.stderr) == hilbert_cap_error(group, module)
 
 
-def run_in_one_gigabyte(argv):
-    """Run the CLI in a child process limited to a 1 GB address space;
-    it must finish within 10 s."""
+def run_in_one_gigabyte(argv, program=None):
+    """Run the CLI, or the Python ``program`` that takes its arguments, in a
+    child process limited to a 1 GB address space; it must finish within
+    10 s."""
     import resource
     import time
 
@@ -1511,7 +1586,7 @@ def run_in_one_gigabyte(argv):
     src = os.path.dirname(os.path.dirname(coreduce.__file__))
     t0 = time.perf_counter()
     out = subprocess.run(
-        [sys.executable, "-m", "coreduce.cli", *argv],
+        [sys.executable, *(["-m", "coreduce.cli"] if program is None else ["-c", program]), *argv],
         capture_output=True,
         text=True,
         timeout=120,

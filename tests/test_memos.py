@@ -24,7 +24,7 @@ FOUR_SIX = ",".join(map(str, paper.TORUS_FOUR_SIX))
 # each request runs at least one of the memoized searches when cold
 WARM_REQUESTS = [
     ["classify", "A2", "[3,1]"],  # chambers, covariant certificate, exists_sum
-    ["classify", "A2", "[2,2]"],  # the Hilbert search of a toral slice
+    ["classify", "A1", "[4]"],  # the Hilbert search of a coreduced toral slice
     ["torus-check", "--weights", FOUR_SIX],
     ["hilbert-basis", "--weights", "2,-3,5,-4"],
     ["components", "A1xA2", "[1,0,1]"],
@@ -197,15 +197,15 @@ def test_a_repeated_toral_slice_verdict_reads_no_torus_verdict():
     """``bad_toral_slice`` keeps nothing itself: a repeat lists the slice
     again and reads its search off the torus-verdict memo.  A repeated
     ``classify`` reads its verdict off ``classify_module``'s memo, and so
-    reads no torus verdict at all."""
-    m = parse_module(parse_group("A1"), "[6]")
-    cert = slices.bad_toral_slice(m)
-    assert cert is not None
-    assert slices.bad_toral_slice(ModuleSpec(m.group, m.summands)) == cert
+    reads no torus verdict at all.  The slice of A1 "[4]" is coreduced, so
+    no circuit answers before the search."""
+    m = parse_module(parse_group("A1"), "[4]")
+    assert slices.bad_toral_slice(m) is None
+    assert slices.bad_toral_slice(ModuleSpec(m.group, m.summands)) is None
     assert monoid._torus_verdict.cache_info()[:2] == (1, 1)  # hits, misses
-    argv = ["classify", "A1", "[6]"]
+    argv = ["classify", "A1", "[4]"]
     first = run(argv)
-    assert first[0] == 1
+    assert first[0] == 0
     read = monoid._torus_verdict.cache_info()
     assert run(argv) == first
     assert monoid._torus_verdict.cache_info() == read

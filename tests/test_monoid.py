@@ -18,7 +18,7 @@ from coreduce.monoid import (
 )
 from coreduce.repthy import ModuleSpec, parse_module
 from coreduce.rootsys import parse_group
-from coreduce.slices import bad_toral_slice, toral_slice, weyl_symmetric_list
+from coreduce.slices import relation_certificate, toral_slice, weyl_symmetric_list
 
 from oracles import (
     brute_force_minimal_relations,
@@ -269,16 +269,17 @@ def test_copy_ascending_search_answers_a_b2_slice_under_a_small_cap(monkeypatch)
     # every arrangement of equal weights, its search stored 875 candidates
     # before the certificate, over the 600 that this cap allows.  Grown over
     # copy-ascending candidates, with each generator's other arrangements
-    # counted as stored, it holds 521
+    # counted as stored, it holds 521.  The circuit scan finds the relation
+    # before any search, so the search runs here on the slice directly
     g = parse_group("B2")
-    m = parse_module(g, "3*[0,2]+3*[1,0]")
-    n = sum(toral_slice(m).values())
+    ws, symmetry = weyl_symmetric_list(g, toral_slice(parse_module(g, "3*[0,2]+3*[1,0]")))
+    n = len(ws)
     monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 600 * n)
-    assert bad_toral_slice(m).coeffs == (1, 2, 1)
+    assert relation_certificate(is_torus_coreduced(ws, symmetry)).coeffs == (1, 2, 1)
     monoid._torus_verdict.cache_clear()
     monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 520 * n)
     with pytest.raises(ResourceLimitError, match="521 candidates of 28 coefficients"):
-        bad_toral_slice(m)
+        is_torus_coreduced(ws, symmetry)
 
 
 def test_a_symmetry_must_keep_the_rank_of_each_copy():
