@@ -16,7 +16,7 @@ that cannot change an answer:
   bits, enough for any coefficient the cap lets the search reach, and a
   guard bit on top: ``m <= y`` componentwise exactly when
   ``(y | GUARD) - m`` keeps every guard bit.  The pairings ``<val, w>`` of
-  the candidate's value ``val = sum_i x_i * a_i`` with each distinct weight
+  the candidate's value ``val = sum_i x_i * a_i`` with each weight
   are a second int, one biased byte-aligned field each, and a child steps
   them by the packed Gram row of its weight.  A negative pairing is a field
   with its top bit clear, and ``val == 0`` exactly when the int equals the
@@ -30,27 +30,22 @@ that cannot change an answer:
   and a child ``x + e_j`` is compared only with generators whose j-th
   coefficient equals the child's.  The generators and their order are
   those of the plain scan.
-- Equal weights are interchangeable, so the search grows only
-  *copy-ascending* candidates, whose coefficients do not decrease along the
-  copies of each weight.  Each degree is handed on as its copy-ascending
-  generators, sorted, with the count of all their arrangements over the
-  copies: ``iter_hilbert_basis`` lists the arrangements, merged lazily, and
-  the torus verdict reads only the generators, as the least copy-ascending
-  one with a coefficient >= 2 is the first such generator of its degree.
-  A weight of multiplicity m no longer makes each relation be found once
-  per arrangement.  The other arrangements of a generator still count
-  against the coordinate cap, as the plain search stores them, so the cap
-  bounds what a caller keeps.  The B2 slice of ``3*[0,2]+3*[1,0]``, 28
-  weights of which 8 are distinct, grows 39 candidates and counts 521
-  instead of 875, and its verdict lists none of the 258 generators that
-  come before its certificate; the G2 slice of ``3*[0,2]``, which stopped
-  at the cap, counts 27,300 of the 78,431 it allows at its certificate.
-  A list of distinct weights has one arrangement per generator and counts
-  none.
-- A symmetry of the weight list, given as index permutations (the simple
-  reflections acting on a toral slice), shrinks the search: it starts from
-  the last copy of one weight per orbit, and each level's generators are
-  closed under the permutations.  The F4 slice of the ``exceptional``
+- Multiplicities do not change the search.  A relation is indecomposable
+  exactly when the relation it induces on the distinct weights is, since a
+  decomposition of the induced relation splits back over the copies, so
+  the Hilbert basis of a list is every way to spread each generator of its
+  distinct weights over the copies.  The search runs on the distinct
+  weights, ordered by their last copy, where spreading a relation onto the
+  last copies keeps the tuple order: the torus verdict puts its first
+  violating generator there and spreads nothing, and
+  ``iter_hilbert_basis`` lists every spread of each degree, merged lazily,
+  each counted against both caps.  The list ``(-1,-2,2)`` three times,
+  ``(2,2,-1)``, ``(-1,1,-2)`` twice answers ``coreduced`` after 573
+  candidates in 295 degrees on its three distinct weights.
+- A symmetry of a list of distinct weights, given as index permutations
+  (the simple reflections acting on a toral slice), shrinks the search: it
+  starts from one weight per orbit, and each level's generators are closed
+  under the permutations.  The F4 slice of the ``exceptional``
   suite, 24 weights in one W(F4)-orbit, stores 7,552 candidates instead of
   79,013.
 - ``exists_sum`` bounds every partial sum by the values a linear
@@ -75,11 +70,9 @@ stops at the same count.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
-from collections import Counter
 from functools import lru_cache
-from math import comb
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from math import comb, prod
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .config import MEMO_SIZE, ResourceLimitError, require
 from .rootsys import closure
@@ -137,23 +130,6 @@ def _repunit(width: int, count: int) -> int:
     return ((1 << width * count) - 1) // ((1 << width) - 1)
 
 
-class _Degree(NamedTuple):
-    """The generators of one degree of the Hilbert search."""
-
-    generators: list[Vec]  # the copy-ascending ones, in increasing order
-    count: int  # all their arrangements over the copies
-    arrangements: Callable[[Vec], Iterator[Vec]]  # of one generator, increasing
-
-    def listed(self) -> Iterator[Vec]:
-        """Every generator of the degree, in increasing order: the
-        arrangements of all copy-ascending ones, merged lazily, so that a
-        degree with more than ``HILBERT_GENERATOR_CAP`` is never listed
-        whole.  Tuples compare as the packed candidates do."""
-        if self.count == len(self.generators):
-            return iter(self.generators)  # each is its only arrangement
-        return heapq.merge(*map(self.arrangements, self.generators))
-
-
 def _check_found(found: int) -> None:
     if found > HILBERT_GENERATOR_CAP:
         raise ResourceLimitError(
@@ -162,22 +138,83 @@ def _check_found(found: int) -> None:
         )
 
 
+def _distinct(ws: Sequence[Vec]) -> tuple[list[Vec], list[list[int]]]:
+    """The distinct weights of ``ws``, ordered by their last copy, and the
+    increasing indices of each one's copies.  A list without repeats is its
+    own distinct list, in its own order."""
+    copies: dict[Vec, list[int]] = {}
+    for j, w in enumerate(ws):
+        copies.setdefault(w, []).append(j)
+    distinct = sorted(copies, key=lambda w: copies[w][-1])
+    return distinct, [copies[w] for w in distinct]
+
+
+def _spread(generator: Vec, copies: list[list[int]], n: int) -> Iterator[Vec]:
+    """Every way to spread the coefficients of ``generator``, a relation
+    among distinct weights, over the copies of each weight (``copies[k]``
+    the indices of weight k's copies among ``n``), in increasing order.
+    The least puts each coefficient on its weight's last copy.  The next
+    after ``x`` raises by 1 the last index j whose weight holds something
+    at a later copy, taking the 1 from there, and puts what each weight
+    then holds after j on its last copy: the least spread above ``x``."""
+    x = [0] * n
+    free = []  # (index, weight, whether it is the weight's last copy)
+    for k, c in enumerate(generator):
+        if c:
+            x[copies[k][-1]] = c
+            free += [(j, k, j == copies[k][-1]) for j in copies[k]]
+    free.sort()
+    while True:
+        yield tuple(x)
+        after = [0] * len(generator)  # what each weight holds after index j
+        for i in range(len(free) - 1, -1, -1):
+            j, k, _ = free[i]
+            if after[k]:
+                break
+            after[k] += x[j]
+        else:
+            return
+        x[j] += 1
+        after[k] -= 1
+        for j, k, last in free[i + 1 :]:
+            x[j] = after[k] if last else 0
+
+
 def iter_hilbert_basis(weights: Sequence[Vec]) -> Iterator[Relation]:
     """Yield the indecomposable relations among ``weights`` (Contejean–Devié),
-    in order of degree and, within a degree, of coefficient tuple: every
-    arrangement of each generator that :func:`_degrees` finds, one degree
-    at a time, so early consumers may stop at the first interesting
-    generator."""
+    in order of degree and, within a degree, of coefficient tuple, one
+    degree at a time, so early consumers may stop at the first interesting
+    generator.
+
+    A relation is indecomposable exactly when the relation it induces on
+    the distinct weights is: a decomposition of the induced relation splits
+    back over the copies.  So the search runs on the distinct weights,
+    ordered by their last copy, and each degree lists every way to spread
+    each of its generators over the copies, merged lazily.  Each listed
+    relation counts against both caps, so what a caller keeps stays under
+    ``HILBERT_COORD_CAP``: a degree's spreads, c + m - 1 choose c for a
+    coefficient c on m copies, count against it before any is listed."""
+    ws = [tuple(w) for w in weights]
+    n = len(ws)
+    distinct, copies = _distinct(ws)
     found = 0
-    for degree in _degrees(weights, ()):
-        for coeffs in degree.listed():
+    for generators in _degrees(distinct, ()):
+        if len(distinct) < n:
+            spreads = sum(
+                prod(comb(c + len(js) - 1, c) for c, js in zip(g, copies)) for g in generators
+            )
+            # a cap error names the first relation past the cap
+            _check_stored(min(found + spreads, HILBERT_COORD_CAP // n + 1), n)
+            generators = heapq.merge(*(_spread(g, copies, n) for g in generators))
+        for coeffs in generators:
             found += 1
             _check_found(found)
             yield Relation(coeffs)
 
 
-def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Iterator[_Degree]:
-    """The indecomposable relations among ``weights``, one degree at a time.
+def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Iterator[list[Vec]]:
+    """The indecomposable relations among the distinct ``weights``, one
+    degree at a time, each degree's generators sorted.
 
     The completion runs level by level.  All candidates of degree d are
     made before any generator of degree d is known, each checked once
@@ -191,42 +228,15 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
     ``m[j] == y[j]``, because ``x`` dominates none of them, so the child is
     compared only with that one bucket of the index.
 
-    Equal weights are interchangeable, so the search grows only
-    *copy-ascending* candidates, whose coefficients do not decrease along
-    the copies of each weight (in index order): it starts from the last
-    copy of each weight, and grows a copy other than the last only while
-    its coefficient is below the next copy's.  Each generator's orbit under
-    swapping copies holds exactly one copy-ascending member, and the search
-    finds just those; a degree yields them with the count of their distinct
-    arrangements over the copies and the function that lists them, so that
-    listing them all gives the generators of the plain search in its
-    order.  The copy-ascending arrangement is the least in tuple order, so
-    the least copy-ascending generator with a coefficient >= 2 is the first
-    such generator of its degree.  The search stays complete: from
-    a copy-ascending ``y`` below a copy-ascending minimal relation ``s``,
-    the Contejean–Devié step takes a copy ``k`` of some weight with
-    ``y[k] < s[k]``; the last copy ``j`` with ``y[j] == y[k]`` has
-    ``y[j] < s[k] <= s[j]``, and ``y + e_j`` is copy-ascending.  The
-    index needs only copy-ascending generators: if a copy-ascending ``y``
-    dominates a generator, it dominates the generator with each weight's
-    coefficients sorted along its copies, because sorting keeps ``m <= y``.
-    Each generator's other arrangements count as stored candidates before
-    its degree is yielded, as the plain search has stored them by then, so
-    without a symmetry the search reaches the coordinate cap only where the
-    plain one does, and no search yields a degree whose arrangements pass
-    it.  A list of distinct weights has one arrangement per generator.
-
     ``symmetry`` lists permutations of the indices that map the weight list
     onto itself, such as the simple reflections acting on a Weyl-invariant
-    list; each must send the k-th copy of a weight to the k-th copy of its
-    image, so that it maps copy-ascending candidates to copy-ascending ones.
-    The search then starts from one last copy per orbit of indices, and
-    each level's generators are closed under the permutations before they
-    are indexed and yielded.  Every generator orbit has a member whose
-    support meets a starting index, and the completion from ``e_r``
-    reaches every copy-ascending minimal relation with ``r`` in its
-    support, so the generators are those of the plain search, in the same
-    order.  Each image is checked to be a relation.
+    list.  The search then starts from one index per orbit, and each
+    level's generators are closed under the permutations before they are
+    indexed and yielded.  Every generator orbit has a member whose support
+    meets a starting index, and the completion from ``e_r`` reaches every
+    minimal relation with ``r`` in its support, so the generators are those
+    of the plain search, in the same order.  Each image is checked to be a
+    relation.
     """
     n = len(weights)
     if n == 0:
@@ -236,27 +246,12 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
         raise ValueError("weights must share a dimension")
     if any(all(x == 0 for x in w) for w in weights):
         raise ValueError("zero weights must be discarded before basis computation")
-    distinct = list(dict.fromkeys(map(tuple, weights)))
-    field = {w: f for f, w in enumerate(distinct)}
-    members: list[list[int]] = [[] for _ in distinct]  # field -> weight indices
-    for j, w in enumerate(weights):
-        members[field[tuple(w)]].append(j)
-    copy = [(0, 0)] * n  # j -> (field of its weight, its rank among the copies)
-    for f, js in enumerate(members):
-        for k, j in enumerate(js):
-            copy[j] = (f, k)
     perms = [tuple(p) for p in symmetry]
     if any(sorted(p) != list(range(n)) for p in perms):
         raise ValueError("a symmetry must permute the weight indices")
-    for p in perms:
-        image = [copy[p[js[0]]][0] for js in members]  # field -> field of its image
-        if any(copy[p[j]] != (image[f], k) for j, (f, k) in enumerate(copy)):
-            raise ValueError(
-                "a symmetry must send the k-th copy of a weight to the k-th copy of its image"
-            )
-    starts: list[int] = []  # the least last copy of each orbit of indices
+    starts: list[int] = []  # the least index of each orbit
     seen: set[int] = set()
-    for i in sorted(js[-1] for js in members):
+    for i in range(n):
         if i not in seen:
             starts.append(i)
             seen.update(closure((i,), lambda j: [p[j] for p in perms]))
@@ -270,7 +265,7 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
     # _check_stored keeps at most cap // n while children one degree higher
     # are made: cb - 1 bits hold every coefficient, so no field overflows,
     # and the top bit of each field is a guard for _dominates.  A symmetry
-    # image and an arrangement have the coefficients of a stored generator.
+    # image has the coefficients of a stored generator.
     max_stored = HILBERT_COORD_CAP // n
     deg_cap = max_stored + 1
     cb = deg_cap.bit_length() + 1
@@ -278,29 +273,25 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
     shift = [cb * (n - 1 - j) for j in range(n)]
     unit = [1 << s for s in shift]
     guard = _repunit(cb, n) << cb - 1
-    # the copies of each weight a child may grow: (j, shift of the next
-    # copy), or (j, None) for the last copy, which always may
-    grow = [[(j, shift[k]) for j, k in zip(js, js[1:])] + [(js[-1], None)] for js in members]
-    repeated = [js for js in members if len(js) > 1]
 
-    # Pairings: the int d holds <val, w> for each distinct weight w in a
-    # field of nb bytes, plus half the field's range, so a pairing is
-    # negative exactly when the top bit of its field is clear.  A pairing is
-    # at most deg_cap * max |w|^2 in size, below that half.  Packing is
-    # linear, so the Gram row of a weight is its coordinates times the
-    # packed coordinate columns, and a child's d is its parent's plus that
-    # row.  val lies in the span of the weights, so val == 0 exactly when
-    # every pairing is 0, that is when d == bias.
-    nb = (deg_cap * max(sum(a * a for a in w) for w in distinct)).bit_length() // 8 + 1
-    nbytes = nb * len(distinct)
+    # Pairings: the int d holds <val, w> for each weight w in a field of nb
+    # bytes, plus half the field's range, so a pairing is negative exactly
+    # when the top bit of its field is clear.  A pairing is at most
+    # deg_cap * max |w|^2 in size, below that half.  Packing is linear, so
+    # the Gram row of a weight is its coordinates times the packed
+    # coordinate columns, and a child's d is its parent's plus that row.
+    # val lies in the span of the weights, so val == 0 exactly when every
+    # pairing is 0, that is when d == bias.
+    nb = (deg_cap * max(sum(a * a for a in w) for w in weights)).bit_length() // 8 + 1
+    nbytes = nb * n
     half = 1 << 8 * nb - 1
-    bias = _repunit(8 * nb, len(distinct)) << 8 * nb - 1
+    bias = _repunit(8 * nb, n) << 8 * nb - 1
     cols = [
-        int.from_bytes(b"".join((half + w[c]).to_bytes(nb, "little") for w in distinct), "little")
+        int.from_bytes(b"".join((half + w[c]).to_bytes(nb, "little") for w in weights), "little")
         - bias
         for c in range(dim)
     ]
-    gram = [sum(a * col for a, col in zip(w, cols)) for w in distinct]
+    gram = [sum(a * col for a, col in zip(w, cols)) for w in weights]
 
     def images(x: int) -> list[int]:
         """The images of the generator x under the permutations, each added
@@ -320,56 +311,13 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
             out.append(y)
         return out
 
-    def arrangement_count(coeffs: list[int]) -> int:
-        """How many distinct arrangements over the copies of each weight the
-        copy-ascending generator ``coeffs`` has: a multinomial per weight
-        whose copies hold more than one value."""
-        count = 1
-        for js in repeated:
-            if coeffs[js[0]] != coeffs[js[-1]]:
-                left = len(js)
-                for m in Counter(coeffs[j] for j in js).values():
-                    count *= comb(left, m)
-                    left -= m
-        return count
-
-    def arrangements(generator: Vec) -> Iterator[Vec]:
-        """The copy-ascending ``generator`` and its other distinct
-        arrangements over the copies of each weight, in increasing order.
-        Each next one raises the last copy that a larger value among the
-        later copies of its weight can fill, to the least such value, and
-        refills the copies after it with what is left of each weight's
-        values, ascending: the least arrangement above.  Only the copies of
-        weights whose copies hold more than one value move."""
-        coeffs = list(generator)
-        free = sorted(j for js in repeated if coeffs[js[0]] != coeffs[js[-1]] for j in js)
-        while True:
-            yield tuple(coeffs)
-            # field -> the values of its copies after i; ascending, as none of
-            # those copies could take a larger value from the ones after it
-            later: dict[int, list[int]] = {}
-            for i in range(len(free) - 1, -1, -1):
-                j = free[i]
-                values = later.setdefault(copy[j][0], [])
-                k = bisect_right(values, coeffs[j])
-                if k < len(values):
-                    break
-                values.append(coeffs[j])
-            else:
-                return
-            values[k], coeffs[j] = coeffs[j], values[k]
-            refill = {f: iter(vs) for f, vs in later.items()}
-            for j in free[i + 1 :]:
-                coeffs[j] = next(refill[copy[j][0]])
-
     # the minimality index: m[j] * n + j -> (support mask, m) of the
-    # copy-ascending generators m
+    # generators m
     by_coord: dict[int, list[tuple[int, int]]] = {}
     # the candidates of one degree: x -> (support mask, pairings)
-    level = {unit[j]: (1 << j, bias + gram[field[tuple(weights[j])]]) for j in starts}
+    level = {unit[j]: (1 << j, bias + gram[j]) for j in starts}
     while level:
-        # the copy-ascending generators of this degree, as sparse supports
-        # [(j, x[j])]
+        # the generators of this degree, as sparse supports [(j, x[j])]
         batch: dict[int, list[tuple[int, int]]] = {}
         for x, (xmask, d) in level.items():
             if d == bias:
@@ -377,7 +325,6 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
         if perms:
             closure(list(batch), images)
         generators: list[Vec] = []
-        count = 0
         for x in sorted(batch):
             support = batch[x]
             xmask = 0
@@ -388,40 +335,25 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
             for j, c in support:
                 by_coord.setdefault(c * n + j, []).append((xmask, x))
             generators.append(tuple(coeffs))
-            count += 1
-            if repeated:
-                # its other arrangements count as stored candidates, as the
-                # plain search stores them, so what is yielded stays under
-                # the cap; a cap error names the first one past it
-                others = arrangement_count(coeffs) - 1
-                count += others
-                stored = min(stored + others, max_stored + 1)
-                if stored > max_stored:
-                    _check_stored(stored, n)
-        yield _Degree(generators, count, arrangements)
+        yield generators
         nxt: dict[int, tuple[int, int]] = {}
         for x, (xmask, d) in level.items():
             if d == bias:
                 continue
             # the top byte of each field: 0x80 where the pairing is negative
             negative = (~d & bias).to_bytes(nbytes, "little")[nb - 1 :: nb]
-            f = negative.find(0x80)
-            while f >= 0:
-                for j, after in grow[f]:
-                    if after is not None and (x >> shift[j]) & fmask >= (x >> after) & fmask:
-                        continue  # y would not be copy-ascending
-                    y = x + unit[j]
-                    if y in nxt:
-                        continue
+            j = negative.find(0x80)
+            while j >= 0:
+                y = x + unit[j]
+                if y not in nxt:
                     ymask = xmask | 1 << j
                     bucket = by_coord.get(((y >> shift[j]) & fmask) * n + j)
-                    if bucket and _dominates(y, ymask, bucket, guard):
-                        continue
-                    stored += 1
-                    if stored > max_stored:
-                        _check_stored(stored, n)
-                    nxt[y] = (ymask, d + gram[f])
-                f = negative.find(0x80, f + 1)
+                    if not (bucket and _dominates(y, ymask, bucket, guard)):
+                        stored += 1
+                        if stored > max_stored:
+                            _check_stored(stored, n)
+                        nxt[y] = (ymask, d + gram[j])
+                j = negative.find(0x80, j + 1)
         level = nxt
 
 
@@ -447,27 +379,38 @@ def is_torus_coreduced(
     """Decide whether every indecomposable relation has 0/1 coefficients.
 
     Zero weights are discarded first (they impose no relation constraints
-    beyond a free coordinate); ``symmetry`` (see :func:`_degrees`)
-    needs a list without them.  Stops at the first violating generator.
+    beyond a free coordinate); ``symmetry`` (see :func:`_degrees`) needs a
+    list without them and without repeated weights.  Stops at the first
+    violating generator.
     """
     ws = tuple(tuple(w) for w in weights if any(x != 0 for x in w))
-    if symmetry and len(ws) < len(weights):
-        raise ValueError("a symmetry needs a weight list without zero weights")
+    if symmetry:
+        if len(ws) < len(weights):
+            raise ValueError("a symmetry needs a weight list without zero weights")
+        if len(set(ws)) < len(ws):
+            raise ValueError("a symmetry needs a weight list without repeated weights")
     return _torus_verdict(ws, tuple(tuple(p) for p in symmetry or ()))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _torus_verdict(ws: tuple[Vec, ...], symmetry: tuple[tuple[int, ...], ...]) -> TorusVerdict:
     """The first generator with a coefficient >= 2 in the order of
-    :func:`iter_hilbert_basis`: the least copy-ascending one of its degree,
-    so no arrangement is listed.  The arrangements of a degree without one
-    count against ``HILBERT_GENERATOR_CAP`` as one total."""
+    :func:`iter_hilbert_basis`.  A generator has one exactly when the
+    relation it induces on the distinct weights does, and the least way to
+    spread a relation over the copies puts each coefficient on its weight's
+    last copy, so the search runs on the distinct weights, ordered by last
+    copy, and nothing is spread.  Their generators count against
+    ``HILBERT_GENERATOR_CAP``."""
+    distinct, copies = _distinct(ws)
     found = 0
-    for degree in _degrees(ws, symmetry):
-        gen = next((c for c in degree.generators if max(c) >= 2), None)
+    for generators in _degrees(distinct, symmetry):
+        gen = next((c for c in generators if max(c) >= 2), None)
         if gen is not None:
-            return TorusVerdict(False, ws, Relation(gen))
-        found += degree.count
+            coeffs = [0] * len(ws)
+            for js, c in zip(copies, gen):
+                coeffs[js[-1]] = c
+            return TorusVerdict(False, ws, Relation(tuple(coeffs)))
+        found += len(generators)
         _check_found(found)
     return TorusVerdict(True, ws, None)
 

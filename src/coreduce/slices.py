@@ -7,20 +7,25 @@ the module with one copy of each root removed.  The module is then not
 coreduced as soon as that torus weight list admits an indecomposable
 relation with a coefficient at least 2.
 
-:func:`bad_toral_slice` is the one test, for every caller.  It first scans
-the distinct slice weights for circuits, minimal dependent sets of distinct
-weights, of two or three weights (:func:`violating_circuit`), and runs the
-Hilbert search to its first such generator only when the scan finds none.
-The nonnegative relations on a circuit form a ray, so its primitive
-relation (coefficients of gcd 1) is indecomposable among the circuit's
-weights: a sub-relation below it is a rational multiple of it, and
-primitivity makes the multiple 0 or 1.  It is indecomposable in the whole
-slice too, because any decomposition of a relation has its support inside
-the relation's support; so a violating generator of a sub-list of the
-slice is a violating generator of the slice.  The scan returns the least
-violating circuit in the search's own order, so where the search's first
-violating generator is a circuit of at most three weights, the scan finds
-that very generator.  Finding no violating circuit proves nothing.
+:func:`bad_toral_slice` is the one test, for every caller.  Multiplicities
+do not matter to it: a relation of the slice is indecomposable exactly when
+the relation it induces on the distinct weights is (see ``monoid``), so it
+reads the distinct slice weights once, sorted, with the simple reflections
+as permutations of them (:func:`weyl_symmetric_list`).  It first scans
+them for circuits, minimal dependent sets of weights, of two or three
+weights (:func:`violating_circuit`), and runs the Hilbert search to its
+first such generator only when the scan finds none.  The nonnegative
+relations on a circuit form a ray, so its primitive relation (coefficients
+of gcd 1) is indecomposable among the circuit's weights: a sub-relation
+below it is a rational multiple of it, and primitivity makes the multiple
+0 or 1.  It is indecomposable in the whole slice too, because any
+decomposition of a relation has its support inside the relation's
+support; so a violating generator of a sub-list of the slice is a
+violating generator of the slice.  The scan returns the least violating
+circuit in the search's own order, so where the search's first violating
+generator is a circuit of at most three weights, the scan finds that very
+generator; where it is not, the scan's may come later.  Finding no
+violating circuit proves nothing.
 
 The generic vector itself is never materialized: genericity is part of the
 certificate's hypotheses.  The test keeps nothing itself: the classify
@@ -35,8 +40,8 @@ from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .config import require
-from .monoid import HILBERT_COORD_CAP, Relation, TorusVerdict, Vec, _check_stored, is_torus_coreduced
-from .repthy import ModuleSpec, dominant_diagram, min_root_multiplicity, weight_counts
+from .monoid import Relation, TorusVerdict, Vec, _check_stored, is_torus_coreduced
+from .repthy import ModuleSpec, dominant_diagram, min_root_multiplicity
 from .rootsys import Coords, GroupSpec, orbit_size, reflect, root_scaled_of_dynkin
 
 GENERIC_HYPOTHESIS = "generic zero weight vector"
@@ -99,49 +104,44 @@ def toral_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
     return {w: c for w, c in counts.items() if c}
 
 
-def weyl_symmetric_list(g: GroupSpec, counts: dict[Coords, int]) -> tuple[list[Vec], list[list[int]]]:
-    """The weights of the Weyl-invariant multiset ``counts`` (Dynkin labels)
-    as a sorted list in root_scaled coordinates, and the simple reflections
-    as permutations of its indices: each sends the k-th copy of a weight to
-    the k-th copy of its image."""
-    distinct = sorted((root_scaled_of_dynkin(g, w), w) for w in counts)
-    ws: list[Vec] = []
-    first: dict[Coords, int] = {}  # Dynkin weight -> index of its first copy
-    for c, w in distinct:
-        first[w] = len(ws)
-        ws += [c] * counts[w]
+def weyl_symmetric_list(g: GroupSpec, weights: Iterable[Coords]) -> tuple[list[Vec], list[list[int]]]:
+    """The distinct weights of a Weyl-invariant set (Dynkin labels) as a
+    sorted list in root_scaled coordinates, and the simple reflections as
+    permutations of its indices."""
+    distinct = sorted((root_scaled_of_dynkin(g, w), w) for w in weights)
+    index = {w: i for i, (_, w) in enumerate(distinct)}
     symmetry = [
-        [first[reflect(g, w, i)] + k for _, w in distinct for k in range(counts[w])]
-        for i in range(g.rank - g.torus_rank)
+        [index[reflect(g, w, i)] for _, w in distinct] for i in range(g.rank - g.torus_rank)
     ]
-    return ws, symmetry
+    return [c for c, _ in distinct], symmetry
 
 
 def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
-    """The toral slice's first violating relation as a ``toral_relation``
+    """A violating relation of the toral slice as a ``toral_relation``
     certificate on its support, in sorted root_scaled coordinates; None
     when the slice is coreduced or there is none.
 
-    The distinct slice weights are scanned for a violating circuit of two
-    or three weights (:func:`violating_circuit`), listed only while the
-    module's distinct nonzero weights times its distinct nonzero dominant
-    ones, read off the dominant diagrams, are within ``HILBERT_COORD_CAP``.
-    Failing one, the Hilbert search runs on the weights with multiplicity,
-    in the same sorted order, with the Weyl group's simple reflections as
-    symmetries; it is sized on the copies, read off the dominant diagrams
-    too, before the slice is listed for it."""
+    The relation is the least violating circuit of two or three weights
+    (:func:`violating_circuit`), which is the Hilbert search's first
+    violating generator whenever that generator is such a circuit, and
+    failing one the search's first violating generator.  On A1 ``[1]+[6]``
+    the search's first is ``(1,2,1)`` on the three weights ``-4, -1, 6`` of
+    one line, not a circuit, and the relation is the pair ``(4,1)`` on
+    ``-1, 4``, which comes later.  Multiplicities change neither, so both
+    read the distinct slice weights, sorted, once; the search has the Weyl
+    group's simple reflections as symmetries.  The slice is sized first:
+    the search starts from one weight per Weyl orbit, so the module's
+    distinct nonzero dominant weights times its distinct nonzero weights,
+    read off the dominant diagrams, must be within ``HILBERT_COORD_CAP``."""
     if not has_toral_slice(m):
         return None
     g = m.group
     dominant = {d for _, hw in m.collected for d in dominant_diagram(g, hw) if any(d)}
-    if len(dominant) * sum(orbit_size(g, d) for d in dominant) <= HILBERT_COORD_CAP:
-        ws = sorted(root_scaled_of_dynkin(g, w) for w in toral_slice(m))
-        found = violating_circuit(ws)
-        if found is not None:
-            return relation_certificate(TorusVerdict(False, tuple(ws), found))
-    n = weight_counts(m)[1] - len(g.root_data.roots)
-    _check_stored(n, n)
+    _check_stored(len(dominant), sum(orbit_size(g, d) for d in dominant))
     ws, symmetry = weyl_symmetric_list(g, toral_slice(m))
+    found = violating_circuit(ws)
+    if found is not None:
+        return relation_certificate(TorusVerdict(False, tuple(ws), found))
     return relation_certificate(is_torus_coreduced(ws, symmetry))
 
 
@@ -245,8 +245,8 @@ def _search_order(support: tuple[tuple[int, int], ...]) -> tuple:
     """The Hilbert search's order on relations given by their (index,
     coefficient) pairs, sorted by index: degree, then the tuple of all
     coefficients, in which the later the first index, the smaller.  The
-    least arrangement of a relation over the copies of a weight is the one
-    on its last copy."""
+    least way to spread a relation over the copies of a weight puts it on
+    the last copy."""
     return sum(c for _, c in support), tuple((-i, c) for i, c in support)
 
 

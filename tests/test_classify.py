@@ -506,10 +506,6 @@ def test_a_violating_circuit_answers_where_the_search_stops_at_its_cap(group, mo
     [
         # too many distinct weights to scan
         ("A2", "[60,60]"),
-        # a scan of the 12 distinct weights finds nothing (type A roots
-        # have only 0/1 circuits), and the search is sized on the 4,788
-        # copies before they are listed
-        ("A3", "400*[1,0,1]"),
     ],
 )
 def test_a_slice_the_search_cannot_take_stops_at_its_cap_at_once(group, module):
@@ -519,6 +515,17 @@ def test_a_slice_the_search_cannot_take_stops_at_its_cap_at_once(group, module):
         bad_toral_slice(m)
     assert time.perf_counter() - start < 0.5
     assert search.value.cap == "HILBERT_COORD_CAP"
+
+
+@pytest.mark.parametrize("group,module", [("A3", "400*[1,0,1]")])
+def test_a_slice_of_many_copies_of_few_weights_is_searched_at_once(group, module):
+    # 4,788 slice weights, 12 distinct: the roots, whose relations in type A
+    # have 0/1 coefficients, so the scan finds no circuit and the search on
+    # the distinct weights finds the slice coreduced
+    m = _module(group, module)
+    start = time.perf_counter()
+    assert bad_toral_slice(m) is None
+    assert time.perf_counter() - start < 0.5
 
 
 def test_every_toral_relation_of_the_paper_tables_is_a_primitive_circuit():

@@ -834,6 +834,27 @@ def test_bad_slice_refuses_a_slice_the_search_cannot_take_unlisted(group, module
     assert weight_builds == []
 
 
+@pytest.mark.parametrize("module", ["[1]+[6]", "[6]", "[3]+[4]"])
+def test_bad_slice_prints_a_hilbert_generator_of_the_slice(module):
+    # the least violating circuit of two or three weights: the search's
+    # first violating generator where that is such a circuit, and a later
+    # generator where it is not, as on [1]+[6], where the search's first is
+    # (1,2,1) on -4, -1 and 6, three weights of one line
+    from coreduce.monoid import Relation, hilbert_basis, is_torus_coreduced
+    from coreduce.slices import toral_slice, weyl_symmetric_list
+
+    code, out = run_cli(["bad-slice", "A1", module])
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    g = parse_group("A1")
+    ws, symmetry = weyl_symmetric_list(g, toral_slice(parse_module(g, module)))
+    placed = {tuple(w): c for w, c in zip(cert["weights"], cert["coeffs"])}
+    relation = Relation(tuple(placed.get(w, 0) for w in ws))
+    assert relation in hilbert_basis(ws)
+    first = is_torus_coreduced(ws, symmetry).certificate
+    assert (relation == first) == (module != "[1]+[6]")
+
+
 # bench rows, then paper rows, whose classify certificate differed from
 # bad-slice's while the classical, product-group and irreducible A2 drivers
 # scanned for triples through dominant weights only
@@ -1514,16 +1535,15 @@ def test_out_of_memory_exits_three(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err) == {"message": "out of memory"}
 
 
-# (stored candidates, weights) when each search below hits its cap; the
-# search checks each candidate as it is stored, so it stops at the first
-# count over HILBERT_COORD_CAP // weights.  The G2 "2*[3,3]" and F4 slices
-# are sized before the search starts
+# (stored candidates, distinct weights) when each search below hits its
+# cap; the search checks each candidate as it is stored, so it stops at the
+# first count over HILBERT_COORD_CAP // weights.  The F4 slices are sized
+# before the search starts, on one start per distinct dominant weight
 HILBERT_CAP_COUNTS = {
-    ("G2", "2*[2,2]"): (11397, 1404),
-    ("B3", "[1,3,0]"): (5424, 2950),
-    ("G2", "2*[3,3]"): (8052, 8052),
-    ("F4", "[3,2,2,1]"): (312481753416, 312481753416),
-    ("F4", "[2,3,2,0]"): (208297263504, 208297263504),
+    ("B3", "[1,3,0]"): (34783, 460),
+    ("G2", "2*[3,3]"): (68377, 234),
+    ("F4", "[3,2,2,1]"): (480, 238200),
+    ("F4", "[2,3,2,0]"): (488, 241656),
 }
 
 
@@ -1544,10 +1564,10 @@ def hilbert_cap_error(group, module):
 @pytest.mark.parametrize("module", ["[3,2,2,1]", "[2,3,2,0]"])
 def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(module):
     # each toral-slice search here and below stops at the coordinate cap
-    # inside a 1 GB address space, which all but G2 "2*[2,2]" were once seen
-    # to fill; these F4 slices (about 3e11 weights) are sized before they
-    # are listed, for the scan and for the search.  The counts pin the
-    # candidates the search stores
+    # inside a 1 GB address space, which each was once seen to fill; these
+    # F4 slices (about 3e11 weights, 238,200 and 241,656 distinct) are sized
+    # before they are listed.  The counts pin the candidates the search
+    # stores
     out = run_in_one_gigabyte(["classify", "F4", module])
     assert out.returncode == 3 and out.stdout == ""
     assert json.loads(out.stderr) == hilbert_cap_error("F4", module)
@@ -1563,11 +1583,11 @@ WITHOUT_THE_SCAN = (
 )
 
 
-@pytest.mark.parametrize("group, module", [("G2", "2*[2,2]"), ("B3", "[1,3,0]"), ("G2", "2*[3,3]")])
+@pytest.mark.parametrize("group, module", [("B3", "[1,3,0]"), ("G2", "2*[3,3]")])
 def test_the_search_behind_the_scan_stops_at_its_cap_before_memory_runs_out(group, module):
     # each of these slices holds a violating pair, which classify and
     # bad-slice answer with before any search, so the search runs here with
-    # the scan switched off; G2 "2*[3,3]" is sized on its copies first
+    # the scan switched off
     out = run_in_one_gigabyte(["bad-slice", group, module], WITHOUT_THE_SCAN)
     assert out.returncode == 3 and out.stdout == ""
     assert json.loads(out.stderr) == hilbert_cap_error(group, module)
@@ -1621,13 +1641,13 @@ def test_admissible_sets_are_sized_before_they_are_listed(argv):
     }
 
 
-@pytest.mark.parametrize("command", ["torus-check", "hilbert-basis"])
+@pytest.mark.parametrize("command", ["hilbert-basis"])
 @pytest.mark.parametrize("copies, candidates", [(300, 26667), (2000, 4001)])
 def test_long_copy_chains_stop_at_the_coordinate_cap(command, copies, candidates):
-    # k copies of 1 and k of -1: the degree-2 relations are the k * k
-    # arrangements of one copy of each, which count against the cap before
-    # any is listed, so the search stops at the first candidate past
-    # HILBERT_COORD_CAP // 2k, as when every arrangement was grown
+    # k copies of 1 and k of -1: the degree-2 relations are the k * k ways
+    # to spread the one relation of 1 and -1 over the copies, which count
+    # against the cap before any is listed, so the listing stops at the
+    # first past HILBERT_COORD_CAP // 2k, as when every arrangement was grown
     n = 2 * copies
     out = run_in_one_gigabyte([command, "--weights", ",".join(["1"] * copies + ["-1"] * copies)])
     assert out.returncode == 3 and out.stdout == ""
@@ -1642,11 +1662,31 @@ def test_long_copy_chains_stop_at_the_coordinate_cap(command, copies, candidates
 
 
 @pytest.mark.parametrize(
-    "group, module", [("G2", "3*[0,2]"), ("G2", "3*[1,1]"), ("B2", "3*[2,2]")]
+    "weights",
+    [
+        ",".join(["1"] * 300 + ["-1"] * 300),
+        ",".join(["1"] * 2000 + ["-1"] * 2000),
+        # three independent weights, repeated: a search that grew candidates
+        # over the copies stopped at HILBERT_COORD_CAP after about 7 s
+        "(-1,-2,2);(-1,-2,2);(-1,-2,2);(2,2,-1);(-1,1,-2);(-1,1,-2)",
+    ],
+    ids=["300-copies", "2000-copies", "three-independent"],
+)
+def test_torus_check_searches_the_distinct_weights(weights):
+    # the verdict searches the distinct weights alone and spreads nothing
+    start = time.perf_counter()
+    code, out = run_cli(["torus-check", f"--weights={weights}"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["coreduced"] is True
+
+
+@pytest.mark.parametrize(
+    "group, module", [("G2", "3*[0,2]"), ("G2", "3*[1,1]"), ("B2", "3*[2,2]"), ("G2", "2*[2,2]")]
 )
 def test_slices_with_many_equal_weights_get_a_certificate(group, module):
-    # these searches once stopped at the coordinate cap; grown only over
-    # copy-ascending candidates, each finds a degree-3 relation
+    # these searches once stopped at the coordinate cap; on the distinct
+    # weights each finds a degree-3 relation, the search alone as well as
+    # the circuit scan
     from coreduce.slices import toral_slice, weyl_symmetric_list
     from oracles import brute_force_minimal_relations
 
@@ -1656,6 +1696,9 @@ def test_slices_with_many_equal_weights_get_a_certificate(group, module):
     assert row["coreduced"] == "no"
     (cert,) = row["certificates"]
     assert cert["kind"] == "toral_relation" and cert["coeffs"] == [2, 1]
+    searched = run_in_one_gigabyte(["bad-slice", group, module], WITHOUT_THE_SCAN)
+    assert searched.returncode == 0
+    assert json.loads(searched.stdout)["certificate"] == cert
     weights = [tuple(w) for w in cert["weights"]]
     coeffs = tuple(cert["coeffs"])
     assert coeffs in brute_force_minimal_relations(weights, sum(coeffs))

@@ -65,11 +65,10 @@ def test_hilbert_basis_matches_brute_force_2d(ws):
 
 
 def _symmetric_search(symmetry):
-    """The search of ``monoid._degrees`` under ``symmetry``, listed as
-    ``iter_hilbert_basis`` lists the plain one: every arrangement of each
-    generator, one degree at a time."""
+    """The search of ``monoid._degrees`` under ``symmetry``, listed one
+    degree at a time."""
     return lambda ws: (
-        monoid.Relation(c) for degree in monoid._degrees(ws, symmetry) for c in degree.listed()
+        monoid.Relation(c) for degree in monoid._degrees(ws, symmetry) for c in degree
     )
 
 
@@ -111,10 +110,11 @@ def test_hilbert_search_matches_the_reference_kernel(ws, coord_cap, generator_ca
     # count over the cap: the kernel checks each candidate as it is stored.
     # The heap kernel visits only candidates the level kernel stores and
     # their children, so n + 2 times the cap lets it reach that prefix.
-    # With equal weights the level kernel stores only copy-ascending
-    # candidates, fewer than the heap kernel visits, so it may get further
-    # before a cap: its sequence must match wherever the heap kernel's
-    # ends, and its coordinate cap fire only where the heap kernel's does.
+    # With equal weights the level kernel searches the distinct weights and
+    # spreads each generator over the copies, storing fewer candidates than
+    # the heap kernel visits, so it may get further before a cap: its
+    # sequence must match wherever the heap kernel's ends, and its
+    # coordinate cap fire only where the heap kernel's does.
     n = len(ws)
     repeat_free = len(set(ws)) == n
     with pytest.MonkeyPatch.context() as mp:
@@ -228,7 +228,7 @@ def small_module_slices(draw):
 @settings(max_examples=100, deadline=None)
 def test_torus_verdict_is_the_first_coefficient_two_generator(case):
     # the first generator with a coefficient >= 2, in (degree, tuple) order,
-    # is copy-ascending: the search over copy-ascending candidates finds it
+    # is the search's first on the distinct weights, put on their last copies
     ws, symmetry = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monoid, "HILBERT_COORD_CAP", 2_000 * len(ws))
@@ -243,8 +243,9 @@ def test_torus_verdict_is_the_first_coefficient_two_generator(case):
 
 
 def test_the_torus_verdict_stops_before_the_generator_cap_of_a_listing(monkeypatch):
-    # degree 2 holds the 9 relations x_i + y_j and degree 3 starts with
-    # (0,0,2,0,0,0,1): the verdict answers from the copy-ascending
+    # degree 2 holds the 9 relations x_i + y_j, the spreads of the one
+    # relation of degree 2 among the distinct weights 1, -1, -2, and degree
+    # 3 starts with (0,0,2,0,0,0,1): the verdict answers from the distinct
     # generators, while the listing's tenth generator passes the cap
     ws = [(x,) for x in (1, 1, 1, -1, -1, -1, -2)]
     monkeypatch.setattr(monoid, "HILBERT_GENERATOR_CAP", 9)
@@ -255,11 +256,11 @@ def test_the_torus_verdict_stops_before_the_generator_cap_of_a_listing(monkeypat
         ResourceLimitError, match=r"found 10 generators, over HILBERT_GENERATOR_CAP = 9"
     ):
         hilbert_basis(ws)
-    # a degree without such a generator counts against the cap as a whole
-    monkeypatch.setattr(monoid, "HILBERT_GENERATOR_CAP", 8)
+    # the verdict counts the generators of the distinct weights
+    monkeypatch.setattr(monoid, "HILBERT_GENERATOR_CAP", 0)
     monoid._torus_verdict.cache_clear()
     with pytest.raises(
-        ResourceLimitError, match=r"found 9 generators, over HILBERT_GENERATOR_CAP = 8"
+        ResourceLimitError, match=r"found 1 generators, over HILBERT_GENERATOR_CAP = 0"
     ):
         is_torus_coreduced(ws)
 
@@ -267,26 +268,29 @@ def test_the_torus_verdict_stops_before_the_generator_cap_of_a_listing(monkeypat
 def test_copy_ascending_search_answers_a_b2_slice_under_a_small_cap(monkeypatch):
     # the slice of B2 3*[0,2]+3*[1,0] has 28 weights, 8 distinct: grown over
     # every arrangement of equal weights, its search stored 875 candidates
-    # before the certificate, over the 600 that this cap allows.  Grown over
-    # copy-ascending candidates, with each generator's other arrangements
-    # counted as stored, it holds 521.  The circuit scan finds the relation
-    # before any search, so the search runs here on the slice directly
+    # before the certificate.  On the 8 distinct weights, with the simple
+    # reflections, it stores 26.  The circuit scan finds the relation before
+    # any search, so the search runs here on the slice directly
     g = parse_group("B2")
     ws, symmetry = weyl_symmetric_list(g, toral_slice(parse_module(g, "3*[0,2]+3*[1,0]")))
     n = len(ws)
-    monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 600 * n)
+    assert n == 8
+    monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 26 * n)
     assert relation_certificate(is_torus_coreduced(ws, symmetry)).coeffs == (1, 2, 1)
     monoid._torus_verdict.cache_clear()
-    monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 520 * n)
-    with pytest.raises(ResourceLimitError, match="521 candidates of 28 coefficients"):
+    monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 25 * n)
+    with pytest.raises(ResourceLimitError, match="26 candidates of 8 coefficients"):
         is_torus_coreduced(ws, symmetry)
 
 
-def test_a_symmetry_must_keep_the_rank_of_each_copy():
-    # swapping the two copies of (1,) maps the weight list onto itself, but
-    # not a copy-ascending candidate onto one
-    with pytest.raises(ValueError, match="k-th copy"):
-        is_torus_coreduced([(1,), (1,), (-1,)], [(1, 0, 2)])
+# swapping the two copies of (1,) maps the weight list onto itself, but a
+# symmetry acts on the distinct weights the search runs on
+REPEATED_WITH_A_SYMMETRY = ([(1,), (1,), (-1,)], [(1, 0, 2)])
+
+
+def test_a_symmetry_needs_distinct_weights():
+    with pytest.raises(ValueError, match="repeated weights"):
+        is_torus_coreduced(*REPEATED_WITH_A_SYMMETRY)
 
 
 # e0 + e1 is a relation of [1, -1, 2]; swapping indices 1 and 2 sends it to
@@ -318,6 +322,12 @@ def test_the_symmetry_check_survives_python_O():
             pass
         else:
             raise SystemExit("a permutation that is no symmetry passed")
+        try:
+            is_torus_coreduced(*{REPEATED_WITH_A_SYMMETRY!r})
+        except ValueError:
+            pass
+        else:
+            raise SystemExit("a symmetry on repeated weights passed")
         """
     )
     src = os.path.dirname(os.path.dirname(coreduce.__file__))

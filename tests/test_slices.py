@@ -97,6 +97,9 @@ REPEATED_WEIGHTS = st.integers(1, 3).flatmap(
 # a pair (3, 1) of degree 4 through the first weight, and a triple (1, 2, 1)
 # of the same degree through later ones, which comes first
 @example(ws=[(-3, 0), (-1, 1), (0, -1), (1, 0), (1, 1)])
+# three independent weights, repeated: a search over the copies stopped at
+# HILBERT_COORD_CAP, one over the distinct weights answers coreduced
+@example(ws=[(-1, -2, 2)] * 3 + [(2, 2, -1)] + [(-1, 1, -2)] * 2)
 @settings(max_examples=300, deadline=None)
 def test_a_violating_circuit_is_a_violating_hilbert_generator(ws):
     found = violating_circuit(ws)
@@ -139,15 +142,15 @@ def test_bad_slice_certificates_always_validate(name, data):
 def test_f4_adjoint_plus_26_slice_certificate_is_pinned():
     # the first generator with a coefficient >= 2 in the completion order,
     # the 213th, after 212 with 0/1 coefficients; neither pruning the
-    # minimality test, packing the search nor skipping the listing of
-    # arrangements may change which one is found.  The whole basis of the
-    # slice passes the coordinate cap, so the generators are read off the
-    # listing of the same search, which yields them in that order.
+    # minimality test, packing the search nor the symmetry may change which
+    # one is found.  The whole basis of the slice passes the coordinate cap,
+    # so the generators are read off the same search, which yields them in
+    # that order.
     g = parse_group("F4")
     m = parse_module(g, "[1,0,0,0]+[0,0,0,1]")
     cert = bad_toral_slice(m)
     ws, symmetry = weyl_symmetric_list(g, toral_slice(m))
-    search = (c for degree in monoid._degrees(ws, symmetry) for c in degree.listed())
+    search = (c for degree in monoid._degrees(ws, symmetry) for c in degree)
     listed = list(itertools.islice(search, 213))
     assert len(listed) == 213
     assert all(max(coeffs) == 1 for coeffs in listed[:-1])
