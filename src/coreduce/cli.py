@@ -319,7 +319,7 @@ def _suite_sl3() -> list[dict]:
     g = parse_group("A2")
 
     def verdict(ms: str) -> cls.Verdict:
-        return cls.classify_sl3(parse_module(g, ms))
+        return cls.classify_module(parse_module(g, ms))
 
     out = [
         _check(f"irreducible {ms} yes", verdict(ms).coreduced == want)
@@ -332,7 +332,7 @@ def _suite_sl3() -> list[dict]:
             sl3_critical_ratios(v31) == paper.SL3_V31_RATIOS,
         )
     )
-    v = cls.classify_sl3(v31)
+    v = cls.classify_module(v31)
     cert = v.certificates[0]
     degree = paper.SL3_V31_COVARIANT_DEGREE
     out.append(

@@ -44,6 +44,7 @@ so marked dominates it, so the components it keeps still cover the null cone.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -498,41 +499,29 @@ def positive_factor_counts(values: Sequence[tuple[int, int]]) -> list[Optional[i
     """For each negative value, repeated by its multiplicity, the largest
     number of positive values (with repetition) summing to minus it: the
     positive factors of a zero-weight monomial with that single negative
-    factor.  None when no such monomial exists."""
+    factor.  None when no such monomial exists.  The sums up to the largest
+    negated value are reached in increasing order, each keeping only its
+    largest count, which is final once the sum is reached: every sum below
+    it that leads to it has been."""
     pos: list[int] = []
     neg: list[int] = []
     for v, m in values:
         require(v != 0, "cocharacter values must be nonzero")
         (pos if v > 0 else neg).extend([abs(v)] * m)
     pvals = sorted(set(pos))
-    best: dict[int, Optional[int]] = {}
-    for v in neg:
-        if v not in best:
-            reach = _representable_counts(pvals, v)
-            best[v] = max(reach) if reach else None
-    return [best[v] for v in neg]
-
-
-def _representable_counts(pos_vals: Sequence[int], target: int) -> set[int]:
-    """All k >= 1 such that target is a sum of k of the given positive values
-    (with repetition)."""
-    reach: dict[int, set[int]] = {0: {0}}
-    frontier = {0}
-    while frontier:
-        nxt: set[int] = set()
-        for s in frontier:
-            for v in pos_vals:
-                t = s + v
-                if t > target:
-                    continue
-                ks = {k + 1 for k in reach[s]}
-                cur = reach.setdefault(t, set())
-                new = ks - cur
-                if new:
-                    cur |= new
-                    nxt.add(t)
-        frontier = nxt
-    return {k for k in reach.get(target, set()) if k >= 1}
+    top = max(neg, default=0)
+    most = {0: 0}  # reachable sum -> the largest number of positive values summing to it
+    heap = [0]
+    while heap:
+        s = heapq.heappop(heap)
+        for v in pvals:
+            t = s + v
+            if t > top:
+                break
+            if t not in most:
+                heapq.heappush(heap, t)
+            most[t] = max(most.get(t, 0), most[s] + 1)
+    return [most.get(v) for v in neg]
 
 
 # ---------------------------------------------------------------------------

@@ -43,13 +43,14 @@ and lam.
 Symmetric powers S^0..S^d come from one DP over the weight list in pure
 Python: each degree k is one packed int over the box that holds the weights
 of S^k, all degrees in one frame of mixed-radix strides, so adding a weight
-to a degree is one shift, one add and one mask.  Counts are exact Python
-ints.  :func:`symmetric_power` decodes whole layers into characters.
-:func:`weyl_sum_series` gives the multiplicities of a few highest weights in
-every S^k of a module: it folds their signed points onto dominant
-representatives, keeps in each degree only the cells that can still carry a
-weight into those, and reads each sum straight off the packed ints, so no
-layer is decoded.
+to a degree is one shift and one add, and one mask only where the degree's
+box is clipped narrower than the degree below moved by a weight.  Counts
+are exact Python ints.  :func:`symmetric_power` decodes whole layers into
+characters.  :func:`weyl_sum_series` gives the multiplicities of a few
+highest weights in every S^k of a module: it folds their signed points onto
+dominant representatives, keeps in each degree only the cells that can still
+carry a weight into those, and reads each sum straight off the packed ints,
+so no layer is decoded.
 
 Multigraded multiplicities (one grading per summand) are computed for every
 multidegree at once: S^0..S^dmax of each summand come from a single
@@ -499,13 +500,19 @@ def _packed_powers(
     Each degree is one packed int, all in one frame of mixed-radix strides:
     the weight v of S^k is the cell with the digits ``v - lo[k]``, ``lo[k]``
     the first corner of its box, so each int starts at its box.  A pass is
-    ``S[k] = (S[k] + (S[k-1] << off)) & mask[k]``, with ``off`` the cells
-    of ``w + lo[k-1] - lo[k]`` (a right shift when negative, which drops
-    only cells below the box); the radices keep every moved cell that leaves
-    the box off the box's cells, so the mask clears it.  A field has the bit
-    length of the number of monomials of degree at most d, which bounds
-    every count, so counts are exact Python ints and no field spills.  The
-    cells of all the boxes together are capped by ``SYMPOW_CELL_CAP``.
+    ``S[k] += (S[k-1] << off) & mask[k]``, with ``off`` the cells of
+    ``w + lo[k-1] - lo[k]`` (a right shift when negative, which drops only
+    cells below the box); the radices keep every moved cell that leaves the
+    box off the box's cells, so the mask clears it.  Masking the moved term
+    gives ``(S[k] + moved) & mask[k]``: ``S[k]`` already lies inside the
+    mask, and no field carries.  A degree k >= 1 with ``lo[k] <= lo[k-1] +
+    mn`` and ``hi[k] >= hi[k-1] + mx`` in every coordinate clips nothing,
+    since every cell of box k-1 moved by any weight lands in box k; it has
+    no mask and its pass skips the ``&``.  That is every degree of whole
+    layers, and the low degrees of clipped ones.  A field has the bit length
+    of the number of monomials of degree at most d, which bounds every
+    count, so counts are exact Python ints and no field spills.  The cells
+    of all the boxes together are capped by ``SYMPOW_CELL_CAP``.
     """
     entries = chi.entries
     if any(m < 0 for m in entries.values()):
@@ -551,7 +558,18 @@ def _packed_powers(
     for j in range(rank - 1, 0, -1):
         strides[j - 1] = strides[j] * radix[j]
     moves = [sum(map(mul, map(sub, los[k - 1], los[k]), strides)) for k in range(1, d + 1)]
-    masks = [_box_mask(shape, strides, bits) if min(shape) > 0 else 0 for shape in shapes]
+    # the degrees that can lose a moved cell, and so need a mask
+    clips = [True] + [
+        any(
+            lo > below + l or hi < top + h
+            for lo, below, hi, top, l, h in zip(los[k], los[k - 1], his[k], his[k - 1], mn, mx)
+        )
+        for k in range(1, d + 1)
+    ]
+    masks = [
+        (_box_mask(shape, strides, bits) if min(shape) > 0 else 0) if clip else None
+        for shape, clip in zip(shapes, clips)
+    ]
     packed = [0] * (d + 1)
     packed[0] = masks[0] & 1  # the zero weight, unless clipped away
     for w in weights:
@@ -561,7 +579,9 @@ def _packed_powers(
             if prev:
                 off = (step + moves[k - 1]) * bits
                 moved = prev << off if off >= 0 else prev >> -off
-                packed[k] = (packed[k] + moved) & masks[k]
+                if masks[k] is not None:
+                    moved &= masks[k]
+                packed[k] += moved
     return list(zip(packed, los, his)), bits, strides
 
 

@@ -25,7 +25,10 @@ violating generator of the slice.  The scan returns the least violating
 circuit in the search's own order, so where the search's first violating
 generator is a circuit of at most three weights, the scan finds that very
 generator; where it is not, the scan's may come later.  Finding no
-violating circuit proves nothing.
+violating circuit proves nothing.  A slice too large to list is refused,
+unless a violating pair can be read off the dominant diagrams
+(:func:`diagram_pair`): every line through 0 is the Weyl image of one
+through a dominant weight.
 
 The generic vector itself is never materialized: genericity is part of the
 certificate's hypotheses.  The test keeps nothing itself: the classify
@@ -36,13 +39,14 @@ again but searches nothing.
 
 from __future__ import annotations
 
+import itertools
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .config import require
+from .config import ResourceLimitError, require
 from .monoid import Relation, TorusVerdict, Vec, _check_stored, is_torus_coreduced
 from .repthy import ModuleSpec, dominant_diagram, min_root_multiplicity
-from .rootsys import Coords, GroupSpec, orbit_size, reflect, root_scaled_of_dynkin
+from .rootsys import Coords, GroupSpec, dominantize, orbit_size, reflect, root_scaled_of_dynkin
 
 GENERIC_HYPOTHESIS = "generic zero weight vector"
 
@@ -132,17 +136,72 @@ def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     group's simple reflections as symmetries.  The slice is sized first:
     the search starts from one weight per Weyl orbit, so the module's
     distinct nonzero dominant weights times its distinct nonzero weights,
-    read off the dominant diagrams, must be within ``HILBERT_COORD_CAP``."""
+    read off the dominant diagrams, must be within ``HILBERT_COORD_CAP``.
+    Past it, the relation is a pair read off the dominant diagrams
+    (:func:`diagram_pair`), and without one the test refuses."""
     if not has_toral_slice(m):
         return None
     g = m.group
-    dominant = {d for _, hw in m.collected for d in dominant_diagram(g, hw) if any(d)}
-    _check_stored(len(dominant), sum(orbit_size(g, d) for d in dominant))
+    diagram: dict[Coords, int] = {}  # nonzero dominant weight -> multiplicity
+    for coeff, hw in m.collected:
+        for d, mult in dominant_diagram(g, hw).items():
+            if any(d):
+                diagram[d] = diagram.get(d, 0) + coeff * mult
+    try:
+        _check_stored(len(diagram), sum(orbit_size(g, d) for d in diagram))
+    except ResourceLimitError:
+        found = diagram_pair(g, diagram)
+        if found is None:
+            raise
+        return found
     ws, symmetry = weyl_symmetric_list(g, toral_slice(m))
     found = violating_circuit(ws)
     if found is not None:
         return relation_certificate(TorusVerdict(False, tuple(ws), found))
     return relation_certificate(is_torus_coreduced(ws, symmetry))
+
+
+def diagram_pair(g: GroupSpec, diagram: dict[Coords, int]) -> Optional[BadSliceCertificate]:
+    """A violating pair of the toral slice as a ``toral_relation``
+    certificate, read off ``diagram``, the module's nonzero dominant weights
+    with their multiplicities, with no orbit listed; None when the slice
+    has no violating pair.
+
+    Every line through 0 is the Weyl image of a line through a dominant
+    weight, and the slice is Weyl-invariant.  So the slice holds a pair
+    ``k u, l (-u)`` with ``k != l`` exactly when it holds one ``k p,
+    l (-p)`` with ``p`` primitive and dominant: ``k p`` and ``l q``, ``q =
+    -w0 p`` the dominant weight of ``-p``, have slice multiplicity at least
+    1 (the module's, less one at a root).  ``-w0`` is linear, so ``q`` is
+    read off the dominant weights of the negated fundamental weights.  The
+    rule: the pair of least degree ``(k + l) / gcd(k, l)``, then of least
+    ``p`` in Dynkin labels, then of least ``k``, printed on ``k p`` and
+    ``l (-p)``."""
+    slice_mults = dict(diagram)
+    for d in set(g.root_data.dominant_roots):
+        slice_mults[d] -= 1
+    rays: dict[Coords, set[int]] = {}  # primitive dominant direction -> multiples
+    for d, mult in slice_mults.items():
+        if mult:
+            k = gcd(*d)
+            rays.setdefault(tuple(x // k for x in d), set()).add(k)
+    # -w0 of each fundamental weight, the dominant weight of its negative
+    unit = [tuple(-int(i == j) for j in range(g.rank)) for i in range(g.rank)]
+    images = [dominantize(g, e)[0] for e in unit]
+    best = None
+    for p, ks in rays.items():
+        q = tuple(sum(x * image[j] for x, image in zip(p, images)) for j in range(g.rank))
+        for k, l in _line_pairs(ks, rays.get(q, ()), best and best[0]):
+            key = ((k + l) // gcd(k, l), p, k, l)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return None
+    _, p, k, l = best
+    a, b = (root_scaled_of_dynkin(g, tuple(c * x for x in p)) for c in (k, -l))
+    t = gcd(k, l)
+    (wa, ca), (wb, cb) = sorted(((a, l // t), (b, k // t)))
+    return BadSliceCertificate(kind="toral_relation", weights=(wa, wb), coeffs=(ca, cb))
 
 
 def relation_certificate(verdict: TorusVerdict, note: str = "") -> Optional[BadSliceCertificate]:
@@ -226,7 +285,7 @@ def violating_circuit(ws: Sequence[Vec]) -> Optional[Relation]:
     """
     last = {w: i for i, w in enumerate(ws)}  # weight -> index of its last copy
     order = sorted(last, key=last.__getitem__)
-    found = min(_pairs(last), key=_search_order, default=None)
+    found = _least_pair(last)
     for k in range(len(order) - 1, -1, -1):
         if found is not None:
             degree = sum(c for _, c in found)
@@ -255,15 +314,53 @@ def _primitive(*support: tuple[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((i, c // k) for i, c in support))
 
 
-def _pairs(last: dict[Vec, int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    rays: dict[Vec, list[tuple[int, int]]] = {}  # primitive direction -> (multiple, index)
+def _least_pair(last: dict[Vec, int]) -> Optional[tuple[tuple[int, int], ...]]:
+    """The least violating pair in the search's order, None when there is
+    none: on each line through 0, the pairs of least degree
+    (:func:`_line_pairs`), each line looked through only up to the least
+    degree an earlier line holds."""
+    rays: dict[Vec, dict[int, int]] = {}  # primitive direction -> multiple -> index
     for w, i in last.items():
         k = gcd(*w)
-        rays.setdefault(tuple(x // k for x in w), []).append((k, i))
+        rays.setdefault(tuple(x // k for x in w), {})[k] = i
+    best = None
     for p, ks in rays.items():
-        for l, j in rays.get(tuple(-x for x in p), ()):
-            # each pair once, from the direction of its lower index
-            yield from (_primitive((i, l), (j, k)) for k, i in ks if k != l and i < j)
+        neg = tuple(-x for x in p)
+        if p < neg:
+            continue  # each line once
+        ls = rays.get(neg, {})
+        for k, l in _line_pairs(ks, ls, best and _search_order(best)[0]):
+            t = gcd(k, l)
+            pair = tuple(sorted(((ks[k], l // t), (ls[l], k // t))))
+            if best is None or _search_order(pair) < _search_order(best):
+                best = pair
+    return best
+
+
+def _line_pairs(ks: Collection[int], ls: Collection[int], most: Optional[int]) -> list[tuple[int, int]]:
+    """The pairs ``(k, l)``, ``k`` in ``ks`` and ``l`` in ``ls`` with
+    ``k != l``, of least degree ``(k + l) / gcd(k, l)`` if that is at most
+    ``most`` (any when None), else none: the multiples of a direction and
+    of its opposite that carry a violating pair.  Such a pair is ``a t`` and
+    ``b t`` with ``a, b`` coprime and unequal, of degree ``a + b``.  The
+    degrees are looked through upward, each with one lookup per split
+    ``a + b`` and multiple of the smaller side, so a degree-3 pair ``w,
+    -2w`` is one set lookup per weight, and no other pair is listed."""
+    if not ks or not ls or len(ks) == len(ls) == 1 and set(ks) == set(ls):
+        return []
+    small, large = (ks, ls) if len(ks) <= len(ls) else (ls, ks)
+    for degree in itertools.count(3):
+        if most is not None and degree > most:
+            return []
+        found = [
+            (s, s // a * (degree - a))
+            for a in range(1, degree)
+            if gcd(a, degree) == 1
+            for s in small
+            if not s % a and s // a * (degree - a) in large
+        ]
+        if found:
+            return found if small is ks else [(k, l) for l, k in found]
 
 
 def _triples(

@@ -261,6 +261,25 @@ def test_paper_paths_compute_the_weights_once(suite, weight_builds):
     assert weight_builds == [hw for _, hw in m.summands]
 
 
+def test_the_sl3_suite_classifies_each_module_once(monkeypatch):
+    # the duality checks and the 24-dimensional module read the verdicts
+    # the irreducible and reducible rows already have, through the memo
+    from coreduce import classify, cli
+
+    runs = []
+    driver = classify.classify_sl3
+
+    def counted(m):
+        runs.append(str(m))
+        return driver(m)
+
+    monkeypatch.setattr(classify, "classify_sl3", counted)
+    classify_module.cache_clear()
+    assert all(check["ok"] for check in cli._suite_sl3())
+    assert sorted(runs) == sorted(set(runs))
+    assert {"[3,1]", "[2,0]+[0,1]"} <= set(runs)
+
+
 # ---------------------------------------------------------------------------
 # Rank-1 table
 
@@ -501,6 +520,40 @@ def test_a_violating_circuit_answers_where_the_search_stops_at_its_cap(group, mo
     assert time.perf_counter() - start < 1
 
 
+# modules with more slice weights than the scan admits, which a pair read
+# off the dominant diagram answers: the symmetric powers of A2 and A3, the
+# harmonic power of B2 and the product-group module from which the typed
+# relations once answered and the scan refused, and the A2 module below
+PAST_THE_SCAN = [
+    ("A2", "[138,0]"),
+    ("A3", "[48,0,0]"),
+    ("B2", "[74,0]"),
+    ("A2xA2", "[7,7,7,7]"),
+    ("A2", "[60,60]"),
+]
+
+
+@pytest.mark.parametrize("group,module", PAST_THE_SCAN)
+def test_a_pair_read_off_the_diagram_answers_past_the_scans_bound(group, module, monkeypatch):
+    from coreduce import slices
+
+    m = _module(group, module)
+    start = time.perf_counter()
+    v = classify_module(m)
+    assert time.perf_counter() - start < 1
+    assert v.coreduced == NO
+    (cert,) = v.certificates
+    assert len(cert.weights) == 2 and is_primitive_circuit(cert.weights, cert.coeffs)
+    # the pair alone, once the dominant diagrams are built
+    start = time.perf_counter()
+    assert bad_toral_slice(m) == cert
+    assert time.perf_counter() - start < 0.1
+    monkeypatch.setattr(slices, "diagram_pair", lambda g, diagram: None)
+    with pytest.raises(ResourceLimitError) as search:
+        bad_toral_slice(m)
+    assert search.value.cap == "HILBERT_COORD_CAP"
+
+
 @pytest.mark.parametrize(
     "group,module",
     [
@@ -508,7 +561,11 @@ def test_a_violating_circuit_answers_where_the_search_stops_at_its_cap(group, mo
         ("A2", "[60,60]"),
     ],
 )
-def test_a_slice_the_search_cannot_take_stops_at_its_cap_at_once(group, module):
+def test_a_slice_the_search_cannot_take_stops_at_its_cap_at_once(group, module, monkeypatch):
+    # with the pair reader out: A2 [60,60] holds the pair [1,1], 2*[-1,-1]
+    from coreduce import slices
+
+    monkeypatch.setattr(slices, "diagram_pair", lambda g, diagram: None)
     m = _module(group, module)
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError) as search:

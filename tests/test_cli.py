@@ -16,7 +16,7 @@ from coreduce.cli import main
 from coreduce.repthy import parse_module, weyl_dim
 from coreduce.rootsys import parse_group
 
-from test_classify import CAPPED_SEARCHES
+from test_classify import CAPPED_SEARCHES, PAST_THE_SCAN
 
 FOUR_SIX = ",".join(map(str, paper.TORUS_FOUR_SIX))
 
@@ -825,13 +825,30 @@ def test_bad_slice_command_computes_the_weights_once(group, module, weight_build
 
 
 @pytest.mark.parametrize("group,module", [("A2xA2", "[7,7,7,7]"), ("A3", "[48,0,0]")])
-def test_bad_slice_refuses_a_slice_the_search_cannot_take_unlisted(group, module, weight_builds, capsys):
+def test_bad_slice_refuses_a_slice_the_search_cannot_take_unlisted(group, module, weight_builds, capsys, monkeypatch):
     # whether there is a slice is read off the root multiplicity, and the
     # size of the scan and of the search off the dominant diagrams, so no
-    # weight diagram is built
+    # weight diagram is built; with the pair reader out, as both modules
+    # hold a pair it reads
+    from coreduce import slices
+
+    monkeypatch.setattr(slices, "diagram_pair", lambda g, diagram: None)
     assert run_cli(["bad-slice", group, module]) == (3, "")
     assert json.loads(capsys.readouterr().err)["cap"] == "HILBERT_COORD_CAP"
     assert weight_builds == []
+
+
+@pytest.mark.parametrize("group,module", PAST_THE_SCAN)
+def test_a_slice_past_the_scans_bound_answers_with_a_pair_unlisted(group, module, weight_builds):
+    # the pair is read off the dominant diagrams, so no weight diagram is
+    # built, and classify prints the relation that bad-slice prints
+    code, out = run_cli(["bad-slice", group, module])
+    bad = json.loads(out)["certificate"]
+    assert code == 0 and bad["kind"] == "toral_relation" and 2 in bad["coeffs"]
+    assert weight_builds == []
+    _, out = run_cli(["classify", group, module])
+    (row,) = json.loads(out)["rows"]
+    assert row["coreduced"] == "no" and row["certificates"] == [bad]
 
 
 @pytest.mark.parametrize("module", ["[1]+[6]", "[6]", "[3]+[4]"])
@@ -1561,16 +1578,31 @@ def hilbert_cap_error(group, module):
     }
 
 
+# the CLI with no pair read off the dominant diagram, so that a slice past
+# the scan's bound is refused
+WITHOUT_THE_PAIR = (
+    "import sys\n"
+    "from coreduce import cli, slices\n"
+    "slices.diagram_pair = lambda g, diagram: None\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
 @pytest.mark.parametrize("module", ["[3,2,2,1]", "[2,3,2,0]"])
 def test_hilbert_search_stops_at_its_cap_before_memory_runs_out(module):
     # each toral-slice search here and below stops at the coordinate cap
     # inside a 1 GB address space, which each was once seen to fill; these
     # F4 slices (about 3e11 weights, 238,200 and 241,656 distinct) are sized
     # before they are listed.  The counts pin the candidates the search
-    # stores
-    out = run_in_one_gigabyte(["classify", "F4", module])
+    # stores.  With the pair reader, each answers no with a pair
+    out = run_in_one_gigabyte(["classify", "F4", module], WITHOUT_THE_PAIR)
     assert out.returncode == 3 and out.stdout == ""
     assert json.loads(out.stderr) == hilbert_cap_error("F4", module)
+    out = run_in_one_gigabyte(["classify", "F4", module])
+    (row,) = json.loads(out.stdout)["rows"]
+    assert (out.returncode, out.stderr, row["coreduced"]) == (1, "", "no")
+    (cert,) = row["certificates"]
+    assert cert["kind"] == "toral_relation" and len(cert["weights"]) == 2
 
 
 # the CLI with the circuit scan finding nothing, so that bad-slice runs the
@@ -1709,14 +1741,20 @@ def test_slices_with_many_equal_weights_get_a_certificate(group, module):
 
 @pytest.mark.parametrize("module", ["[3,2,2,1]", "[2,3,2,0]"])
 def test_f4_slices_are_sized_before_any_orbit_is_expanded(module, monkeypatch, capsys):
-    from coreduce import repthy
+    # refused with no pair read, and answered by the pair read off the
+    # dominant diagram, with no orbit expanded either way
+    from coreduce import repthy, slices
 
     def refuse(g, hw):
         raise AssertionError("an orbit was expanded")
 
     monkeypatch.setattr(repthy, "weight_diagram", refuse)
-    assert main(["classify", "F4", module]) == 3
+    with monkeypatch.context() as mp:
+        mp.setattr(slices, "diagram_pair", lambda g, diagram: None)
+        assert main(["classify", "F4", module]) == 3
     assert json.loads(capsys.readouterr().err) == hilbert_cap_error("F4", module)
+    assert main(["classify", "F4", module]) == 1
+    assert json.loads(capsys.readouterr().out)["rows"][0]["coreduced"] == "no"
 
 
 def test_rank3_components_are_byte_identical_across_runs():

@@ -18,6 +18,7 @@ from coreduce.nullcone import (
     d4_triality_module,
     dominance,
     f4_two_26_support_bound,
+    positive_factor_counts,
     sl3_critical_ratios,
     sl3_pair_differential_vanishes,
     sl3_pair_validate_model,
@@ -413,3 +414,37 @@ def test_dominance_matches_weyl_matrix_oracle(name, hw, data):
     for _ in range(8):
         a, b = sets[data.draw(index)], sets[data.draw(index)]
         assert dominance(a, b) == reference_dominance(a, b)
+
+
+def _sum_counts(pos, target):
+    """Every k >= 1 with ``target`` a sum of k of ``pos``, by recursion on
+    the largest summand."""
+    if target == 0:
+        return {0}
+    return {
+        k + 1
+        for i, v in enumerate(pos)
+        if v <= target
+        for k in _sum_counts(pos[: i + 1], target - v)
+    }
+
+
+# cocharacter values are integers or, on the screens' test inputs, fractions
+VALUES = st.integers(-12, 12).filter(bool)
+
+
+@given(values=st.lists(
+    st.tuples(
+        VALUES | st.builds(Fraction, VALUES, st.sampled_from([2, 3])), st.integers(1, 3)
+    ),
+    min_size=1,
+    max_size=6,
+))
+@settings(max_examples=200, deadline=None)
+def test_positive_factor_counts_are_the_largest_counts(values):
+    pos = sorted({v for v, _ in values if v > 0})
+    want = [
+        max(_sum_counts(pos, -v) - {0}, default=None)
+        for v, m in values if v < 0 for _ in range(m)
+    ]
+    assert positive_factor_counts(values) == want

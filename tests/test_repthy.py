@@ -372,6 +372,79 @@ def test_symmetric_power_matches_brute_force(chi, d):
         assert layer.entries == brute_force_symmetric_power(chi.entries, k)
 
 
+
+@st.composite
+def clipped_dp_inputs(draw):
+    """A character of rank 1 to 3 with at most 8 weights of coordinates in
+    -2..2, each with a multiplicity, a degree up to 6 and a set of points
+    to read, each within reach of some degree or past it."""
+    g = parse_group(draw(st.sampled_from(["A1", "A2", "A3"])))
+    coords = st.tuples(*[st.integers(-2, 2)] * g.rank)
+    entries = draw(st.dictionaries(coords, st.integers(1, 3), min_size=1, max_size=8))
+    d = draw(st.integers(0, 6))
+    reads = draw(st.lists(st.tuples(*[st.integers(-2 * d - 2, 2 * d + 2)] * g.rank), min_size=1, max_size=4))
+    return Character(g, entries), d, reads
+
+
+@given(inp=clipped_dp_inputs())
+@settings(max_examples=60, deadline=None)
+def test_clipped_layers_match_whole_layers_on_their_windows(inp):
+    """Each layer of the DP clipped to the windows of a read set equals the
+    whole layer of :func:`symmetric_power` on every cell of its window,
+    whether or not the degree built a mask."""
+    chi, d, reads = inp
+    whole = symmetric_power(chi, d)
+    layers, bits, strides = repthy._packed_powers(chi, d, reads)
+    for (value, lo, hi), layer in zip(layers, whole, strict=True):
+        data = repthy._bytes(value)
+        for cell in itertools.product(*map(range, lo, [h + 1 for h in hi])):
+            at = sum((x - l) * s for x, l, s in zip(cell, lo, strides))
+            assert repthy._field(data, bits, at) == layer.mult(cell), (cell, lo, hi)
+
+
+def _mask_shapes(monkeypatch, call):
+    """The shapes of the masks that the one DP ``call`` runs builds, the
+    box shape of each of its degrees, and what ``call`` returns."""
+    shapes, runs = [], []
+    box_mask, packed_powers = repthy._box_mask, repthy._packed_powers
+
+    def counted(shape, strides, bits):
+        shapes.append(tuple(shape))
+        return box_mask(shape, strides, bits)
+
+    def recorded(*args):
+        runs.append(packed_powers(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(repthy, "_box_mask", counted)
+    monkeypatch.setattr(repthy, "_packed_powers", recorded)
+    out = call()
+    ((layers, _bits, _strides),) = runs
+    boxes = [tuple(h - l + 1 for l, h in zip(lo, hi)) for _, lo, hi in layers]
+    return shapes, boxes, out
+
+
+def test_whole_layers_build_a_mask_for_degree_0_only(monkeypatch):
+    chi = parse_module(parse_group("A2"), "[2,1]+[0,1]").weights
+    shapes, boxes, powers = _mask_shapes(monkeypatch, lambda: symmetric_power(chi, 6))
+    assert shapes == [boxes[0]]
+    for k, layer in enumerate(powers[:4]):
+        assert layer.entries == brute_force_symmetric_power(chi.entries, k)
+
+
+def test_appendix_b_series_masks_only_the_degrees_its_windows_clip(monkeypatch):
+    """Degrees 1-4 of the G2xG2 series hold every cell of the degree below
+    moved by any weight, so only degrees 0 and 5-9 build a mask, and the
+    series is the paper's."""
+    m = parse_module(parse_group(paper.G2XG2_GROUP), paper.G2XG2_MODULE)
+    shapes, boxes, cert = _mask_shapes(
+        monkeypatch, lambda: covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE)
+    )
+    assert shapes == [boxes[k] for k in (0, 5, 6, 7, 8, 9)]
+    assert cert.per_degree_mults == paper.G2XG2_COVARIANT_SERIES
+    assert cert.per_degree_invariants == paper.G2XG2_INVARIANT_SERIES
+
+
 def test_symmetric_power_big_integer_fallback():
     # 1200 weights: S^8 has more than 2**62 monomials and some counts pass
     # int64; the packed fields are wide enough for the monomial count of S^8,

@@ -1,13 +1,15 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coreduce import monoid
-from coreduce.repthy import ModuleSpec, min_root_multiplicity, parse_module
+from coreduce import monoid, slices
+from coreduce.repthy import ModuleSpec, dominant_diagram, min_root_multiplicity, parse_module
 from coreduce.rootsys import parse_group
 from coreduce.slices import (
     bad_toral_slice,
+    diagram_pair,
     has_toral_slice,
     roots_mult2_rule,
     toral_slice,
@@ -113,6 +115,58 @@ def test_a_violating_circuit_is_a_violating_hilbert_generator(ws):
     # a circuit: three weights on one line, as in 5, -3, -7, are not)
     if not verdict.coreduced and sum(1 for c in verdict.certificate.coeffs if c) <= 3:
         assert found == verdict.certificate
+
+
+@given(
+    name=st.sampled_from(["A1", "A2", "B2", "G2", "A3", "A1xA2", "A2xA2"]),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_pair_read_off_the_diagram_is_a_least_degree_pair_of_the_slice(name, data):
+    # where the slice can be listed: the reader finds a pair exactly when
+    # the listed slice holds one, of the least degree, on slice weights
+    g = parse_group(name)
+    hw = st.tuples(*[st.integers(0, 3)] * g.rank).filter(any)
+    summands = data.draw(st.lists(st.tuples(st.integers(1, 2), hw), min_size=1, max_size=2))
+    m = ModuleSpec(g, tuple(summands))
+    if m.dimension() > 400 or not has_toral_slice(m):
+        return
+    diagram = {}
+    for coeff, top in m.collected:
+        for d, mult in dominant_diagram(g, top).items():
+            if any(d):
+                diagram[d] = diagram.get(d, 0) + coeff * mult
+    cert = diagram_pair(g, diagram)
+    ws, _ = weyl_symmetric_list(g, toral_slice(m))
+    least = slices._least_pair({w: i for i, w in enumerate(ws)})
+    assert (cert is None) == (least is None)
+    if cert is not None:
+        assert set(cert.weights) <= set(ws)
+        assert sum(cert.coeffs) == sum(c for _, c in least)
+
+
+def _every_pair(ws):
+    """Every violating pair of distinct nonzero weights, as the (index,
+    coefficient) pairs of its primitive relation, sorted by index."""
+    for (i, a), (j, b) in itertools.combinations(enumerate(ws), 2):
+        k, l = math.gcd(*a), math.gcd(*b)
+        if k != l and tuple(x * l for x in a) == tuple(-x * k for x in b):
+            t = math.gcd(k, l)
+            yield ((i, l // t), (j, k // t))
+
+
+@given(ws=st.integers(1, 3).flatmap(
+    lambda dim: st.lists(
+        st.tuples(*[st.integers(-12, 12)] * dim).filter(any), max_size=40, unique=True
+    )
+))
+@example(ws=[(x,) for x in range(-400, 401, 2) if abs(x) > 2])
+@settings(max_examples=200, deadline=None)
+def test_the_least_pair_is_the_least_of_every_pair(ws):
+    # each line is looked through by degree, listing no pair; the least
+    # pair is the least of them all in the search's order
+    least = min(_every_pair(ws), key=slices._search_order, default=None)
+    assert slices._least_pair({w: i for i, w in enumerate(ws)}) == least
 
 
 @given(
