@@ -527,7 +527,6 @@ def positive_factor_counts(values: Sequence[tuple[int, int]]) -> list[Optional[i
 # ---------------------------------------------------------------------------
 # Support-matrix rank bound (weight bookkeeping for dim of a tangent image)
 
-Label = tuple  # ("w", weight, copy) or ("0", cls, copy)
 Column = frozenset
 
 

@@ -27,15 +27,15 @@ torus label, has zero multiplicity 0 and no root among its weights.  They
 read the diagram of the root-lattice part alone
 (``ModuleSpec.root_lattice_diagram``) and count every weight of any other
 summand as nonzero through its Weyl dimension, so such a summand runs no
-recursion.  A module builds the dominant diagram of its root-lattice part
-and its full weight multiset once each, on first use, and keeps them
-(``ModuleSpec.root_lattice_diagram`` and ``ModuleSpec.weights``), so the
-toral slice, the chamber enumeration, the screens and the covariant counts
-of one module share them; :func:`parse_module` hands out one instance per
-group and text, so they are kept from one request to the next.  Orbits are expanded only in
-:func:`weight_diagram`, where every weight is used, by the orbit walk of
-``rootsys``, which makes each point once from its parent and keeps no set
-of the points seen.  Multiplicities of
+recursion.  A module keeps one full dominant diagram, that part's plus the
+other summands' (``ModuleSpec.diagram``), and its weight multiset
+(``ModuleSpec.weights``), each built on first use, so the toral slice, the
+chamber enumeration, the screens and the covariant counts of one module
+share them; :func:`parse_module` hands out one instance per group and text,
+so they are kept from one request to the next.  Orbits are expanded only in
+:func:`expand_orbits`, one walk per distinct dominant weight, by the orbit
+walk of ``rootsys``, which makes each point once from its parent and keeps
+no set of the points seen.  Multiplicities of
 irreducibles use the alternating Weyl-sum (Racah) formula, which needs only
 point lookups; its signed points w(lam+rho) - rho are listed once per group
 and lam.
@@ -279,14 +279,16 @@ class Character(NamedTuple):
         return {w: m for w, m in self.entries.items() if w != zero and m}
 
 
+def expand_orbits(g: GroupSpec, diagram: dict[Coords, int]) -> Character:
+    """Every weight of the Weyl-invariant multiset whose dominant weights
+    and multiplicities are ``diagram``: each dominant weight's orbit,
+    walked level by level (:func:`orbit_walk`), carries its multiplicity."""
+    return Character(g, {d: m for dom, m in diagram.items() for d, _level in orbit_walk(g, dom)})
+
+
 def weight_diagram(g: GroupSpec, hw: Coords) -> Character:
-    """Full weight diagram (with multiplicities) of the irreducible V(hw):
-    each dominant weight's Weyl orbit, walked level by level
-    (:func:`orbit_walk`), carries its multiplicity."""
-    full: dict[Coords, int] = {}
-    for dom, m in dominant_diagram(g, hw).items():
-        full.update({d: m for d, _level in orbit_walk(g, dom)})
-    return Character(g, full)
+    """Full weight diagram (with multiplicities) of the irreducible V(hw)."""
+    return expand_orbits(g, dominant_diagram(g, hw))
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +321,9 @@ class ModuleSpec(_ModuleSpecFields):
 
     @cached_property
     def weights(self) -> Character:
-        """Weight multiset of the module (direct sums add, tensor via the
-        group), built on first use and kept with the module."""
-        total: dict[Coords, int] = {}
-        for coeff, hw in self.summands:
-            for w, mult in weight_diagram(self.group, hw).entries.items():
-                total[w] = total.get(w, 0) + coeff * mult
-        return Character(self.group, total)
+        """Weight multiset of the module, expanded from :attr:`diagram`;
+        built on first use and kept with the module."""
+        return expand_orbits(self.group, self.diagram)
 
     @cached_property
     def collected(self) -> tuple[tuple[int, Coords], ...]:
@@ -346,11 +344,21 @@ class ModuleSpec(_ModuleSpecFields):
         torus label 0 (:func:`in_root_part`).  The zero weight and every
         root take their multiplicity from it alone; built on first use and
         kept with the module."""
-        g = self.group
-        total: dict[Coords, int] = {}
+        return self._add_diagrams({}, True)
+
+    @cached_property
+    def diagram(self) -> dict[Coords, int]:
+        """The dominant diagram of the whole module: the root-lattice part's
+        plus the other summands', whose recursion only this runs; built on
+        first use and kept with the module."""
+        return self._add_diagrams(dict(self.root_lattice_diagram), False)
+
+    def _add_diagrams(self, total: dict[Coords, int], root_part: bool) -> dict[Coords, int]:
+        """``total`` plus the diagrams of the summands in the root-lattice
+        part, or of those off it when ``root_part`` is false."""
         for coeff, hw in self.summands:
-            if in_root_part(g, hw):
-                for d, mult in dominant_diagram(g, hw).items():
+            if in_root_part(self.group, hw) == root_part:
+                for d, mult in dominant_diagram(self.group, hw).items():
                     total[d] = total.get(d, 0) + coeff * mult
         return total
 

@@ -7,6 +7,14 @@ the module with one copy of each root removed.  The module is then not
 coreduced as soon as that torus weight list admits an indecomposable
 relation with a coefficient at least 2.
 
+The slice is written down once, at the dominant level
+(:func:`slice_diagram`): the module's nonzero dominant weights
+(``ModuleSpec.diagram``) less one copy at each dominant root.
+:func:`toral_slice` expands its orbits, and :func:`bad_toral_slice` sizes
+that listing off it and, past the search's bound, reads a violating pair
+off it (:func:`diagram_pair`), as every line through 0 is the Weyl image
+of one through a dominant weight.  No module weight multiset is built.
+
 :func:`bad_toral_slice` is the one test, for every caller.  Multiplicities
 do not matter to it: a relation of the slice is indecomposable exactly when
 the relation it induces on the distinct weights is (see ``monoid``), so it
@@ -20,21 +28,14 @@ of gcd 1) is indecomposable among the circuit's weights: a sub-relation
 below it is a rational multiple of it, and primitivity makes the multiple
 0 or 1.  It is indecomposable in the whole slice too, because any
 decomposition of a relation has its support inside the relation's
-support; so a violating generator of a sub-list of the slice is a
-violating generator of the slice.  The scan returns the least violating
-circuit in the search's own order, so where the search's first violating
-generator is a circuit of at most three weights, the scan finds that very
-generator; where it is not, the scan's may come later.  Finding no
-violating circuit proves nothing.  A slice too large to list is refused,
-unless a violating pair can be read off the dominant diagrams
-(:func:`diagram_pair`): every line through 0 is the Weyl image of one
-through a dominant weight.
+support.  The scan returns the least violating circuit in the search's
+own order, so where the search's first violating generator is a circuit
+of at most three weights, the scan finds that very generator.  Finding no
+violating circuit proves nothing.
 
-The generic vector itself is never materialized: genericity is part of the
-certificate's hypotheses.  The test keeps nothing itself: the classify
-drivers that call it sit under ``classify.classify_module``'s memo, and
-``monoid`` keeps the Hilbert search, so a repeated call lists the slice
-again but searches nothing.
+The test keeps nothing itself: the classify drivers that call it sit under
+``classify.classify_module``'s memo, and ``monoid`` keeps the Hilbert
+search, so a repeated call lists the slice again but searches nothing.
 """
 
 from __future__ import annotations
@@ -45,17 +46,14 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequenc
 
 from .config import ResourceLimitError, require
 from .monoid import Relation, TorusVerdict, Vec, _check_stored, is_torus_coreduced
-from .repthy import ModuleSpec, dominant_diagram, min_root_multiplicity
+from .repthy import ModuleSpec, expand_orbits, min_root_multiplicity
 from .rootsys import Coords, GroupSpec, dominantize, orbit_size, reflect, root_scaled_of_dynkin
-
-GENERIC_HYPOTHESIS = "generic zero weight vector"
 
 
 class _BadSliceFields(NamedTuple):
     kind: str  # toral_relation (a Hilbert generator or a circuit) | roots_mult2
     weights: tuple[Vec, ...]
     coeffs: tuple[int, ...]
-    hypotheses: tuple[str, ...] = (GENERIC_HYPOTHESIS,)
     note: str = ""
 
 
@@ -95,17 +93,24 @@ def has_toral_slice(m: ModuleSpec) -> bool:
     return not m.group.simple_factors or min_root_multiplicity(m)[0] >= 1
 
 
-def toral_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
-    """The torus weights of the slice at a generic zero-weight vector: the
-    nonzero module weights (Dynkin coordinates) with one copy of each root
-    removed, mapped to their multiplicities; None when some root of the
-    group is not a weight of the module, so that there is no toral slice."""
+def slice_diagram(m: ModuleSpec) -> Optional[dict[Coords, int]]:
+    """The toral slice at the dominant level, each weight mapped to its
+    nonzero multiplicity: the module's nonzero dominant weights less one
+    copy at each dominant root, which is one copy off each root of its
+    orbit; None when there is no toral slice."""
     if not has_toral_slice(m):
         return None
-    counts = m.weights.nonzero_weights()
-    for d in m.group.root_data.roots:
-        counts[d] -= 1
-    return {w: c for w, c in counts.items() if c}
+    roots = set(m.group.root_data.dominant_roots)
+    counts = {d: c - (d in roots) for d, c in m.diagram.items() if any(d)}
+    return {d: c for d, c in counts.items() if c}
+
+
+def toral_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
+    """The torus weights of the slice at a generic zero-weight vector, the
+    orbits of :func:`slice_diagram` (Dynkin coordinates), mapped to their
+    multiplicities; None when there is no toral slice."""
+    diagram = slice_diagram(m)
+    return None if diagram is None else expand_orbits(m.group, diagram).entries
 
 
 def weyl_symmetric_list(g: GroupSpec, weights: Iterable[Coords]) -> tuple[list[Vec], list[list[int]]]:
@@ -131,22 +136,17 @@ def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     failing one the search's first violating generator.  On A1 ``[1]+[6]``
     the search's first is ``(1,2,1)`` on the three weights ``-4, -1, 6`` of
     one line, not a circuit, and the relation is the pair ``(4,1)`` on
-    ``-1, 4``, which comes later.  Multiplicities change neither, so both
-    read the distinct slice weights, sorted, once; the search has the Weyl
-    group's simple reflections as symmetries.  The slice is sized first:
-    the search starts from one weight per Weyl orbit, so the module's
-    distinct nonzero dominant weights times its distinct nonzero weights,
-    read off the dominant diagrams, must be within ``HILBERT_COORD_CAP``.
-    Past it, the relation is a pair read off the dominant diagrams
+    ``-1, 4``, which comes later.  Both read the distinct slice weights,
+    sorted, once; the search has the simple reflections as symmetries.
+    The listing is sized first, off :func:`slice_diagram`: the search
+    starts from one weight per Weyl orbit, so the slice's dominant weights
+    times the weights of their orbits must be within ``HILBERT_COORD_CAP``.
+    Past it, the relation is a pair read off the same diagram
     (:func:`diagram_pair`), and without one the test refuses."""
-    if not has_toral_slice(m):
+    diagram = slice_diagram(m)
+    if diagram is None:
         return None
     g = m.group
-    diagram: dict[Coords, int] = {}  # nonzero dominant weight -> multiplicity
-    for coeff, hw in m.collected:
-        for d, mult in dominant_diagram(g, hw).items():
-            if any(d):
-                diagram[d] = diagram.get(d, 0) + coeff * mult
     try:
         _check_stored(len(diagram), sum(orbit_size(g, d) for d in diagram))
     except ResourceLimitError:
@@ -163,28 +163,22 @@ def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
 
 def diagram_pair(g: GroupSpec, diagram: dict[Coords, int]) -> Optional[BadSliceCertificate]:
     """A violating pair of the toral slice as a ``toral_relation``
-    certificate, read off ``diagram``, the module's nonzero dominant weights
-    with their multiplicities, with no orbit listed; None when the slice
-    has no violating pair.
+    certificate, read off ``diagram``, its :func:`slice_diagram`, with no
+    orbit listed; None when the slice has no violating pair.
 
     Every line through 0 is the Weyl image of a line through a dominant
     weight, and the slice is Weyl-invariant.  So the slice holds a pair
     ``k u, l (-u)`` with ``k != l`` exactly when it holds one ``k p,
     l (-p)`` with ``p`` primitive and dominant: ``k p`` and ``l q``, ``q =
-    -w0 p`` the dominant weight of ``-p``, have slice multiplicity at least
-    1 (the module's, less one at a root).  ``-w0`` is linear, so ``q`` is
-    read off the dominant weights of the negated fundamental weights.  The
-    rule: the pair of least degree ``(k + l) / gcd(k, l)``, then of least
-    ``p`` in Dynkin labels, then of least ``k``, printed on ``k p`` and
-    ``l (-p)``."""
-    slice_mults = dict(diagram)
-    for d in set(g.root_data.dominant_roots):
-        slice_mults[d] -= 1
+    -w0 p`` the dominant weight of ``-p``, are in the slice diagram.
+    ``-w0`` is linear, so ``q`` is read off the dominant weights of the
+    negated fundamental weights.  The rule: the pair of least degree
+    ``(k + l) / gcd(k, l)``, then of least ``p`` in Dynkin labels, then of
+    least ``k``, printed on ``k p`` and ``l (-p)``."""
     rays: dict[Coords, set[int]] = {}  # primitive dominant direction -> multiples
-    for d, mult in slice_mults.items():
-        if mult:
-            k = gcd(*d)
-            rays.setdefault(tuple(x // k for x in d), set()).add(k)
+    for d in diagram:
+        k = gcd(*d)
+        rays.setdefault(tuple(x // k for x in d), set()).add(k)
     # -w0 of each fundamental weight, the dominant weight of its negative
     unit = [tuple(-int(i == j) for j in range(g.rank)) for i in range(g.rank)]
     images = [dominantize(g, e)[0] for e in unit]
@@ -267,8 +261,8 @@ def roots_mult2_rule(m: ModuleSpec) -> Optional[BadSliceCertificate]:
 
 def violating_circuit(ws: Sequence[Vec]) -> Optional[Relation]:
     """The least primitive relation with a coefficient >= 2 on a circuit of
-    two or three distinct nonzero weights of ``ws``, each at its last copy,
-    in the Hilbert search's order; None when there is none.
+    two or three of the distinct nonzero weights ``ws``, in the Hilbert
+    search's order; None when there is none.
 
     A pair is ``k p`` and ``l (-p)`` with ``k != l`` for a primitive
     direction ``p``, with relation ``(l, k) / gcd(k, l)``.  A triple has
@@ -283,15 +277,13 @@ def violating_circuit(ws: Sequence[Vec]) -> Optional[Relation]:
     first violating generator is a circuit of at most three weights, this
     is that generator.
     """
-    last = {w: i for i, w in enumerate(ws)}  # weight -> index of its last copy
-    order = sorted(last, key=last.__getitem__)
-    found = _least_pair(last)
-    for k in range(len(order) - 1, -1, -1):
+    found = _least_pair(ws)
+    for k in range(len(ws) - 1, -1, -1):
         if found is not None:
             degree = sum(c for _, c in found)
-            if degree == 3 or (degree == 4 and found[0][0] > last[order[k]]):
+            if degree == 3 or (degree == 4 and found[0][0] > k):
                 break
-        for triple in _triples(order[k], order[k + 1 :], last):
+        for triple in _triples(ws, k):
             if found is None or _search_order(triple) < _search_order(found):
                 found = triple
     if found is None:
@@ -303,9 +295,7 @@ def violating_circuit(ws: Sequence[Vec]) -> Optional[Relation]:
 def _search_order(support: tuple[tuple[int, int], ...]) -> tuple:
     """The Hilbert search's order on relations given by their (index,
     coefficient) pairs, sorted by index: degree, then the tuple of all
-    coefficients, in which the later the first index, the smaller.  The
-    least way to spread a relation over the copies of a weight puts it on
-    the last copy."""
+    coefficients, in which the later the first index, the smaller."""
     return sum(c for _, c in support), tuple((-i, c) for i, c in support)
 
 
@@ -314,13 +304,13 @@ def _primitive(*support: tuple[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((i, c // k) for i, c in support))
 
 
-def _least_pair(last: dict[Vec, int]) -> Optional[tuple[tuple[int, int], ...]]:
+def _least_pair(ws: Sequence[Vec]) -> Optional[tuple[tuple[int, int], ...]]:
     """The least violating pair in the search's order, None when there is
     none: on each line through 0, the pairs of least degree
     (:func:`_line_pairs`), each line looked through only up to the least
     degree an earlier line holds."""
     rays: dict[Vec, dict[int, int]] = {}  # primitive direction -> multiple -> index
-    for w, i in last.items():
+    for i, w in enumerate(ws):
         k = gcd(*w)
         rays.setdefault(tuple(x // k for x in w), {})[k] = i
     best = None
@@ -363,28 +353,29 @@ def _line_pairs(ks: Collection[int], ls: Collection[int], most: Optional[int]) -
             return found if small is ks else [(k, l) for l, k in found]
 
 
-def _triples(
-    a: Vec, partners: Iterable[Vec], last: dict[Vec, int]
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The violating circuits of three weights through ``a`` and two of
-    ``partners``."""
+def _triples(ws: Sequence[Vec], i: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The violating circuits of three weights of ``ws``: the one at index
+    ``i`` and two of higher index."""
     # b - (b_s / a_s) a, scaled to integers, is zero exactly when b is on
     # a's line, and its direction names the plane of a and b
+    a = ws[i]
     s = next(j for j, x in enumerate(a) if x)
-    planes: dict[Vec, list[tuple[Vec, list[int]]]] = {}
-    for b in partners:
+    planes: dict[Vec, list[tuple[int, list[int]]]] = {}
+    for j, b in enumerate(ws[i + 1 :], i + 1):
         v = [a[s] * y - b[s] * x for x, y in zip(a, b)]
         if any(v):
             k = gcd(*v)
             k = k if next(x for x in v if x) > 0 else -k
-            planes.setdefault(tuple(x // k for x in v), []).append((b, v))
+            planes.setdefault(tuple(x // k for x in v), []).append((j, v))
     for plane, bs in planes.items():
         # the plane's coordinates s and t, on which z = det(a, b) is v_b[t]
         t = next(j for j, x in enumerate(plane) if x)
-        for n, (b, vb) in enumerate(bs):
-            for c, vc in bs[n + 1 :]:
+        for n, (j, vb) in enumerate(bs):
+            b = ws[j]
+            for l, vc in bs[n + 1 :]:
+                c = ws[l]
                 x, y, z = b[s] * c[t] - b[t] * c[s], -vc[t], vb[t]
                 if (x > 0 and y > 0 and z > 0) or (x < 0 and y < 0 and z < 0):
-                    support = _primitive((last[a], abs(x)), (last[b], abs(y)), (last[c], abs(z)))
+                    support = _primitive((i, abs(x)), (j, abs(y)), (l, abs(z)))
                     if max(coeff for _, coeff in support) >= 2:
                         yield support

@@ -23,17 +23,23 @@ def cold_memos():
 
 @pytest.fixture
 def weight_builds(monkeypatch):
-    """The highest weights whose full weight diagrams are built while the
-    test runs, one entry per build; a module's weight multiset costs one
-    build per summand."""
+    """The dominant diagrams whose Weyl orbits are expanded while the test
+    runs, one entry per expansion: ``repthy.expand_orbits``, the one place
+    orbits are expanded, is counted under every name a package module binds
+    it to.  A module's weight multiset costs one expansion of
+    ``ModuleSpec.diagram``, its toral slice one of ``slices.slice_diagram``."""
+    import coreduce
     from coreduce import repthy
 
     built = []
-    diagram = repthy.weight_diagram
+    expand = repthy.expand_orbits
 
-    def counted(g, hw):
-        built.append(hw)
-        return diagram(g, hw)
+    def counted(g, diagram):
+        built.append(dict(diagram))
+        return expand(g, diagram)
 
-    monkeypatch.setattr(repthy, "weight_diagram", counted)
+    for info in pkgutil.iter_modules(coreduce.__path__, "coreduce."):
+        module = importlib.import_module(info.name)
+        if getattr(module, "expand_orbits", None) is expand:
+            monkeypatch.setattr(module, "expand_orbits", counted)
     return built

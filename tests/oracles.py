@@ -667,6 +667,34 @@ def _full_dominant_diagram(m) -> dict:
     return total
 
 
+def reference_weights(m) -> dict:
+    """The weight multiset of a module: each summand's dominant diagram
+    expanded orbit by orbit with :func:`reference_orbit`, the summands
+    added with their coefficients."""
+    from coreduce.repthy import dominant_diagram
+
+    total: dict = {}
+    for coeff, hw in m.summands:
+        for d, mult in dominant_diagram(m.group, hw).items():
+            for w in reference_orbit(m.group, d):
+                total[w] = total.get(w, 0) + coeff * mult
+    return total
+
+
+def reference_roots(g: GroupSpec) -> list:
+    """Every root of the group in Dynkin labels, from each factor's own root
+    system: its positive roots and their negatives, zero elsewhere."""
+    out = []
+    for rs, lo, _hi in factor_blocks(g):
+        for root in rs.positive_roots:
+            d = dynkin_of_root(rs, root)
+            for sign in (1, -1):
+                w = [0] * g.rank
+                w[lo : lo + rs.rank] = [sign * x for x in d]
+                out.append(tuple(w))
+    return out
+
+
 def reference_weight_counts(m) -> tuple:
     """(zero multiplicity, nonzero weights with multiplicity) of a module
     over its full dominant diagram, every summand's Freudenthal diagram

@@ -47,7 +47,7 @@ from coreduce.rootsys import (
     parse_group,
     root_scaled_of_dynkin,
 )
-from coreduce.slices import BadSliceCertificate, bad_toral_slice, toral_slice
+from coreduce.slices import BadSliceCertificate, bad_toral_slice, slice_diagram, toral_slice
 from coreduce.nullcone import G2XG2_DEGREE, G2XG2_TARGET, Cocharacter, ScreenResult
 
 from oracles import dynkin_of_root, exact_rank
@@ -237,11 +237,26 @@ def test_no_assert_statement_in_the_package():
     "group,module", [("A2", "[2,1]"), ("A2", "[0,2]+[2,0]"), ("A1", "3*[1]+[2]")]
 )
 def test_sl2_and_sl3_classify_computes_the_weights_once(group, module, weight_builds):
-    # the toral slice, the chamber enumeration, the screens and the covariant
-    # counts of one classify call share one weight multiset
+    # the chamber enumeration, the screens and the covariant counts of one
+    # classify call share one weight multiset, expanded once after the
+    # slice's (A2 "[2,1]" and "[0,2]+[2,0]" have no toral slice)
     m = parse_module(parse_group(group), module)
     classify_module(m)
-    assert sorted(weight_builds) == sorted(hw for _, hw in m.summands)
+    expanded = [m.diagram] if slice_diagram(m) is None else [slice_diagram(m), m.diagram]
+    assert weight_builds == expanded
+
+
+@pytest.mark.parametrize(
+    "group,module", [("A2", "[2,2]"), ("A3", "[4,0,0]"), ("G2", "[2,0]"), ("A2xA2", "[1,1,1,1]")]
+)
+def test_a_module_its_slice_answers_never_builds_its_weights(group, module):
+    # the slice is read off the module's dominant diagram, so a verdict the
+    # slice settles lists no weight of the module
+    m = parse_module(parse_group(group), module)
+    verdict = classify_module(m)
+    assert verdict.coreduced == NO
+    assert verdict.certificates[0].kind == "toral_relation"
+    assert "weights" not in vars(m)
 
 
 @pytest.mark.parametrize("suite", ["appendixB", "sl3"])
@@ -258,7 +273,7 @@ def test_paper_paths_compute_the_weights_once(suite, weight_builds):
         m = parse_module(parse_group("A2"), paper.SL3_V31)
         sl3_critical_ratios(m)
         classify_sl3(m)
-    assert weight_builds == [hw for _, hw in m.summands]
+    assert weight_builds == [m.diagram]
 
 
 def test_the_sl3_suite_classifies_each_module_once(monkeypatch):

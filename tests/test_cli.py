@@ -15,6 +15,7 @@ from coreduce import paper
 from coreduce.cli import main
 from coreduce.repthy import parse_module, weyl_dim
 from coreduce.rootsys import parse_group
+from coreduce.slices import slice_diagram
 
 from test_classify import CAPPED_SEARCHES, PAST_THE_SCAN
 
@@ -182,6 +183,29 @@ def test_every_top_level_definition_is_read():
         if all(path != p or not lo <= int(line) <= hi for p, lo, hi in spans.get(name, ())):
             read.add(name)
     assert sorted(set(spans) - read) == []
+
+
+def test_every_record_field_is_read():
+    """No dead fields: every field of every ``NamedTuple`` record of the
+    package is read as an attribute somewhere in it.  Fields are matched by
+    name, as the scan above matches definitions."""
+    pkg = pathlib.Path(coreduce.__file__).parent
+    fields, read = [], set()
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+                for base in node.bases
+            ):
+                fields += [
+                    (f"{path.stem}.{node.name}", item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                ]
+    assert fields
+    assert [f"{record}.{name}" for record, name in fields if name not in read] == []
 
 
 # defaulted parameters that package calls need not both pass and leave out
@@ -691,7 +715,7 @@ def test_weights_counts_of_sums_and_products(group, module):
     assert sum(want) == got["dimension"]
 
 
-def test_weights_expands_no_orbit(monkeypatch):
+def test_weights_expands_no_orbit(monkeypatch, weight_builds):
     # warm the Freudenthal and Weyl-order caches first: closure also runs
     # the dominant-weight descent and the Weyl-order count, and what is left
     # for it after the warm-up is orbit expansion (1.6e6 weights here)
@@ -710,14 +734,13 @@ def test_weights_expands_no_orbit(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(repthy, "weight_diagram", counting("weight_diagram", repthy.weight_diagram))
     monkeypatch.setattr(repthy, "closure", counting("closure", repthy.closure))
     monkeypatch.setattr(rootsys, "closure", counting("closure", rootsys.closure))
     code, out = run_cli(["weights", "E6", "[0,0,0,0,3,0]"])
     assert code == 0
     got = json.loads(out)
     assert got["zero_multiplicity"] + got["nonzero_weight_count"] == got["dimension"] == 1559376
-    assert calls == []
+    assert calls == [] and weight_builds == []
 
 
 @pytest.mark.parametrize(
@@ -819,9 +842,12 @@ def test_bad_slice_command():
 
 @pytest.mark.parametrize("group,module", [("A1", "[6]"), ("G2", "[0,1]"), ("A1xA2", "[2,1,1]")])
 def test_bad_slice_command_computes_the_weights_once(group, module, weight_builds):
+    # the slice's orbits are expanded once, and the module's weight
+    # multiset is never built
     assert run_cli(["bad-slice", group, module])[0] in (0, 1)
     m = parse_module(parse_group(group), module)
-    assert weight_builds == [hw for _, hw in m.summands]
+    assert weight_builds == [slice_diagram(m)]
+    assert "weights" not in vars(m)
 
 
 @pytest.mark.parametrize("group,module", [("A2xA2", "[7,7,7,7]"), ("A3", "[48,0,0]")])
@@ -1745,10 +1771,12 @@ def test_f4_slices_are_sized_before_any_orbit_is_expanded(module, monkeypatch, c
     # dominant diagram, with no orbit expanded either way
     from coreduce import repthy, slices
 
-    def refuse(g, hw):
+    def refuse(g, diagram):
         raise AssertionError("an orbit was expanded")
 
-    monkeypatch.setattr(repthy, "weight_diagram", refuse)
+    # the one orbit expansion, under both names the package binds it to
+    for binder in (repthy, slices):
+        monkeypatch.setattr(binder, "expand_orbits", refuse)
     with monkeypatch.context() as mp:
         mp.setattr(slices, "diagram_pair", lambda g, diagram: None)
         assert main(["classify", "F4", module]) == 3

@@ -217,10 +217,13 @@ def test_specs_are_interned_per_text(weight_builds):
     m = parse_module(g, "2*[1,1]+[1,0]")
     assert parse_module(g, "2*[1,1]+[1,0]") is m
     assert parse_module(g, "[1,0]+2*[1,1]") is not m
-    # the weights are built once, for the first request that reads them
-    for argv in (["weights", "A2", "2*[1,1]+[1,0]"], ["classify", "A2", "2*[1,1]+[1,0]"]) * 2:
+    # the slice and the weights are each expanded once, for the first
+    # request that reads them: classify answers from the slice, and the
+    # chamber enumeration of components reads the weights
+    requests = ("weights", "classify", "components")
+    for argv in [[command, "A2", "2*[1,1]+[1,0]"] for command in requests] * 2:
         run(argv)
-    assert sorted(weight_builds) == [(1, 0), (1, 1)]
+    assert weight_builds == [slices.slice_diagram(m), m.diagram]
 
 
 def test_a_chamber_weight_cap_refusal_raises_again_on_the_repeat(monkeypatch):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coreduce import monoid, slices
-from coreduce.repthy import ModuleSpec, dominant_diagram, min_root_multiplicity, parse_module
+from coreduce.repthy import ModuleSpec, min_root_multiplicity, parse_module
 from coreduce.rootsys import parse_group
 from coreduce.slices import (
     bad_toral_slice,
     diagram_pair,
     has_toral_slice,
     roots_mult2_rule,
+    slice_diagram,
     toral_slice,
     violating_circuit,
     weyl_symmetric_list,
@@ -83,25 +84,22 @@ def test_bad_toral_slice_is_none_without_a_toral_slice():
     assert bad_toral_slice(m) is None
 
 
-# short lists of small nonzero weights, some of them repeated
-REPEATED_WEIGHTS = st.integers(1, 3).flatmap(
+# short lists of small distinct nonzero weights, in any order: the scan
+# takes the distinct slice weights, as the search does
+DISTINCT_WEIGHTS = st.integers(1, 3).flatmap(
     lambda dim: st.lists(
         st.tuples(*[st.integers(-2, 2)] * dim).filter(any), min_size=2, max_size=6, unique=True
-    ).flatmap(
-        lambda ws: st.lists(st.sampled_from(ws), max_size=3).flatmap(
-            lambda extra: st.permutations(ws + extra)
-        )
-    )
+    ).flatmap(st.permutations)
 )
 
 
-@given(ws=REPEATED_WEIGHTS)
+@given(ws=DISTINCT_WEIGHTS)
 # a pair (3, 1) of degree 4 through the first weight, and a triple (1, 2, 1)
 # of the same degree through later ones, which comes first
 @example(ws=[(-3, 0), (-1, 1), (0, -1), (1, 0), (1, 1)])
-# three independent weights, repeated: a search over the copies stopped at
-# HILBERT_COORD_CAP, one over the distinct weights answers coreduced
-@example(ws=[(-1, -2, 2)] * 3 + [(2, 2, -1)] + [(-1, 1, -2)] * 2)
+# three independent weights, which a search over their copies once stopped
+# at HILBERT_COORD_CAP: coreduced
+@example(ws=[(-1, -2, 2), (2, 2, -1), (-1, 1, -2)])
 @settings(max_examples=300, deadline=None)
 def test_a_violating_circuit_is_a_violating_hilbert_generator(ws):
     found = violating_circuit(ws)
@@ -131,18 +129,48 @@ def test_a_pair_read_off_the_diagram_is_a_least_degree_pair_of_the_slice(name, d
     m = ModuleSpec(g, tuple(summands))
     if m.dimension() > 400 or not has_toral_slice(m):
         return
-    diagram = {}
-    for coeff, top in m.collected:
-        for d, mult in dominant_diagram(g, top).items():
-            if any(d):
-                diagram[d] = diagram.get(d, 0) + coeff * mult
-    cert = diagram_pair(g, diagram)
+    cert = diagram_pair(g, slice_diagram(m))
     ws, _ = weyl_symmetric_list(g, toral_slice(m))
-    least = slices._least_pair({w: i for i, w in enumerate(ws)})
+    least = slices._least_pair(ws)
     assert (cert is None) == (least is None)
     if cert is not None:
         assert set(cert.weights) <= set(ws)
         assert sum(cert.coeffs) == sum(c for _, c in least)
+
+
+# (simple labels, torus labels) per group; a torus label takes either sign
+RANKS = {
+    "A1": (1, 0), "A2": (2, 0), "B2": (2, 0), "G2": (2, 0), "A1xA1": (2, 0), "T1": (0, 1),
+    "A1xT1": (1, 1),
+}
+
+
+@given(name=st.sampled_from(sorted(RANKS)), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_weights_and_the_slice_are_expanded_from_one_diagram(name, data):
+    # against each summand's orbits listed one by one, for modules with
+    # summands off the root lattice and trivial ones: the weight multiset,
+    # and the slice as its nonzero weights less one copy of each root
+    from oracles import reference_roots, reference_weights
+
+    g = parse_group(name)
+    simple, torus = RANKS[name]
+    hw = st.tuples(*[st.integers(0, 3)] * simple, *[st.integers(-3, 3)] * torus)
+    trivial = st.just((0,) * g.rank)
+    summands = data.draw(st.lists(st.tuples(st.integers(1, 2), hw | trivial), min_size=1, max_size=3))
+    m = ModuleSpec(g, tuple(summands))
+    if m.dimension() > 300:
+        return
+    want = reference_weights(m)
+    assert m.weights.entries == want
+    roots = reference_roots(g)
+    if any(want.get(r, 0) == 0 for r in roots):
+        assert toral_slice(m) is None
+        return
+    counts = {w: c for w, c in want.items() if any(w)}
+    for r in roots:
+        counts[r] -= 1
+    assert toral_slice(m) == {w: c for w, c in counts.items() if c}
 
 
 def _every_pair(ws):
@@ -166,7 +194,7 @@ def test_the_least_pair_is_the_least_of_every_pair(ws):
     # each line is looked through by degree, listing no pair; the least
     # pair is the least of them all in the search's order
     least = min(_every_pair(ws), key=slices._search_order, default=None)
-    assert slices._least_pair({w: i for i, w in enumerate(ws)}) == least
+    assert slices._least_pair(ws) == least
 
 
 @given(
@@ -223,20 +251,24 @@ def test_f4_adjoint_plus_26_slice_certificate_is_pinned():
 
 @pytest.mark.parametrize("group,module", [("A1", "[6]"), ("A2", "[1,1]"), ("A2", "[1,0]")])
 def test_bad_toral_slice_computes_the_weights_once(group, module, weight_builds):
-    # A2 "[1,0]" has no toral slice: its dominant diagram misses the roots,
-    # so no weight is listed
+    # the slice's orbits are expanded once, and the module's weight multiset
+    # is never built; A2 "[1,0]" has no toral slice: its dominant diagram
+    # misses the roots, so no weight is listed
     m = parse_module(parse_group(group), module)
     bad_toral_slice(m)
-    assert weight_builds == ([] if module == "[1,0]" else [hw for _, hw in m.summands])
+    assert weight_builds == ([] if module == "[1,0]" else [slice_diagram(m)])
+    assert "weights" not in vars(m)
 
 
 @pytest.mark.parametrize(
     "group,module", [("A1xA2", "[2,1,1]"), ("A2xA2", "[1,1,1,1]"), ("A1xA1xA1", "[2,2,2]")]
 )
 def test_product_group_classify_computes_the_weights_once(group, module, weight_builds):
-    # the circuit scan and the direct search share one weight multiset
+    # the circuit scan and the direct search share one listing of the
+    # slice, and the module's weight multiset is never built
     from coreduce.classify import NO, classify_semisimple_irreducible
 
     m = parse_module(parse_group(group), module)
     assert classify_semisimple_irreducible(m).coreduced == NO
-    assert weight_builds == [hw for _, hw in m.summands]
+    assert weight_builds == [slice_diagram(m)]
+    assert "weights" not in vars(m)
