@@ -17,11 +17,17 @@ that cannot change an answer:
   guard bit on top: ``m <= y`` componentwise exactly when
   ``(y | GUARD) - m`` keeps every guard bit.  The pairings ``<val, w>`` of
   the candidate's value ``val = sum_i x_i * a_i`` with each weight
-  are a second int, one biased byte-aligned field each, and a child steps
-  them by the packed Gram row of its weight.  A negative pairing is a field
-  with its top bit clear, and ``val == 0`` exactly when the int equals the
-  bias (every pairing 0), because ``val`` lies in the span of the weights
-  and is then orthogonal to it.
+  are a second int, one biased byte-aligned field each, summed from the
+  candidate's support by the packed Gram rows of its weights when it is
+  expanded, and a child's is its parent's plus one row.  A negative pairing
+  is a field with its top bit clear, and ``val == 0`` exactly when the int
+  equals the bias (every pairing 0), because ``val`` lies in the span of
+  the weights and is then orthogonal to it.
+- A stored candidate is its coefficient int and its support mask, and
+  nothing more: a level's relations are kept apart from the candidates it
+  expands, and each candidate is dropped as it is expanded.  The F4 slice
+  of the ``exceptional`` suite stores 5,544 candidates of degree 6, where
+  its search stops, and never expands them.
 - The completion runs one degree at a time: a level's generators are
   yielded, sorted, before the next level's candidates are made, and each
   candidate is checked once, as it is made, against the generators of
@@ -112,17 +118,6 @@ def _check_stored(candidates: int, n: int) -> None:
             f"hilbert basis search: {candidates} candidates of {n} coefficients "
             "make {count} coordinates",
         )
-
-
-def _dominates(x: int, xmask: int, gens: list[tuple[int, int]], guard: int) -> bool:
-    """Packed ``x`` >= some packed generator ``m`` componentwise: no field of
-    ``(x | guard) - m`` borrows from its guard bit.  The support masks
-    reject most pairs first."""
-    xg, outside = x | guard, ~xmask
-    for mmask, m in gens:
-        if not mmask & outside and (xg - m) & guard == guard:
-            return True
-    return False
 
 
 def _repunit(width: int, count: int) -> int:
@@ -237,6 +232,12 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
     minimal relation with ``r`` in its support, so the generators are those
     of the plain search, in the same order.  Each image is checked to be a
     relation.
+
+    A stored candidate is its packed coefficients and its support mask.  A
+    level keeps its relations, which are never expanded, in a dict of their
+    own, so a child is looked up only in the dict that its pairings say it
+    belongs to.  A candidate is popped as it is expanded, and its pairings
+    are summed again from its support.
     """
     n = len(weights)
     if n == 0:
@@ -264,7 +265,7 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
     # of stored candidates (its ancestors are all stored), which
     # _check_stored keeps at most cap // n while children one degree higher
     # are made: cb - 1 bits hold every coefficient, so no field overflows,
-    # and the top bit of each field is a guard for _dominates.  A symmetry
+    # and the top bit of each field is a guard for the dominance check.  A symmetry
     # image has the coefficients of a stored generator.
     max_stored = HILBERT_COORD_CAP // n
     deg_cap = max_stored + 1
@@ -279,9 +280,10 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
     # when the top bit of its field is clear.  A pairing is at most
     # deg_cap * max |w|^2 in size, below that half.  Packing is linear, so
     # the Gram row of a weight is its coordinates times the packed
-    # coordinate columns, and a child's d is its parent's plus that row.
-    # val lies in the span of the weights, so val == 0 exactly when every
-    # pairing is 0, that is when d == bias.
+    # coordinate columns, a candidate's d is bias plus its coefficients
+    # times the rows of its support, and a child's d its parent's plus one
+    # row.  val lies in the span of the weights, so val == 0 exactly when
+    # every pairing is 0, that is when d == bias.
     nb = (deg_cap * max(sum(a * a for a in w) for w in weights)).bit_length() // 8 + 1
     nbytes = nb * n
     half = 1 << 8 * nb - 1
@@ -292,6 +294,10 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
         for c in range(dim)
     ]
     gram = [sum(a * col for a, col in zip(w, cols)) for w in weights]
+    # support bit of weight j -> (shift of its field, its Gram row)
+    unit_row = {1 << j: (shift[j], gram[j]) for j in range(n)}
+    # the pairings of a candidate whose child x + e_j is a relation
+    at_zero = [bias - row for row in gram]
 
     def images(x: int) -> list[int]:
         """The images of the generator x under the permutations, each added
@@ -314,14 +320,16 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
     # the minimality index: m[j] * n + j -> (support mask, m) of the
     # generators m
     by_coord: dict[int, list[tuple[int, int]]] = {}
-    # the candidates of one degree: x -> (support mask, pairings)
-    level = {unit[j]: (1 << j, bias + gram[j]) for j in starts}
-    while level:
+    # the candidates of one degree that are not relations, and its
+    # relations, each x -> its support mask; a weight is never a relation
+    level = {unit[j]: 1 << j for j in starts}
+    relations: dict[int, int] = {}
+    while level or relations:
         # the generators of this degree, as sparse supports [(j, x[j])]
-        batch: dict[int, list[tuple[int, int]]] = {}
-        for x, (xmask, d) in level.items():
-            if d == bias:
-                batch[x] = [(j, x >> shift[j] & fmask) for j in range(n) if xmask >> j & 1]
+        batch = {
+            x: [(j, x >> shift[j] & fmask) for j in range(n) if xmask >> j & 1]
+            for x, xmask in relations.items()
+        }
         if perms:
             closure(list(batch), images)
         generators: list[Vec] = []
@@ -336,23 +344,40 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
                 by_coord.setdefault(c * n + j, []).append((xmask, x))
             generators.append(tuple(coeffs))
         yield generators
-        nxt: dict[int, tuple[int, int]] = {}
-        for x, (xmask, d) in level.items():
-            if d == bias:
-                continue
+        nxt: dict[int, int] = {}
+        relations = {}
+        while level:
+            # a candidate is dropped as it is expanded, and its pairings are
+            # summed again from its support
+            x, xmask = level.popitem()
+            d, rest = bias, xmask
+            while rest:
+                low = rest & -rest
+                at, row = unit_row[low]
+                d += (x >> at & fmask) * row
+                rest ^= low
             # the top byte of each field: 0x80 where the pairing is negative
             negative = (~d & bias).to_bytes(nbytes, "little")[nb - 1 :: nb]
             j = negative.find(0x80)
             while j >= 0:
                 y = x + unit[j]
-                if y not in nxt:
+                # whether y is a relation depends on y alone, so y can only
+                # have been stored in the one dict it belongs to
+                into = relations if d == at_zero[j] else nxt
+                if y not in into:
+                    # y >= some generator m componentwise: no field of
+                    # (y | guard) - m borrows from its guard bit; the support
+                    # masks reject most pairs first
                     ymask = xmask | 1 << j
-                    bucket = by_coord.get(((y >> shift[j]) & fmask) * n + j)
-                    if not (bucket and _dominates(y, ymask, bucket, guard)):
+                    yg, outside = y | guard, ~ymask
+                    for mmask, m in by_coord.get(((y >> shift[j]) & fmask) * n + j, ()):
+                        if not mmask & outside and (yg - m) & guard == guard:
+                            break
+                    else:
                         stored += 1
                         if stored > max_stored:
                             _check_stored(stored, n)
-                        nxt[y] = (ymask, d + gram[j])
+                        into[y] = ymask
                 j = negative.find(0x80, j + 1)
         level = nxt
 

@@ -41,16 +41,21 @@ point lookups; its signed points w(lam+rho) - rho are listed once per group
 and lam.
 
 Symmetric powers S^0..S^d come from one DP over the weight list in pure
-Python: each degree k is one packed int over the box that holds the weights
-of S^k, all degrees in one frame of mixed-radix strides, so adding a weight
-to a degree is one shift and one add, and one mask only where the degree's
-box is clipped narrower than the degree below moved by a weight.  Counts
-are exact Python ints.  :func:`symmetric_power` decodes whole layers into
-characters.  :func:`weyl_sum_series` gives the multiplicities of a few
-highest weights in every S^k of a module: it folds their signed points onto
-dominant representatives, keeps in each degree only the cells that can still
-carry a weight into those, and reads each sum straight off the packed ints,
-so no layer is decoded.
+Python, in reduced coordinates: a unimodular change of basis
+(:func:`_tight_basis`) in which the box of the distinct weights is tight,
+since Dynkin coordinates skew the weights of a non-simply-laced group (the
+seven weights of G2 ``[1,0]`` fill a 5 x 3 box, and a 3 x 3 one after a
+shear).  Each degree k is one packed int over the box that holds the
+weights of S^k, all degrees in one frame of mixed-radix strides, so adding
+a weight to a degree is one shift and one add, and one mask only where the
+degree's box is clipped narrower than the degree below moved by a weight.
+Counts are exact Python ints.  :func:`symmetric_power` decodes whole layers
+into characters, each cell mapped back to Dynkin coordinates.
+:func:`weyl_sum_series` gives the multiplicities of a few highest weights
+in every S^k of a module: it folds their signed points onto dominant
+representatives, keeps in each degree only the cells that can still carry
+a weight into those, and reads each sum straight off the packed ints at the
+representatives' reduced coordinates, so no layer is decoded.
 
 Multigraded multiplicities (one grading per summand) are computed for every
 multidegree at once: S^0..S^dmax of each summand come from a single
@@ -462,43 +467,91 @@ def max_nonzero_weight_multiplicity(g: GroupSpec, hw: Coords) -> tuple[int, Opti
 
 SYMPOW_CELL_CAP = 50_000_000
 """Cells that the symmetric-power DP may hold: the boxes of all degrees
-together, each clipped, for :func:`weyl_sum_series`, to the cells that can
-reach the points its sums read.  They are counted before anything is built;
-a hit raises ResourceLimitError (the CLI exits 3)."""
+together, in the DP's reduced coordinates, each clipped, for
+:func:`weyl_sum_series`, to the cells that can reach the points its sums
+read.  They are counted before anything is built; a hit raises
+ResourceLimitError (the CLI exits 3)."""
 
 
 def symmetric_power(chi: Character, d: int) -> list[Character]:
     """Characters of S^0(chi), ..., S^d(chi) for an effective character chi,
-    decoded from the packed DP of :func:`_packed_powers` in coordinate order."""
-    layers, bits, strides = _packed_powers(chi, d, None)
+    decoded from the packed DP of :func:`_packed_powers`, each cell mapped
+    back to Dynkin coordinates, entries in Dynkin coordinate order."""
+    layers, bits, strides, (_, to_dynkin) = _packed_powers(chi, d, None)
     out = []
     for value, lo, hi in layers:
         data = _bytes(value)
-        entries = {}
-        for coords in itertools.product(*map(range, lo, [h + 1 for h in hi])):
-            m = _field(data, bits, sum(map(mul, map(sub, coords, lo), strides)))
+        entries = []
+        for cell in itertools.product(*map(range, lo, [h + 1 for h in hi])):
+            m = _field(data, bits, sum(map(mul, map(sub, cell, lo), strides)))
             if m:
-                entries[coords] = m
-        out.append(Character(chi.group, entries))
+                entries.append((_apply(to_dynkin, cell), m))
+        out.append(Character(chi.group, dict(sorted(entries))))
     return out
+
+
+def _apply(rows: Sequence[Sequence[int]], v: Coords) -> Coords:
+    """The integer matrix with the given rows applied to ``v``."""
+    return tuple(sum(map(mul, row, v)) for row in rows)
+
+
+def _tight_basis(weights: Sequence[Coords], rank: int) -> tuple[list[list[int]], list[list[int]]]:
+    """A unimodular change of coordinates in which the box of ``weights`` is
+    tight, as the rows of the matrix U that takes a weight w to its reduced
+    coordinates U w, and those of U's inverse.
+
+    The extent of a coordinate over the weights is ``max(0, max) -
+    min(0, min)``, the side of the box that S^1 spans.  Starting from the
+    identity, row i becomes row i + row j or row i - row j whenever that
+    shrinks the extent of coordinate i, until no such shear does.  A shear
+    has determinant 1 and changes no other row, so no extent grows, U stays
+    unimodular, and U is the identity where nothing shrinks (A1, A2).  The
+    seven weights of G2 ``[1,0]`` fill a 5 x 3 box in Dynkin coordinates and
+    a 3 x 3 one after the shear (x, y) -> (x + y, y)."""
+    rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    inverse = [row[:] for row in rows]
+    cols = [[w[i] for w in weights] for i in range(rank)]
+    extents = [max((0, *col)) - min((0, *col)) for col in cols]
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for i, j in itertools.permutations(range(rank), 2):
+            for s in (1, -1):
+                col = [a + s * b for a, b in zip(cols[i], cols[j])]
+                extent = max((0, *col)) - min((0, *col))
+                if extent < extents[i]:
+                    cols[i], extents[i], shrunk = col, extent, True
+                    rows[i] = [a + s * b for a, b in zip(rows[i], rows[j])]
+                    # U^-1 E^-1 for E = I + s e_i e_j^T: column j less s times column i
+                    for row in inverse:
+                        row[j] -= s * row[i]
+    return rows, inverse
 
 
 def _packed_powers(
     chi: Character, d: int, reads: Optional[Sequence[Coords]]
-) -> tuple[list[tuple[int, Coords, Coords]], int, list[int]]:
+) -> tuple[
+    list[tuple[int, Coords, Coords]], int, list[int], tuple[list[list[int]], list[list[int]]]
+]:
     """S^0(chi), ..., S^d(chi) as ``(value, lo, hi)`` per degree, the field
-    width ``bits`` and the cell ``strides``: the weight v of S^k is the field
-    at cell ``sum((v - lo) * strides)`` of ``value``, and S^k has no weight
-    outside the box ``lo .. hi``.
+    width ``bits``, the cell ``strides`` and the ``basis`` ``(U, U^-1)`` of
+    :func:`_tight_basis`: the weight v of S^k, whose reduced coordinates are
+    ``u = U v``, is the field at cell ``sum((u - lo) * strides)`` of
+    ``value``, and S^k has no weight whose reduced coordinates lie outside
+    the box ``lo .. hi``.
 
-    Dynamic programming over the weight list: multiplying in one weight ``w``
-    of multiplicity one is the geometric-series pass
+    The DP runs in the reduced coordinates of the weights, in which the box
+    of the distinct weights is tight; every box, window, radix and mask
+    below, and the cells counted against the cap, are in them.  Dynamic
+    programming over the weight list: multiplying in one weight ``w`` of
+    multiplicity one is the geometric-series pass
     ``S[k] += shift(S[k-1], w)`` taken in increasing ``k``.  Degree k is held
     on the box ``k*mn .. k*mx`` per coordinate, with ``mn = min(0, min w)``
     and ``mx = max(0, max w)``, which holds every weight of S^k.
 
     ``reads`` is None for whole layers.  Otherwise the caller reads S^k only
-    at the weights ``reads``, which lie in a box ``F``: a cell of degree k can
+    at the weights ``reads`` (Dynkin coordinates), whose reduced coordinates
+    lie in a box ``F``: a cell of degree k can
     reach ``F`` in degree d only if it lies in
     ``F - (d-k)*mx .. F - (d-k)*mn`` (the window of degree k, which holds
     ``F`` itself), so each box is clipped to its window; the cells of the
@@ -526,15 +579,17 @@ def _packed_powers(
     if any(m < 0 for m in entries.values()):
         raise ValueError("symmetric powers need an effective character")
     rank = chi.group.rank
+    basis = _tight_basis([w for w, m in entries.items() if m], rank)
     weights: list[Coords] = []
     for w, m in sorted(entries.items()):
-        weights.extend([w] * m)
+        weights.extend([_apply(basis[0], w)] * m)
     cols = list(zip(*weights)) or [()] * rank
     mn = [min((0, *col)) for col in cols]
     mx = [max((0, *col)) for col in cols]
     los = [tuple(k * l for l in mn) for k in range(d + 1)]
     his = [tuple(k * h for h in mx) for k in range(d + 1)]
     if reads is not None:
+        reads = [_apply(basis[0], p) for p in reads]
         f_lo = [min(p[j] for p in reads) for j in range(rank)]
         f_hi = [max(p[j] for p in reads) for j in range(rank)]
         for k in range(d + 1):
@@ -590,7 +645,7 @@ def _packed_powers(
                 if masks[k] is not None:
                     moved &= masks[k]
                 packed[k] += moved
-    return list(zip(packed, los, his)), bits, strides
+    return list(zip(packed, los, his)), bits, strides, basis
 
 
 def _bytes(value: int) -> bytes:
@@ -659,7 +714,8 @@ def weyl_sum_series(
     representative, and the points are folded there with their signs
     summed.  The DP of :func:`_packed_powers` keeps only the cells that can
     reach those representatives, and each degree's sums are read straight
-    off its packed int.
+    off its packed int, at the representatives mapped to the DP's reduced
+    coordinates.
     """
     g = chi.group
     folded = []
@@ -669,7 +725,10 @@ def weyl_sum_series(
             rep = dominantize(g, pt)[0]
             reps[rep] = reps.get(rep, 0) + sign
         folded.append(reps)
-    layers, bits, strides = _packed_powers(chi, d, [rep for reps in folded for rep in reps])
+    layers, bits, strides, (to_reduced, _) = _packed_powers(
+        chi, d, [rep for reps in folded for rep in reps]
+    )
+    folded = [{_apply(to_reduced, rep): sign for rep, sign in reps.items()} for reps in folded]
     series: list[list[int]] = [[] for _ in folded]
     for value, lo, hi in layers:
         data = _bytes(value)

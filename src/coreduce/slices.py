@@ -10,10 +10,11 @@ relation with a coefficient at least 2.
 The slice is written down once, at the dominant level
 (:func:`slice_diagram`): the module's nonzero dominant weights
 (``ModuleSpec.diagram``) less one copy at each dominant root.
-:func:`toral_slice` expands its orbits, and :func:`bad_toral_slice` sizes
-that listing off it and, past the search's bound, reads a violating pair
-off it (:func:`diagram_pair`), as every line through 0 is the Weyl image
-of one through a dominant weight.  No module weight multiset is built.
+:func:`bad_toral_slice` builds it once per call, sizes the listing off
+it, and then either lists the slice by expanding its orbits or, past the
+search's bound, reads a violating pair off it (:func:`diagram_pair`), as
+every line through 0 is the Weyl image of one through a dominant weight.
+No module weight multiset is built.
 
 :func:`bad_toral_slice` is the one test, for every caller.  Multiplicities
 do not matter to it: a relation of the slice is indecomposable exactly when
@@ -105,14 +106,6 @@ def slice_diagram(m: ModuleSpec) -> Optional[dict[Coords, int]]:
     return {d: c for d, c in counts.items() if c}
 
 
-def toral_slice(m: ModuleSpec) -> Optional[dict[Coords, int]]:
-    """The torus weights of the slice at a generic zero-weight vector, the
-    orbits of :func:`slice_diagram` (Dynkin coordinates), mapped to their
-    multiplicities; None when there is no toral slice."""
-    diagram = slice_diagram(m)
-    return None if diagram is None else expand_orbits(m.group, diagram).entries
-
-
 def weyl_symmetric_list(g: GroupSpec, weights: Iterable[Coords]) -> tuple[list[Vec], list[list[int]]]:
     """The distinct weights of a Weyl-invariant set (Dynkin labels) as a
     sorted list in root_scaled coordinates, and the simple reflections as
@@ -141,7 +134,8 @@ def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
     The listing is sized first, off :func:`slice_diagram`: the search
     starts from one weight per Weyl orbit, so the slice's dominant weights
     times the weights of their orbits must be within ``HILBERT_COORD_CAP``.
-    Past it, the relation is a pair read off the same diagram
+    Within it, the slice is listed from the orbits of that same diagram;
+    past it, the relation is a pair read off the diagram
     (:func:`diagram_pair`), and without one the test refuses."""
     diagram = slice_diagram(m)
     if diagram is None:
@@ -154,7 +148,7 @@ def bad_toral_slice(m: ModuleSpec) -> Optional[BadSliceCertificate]:
         if found is None:
             raise
         return found
-    ws, symmetry = weyl_symmetric_list(g, toral_slice(m))
+    ws, symmetry = weyl_symmetric_list(g, expand_orbits(g, diagram).entries)
     found = violating_circuit(ws)
     if found is not None:
         return relation_certificate(TorusVerdict(False, tuple(ws), found))

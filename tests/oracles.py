@@ -695,6 +695,21 @@ def reference_roots(g: GroupSpec) -> list:
     return out
 
 
+def reference_toral_slice(m):
+    """The torus weights of the slice at a generic zero-weight vector, each
+    mapped to its multiplicity: the module's nonzero weights
+    (:func:`reference_weights`) less one copy of each root
+    (:func:`reference_roots`); None when some root is not a weight."""
+    weights = reference_weights(m)
+    roots = reference_roots(m.group)
+    if any(weights.get(r, 0) == 0 for r in roots):
+        return None
+    counts = {w: c for w, c in weights.items() if any(w)}
+    for r in roots:
+        counts[r] -= 1
+    return {w: c for w, c in counts.items() if c}
+
+
 def reference_weight_counts(m) -> tuple:
     """(zero multiplicity, nonzero weights with multiplicity) of a module
     over its full dominant diagram, every summand's Freudenthal diagram

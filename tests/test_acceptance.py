@@ -39,7 +39,7 @@ from coreduce.repthy import (
     weyl_dim,
 )
 from coreduce.rootsys import dynkin_to_eps, parse_group
-from coreduce.slices import bad_toral_slice, roots_mult2_rule, toral_slice
+from coreduce.slices import bad_toral_slice, roots_mult2_rule
 from coreduce.classify import (
     NO,
     classify_module,
@@ -48,7 +48,12 @@ from coreduce.classify import (
     sl2_module,
 )
 
-from oracles import brute_force_minimal_relations, kostant_weight_multiplicity, weyl_orbit
+from oracles import (
+    brute_force_minimal_relations,
+    kostant_weight_multiplicity,
+    reference_toral_slice,
+    weyl_orbit,
+)
 from test_classify import SL2_TABLE
 
 
@@ -320,7 +325,7 @@ def test_criterion_10_property_suites():
             if not summands:
                 continue
             m = ModuleSpec(g, tuple(summands))
-            counts = None if m.dimension() > 80 else toral_slice(m)
+            counts = None if m.dimension() > 80 else reference_toral_slice(m)
             if counts is None or sum(counts.values()) > 14:
                 continue
             cases += 1

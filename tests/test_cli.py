@@ -89,11 +89,12 @@ def test_torus_check_answers_on_the_f4_slice_with_the_classify_certificate():
     # the 24 weights of the toral slice of F4 [1,0,0,0]+[0,0,0,1]: a full
     # listing of the basis stops at HILBERT_COORD_CAP, the torus verdict
     # stops at its first degree with a coefficient >= 2
-    from coreduce.slices import toral_slice, weyl_symmetric_list
+    from coreduce.slices import weyl_symmetric_list
+    from oracles import reference_toral_slice
 
     g = parse_group("F4")
     m = parse_module(g, "[1,0,0,0]+[0,0,0,1]")
-    ws, _ = weyl_symmetric_list(g, toral_slice(m))
+    ws, _ = weyl_symmetric_list(g, reference_toral_slice(m))
     weights = ";".join("(" + ",".join(map(str, w)) + ")" for w in ws)
     code, out = run_cli(["torus-check", f"--weights={weights}"])
     assert code == 1
@@ -884,13 +885,14 @@ def test_bad_slice_prints_a_hilbert_generator_of_the_slice(module):
     # generator where it is not, as on [1]+[6], where the search's first is
     # (1,2,1) on -4, -1 and 6, three weights of one line
     from coreduce.monoid import Relation, hilbert_basis, is_torus_coreduced
-    from coreduce.slices import toral_slice, weyl_symmetric_list
+    from coreduce.slices import weyl_symmetric_list
+    from oracles import reference_toral_slice
 
     code, out = run_cli(["bad-slice", "A1", module])
     assert code == 0
     cert = json.loads(out)["certificate"]
     g = parse_group("A1")
-    ws, symmetry = weyl_symmetric_list(g, toral_slice(parse_module(g, module)))
+    ws, symmetry = weyl_symmetric_list(g, reference_toral_slice(parse_module(g, module)))
     placed = {tuple(w): c for w, c in zip(cert["weights"], cert["coeffs"])}
     relation = Relation(tuple(placed.get(w, 0) for w in ws))
     assert relation in hilbert_basis(ws)
@@ -1473,14 +1475,17 @@ def test_every_cap_is_documented_with_its_value():
     assert "repthy.DIAGRAM_CAP" in caps and len(caps) >= 7
 
 
-# The G2xG2 S^9 of appendixB, with the target (0,0,1,0) and 0: each G2 factor's
-# weights span -2..2 and -1..1, and the dominant representatives of the
-# points w(lam+rho) - rho fill the box F = 0..5 x 0..3 x 0..6 x 0..3.  Degree
-# k keeps the cells of k*mn .. k*mx inside F - (9-k)*mx .. F - (9-k)*mn.
+# The G2xG2 S^9 of appendixB, with the target (0,0,1,0) and 0, in the DP's
+# reduced coordinates (x + y, y, z + w, w) of the Dynkin labels (x, y, z, w):
+# each G2 factor's weights span -1..1 in both, and the dominant
+# representatives of the points w(lam+rho) - rho fill the box
+# F = 0..5 x 0..3 x 0..6 x 0..3.  Degree k keeps the cells of k*mn .. k*mx
+# inside F - (9-k)*mx .. F - (9-k)*mn.  In Dynkin coordinates, where the
+# weights span -2..2 and -1..1, the same formula gives 122,313.
 G2XG2_SYMPOW_CELLS = sum(
     math.prod(
         min(k * h, f_hi - (9 - k) * l) - max(k * l, f_lo - (9 - k) * h) + 1
-        for l, h, f_lo, f_hi in zip((-2, -1, -2, -1), (2, 1, 2, 1), (0, 0, 0, 0), (5, 3, 6, 3))
+        for l, h, f_lo, f_hi in zip((-1, -1, -1, -1), (1, 1, 1, 1), (0, 0, 0, 0), (5, 3, 6, 3))
     )
     for k in range(10)
 )
@@ -1491,7 +1496,7 @@ def test_sympow_cell_cap_counts_the_per_degree_boxes(monkeypatch, capsys):
     counts exactly those cells, before any is built."""
     from coreduce import repthy
 
-    assert G2XG2_SYMPOW_CELLS == 122_313
+    assert G2XG2_SYMPOW_CELLS == 39_333
     argv = ["verify-paper", "--suite", "appendixB"]
     monkeypatch.setattr(repthy, "SYMPOW_CELL_CAP", G2XG2_SYMPOW_CELLS)
     code, out = run_cli(argv)
@@ -1507,10 +1512,10 @@ def test_sympow_cell_cap_counts_the_per_degree_boxes(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err) == {
         "engine": "repthy.sympow",
         "cap": "SYMPOW_CELL_CAP",
-        "limit": 122312,
-        "count": 122313,
-        "message": "symmetric_power would need 122313 DP cells, "
-        "over SYMPOW_CELL_CAP = 122312",
+        "limit": 39332,
+        "count": 39333,
+        "message": "symmetric_power would need 39333 DP cells, "
+        "over SYMPOW_CELL_CAP = 39332",
     }
 
 
@@ -1532,6 +1537,46 @@ def test_appendix_b_is_the_same_under_python_optimize():
     assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
     assert runs[0].stdout == runs[1].stdout
     assert json.loads(runs[0].stdout)["ok"]
+
+
+# Runs one suite in a fresh interpreter and prints its exit code and how far
+# the suite raised the process's peak resident set over ``import
+# coreduce.cli``, in kB: the ``VmHWM`` line of /proc/self/status, which is
+# the peak of this process's own memory map (``ru_maxrss`` of a child starts
+# from its parent's peak on Linux, so a test process would mask the rise).
+RSS_PROBE = """
+import contextlib, io, sys
+import coreduce.cli
+
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = peak_kb()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = coreduce.cli.main(["verify-paper", "--suite", sys.argv[1]])
+print(code, peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM of Linux")
+@pytest.mark.parametrize("suite", ["appendixB", "exceptional"])
+def test_the_two_long_suites_raise_their_peak_rss_by_under_two_megabytes(suite):
+    """Above the import floor, the Appendix B series (its symmetric-power DP
+    in reduced coordinates) and the F4 slice search (its candidates held as
+    support masks) each raise a process's peak RSS by under 2 MB; their
+    layers and pairing ints once raised it by 3.8 and 2.5 MB."""
+    src = os.path.dirname(os.path.dirname(coreduce.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, suite],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    code, rise_kb = map(int, done.stdout.split())
+    assert code == 0
+    assert rise_kb < 2 * 1024, f"{suite} raised the peak RSS by {rise_kb} kB"
 
 
 def test_fast_suites_pass():
@@ -1745,8 +1790,8 @@ def test_slices_with_many_equal_weights_get_a_certificate(group, module):
     # these searches once stopped at the coordinate cap; on the distinct
     # weights each finds a degree-3 relation, the search alone as well as
     # the circuit scan
-    from coreduce.slices import toral_slice, weyl_symmetric_list
-    from oracles import brute_force_minimal_relations
+    from coreduce.slices import weyl_symmetric_list
+    from oracles import brute_force_minimal_relations, reference_toral_slice
 
     code, out = run_cli(["classify", group, module])
     assert code == 1
@@ -1761,7 +1806,7 @@ def test_slices_with_many_equal_weights_get_a_certificate(group, module):
     coeffs = tuple(cert["coeffs"])
     assert coeffs in brute_force_minimal_relations(weights, sum(coeffs))
     g = parse_group(group)
-    slice_weights, _ = weyl_symmetric_list(g, toral_slice(parse_module(g, module)))
+    slice_weights, _ = weyl_symmetric_list(g, reference_toral_slice(parse_module(g, module)))
     assert set(weights) <= set(slice_weights)
 
 

@@ -18,12 +18,13 @@ from coreduce.monoid import (
 )
 from coreduce.repthy import ModuleSpec, parse_module
 from coreduce.rootsys import parse_group
-from coreduce.slices import relation_certificate, toral_slice, weyl_symmetric_list
+from coreduce.slices import relation_certificate, weyl_symmetric_list
 
 from oracles import (
     brute_force_minimal_relations,
     brute_force_torus_coreduced,
     reference_hilbert_basis,
+    reference_toral_slice,
     weyl_orbit,
 )
 
@@ -219,7 +220,7 @@ def small_module_slices(draw):
     summands = draw(
         st.lists(st.tuples(st.integers(1, 3), hw), min_size=1, max_size=2, unique_by=lambda t: t[1])
     )
-    counts = toral_slice(ModuleSpec(g, tuple(summands)))
+    counts = reference_toral_slice(ModuleSpec(g, tuple(summands)))
     assume(counts and sum(counts.values()) <= 24)
     return weyl_symmetric_list(g, counts)
 
@@ -272,7 +273,7 @@ def test_copy_ascending_search_answers_a_b2_slice_under_a_small_cap(monkeypatch)
     # reflections, it stores 26.  The circuit scan finds the relation before
     # any search, so the search runs here on the slice directly
     g = parse_group("B2")
-    ws, symmetry = weyl_symmetric_list(g, toral_slice(parse_module(g, "3*[0,2]+3*[1,0]")))
+    ws, symmetry = weyl_symmetric_list(g, reference_toral_slice(parse_module(g, "3*[0,2]+3*[1,0]")))
     n = len(ws)
     assert n == 8
     monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 26 * n)

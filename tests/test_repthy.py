@@ -1,5 +1,7 @@
 import itertools
 import math
+import operator
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,6 +37,7 @@ from coreduce.rootsys import (
 from oracles import (
     brute_force_symmetric_power,
     kostant_weight_multiplicity,
+    leibniz_det,
     mult_in_character,
     reference_covariant_counts,
     reference_covariant_generator_exists,
@@ -378,7 +381,7 @@ def clipped_dp_inputs(draw):
     """A character of rank 1 to 3 with at most 8 weights of coordinates in
     -2..2, each with a multiplicity, a degree up to 6 and a set of points
     to read, each within reach of some degree or past it."""
-    g = parse_group(draw(st.sampled_from(["A1", "A2", "A3"])))
+    g = parse_group(draw(st.sampled_from(["A1", "A2", "A3", "B2", "G2", "A1xG2"])))
     coords = st.tuples(*[st.integers(-2, 2)] * g.rank)
     entries = draw(st.dictionaries(coords, st.integers(1, 3), min_size=1, max_size=8))
     d = draw(st.integers(0, 6))
@@ -391,20 +394,23 @@ def clipped_dp_inputs(draw):
 def test_clipped_layers_match_whole_layers_on_their_windows(inp):
     """Each layer of the DP clipped to the windows of a read set equals the
     whole layer of :func:`symmetric_power` on every cell of its window,
-    whether or not the degree built a mask."""
+    whether or not the degree built a mask.  Cells are in the DP's reduced
+    coordinates, and each is looked up at its Dynkin coordinates."""
     chi, d, reads = inp
     whole = symmetric_power(chi, d)
-    layers, bits, strides = repthy._packed_powers(chi, d, reads)
+    layers, bits, strides, (_, to_dynkin) = repthy._packed_powers(chi, d, reads)
     for (value, lo, hi), layer in zip(layers, whole, strict=True):
         data = repthy._bytes(value)
         for cell in itertools.product(*map(range, lo, [h + 1 for h in hi])):
             at = sum((x - l) * s for x, l, s in zip(cell, lo, strides))
-            assert repthy._field(data, bits, at) == layer.mult(cell), (cell, lo, hi)
+            weight = repthy._apply(to_dynkin, cell)
+            assert repthy._field(data, bits, at) == layer.mult(weight), (cell, lo, hi)
 
 
 def _mask_shapes(monkeypatch, call):
     """The shapes of the masks that the one DP ``call`` runs builds, the
-    box shape of each of its degrees, and what ``call`` returns."""
+    box shape of each of its degrees (both in the DP's reduced
+    coordinates), and what ``call`` returns."""
     shapes, runs = [], []
     box_mask, packed_powers = repthy._box_mask, repthy._packed_powers
 
@@ -419,9 +425,60 @@ def _mask_shapes(monkeypatch, call):
     monkeypatch.setattr(repthy, "_box_mask", counted)
     monkeypatch.setattr(repthy, "_packed_powers", recorded)
     out = call()
-    ((layers, _bits, _strides),) = runs
+    ((layers, _bits, _strides, _basis),) = runs
     boxes = [tuple(h - l + 1 for l, h in zip(lo, hi)) for _, lo, hi in layers]
     return shapes, boxes, out
+
+
+def _extents(weights, rank):
+    """The extent max(0, max) - min(0, min) of each coordinate over ``weights``."""
+    cols = [[w[i] for w in weights] for i in range(rank)]
+    return [max((0, *col)) - min((0, *col)) for col in cols]
+
+
+@given(inp=clipped_dp_inputs())
+@settings(max_examples=100, deadline=None)
+def test_the_tight_basis_is_unimodular_and_grows_no_extent(inp):
+    chi, _d, _reads = inp
+    rank = chi.group.rank
+    weights = list(chi.entries)
+    rows, inverse = repthy._tight_basis(weights, rank)
+    assert leibniz_det(rows) in (1, -1)
+    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)] for row in rows] == identity
+    reduced = [repthy._apply(rows, w) for w in weights]
+    assert [repthy._apply(inverse, u) for u in reduced] == weights
+    assert all(map(operator.le, _extents(reduced, rank), _extents(weights, rank)))
+
+
+@pytest.mark.parametrize(
+    "group,module,dynkin,reduced,rows",
+    [
+        ("G2", "[1,0]", [4, 2], [2, 2], [[1, 1], [0, 1]]),
+        ("A1", "[1]", [2], [2], [[1]]),
+        ("A2", "[1,0]", [2, 2], [2, 2], [[1, 0], [0, 1]]),
+    ],
+)
+def test_the_tight_basis_shears_g2_and_keeps_type_a(group, module, dynkin, reduced, rows):
+    # G2's seven weights fill a 5 x 3 box, and a 3 x 3 one after the shear
+    # (x, y) -> (x + y, y); A1 and A2 have nothing to shrink
+    g = parse_group(group)
+    weights = list(parse_module(g, module).weights.entries)
+    basis, _inverse = repthy._tight_basis(weights, g.rank)
+    assert basis == rows
+    assert _extents(weights, g.rank) == dynkin
+    assert _extents([repthy._apply(basis, w) for w in weights], g.rank) == reduced
+
+
+@pytest.mark.parametrize(
+    "group,module", [("G2", "[1,0]"), ("G2", "[0,1]"), ("B2", "[1,0]+[0,1]"), ("A1xG2", "[1,1,0]")]
+)
+def test_symmetric_power_lists_dynkin_weights_in_order(group, module):
+    """Decoded from a sheared DP, each layer lists its weights in Dynkin
+    coordinate order, as the brute force sorted does."""
+    chi = parse_module(parse_group(group), module).weights
+    for k, layer in enumerate(symmetric_power(chi, 4)):
+        assert list(layer.entries.items()) == sorted(brute_force_symmetric_power(chi.entries, k).items())
 
 
 def test_whole_layers_build_a_mask_for_degree_0_only(monkeypatch):
@@ -443,6 +500,22 @@ def test_appendix_b_series_masks_only_the_degrees_its_windows_clip(monkeypatch):
     assert shapes == [boxes[k] for k in (0, 5, 6, 7, 8, 9)]
     assert cert.per_degree_mults == paper.G2XG2_COVARIANT_SERIES
     assert cert.per_degree_invariants == paper.G2XG2_INVARIANT_SERIES
+
+
+def test_the_appendix_b_series_traces_under_one_and_a_half_megabytes():
+    """The G2xG2 degree-9 series of appendixB, its module's weights built
+    first, allocates at most 1.5 MB at its peak under ``tracemalloc``; in
+    Dynkin coordinates its layers alone took 1.4 MB and the peak 3.1 MB."""
+    m = parse_module(parse_group(paper.G2XG2_GROUP), paper.G2XG2_MODULE)
+    m.weights
+    tracemalloc.start()
+    try:
+        cert = covariant_generator_exists(m, G2XG2_TARGET, G2XG2_DEGREE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.per_degree_mults == paper.G2XG2_COVARIANT_SERIES
+    assert peak < 1_500_000, peak
 
 
 def test_symmetric_power_big_integer_fallback():
@@ -470,6 +543,36 @@ def small_modules(draw):
     hws = draw(st.lists(labels.filter(any), min_size=1, max_size=3))
     m = ModuleSpec(g, tuple((1, hw) for hw in hws))
     return m, draw(labels)
+
+
+def _counted_cells(call, reduced):
+    """The cells the one DP ``call`` runs would count against the cap, in
+    the reduced basis or, when ``reduced`` is false, in Dynkin coordinates
+    (the identity basis)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repthy, "SYMPOW_CELL_CAP", -1)
+        if not reduced:
+            mp.setattr(
+                repthy, "_tight_basis",
+                lambda weights, rank: ([[int(i == j) for j in range(rank)] for i in range(rank)],) * 2,
+            )
+        with pytest.raises(ResourceLimitError) as err:
+            call()
+    return err.value.count
+
+
+@given(inp=clipped_dp_inputs(), mod=small_modules(), d=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_the_dp_counts_no_more_cells_than_in_dynkin_coordinates(inp, mod, d):
+    """Whole layers, whose boxes are products of the extents, and the
+    clipped layers of the Weyl-sum series of a module."""
+    chi, k, _reads = inp
+    whole = lambda: symmetric_power(chi, k)
+    assert _counted_cells(whole, True) <= _counted_cells(whole, False)
+    m, target = mod
+    zero = (0,) * m.group.rank
+    series = lambda: weyl_sum_series(m.weights, d, (target, zero))
+    assert _counted_cells(series, True) <= _counted_cells(series, False)
 
 
 BRUTE_FORCE_MONOMIALS = 20_000
