@@ -5,6 +5,12 @@ certificate settles the question, "yes_paper_proof"/"no_paper_proof" where
 the argument is genuinely geometric and the verdict ships as fixture data
 with a citation record.  A negative rule firing on a "yes" row is a
 contradiction and raises.
+
+:func:`classify_module` is the drivers' one caller and the one place that
+decides a module's domain: a semisimple group, no trivial summand, an
+irreducible module of a product group, and a module of the adjoint group of
+a simple group past A2.  It refuses anything else with ``ValueError``, and
+each driver assumes its module passed.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .repthy import (
     covariant_certificates,
     covariant_generator_exists_multidegree,
     max_nonzero_weight_multiplicity,
-    min_root_multiplicity,
     weight_diagram,
     weyl_sum_series,
 )
@@ -110,10 +115,6 @@ class ContradictionError(CertificateError):
     """A negative rule fired on a row the classification lists as coreduced."""
 
 
-def _a1() -> GroupSpec:
-    return GroupSpec((SimpleType("A", 1),))
-
-
 # ---------------------------------------------------------------------------
 # Binary forms
 
@@ -122,16 +123,13 @@ def sl2_module(parts: Sequence[int]) -> ModuleSpec:
     counts: dict[int, int] = {}
     for p in parts:
         counts[p] = counts.get(p, 0) + 1
-    return ModuleSpec(_a1(), tuple((c, (p,)) for p, c in sorted(counts.items())))
+    return ModuleSpec(parse_group("A1"), tuple((c, (p,)) for p, c in sorted(counts.items())))
 
 
 def classify_sl2(m: ModuleSpec) -> Verdict:
-    """Sums of binary-form modules R_p (p >= 1 per summand)."""
-    if m.group != _a1():
-        raise ValueError(f"{m.group} is not A1; this driver covers binary forms")
+    """Sums of binary-form modules R_p, p >= 1 per summand; the domain is
+    checked by :func:`classify_module`, as for every driver."""
     copies = {hw[0]: c for c, hw in m.collected}  # p -> copies of R_p
-    if not copies or 0 in copies:
-        raise ValueError("need a nontrivial module with no trivial summands")
     tag = "binary-forms"
     if copies in ({2: 1}, {3: 1}, {4: 1}) or set(copies) == {1}:
         _check_no_negative_rule(m)
@@ -162,11 +160,6 @@ def _two_r2_screen() -> ScreenResult:
     copies of the three-dimensional module is at most 2 < 3 = codim."""
     vals = [(2, 2), (-2, 2)]
     return value_screen(vals, codim=3, invariant_degrees=[2, 2, 2])
-
-
-def _require_simple(g: GroupSpec) -> None:
-    if len(g.simple_factors) != 1 or g.torus_rank:
-        raise ValueError(f"{g} is not a simple group; this driver covers one simple factor")
 
 
 def _check_no_negative_rule(m: ModuleSpec) -> None:
@@ -215,16 +208,12 @@ G2_7_HW = (1, 0)
 
 
 def classify_adjoint_exceptional(m: ModuleSpec) -> Verdict:
+    """Modules of the adjoint group of an exceptional simple group, checked
+    by :func:`classify_module`."""
     g = m.group
-    _require_simple(g)
     t = g.simple_factors[0]
-    if t.family not in _EXCEPTIONAL_FAMILIES:
-        raise ValueError(f"{t} is not an exceptional group")
     key = (t.family, t.rank)
     tag = f"exceptional-{t.family}{t.rank}"
-    for _, hw in m.summands:
-        if not in_root_lattice(g, hw):
-            raise ValueError(f"{hw} is not a module of the adjoint group of {t}")
     summands = m.collected
     if summands == ((1, _adjoint_hw(t)),):
         _check_no_negative_rule(m)
@@ -262,10 +251,8 @@ def classify_adjoint_exceptional(m: ModuleSpec) -> Verdict:
         bad = bad_toral_slice(m)
         if bad is not None:
             return Verdict(m, NO, (bad,), tag)
-    root_mult, _ = min_root_multiplicity(m)
-    if root_mult >= 2:
-        cert = roots_mult2_rule(m)
-        require(cert is not None, "root multiplicity >= 2 without a bad toral slice")
+    cert = roots_mult2_rule(m)
+    if cert is not None:
         return Verdict(m, NO, (cert,), tag)
     if len(summands) == 1:
         wmult, witness = max_nonzero_weight_multiplicity(g, summands[0][1])
@@ -319,14 +306,10 @@ def g2_three_7_certificate() -> tuple:
 
 
 def classify_adjoint_classical(m: ModuleSpec) -> Verdict:
-    g = m.group
-    _require_simple(g)
-    t = g.simple_factors[0]
-    n = t.rank
-    tag = f"classical-{t.family}{n}"
-    for _, hw in m.summands:
-        if not in_root_lattice(g, hw):
-            raise ValueError(f"{hw} is not a module of the adjoint group of {t}")
+    """Modules of the adjoint group of a classical simple group past A2,
+    checked by :func:`classify_module`."""
+    t = m.group.simple_factors[0]
+    tag = f"classical-{t.family}{t.rank}"
     if _is_classical_yes_row(t, m):
         verdict = YES if _is_adjoint_module(t, m) else YES_PAPER
         _check_no_negative_rule(m)
@@ -353,11 +336,8 @@ def _is_classical_yes_row(t: SimpleType, m: ModuleSpec) -> bool:
     def one(hw: Sequence[int]) -> bool:
         return s == ((1, tuple(hw)),)
 
-    if fam == "A":
-        if n == 2 and (one([3, 0]) or one([0, 3])):
-            return True
-        if n == 3 and one([0, 2, 0]):
-            return True
+    if fam == "A" and n == 3 and one([0, 2, 0]):
+        return True
     if fam == "B":
         if one([2] + [0] * (n - 1)):
             return True
@@ -382,17 +362,9 @@ def _is_classical_yes_row(t: SimpleType, m: ModuleSpec) -> bool:
 
 
 def classify_semisimple_irreducible(m: ModuleSpec) -> Verdict:
+    """Irreducible modules of a product of two or more simple groups,
+    checked by :func:`classify_module`."""
     g = m.group
-    if len(g.simple_factors) < 2 or g.torus_rank:
-        raise ValueError(
-            f"{g} is outside the classification: it covers products of two or "
-            "more simple groups"
-        )
-    if len(m.collected) != 1 or m.collected[0][0] != 1:
-        raise ValueError(
-            f"{m} is outside the classification: it covers irreducible modules "
-            "of product groups"
-        )
     hw = m.collected[0][1]
     tag = "semisimple-irreducible"
     if _is_semisimple_yes_row(g, hw):
@@ -493,8 +465,8 @@ _SL3_IRRED_YES = {(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3), (1, 1)}
 
 
 def classify_sl3(m: ModuleSpec) -> Verdict:
-    if m.group != SL3:
-        raise ValueError(f"{m.group} is not the rank-2 special linear group A2")
+    """Modules of the rank-2 special linear group A2 with no trivial
+    summand, checked by :func:`classify_module`."""
     tag = "rank2-special-linear"
     s = m.collected
     if _is_sl3_yes_row(s):
@@ -699,21 +671,30 @@ def _sl3_cocharacter_from_eps(a: int, b: int, c: int) -> Cocharacter:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def classify_module(m: ModuleSpec) -> Verdict:
-    """Route a module to the driver for its group family.  The verdict is
-    kept per module, so a repeated request runs no driver; a raise is not
-    kept."""
+    """Check that a module lies in the classification's domain, and route it
+    to the driver for its group family; the drivers have no other caller
+    and check nothing of the domain themselves.  The verdict is kept per
+    module, so a repeated request runs no driver; a raise is not kept."""
     g = m.group
     if g.torus_rank:
         raise ValueError("classification drivers cover semisimple groups only")
     if any(not any(hw) for _, hw in m.summands):
         raise ValueError("need a nontrivial module with no trivial summands")
     if len(g.simple_factors) >= 2:
+        if len(m.collected) != 1 or m.collected[0][0] != 1:
+            raise ValueError(
+                f"{m} is outside the classification: it covers irreducible modules "
+                "of product groups"
+            )
         return classify_semisimple_irreducible(m)
     t = g.simple_factors[0]
     if str(t) == "A1":
         return classify_sl2(m)
     if str(t) == "A2":
         return classify_sl3(m)
+    for _, hw in m.summands:
+        if not in_root_lattice(g, hw):
+            raise ValueError(f"{hw} is not a module of the adjoint group of {t}")
     if t.family in _EXCEPTIONAL_FAMILIES:
         return classify_adjoint_exceptional(m)
     return classify_adjoint_classical(m)

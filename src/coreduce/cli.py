@@ -236,13 +236,12 @@ def _check(name: str, ok: bool, **detail) -> dict:
     return {"name": name, "ok": bool(ok), **detail}
 
 
-def _verdict_rows(
-    driver: Callable[[ModuleSpec], cls.Verdict], rows: Sequence[tuple[str, str, str]]
-) -> list[dict]:
-    """One check per recorded (group, module, verdict) row of a driver's table."""
+def _verdict_rows(rows: Sequence[tuple[str, str, str]]) -> list[dict]:
+    """One check per recorded (group, module, verdict) row, each answered by
+    :func:`classify.classify_module`."""
     out = []
     for gs, ms, want in rows:
-        v = driver(parse_module(parse_group(gs), ms))
+        v = cls.classify_module(parse_module(parse_group(gs), ms))
         out.append(_check(f"{gs} {ms} -> {want}", v.coreduced == want))
     return out
 
@@ -265,9 +264,9 @@ def _suite_torus() -> list[dict]:
 def _suite_sl2() -> list[dict]:
     out = []
     for parts in paper.SL2_YES:
-        v = cls.classify_sl2(cls.sl2_module(parts))
+        v = cls.classify_module(cls.sl2_module(parts))
         out.append(_check(f"binary forms {parts} yes", v.coreduced == cls.YES))
-    v = cls.classify_sl2(cls.sl2_module(paper.SL2_TWO_QUADRATICS))
+    v = cls.classify_module(cls.sl2_module(paper.SL2_TWO_QUADRATICS))
     screen = v.certificates[0]
     out.append(
         _check(
@@ -277,7 +276,7 @@ def _suite_sl2() -> list[dict]:
             and screen.codim == paper.SL2_TWO_QUADRATICS_CODIM,
         )
     )
-    v = cls.classify_sl2(cls.sl2_module(paper.SL2_SEXTIC))
+    v = cls.classify_module(cls.sl2_module(paper.SL2_SEXTIC))
     ws = {w[0] for w in v.certificates[0].weights}
     out.append(
         _check(
@@ -312,7 +311,7 @@ def _suite_exceptional() -> list[dict]:
     for hw, thresh in paper.F4_ROOT_MULTIPLICITY:
         mult, _ = min_root_multiplicity(ModuleSpec(f4, ((1, hw),)))
         out.append(_check(f"F4 root multiplicity {hw} >= {thresh}", mult >= thresh))
-    return out + _verdict_rows(cls.classify_adjoint_exceptional, paper.EXCEPTIONAL)
+    return out + _verdict_rows(paper.EXCEPTIONAL)
 
 
 def _suite_sl3() -> list[dict]:
@@ -458,8 +457,8 @@ SUITES: dict[str, Callable[[], list[dict]]] = {
     "torus": _suite_torus,
     "sl2": _suite_sl2,
     "exceptional": _suite_exceptional,
-    "classical": partial(_verdict_rows, cls.classify_adjoint_classical, paper.CLASSICAL),
-    "semisimple": partial(_verdict_rows, cls.classify_semisimple_irreducible, paper.SEMISIMPLE),
+    "classical": partial(_verdict_rows, paper.CLASSICAL),
+    "semisimple": partial(_verdict_rows, paper.SEMISIMPLE),
     "sl3": _suite_sl3,
     "appendixA": _suite_appendix_a,
     "appendixB": _suite_appendix_b,

@@ -479,8 +479,6 @@ def _exists_sum(
         raise ValueError("weight/target dimension mismatch")
     if count == 0 and all(x == 0 for x in target):
         return SumWitness(True)
-    if not ws:
-        return SumWitness(False)
     if grading is not None:
         # the value becomes one more coordinate of every vector
         if len(grading) != len(target):

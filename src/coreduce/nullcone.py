@@ -25,7 +25,7 @@ after sizing the module against ``CHAMBER_WEIGHT_CAP``.
 
 The enumeration is a pure function of its hyperplanes, so
 ``_chamber_samples`` is memoized in a bounded ``functools.lru_cache``
-(``CHAMBER_MEMO_SIZE`` entries) keyed on the normals, the rank and the cone
+(``config.MEMO_SIZE`` entries) keyed on the normals, the rank and the cone
 walls as tuples, in the order given: the recursion reuses the
 sub-arrangements around rays it has met before, within one enumeration and
 across requests.  It stores only tuples of points.  A rank over
@@ -145,10 +145,6 @@ diagram (``repthy.weight_counts``) before the first chamber.  The largest
 module whose sets the tests, the benchmark or the paper suites list has 48
 nonzero weights (the Appendix B module); ``99999999999*[1,1]`` over A2 has
 about 6e11."""
-CHAMBER_MEMO_SIZE = 1024
-"""Arrangements whose chamber points ``_chamber_samples`` keeps: above the
-sub-arrangements met in a session of a few hundred CLI requests (under 100)
-and in one rank-4 enumeration (41 for the Appendix B module)."""
 
 
 def admissible_sets(m: ModuleSpec) -> tuple[AdmissibleSet, ...]:
@@ -232,7 +228,7 @@ def _primitive(v: Vec) -> Vec:
     return tuple(x // g for x in v)
 
 
-@lru_cache(maxsize=CHAMBER_MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _chamber_samples(
     normals: tuple[Vec, ...], rank: int, cone: tuple[Vec, ...]
 ) -> tuple[Vec, ...]:
@@ -368,14 +364,11 @@ def dominance(lam1: AdmissibleSet, lam2: AdmissibleSet) -> str:
 
 def sl3_two_quadrant_dominant(adm: AdmissibleSet) -> bool:
     """Sufficient dominance criterion for a component (a maximal admissible
-    set, :func:`components`) over A2.
+    set, :func:`components`) of an A2 module.
 
     Requires nonzero member weights of the forms (-a, b) and (c, -d) in
     root coordinates with nonnegative coefficients.
     """
-    g = adm.defining.group
-    if len(g.simple_factors) != 1 or str(g.simple_factors[0]) != "A2" or g.torus_rank:
-        raise RootSystemError("two-quadrant criterion is specific to A2")
     # the weights of an admissible set are nonzero
     coords = [sl3_root_coords(w) for w in adm.weight_set()]
     return any(p <= 0 <= q for p, q in coords) and any(q <= 0 <= p for p, q in coords)
@@ -605,8 +598,6 @@ def support_orbit_dim_bound(
     the zero weight space are lumped together, which is always safe but may
     be weak.
     """
-    if not v_support:
-        return 0, {"columns": 0, "bound": 0}
     g = m.group
     copies: list[dict[Coords, int]] = []
     for coeff, hw in m.summands:

@@ -43,8 +43,6 @@ from coreduce.slices import bad_toral_slice, roots_mult2_rule
 from coreduce.classify import (
     NO,
     classify_module,
-    classify_sl2,
-    classify_sl3,
     sl2_module,
 )
 
@@ -200,7 +198,7 @@ def test_criterion_06_sl3_v31():
         cert = covariant_generator_exists(m, (1, 0), degree)
         assert cert.exists and cert.multiplicity > cert.ideal_bound
         assert cert.multiplicity == paper.SL3_V31_COVARIANT_MULTIPLICITY
-        v = classify_sl3(m)
+        v = classify_module(m)
         assert v.coreduced == NO and v.certificates[0].degree == degree
 
 
@@ -263,8 +261,8 @@ def test_criterion_08_f4_appendix():
 def test_criterion_09_sl2_suite():
     with criterion(9, 60.0):
         for parts, want in SL2_TABLE:
-            assert classify_sl2(sl2_module(parts)).coreduced == want, parts
-        screen = classify_sl2(sl2_module(paper.SL2_TWO_QUADRATICS)).certificates[0]
+            assert classify_module(sl2_module(parts)).coreduced == want, parts
+        screen = classify_module(sl2_module(paper.SL2_TWO_QUADRATICS)).certificates[0]
         assert screen.rank_bound == paper.SL2_TWO_QUADRATICS_RANK
         assert screen.codim == paper.SL2_TWO_QUADRATICS_CODIM > screen.rank_bound
         cert = covariant_generator_exists(

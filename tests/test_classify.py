@@ -26,8 +26,6 @@ from coreduce.classify import (
     Verdict,
     _SL3_EPS_SCREENS,
     _sl3_reducible_screen,
-    classify_adjoint_classical,
-    classify_adjoint_exceptional,
     classify_module,
     classify_semisimple_irreducible,
     classify_sl2,
@@ -51,6 +49,7 @@ from coreduce.slices import BadSliceCertificate, bad_toral_slice, slice_diagram
 from coreduce.nullcone import G2XG2_DEGREE, G2XG2_TARGET, Cocharacter, ScreenResult
 
 from oracles import dynkin_of_root, exact_rank, reference_toral_slice
+from test_memos import CLASSIFY_DRIVERS
 
 
 
@@ -276,23 +275,74 @@ def test_paper_paths_compute_the_weights_once(suite, weight_builds):
     assert weight_builds == [m.diagram]
 
 
-def test_the_sl3_suite_classifies_each_module_once(monkeypatch):
-    # the duality checks and the 24-dimensional module read the verdicts
-    # the irreducible and reducible rows already have, through the memo
-    from coreduce import classify, cli
+@pytest.fixture
+def driver_runs(monkeypatch):
+    """(driver name, group, module) of every driver run while the test runs,
+    each of which must happen inside a ``classify_module`` call."""
+    from coreduce import classify
 
-    runs = []
-    driver = classify.classify_sl3
+    runs, inside = [], []
+    entry = classify.classify_module
 
-    def counted(m):
-        runs.append(str(m))
-        return driver(m)
+    def routed(m):
+        inside.append(m)
+        try:
+            return entry(m)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(classify, "classify_sl3", counted)
-    classify_module.cache_clear()
-    assert all(check["ok"] for check in cli._suite_sl3())
-    assert sorted(runs) == sorted(set(runs))
-    assert {"[3,1]", "[2,0]+[0,1]"} <= set(runs)
+    for name in CLASSIFY_DRIVERS:
+        def counted(m, _driver=getattr(classify, name), _name=name):
+            assert inside == [m], f"{_name} ran outside classify_module"
+            runs.append((_name, str(m.group), str(m)))
+            return _driver(m)
+
+        monkeypatch.setattr(classify, name, counted)
+    monkeypatch.setattr(classify, "classify_module", routed)
+    entry.cache_clear()
+    return runs
+
+
+def test_only_classify_module_reads_a_driver():
+    """Inside the package the drivers have one caller, the function that
+    decides a module's domain: no other function, and no module-level
+    table, reads their names."""
+    pkg = pathlib.Path(coreduce.__file__).parent
+    readers = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            name = (
+                child.id if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+                else child.attr if isinstance(child, ast.Attribute) else None
+            )
+            if name in CLASSIFY_DRIVERS:
+                readers.add((where, name))
+            visit(child, where)
+
+    for path in sorted(pkg.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert readers == {("classify.classify_module", name) for name in CLASSIFY_DRIVERS}
+
+
+def test_the_verdict_suites_classify_each_module_once(driver_runs):
+    # every suite with verdict rows reads them through classify_module: the
+    # classical suite's A2 rows take the rank-2 special linear driver, the
+    # path classify takes, and the duality checks and the 24-dimensional
+    # module read the verdicts the sl3 rows already have, through the memo
+    from coreduce import cli
+
+    for suite in ("sl2", "exceptional", "classical", "semisimple", "sl3"):
+        assert all(check["ok"] for check in cli.SUITES[suite]()), suite
+    modules = [(group, module) for _, group, module in driver_runs]
+    assert len(modules) == len(set(modules))
+    rows = paper.EXCEPTIONAL + paper.CLASSICAL + paper.SEMISIMPLE + paper.SL3_IRREDUCIBLE
+    assert {(group, module) for group, module, _ in rows} <= set(modules)
+    assert {("A2", "[3,1]"), ("A2", "[2,0]+[0,1]"), ("A1", "2*[2]")} <= set(modules)
+    assert not [run for run in driver_runs if run[:2] == ("classify_adjoint_classical", "A2")]
 
 
 # ---------------------------------------------------------------------------
@@ -352,33 +402,41 @@ DRIVER_TABLES = (
 def test_exceptional_rows():
     for name, text, want in paper.EXCEPTIONAL:
         g = parse_group(name)
-        v = classify_adjoint_exceptional(parse_module(g, text))
+        v = classify_module(parse_module(g, text))
         assert v.coreduced == want, (name, text)
 
 
 @pytest.mark.parametrize(
-    "driver",
-    [
-        classify_adjoint_exceptional,
-        classify_adjoint_classical,
-        classify_sl3,
-    ],
+    "group,module",
+    [("G2xT1", "[1,0,1]"), ("B3xT1", "[2,0,0,1]"), ("A2xT1", "[1,0,1]")],
     ids=["exceptional", "classical", "sl3"],
 )
-def test_simple_drivers_reject_other_groups(driver):
-    # a product group, and a group with a torus factor
-    for m in [_module("A1xA1", "[2,2]"), _module("A2xT1", "[1,0,1]")]:
-        with pytest.raises(ValueError):
-            driver(m)
+def test_simple_drivers_reject_other_groups(group, module, driver_runs):
+    # classify_module refuses a simple group with a torus factor before any
+    # driver runs
+    with pytest.raises(ValueError, match="^classification drivers cover semisimple groups only$"):
+        classify_module(_module(group, module))
+    assert driver_runs == []
 
 
-def test_exceptional_rejects_non_adjoint_lattice():
-    f4 = parse_group("F4")
-    # no rejection for F4 (root lattice = weight lattice); B3 spin handled
-    # by the classical driver below
-    b3 = parse_group("B3")
-    with pytest.raises(ValueError):
-        classify_adjoint_classical(parse_module(b3, "[0,0,1]"))
+def test_exceptional_rejects_non_adjoint_lattice(driver_runs):
+    # the root lattice of F4 and G2 is the weight lattice; those of E6 and
+    # of the classical groups past A2 are not
+    refused = [("E6", "[1,0,0,0,0,0]", "(1, 0, 0, 0, 0, 0)"), ("B3", "[0,0,1]", "(0, 0, 1)")]
+    for group, module, hw in refused:
+        with pytest.raises(ValueError) as e:
+            classify_module(_module(group, module))
+        assert str(e.value) == f"{hw} is not a module of the adjoint group of {group}"
+    assert driver_runs == []
+
+
+def test_product_groups_take_irreducible_modules_only(driver_runs):
+    with pytest.raises(ValueError) as e:
+        classify_module(_module("A1xA1", "[2,2]+[1,1]"))
+    assert str(e.value) == (
+        "[2,2]+[1,1] is outside the classification: it covers irreducible modules of product groups"
+    )
+    assert driver_runs == []
 
 
 @pytest.mark.parametrize("text,cocharacter", [("[2,1]", (5, 2)), ("[1,2]", (2, 5))])
@@ -414,7 +472,7 @@ def test_classical_relation_certificates_validate():
     rows = [(name, text) for name, text, want in paper.CLASSICAL if want == NO]
     for name, text in rows + [("B4", "[0,0,1,0]")]:
         g = parse_group(name)
-        v = classify_adjoint_classical(parse_module(g, text))
+        v = classify_module(parse_module(g, text))
         assert v.coreduced == NO, (name, text)
         cert = v.certificates[0]
         assert isinstance(cert, BadSliceCertificate)
@@ -601,14 +659,8 @@ def test_a_slice_of_many_copies_of_few_weights_is_searched_at_once(group, module
 
 
 def test_every_toral_relation_of_the_paper_tables_is_a_primitive_circuit():
-    drivers = [
-        (classify_adjoint_exceptional, paper.EXCEPTIONAL),
-        (classify_adjoint_classical, paper.CLASSICAL),
-        (classify_semisimple_irreducible, paper.SEMISIMPLE),
-        (classify_sl3, paper.SL3_IRREDUCIBLE + paper.SL3_REDUCIBLE),
-    ]
-    verdicts = [driver(_module(name, text)) for driver, table in drivers for name, text, _ in table]
-    verdicts += [classify_sl2(sl2_module(p)) for p in (*paper.SL2_YES, paper.SL2_TWO_QUADRATICS, paper.SL2_SEXTIC)]
+    verdicts = [classify_module(_module(name, text)) for name, text, _ in DRIVER_TABLES]
+    verdicts += [classify_module(sl2_module(p)) for p in (*paper.SL2_YES, paper.SL2_TWO_QUADRATICS, paper.SL2_SEXTIC)]
     relations = [
         c
         for v in verdicts
@@ -792,10 +844,8 @@ def test_a_binary_form_verdict_keeps_the_module_as_typed():
         v = classify_module(_module("A1", text))
         assert str(v.module) == text
         assert _verdict_shape(v) == _verdict_shape(classify_module(_module("A1", canonical)))
-    with pytest.raises(ValueError, match="not A1"):
-        classify_sl2(_module("A2", "[1,1]"))
-    with pytest.raises(ValueError, match="trivial summands"):
-        classify_sl2(_module("A1", "[0]+[1]"))
+    with pytest.raises(ValueError, match="^need a nontrivial module with no trivial summands$"):
+        classify_module(_module("A1", "[0]+[1]"))
 
 
 def test_no_negative_rule_fires_on_yes_rows():

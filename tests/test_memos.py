@@ -193,6 +193,34 @@ def test_a_repeated_components_call_returns_the_same_tuple():
     assert nullcone.components(ModuleSpec(m.group, m.summands)) is comps
 
 
+# one benchmark process: the ``queries`` requests of one seed, then every
+# paper suite; prints the chamber memo's size and bound
+BENCH_SESSION = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+from coreduce import cli, nullcone
+for argv in workloads.queries(1, 300) + [["verify-paper"]]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+info = nullcone._chamber_samples.cache_info()
+print(info.currsize, info.maxsize)
+"""
+
+
+def test_a_benchmark_session_evicts_no_chamber_arrangement():
+    """The chamber memo has the bound of every other memo, and a process that
+    answers a seed's ``queries`` stream and the full ``verify-paper`` keeps
+    every arrangement it met."""
+    src = os.path.dirname(os.path.dirname(coreduce.__file__))
+    bench = os.path.join(os.path.dirname(src), "bench")
+    done = subprocess.run(
+        [sys.executable, "-c", BENCH_SESSION, bench],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    size, bound = map(int, done.stdout.split())
+    assert 0 < size < bound
 def test_a_repeated_toral_slice_verdict_reads_no_torus_verdict():
     """``bad_toral_slice`` keeps nothing itself: a repeat lists the slice
     again and reads its search off the torus-verdict memo.  A repeated
