@@ -20,21 +20,20 @@ that cannot change an answer:
   are a second int, one biased byte-aligned field each, summed from the
   candidate's support by the packed Gram rows of its weights when it is
   expanded, and a child's is its parent's plus one row.  A negative pairing
-  is a field with its top bit clear, and ``val == 0`` exactly when the int
-  equals the bias (every pairing 0), because ``val`` lies in the span of
-  the weights and is then orthogonal to it.
+  is a field with its top bit clear.  Above them the int holds ``val``.
 - A stored candidate is its coefficient int and its support mask, and
   nothing more: a level's relations are kept apart from the candidates it
-  expands, and each candidate is dropped as it is expanded.  The F4 slice
-  of the ``exceptional`` suite stores 5,544 candidates of degree 6, where
-  its search stops, and never expands them.
-- The completion runs one degree at a time: a level's generators are
-  yielded, sorted, before the next level's candidates are made, and each
-  candidate is checked once, as it is made, against the generators of
-  lower degree, the only ones it can dominate.  The check is indexed:
-  generators are kept by (coordinate, coefficient) and by support bitmask,
-  and a child ``x + e_j`` is compared only with generators whose j-th
-  coefficient equals the child's.  The generators and their order are
+  expands, and each candidate is dropped as it is expanded.
+- The completion runs one degree at a time: a candidate ``x`` names its
+  child ``x + e_j`` that is a relation, ``val(x) == -w_j``, as it is
+  made, and a degree's generators are yielded, sorted, before its other
+  candidates are made.  The F4 slice of the ``exceptional`` suite answers
+  at degree 6 after 2,018 candidates, never making the 5,534 others of
+  degree 6.  Each candidate is checked once, as it is made, against the
+  generators of lower degree, the only ones it can dominate.  The check is
+  indexed: generators are kept by (coordinate, coefficient) and by support
+  bitmask, and a child ``x + e_j`` is compared only with generators whose
+  j-th coefficient equals the child's.  The generators and their order are
   those of the plain scan.
 - Multiplicities do not change the search.  A relation is indecomposable
   exactly when the relation it induces on the distinct weights is, since a
@@ -52,8 +51,8 @@ that cannot change an answer:
   (the simple reflections acting on a toral slice), shrinks the search: it
   starts from one weight per orbit, and each level's generators are closed
   under the permutations.  The F4 slice of the ``exceptional``
-  suite, 24 weights in one W(F4)-orbit, stores 7,552 candidates instead of
-  79,013.
+  suite, 24 weights in one W(F4)-orbit, stores 2,018 candidates instead of
+  18,818.
 - ``exists_sum`` bounds every partial sum by the values a linear
   functional can still add: with ``rem`` summands left, each worth between
   ``lo`` and ``hi``, a state of value ``v`` survives only if
@@ -92,7 +91,7 @@ SUM_STATE_CAP = 50_000_000
 HILBERT_COORD_CAP = 16_000_000
 """Coordinates the Hilbert search may store: the candidates it has stored
 times the number of weights, checked as each candidate is stored.  The
-largest search of the recorded paper computations stores 181,248 (7,552
+largest search of the recorded paper computations stores 48,432 (2,018
 candidates of 24 coefficients, F4 in the ``exceptional`` suite); the two
 toral slices that once filled a 1 GB address space did so at 111 and 125
 million.  The cap also fixes the width of a packed coefficient field: it
@@ -211,12 +210,13 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
     """The indecomposable relations among the distinct ``weights``, one
     degree at a time, each degree's generators sorted.
 
-    The completion runs level by level.  All candidates of degree d are
-    made before any generator of degree d is known, each checked once
-    against every generator of lower degree, so the relations among them
-    are minimal; the degree is yielded before the children of degree
-    d + 1 are made.  A child can dominate only generators of lower degree,
-    so that one check is complete.
+    The completion runs level by level, relations first.  A child ``x +
+    e_j`` is a relation exactly when ``val(x) == -w_j``, so ``x`` names at
+    most one, the weights being distinct, as it is made.  Each is checked
+    once against every generator of lower degree, so the relations kept
+    are minimal, and the degree is yielded before its other candidates are
+    made, which happens only if the consumer resumes.  A child can
+    dominate only generators of lower degree, so that one check is complete.
 
     The check is indexed rather than a scan of every generator.  A child
     ``y = x + e_j`` of ``x`` can dominate a generator ``m`` only if
@@ -235,9 +235,8 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
 
     A stored candidate is its packed coefficients and its support mask.  A
     level keeps its relations, which are never expanded, in a dict of their
-    own, so a child is looked up only in the dict that its pairings say it
-    belongs to.  A candidate is popped as it is expanded, and its pairings
-    are summed again from its support.
+    own.  A candidate is popped as it is expanded, and its pairings are
+    summed again from its support.
     """
     n = len(weights)
     if n == 0:
@@ -282,8 +281,7 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
     # the Gram row of a weight is its coordinates times the packed
     # coordinate columns, a candidate's d is bias plus its coefficients
     # times the rows of its support, and a child's d its parent's plus one
-    # row.  val lies in the span of the weights, so val == 0 exactly when
-    # every pairing is 0, that is when d == bias.
+    # row.
     nb = (deg_cap * max(sum(a * a for a in w) for w in weights)).bit_length() // 8 + 1
     nbytes = nb * n
     half = 1 << 8 * nb - 1
@@ -294,10 +292,18 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
         for c in range(dim)
     ]
     gram = [sum(a * col for a, col in zip(w, cols)) for w in weights]
-    # support bit of weight j -> (shift of its field, its Gram row)
-    unit_row = {1 << j: (shift[j], gram[j]) for j in range(n)}
-    # the pairings of a candidate whose child x + e_j is a relation
-    at_zero = [bias - row for row in gram]
+    # Values: above the pairings, d holds val in dim signed fields of vb
+    # bits, each coordinate below half their range, so d >> top is val's
+    # int, and a child's is cheap to read as it is made: its parent's plus
+    # one weight's.
+    top = 8 * nbytes
+    vb = (deg_cap * max(abs(a) for w in weights for a in w)).bit_length() + 1
+    value = [sum(a << vb * c for c, a in enumerate(w)) for w in weights]
+    # support bit of weight j -> (shift of its field, its Gram row and value)
+    unit_row = {1 << j: (shift[j], gram[j] + (value[j] << top)) for j in range(n)}
+    # val(x) -> the one j whose child x + e_j is a relation (the weights are
+    # distinct)
+    zero_child = {-v: j for j, v in enumerate(value)}
 
     def images(x: int) -> list[int]:
         """The images of the generator x under the permutations, each added
@@ -310,22 +316,45 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
             if y not in batch:
                 moved = [(p[j], c) for j, c in support]
                 require(
-                    not any(sum(c * weights[j][a] for j, c in moved) for a in range(dim)),
+                    not sum(c * value[j] for j, c in moved),
                     "a symmetry maps a relation to a non-relation",
                 )
                 batch[y] = moved
             out.append(y)
         return out
 
+    def keep(into: dict[int, int], y: int, ymask: int, j: int) -> bool:
+        """Store the child ``y = x + e_j`` of a stored ``x`` in ``into``
+        unless it dominates a generator; whether it did."""
+        nonlocal stored
+        # y >= some generator m componentwise: no field of (y | guard) - m
+        # borrows from its guard bit; the support masks reject most pairs first
+        yg, outside = y | guard, ~ymask
+        for mmask, m in by_coord.get((y >> shift[j] & fmask) * n + j, ()):
+            if not mmask & outside and (yg - m) & guard == guard:
+                return False
+        stored += 1
+        if stored > max_stored:
+            _check_stored(stored, n)
+        into[y] = ymask
+        return True
+
     # the minimality index: m[j] * n + j -> (support mask, m) of the
     # generators m
     by_coord: dict[int, list[tuple[int, int]]] = {}
-    # the candidates of one degree that are not relations, and its
-    # relations, each x -> its support mask; a weight is never a relation
+    # the candidates of one degree that are not relations, x -> its support
+    # mask, and (x, mask, j) for those whose child x + e_j is a relation
     level = {unit[j]: 1 << j for j in starts}
-    relations: dict[int, int] = {}
-    while level or relations:
-        # the generators of this degree, as sparse supports [(j, x[j])]
+    pending = [(unit[j], 1 << j, zero_child[value[j]]) for j in starts if value[j] in zero_child]
+    yield []  # a weight is never a relation
+    while level:
+        # the relations of the next degree, before any other candidate of it
+        relations: dict[int, int] = {}
+        for x, xmask, j in pending:
+            y = x + unit[j]
+            if y not in relations:
+                keep(relations, y, xmask | 1 << j, j)
+        # its generators, as sparse supports [(j, x[j])]
         batch = {
             x: [(j, x >> shift[j] & fmask) for j in range(n) if xmask >> j & 1]
             for x, xmask in relations.items()
@@ -343,9 +372,11 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
             for j, c in support:
                 by_coord.setdefault(c * n + j, []).append((xmask, x))
             generators.append(tuple(coeffs))
-        yield generators
-        nxt: dict[int, int] = {}
-        relations = {}
+        if generators:
+            yield generators
+        # the relations are in nxt while it is made, so none is made again
+        nxt: dict[int, int] = dict.fromkeys(relations, 0)
+        pending = []
         while level:
             # a candidate is dropped as it is expanded, and its pairings are
             # summed again from its support
@@ -356,29 +387,21 @@ def _degrees(weights: Sequence[Vec], symmetry: Sequence[Sequence[int]]) -> Itera
                 at, row = unit_row[low]
                 d += (x >> at & fmask) * row
                 rest ^= low
+            v = d >> top
             # the top byte of each field: 0x80 where the pairing is negative
             negative = (~d & bias).to_bytes(nbytes, "little")[nb - 1 :: nb]
             j = negative.find(0x80)
             while j >= 0:
                 y = x + unit[j]
-                # whether y is a relation depends on y alone, so y can only
-                # have been stored in the one dict it belongs to
-                into = relations if d == at_zero[j] else nxt
-                if y not in into:
-                    # y >= some generator m componentwise: no field of
-                    # (y | guard) - m borrows from its guard bit; the support
-                    # masks reject most pairs first
-                    ymask = xmask | 1 << j
-                    yg, outside = y | guard, ~ymask
-                    for mmask, m in by_coord.get(((y >> shift[j]) & fmask) * n + j, ()):
-                        if not mmask & outside and (yg - m) & guard == guard:
-                            break
-                    else:
-                        stored += 1
-                        if stored > max_stored:
-                            _check_stored(stored, n)
-                        into[y] = ymask
+                if y not in nxt and keep(nxt, y, xmask | 1 << j, j):
+                    k = zero_child.get(v + value[j])
+                    if k is not None:
+                        pending.append((y, nxt[y], k))
                 j = negative.find(0x80, j + 1)
+        for y in relations:
+            del nxt[y]
+        if nxt and not generators:  # an empty degree, once it has candidates
+            yield generators
         level = nxt
 
 

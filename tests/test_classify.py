@@ -556,8 +556,9 @@ def test_family_member_classifies_no_through_a_circuit(m):
     assert is_primitive_circuit(cert.weights, cert.coeffs)
 
 
-# irreducible A2 modules whose Hilbert search stops at its coordinate cap,
-# a B3 module whose search does too, and modules with more slice weights
+# irreducible A2 modules and a B3 module whose Hilbert search, run alone,
+# once stopped at its coordinate cap (the A2 modules [3k,0] and [0,3k]
+# from k = 11 on still do), and modules with more slice weights
 # than the cap admits whose relations were once typed out: a symmetric
 # power of A3, a harmonic power of B2 and a product-group module.  The
 # rank-1, G2 and F4 modules went to the search alone and stopped at its cap

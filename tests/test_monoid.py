@@ -270,17 +270,41 @@ def test_copy_ascending_search_answers_a_b2_slice_under_a_small_cap(monkeypatch)
     # the slice of B2 3*[0,2]+3*[1,0] has 28 weights, 8 distinct: grown over
     # every arrangement of equal weights, its search stored 875 candidates
     # before the certificate.  On the 8 distinct weights, with the simple
-    # reflections, it stores 26.  The circuit scan finds the relation before
-    # any search, so the search runs here on the slice directly
+    # reflections, it stores 23, its degree-4 relations found before the
+    # other candidates of degree 4 (26 when they were made first).  The
+    # circuit scan finds the relation before any search, so the search runs
+    # here on the slice directly
     g = parse_group("B2")
     ws, symmetry = weyl_symmetric_list(g, reference_toral_slice(parse_module(g, "3*[0,2]+3*[1,0]")))
     n = len(ws)
     assert n == 8
-    monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 26 * n)
+    monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 23 * n)
     assert relation_certificate(is_torus_coreduced(ws, symmetry)).coeffs == (1, 2, 1)
     monoid._torus_verdict.cache_clear()
-    monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 25 * n)
-    with pytest.raises(ResourceLimitError, match="26 candidates of 8 coefficients"):
+    monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 22 * n)
+    with pytest.raises(ResourceLimitError, match="23 candidates of 8 coefficients"):
+        is_torus_coreduced(ws, symmetry)
+
+
+def test_the_f4_slice_search_stops_before_the_level_past_its_answer(monkeypatch):
+    # the slice of the exceptional suite's F4 [1,0,0,0]+[0,0,0,1]: 24 weights
+    # in one W(F4)-orbit, whose first violating generator has degree 6.  The
+    # search finds the degree-6 relations before any other candidate of
+    # degree 6, so it stores 2,018 candidates; making that level first
+    # stored 7,552
+    g = parse_group("F4")
+    ws, symmetry = weyl_symmetric_list(
+        g, reference_toral_slice(parse_module(g, "[1,0,0,0]+[0,0,0,1]"))
+    )
+    n = len(ws)
+    assert n == 24
+    monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 2018 * n)
+    monoid._torus_verdict.cache_clear()
+    verdict = is_torus_coreduced(ws, symmetry)
+    assert (verdict.certificate.degree, max(verdict.certificate.coeffs)) == (6, 2)
+    monoid._torus_verdict.cache_clear()
+    monkeypatch.setattr(monoid, "HILBERT_COORD_CAP", 2017 * n)
+    with pytest.raises(ResourceLimitError, match="2018 candidates of 24 coefficients"):
         is_torus_coreduced(ws, symmetry)
 
 
